@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-kernel bench-table2 bench-farm
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-table2 bench-farm
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -66,8 +66,23 @@ conformance:
 serve-smoke:
 	$(GO) run ./cmd/llhd-serve -smoke
 
-# bench regenerates the paper's evaluation benchmarks (Table 2/4, Figure 5).
+# bench runs the repository benchmark (benchmark/README.md): four
+# workloads, every metric printed by name, every op checked (ISS dump
+# streams, expected.json pins); exits non-zero on any failed op. Each run
+# appends its record to benchmark/out/results-<seed>.json.
 bench:
+	$(GO) run ./benchmark
+
+# bench-compare prints two result sets metric by metric — the required
+# before/after table of a change that claims a gain or claims to cost
+# nothing. BASE and HEAD are result-set files written by `make bench`
+# (or `go run ./benchmark -out FILE`) at the two commits.
+bench-compare:
+	$(GO) run ./benchmark -compare $(BASE) $(HEAD)
+
+# bench-paper regenerates the paper's evaluation benchmarks (Table 2/4,
+# Figure 5) as go test benchmarks.
+bench-paper:
 	$(GO) test -bench . -benchmem -run xxx .
 
 # bench-kernel runs the event-kernel microbenchmarks (drive storm, wake

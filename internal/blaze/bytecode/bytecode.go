@@ -57,8 +57,8 @@ const (
 
 	// Moves.
 	opMove   // Dst = Regs[A]
-	opClone  // Dst = Regs[A].Clone()  (var initialization)
-	opCloneP // Dst = Pool[A].Clone()  (alloc default template)
+	opClone  // Dst = Regs[A]  (var initialization; payloads are immutable, so a move)
+	opCloneP // Dst = Pool[A]  (alloc default template)
 
 	// Integer fast path (two-state scalars; C = result width).
 	opAdd
@@ -95,7 +95,7 @@ const (
 	opEvalUn  // Dst = val.Unary(C, Regs[A])
 
 	// Aggregates.
-	opMux     // Dst = Regs[A].Elems[clamp(Regs[B])]
+	opMux     // Dst = mux(Regs[A], clamp(Regs[B]))
 	opExtF    // Dst = extf(Regs[A], B)
 	opExtFDyn // Dst = extf(Regs[A], clamp(Regs[B]))
 	opExtS    // Dst = exts(Regs[A], off=B, n=C) (generic)
@@ -106,9 +106,9 @@ const (
 
 	// Signals (A = signal slot unless noted).
 	opPrb     // Dst = Probe(Sigs[A])
-	opDrv     // Drive(Sigs[A], Regs[B], Regs[C].T)
+	opDrv     // Drive(Sigs[A], Regs[B], Regs[C].Time())
 	opDrvCond // like opDrv, gated on Regs[Dst].Bits != 0
-	opDel     // del site Dst: change-detect Sigs[B], drive Sigs[A] after Regs[C].T
+	opDel     // del site Dst: change-detect Sigs[B], drive Sigs[A] after Regs[C].Time()
 	opReg     // reg storage site A (RegSites[A], history Regst[A])
 
 	// Calls and intrinsics.
@@ -122,7 +122,7 @@ const (
 	opJump    // pc = A
 	opBranch  // pc = Regs[A].Bits != 0 ? C : B
 	opPhi     // parallel edge moves: aux[A..A+2B) = (src, dst) pairs
-	opWaitArm // Subscribe(Waits[A]); B >= 0: ScheduleWake(Regs[B].T)
+	opWaitArm // Subscribe(Waits[A]); B >= 0: ScheduleWake(Regs[B].Time())
 	opSuspend // Frame.PC = A; yield to the engine
 	opHalt
 	opRet     // function return, void

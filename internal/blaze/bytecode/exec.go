@@ -98,16 +98,16 @@ func (rt *Runtime) release(fu *Unit, fr *Frame) {
 }
 
 // storeInt writes a two-state scalar in place: only Kind/Width/Bits are
-// touched, leaving any stale L/Elems payload behind. Every consumer of a
-// val.Value switches on Kind first, so the stale pointers are inert —
-// this is what lets the integer fast path run without constructing (and
-// zeroing) a fresh 64-byte value per op.
+// touched, leaving any stale payload pointer behind. Every consumer of a
+// val.Value switches on Kind first, so the stale pointer is inert — this
+// is what lets the integer fast path run without a pointer store (and its
+// write barrier) per op.
 func storeInt(r *val.Value, w int, bits uint64) {
 	if w <= 0 {
 		w = 1 // mirror val.Int's width clamp
 	}
 	r.Kind = val.KindInt
-	r.Width = w
+	r.Width = int32(w)
 	r.Bits = ir.MaskWidth(bits, w)
 }
 
@@ -122,11 +122,11 @@ func storeBool(r *val.Value, b bool) {
 }
 
 // moveVal copies src into dst with the scalar-int fast path: two-state
-// integers touch only Kind/Width/Bits (stale L/Elems stay inert, exactly
-// as with storeInt), everything else takes the full struct copy. A full
-// val.Value assignment costs a 64-byte copy plus GC write barriers for
-// the pointer fields, and moves dominate lowered code — this is the
-// dispatch loop's hottest path.
+// integers touch only Kind/Width/Bits (a stale payload pointer stays
+// inert, exactly as with storeInt), everything else takes the full struct
+// copy. A full val.Value assignment stores the payload pointer through a
+// GC write barrier, and moves dominate lowered code — this is the dispatch
+// loop's hottest path.
 func moveVal(dst, src *val.Value) {
 	if src.Kind == val.KindInt {
 		dst.Kind = val.KindInt
@@ -138,11 +138,11 @@ func moveVal(dst, src *val.Value) {
 }
 
 // driveReg schedules a drive of the register's value: two-state scalars go
-// through the engine's field-level DriveInt (no 64-byte value copy, no
-// clone check), everything else through the generic Drive.
+// through the engine's field-level DriveInt, everything else through the
+// generic Drive.
 func driveReg(e *engine.Engine, r engine.SigRef, v *val.Value, delay ir.Time) {
 	if v.Kind == val.KindInt {
-		e.DriveInt(r, v.Width, v.Bits, delay)
+		e.DriveInt(r, int(v.Width), v.Bits, delay)
 		return
 	}
 	e.Drive(r, *v, delay)
@@ -163,12 +163,10 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		i := &code[pc]
 		pc++
 		switch i.Op {
-		case opMove:
+		case opMove, opClone:
 			moveVal(&regs[i.Dst], &regs[i.A])
-		case opClone:
-			regs[i.Dst] = regs[i.A].Clone()
 		case opCloneP:
-			regs[i.Dst] = u.Pool[i.A].Clone()
+			moveVal(&regs[i.Dst], &u.Pool[i.A])
 
 		case opAdd:
 			storeInt(&regs[i.Dst], int(i.C), regs[i.A].Bits+regs[i.B].Bits)
@@ -262,14 +260,11 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			regs[i.Dst] = out
 
 		case opMux:
-			choices := &regs[i.A]
-			// Unsigned selector: > MaxInt64 wraps negative and clamps
-			// high, mirroring val.Mux (and the closure tier: no clone).
-			k := int(regs[i.B].Bits)
-			if k >= len(choices.Elems) || k < 0 {
-				k = len(choices.Elems) - 1
+			out, err := val.Mux(regs[i.A], regs[i.B])
+			if err != nil {
+				return 0, err
 			}
-			moveVal(&regs[i.Dst], &choices.Elems[k])
+			regs[i.Dst] = out
 		case opExtF:
 			out, err := val.ExtF(regs[i.A], int(i.B))
 			if err != nil {
@@ -277,18 +272,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			}
 			regs[i.Dst] = out
 		case opExtFDyn:
-			a := regs[i.A]
-			k := int(regs[i.B].Bits)
-			// Clamp speculative dynamic reads like Mux: lowering may
-			// hoist pure data flow past its control guards.
-			if a.Kind == val.KindAgg && len(a.Elems) > 0 {
-				if k < 0 {
-					k = 0
-				} else if k >= len(a.Elems) {
-					k = len(a.Elems) - 1
-				}
-			}
-			out, err := val.ExtF(a, k)
+			out, err := val.ExtFDyn(regs[i.A], regs[i.B].Bits)
 			if err != nil {
 				return 0, err
 			}
@@ -306,15 +290,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			}
 			regs[i.Dst] = out
 		case opInsFDyn:
-			a := regs[i.A]
-			k := int(regs[i.C].Bits)
-			// A speculative out-of-range dynamic write is dropped,
-			// mirroring EvalPure's convention.
-			if a.Kind == val.KindAgg && (k < 0 || k >= len(a.Elems)) {
-				regs[i.Dst] = a
-				continue
-			}
-			out, err := val.InsF(a, regs[i.B], k)
+			out, err := val.InsFDyn(regs[i.A], regs[i.B], regs[i.C].Bits)
 			if err != nil {
 				return 0, err
 			}
@@ -343,10 +319,10 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				moveVal(&regs[i.Dst], &v)
 			}
 		case opDrv:
-			driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].T)
+			driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].Time())
 		case opDrvCond:
 			if regs[i.Dst].Bits != 0 {
-				driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].T)
+				driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].Time())
 			}
 		case opDel:
 			cur := e.Probe(fr.Sigs[i.B])
@@ -356,7 +332,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				d.Prev = cur
 			} else if !cur.Eq(d.Prev) {
 				d.Prev = cur
-				driveReg(e, fr.Sigs[i.A], &cur, regs[i.C].T)
+				driveReg(e, fr.Sigs[i.A], &cur, regs[i.C].Time())
 			}
 		case opReg:
 			rt.regSite(e, u, fr, regs, int(i.A))
@@ -420,7 +396,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		case opWaitArm:
 			e.Subscribe(self, fr.Waits[i.A])
 			if i.B >= 0 {
-				e.ScheduleWake(self, regs[i.B].T)
+				e.ScheduleWake(self, regs[i.B].Time())
 			}
 		case opSuspend:
 			fr.PC = int(i.A)
@@ -479,7 +455,7 @@ func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Valu
 		}
 		var d ir.Time
 		if site.Delay >= 0 {
-			d = regs[site.Delay].T
+			d = regs[site.Delay].Time()
 		}
 		driveReg(e, fr.Sigs[site.Sig], &regs[t.Value], d)
 		break

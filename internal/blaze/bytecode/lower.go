@@ -144,7 +144,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 			case ir.OpConstTime:
 				cv = val.TimeVal(in.TVal)
 			case ir.OpConstLogic:
-				cv = val.LogicVal(in.LVal.Clone())
+				cv = val.LogicVal(in.LVal)
 			default:
 				continue
 			}

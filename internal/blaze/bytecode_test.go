@@ -4,13 +4,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"llhd/internal/assembly"
 	"llhd/internal/blaze"
 	"llhd/internal/designs"
+	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
+	"llhd/internal/sim"
 	"llhd/internal/simtest"
 )
 
@@ -103,6 +107,98 @@ func TestBytecodeWakeHotPathAllocFree(t *testing.T) {
 	// rare kernel-map rehash noise, never a systematic per-step allocation.
 	if avg > 0.25 {
 		t.Errorf("bytecode wake hot path allocates %.2f times per step, want 0", avg)
+	}
+}
+
+// aggWriterSrc is the frontend's memory idiom reduced to its cost: a
+// [32 x i32] var (the shape of the RV32I register file) that takes one
+// dynamic-index ld -> insf -> st per wake, forever.
+const aggWriterSrc = `
+entity @top () -> () {
+  inst @writer () -> ()
+}
+proc @writer () -> () {
+ entry:
+  %z = const i32 0
+  %one = const i32 1
+  %mask = const i32 31
+  %tick = const time 1ns
+  %init = [i32 ELEMS]
+  %rf = var [32 x i32] %init
+  %n = var i32 %z
+  br %loop
+ loop:
+  %k = ld i32* %n
+  %idx = and i32 %k, %mask
+  %cur = ld [32 x i32]* %rf
+  %upd = insf [32 x i32] %cur, %k, %idx
+  st [32 x i32]* %rf, %upd
+  %kn = add i32 %k, %one
+  st i32* %n, %kn
+  wait %loop for %tick
+}
+`
+
+// TestAggregateWriteBudget pins what an array write costs on every
+// engine: one allocation, the new packed payload (32 x 8 B plus
+// size-class slack), and nothing else — no per-element clones, no
+// pointerful copy for the collector to scan, no defensive copy on ld, st
+// or var.
+func TestAggregateWriteBudget(t *testing.T) {
+	src := strings.Replace(aggWriterSrc, "ELEMS", strings.TrimSuffix(strings.Repeat("%z, ", 32), ", "), 1)
+	blazeTier := func(tier blaze.Tier) func(*ir.Module) (*engine.Engine, error) {
+		return func(m *ir.Module) (*engine.Engine, error) {
+			s, err := blaze.NewTier(m, "top", tier)
+			if err != nil {
+				return nil, err
+			}
+			return s.Engine, nil
+		}
+	}
+	engines := []struct {
+		name string
+		new  func(m *ir.Module) (*engine.Engine, error)
+	}{
+		{"bytecode", blazeTier(blaze.TierBytecode)},
+		{"closure", blazeTier(blaze.TierClosure)},
+		{"interp", func(m *ir.Module) (*engine.Engine, error) {
+			s, err := sim.New(m, "top")
+			if err != nil {
+				return nil, err
+			}
+			return s.Engine, nil
+		}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			e, err := eng.new(assembly.MustParse("aggwriter", src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Init()
+			for i := 0; i < 256; i++ {
+				if !e.Step() {
+					t.Fatal("free-running design drained unexpectedly")
+				}
+			}
+			if err := e.Err(); err != nil {
+				t.Fatalf("warmup: %v", err)
+			}
+			const steps = 1000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(steps, func() { e.Step() })
+			runtime.ReadMemStats(&after)
+			// AllocsPerRun runs the function once more as its own warm-up.
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (steps + 1)
+			if err := e.Err(); err != nil || e.PendingEvents() == 0 {
+				t.Fatalf("run stopped during measurement: %v", err)
+			}
+			t.Logf("%s: %.2f allocs, %.0f B per wake", eng.name, allocs, bytes)
+			if allocs > 1 || bytes > 320 {
+				t.Errorf("array write costs %.2f allocs and %.0f B per wake, want <= 1 and <= 320", allocs, bytes)
+			}
+		})
 	}
 }
 

@@ -228,7 +228,7 @@ func (c *compiler) constOperand(v ir.Value) (val.Value, bool) {
 		case ir.OpConstTime:
 			return val.TimeVal(in.TVal), true
 		case ir.OpConstLogic:
-			return val.LogicVal(in.LVal.Clone()), true
+			return val.LogicVal(in.LVal), true
 		}
 	}
 	if cv, ok := c.inst.ConstOf(v); ok {
@@ -297,7 +297,7 @@ func (c *compiler) compileTerm(b *ir.Block, in *ir.Inst) (func(p *proc, e *engin
 		return func(p *proc, e *engine.Engine) (int, error) {
 			e.Subscribe(p.ProcID(), p.waits[wi])
 			if timeout != nil {
-				e.ScheduleWake(p.ProcID(), timeout(p).T)
+				e.ScheduleWake(p.ProcID(), timeout(p).Time())
 			}
 			applyMoves(p, moves)
 			p.cur = dest
@@ -356,13 +356,13 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 			cond := c.operand(in.Args[3])
 			return func(p *proc, e *engine.Engine) error {
 				if cond(p).Bits != 0 {
-					e.Drive(p.sigs[si], value(p), delay(p).T)
+					e.Drive(p.sigs[si], value(p), delay(p).Time())
 				}
 				return nil
 			}, nil
 		}
 		return func(p *proc, e *engine.Engine) error {
-			e.Drive(p.sigs[si], value(p), delay(p).T)
+			e.Drive(p.sigs[si], value(p), delay(p).Time())
 			return nil
 		}, nil
 
@@ -392,7 +392,7 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 			}
 			if !cur.Eq(d.prev) {
 				d.prev = cur
-				e.Drive(p.sigs[si], cur, delay(p).T)
+				e.Drive(p.sigs[si], cur, delay(p).Time())
 			}
 			return nil
 		}, nil
@@ -402,13 +402,13 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 		if in.Op == ir.OpAlloc {
 			init := val.Default(in.Ty.Elem)
 			return func(p *proc, e *engine.Engine) error {
-				p.regs[d] = init.Clone()
+				p.regs[d] = init
 				return nil
 			}, nil
 		}
 		init := c.operand(in.Args[0])
 		return func(p *proc, e *engine.Engine) error {
-			p.regs[d] = init(p).Clone()
+			p.regs[d] = init(p)
 			return nil
 		}, nil
 
@@ -448,18 +448,7 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 		if len(in.Args) == 2 {
 			idx := c.operand(in.Args[1])
 			return func(p *proc, e *engine.Engine) error {
-				a := base(p)
-				i := int(idx(p).Bits)
-				// Clamp speculative dynamic reads like Mux: lowering may
-				// hoist pure data flow past its control guards.
-				if a.Kind == val.KindAgg && len(a.Elems) > 0 {
-					if i < 0 {
-						i = 0
-					} else if i >= len(a.Elems) {
-						i = len(a.Elems) - 1
-					}
-				}
-				out, err := val.ExtF(a, i)
+				out, err := val.ExtFDyn(base(p), idx(p).Bits)
 				if err != nil {
 					return err
 				}
@@ -510,15 +499,7 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 		if len(in.Args) == 3 {
 			idx := c.operand(in.Args[2])
 			return func(p *proc, e *engine.Engine) error {
-				a := base(p)
-				i := int(idx(p).Bits)
-				// A speculative out-of-range dynamic write is dropped,
-				// mirroring EvalPure's convention.
-				if a.Kind == val.KindAgg && (i < 0 || i >= len(a.Elems)) {
-					p.regs[d] = a
-					return nil
-				}
-				out, err := val.InsF(a, v(p), i)
+				out, err := val.InsFDyn(base(p), v(p), idx(p).Bits)
 				if err != nil {
 					return err
 				}
@@ -564,14 +545,11 @@ func (c *compiler) compileStep(in *ir.Inst) (step, error) {
 		arr := c.operand(in.Args[0])
 		sel := c.operand(in.Args[1])
 		return func(p *proc, e *engine.Engine) error {
-			choices := arr(p)
-			i := int(sel(p).Bits)
-			// Unsigned selector: > MaxInt64 wraps negative and clamps
-			// high, mirroring val.Mux.
-			if i >= len(choices.Elems) || i < 0 {
-				i = len(choices.Elems) - 1
+			out, err := val.Mux(arr(p), sel(p))
+			if err != nil {
+				return err
 			}
-			p.regs[d] = choices.Elems[i]
+			p.regs[d] = out
 			return nil
 		}, nil
 
@@ -804,7 +782,7 @@ func (c *compiler) compileReg(in *ir.Inst) (step, error) {
 			}
 			d := ir.Time{}
 			if delay != nil {
-				d = delay(p).T
+				d = delay(p).Time()
 			}
 			e.Drive(p.sigs[si], t.value(p), d)
 			break

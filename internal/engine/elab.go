@@ -324,9 +324,7 @@ func EvalPure(in *ir.Inst, lookup func(ir.Value) (val.Value, bool)) (val.Value, 
 	case ir.OpConstTime:
 		return val.TimeVal(in.TVal), nil
 	case ir.OpConstLogic:
-		// Clone: consumers (frames, signal initializers) may retain or
-		// mutate the vector, and the IR node is shared.
-		return val.LogicVal(in.LVal.Clone()), nil
+		return val.LogicVal(in.LVal), nil
 	case ir.OpArray, ir.OpStruct:
 		elems := make([]val.Value, len(in.Args))
 		for i, a := range in.Args {
@@ -362,22 +360,14 @@ func EvalPure(in *ir.Inst, lookup func(ir.Value) (val.Value, bool)) (val.Value, 
 		if err != nil {
 			return val.Value{}, err
 		}
-		idx := in.Imm0
 		if len(in.Args) == 3 {
 			iv, err := get(in.Args[2])
 			if err != nil {
 				return val.Value{}, err
 			}
-			idx = int(iv.Bits)
-			// Dynamic indices can execute speculatively once lowering has
-			// hoisted pure data flow past its control guards, so an
-			// out-of-range write is dropped instead of trapping (the same
-			// lenient convention Mux uses). Static indices stay strict.
-			if a.Kind == val.KindAgg && (idx < 0 || idx >= len(a.Elems)) {
-				return a, nil
-			}
+			return val.InsFDyn(a, v, iv.Bits)
 		}
-		return val.InsF(a, v, idx)
+		return val.InsF(a, v, in.Imm0)
 	case ir.OpInsS:
 		a, err := get(in.Args[0])
 		if err != nil {
@@ -393,23 +383,14 @@ func EvalPure(in *ir.Inst, lookup func(ir.Value) (val.Value, bool)) (val.Value, 
 		if err != nil {
 			return val.Value{}, err
 		}
-		idx := in.Imm0
 		if len(in.Args) == 2 {
 			iv, err := get(in.Args[1])
 			if err != nil {
 				return val.Value{}, err
 			}
-			idx = int(iv.Bits)
-			// Clamp speculative dynamic reads like Mux; see OpInsF above.
-			if a.Kind == val.KindAgg && len(a.Elems) > 0 {
-				if idx < 0 {
-					idx = 0
-				} else if idx >= len(a.Elems) {
-					idx = len(a.Elems) - 1
-				}
-			}
+			return val.ExtFDyn(a, iv.Bits)
 		}
-		return val.ExtF(a, idx)
+		return val.ExtF(a, in.Imm0)
 	case ir.OpExtS:
 		a, err := get(in.Args[0])
 		if err != nil {

@@ -106,10 +106,8 @@ type TraceEntry struct {
 // TestObserverSignalIDOrder). Callbacks run synchronously on the
 // simulation goroutine, before the instant's processes wake.
 //
-// The value is passed without a defensive copy. Observers that retain it
-// beyond the callback must clone kinds with shared backing storage
-// (val.KindLogic, val.KindAgg); scalar ints and times are value types and
-// safe to keep as-is — the same cheap-copy rule Drive applies.
+// Value payloads are immutable (see val.Value): observers may retain the
+// value freely, no clone needed.
 type Observer interface {
 	OnChange(t ir.Time, sig *Signal, v val.Value)
 }
@@ -124,10 +122,8 @@ type obsEntry struct {
 
 // TraceObserver is the buffering compatibility observer: it accumulates
 // every change as a TraceEntry, preserving the retired Engine.Trace shape
-// for trace-diffing tests and tools. Per the Observer retention contract it
-// clones only values with shared backing storage (logic vectors and
-// aggregates); scalar ints and times are stored as-is, so buffering an
-// integer-only run allocates nothing beyond the slice growth (pinned by
+// for trace-diffing tests and tools. Values are stored as delivered, so
+// buffering a run allocates nothing beyond the slice growth (pinned by
 // TestObservedWakeHotPathAllocFree).
 //
 // The buffer grows without bound; long-running simulations should stream
@@ -138,9 +134,6 @@ type TraceObserver struct {
 
 // OnChange implements Observer.
 func (o *TraceObserver) OnChange(t ir.Time, sig *Signal, v val.Value) {
-	if v.Kind == val.KindLogic || v.Kind == val.KindAgg {
-		v = v.Clone()
-	}
 	o.Entries = append(o.Entries, TraceEntry{Time: t, Sig: sig, Value: v})
 }
 
@@ -343,7 +336,7 @@ func (e *Engine) pollGovernance() bool {
 
 // NewSignal registers a new signal net with the given initial value.
 func (e *Engine) NewSignal(name string, ty *ir.Type, init val.Value) *Signal {
-	s := &Signal{ID: len(e.signals), Name: name, Type: ty, value: init.Clone()}
+	s := &Signal{ID: len(e.signals), Name: name, Type: ty, value: init}
 	e.signals = append(e.signals, s)
 	if e.byName != nil {
 		if _, dup := e.byName[name]; !dup {
@@ -470,11 +463,6 @@ func (e *Engine) Drive(r SigRef, v val.Value, delay ir.Time) {
 	if delay.IsZero() {
 		t = e.Now.Add(ir.Time{Delta: 1})
 	}
-	// Defensive copy only for kinds with shared backing storage; scalar
-	// ints and times are value types already.
-	if v.Kind == val.KindLogic || v.Kind == val.KindAgg {
-		v = v.Clone()
-	}
 	s := e.slotFor(t)
 	s.events = append(s.events, event{ref: r, value: v})
 	e.pending++
@@ -482,9 +470,8 @@ func (e *Engine) Drive(r SigRef, v val.Value, delay ir.Time) {
 
 // DriveInt schedules a two-state scalar drive without routing a full
 // val.Value through the call chain. It is Drive specialized to the
-// compiled tiers' hot shape: no defensive clone is ever needed (scalars
-// have no shared backing storage) and the event's value is written field
-// by field into its bucket slot.
+// compiled tiers' hot shape: the event's value is written field by field
+// into its bucket slot.
 func (e *Engine) DriveInt(r SigRef, width int, bits uint64, delay ir.Time) {
 	t := e.Now.Add(delay)
 	if delay.IsZero() {
@@ -494,7 +481,7 @@ func (e *Engine) DriveInt(r SigRef, width int, bits uint64, delay ir.Time) {
 	s.events = append(s.events, event{ref: r})
 	ev := &s.events[len(s.events)-1]
 	ev.value.Kind = val.KindInt
-	ev.value.Width = width
+	ev.value.Width = int32(width)
 	ev.value.Bits = bits
 	e.pending++
 }
@@ -513,7 +500,7 @@ const slotScanMax = 32
 
 // slotFor finds or creates the bucket for the instant, keeping the
 // one-entry cache warm for same-instant bursts. Callers append their event
-// directly into the returned slot so the ~112-byte event struct is copied
+// directly into the returned slot so the 72-byte event struct is copied
 // exactly once.
 func (e *Engine) slotFor(t ir.Time) *timeSlot {
 	if s := e.lastSlot; s != nil && s.time == t {
@@ -648,9 +635,9 @@ func (e *Engine) Step() bool {
 		}
 		// Scalar fast path: a whole-signal two-state drive compares and
 		// writes Width/Bits in place, skipping the inject/Eq copy chain.
-		// Stale L/Elems on the signal stay inert because every consumer
-		// switches on Kind first (the same rule the blaze bytecode tier's
-		// in-place stores rely on).
+		// A stale payload pointer on the signal stays inert because every
+		// consumer switches on Kind first (the same rule the blaze bytecode
+		// tier's in-place stores rely on).
 		if sig := ev.ref.Sig; len(ev.ref.Path) == 0 &&
 			ev.value.Kind == val.KindInt && sig.value.Kind == val.KindInt {
 			if sig.value.Width != ev.value.Width || sig.value.Bits != ev.value.Bits {

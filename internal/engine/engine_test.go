@@ -134,7 +134,7 @@ func TestProjectionDriveAndProbe(t *testing.T) {
 		t.Errorf("field probe = %v", got)
 	}
 	whole := e.Probe(SigRef{Sig: s})
-	if whole.Elems[0].Bits != 0 || whole.Elems[1].Bits != 0xBEEF {
+	if whole.Elem(0).Bits != 0 || whole.Elem(1).Bits != 0xBEEF {
 		t.Errorf("whole = %v", whole)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"unsafe"
 
 	"llhd/internal/ir"
 	"llhd/internal/val"
@@ -215,5 +216,18 @@ func TestSignalByNameIndex(t *testing.T) {
 	}
 	if got := e.SignalByName("top.nope"); got != nil {
 		t.Errorf("lookup of unknown name = %v, want nil", got)
+	}
+}
+
+// TestValueLayout pins the sizes the kernel's copy costs are built on: a
+// three-word val.Value, and an event (signal reference + value + wake
+// fields) that fits 72 bytes. Every queue append, phi move and register
+// write copies one of these by value.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(val.Value{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(val.Value{}) = %d, want 24", got)
+	}
+	if got := unsafe.Sizeof(event{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want <= 72", got)
 	}
 }

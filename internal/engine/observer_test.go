@@ -186,3 +186,50 @@ func TestObservedWakeHotPathAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// TestObserverRetainsAggregates pins the retention rule: payloads are
+// immutable, so an observer that keeps the array values it was handed
+// (TraceObserver does, without cloning) still holds each instant's value
+// after the signal, the driver's source array and a sibling signal driven
+// from the same array have all moved on.
+func TestObserverRetainsAggregates(t *testing.T) {
+	e := New()
+	zero := val.Default(ir.ArrayType(4, ir.IntType(8)))
+	a := e.NewSignal("a", ir.ArrayType(4, ir.IntType(8)), zero)
+	b := e.NewSignal("b", a.Type, zero)
+	obs := &TraceObserver{}
+	e.Observe(obs)
+	e.Init()
+
+	cur := zero
+	for i := 0; i < 3; i++ {
+		next, err := val.InsFDyn(cur, val.Int(8, uint64(i+1)), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = next
+		// One array value onto two signals; then a projected drive moves
+		// one element of b only.
+		e.Drive(SigRef{Sig: a}, cur, ir.Nanoseconds(int64(2*i+1)))
+		e.Drive(SigRef{Sig: b}, cur, ir.Nanoseconds(int64(2*i+1)))
+		e.Drive(SigRef{Sig: b, Path: []Proj{{Kind: ProjField, A: 3}}}, val.Int(8, 0xF0), ir.Nanoseconds(int64(2*i+2)))
+	}
+	e.Run(ir.Time{})
+
+	want := []string{
+		"a=[1, 0, 0, 0]", "b=[1, 0, 0, 0]", "b=[1, 0, 0, 240]",
+		"a=[1, 2, 0, 0]", "b=[1, 2, 0, 0]", "b=[1, 2, 0, 240]",
+		"a=[1, 2, 3, 0]", "b=[1, 2, 3, 0]", "b=[1, 2, 3, 240]",
+	}
+	if len(obs.Entries) != len(want) {
+		t.Fatalf("%d entries, want %d", len(obs.Entries), len(want))
+	}
+	for i, en := range obs.Entries {
+		if got := fmt.Sprintf("%s=%s", en.Sig.Name, en.Value); got != want[i] {
+			t.Errorf("entry %d = %s, want %s", i, got, want[i])
+		}
+	}
+	if got := a.Value().String(); got != "[1, 2, 3, 0]" {
+		t.Errorf("a = %s: the projected drive into b leaked", got)
+	}
+}

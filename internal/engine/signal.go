@@ -118,7 +118,7 @@ func (e *Engine) ProbeScalar(r SigRef) (width int, bits uint64, ok bool) {
 	if len(r.Path) != 0 || r.Sig.value.Kind != val.KindInt {
 		return 0, 0, false
 	}
-	return r.Sig.value.Width, r.Sig.value.Bits, true
+	return int(r.Sig.value.Width), r.Sig.value.Bits, true
 }
 
 // Probe reads the current value of the referenced signal part.

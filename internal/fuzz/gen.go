@@ -11,7 +11,9 @@
 // miscompiles, so this package manufactures thousands of structurally
 // diverse designs — processes with phis, branches and bounded loops,
 // entities with reactive bodies, regs, dels and cons, multi-instance
-// hierarchies, function calls, var/ld/st memory form, aggregates, and
+// hierarchies, function calls, var/ld/st memory form, the frontend's
+// array-memory idiom (dynamic-index ld→insf→st and ld→extf on an array
+// var inside process loops), aggregate signals with projected drives, and
 // nine-valued logic vectors with x/z — and pins the engines against each
 // other as mutually-checking oracles.
 //
@@ -77,6 +79,7 @@ type gen struct {
 	pool    []ir.Value // values usable at the current insertion point
 	sigIns  []*ir.Arg  // signal-typed inputs of the unit under generation
 	vars    []*ir.Inst // var slots of the unit under generation
+	mems    []*ir.Inst // array-typed var slots (register files, memories)
 	nblocks int        // label counter
 	inFunc  bool       // functions may not probe signals
 }
@@ -370,8 +373,12 @@ func (g *gen) intExpr(ty *ir.Type, depth int) ir.Value {
 			}
 			return g.b.Call(ty, f.Name, args...)
 		}
-	case 11: // load from a var slot
-		if v := g.varOf(ty); v != nil {
+	case 11: // load from a var slot, or read an element of an array var
+		m, v := g.memOf(ty), g.varOf(ty)
+		if m != nil && (v == nil || g.chance(2)) {
+			return g.b.ExtFDyn(g.b.Ld(m), g.memIndex(m))
+		}
+		if v != nil {
 			return g.b.Ld(v)
 		}
 	}
@@ -445,9 +452,19 @@ func (g *gen) funcReturning(ty *ir.Type) *ir.Unit {
 
 // varOf picks a var slot holding ty, or nil.
 func (g *gen) varOf(ty *ir.Type) *ir.Inst {
+	return g.pickSlot(g.vars, func(held *ir.Type) bool { return held == ty })
+}
+
+// memOf picks an array var whose elements are ty, or nil.
+func (g *gen) memOf(ty *ir.Type) *ir.Inst {
+	return g.pickSlot(g.mems, func(held *ir.Type) bool { return held.Elem == ty })
+}
+
+// pickSlot picks one of the var slots whose held type satisfies holds.
+func (g *gen) pickSlot(slots []*ir.Inst, holds func(held *ir.Type) bool) *ir.Inst {
 	cands := make([]*ir.Inst, 0, 2)
-	for _, v := range g.vars {
-		if v.Type().Elem == ty {
+	for _, v := range slots {
+		if holds(v.Type().Elem) {
 			cands = append(cands, v)
 		}
 	}
@@ -455,6 +472,31 @@ func (g *gen) varOf(ty *ir.Type) *ir.Inst {
 		return nil
 	}
 	return cands[g.intn(len(cands))]
+}
+
+// newMem emits an array var: the memory form the Moore frontend gives
+// unpacked arrays (register files, FIFOs, instruction memories).
+func (g *gen) newMem() {
+	ty := ir.ArrayType(2<<uint(g.intn(3)), g.intType())
+	g.mems = append(g.mems, g.b.Var(g.constValue(ty)))
+}
+
+// memIndex emits a run-time index into array var m. Most stay in range;
+// the rest exercise the clamp-on-read / drop-on-write rule, up to
+// all-ones indices in the widest type (the unsigned compare).
+func (g *gen) memIndex(m *ir.Inst) ir.Value {
+	idx := g.expr(g.intType(), 2)
+	if g.chance(4) {
+		return idx
+	}
+	n := m.Type().Elem.Width
+	return g.b.And(idx, g.b.ConstInt(idx.Type(), uint64(n-1)))
+}
+
+// memWrite emits the frontend's array write: ld, dynamic insf, st.
+func (g *gen) memWrite(m *ir.Inst) {
+	cur := g.b.Ld(m)
+	g.b.St(m, g.b.InsFDyn(cur, g.expr(m.Type().Elem.Elem, 2), g.memIndex(m)))
 }
 
 // ---------------------------------------------------------------------------
@@ -526,13 +568,36 @@ func (g *gen) loop(ty *ir.Type, timed bool, body func(iter, acc ir.Value)) ir.Va
 	return acc
 }
 
-// maybeStore occasionally stores a random expression into a var slot.
+// maybeStore occasionally stores a random expression into a var slot, and
+// occasionally writes one element of an array var.
 func (g *gen) maybeStore() {
+	if len(g.mems) > 0 && g.chance(2) {
+		g.memWrite(g.mems[g.intn(len(g.mems))])
+	}
 	if len(g.vars) == 0 || !g.chance(3) {
 		return
 	}
 	v := g.vars[g.intn(len(g.vars))]
 	g.b.St(v, g.expr(v.Type().Elem, 2))
+}
+
+// maybeDrivePart occasionally follows a drive of an aggregate signal with
+// a drive of one element or field through an extf projection of the
+// signal, the partial-access form of §2.5.6.
+func (g *gen) maybeDrivePart(sig ir.Value) {
+	ty := sig.Type().Elem
+	n := 0
+	switch {
+	case ty.IsArray():
+		n = ty.Width
+	case ty.IsStruct():
+		n = len(ty.Fields)
+	}
+	if n == 0 || !g.chance(2) {
+		return
+	}
+	part := g.b.ExtF(sig, g.intn(n))
+	g.b.Drv(part, g.expr(part.Type().Elem, 2), g.constTime(true), nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -558,6 +623,9 @@ func (g *gen) genFuncs() {
 			slot := g.b.Var(g.constValue(g.intType()))
 			g.vars = append(g.vars, slot)
 		}
+		if g.chance(4) {
+			g.newMem()
+		}
 		// A couple of statements.
 		switch g.intn(3) {
 		case 0:
@@ -581,6 +649,7 @@ func (g *gen) startUnit(u *ir.Unit, blk *ir.Block, isFunc bool) {
 	g.pool = g.pool[:0]
 	g.sigIns = nil
 	g.vars = nil
+	g.mems = nil
 	g.nblocks = 0
 	g.inFunc = isFunc
 }
@@ -615,6 +684,9 @@ func (g *gen) genScriptProc(name string, ins, outs []*ir.Type) *ir.Unit {
 		slot := g.b.Var(g.constValue(g.intType()))
 		g.vars = append(g.vars, slot)
 	}
+	if g.chance(2) {
+		g.newMem()
+	}
 
 	steps := 2 + g.intn(3)
 	for s := 0; s < steps && g.fuel > 0; s++ {
@@ -642,6 +714,7 @@ func (g *gen) genScriptProc(name string, ins, outs []*ir.Type) *ir.Unit {
 		}
 		g.b.Drv(out, v, g.constTime(true), cond)
 		g.poolAdd(v)
+		g.maybeDrivePart(out)
 
 		// Advance time: wait with a timeout, sometimes also observing the
 		// process's input signals.
@@ -678,6 +751,9 @@ func (g *gen) genCombProc(name string, ins, outs []*ir.Type) *ir.Unit {
 		slot := g.b.Var(g.constValue(g.intType()))
 		g.vars = append(g.vars, slot)
 	}
+	if g.chance(3) {
+		g.newMem()
+	}
 	work := g.newBlock()
 	g.b.Br(work)
 	g.b.SetBlock(work)
@@ -702,6 +778,7 @@ func (g *gen) genCombProc(name string, ins, outs []*ir.Type) *ir.Unit {
 		}
 		g.maybeStore()
 		g.b.Drv(out, v, g.constTime(true), nil)
+		g.maybeDrivePart(out)
 	}
 	// Suspend on the inputs; values computed this round don't survive into
 	// the next (the pool is restored), matching SSA dominance: the wait

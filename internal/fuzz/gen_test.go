@@ -53,6 +53,12 @@ func TestGeneratedSurfaceCoverage(t *testing.T) {
 	}
 	multiInstance := false
 	logicXZ := false
+	// The frontend's memory idiom and partial signal access.
+	memWrite, memRead, sigProj := false, false, false
+	isMemLd := func(v ir.Value) bool {
+		ld, ok := v.(*ir.Inst)
+		return ok && ld.Op == ir.OpLd && ld.Ty.IsArray()
+	}
 	for seed := int64(1); seed <= 80; seed++ {
 		m := Generate(Config{Seed: seed})
 		instCount := map[string]int{}
@@ -65,6 +71,16 @@ func TestGeneratedSurfaceCoverage(t *testing.T) {
 				}
 				if in.Op == ir.OpInst {
 					instCount[in.Callee]++
+				}
+				switch {
+				case in.Op == ir.OpSt && len(in.Args) == 2:
+					if v, ok := in.Args[1].(*ir.Inst); ok && v.Op == ir.OpInsF && len(v.Args) == 3 && isMemLd(v.Args[0]) {
+						memWrite = true
+					}
+				case in.Op == ir.OpExtF && len(in.Args) == 2 && isMemLd(in.Args[0]):
+					memRead = true
+				case in.Op == ir.OpExtF && in.Ty.IsSignal():
+					sigProj = true
 				}
 				if in.Op == ir.OpConstLogic {
 					s := in.LVal.String()
@@ -90,6 +106,12 @@ func TestGeneratedSurfaceCoverage(t *testing.T) {
 	}
 	if !logicXZ {
 		t.Error("no design carried a logic constant with x/z bits")
+	}
+	if !memWrite || !memRead {
+		t.Errorf("array-var memory idiom missing: ld->insf->st %v, ld->extf %v", memWrite, memRead)
+	}
+	if !sigProj {
+		t.Error("no design drove an aggregate signal through an extf projection")
 	}
 }
 

@@ -36,7 +36,7 @@ func foldUnit(u *ir.Unit) (bool, error) {
 					known[in] = val.TimeVal(in.TVal)
 					return
 				case ir.OpConstLogic:
-					known[in] = val.LogicVal(in.LVal.Clone())
+					known[in] = val.LogicVal(in.LVal)
 					return
 				}
 				if !in.Op.IsPure() {
@@ -63,7 +63,7 @@ func foldUnit(u *ir.Unit) (bool, error) {
 					roundChanged = true
 				case val.KindTime:
 					in.Op = ir.OpConstTime
-					in.TVal = v.T
+					in.TVal = v.Time()
 					in.Args = nil
 					in.Dests = nil
 					known[in] = v

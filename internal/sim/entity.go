@@ -149,7 +149,7 @@ func (en *entityInterp) evalInst(e *engine.Engine, in *ir.Inst, init bool) error
 				return nil
 			}
 		}
-		e.Drive(r, v, d.T)
+		e.Drive(r, v, d.Time())
 		return nil
 
 	case ir.OpReg:
@@ -183,7 +183,7 @@ func (en *entityInterp) evalInst(e *engine.Engine, in *ir.Inst, init bool) error
 		if !en.delKnown[id] || !cur.Eq(en.delPrev[id]) {
 			en.delPrev[id] = cur
 			en.delKnown[id] = true
-			e.Drive(r, cur, d.T)
+			e.Drive(r, cur, d.Time())
 		}
 		return nil
 
@@ -255,7 +255,7 @@ func (en *entityInterp) evalReg(e *engine.Engine, in *ir.Inst, init bool) error 
 			store()
 			return fmt.Errorf("reg delay %s not computed", in.Delay)
 		}
-		delay = d.T
+		delay = d.Time()
 	}
 
 	for i, tr := range in.Triggers {

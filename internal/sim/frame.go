@@ -162,7 +162,7 @@ func (f *frame) intAt(v ir.Value) (bits uint64, w int, ok bool) {
 	if p.Kind != val.KindInt {
 		return 0, 0, false
 	}
-	return p.Bits, p.Width, true
+	return p.Bits, int(p.Width), true
 }
 
 // boolAt reads slot id as a truth value (nonzero integer) without copying.
@@ -172,25 +172,24 @@ func (f *frame) boolAt(v ir.Value) (truth bool, ok bool) {
 }
 
 // setInt stores a width-w integer into slot id in place, writing only the
-// scalar fields instead of copying a whole value struct.
+// scalar fields instead of copying a whole value struct (a stale payload
+// pointer stays behind, inert under the Kind-first rule).
 func (f *frame) setInt(id, w int, bits uint64) {
 	if f.stamp[id] != constStamp {
 		f.stamp[id] = f.gen
 	}
 	p := &f.vals[id]
 	p.Kind = val.KindInt
-	p.Width = w
+	p.Width = int32(w)
 	p.Bits = ir.MaskWidth(bits, w)
-	p.L = nil
-	p.Elems = nil
 }
 
 // evalFast executes the scalar-integer pure ops — constants, not/neg,
 // binary arithmetic, comparisons, and integer slice extract/insert —
 // directly on frame slots through pointers. The generic engine.EvalPure
-// path moves every operand and result by value, which is a ~100-byte
-// struct copy each; on the interpreter's hot rows that copying dominates
-// the profile, so the common cases are special-cased here. It reports
+// path moves every operand and result by value through a lookup
+// callback; on the interpreter's hot rows that dominates the profile, so
+// the common cases are special-cased here. It reports
 // handled=false when the op or its runtime operand kinds (logic vectors,
 // aggregates, times, unavailable operands) need the generic evaluator,
 // which also owns all error reporting.

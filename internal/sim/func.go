@@ -224,7 +224,7 @@ func interpretFunc(s *Simulator, e *engine.Engine, fn *ir.Unit, args []val.Value
 				if !ok {
 					return val.Value{}, fmt.Errorf("@%s: var initializer not computed", fn.Name)
 				}
-				init = v.Clone()
+				init = v
 			} else {
 				init = val.Default(in.Ty.Elem)
 			}
@@ -235,7 +235,7 @@ func interpretFunc(s *Simulator, e *engine.Engine, fn *ir.Unit, args []val.Value
 			if err != nil {
 				return val.Value{}, fmt.Errorf("@%s: %w", fn.Name, err)
 			}
-			f.set(ir.ValueID(in), sl.v.Clone())
+			f.set(ir.ValueID(in), sl.v)
 
 		case ir.OpSt:
 			sl, err := f.memOf(in.Args[0])
@@ -246,7 +246,7 @@ func interpretFunc(s *Simulator, e *engine.Engine, fn *ir.Unit, args []val.Value
 			if !ok {
 				return val.Value{}, fmt.Errorf("@%s: store value not computed", fn.Name)
 			}
-			sl.v = v.Clone()
+			sl.v = v
 
 		case ir.OpFree:
 			sl, err := f.memOf(in.Args[0])

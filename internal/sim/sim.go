@@ -241,7 +241,7 @@ func (p *procInterp) exec(e *engine.Engine, in *ir.Inst) (bool, error) {
 				return false, nil
 			}
 		}
-		e.Drive(r, v, d.T)
+		e.Drive(r, v, d.Time())
 		return false, nil
 
 	case ir.OpVar, ir.OpAlloc:
@@ -251,7 +251,7 @@ func (p *procInterp) exec(e *engine.Engine, in *ir.Inst) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			init = v.Clone()
+			init = v
 		} else {
 			init = val.Default(in.Ty.Elem)
 		}
@@ -265,7 +265,7 @@ func (p *procInterp) exec(e *engine.Engine, in *ir.Inst) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		p.frame.set(ir.ValueID(in), s.v.Clone())
+		p.frame.set(ir.ValueID(in), s.v)
 		return false, nil
 
 	case ir.OpSt:
@@ -277,7 +277,7 @@ func (p *procInterp) exec(e *engine.Engine, in *ir.Inst) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		s.v = v.Clone()
+		s.v = v
 		return false, nil
 
 	case ir.OpFree:
@@ -332,7 +332,7 @@ func (p *procInterp) exec(e *engine.Engine, in *ir.Inst) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			e.ScheduleWake(p.ProcID(), t.T)
+			e.ScheduleWake(p.ProcID(), t.Time())
 		}
 		if err := p.jump(in.Dests[0]); err != nil {
 			return false, err

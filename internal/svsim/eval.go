@@ -78,11 +78,10 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 					return cval{}, err
 				}
 				i := int(idx.bits)
-				if i < 0 || i >= len(arr.elems.Elems) {
+				if i < 0 || i >= len(arr.elems) {
 					return cval{}, p.errf("array index %d out of range on %q", i, id.Name)
 				}
-				ev := arr.elems.Elems[i]
-				return cval{bits: ev.Bits, width: arr.width}, nil
+				return cval{bits: arr.elems[i], width: arr.width}, nil
 			}
 		}
 		base, err := p.eval(x.X)
@@ -185,11 +184,11 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 		} else {
 			next = old - 1
 		}
-		p.locals[id.Name] = val.Int(lv.Width, next)
+		p.locals[id.Name] = val.Int(int(lv.Width), next)
 		if x.Post {
-			return cval{bits: old, width: lv.Width}, nil
+			return cval{bits: old, width: int(lv.Width)}, nil
 		}
-		return cval{bits: mask(next, lv.Width), width: lv.Width}, nil
+		return cval{bits: mask(next, int(lv.Width)), width: int(lv.Width)}, nil
 	}
 	return cval{}, p.errf("unsupported expression %T", e)
 }

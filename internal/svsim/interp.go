@@ -280,7 +280,7 @@ func (p *astProc) declLocals(d *moore.NetDecl) error {
 			}
 			init = v.adapt(w)
 		}
-		p.locals[n] = val.Value{Kind: val.KindInt, Width: w, Bits: init}
+		p.locals[n] = val.Value{Kind: val.KindInt, Width: int32(w), Bits: init}
 	}
 	return nil
 }
@@ -289,13 +289,13 @@ func (p *astProc) declLocals(d *moore.NetDecl) error {
 // visibility of blocking writes.
 func (p *astProc) readName(name string) (cval, error) {
 	if lv, ok := p.locals[name]; ok {
-		return cval{bits: lv.Bits, width: lv.Width}, nil
+		return cval{bits: lv.Bits, width: int(lv.Width)}, nil
 	}
 	if v, ok := p.sc.consts[name]; ok {
 		return cval{bits: v, width: 32}, nil
 	}
 	if pv, ok := p.pending[name]; ok {
-		return cval{bits: pv.Bits, width: pv.Width, signed: p.sc.signed[name]}, nil
+		return cval{bits: pv.Bits, width: int(pv.Width), signed: p.sc.signed[name]}, nil
 	}
 	if ref, ok := p.sc.sigs[name]; ok {
 		p.reads[name] = true
@@ -322,7 +322,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 	switch t := st.Target.(type) {
 	case *moore.Ident:
 		if lv, ok := p.locals[t.Name]; ok {
-			p.locals[t.Name] = val.Int(lv.Width, rhs.adapt(lv.Width))
+			p.locals[t.Name] = val.Int(int(lv.Width), rhs.adapt(int(lv.Width)))
 			return nil
 		}
 		w, ok := p.sc.widths[t.Name]
@@ -348,10 +348,10 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 		}
 		if arr, isArr := p.sc.arrays[id.Name]; isArr {
 			i := int(idx.bits)
-			if i < 0 || i >= len(arr.elems.Elems) {
+			if i < 0 || i >= len(arr.elems) {
 				return p.errf("array index %d out of range on %q", i, id.Name)
 			}
-			arr.elems.Elems[i] = val.Int(arr.width, rhs.adapt(arr.width))
+			arr.elems[i] = rhs.adapt(arr.width)
 			return nil
 		}
 		// Bit write: read-modify-write.
@@ -424,7 +424,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 			}
 			w := p.sc.widths[id.Name]
 			if lv, isLocal := p.locals[id.Name]; isLocal {
-				w = lv.Width
+				w = int(lv.Width)
 			}
 			pieces = append(pieces, piece{id.Name, w})
 			total += w
@@ -435,7 +435,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 			off -= pc.w
 			part := mask(whole>>off, pc.w)
 			if lv, isLocal := p.locals[pc.name]; isLocal {
-				p.locals[pc.name] = val.Int(lv.Width, part)
+				p.locals[pc.name] = val.Int(int(lv.Width), part)
 				continue
 			}
 			if err := p.writeWhole(pc.name, part, st.Blocking, delay); err != nil {
@@ -449,7 +449,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 
 func (p *astProc) writeWhole(name string, bits uint64, blocking bool, delay ir.Time) error {
 	if lv, ok := p.locals[name]; ok {
-		p.locals[name] = val.Int(lv.Width, bits)
+		p.locals[name] = val.Int(int(lv.Width), bits)
 		return nil
 	}
 	w, ok := p.sc.widths[name]

@@ -76,7 +76,7 @@ type scope struct {
 
 // arrayState is a module-level unpacked array (register file, memory).
 type arrayState struct {
-	elems val.Value // KindAgg
+	elems []uint64 // each masked to width
 	width int
 }
 
@@ -158,10 +158,7 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 					lo, hi = hi, lo
 				}
 				length := int(hi-lo) + 1
-				elems := make([]val.Value, length)
-				for j := range elems {
-					elems[j] = val.Int(w, 0)
-				}
+				elems := make([]uint64, length)
 				if lit, ok := decl.Inits[i].(*moore.ArrayLit); ok {
 					for j, e := range lit.Elems {
 						if j < length {
@@ -169,11 +166,11 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 							if err != nil {
 								return err
 							}
-							elems[j] = val.Int(w, v)
+							elems[j] = mask(v, w)
 						}
 					}
 				}
-				sc.arrays[n] = &arrayState{elems: val.Agg(elems), width: w}
+				sc.arrays[n] = &arrayState{elems: elems, width: w}
 				continue
 			}
 			init := uint64(0)
@@ -209,12 +206,12 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 			if arr == nil {
 				return fmt.Errorf("svsim: %s: $readmemh target %q is not an unpacked array", name, call.Array)
 			}
-			img, err := moore.LoadHexImage(call.File, arr.width, len(arr.elems.Elems))
+			img, err := moore.LoadHexImage(call.File, arr.width, len(arr.elems))
 			if err != nil {
 				return fmt.Errorf("svsim: %s: %w", name, err)
 			}
 			for i, v := range img {
-				arr.elems.Elems[i] = val.Int(arr.width, v)
+				arr.elems[i] = mask(v, arr.width)
 			}
 		}
 	}

@@ -6,7 +6,10 @@ package val
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"unsafe"
 
 	"llhd/internal/ir"
 	"llhd/internal/logic"
@@ -18,21 +21,33 @@ type Kind uint8
 // Value kinds.
 const (
 	KindInt   Kind = iota // iN and nN: Bits/Width
-	KindTime              // time: T
-	KindLogic             // lN: L
-	KindAgg               // arrays and structs: Elems
+	KindTime              // time: Time()
+	KindLogic             // lN: Logic()
+	KindAgg               // arrays and structs: Len()/Elem(i)
 )
 
-// Value is a runtime LLHD value. Integers are capped at 64 bits (wider
-// words are represented as arrays by frontends). The zero Value is the
-// 1-bit integer 0.
+// Value is a runtime LLHD value: three words. Integers (capped at 64 bits;
+// wider words are represented as arrays by frontends) live entirely in
+// Kind/Width/Bits. Every other kind keeps its data out of line behind p,
+// and that payload is immutable once constructed: operations build new
+// payloads, never write through an existing one, so values may be copied,
+// retained and shared freely without cloning. The zero Value is the
+// integer 0.
+//
+// For non-integer kinds Width and Bits belong to this package (they hold
+// the payload's shape) and must not be written from outside. Code that
+// overwrites a value in place as an integer writes Kind, Width and Bits
+// together and may leave a stale p behind: every accessor checks Kind
+// first, so the stale pointer is inert.
 type Value struct {
 	Kind  Kind
-	Width int    // integer bit width
-	Bits  uint64 // integer payload, always masked to Width
-	T     ir.Time
-	L     logic.Vector
-	Elems []Value
+	Width int32  // KindInt: bit width. KindAgg: packed element width, 0 when generic
+	Bits  uint64 // KindInt: payload, masked to Width. KindLogic/KindAgg: element count
+	// p is the payload: *ir.Time for KindTime, the first logic.Value for
+	// KindLogic, the first uint64 of a packed aggregate (every element a
+	// two-state integer of the one width Width), the first Value of a
+	// generic one.
+	p unsafe.Pointer
 }
 
 // Int returns a width-w integer value.
@@ -40,7 +55,7 @@ func Int(w int, bits uint64) Value {
 	if w <= 0 {
 		w = 1
 	}
-	return Value{Kind: KindInt, Width: w, Bits: ir.MaskWidth(bits, w)}
+	return Value{Kind: KindInt, Width: int32(w), Bits: ir.MaskWidth(bits, w)}
 }
 
 // Bool returns an i1 value.
@@ -52,13 +67,119 @@ func Bool(b bool) Value {
 }
 
 // TimeVal wraps a time into a value.
-func TimeVal(t ir.Time) Value { return Value{Kind: KindTime, T: t} }
+func TimeVal(t ir.Time) Value { return Value{Kind: KindTime, p: unsafe.Pointer(&t)} }
 
-// LogicVal wraps a logic vector.
-func LogicVal(v logic.Vector) Value { return Value{Kind: KindLogic, L: v} }
+// LogicVal wraps a logic vector. The value takes ownership of v: the
+// caller must not write to it afterwards.
+func LogicVal(v logic.Vector) Value {
+	return Value{Kind: KindLogic, Bits: uint64(len(v)), p: unsafe.Pointer(unsafe.SliceData(v))}
+}
 
-// Agg builds an aggregate from elements.
-func Agg(elems []Value) Value { return Value{Kind: KindAgg, Elems: elems} }
+// maxPackedWidth is the widest element a packed aggregate holds.
+const maxPackedWidth = 64
+
+// Agg builds an aggregate from elements and takes ownership of elems.
+// The representation is canonical: when every element is a two-state
+// integer of one width the aggregate is packed into 8 bytes per element
+// (pointer-free, so the collector never scans it); anything else —
+// logic elements, nested aggregates, mixed widths, the empty aggregate —
+// keeps the elements as they are. Both forms behave identically under
+// every operation of this package.
+func Agg(elems []Value) Value {
+	if w, ok := packableWidth(elems); ok {
+		words := make([]uint64, len(elems))
+		for i := range elems {
+			words[i] = elems[i].Bits
+		}
+		return packedAgg(w, words)
+	}
+	return genericAgg(elems)
+}
+
+func packableWidth(elems []Value) (int32, bool) {
+	if len(elems) == 0 {
+		return 0, false
+	}
+	w := elems[0].Width
+	if w <= 0 || w > maxPackedWidth {
+		return 0, false
+	}
+	for i := range elems {
+		if elems[i].Kind != KindInt || elems[i].Width != w {
+			return 0, false
+		}
+	}
+	return w, true
+}
+
+func packedAgg(w int32, words []uint64) Value {
+	return Value{Kind: KindAgg, Width: w, Bits: uint64(len(words)), p: unsafe.Pointer(unsafe.SliceData(words))}
+}
+
+func genericAgg(elems []Value) Value {
+	return Value{Kind: KindAgg, Bits: uint64(len(elems)), p: unsafe.Pointer(unsafe.SliceData(elems))}
+}
+
+// Time returns the payload of a time value, the zero time for any other
+// kind.
+func (v Value) Time() ir.Time {
+	if v.Kind != KindTime || v.p == nil {
+		return ir.Time{}
+	}
+	return *(*ir.Time)(v.p)
+}
+
+// Logic returns the payload of a logic value, nil for any other kind. The
+// vector is shared with the value and must not be written to.
+func (v Value) Logic() logic.Vector {
+	if v.Kind != KindLogic {
+		return nil
+	}
+	return unsafe.Slice((*logic.Value)(v.p), int(v.Bits))
+}
+
+// Len returns the element count of an aggregate, 0 for any other kind.
+func (v Value) Len() int {
+	if v.Kind != KindAgg {
+		return 0
+	}
+	return int(v.Bits)
+}
+
+// Elem returns element i of an aggregate. It panics when i is out of
+// range, like a slice index.
+func (v Value) Elem(i int) Value {
+	if v.Width != 0 {
+		return Value{Kind: KindInt, Width: v.Width, Bits: v.words()[i]}
+	}
+	return v.elems()[i]
+}
+
+// words views a packed aggregate's elements; nil for anything else.
+func (v Value) words() []uint64 {
+	if v.Kind != KindAgg || v.Width == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(v.p), int(v.Bits))
+}
+
+// elems views a generic aggregate's elements; nil for anything else.
+func (v Value) elems() []Value {
+	if v.Kind != KindAgg || v.Width != 0 {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), int(v.Bits))
+}
+
+// unpacked returns the aggregate's elements as a fresh slice the caller
+// owns.
+func (v Value) unpacked() []Value {
+	out := make([]Value, v.Len())
+	for i := range out {
+		out[i] = v.Elem(i)
+	}
+	return out
+}
 
 // Default returns the zero-initialized value for an IR type: 0 for
 // integers, U for logic, zero time, recursively for aggregates.
@@ -72,8 +193,12 @@ func Default(ty *ir.Type) Value {
 		return LogicVal(logic.NewVector(ty.Width))
 	case ir.ArrayKind:
 		elems := make([]Value, ty.Width)
-		for i := range elems {
-			elems[i] = Default(ty.Elem)
+		if len(elems) > 0 {
+			// Every element is the same immutable value: build it once.
+			elems[0] = Default(ty.Elem)
+			for i := 1; i < len(elems); i++ {
+				elems[i] = elems[0]
+			}
 		}
 		return Agg(elems)
 	case ir.StructKind:
@@ -92,7 +217,8 @@ func Default(ty *ir.Type) Value {
 // IsTrue reports whether the value is a nonzero i1.
 func (v Value) IsTrue() bool { return v.Kind == KindInt && v.Bits != 0 }
 
-// Eq reports deep equality of two runtime values.
+// Eq reports deep equality of two runtime values. It does not depend on
+// how an aggregate is represented.
 func (v Value) Eq(u Value) bool {
 	if v.Kind != u.Kind {
 		return false
@@ -101,15 +227,18 @@ func (v Value) Eq(u Value) bool {
 	case KindInt:
 		return v.Width == u.Width && v.Bits == u.Bits
 	case KindTime:
-		return v.T == u.T
+		return v.Time() == u.Time()
 	case KindLogic:
-		return v.L.Eq(u.L)
+		return v.Logic().Eq(u.Logic())
 	case KindAgg:
-		if len(v.Elems) != len(u.Elems) {
+		if v.Bits != u.Bits {
 			return false
 		}
-		for i := range v.Elems {
-			if !v.Elems[i].Eq(u.Elems[i]) {
+		if v.Width != 0 && v.Width == u.Width {
+			return slices.Equal(v.words(), u.words())
+		}
+		for i, n := 0, v.Len(); i < n; i++ {
+			if !v.Elem(i).Eq(u.Elem(i)) {
 				return false
 			}
 		}
@@ -118,36 +247,19 @@ func (v Value) Eq(u Value) bool {
 	return false
 }
 
-// Clone deep-copies the value (aggregates and logic vectors share no
-// storage with the original).
-func (v Value) Clone() Value {
-	switch v.Kind {
-	case KindLogic:
-		return LogicVal(v.L.Clone())
-	case KindAgg:
-		elems := make([]Value, len(v.Elems))
-		for i := range v.Elems {
-			elems[i] = v.Elems[i].Clone()
-		}
-		return Agg(elems)
-	default:
-		return v
-	}
-}
-
 // String renders the value for traces and error messages.
 func (v Value) String() string {
 	switch v.Kind {
 	case KindInt:
-		return fmt.Sprintf("%d", v.Bits)
+		return strconv.FormatUint(v.Bits, 10)
 	case KindTime:
-		return v.T.String()
+		return v.Time().String()
 	case KindLogic:
-		return v.L.String()
+		return v.Logic().String()
 	case KindAgg:
-		parts := make([]string, len(v.Elems))
-		for i, e := range v.Elems {
-			parts[i] = e.String()
+		parts := make([]string, v.Len())
+		for i := range parts {
+			parts[i] = v.Elem(i).String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	}
@@ -159,15 +271,16 @@ func Unary(op ir.Opcode, ty *ir.Type, a Value) (Value, error) {
 	switch op {
 	case ir.OpNot:
 		if a.Kind == KindLogic {
-			out := logic.NewVector(len(a.L))
-			for i, x := range a.L {
+			in := a.Logic()
+			out := logic.NewVector(len(in))
+			for i, x := range in {
 				out[i] = logic.Not(x)
 			}
 			return LogicVal(out), nil
 		}
-		return Int(a.Width, ^a.Bits), nil
+		return Int(int(a.Width), ^a.Bits), nil
 	case ir.OpNeg:
-		return Int(a.Width, -a.Bits), nil
+		return Int(int(a.Width), -a.Bits), nil
 	}
 	return Value{}, fmt.Errorf("val: not a unary op: %s", op)
 }
@@ -180,7 +293,7 @@ func Binary(op ir.Opcode, a, b Value) (Value, error) {
 	if a.Kind != KindInt || b.Kind != KindInt {
 		return Value{}, fmt.Errorf("val: binary %s on non-integer values", op)
 	}
-	w := a.Width
+	w := int(a.Width)
 	switch op {
 	case ir.OpAnd:
 		return Int(w, a.Bits&b.Bits), nil
@@ -239,7 +352,7 @@ func Binary(op ir.Opcode, a, b Value) (Value, error) {
 
 func binaryLogic(op ir.Opcode, a, b Value) (Value, error) {
 	if op == ir.OpEq || op == ir.OpNeq {
-		eq := a.L.Eq(b.L)
+		eq := a.Logic().Eq(b.Logic())
 		if op == ir.OpNeq {
 			eq = !eq
 		}
@@ -256,9 +369,10 @@ func binaryLogic(op ir.Opcode, a, b Value) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("val: %s unsupported on logic values", op)
 	}
-	out := logic.NewVector(len(a.L))
+	x, y := a.Logic(), b.Logic()
+	out := logic.NewVector(len(x))
 	for i := range out {
-		out[i] = f(a.L[i], b.L[i])
+		out[i] = f(x[i], y[i])
 	}
 	return LogicVal(out), nil
 }
@@ -274,7 +388,7 @@ func Compare(op ir.Opcode, a, b Value) (Value, error) {
 	if a.Kind != KindInt || b.Kind != KindInt {
 		return Value{}, fmt.Errorf("val: ordered comparison %s on non-integers", op)
 	}
-	w := a.Width
+	w := int(a.Width)
 	sa, sb := ir.SignExtend(a.Bits, w), ir.SignExtend(b.Bits, w)
 	switch op {
 	case ir.OpUlt:
@@ -300,59 +414,86 @@ func Compare(op ir.Opcode, a, b Value) (Value, error) {
 // Mux selects among the aggregate's elements by the selector, clamping out
 // of range selections to the last element (§2.5.4).
 func Mux(choices Value, sel Value) (Value, error) {
-	if choices.Kind != KindAgg || len(choices.Elems) == 0 {
+	if choices.Len() == 0 {
 		return Value{}, fmt.Errorf("val: mux needs a non-empty aggregate")
 	}
-	i := int(sel.Bits)
-	// The selector is unsigned: a value above MaxInt64 wraps negative in
-	// the int conversion and is just as out-of-range as i >= len.
-	if i >= len(choices.Elems) || i < 0 {
-		i = len(choices.Elems) - 1
-	}
-	return choices.Elems[i].Clone(), nil
+	return ExtFDyn(choices, sel.Bits)
 }
 
 // ExtF extracts element/field idx from an aggregate.
 func ExtF(a Value, idx int) (Value, error) {
-	if a.Kind != KindAgg || idx < 0 || idx >= len(a.Elems) {
+	if idx < 0 || idx >= a.Len() {
 		return Value{}, fmt.Errorf("val: extf index %d out of range", idx)
 	}
-	return a.Elems[idx].Clone(), nil
+	return a.Elem(idx), nil
+}
+
+// ExtFDyn is ExtF with a runtime index. Dynamic indices can execute
+// speculatively once lowering has hoisted pure data flow past its control
+// guards, so an out-of-range read clamps to the nearest valid element (the
+// last: the index is unsigned) instead of trapping, the same lenient
+// convention Mux uses. Static indices stay strict.
+func ExtFDyn(a Value, idx uint64) (Value, error) {
+	if n := a.Len(); n > 0 {
+		if idx >= uint64(n) {
+			idx = uint64(n - 1)
+		}
+		return a.Elem(int(idx)), nil
+	}
+	return Value{}, fmt.Errorf("val: extf index %d out of range", idx)
 }
 
 // InsF returns a with element/field idx replaced by v.
 func InsF(a, v Value, idx int) (Value, error) {
-	if a.Kind != KindAgg || idx < 0 || idx >= len(a.Elems) {
+	if idx < 0 || idx >= a.Len() {
 		return Value{}, fmt.Errorf("val: insf index %d out of range", idx)
 	}
-	out := a.Clone()
-	out.Elems[idx] = v.Clone()
-	return out, nil
+	if a.Width != 0 && v.Kind == KindInt && v.Width == a.Width {
+		words := slices.Clone(a.words())
+		words[idx] = v.Bits
+		return packedAgg(a.Width, words), nil
+	}
+	elems := a.unpacked()
+	elems[idx] = v
+	return Agg(elems), nil
+}
+
+// InsFDyn is InsF with a runtime index. A speculative out-of-range write
+// is dropped (see ExtFDyn): the aggregate comes back unchanged.
+func InsFDyn(a, v Value, idx uint64) (Value, error) {
+	if a.Kind == KindAgg && idx >= a.Bits {
+		return a, nil
+	}
+	return InsF(a, v, int(idx))
 }
 
 // ExtS extracts a slice of length n at offset off: bits of an integer,
-// elements of an array, positions of a logic vector.
+// elements of an array, positions of a logic vector. Array and logic
+// results share the source's storage.
 func ExtS(a Value, off, n int) (Value, error) {
 	switch a.Kind {
 	case KindInt:
-		if off < 0 || off+n > a.Width {
+		if off < 0 || off+n > int(a.Width) {
 			return Value{}, fmt.Errorf("val: exts [%d..%d) out of i%d", off, off+n, a.Width)
 		}
 		return Int(n, a.Bits>>uint(off)), nil
 	case KindLogic:
-		if off < 0 || off+n > len(a.L) {
+		if off < 0 || n < 0 || off+n > int(a.Bits) {
 			return Value{}, fmt.Errorf("val: exts out of range")
 		}
-		return LogicVal(a.L[off : off+n].Clone()), nil
+		return LogicVal(a.Logic()[off : off+n]), nil
 	case KindAgg:
-		if off < 0 || off+n > len(a.Elems) {
+		if off < 0 || n < 0 || off+n > a.Len() {
 			return Value{}, fmt.Errorf("val: exts out of range")
 		}
-		out := make([]Value, n)
-		for i := 0; i < n; i++ {
-			out[i] = a.Elems[off+i].Clone()
+		if n == 0 {
+			return genericAgg(nil), nil
 		}
-		return Agg(out), nil
+		if a.Width != 0 {
+			return packedAgg(a.Width, a.words()[off:off+n]), nil
+		}
+		// A slice of a generic aggregate may itself be packable.
+		return Agg(slices.Clone(a.elems()[off : off+n])), nil
 	}
 	return Value{}, fmt.Errorf("val: exts on unsupported value")
 }
@@ -361,28 +502,33 @@ func ExtS(a Value, off, n int) (Value, error) {
 func InsS(a, v Value, off, n int) (Value, error) {
 	switch a.Kind {
 	case KindInt:
-		if off < 0 || off+n > a.Width {
+		if off < 0 || off+n > int(a.Width) {
 			return Value{}, fmt.Errorf("val: inss out of range")
 		}
 		mask := ir.MaskWidth(^uint64(0), n) << uint(off)
 		bits := a.Bits&^mask | v.Bits<<uint(off)&mask
-		return Int(a.Width, bits), nil
+		return Int(int(a.Width), bits), nil
 	case KindLogic:
-		if off < 0 || off+n > len(a.L) {
+		if off < 0 || n < 0 || off+n > int(a.Bits) {
 			return Value{}, fmt.Errorf("val: inss out of range")
 		}
-		out := a.L.Clone()
-		copy(out[off:off+n], v.L)
+		out := a.Logic().Clone()
+		copy(out[off:off+n], v.Logic())
 		return LogicVal(out), nil
 	case KindAgg:
-		if off < 0 || off+n > len(a.Elems) {
+		if off < 0 || n < 0 || off+n > a.Len() || v.Len() < n {
 			return Value{}, fmt.Errorf("val: inss out of range")
 		}
-		out := a.Clone()
-		for i := 0; i < n; i++ {
-			out.Elems[off+i] = v.Elems[i].Clone()
+		if a.Width != 0 && v.Width == a.Width {
+			words := slices.Clone(a.words())
+			copy(words[off:off+n], v.words())
+			return packedAgg(a.Width, words), nil
 		}
-		return out, nil
+		elems := a.unpacked()
+		for i := 0; i < n; i++ {
+			elems[off+i] = v.Elem(i)
+		}
+		return Agg(elems), nil
 	}
 	return Value{}, fmt.Errorf("val: inss on unsupported value")
 }

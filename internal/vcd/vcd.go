@@ -197,10 +197,11 @@ func bits(v val.Value, width int) string {
 			buf[width-1-i] = '0' + byte(v.Bits>>uint(i)&1)
 		}
 	case val.KindLogic:
+		lv := v.Logic()
 		for i := 0; i < width; i++ {
 			c := byte('x')
-			if i < len(v.L) {
-				l := v.L[i]
+			if i < len(lv) {
+				l := lv[i]
 				switch {
 				case l.IsHigh():
 					c = '1'

@@ -1,7 +1,6 @@
 package llhd_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,25 +61,26 @@ func TestPassIdempotence(t *testing.T) {
 	// Pipeline states: the idempotence bugs found by the pipeline fuzzer
 	// only reproduce on pass orderings the fixed lowering pipeline never
 	// visits, so fresh and fully-lowered modules alone can't pin the
-	// fixes. Each entry replays a generated design through the exact
-	// pipeline of a past finding, then the loop below demands every pass
-	// be idempotent on that state. Seed 37 pinned tcfe running phi-to-mux
-	// after its merge fixpoint instead of jointly with it; seed 55 pinned
-	// constant-fold not re-folding after its branch stage collapsed a
-	// single-entry phi to a constant.
-	pipelineStates := []struct {
-		seed int64
-		pipe []string
-	}{
-		{37, []string{"signal-forwarding", "mem2reg", "deseq", "ecm"}},
-		{55, []string{"ecm", "ecm", "process-lowering", "mem2reg", "tcm", "cse"}},
-	}
-	for _, ps := range pipelineStates {
-		ps := ps
-		name := fmt.Sprintf("fuzz-seed%d-%s", ps.seed, strings.Join(ps.pipe, ","))
+	// fixes. A corpus entry that carries a "; pipeline:" directive is also
+	// replayed through exactly that pipeline, and the loop below demands
+	// every pass be idempotent on the resulting state.
+	for _, path := range entries {
+		path := path
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe := fuzz.PipelineDirective(string(data))
+		if len(pipe) == 0 {
+			continue
+		}
+		name := strings.TrimSuffix(filepath.Base(path), ".llhd") + "-" + strings.Join(pipe, ",")
 		inputs = append(inputs, input{name: name, mk: func(t *testing.T) *llhd.Module {
-			m := fuzz.Generate(fuzz.Config{Seed: ps.seed})
-			pl, err := pass.FromNames(ps.pipe)
+			m, err := llhd.ParseAssembly(name, string(data))
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			pl, err := pass.FromNames(pipe)
 			if err != nil {
 				t.Fatalf("FromNames: %v", err)
 			}

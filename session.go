@@ -28,8 +28,8 @@ type Signal = engine.Signal
 
 // Observer receives streamed signal-change notifications: exactly one
 // OnChange per changed signal per time instant, carrying the settled
-// value, in deterministic signal-ID order. See engine.Observer for the
-// retention contract (clone logic/aggregate values before keeping them).
+// value, in deterministic signal-ID order. Value payloads are immutable:
+// an observer may keep the values it is handed.
 type Observer = engine.Observer
 
 // TraceEntry is one buffered signal change.
