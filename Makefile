@@ -19,8 +19,8 @@ test:
 
 # test-race runs the concurrency-exposed suites under the race detector:
 # the root package (session farm, 16 concurrent sessions per backend over
-# one frozen design — including 16 bytecode-tier sessions sharing one
-# sealed instruction stream, cross-checked against a closure-tier
+# one frozen design — including 16 blaze sessions sharing one sealed
+# instruction stream, cross-checked against a serial interpreter
 # reference — concurrent VCD writers, the fault-injection matrix with its
 # in-coroutine svsim panic recovery), the kernel, the reference
 # interpreter, and svsim (coroutine handoff).
@@ -36,21 +36,21 @@ test-timeout:
 
 # fuzz-smoke is the CI-sized differential fuzzing run: a fixed seed and a
 # bounded design count, so it is deterministic and time-boxed. Each design
-# runs six legs — {interp, blaze-bytecode, blaze-closure} × {unlowered,
-# lowered} — so the bytecode tier is fuzzed against both the interpreter
-# and the closure tier on every seed. The second leg fuzzes the pass
-# pipeline itself: per seed a random pass ordering, checked after every
+# runs four legs — {interp, blaze} × {unlowered, lowered} — so blaze is
+# fuzzed against the reference interpreter on every seed. The second leg
+# fuzzes the pass pipeline itself: per seed a random pass ordering,
+# checked after every
 # pass application, so any divergence is bisected to the first divergent
 # pass (named in the repro header and on the report line). Failing designs
 # are shrunk into fuzz-failures/ (uploaded as a CI artifact) and fail the
 # target. The full acceptance run is -n 1000 for both legs.
 fuzz-smoke:
-	$(GO) run ./cmd/llhd-fuzz -seed 1 -n 200 -corpus fuzz-failures
-	$(GO) run ./cmd/llhd-fuzz -pipeline -seed 1 -n 100 -corpus fuzz-failures
+	$(GO) run ./cmd/llhd-fuzz -seed 1 -n 300 -corpus fuzz-failures
+	$(GO) run ./cmd/llhd-fuzz -pipeline -seed 1 -n 150 -corpus fuzz-failures
 
 # conformance runs the RV32I conformance suite explicitly and verbosely:
 # every image under testdata/rv32i assembled, executed on the reference
-# ISS, and cross-checked on all four engines (see conformance_test.go).
+# ISS, and cross-checked on all three engines (see conformance_test.go).
 # Engine step limits and the ISS step budget keep a wedged core a fast
 # deterministic failure; failing runs leave VCD + trace artifacts under
 # conformance-failures/ for CI to upload.

@@ -23,8 +23,7 @@ import (
 
 // BenchmarkTable2 runs every design on the three simulators (Table 2)
 // through the unified Session API: the reference interpreter (Int), the
-// compiled simulator on both tiers (Blaze = bytecode, BlazeClosure = the
-// original closure arrays) and the AST-level commercial substitute
+// compiled simulator (Blaze) and the AST-level commercial substitute
 // (SVSim). One op is one elaborate+simulate session.
 func BenchmarkTable2(b *testing.B) {
 	runSession := func(b *testing.B, opts ...llhd.SessionOption) {
@@ -58,17 +57,6 @@ func BenchmarkTable2(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runSession(b, llhd.FromModule(m), llhd.Top(d.Top), llhd.Backend(llhd.Blaze))
-			}
-		})
-		b.Run(d.Name+"/BlazeClosure", func(b *testing.B) {
-			m, err := moore.Compile(d.Name, d.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSession(b, llhd.FromModule(m), llhd.Top(d.Top), llhd.Backend(llhd.Blaze),
-					llhd.WithBlazeTier(llhd.TierClosure))
 			}
 		})
 		b.Run(d.Name+"/SVSim", func(b *testing.B) {

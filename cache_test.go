@@ -89,7 +89,7 @@ func TestDesignCacheWarmHitTable2(t *testing.T) {
 }
 
 // TestFarmDesignCacheDedup pins the Farm integration: N blaze jobs over one
-// (module, top, tier) through a farm-level cache compile exactly once, and
+// (module, top) through a farm-level cache compile exactly once, and
 // every job still succeeds with the design's normal result.
 func TestFarmDesignCacheDedup(t *testing.T) {
 	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)

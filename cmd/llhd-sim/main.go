@@ -4,17 +4,15 @@
 // -engine svsim. Input may be LLHD assembly text (.llhd), LLHD bitcode,
 // or SystemVerilog source (.sv / .v — required for -engine svsim).
 //
-// The blaze engine has two execution tiers, selected with -tier: the
-// default "bytecode" tier lowers every unit to flat fixed-width bytecode
-// run by a threaded dispatch loop; the "closure" tier is the original
-// per-instruction closure arrays, kept as the differential reference.
-// Both produce byte-identical traces.
+// The blaze engine lowers every unit to flat fixed-width bytecode run by
+// a threaded dispatch loop; its -trace output is byte-identical to the
+// interpreter's.
 //
 // Usage:
 //
-//	llhd-sim [-top name] [-engine interp|blaze|svsim] [-tier bytecode|closure]
-//	         [-t 100us] [-steps N] [-timeout 30s] [-vcd out.vcd] [-trace]
-//	         [-stats-json] [-j N] design.{llhd,bc,sv}
+//	llhd-sim [-top name] [-engine interp|blaze|svsim] [-t 100us] [-steps N]
+//	         [-timeout 30s] [-vcd out.vcd] [-trace] [-stats-json] [-j N]
+//	         design.{llhd,bc,sv}
 //
 // With -j N the design is run as a concurrent sweep: N independent
 // sessions over one shared frozen design (one blaze compile, N register
@@ -51,8 +49,8 @@ import (
 )
 
 const usageText = `usage: llhd-sim [-top name] [-engine interp|blaze|svsim]
-                [-tier bytecode|closure] [-t 100us] [-steps N] [-timeout 30s]
-                [-vcd out.vcd] [-trace] [-stats-json] [-j N] design.{llhd,bc,sv}
+                [-t 100us] [-steps N] [-timeout 30s] [-vcd out.vcd] [-trace]
+                [-stats-json] [-j N] design.{llhd,bc,sv}
 
 exit status: 0 ok | 1 assertion failures or input errors
              2 resource quota exceeded (step/deadline/event/memory limit,
@@ -68,7 +66,6 @@ func main() {
 	}
 	top := flag.String("top", "", "top unit to elaborate (default: last entity in the module; required for -engine svsim)")
 	engineName := flag.String("engine", "interp", "simulation engine: interp, blaze, or svsim")
-	tierName := flag.String("tier", "bytecode", "blaze execution tier: bytecode (threaded dispatch) or closure (the original reference)")
 	limit := flag.String("t", "", "simulation time limit, e.g. 100us (default: run to quiescence)")
 	steps := flag.Int("steps", 0, "deterministic instant budget: stop with exit status 2 after N instants (0: unlimited)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget: stop with exit status 2 after this long (0: unlimited)")
@@ -88,13 +85,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tier, err := llhd.ParseBlazeTier(*tierName)
-	if err != nil {
-		fatal(err)
-	}
-	if tier != llhd.TierBytecode && kind != llhd.Blaze {
-		fatal(fmt.Errorf("-tier %s needs -engine blaze", tier))
-	}
 	path := flag.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -113,9 +103,6 @@ func main() {
 	opts := []llhd.SessionOption{
 		llhd.Backend(kind),
 		llhd.WithDisplay(func(s string) { fmt.Println(s) }),
-	}
-	if kind == llhd.Blaze {
-		opts = append(opts, llhd.WithBlazeTier(tier))
 	}
 	if *top != "" {
 		opts = append(opts, llhd.Top(*top))

@@ -124,14 +124,14 @@ func TestConcurrentSessionsTable2Design(t *testing.T) {
 	}
 }
 
-// TestConcurrentBytecodeTierSharedDesign is the bytecode tier's race
-// envelope: one frozen module, one sealed bytecode CompiledDesign, 16
+// TestConcurrentBytecodeTierSharedDesign is blaze's race envelope: one
+// frozen module, one sealed bytecode CompiledDesign, 16
 // fully concurrent sessions executing the shared flat instruction streams
 // through per-session frames. Under -race this enforces that the lowered
 // Units (code, aux pools, const templates, wait shapes) are never written
 // after sealing — only the per-session register files are. Every
-// concurrent trace must match a serial closure-tier reference session
-// byte for byte, so the tiers are also cross-checked under contention.
+// concurrent trace must match a serial interpreter reference session
+// byte for byte, so the engines are also cross-checked under contention.
 func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 	d, err := designs.ByName("cdc_gray")
 	if err != nil {
@@ -141,19 +141,15 @@ func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := llhd.CompileBlazeTier(m, d.Top, llhd.TierBytecode)
+	cd, err := llhd.CompileBlaze(m, d.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd.Tier() != llhd.TierBytecode {
-		t.Fatalf("Tier() = %v, want bytecode", cd.Tier())
-	}
 
-	// Serial closure-tier reference over the same frozen module.
+	// Serial interpreter reference over the same frozen module.
 	refObs := &llhd.TraceObserver{}
 	ref, err := llhd.NewSession(llhd.FromModule(m), llhd.Top(d.Top),
-		llhd.Backend(llhd.Blaze), llhd.WithBlazeTier(llhd.TierClosure),
-		llhd.WithObserver(refObs))
+		llhd.Backend(llhd.Interp), llhd.WithObserver(refObs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +191,11 @@ func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 	}
 	for g, tr := range traces {
 		if len(tr) != len(want) {
-			t.Fatalf("session %d: trace length %d, closure reference %d", g, len(tr), len(want))
+			t.Fatalf("session %d: trace length %d, interpreter reference %d", g, len(tr), len(want))
 		}
 		for i := range tr {
 			if tr[i] != want[i] {
-				t.Fatalf("session %d: trace diverges from closure reference at %d: %q vs %q",
+				t.Fatalf("session %d: trace diverges from interpreter reference at %d: %q vs %q",
 					g, i, tr[i], want[i])
 			}
 		}

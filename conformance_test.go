@@ -17,10 +17,10 @@ import (
 
 // The RV32I conformance suite: every image under testdata/rv32i is
 // assembled, executed on the reference ISS (the independent oracle from
-// internal/riscv), and then simulated on all four engines — Interp,
-// Blaze-bytecode, Blaze-closure, and SVSim — as one Farm. Each leg must
-// report the image's tohost verdict, the three LLHD legs must produce
-// identical signal-change traces, and every leg's architectural dump
+// internal/riscv), and then simulated on all three engines — Interp,
+// Blaze, and SVSim — as one Farm. Each leg must report the image's
+// tohost verdict, the two LLHD legs must produce identical
+// signal-change traces, and every leg's architectural dump
 // stream (x1..x31 followed by the first data words, emitted by the
 // shared self-check epilogue) must match the ISS exactly. On failure the
 // per-leg VCD and trace are written under conformance-failures/ for CI
@@ -114,8 +114,7 @@ func runConformanceImage(t *testing.T, name, path string) {
 		opts []llhd.SessionOption
 	}{
 		{"interp", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.Interp)}},
-		{"blaze-bytecode", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.Blaze), llhd.WithBlazeTier(llhd.TierBytecode)}},
-		{"blaze-closure", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.Blaze), llhd.WithBlazeTier(llhd.TierClosure)}},
+		{"blaze", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.Blaze)}},
 		{"svsim", []llhd.SessionOption{llhd.FromSystemVerilog(d.Source), llhd.Backend(llhd.SVSim)}},
 	}
 	obs := make([]*llhd.TraceObserver, len(legs))
@@ -151,11 +150,10 @@ func runConformanceImage(t *testing.T, name, path string) {
 		}
 	}
 
-	// The three LLHD legs share one frozen module and must agree change
+	// The two LLHD legs share one frozen module and must agree change
 	// for change. The SVSim leg names signals by hierarchical path, so it
 	// is compared through per-signal value sequences below instead.
 	simtest.CompareTraces(t, simtest.Strings(obs[0]), simtest.Strings(obs[1]))
-	simtest.CompareTraces(t, simtest.Strings(obs[1]), simtest.Strings(obs[2]))
 	if !m.Frozen() {
 		t.Error("farm must have frozen the shared module")
 	}

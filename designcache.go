@@ -12,9 +12,10 @@ import (
 // DesignCache is the content-addressed compiled-design cache: a blaze
 // design compiles once per content, ever, no matter how many sessions,
 // farm jobs, or server submissions reference it. The cache key is a
-// stable hash of the module's bitcode encoding plus the top name and
-// execution tier, so two independently parsed copies of the same design
-// share one CompiledDesign.
+// stable hash of the module's bitcode encoding plus the top name, so two
+// independently parsed copies of the same design share one
+// CompiledDesign. (The tier argument of the Load methods is residue of
+// the retired closure tier, always TierBytecode; see BlazeTier.)
 //
 // Three layers, hot to cold: an in-process LRU of warm compiled designs
 // (a hit skips freeze and compile), a source memo keyed by raw source
@@ -87,7 +88,7 @@ func (dc *DesignCache) SetCompileHook(f func(key string)) {
 // Stats returns a snapshot of the effectiveness counters.
 func (dc *DesignCache) Stats() CacheStats { return dc.c.Stats() }
 
-// Load returns the compiled design for (m, top, tier), compiling at
+// Load returns the compiled design for (m, top), compiling at
 // most once per content. The hit result reports a warm hit: the design
 // was already resident and m was neither frozen nor compiled; on a miss
 // m is frozen (Module.Freeze) and retained by the design. An empty top

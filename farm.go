@@ -86,12 +86,11 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 	cfgs := make([]*sessionConfig, len(jobs))
 
 	// Serial preparation: freeze shared modules, compile blaze designs
-	// once per (module, top, tier). This is the only phase that writes to
+	// once per (module, top). This is the only phase that writes to
 	// cross-session state.
 	type designKey struct {
-		m    *Module
-		top  string
-		tier BlazeTier
+		m   *Module
+		top string
 	}
 	compiledCache := map[designKey]*CompiledDesign{}
 	for i := range jobs {
@@ -108,7 +107,7 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 			// Content-addressed path: the cache resolves freezing and
 			// compilation itself (a warm hit does neither) and
 			// single-flights compiles across concurrent Run calls.
-			cd, _, err := cfg.cache.Load(cfg.module, cfg.top, cfg.tier)
+			cd, _, err := cfg.cache.Load(cfg.module, cfg.top, TierBytecode)
 			if err != nil {
 				results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
 				continue
@@ -130,11 +129,11 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 				results[i].Err = fmt.Errorf("llhd: farm job %d: module has no entity; pass Top(name)", i)
 				continue
 			}
-			key := designKey{cfg.module, top, cfg.tier}
+			key := designKey{cfg.module, top}
 			cd, ok := compiledCache[key]
 			if !ok {
 				var err error
-				cd, err = CompileBlazeTier(cfg.module, top, cfg.tier)
+				cd, err = CompileBlaze(cfg.module, top)
 				if err != nil {
 					results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
 					continue

@@ -84,6 +84,46 @@ func TestGovernanceQuotas(t *testing.T) {
 	}
 }
 
+// TestRunawayFunctionIsStepLimit pins the classification of a loop that
+// never leaves a function: like the same loop in a process it is a
+// step-limit quota failure (llhd-sim exit 2, HTTP 429), not an internal
+// error, on both LLHD engines.
+func TestRunawayFunctionIsStepLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins each engine's full per-call step budget")
+	}
+	const src = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  call void @spin ()
+  halt
+}
+func @spin () void {
+ entry:
+  br %entry
+}
+`
+	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, err := llhd.ParseAssembly("runaway", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := llhd.NewSession(llhd.FromModule(m), llhd.Backend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Run()
+			if got := llhd.ErrorClass(err); got != "step-limit" {
+				t.Fatalf("class = %q (err = %v), want step-limit", got, err)
+			}
+		})
+	}
+}
+
 // TestGovernanceRuntimeErrorContext checks that a quota failure carries
 // the structured failure context: the instant, progress counters, and a
 // kind that survives wrapping.

@@ -23,21 +23,16 @@ import (
 // one full elaborate+simulate run per engine (the same "op" the ns numbers
 // time), so JSON trajectories can track both axes of the hot-path work.
 type Table2Row struct {
-	Design  string
-	LoC     int // lines of SystemVerilog
-	Deltas  int // executed delta steps (design + testbench complexity)
-	InterpS float64
-	// BlazeS measures the default (bytecode) tier; BlazeClosureS measures
-	// the original closure tier, kept side by side so the artifact records
-	// the tier-vs-tier trajectory.
-	BlazeS             float64
-	BlazeClosureS      float64
-	SVSimS             float64
-	InterpAllocs       uint64
-	BlazeAllocs        uint64
-	BlazeClosureAllocs uint64
-	SVSimAllocs        uint64
-	Failures           int
+	Design       string
+	LoC          int // lines of SystemVerilog
+	Deltas       int // executed delta steps (design + testbench complexity)
+	InterpS      float64
+	BlazeS       float64
+	SVSimS       float64
+	InterpAllocs uint64
+	BlazeAllocs  uint64
+	SVSimAllocs  uint64
+	Failures     int
 }
 
 // measure times one elaborate+simulate run and counts its heap
@@ -65,11 +60,11 @@ func RunTable2() ([]Table2Row, error) {
 	return rows, nil
 }
 
-// runEngine times one elaborate+simulate session on the given engine (and,
-// for blaze, tier) and returns the measurement plus the session's final
-// statistics. The module compile (for the LLHD engines) stays outside the
-// timed region, matching what the paper's Table 2 measures.
-func runEngine(d designs.Design, kind llhd.EngineKind, tier llhd.BlazeTier) (secs float64, allocs uint64, st llhd.Finish, err error) {
+// runEngine times one elaborate+simulate session on the given engine and
+// returns the measurement plus the session's final statistics. The module
+// compile (for the LLHD engines) stays outside the timed region, matching
+// what the paper's Table 2 measures.
+func runEngine(d designs.Design, kind llhd.EngineKind) (secs float64, allocs uint64, st llhd.Finish, err error) {
 	source := []llhd.SessionOption{llhd.FromSystemVerilog(d.Source)}
 	if kind != llhd.SVSim {
 		m, cerr := moore.Compile(d.Name, d.Source)
@@ -79,9 +74,6 @@ func runEngine(d designs.Design, kind llhd.EngineKind, tier llhd.BlazeTier) (sec
 		source = []llhd.SessionOption{llhd.FromModule(m)}
 	}
 	opts := append(source, llhd.Top(d.Top), llhd.Backend(kind))
-	if kind == llhd.Blaze {
-		opts = append(opts, llhd.WithBlazeTier(tier))
-	}
 	secs, allocs, err = measure(func() error {
 		s, err := llhd.NewSession(opts...)
 		if err != nil {
@@ -94,13 +86,13 @@ func runEngine(d designs.Design, kind llhd.EngineKind, tier llhd.BlazeTier) (sec
 	return secs, allocs, st, err
 }
 
-// RunTable2Design measures one design on all three engines (both blaze
-// tiers) through the Session API.
+// RunTable2Design measures one design on all three engines through the
+// Session API.
 func RunTable2Design(d designs.Design) (Table2Row, error) {
 	row := Table2Row{Design: d.Display, LoC: countLines(d.Source)}
 
 	// Reference interpreter (LLHD-Sim).
-	secs, allocs, st, err := runEngine(d, llhd.Interp, llhd.TierBytecode)
+	secs, allocs, st, err := runEngine(d, llhd.Interp)
 	if err != nil {
 		return row, err
 	}
@@ -108,24 +100,16 @@ func RunTable2Design(d designs.Design) (Table2Row, error) {
 	row.Deltas = st.DeltaSteps
 	row.Failures = st.AssertionFailures
 
-	// Compiled simulator (LLHD-Blaze analog), default bytecode tier.
-	secs, allocs, st, err = runEngine(d, llhd.Blaze, llhd.TierBytecode)
+	// Compiled simulator (LLHD-Blaze analog).
+	secs, allocs, st, err = runEngine(d, llhd.Blaze)
 	if err != nil {
 		return row, err
 	}
 	row.BlazeS, row.BlazeAllocs = secs, allocs
 	row.Failures += st.AssertionFailures
 
-	// Blaze closure tier, for the tier-vs-tier trajectory.
-	secs, allocs, st, err = runEngine(d, llhd.Blaze, llhd.TierClosure)
-	if err != nil {
-		return row, err
-	}
-	row.BlazeClosureS, row.BlazeClosureAllocs = secs, allocs
-	row.Failures += st.AssertionFailures
-
 	// AST-level simulator (commercial substitute).
-	secs, allocs, st, err = runEngine(d, llhd.SVSim, llhd.TierBytecode)
+	secs, allocs, st, err = runEngine(d, llhd.SVSim)
 	if err != nil {
 		return row, err
 	}
@@ -134,13 +118,10 @@ func RunTable2Design(d designs.Design) (Table2Row, error) {
 	return row, nil
 }
 
-// Table2EngineJSON is one engine's measurement in the JSON emission. Tier
-// names the blaze execution tier the row ran on ("bytecode" or "closure");
-// it is empty for the tier-less engines.
+// Table2EngineJSON is one engine's measurement in the JSON emission.
 type Table2EngineJSON struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
-	Tier        string  `json:"tier,omitempty"`
 }
 
 // Table2RowJSON is one design's measurements in the JSON emission. The op
@@ -161,10 +142,9 @@ func WriteTable2JSON(w io.Writer, rows []Table2Row) error {
 			Name:   r.Design,
 			Deltas: r.Deltas,
 			Engines: map[string]Table2EngineJSON{
-				"Int":          {NsPerOp: r.InterpS * 1e9, AllocsPerOp: r.InterpAllocs},
-				"Blaze":        {NsPerOp: r.BlazeS * 1e9, AllocsPerOp: r.BlazeAllocs, Tier: llhd.TierBytecode.String()},
-				"BlazeClosure": {NsPerOp: r.BlazeClosureS * 1e9, AllocsPerOp: r.BlazeClosureAllocs, Tier: llhd.TierClosure.String()},
-				"SVSim":        {NsPerOp: r.SVSimS * 1e9, AllocsPerOp: r.SVSimAllocs},
+				"Int":   {NsPerOp: r.InterpS * 1e9, AllocsPerOp: r.InterpAllocs},
+				"Blaze": {NsPerOp: r.BlazeS * 1e9, AllocsPerOp: r.BlazeAllocs},
+				"SVSim": {NsPerOp: r.SVSimS * 1e9, AllocsPerOp: r.SVSimAllocs},
 			},
 		})
 	}
@@ -173,21 +153,18 @@ func WriteTable2JSON(w io.Writer, rows []Table2Row) error {
 	return enc.Encode(out)
 }
 
-// PrintTable2 renders rows in the paper's format, with the blaze closure
-// tier as an extra column (Blaze [s] is the default bytecode tier;
-// Clo/Byt is the bytecode tier's speedup over the closure tier).
+// PrintTable2 renders rows in the paper's format.
 func PrintTable2(w io.Writer, rows []Table2Row) {
 	fmt.Fprintf(w, "Table 2: simulation performance (this reproduction)\n")
-	fmt.Fprintf(w, "%-16s %5s %8s  %10s %10s %10s %10s  %8s %8s\n",
-		"Design", "LoC", "Deltas", "Int. [s]", "Blaze [s]", "BlzClo [s]", "SVSim [s]", "Int/Blz", "Clo/Byt")
+	fmt.Fprintf(w, "%-16s %5s %8s  %10s %10s %10s  %8s\n",
+		"Design", "LoC", "Deltas", "Int. [s]", "Blaze [s]", "SVSim [s]", "Int/Blz")
 	for _, r := range rows {
-		speedup, tierup := 0.0, 0.0
+		speedup := 0.0
 		if r.BlazeS > 0 {
 			speedup = r.InterpS / r.BlazeS
-			tierup = r.BlazeClosureS / r.BlazeS
 		}
-		fmt.Fprintf(w, "%-16s %5d %8d  %10.4f %10.4f %10.4f %10.4f  %7.1fx %7.1fx\n",
-			r.Design, r.LoC, r.Deltas, r.InterpS, r.BlazeS, r.BlazeClosureS, r.SVSimS, speedup, tierup)
+		fmt.Fprintf(w, "%-16s %5d %8d  %10.4f %10.4f %10.4f  %7.1fx\n",
+			r.Design, r.LoC, r.Deltas, r.InterpS, r.BlazeS, r.SVSimS, speedup)
 	}
 }
 

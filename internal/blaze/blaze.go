@@ -4,23 +4,22 @@
 // executes the compiled form — the same effect the paper obtains with
 // LLVM-based JIT compilation, within a pure-Go implementation.
 //
-// Blaze has two execution tiers (see Tier). The default bytecode tier
-// lowers each unit to a flat, fixed-width instruction stream executed by
-// a threaded dispatch loop (internal/blaze/bytecode): one switch dispatch
-// per instruction, registers indexed directly by dense value IDs, scalar
-// integer ops running in place on the uint64 payload. The closure tier —
-// the original design, kept as the differential-testing reference —
-// turns every instruction into a Go closure executed through per-block
-// closure arrays. Both tiers produce byte-identical traces.
+// The package is a thin shell over internal/blaze/bytecode, which lowers
+// each unit to a flat, fixed-width instruction stream executed by a
+// threaded dispatch loop: one switch dispatch per instruction, registers
+// indexed directly by dense value IDs, scalar integer ops running in
+// place on the uint64 payload. What lives here is the compile-once
+// artifact (CompiledDesign), the per-session Simulator, and the adapter
+// that runs one lowered unit instance as an engine.Process.
 //
-// Compilation is per unit and session-independent: the compiled code
+// Lowering is per unit and session-independent: the lowered code
 // references per-activation state (registers, signal tables, reg/del
-// histories) only through the proc/frame it runs on, never by capture. A
-// CompiledDesign therefore holds one immutable copy of the code for the
-// whole design hierarchy, shared read-only by every Simulator built from
-// it — the foundation of the concurrent session farm (llhd.Farm).
-// Per-session state (the event engine, signals, register files, function
-// call-frame pools) lives in the Simulator.
+// histories) only through the bytecode.Frame it runs on. A CompiledDesign
+// therefore holds one immutable copy of the code for the whole design
+// hierarchy, shared read-only by every Simulator built from it — the
+// foundation of the concurrent session farm (llhd.Farm). Per-session
+// state (the event engine, signals, frames, the bytecode.Runtime's
+// call-frame pools) is created by NewSimulator.
 //
 // Blaze shares the event kernel (internal/engine) with the interpreter, so
 // both produce identical traces; only the per-activation execution differs.
@@ -32,7 +31,6 @@ import (
 	"llhd/internal/blaze/bytecode"
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/val"
 )
 
 // Simulator couples one elaborated, per-session incarnation of a compiled
@@ -45,28 +43,14 @@ type Simulator struct {
 	Top    string
 
 	design *CompiledDesign
-	// framePools holds the closure tier's pooled function call frames,
-	// indexed by the compiled function's dense index. Pools are per
-	// session: sharing them across concurrently running sessions would
-	// race on the wake path.
-	framePools [][]*proc
-	// rt is the bytecode tier's per-session runtime (its call-frame
-	// pools), nil on the closure tier.
-	rt *bytecode.Runtime
 }
 
 // New compiles and elaborates the design hierarchy under the top unit for
-// single-session use, on the default (bytecode) tier. The module is not
-// frozen and stays mutable once the simulator exists; use Compile +
-// CompiledDesign.NewSimulator to share one compiled design across
-// concurrent sessions.
+// single-session use. The module is not frozen and stays mutable once the
+// simulator exists; use Compile + CompiledDesign.NewSimulator to share one
+// compiled design across concurrent sessions.
 func New(m *ir.Module, top string) (*Simulator, error) {
-	return NewTier(m, top, TierBytecode)
-}
-
-// NewTier is New with an explicit execution tier.
-func NewTier(m *ir.Module, top string, tier Tier) (*Simulator, error) {
-	return newDesign(m, top, tier).newSimulator()
+	return newDesign(m, top).newSimulator()
 }
 
 // Design returns the compiled design the simulator executes.
@@ -79,138 +63,48 @@ func (s *Simulator) Run(limit ir.Time) error {
 	return s.Engine.Err()
 }
 
-// acquireFrame returns a pooled call frame for the compiled function with
-// its register file reset from the constant template (non-constant slots
-// read as zero values, exactly like a freshly allocated file).
-func (s *Simulator) acquireFrame(cf *compiledFunc) *proc {
-	for len(s.framePools) <= cf.idx {
-		s.framePools = append(s.framePools, nil)
-	}
-	if pool := s.framePools[cf.idx]; len(pool) > 0 {
-		frame := pool[len(pool)-1]
-		s.framePools[cf.idx] = pool[:len(pool)-1]
-		copy(frame.regs, cf.constRegs)
-		frame.cur = 0
-		frame.retVal = val.Value{}
-		return frame
-	}
-	frame := &proc{
-		name: cf.name,
-		code: cf.code,
-		regs: make([]val.Value, cf.nregs),
-		sim:  s,
-	}
-	copy(frame.regs, cf.constRegs)
-	return frame
-}
-
-// releaseFrame returns a call frame to its pool; recursion pops deeper
-// frames, so release order is naturally LIFO.
-func (s *Simulator) releaseFrame(cf *compiledFunc, frame *proc) {
-	s.framePools[cf.idx] = append(s.framePools[cf.idx], frame)
-}
-
-// step is one compiled instruction: it mutates the register file and
-// optionally interacts with the engine. Steps must reference all mutable
-// state through p — the closures themselves are shared across sessions.
-type step func(p *proc, e *engine.Engine) error
-
-// blockCode is a compiled basic block: straight-line steps plus a
-// terminator that returns the next block index (or a suspend code).
-type blockCode struct {
-	steps []step
-	term  func(p *proc, e *engine.Engine) (int, error)
-}
-
-// Terminator sentinels.
-const (
-	blockSuspend = -1 // wait executed: return control to the engine
-	blockHalt    = -2
-)
-
-// delState is the per-activation history of one del instruction.
-type delState struct {
-	seen bool
-	prev val.Value
-}
-
-// regState is the per-activation trigger history of one reg instruction.
-type regState struct {
-	seen bool
-	prev []bool
-}
-
-// proc is one unit instance executing shared compiled code over private
-// state: the register file, the resolved signal table, the per-wait
-// sensitivity lists, and the reg/del histories.
-type proc struct {
+// bcProc is one unit instance executing shared bytecode over a private
+// frame: Init subscribes entity sensitivity, Wake re-runs the cone or
+// resumes the process, and a halt latches.
+type bcProc struct {
 	engine.ProcHandle
 	name   string
-	code   []blockCode       // shared with every session; read-only
-	regs   []val.Value       // register file, indexed by compile-time slots
-	sigs   []engine.SigRef   // signal slot table, resolved at instantiation
-	probed []engine.SigRef   // entity sensitivity (deduped by signal)
-	waits  [][]engine.SigRef // wait site -> prebuilt sensitivity list
-	dels   []delState
-	regst  []regState
-	cur    int // resume block index
+	u      *bytecode.Unit
+	fr     *bytecode.Frame
+	rt     *bytecode.Runtime
 	entity bool
 	halted bool
-	sim    *Simulator
-	retVal val.Value // function frames only
 }
 
-func (p *proc) Name() string { return p.name }
+func (p *bcProc) Name() string { return p.name }
 
-func (p *proc) Init(e *engine.Engine) {
+func (p *bcProc) Init(e *engine.Engine) {
 	if p.entity {
 		// Permanent sensitivity on every probed signal.
-		e.Subscribe(p.ProcID(), p.probed)
+		e.Subscribe(p.ProcID(), p.fr.Probed)
 	}
-	p.cur = 0
-	p.run(e)
+	p.fr.PC = 0
+	p.step(e)
 }
 
-func (p *proc) Wake(e *engine.Engine) {
+func (p *bcProc) Wake(e *engine.Engine) {
 	if p.halted {
 		return
 	}
 	if p.entity {
-		p.cur = 0
+		p.fr.PC = 0
 	}
-	p.run(e)
+	p.step(e)
 }
 
-func (p *proc) run(e *engine.Engine) {
-	const maxSteps = 100_000_000
-	for steps := 0; steps < maxSteps; steps++ {
-		if p.cur < 0 || p.cur >= len(p.code) {
-			e.Halt(p.ProcID())
-			p.halted = true
-			return
-		}
-		bc := &p.code[p.cur]
-		for _, st := range bc.steps {
-			if err := st(p, e); err != nil {
-				e.SetError(fmt.Errorf("blaze: %s: %w", p.name, err))
-				return
-			}
-		}
-		next, err := bc.term(p, e)
-		if err != nil {
-			e.SetError(fmt.Errorf("blaze: %s: %w", p.name, err))
-			return
-		}
-		switch next {
-		case blockSuspend:
-			return
-		case blockHalt:
-			e.Halt(p.ProcID())
-			p.halted = true
-			return
-		default:
-			p.cur = next
-		}
+func (p *bcProc) step(e *engine.Engine) {
+	st, err := p.rt.Exec(e, p.u, p.fr, p.ProcID())
+	if err != nil {
+		e.SetError(fmt.Errorf("blaze: %s: %w", p.name, err))
+		return
 	}
-	e.SetError(fmt.Errorf("blaze: %s: step budget exhausted: %w", p.name, engine.ErrStepLimit))
+	if st == bytecode.StatusHalt {
+		e.Halt(p.ProcID())
+		p.halted = true
+	}
 }

@@ -1,9 +1,8 @@
-// Package bytecode is blaze's flat execution tier: a lowering pass from
+// Package bytecode is blaze's execution core: a lowering pass from
 // frozen IR units to a linear, fixed-width instruction stream plus a
 // threaded dispatch loop that executes process bodies and entity dataflow
-// cones. It replaces the closure-tree tier's per-instruction indirect
-// calls (operand fetch closures, step closures, terminator closures) with
-// one switch dispatch per instruction over a cache-friendly []Instr.
+// cones — one switch dispatch per instruction over a cache-friendly
+// []Instr, with no per-instruction indirect calls.
 //
 // # Register file = value IDs
 //

@@ -22,12 +22,12 @@ const (
 )
 
 // errStepBudget is the internal runaway-loop sentinel; the entry points
-// format it to match the closure tier's diagnostics exactly.
+// wrap engine.ErrStepLimit around it and name the process or function.
 var errStepBudget = errors.New("bytecode: step budget exhausted")
 
-// maxJumps bounds control-flow transfers per activation, mirroring the
-// closure tier's per-block step budget: straight-line code stays
-// check-free and only jumps, branches and calls pay the counter.
+// maxJumps bounds control-flow transfers per activation: straight-line
+// code stays check-free and only jumps, branches and calls pay the
+// counter.
 const maxJumps = 100_000_000
 
 // Runtime is the per-session execution state over one shared Program:
@@ -64,7 +64,7 @@ func (rt *Runtime) invoke(e *engine.Engine, fu *Unit, caller []val.Value, argReg
 	st, err := rt.run(e, fu, fr, 0)
 	switch {
 	case err == errStepBudget:
-		return val.Value{}, fmt.Errorf("@%s: step budget exhausted", fu.Name)
+		return val.Value{}, fmt.Errorf("@%s: step budget exhausted: %w", fu.Name, engine.ErrStepLimit)
 	case err != nil:
 		return val.Value{}, err
 	case st == StatusSuspend:
@@ -416,9 +416,8 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 	}
 }
 
-// regSite executes one reg storage site, mirroring the closure tier's
-// trigger semantics: first activation samples, later activations fire at
-// most one edge-matched, gate-open trigger.
+// regSite executes one reg storage site: the first activation samples,
+// later activations fire at most one edge-matched, gate-open trigger.
 func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Value, ri int) {
 	site := &u.RegSites[ri]
 	st := &fr.Regst[ri]

@@ -380,8 +380,8 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 	return fmt.Errorf("unsupported terminator %s", in.Op)
 }
 
-// lowerStep lowers one non-terminator instruction, mirroring the closure
-// tier's per-op semantics exactly (both tiers must stay trace-identical).
+// lowerStep lowers one non-terminator instruction; per-op semantics must
+// stay trace-identical to the reference interpreter's.
 func (lo *lowerer) lowerStep(in *ir.Inst) error {
 	switch in.Op {
 	case ir.OpConstInt, ir.OpConstTime, ir.OpConstLogic:
@@ -558,9 +558,9 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 
 // skipFolded reports whether the instruction's result was already folded
 // into the constant template by elaboration — re-evaluating a pure
-// instruction whose value is pre-placed would be wasted work (the
-// closure tier recomputes these; the fold and the recompute agree by the
-// val evaluator's determinism).
+// instruction whose value is pre-placed would be wasted work (a
+// recompute would agree with the fold by the val evaluator's
+// determinism).
 func (lo *lowerer) skipFolded(in *ir.Inst) bool {
 	if !in.Op.IsPure() {
 		return false
@@ -638,7 +638,7 @@ func (lo *lowerer) lowerCall(in *ir.Inst) error {
 		case "llhd.time":
 			lo.emit(Instr{Op: opTimeNow, Dst: dst})
 		default:
-			// Unknown intrinsics fail when executed, like the closure tier.
+			// Unknown intrinsics fail when executed, not when lowered.
 			sx := int32(len(lo.u.Strs))
 			lo.u.Strs = append(lo.u.Strs, in.Callee)
 			lo.emit(Instr{Op: opBadCall, A: sx})

@@ -15,7 +15,6 @@ import (
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/sim"
-	"llhd/internal/simtest"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -82,9 +81,9 @@ proc @counter (i1$ %clk) -> (i32$ %count) {
 // through a fresh val.Value — is what this test enforces.
 func TestBytecodeWakeHotPathAllocFree(t *testing.T) {
 	m := assembly.MustParse("freerun", bcFreeRunnerSrc)
-	s, err := blaze.NewTier(m, "top", blaze.TierBytecode)
+	s, err := blaze.New(m, "top")
 	if err != nil {
-		t.Fatalf("NewTier: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	e := s.Engine
 	e.Init()
@@ -146,21 +145,17 @@ proc @writer () -> () {
 // or var.
 func TestAggregateWriteBudget(t *testing.T) {
 	src := strings.Replace(aggWriterSrc, "ELEMS", strings.TrimSuffix(strings.Repeat("%z, ", 32), ", "), 1)
-	blazeTier := func(tier blaze.Tier) func(*ir.Module) (*engine.Engine, error) {
-		return func(m *ir.Module) (*engine.Engine, error) {
-			s, err := blaze.NewTier(m, "top", tier)
-			if err != nil {
-				return nil, err
-			}
-			return s.Engine, nil
-		}
-	}
 	engines := []struct {
 		name string
 		new  func(m *ir.Module) (*engine.Engine, error)
 	}{
-		{"bytecode", blazeTier(blaze.TierBytecode)},
-		{"closure", blazeTier(blaze.TierClosure)},
+		{"bytecode", func(m *ir.Module) (*engine.Engine, error) {
+			s, err := blaze.New(m, "top")
+			if err != nil {
+				return nil, err
+			}
+			return s.Engine, nil
+		}},
 		{"interp", func(m *ir.Module) (*engine.Engine, error) {
 			s, err := sim.New(m, "top")
 			if err != nil {
@@ -240,33 +235,5 @@ func TestBytecodeDisasmGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("disassembly drifted from golden %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-	}
-}
-
-// TestBytecodeTierTraceMatchesClosure runs the counter design on both
-// blaze tiers directly (no farm, no session facade) and requires
-// byte-identical traces — the narrowest possible tier-vs-tier harness,
-// useful when a divergence needs debugging below the public API.
-func TestBytecodeTierTraceMatchesClosure(t *testing.T) {
-	runTier := func(tier blaze.Tier) []string {
-		m := assembly.MustParse("counter", counterSrc)
-		s, err := blaze.NewTier(m, "top", tier)
-		if err != nil {
-			t.Fatalf("NewTier(%v): %v", tier, err)
-		}
-		tr := simtest.Capture(s.Engine)
-		if err := s.Run(ir.Time{}); err != nil {
-			t.Fatalf("%v run: %v", tier, err)
-		}
-		return simtest.Strings(tr)
-	}
-	byt, clo := runTier(blaze.TierBytecode), runTier(blaze.TierClosure)
-	if len(byt) != len(clo) {
-		t.Fatalf("trace lengths differ: bytecode %d vs closure %d", len(byt), len(clo))
-	}
-	for i := range byt {
-		if byt[i] != clo[i] {
-			t.Fatalf("traces diverge at %d: %q vs %q", i, byt[i], clo[i])
-		}
 	}
 }

@@ -6,75 +6,60 @@ import (
 	"llhd/internal/blaze/bytecode"
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/val"
 )
 
-// CompiledDesign is the compile-once artifact of a design hierarchy: one
-// compiledUnit per reachable process/entity unit plus the compiled
-// functions they call. After Compile seals it, the design is immutable and
-// may be shared read-only by any number of concurrent Simulators — every
-// piece of mutable runtime state (register files, signal tables, reg/del
-// histories, call-frame pools) is created per session by NewSimulator.
+// Tier is a one-constant residue of the retired closure tier. It survives
+// only because benchmark/layers.go passes llhd.TierBytecode to the design
+// cache; a benchmark-only PR removes it together with the cache's tier
+// parameter.
+type Tier int
+
+// TierBytecode is blaze's one execution strategy.
+const TierBytecode Tier = 0
+
+// CompiledDesign is the compile-once artifact of a design hierarchy: the
+// bytecode program holding one lowered unit per reachable process/entity
+// unit plus the functions they call. After Compile seals it, the design
+// is immutable and may be shared read-only by any number of concurrent
+// Simulators — every piece of mutable runtime state (register files,
+// signal tables, reg/del histories, call-frame pools) is created per
+// session by NewSimulator.
 type CompiledDesign struct {
 	module *ir.Module
 	top    string
-	tier   Tier
 
-	// Closure tier.
-	units    map[*ir.Unit]*compiledUnit
-	funcs    map[string]*compiledFunc
-	funcList []*compiledFunc // dense by compiledFunc.idx, for per-session pools
-
-	// Bytecode tier.
 	prog   *bytecode.Program
 	bunits map[*ir.Unit]*bytecode.Unit
 
 	sealed bool
 }
 
-// Compile compiles every unit reachable from the top entity exactly
-// once, freezes the module (ir.Module.Freeze), and returns the sealed,
+// Compile lowers every unit reachable from the top entity exactly once,
+// freezes the module (ir.Module.Freeze), and returns the sealed,
 // immutable design. The compile performs one throwaway elaboration to
 // drive unit discovery and to validate that every signal reference
 // resolves; the scratch engine is discarded. On error the module is left
 // unfrozen — freezing is irreversible, so it must not outlive a failed
 // compile.
 func Compile(m *ir.Module, top string) (*CompiledDesign, error) {
-	return CompileTier(m, top, TierBytecode)
-}
-
-// CompileTier is Compile with an explicit execution tier: TierBytecode
-// (the default) or TierClosure (the closure-tree reference tier).
-func CompileTier(m *ir.Module, top string, tier Tier) (*CompiledDesign, error) {
-	cd := newDesign(m, top, tier)
+	cd := newDesign(m, top)
 	if _, err := cd.newSimulator(); err != nil {
 		return nil, err
 	}
 	m.Freeze()
 	cd.sealed = true
-	if cd.prog != nil {
-		cd.prog.Seal()
-	}
+	cd.prog.Seal()
 	return cd, nil
 }
 
-func newDesign(m *ir.Module, top string, tier Tier) *CompiledDesign {
-	cd := &CompiledDesign{
+func newDesign(m *ir.Module, top string) *CompiledDesign {
+	return &CompiledDesign{
 		module: m,
 		top:    top,
-		tier:   tier,
-		units:  map[*ir.Unit]*compiledUnit{},
-		funcs:  map[string]*compiledFunc{},
+		prog:   bytecode.NewProgram(m),
+		bunits: map[*ir.Unit]*bytecode.Unit{},
 	}
-	if tier == TierBytecode {
-		cd.prog = bytecode.NewProgram(m)
-		cd.bunits = map[*ir.Unit]*bytecode.Unit{}
-	}
-	return cd
 }
-
-// Tier returns the design's execution tier.
-func (cd *CompiledDesign) Tier() Tier { return cd.tier }
 
 // Module returns the (frozen, for sealed designs) module the design was
 // compiled from.
@@ -96,250 +81,57 @@ func (cd *CompiledDesign) NewSimulator() (*Simulator, error) {
 
 // newSimulator elaborates the design on a fresh engine. On an unsealed
 // design (during Compile, or blaze.New's single-session path) units are
-// compiled on first encounter; on a sealed design every unit must already
+// lowered on first encounter; on a sealed design every unit must already
 // be present.
 func (cd *CompiledDesign) newSimulator() (*Simulator, error) {
 	e := engine.New()
-	s := &Simulator{Engine: e, Module: cd.module, Top: cd.top, design: cd}
+	rt := bytecode.NewRuntime(cd.prog)
 	factory := func(inst *engine.Instance) (engine.Process, error) {
-		cu, err := cd.unitFor(inst)
+		u, err := cd.unitFor(inst)
 		if err != nil {
 			return nil, err
 		}
-		return cu.instantiate(inst, s)
-	}
-	if cd.tier == TierBytecode {
-		s.rt = bytecode.NewRuntime(cd.prog)
-		factory = func(inst *engine.Instance) (engine.Process, error) {
-			u, err := cd.bcUnitFor(inst)
-			if err != nil {
-				return nil, err
-			}
-			return bcInstantiate(u, inst, s.rt)
+		fr, err := u.NewFrame(inst)
+		if err != nil {
+			return nil, fmt.Errorf("blaze: %s: %w", inst.Name, err)
 		}
+		return &bcProc{name: inst.Name, u: u, fr: fr, rt: rt, entity: u.Entity}, nil
 	}
 	if err := engine.Elaborate(e, cd.module, cd.top, factory); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Simulator{Engine: e, Module: cd.module, Top: cd.top, design: cd}, nil
 }
 
-// unitFor returns the compiled form of the instance's unit, compiling it
-// on first encounter while the design is still unsealed.
-func (cd *CompiledDesign) unitFor(inst *engine.Instance) (*compiledUnit, error) {
-	if cu, ok := cd.units[inst.Unit]; ok {
-		return cu, nil
+// unitFor returns the lowered form of the instance's unit, lowering it on
+// first encounter while the design is still unsealed.
+func (cd *CompiledDesign) unitFor(inst *engine.Instance) (*bytecode.Unit, error) {
+	if u, ok := cd.bunits[inst.Unit]; ok {
+		return u, nil
 	}
 	if cd.sealed {
 		return nil, fmt.Errorf("blaze: unit @%s is not part of the sealed design", inst.Unit.Name)
 	}
-	cu, err := compileUnit(cd, inst)
+	u, err := cd.prog.LowerUnit(inst)
 	if err != nil {
 		return nil, err
 	}
-	cd.units[inst.Unit] = cu
-	return cu, nil
+	cd.bunits[inst.Unit] = u
+	return u, nil
 }
 
-// compiledUnit is the session-independent compiled form of one process or
-// entity unit: the block code plus the recipes for building a proc's
-// private state (register seeding, signal slots, sensitivity, wait lists,
-// reg/del history shapes). Instances of the same unit — within one session
-// or across sessions — share this object.
-type compiledUnit struct {
-	unit   *ir.Unit
-	entity bool
-
-	code    []blockCode
-	nregs   int
-	consts  []constSlot // register-file constants, pre-placed per instance
-	sigVals []ir.Value  // signal slot -> IR value, resolved per instance
-	probed  []int       // signal slots armed as permanent entity sensitivity
-	waits   [][]int     // wait site -> signal slots
-	nDels   int
-	regTrig []int // reg site -> trigger count
+// DisasmUnit renders the bytecode of one lowered unit; the golden tests
+// pin encodings through it.
+func (cd *CompiledDesign) DisasmUnit(name string) (string, error) {
+	for u, bu := range cd.bunits {
+		if u.Name == name {
+			return bytecode.Disasm(bu), nil
+		}
+	}
+	for _, fu := range cd.prog.FuncList {
+		if fu.Name == name {
+			return bytecode.Disasm(fu), nil
+		}
+	}
+	return "", fmt.Errorf("blaze: no lowered unit @%s in the design", name)
 }
-
-// instantiate builds the per-session, per-instance proc: it resolves every
-// signal slot against the instance's elaborated bindings, seeds the
-// register file with the compile-time constants, and allocates the
-// activation histories. The compiled code itself is shared by reference.
-func (cu *compiledUnit) instantiate(inst *engine.Instance, s *Simulator) (*proc, error) {
-	p := &proc{
-		name:   inst.Name,
-		entity: cu.entity,
-		code:   cu.code,
-		regs:   make([]val.Value, cu.nregs),
-		sim:    s,
-	}
-	for _, cs := range cu.consts {
-		p.regs[cs.slot] = cs.v
-	}
-	if len(cu.sigVals) > 0 {
-		p.sigs = make([]engine.SigRef, len(cu.sigVals))
-		for i, v := range cu.sigVals {
-			ref, err := resolveSigRef(inst, v)
-			if err != nil {
-				return nil, fmt.Errorf("blaze: %s: %w", inst.Name, err)
-			}
-			p.sigs[i] = ref
-		}
-	}
-	if cu.entity && len(cu.probed) > 0 {
-		seen := make(map[*engine.Signal]bool, len(cu.probed))
-		p.probed = make([]engine.SigRef, 0, len(cu.probed))
-		for _, si := range cu.probed {
-			if r := p.sigs[si]; r.Sig != nil && !seen[r.Sig] {
-				seen[r.Sig] = true
-				p.probed = append(p.probed, r)
-			}
-		}
-	}
-	if len(cu.waits) > 0 {
-		p.waits = make([][]engine.SigRef, len(cu.waits))
-		for wi, slots := range cu.waits {
-			refs := make([]engine.SigRef, len(slots))
-			for i, si := range slots {
-				refs[i] = p.sigs[si]
-			}
-			p.waits[wi] = refs
-		}
-	}
-	if cu.nDels > 0 {
-		p.dels = make([]delState, cu.nDels)
-	}
-	if len(cu.regTrig) > 0 {
-		p.regst = make([]regState, len(cu.regTrig))
-		for i, n := range cu.regTrig {
-			p.regst[i] = regState{prev: make([]bool, n)}
-		}
-	}
-	return p, nil
-}
-
-// resolveSigRef resolves an IR value to the instance's elaborated signal
-// reference: either a direct binding, or an extf/exts projection chain
-// over one. It is used both at compile time (to validate resolvability
-// against the prototype instance) and at instantiation (to build each
-// session's signal slot table).
-func resolveSigRef(inst *engine.Instance, v ir.Value) (engine.SigRef, error) {
-	if r, ok := inst.BindOf(v); ok {
-		return r, nil
-	}
-	in, ok := v.(*ir.Inst)
-	if !ok {
-		return engine.SigRef{}, fmt.Errorf("value %s is not a signal", v)
-	}
-	switch in.Op {
-	case ir.OpExtF:
-		base, err := resolveSigRef(inst, in.Args[0])
-		if err != nil {
-			return engine.SigRef{}, err
-		}
-		return base.Extend(engine.Proj{Kind: engine.ProjField, A: in.Imm0}), nil
-	case ir.OpExtS:
-		base, err := resolveSigRef(inst, in.Args[0])
-		if err != nil {
-			return engine.SigRef{}, err
-		}
-		return base.Extend(engine.Proj{Kind: engine.ProjSlice, A: in.Imm0, B: in.Imm1}), nil
-	}
-	return engine.SigRef{}, fmt.Errorf("value %s is not a signal", v)
-}
-
-// compiledFunc is a compiled function unit. Like compiledUnit it is
-// immutable once built; call frames are pooled per session (see
-// Simulator.acquireFrame) and keyed by the dense idx.
-type compiledFunc struct {
-	name      string
-	idx       int // dense index into CompiledDesign.funcList
-	code      []blockCode
-	nregs     int
-	args      []int // arg slots
-	hasRet    bool
-	constRegs []val.Value // register-file template: constants pre-placed
-}
-
-// compileFunc compiles (and caches) a function unit.
-func (cd *CompiledDesign) compileFunc(name string) (*compiledFunc, error) {
-	if cf, ok := cd.funcs[name]; ok {
-		return cf, nil
-	}
-	if cd.sealed {
-		return nil, fmt.Errorf("call to @%s, which is not part of the sealed design", name)
-	}
-	fn := cd.module.Unit(name)
-	if fn == nil {
-		return nil, fmt.Errorf("call to undefined @%s", name)
-	}
-	if fn.Kind != ir.UnitFunc {
-		return nil, fmt.Errorf("call target @%s is a %s", name, fn.Kind)
-	}
-	cf := &compiledFunc{name: name, idx: len(cd.funcList), hasRet: !fn.RetType.IsVoid()}
-	cd.funcs[name] = cf // pre-register to tolerate recursion
-	cd.funcList = append(cd.funcList, cf)
-
-	fc := newCompiler(cd, engine.NewInstance(fn, name))
-	for i, b := range fn.Blocks {
-		fc.blocks[b] = i
-	}
-	for _, a := range fn.Inputs {
-		cf.args = append(cf.args, fc.slot(a))
-	}
-	for _, b := range fn.Blocks {
-		bc, err := fc.compileFuncBlock(b)
-		if err != nil {
-			return nil, fmt.Errorf("@%s: %w", name, err)
-		}
-		cf.code = append(cf.code, bc)
-	}
-	if len(fc.sigVals) > 0 {
-		return nil, fmt.Errorf("@%s: functions cannot reference signals", name)
-	}
-	cf.nregs = fc.nregs
-	// Bake compiled constants into a register-file template; it is built
-	// once per function and amortized across all pooled call frames.
-	cf.constRegs = make([]val.Value, fc.nregs)
-	for _, cs := range fc.consts {
-		cf.constRegs[cs.slot] = cs.v
-	}
-	return cf, nil
-}
-
-// invoke runs a compiled function on a call frame pooled in the calling
-// session.
-func (cf *compiledFunc) invoke(s *Simulator, e *engine.Engine, fetch []func(p *proc) val.Value, caller *proc) (val.Value, error) {
-	frame := cf.acquire(s)
-	defer cf.release(s, frame)
-	for i, as := range cf.args {
-		frame.regs[as] = fetch[i](caller)
-	}
-	const maxSteps = 100_000_000
-	for steps := 0; steps < maxSteps; steps++ {
-		if frame.cur < 0 || frame.cur >= len(frame.code) {
-			return val.Value{}, fmt.Errorf("@%s: fell off the end", cf.name)
-		}
-		bc := &frame.code[frame.cur]
-		for _, st := range bc.steps {
-			if err := st(frame, e); err != nil {
-				return val.Value{}, err
-			}
-		}
-		next, err := bc.term(frame, e)
-		if err != nil {
-			return val.Value{}, err
-		}
-		if next == blockHalt {
-			return frame.retVal, nil
-		}
-		if next == blockSuspend {
-			return val.Value{}, fmt.Errorf("@%s: function suspended", cf.name)
-		}
-		frame.cur = next
-	}
-	return val.Value{}, fmt.Errorf("@%s: step budget exhausted", cf.name)
-}
-
-// acquire and release delegate to the session's frame pools.
-func (cf *compiledFunc) acquire(s *Simulator) *proc        { return s.acquireFrame(cf) }
-func (cf *compiledFunc) release(s *Simulator, frame *proc) { s.releaseFrame(cf, frame) }

@@ -5,10 +5,16 @@
 //
 // The cache key is a stable hash of the bitcode-v2 encoding of the
 // module (the canonical content address — pinned byte-stable by the
-// bitcode golden test) plus the top unit name and the blaze execution
-// tier. Identity of the *ir.Module pointer is irrelevant: two
-// independently parsed copies of the same design share one compiled
-// artifact.
+// bitcode golden test) plus the top unit name. Identity of the
+// *ir.Module pointer is irrelevant: two independently parsed copies of
+// the same design share one compiled artifact.
+//
+// Every tier parameter, the Key.Tier field, the tier byte in both hashes
+// and the tier line of the disk memo are residue of the retired closure
+// tier, always blaze.TierBytecode (0). They stay so that keys and disk
+// artifacts are byte-identical to earlier versions and because
+// benchmark/layers.go passes the argument; a benchmark-only PR removes
+// them (a deliberate format bump, pinned by TestKeyStability).
 //
 // Three layers, from hot to cold:
 //
@@ -25,8 +31,8 @@
 //     the source memo) across runs: a later process resolves the same
 //     source to the same key, decodes the lowered bitcode, and
 //     recompiles without ever re-running the frontend or the passes.
-//     Closures and bytecode streams are process-local, so compilation
-//     itself is the one step a fresh process must repeat.
+//     Bytecode streams are process-local, so compilation itself is the
+//     one step a fresh process must repeat.
 //
 // Concurrent lookups of one key are single-flighted: the first caller
 // compiles, everyone else blocks on the result, and the compile hook
@@ -72,7 +78,7 @@ const maxSrcMemo = 1 << 16
 type Key struct {
 	Digest [sha256.Size]byte
 	Top    string
-	Tier   blaze.Tier
+	Tier   blaze.Tier // residue (package comment): always TierBytecode
 }
 
 // String returns the hex content address, the spelling used for on-disk
@@ -98,7 +104,7 @@ func KeyOf(m *ir.Module, top string, tier blaze.Tier) (Key, []byte, error) {
 	h := sha256.New()
 	h.Write([]byte(keyDomain))
 	h.Write([]byte(top))
-	h.Write([]byte{0, byte(tier), 0})
+	h.Write([]byte{0, byte(tier), 0}) // tier byte: residue (package comment)
 	h.Write(data)
 	k := Key{Top: top, Tier: tier}
 	h.Sum(k.Digest[:0])
@@ -365,7 +371,7 @@ func (c *Cache) compile(key Key, module func() (*ir.Module, error)) (*blaze.Comp
 	if hook != nil {
 		hook(key)
 	}
-	return blaze.CompileTier(m, key.Top, key.Tier)
+	return blaze.Compile(m, key.Top)
 }
 
 // insertLocked adds a resident design and enforces the LRU capacity.
@@ -407,7 +413,7 @@ func srcKey(meta string, src []byte, top string, tier blaze.Tier) [sha256.Size]b
 	h.Write([]byte(meta))
 	h.Write([]byte{0})
 	h.Write([]byte(top))
-	h.Write([]byte{0, byte(tier), 0})
+	h.Write([]byte{0, byte(tier), 0}) // tier byte: residue (package comment)
 	h.Write(src)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
@@ -416,7 +422,8 @@ func srcKey(meta string, src []byte, top string, tier blaze.Tier) [sha256.Size]b
 
 // Artifact and memo file layout: d-<hex>.bc holds the bitcode of the
 // design with content address <hex>; s-<hex> holds the design key a
-// source hash resolved to (digest hex, top, tier on three lines).
+// source hash resolved to (digest hex, top, tier on three lines; the
+// tier line is residue, see the package comment).
 
 func (c *Cache) artifactPath(key Key) string {
 	return filepath.Join(c.dir, "d-"+key.String()+".bc")

@@ -38,15 +38,13 @@ func TestLowerProducesValidIR(t *testing.T) {
 
 // TestFarmDifferentialMatrix is the full §6.1 cross-backend matrix, run as
 // one concurrent farm per design: all ten Table 2 designs × {Interp,
-// Blaze-bytecode, Blaze-closure, SVSim} × {unlowered, lowered via
-// llhd.Lower}. Within each lowering level the interpreter and the compiled
-// engine must produce identical signal-change traces, and blaze's two
-// execution tiers must match each other byte for byte; across every cell
-// the self-checking testbenches must report zero assertion failures (the
-// SVSim and lowered-vs-unlowered legs compare through those embedded
-// checks, since their signal sets legitimately differ). The farm shares
-// one frozen module per (design, lowering) between the LLHD engines and
-// compiles blaze once per tier.
+// Blaze, SVSim} × {unlowered, lowered via llhd.Lower}. Within each
+// lowering level the interpreter and the compiled engine must produce
+// identical signal-change traces; across every cell the self-checking
+// testbenches must report zero assertion failures (the SVSim and
+// lowered-vs-unlowered legs compare through those embedded checks, since
+// their signal sets legitimately differ). The farm shares one frozen
+// module per (design, lowering) between the LLHD engines.
 func TestFarmDifferentialMatrix(t *testing.T) {
 	for _, d := range designs.All() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -62,28 +60,22 @@ func TestFarmDifferentialMatrix(t *testing.T) {
 				t.Fatalf("Lower: %v", err)
 			}
 
-			obs := make([]*llhd.TraceObserver, 6)
+			obs := make([]*llhd.TraceObserver, 4)
 			var jobs []llhd.FarmJob
 			for i, leg := range []struct {
 				name string
 				m    *llhd.Module
 				kind llhd.EngineKind
-				tier llhd.BlazeTier // blaze legs only
 			}{
-				{"interp/unlowered", unlowered, llhd.Interp, 0},
-				{"blaze/unlowered", unlowered, llhd.Blaze, llhd.TierBytecode},
-				{"blaze-closure/unlowered", unlowered, llhd.Blaze, llhd.TierClosure},
-				{"interp/lowered", lowered, llhd.Interp, 0},
-				{"blaze/lowered", lowered, llhd.Blaze, llhd.TierBytecode},
-				{"blaze-closure/lowered", lowered, llhd.Blaze, llhd.TierClosure},
+				{"interp/unlowered", unlowered, llhd.Interp},
+				{"blaze/unlowered", unlowered, llhd.Blaze},
+				{"interp/lowered", lowered, llhd.Interp},
+				{"blaze/lowered", lowered, llhd.Blaze},
 			} {
 				obs[i] = &llhd.TraceObserver{}
 				opts := []llhd.SessionOption{
 					llhd.FromModule(leg.m), llhd.Top(d.Top),
 					llhd.Backend(leg.kind), llhd.WithObserver(obs[i]),
-				}
-				if leg.kind == llhd.Blaze {
-					opts = append(opts, llhd.WithBlazeTier(leg.tier))
 				}
 				jobs = append(jobs, llhd.FarmJob{Name: leg.name, Options: opts})
 			}
@@ -106,12 +98,9 @@ func TestFarmDifferentialMatrix(t *testing.T) {
 				}
 			}
 
-			// Interp vs Blaze (bytecode tier), then tier vs tier, per
-			// lowering level: identical traces.
+			// Interp vs Blaze per lowering level: identical traces.
 			simtest.CompareTraces(t, simtest.Strings(obs[0]), simtest.Strings(obs[1]))
-			simtest.CompareTraces(t, simtest.Strings(obs[1]), simtest.Strings(obs[2]))
-			simtest.CompareTraces(t, simtest.Strings(obs[3]), simtest.Strings(obs[4]))
-			simtest.CompareTraces(t, simtest.Strings(obs[4]), simtest.Strings(obs[5]))
+			simtest.CompareTraces(t, simtest.Strings(obs[2]), simtest.Strings(obs[3]))
 			if !unlowered.Frozen() || !lowered.Frozen() {
 				t.Error("farm must have frozen both shared modules")
 			}

@@ -13,8 +13,7 @@ import (
 //
 // Both tables are dense, indexed by the unit's ir.Numbering, so execution
 // engines can seed flat frames with a copy instead of hashing interface
-// keys. The map forms survive only behind the Bind and Consts
-// compatibility accessors; all in-tree engines use the dense tables.
+// keys.
 type Instance struct {
 	Unit *ir.Unit
 	Name string
@@ -114,34 +113,9 @@ func (inst *Instance) ConstTable() (vals []val.Value, set []bool) {
 	return inst.consts, inst.isConst
 }
 
-// Bind materializes the signal bindings as a map. It is a compatibility
-// view kept for debugging and for tooling that wants the old map shape; no
-// execution path uses it. The returned map is a fresh copy, not a view.
-func (inst *Instance) Bind() map[ir.Value]SigRef {
-	m := make(map[ir.Value]SigRef)
-	for id, ok := range inst.bound {
-		if ok {
-			m[inst.num.Value(id)] = inst.binds[id]
-		}
-	}
-	return m
-}
-
-// Consts materializes the elaboration-time constants as a map. Like Bind,
-// it is a compatibility accessor returning a fresh copy.
-func (inst *Instance) Consts() map[ir.Value]val.Value {
-	m := make(map[ir.Value]val.Value)
-	for id, ok := range inst.isConst {
-		if ok {
-			m[inst.num.Value(id)] = inst.consts[id]
-		}
-	}
-	return m
-}
-
 // ProcFactory builds a simulation actor for a unit instance. The reference
 // interpreter returns an interpreting process; the compiled simulator
-// returns a closure-compiled one. Entities are passed here too: the
+// returns one running lowered bytecode. Entities are passed here too: the
 // factory runs their reactive body (everything not evaluated into Consts).
 type ProcFactory func(inst *Instance) (Process, error)
 

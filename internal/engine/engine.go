@@ -470,8 +470,8 @@ func (e *Engine) Drive(r SigRef, v val.Value, delay ir.Time) {
 
 // DriveInt schedules a two-state scalar drive without routing a full
 // val.Value through the call chain. It is Drive specialized to the
-// compiled tiers' hot shape: the event's value is written field by field
-// into its bucket slot.
+// compiled simulator's hot shape: the event's value is written field by
+// field into its bucket slot.
 func (e *Engine) DriveInt(r SigRef, width int, bits uint64, delay ir.Time) {
 	t := e.Now.Add(delay)
 	if delay.IsZero() {
@@ -636,8 +636,8 @@ func (e *Engine) Step() bool {
 		// Scalar fast path: a whole-signal two-state drive compares and
 		// writes Width/Bits in place, skipping the inject/Eq copy chain.
 		// A stale payload pointer on the signal stays inert because every
-		// consumer switches on Kind first (the same rule the blaze bytecode
-		// tier's in-place stores rely on).
+		// consumer switches on Kind first (the same rule blaze's in-place
+		// stores rely on).
 		if sig := ev.ref.Sig; len(ev.ref.Path) == 0 &&
 			ev.value.Kind == val.KindInt && sig.value.Kind == val.KindInt {
 			if sig.value.Width != ev.value.Width || sig.value.Bits != ev.value.Bits {

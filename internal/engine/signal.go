@@ -111,9 +111,9 @@ func inject(whole, part val.Value, path []Proj) (val.Value, error) {
 }
 
 // ProbeScalar reads a whole-signal two-state integer without copying a
-// full val.Value out: the compiled tiers' hot probe shape. It reports
-// ok=false when the reference is projected or the signal holds a
-// non-integer value, in which case the caller falls back to Probe.
+// full val.Value out: the compiled simulator's hot probe shape. It
+// reports ok=false when the reference is projected or the signal holds
+// a non-integer value, in which case the caller falls back to Probe.
 func (e *Engine) ProbeScalar(r SigRef) (width int, bits uint64, ok bool) {
 	if len(r.Path) != 0 || r.Sig.value.Kind != val.KindInt {
 		return 0, 0, false

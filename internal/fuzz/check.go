@@ -87,14 +87,12 @@ func classifyLegErr(err error) string {
 // unlowered, the other is lowered first. The contract checked:
 //
 //  1. Both copies pass ir.Verify (the lowered one after lowering).
-//  2. All six (engine, lowering) legs — {Interp, Blaze-bytecode,
-//     Blaze-closure} × {unlowered, lowered} — run to quiescence without
-//     errors, panics, assertion failures, or exceeding the step limit.
-//     The legs run concurrently as one llhd.Farm, sharing each frozen
-//     module between the engines (and compiling blaze once per tier).
+//  2. All four (engine, lowering) legs — {Interp, Blaze} × {unlowered,
+//     lowered} — run to quiescence without errors, panics, assertion
+//     failures, or exceeding the step limit. The legs run concurrently as
+//     one llhd.Farm, sharing each frozen module between the engines.
 //  3. Within each lowering level the interpreter and blaze produce
-//     identical signal-change traces (the §6.1 contract), and blaze's two
-//     execution tiers produce identical traces delta-exactly.
+//     identical signal-change traces, delta-exactly (the §6.1 contract).
 //  4. Across lowering levels the physical-time-settled waveform of every
 //     top-level signal is identical: lowering may reshape delta-level
 //     transients and internal hierarchy, but not what a top net settles
@@ -138,14 +136,11 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 		name string
 		m    *ir.Module
 		kind llhd.EngineKind
-		tier llhd.BlazeTier // blaze legs only
 	}{
-		{"interp/unlowered", m1, llhd.Interp, 0},
-		{"blaze/unlowered", m1, llhd.Blaze, llhd.TierBytecode},
-		{"blaze-closure/unlowered", m1, llhd.Blaze, llhd.TierClosure},
-		{"interp/lowered", m2, llhd.Interp, 0},
-		{"blaze/lowered", m2, llhd.Blaze, llhd.TierBytecode},
-		{"blaze-closure/lowered", m2, llhd.Blaze, llhd.TierClosure},
+		{"interp/unlowered", m1, llhd.Interp},
+		{"blaze/unlowered", m1, llhd.Blaze},
+		{"interp/lowered", m2, llhd.Interp},
+		{"blaze/lowered", m2, llhd.Blaze},
 	}
 	obs := make([]*llhd.TraceObserver, len(legs))
 	jobs := make([]llhd.FarmJob, len(legs))
@@ -154,9 +149,6 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 		o := []llhd.SessionOption{
 			llhd.FromModule(leg.m), llhd.Backend(leg.kind),
 			llhd.WithObserver(obs[i]), llhd.WithStepLimit(opt.stepLimit()),
-		}
-		if leg.kind == llhd.Blaze {
-			o = append(o, llhd.WithBlazeTier(leg.tier))
 		}
 		if top != "" {
 			o = append(o, llhd.Top(top))
@@ -179,18 +171,11 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 	}
 
 	// Clause 3: engine equivalence within each lowering level — interp vs
-	// blaze (bytecode tier), then blaze's two tiers against each other,
-	// delta-exactly.
+	// blaze, delta-exactly.
 	if f := diffTraces(legs[0].name, obs[0], legs[1].name, obs[1]); f != "" {
 		return fail("%s", f)
 	}
-	if f := diffTraces(legs[1].name, obs[1], legs[2].name, obs[2]); f != "" {
-		return fail("%s", f)
-	}
-	if f := diffTraces(legs[3].name, obs[3], legs[4].name, obs[4]); f != "" {
-		return fail("%s", f)
-	}
-	if f := diffTraces(legs[4].name, obs[4], legs[5].name, obs[5]); f != "" {
+	if f := diffTraces(legs[2].name, obs[2], legs[3].name, obs[3]); f != "" {
 		return fail("%s", f)
 	}
 	// Clause 4: lowering equivalence on settled top-level waveforms.
@@ -206,7 +191,7 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 		skip[n] = true
 	}
 	if f := diffSettled(topName, topSigInits(m1, topName), topSigInits(m2, topName),
-		skip, obs[0], obs[3]); f != "" {
+		skip, obs[0], obs[2]); f != "" {
 		return fail("unlowered vs lowered: %s", f)
 	}
 	return nil

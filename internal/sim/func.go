@@ -305,5 +305,5 @@ func interpretFunc(s *Simulator, e *engine.Engine, fn *ir.Unit, args []val.Value
 			f.set(ir.ValueID(in), v)
 		}
 	}
-	return val.Value{}, fmt.Errorf("@%s: step budget exhausted", fn.Name)
+	return val.Value{}, fmt.Errorf("@%s: step budget exhausted: %w", fn.Name, engine.ErrStepLimit)
 }

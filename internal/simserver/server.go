@@ -201,14 +201,6 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, req *Request
 		}
 		engineKind = k
 	}
-	tier := llhd.TierBytecode
-	if req.Tier != "" {
-		t, err := llhd.ParseBlazeTier(req.Tier)
-		if err != nil {
-			return Result{Class: ClassBadRequest, Error: err.Error()}, nil
-		}
-		tier = t
-	}
 	var until llhd.Time
 	if req.Until != "" {
 		t, err := ir.ParseTime(req.Until)
@@ -228,14 +220,14 @@ func (s *Server) runSession(w http.ResponseWriter, r *http.Request, req *Request
 	cacheNote := ""
 	switch {
 	case engineKind == llhd.Blaze && kind == "llhd":
-		cd, hit, err := s.cache.LoadAssembly("design", req.Design, req.Top, tier, false)
+		cd, hit, err := s.cache.LoadAssembly("design", req.Design, req.Top, llhd.TierBytecode, false)
 		if err != nil {
 			return Result{Class: errClass(err), Error: err.Error()}, nil
 		}
 		opts = append(opts, llhd.FromCompiled(cd))
 		cacheNote = cacheLabel(hit)
 	case engineKind == llhd.Blaze && kind == "sv":
-		cd, hit, err := s.cache.LoadSystemVerilog("design", req.Design, req.Top, tier, false)
+		cd, hit, err := s.cache.LoadSystemVerilog("design", req.Design, req.Top, llhd.TierBytecode, false)
 		if err != nil {
 			return Result{Class: errClass(err), Error: err.Error()}, nil
 		}

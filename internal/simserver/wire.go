@@ -36,8 +36,6 @@ type Request struct {
 	// Engine selects "blaze" (the default; cache-accelerated) or
 	// "interp" (the reference interpreter).
 	Engine string `json:"engine,omitempty"`
-	// Tier selects the blaze execution tier ("bytecode" or "closure").
-	Tier string `json:"tier,omitempty"`
 	// Until bounds simulation time, e.g. "100us"; empty runs to
 	// quiescence (under the server quotas).
 	Until string `json:"until,omitempty"`

@@ -24,13 +24,11 @@
 //	v, ok := s.Probe("top_tb.q")
 //	stats := s.Finish()              // delta steps, events, assertions
 //
-// The blaze engine executes on one of two tiers selected with
-// WithBlazeTier: the default TierBytecode lowers every unit to flat
-// fixed-width bytecode run by a threaded dispatch loop (registers indexed
-// directly by dense value IDs, scalar integer ops in place); TierClosure
-// is the original per-instruction closure arrays, kept as the
-// differential-testing reference. The tiers produce byte-identical
-// traces — the fuzzer and the farm matrix diff them on every run.
+// The blaze engine lowers every unit to flat fixed-width bytecode run by
+// a threaded dispatch loop (registers indexed directly by dense value
+// IDs, scalar integer ops in place). Its traces are byte-identical to the
+// reference interpreter's — the fuzzer and the farm matrix diff the two
+// on every run.
 //
 // Signal observation streams through the Observer interface (one callback
 // per changed signal per instant, deterministic signal-ID order) in
@@ -117,8 +115,8 @@
 // # Design cache and simulation server
 //
 // DesignCache makes blaze compilation content-addressed: the key is a
-// stable hash of the module's bitcode encoding plus the top name and
-// execution tier, so a design compiles once per content — across
+// stable hash of the module's bitcode encoding plus the top name, so a
+// design compiles once per content — across
 // sessions, farm jobs, independently parsed module copies, and (with
 // WithCacheDir) process restarts. Warm hits skip parse, lowering,
 // freeze, and compile; concurrent lookups of one design single-flight
@@ -149,8 +147,8 @@
 // whose program loads via $readmemh, internal/riscv provides the
 // assembler that builds the images and a reference instruction-set
 // simulator, and conformance_test.go (make conformance, also in CI) runs
-// every self-checking image under testdata/rv32i/ across all four engine
-// configurations, requiring the riscv-tests tohost verdict, identical
+// every self-checking image under testdata/rv32i/ on all three engines,
+// requiring the riscv-tests tohost verdict, identical
 // traces, and an architectural state dump equal to the ISS on every leg.
 // examples/riscv walks the assemble → ISS → core flow end to end.
 package llhd

@@ -48,9 +48,8 @@ const (
 	// interpreter over the IR.
 	Interp EngineKind = iota
 	// Blaze is the compiled simulator (the LLHD-Blaze analog): units are
-	// compiled ahead of time and executed on one of two tiers — flat
-	// bytecode under a threaded dispatch loop (the default), or the
-	// original closure arrays (WithBlazeTier(TierClosure)).
+	// lowered ahead of time to flat bytecode and executed by a threaded
+	// dispatch loop.
 	Blaze
 	// SVSim is the AST-level SystemVerilog simulator (the commercial
 	// substitute of Table 2): it executes the source directly, with no
@@ -85,46 +84,33 @@ func ParseEngineKind(s string) (EngineKind, error) {
 }
 
 // CompiledDesign is an immutable, compile-once blaze artifact: the whole
-// design hierarchy compiled for one execution tier, shared read-only by
-// every session built from it (serial or concurrent). Produce one with
-// CompileBlaze and hand it to sessions via FromCompiled.
+// design hierarchy lowered to bytecode, shared read-only by every session
+// built from it (serial or concurrent). Produce one with CompileBlaze and
+// hand it to sessions via FromCompiled.
 type CompiledDesign = blaze.CompiledDesign
 
-// BlazeTier selects the blaze engine's execution tier: TierBytecode (the
-// default) runs flat fixed-width bytecode under a threaded dispatch loop;
-// TierClosure runs the original per-instruction closure arrays. The tiers
-// produce byte-identical traces; TierClosure exists as the differential
-// reference and a fallback.
+// BlazeTier and TierBytecode are residue of the retired closure tier: a
+// one-constant type kept only as the tier argument of the DesignCache
+// Load methods, which benchmark/layers.go passes. A benchmark-only PR
+// removes both together with that argument.
 type BlazeTier = blaze.Tier
 
-// The blaze execution tiers.
-const (
-	TierBytecode = blaze.TierBytecode
-	TierClosure  = blaze.TierClosure
-)
-
-// ParseBlazeTier reads the CLI spelling of a blaze tier name.
-func ParseBlazeTier(s string) (BlazeTier, error) { return blaze.ParseTier(s) }
+// TierBytecode is the only BlazeTier.
+const TierBytecode = blaze.TierBytecode
 
 // CompileBlaze freezes the module (Module.Freeze — structural mutation
-// afterwards panics) and compiles it once for the blaze engine, on the
-// default (bytecode) tier. The returned design is safe to share across
-// concurrently running sessions; per-session state (event queue, signals,
-// register files) is created at NewSession time. When top is empty the
-// module's last entity is used.
+// afterwards panics) and compiles it once for the blaze engine. The
+// returned design is safe to share across concurrently running sessions;
+// per-session state (event queue, signals, register files) is created at
+// NewSession time. When top is empty the module's last entity is used.
 func CompileBlaze(m *Module, top string) (*CompiledDesign, error) {
-	return CompileBlazeTier(m, top, TierBytecode)
-}
-
-// CompileBlazeTier is CompileBlaze with an explicit execution tier.
-func CompileBlazeTier(m *Module, top string, tier BlazeTier) (*CompiledDesign, error) {
 	if top == "" {
 		top = defaultTop(m)
 		if top == "" {
 			return nil, fmt.Errorf("llhd: module has no entity; pass a top name")
 		}
 	}
-	return blaze.CompileTier(m, top, tier)
+	return blaze.Compile(m, top)
 }
 
 // SessionOption configures NewSession.
@@ -144,8 +130,6 @@ type sessionConfig struct {
 	top        string
 	backend    EngineKind
 	backendSet bool
-	tier       BlazeTier
-	tierSet    bool
 	observers  []observerSub
 	vcdOuts    []io.Writer
 	display    func(string)
@@ -197,14 +181,6 @@ func Top(name string) SessionOption {
 // Backend selects the simulation engine; the default is Interp.
 func Backend(k EngineKind) SessionOption {
 	return func(c *sessionConfig) { c.backend = k; c.backendSet = true }
-}
-
-// WithBlazeTier selects the blaze engine's execution tier; the default is
-// TierBytecode. Only meaningful with Backend(Blaze) on module or source
-// input — combining it with another explicit backend is an error, and a
-// FromCompiled design must have been compiled for the requested tier.
-func WithBlazeTier(t BlazeTier) SessionOption {
-	return func(c *sessionConfig) { c.tier = t; c.tierSet = true }
 }
 
 // WithObserver attaches a streaming observer. With no paths it receives
@@ -360,10 +336,6 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("llhd: FromCompiled design was compiled for Top(%q), not %q",
 				cfg.compiled.Top(), cfg.top)
 		}
-		if cfg.tierSet && cfg.tier != cfg.compiled.Tier() {
-			return nil, fmt.Errorf("llhd: FromCompiled design was compiled for the %v tier, not %v",
-				cfg.compiled.Tier(), cfg.tier)
-		}
 		cfg.backend = Blaze
 	} else if cfg.module == nil && !cfg.hasSource {
 		return nil, fmt.Errorf("llhd: NewSession needs FromModule, FromSystemVerilog, or FromCompiled")
@@ -379,9 +351,6 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("llhd: WithDesignCache applies to the blaze engine, not %v", cfg.backend)
 		}
 		cfg.backend = Blaze
-	}
-	if cfg.tierSet && cfg.backend != Blaze {
-		return nil, fmt.Errorf("llhd: WithBlazeTier applies to the blaze engine, not %v", cfg.backend)
 	}
 
 	s := &Session{kind: cfg.backend}
@@ -416,9 +385,9 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 			var cd *CompiledDesign
 			var err error
 			if cfg.module != nil {
-				cd, _, err = cfg.cache.Load(cfg.module, cfg.top, cfg.tier)
+				cd, _, err = cfg.cache.Load(cfg.module, cfg.top, TierBytecode)
 			} else {
-				cd, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, cfg.tier, false)
+				cd, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, TierBytecode, false)
 			}
 			if err != nil {
 				return nil, err
@@ -454,7 +423,7 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 			}
 			s.eng = si.Engine
 		case Blaze:
-			bz, err := blaze.NewTier(m, top, cfg.tier)
+			bz, err := blaze.New(m, top)
 			if err != nil {
 				return nil, err
 			}
