@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-table2 bench-farm
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-table2 bench-farm
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -89,6 +89,13 @@ bench-paper:
 # fan-out, delta cascade); all must report 0 allocs/op at steady state.
 bench-kernel:
 	$(GO) test -bench BenchmarkEngineKernel -benchmem -run xxx ./internal/engine/
+
+# bench-lower times llhd.Lower per design (the ten Table 2 designs and the
+# RV32I core; ns/op and allocs/op, module built outside the timer). It is
+# the builder's inner loop for the lowering passes; a claim rests on the
+# lower_ms metric of `make bench`, not on this.
+bench-lower:
+	$(GO) test -bench BenchmarkLower -benchmem -run xxx .
 
 # bench-table2 runs the Table 2 benchmark and records the machine-readable
 # trajectory artifact (ns/op and allocs/op per design and engine).

@@ -10,6 +10,8 @@ package llhd_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"llhd/internal/designs"
 	"llhd/internal/moore"
 	"llhd/internal/pass"
+	"llhd/internal/riscv"
 )
 
 // BenchmarkTable2 runs every design on the three simulators (Table 2)
@@ -130,6 +133,52 @@ func BenchmarkFigure5Lowering(b *testing.B) {
 		if err := pass.LoweringPipeline().RunFixpoint(m, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// loweringInputs returns what the lowering benchmark and the fixpoint test
+// run on: the ten Table 2 designs and the RV32I core, the latter loading a
+// one-instruction image written under the test's temp dir.
+func loweringInputs(tb testing.TB) []designs.Design {
+	tb.Helper()
+	words, err := riscv.Assemble("j 0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hexPath := filepath.Join(tb.TempDir(), "rv32i.hex")
+	f, err := os.Create(hexPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := riscv.WriteHex(f, words); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return append(designs.All(), designs.RV32I(hexPath))
+}
+
+// BenchmarkLower measures llhd.Lower per design (ns/op and allocs/op), the
+// module built outside the timer. It is the inner-loop view of the
+// lower_ms metric of `go run ./benchmark`, which stays the record.
+func BenchmarkLower(b *testing.B) {
+	for _, d := range loweringInputs(b) {
+		d := d
+		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m, err := moore.Compile(d.Name, d.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := llhd.Lower(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

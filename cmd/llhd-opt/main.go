@@ -6,7 +6,11 @@
 //
 // Usage:
 //
-//	llhd-opt [-passes cf,dce,...] [-verify-each] [-print-pipeline] [-verify level] design.llhd
+//	llhd-opt [-passes cf,dce,...] [-verify-each] [-stats] [-print-pipeline] [-verify level] design.llhd
+//
+// -stats prints one row per pass application to stderr — wall time, the
+// changed flag, instruction and block counts before and after — and leaves
+// stdout to the assembly.
 package main
 
 import (
@@ -39,6 +43,7 @@ func main() {
 	printPipeline := flag.Bool("print-pipeline", false, "print the default pipeline and exit")
 	verifyEach := flag.Bool("verify-each", false, "run ir.Verify after every pass, naming the offending pass on failure")
 	verify := flag.String("verify", "", "verify the result at a level: behavioural, structural, netlist")
+	stats := flag.Bool("stats", false, "print per-pass statistics (time, changed, instruction and block counts) to stderr")
 	flag.Parse()
 
 	if *printPipeline {
@@ -46,7 +51,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: llhd-opt [-passes list] [-verify-each] [-verify level] design.llhd")
+		fmt.Fprintln(os.Stderr, "usage: llhd-opt [-passes list] [-verify-each] [-stats] [-verify level] design.llhd")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -60,21 +65,24 @@ func main() {
 		fatal(err)
 	}
 
+	pipeline := pass.LoweringPipeline()
+	if *passList != "" {
+		if pipeline, err = parsePasses(*passList); err != nil {
+			fatal(err)
+		}
+	}
+	pipeline.VerifyEach = *verifyEach
+	pipeline.CollectStats = *stats
 	if *passList == "" {
-		pipeline := pass.LoweringPipeline()
-		pipeline.VerifyEach = *verifyEach
-		if err := pipeline.RunFixpoint(m, 8); err != nil {
-			fatal(err)
-		}
+		err = pipeline.RunFixpoint(m, 8)
 	} else {
-		pipeline, err := parsePasses(*passList)
-		if err != nil {
-			fatal(err)
-		}
-		pipeline.VerifyEach = *verifyEach
-		if _, err := pipeline.Run(m); err != nil {
-			fatal(err)
-		}
+		_, err = pipeline.Run(m)
+	}
+	if *stats {
+		pipeline.WriteStats(os.Stderr)
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	if *verify != "" {

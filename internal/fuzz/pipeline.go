@@ -90,11 +90,34 @@ func CheckGeneratedPipeline(seed int64, budget int, opt Options) *Failure {
 			continue
 		}
 		f.Pipeline = prefix
-		f.Reason = fmt.Sprintf("seed %d budget %d: pipeline %s: first divergent pass %q (application %d of %d): %s",
-			seed, budget, strings.Join(names, ","), prefix[k-1], k, len(names), f.Reason)
+		f.Reason = fmt.Sprintf("seed %d budget %d: pipeline %s: first divergent pass %q (application %d of %d%s): %s",
+			seed, budget, strings.Join(names, ","), prefix[k-1], k, len(names), lastPassDelta(seed, budget, prefix), f.Reason)
 		return f
 	}
 	return nil
+}
+
+// lastPassDelta replays prefix on the seed's design with pipeline
+// statistics on and renders what its last pass did to the instruction and
+// block counts, for the failure line: ", insts 120 -> 98, blocks 7 -> 5".
+// Counts only — the line stays byte-reproducible. It is empty when the
+// replay does not get as far as the last pass.
+func lastPassDelta(seed int64, budget int, prefix []string) (delta string) {
+	defer func() {
+		if recover() != nil {
+			delta = ""
+		}
+	}()
+	pl, err := pass.FromNames(prefix)
+	if err != nil {
+		return ""
+	}
+	pl.CollectStats = true
+	_, _ = pl.Run(Generate(Config{Seed: seed, Budget: budget})) // a failing pass still leaves its row
+	if len(pl.Stats) < len(prefix) {
+		return ""
+	}
+	return ", " + pl.Stats[len(prefix)-1].Delta()
 }
 
 // PipelineDirectiveLine renders the corpus header directive that makes a

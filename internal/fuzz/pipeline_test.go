@@ -152,6 +152,9 @@ func TestPipelineBisectsReintroducedMiscompile(t *testing.T) {
 		if !strings.Contains(f.Reason, `first divergent pass "dce"`) {
 			t.Fatalf("seed %d: reason does not name the divergent pass: %s", s, f.Reason)
 		}
+		if !strings.Contains(f.Reason, ", insts ") || !strings.Contains(f.Reason, ", blocks ") {
+			t.Fatalf("seed %d: reason does not carry the pass's instruction and block delta: %s", s, f.Reason)
+		}
 		checked++
 	}
 	if checked == 0 {

@@ -334,8 +334,52 @@ func (in *Inst) Operands(fn func(Value)) {
 	}
 }
 
+// RewriteOperands replaces every operand v of the instruction with fn(v),
+// in the order Operands visits them, and returns how many changed.
+func (in *Inst) RewriteOperands(fn func(Value) Value) int {
+	n := 0
+	for i, a := range in.Args {
+		if v := fn(a); v != a {
+			in.Args[i] = v
+			n++
+		}
+	}
+	if in.TimeArg != nil {
+		if v := fn(in.TimeArg); v != in.TimeArg {
+			in.TimeArg = v
+			n++
+		}
+	}
+	if in.Delay != nil {
+		if v := fn(in.Delay); v != in.Delay {
+			in.Delay = v
+			n++
+		}
+	}
+	for i := range in.Triggers {
+		t := &in.Triggers[i]
+		if v := fn(t.Value); v != t.Value {
+			t.Value = v
+			n++
+		}
+		if v := fn(t.Trigger); v != t.Trigger {
+			t.Trigger = v
+			n++
+		}
+		if t.Gate != nil {
+			if v := fn(t.Gate); v != t.Gate {
+				t.Gate = v
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // ReplaceOperand substitutes every operand equal to old with new. It
-// returns the number of replacements.
+// returns the number of replacements. (Plain compares rather than a
+// RewriteOperands closure: Unit.ReplaceAllUses calls this on every
+// instruction of a unit.)
 func (in *Inst) ReplaceOperand(old, new Value) int {
 	n := 0
 	for i, a := range in.Args {

@@ -164,11 +164,12 @@ func (u *Unit) ForEachInst(fn func(*Block, *Inst)) {
 func (u *Unit) Uses() map[Value][]*Inst {
 	uses := make(map[Value][]*Inst)
 	u.ForEachInst(func(_ *Block, in *Inst) {
-		seen := map[Value]bool{}
 		in.Operands(func(v Value) {
-			if !seen[v] {
-				seen[v] = true
-				uses[v] = append(uses[v], in)
+			// One instruction's operands are visited back to back, so a
+			// repeated operand shows as the tail of its list.
+			l := uses[v]
+			if len(l) == 0 || l[len(l)-1] != in {
+				uses[v] = append(l, in)
 			}
 		})
 	})

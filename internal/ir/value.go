@@ -143,6 +143,29 @@ func (b *Block) Remove(inst *Inst) {
 	}
 }
 
+// RemoveIf removes, in one sweep of the block, every instruction dead
+// reports true for, and returns how many went. Like Remove it does not
+// touch uses.
+func (b *Block) RemoveIf(dead func(*Inst) bool) int {
+	kept := b.Insts[:0]
+	for _, in := range b.Insts {
+		if dead(in) {
+			in.block = nil
+		} else {
+			kept = append(kept, in)
+		}
+	}
+	removed := len(b.Insts) - len(kept)
+	for i := len(kept); i < len(b.Insts); i++ {
+		b.Insts[i] = nil
+	}
+	b.Insts = kept
+	if removed > 0 {
+		b.invalidateNumbering()
+	}
+	return removed
+}
+
 // Index returns the position of inst within the block, or -1.
 func (b *Block) Index(inst *Inst) int {
 	for i, in := range b.Insts {

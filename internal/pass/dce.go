@@ -8,37 +8,54 @@ func DCE() Pass {
 	return &unitPass{name: "dce", run: dceUnit}
 }
 
+// removable reports whether DCE may drop in once nothing uses it: an
+// instruction without side effects, or a phi.
+func removable(in *ir.Inst) bool {
+	return !in.Op.HasSideEffects() || in.Op == ir.OpPhi
+}
+
+// dceUnit counts the uses of every value once and then follows the deaths:
+// removing an instruction releases its operands, and an operand whose last
+// user just died joins the worklist. Each block is compacted once.
 func dceUnit(u *ir.Unit) (bool, error) {
-	changed := false
-	for {
-		pruneDeadPhiEdges(u)
-		uses := u.Uses()
-		removed := 0
-		for _, b := range u.Blocks {
-			kept := b.Insts[:0]
-			for _, in := range b.Insts {
-				dead := false
-				switch {
-				case in.Op.HasSideEffects():
-					// Keep, except trivially dead phis.
-					if in.Op == ir.OpPhi && len(uses[in]) == 0 {
-						dead = true
-					}
-				case len(uses[in]) == 0:
-					dead = true
-				}
-				if dead {
-					removed++
-				} else {
-					kept = append(kept, in)
+	pruneDeadPhiEdges(u)
+	num := u.Numbering()
+	uses := make([]int32, num.Len())
+	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
+		in.Operands(func(v ir.Value) {
+			if id := num.ID(v); id >= 0 {
+				uses[id]++
+			}
+		})
+	})
+	const dead = -1
+	var work []*ir.Inst
+	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
+		if uses[ir.ValueID(in)] == 0 && removable(in) {
+			work = append(work, in)
+		}
+	})
+	if len(work) == 0 {
+		return false, nil
+	}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		uses[ir.ValueID(in)] = dead
+		in.Operands(func(v ir.Value) {
+			def, ok := v.(*ir.Inst)
+			if !ok {
+				return
+			}
+			if id := num.ID(def); id >= 0 && uses[id] > 0 {
+				if uses[id]--; uses[id] == 0 && removable(def) {
+					work = append(work, def)
 				}
 			}
-			b.Insts = kept
-		}
-		if removed == 0 {
-			break
-		}
-		changed = true
+		})
 	}
-	return changed, nil
+	for _, b := range u.Blocks {
+		b.RemoveIf(func(in *ir.Inst) bool { return uses[ir.ValueID(in)] == dead })
+	}
+	return true, nil
 }

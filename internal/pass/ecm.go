@@ -17,44 +17,94 @@ func ECM() Pass {
 	}
 }
 
+// ecmUnit is one sweep. ECM never edits the CFG, so the dominator tree
+// and the temporal regions are computed once; blocks are visited in
+// dominator-tree preorder, so every operand has reached its final block
+// before its user is looked at and one visit per instruction settles where
+// it goes. The moves are collected per target block and each instruction
+// list is rebuilt once at the end.
 func ecmUnit(u *ir.Unit) (bool, error) {
-	changed := false
-	for budget := 0; budget < 1000; budget++ {
-		dt := ir.NewDomTree(u)
-		depth := domDepths(u, dt)
-		trs := TemporalRegions(u)
-
-		moved := false
-		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {
-			if moved {
-				return
-			}
-			if !hoistable(in) {
-				return
-			}
-			target := hoistTarget(u, dt, depth, in, b)
-			if target == nil || target == b {
-				return
-			}
-			if in.Op == ir.OpPrb {
-				// Walk back down the dom chain until the TR matches.
-				for target != nil && !trs.SameTR(target, b) {
-					target = domChild(dt, target, b)
-				}
-				if target == nil || target == b {
-					return
-				}
-			}
-			b.Remove(in)
-			insertAfterOperands(target, in)
-			moved = true
-		})
-		if !moved {
-			break
-		}
-		changed = true
+	if len(u.Blocks) < 2 {
+		return false, nil
 	}
-	return changed, nil
+	dt := ir.NewDomTree(u)
+	tr := temporalRegions(u, dt).byIndex
+	num := u.Numbering()
+
+	// home is the tree index of the block each value lives in, updated as
+	// instructions are hoisted; -1 marks values of unreachable blocks.
+	// Arguments count as defined in the entry block, index 0.
+	home := make([]int32, num.Len())
+	for i := 0; i < dt.Len(); i++ {
+		at := int32(i)
+		if i >= dt.NumReachable() {
+			at = -1
+		}
+		for _, in := range dt.Block(i).Insts {
+			home[ir.ValueID(in)] = at
+		}
+	}
+
+	hoisted := make([][]*ir.Inst, dt.NumReachable()) // per target, in sweep order
+	moved := false
+	for _, bi := range dt.Preorder() {
+		b := int(bi)
+		for _, in := range dt.Block(b).Insts {
+			if !hoistable(in) {
+				continue
+			}
+			target := hoistTarget(dt, num, home, in, b)
+			if in.Op == ir.OpPrb && target >= 0 && tr[target] != tr[b] {
+				// Stay in the temporal region: take the highest block of
+				// the region on the dominator chain from target down to b.
+				top := b
+				for x := b; x != target; x = dt.IDomIndex(x) {
+					if tr[x] == tr[b] {
+						top = x
+					}
+				}
+				target = top
+			}
+			if target < 0 || target == b {
+				continue
+			}
+			home[ir.ValueID(in)] = int32(target)
+			hoisted[target] = append(hoisted[target], in)
+			moved = true
+		}
+	}
+	if !moved {
+		return false, nil
+	}
+
+	// A hoisted instruction goes to the end of its target, ahead of the
+	// terminator: behind the phi prefix, behind every operand the block
+	// already held, and — the sweep being a preorder — behind every operand
+	// hoisted into the same block before it.
+	for i := 0; i < dt.NumReachable(); i++ {
+		at := int32(i)
+		dt.Block(i).RemoveIf(func(in *ir.Inst) bool { return home[ir.ValueID(in)] != at })
+	}
+	for i, arrivals := range hoisted {
+		if len(arrivals) == 0 {
+			continue
+		}
+		b := dt.Block(i)
+		term := b.Terminator()
+		n := len(b.Insts)
+		if term != nil {
+			n--
+		}
+		insts := append(b.Insts[:n:n], arrivals...)
+		if term != nil {
+			insts = append(insts, term)
+		}
+		for _, in := range arrivals {
+			b.Adopt(in)
+		}
+		b.Insts = insts
+	}
+	return true, nil
 }
 
 func hoistable(in *ir.Inst) bool {
@@ -64,116 +114,24 @@ func hoistable(in *ir.Inst) bool {
 	return in.Op.IsPure() || in.Op.IsConst()
 }
 
-// hoistTarget finds the highest block that all operand definitions
-// dominate: the deepest definition block on the dominator chain.
-func hoistTarget(u *ir.Unit, dt *ir.DomTree, depth map[*ir.Block]int, in *ir.Inst, b *ir.Block) *ir.Block {
-	if !dt.Reachable(b) {
-		return nil
-	}
-	target := u.Entry()
-	ok := true
+// hoistTarget finds the highest block that all operand definitions of in
+// (an instruction of block b) dominate: the deepest definition block on the
+// dominator chain. It returns -1 when in must stay where it is.
+func hoistTarget(dt *ir.DomTree, num *ir.Numbering, home []int32, in *ir.Inst, b int) int {
+	target := 0
 	in.Operands(func(v ir.Value) {
 		def, isInst := v.(*ir.Inst)
-		if !isInst {
+		if !isInst || target < 0 {
 			return // args and globals are defined at entry
 		}
-		db := def.Block()
-		if db == nil || !dt.Reachable(db) {
-			ok = false
+		id := num.ID(def)
+		if id < 0 || home[id] < 0 || !dt.DominatesIndex(int(home[id]), b) {
+			target = -1 // detached, unreachable or cross-path use; leave alone
 			return
 		}
-		if def.Op == ir.OpPhi {
-			// A phi pins the user at or below the phi's block.
-		}
-		if !dt.Dominates(db, b) {
-			ok = false // malformed or cross-path use; leave alone
-			return
-		}
-		if depth[db] > depth[target] {
+		if db := int(home[id]); dt.Depth(db) > dt.Depth(target) {
 			target = db
 		}
 	})
-	if !ok {
-		return nil
-	}
 	return target
-}
-
-// insertAfterOperands places in into target after the last of its operands
-// defined in target — and always after the block's phi prefix, which the
-// engines resolve as one contiguous leading run — and in any case before
-// the terminator, preserving def-before-use order.
-func insertAfterOperands(target *ir.Block, in *ir.Inst) {
-	pos := -1
-	for i, x := range target.Insts {
-		if x.Op != ir.OpPhi {
-			break
-		}
-		pos = i
-	}
-	in.Operands(func(v ir.Value) {
-		if def, ok := v.(*ir.Inst); ok && def.Block() == target {
-			if i := target.Index(def); i > pos {
-				pos = i
-			}
-		}
-	})
-	term := target.Terminator()
-	if pos == -1 {
-		if term != nil {
-			target.InsertBefore(in, term)
-		} else {
-			target.Append(in)
-		}
-		return
-	}
-	if pos+1 < len(target.Insts) {
-		target.InsertBefore(in, target.Insts[pos+1])
-	} else {
-		target.Append(in)
-	}
-}
-
-// domDepths computes the depth of each block in the dominator tree.
-func domDepths(u *ir.Unit, dt *ir.DomTree) map[*ir.Block]int {
-	depth := map[*ir.Block]int{}
-	var depthOf func(b *ir.Block) int
-	depthOf = func(b *ir.Block) int {
-		if d, ok := depth[b]; ok {
-			return d
-		}
-		id := dt.IDom(b)
-		if id == nil || id == b {
-			depth[b] = 0
-			return 0
-		}
-		d := depthOf(id) + 1
-		depth[b] = d
-		return d
-	}
-	for _, b := range u.Blocks {
-		if dt.Reachable(b) {
-			depthOf(b)
-		}
-	}
-	return depth
-}
-
-// domChild returns the block one step below anc on the dominator chain
-// toward desc, or nil when desc == anc.
-func domChild(dt *ir.DomTree, anc, desc *ir.Block) *ir.Block {
-	if anc == desc {
-		return nil
-	}
-	cur := desc
-	for {
-		id := dt.IDom(cur)
-		if id == nil || id == cur {
-			return nil
-		}
-		if id == anc {
-			return cur
-		}
-		cur = id
-	}
 }

@@ -245,9 +245,8 @@ func hoistInitializers(u *ir.Unit, vars []*ir.Inst) ([]*ir.Inst, map[*ir.Inst]ir
 	for _, v := range vars {
 		iv, ok := h.entryAvailable(v.Args[0], 16, true)
 		if !ok {
-			// Roll back clones cached for this cone only; an unpromoted
-			// var must not leave orphaned instructions behind, and an
-			// uncommitted cache entry must not leak into later cones.
+			// An unpromoted var must not leave orphaned instructions
+			// behind.
 			h.rollback()
 			continue
 		}
@@ -259,11 +258,13 @@ func hoistInitializers(u *ir.Unit, vars []*ir.Inst) ([]*ir.Inst, map[*ir.Inst]ir
 }
 
 // initHoister clones pure-constant initializer cones into the entry
-// block. Clones are collected per cone and only inserted (and their cache
-// entries kept) when the whole cone resolves; all insertions go before
-// the entry block's original first instruction, in emission order
-// (operands first), so the cones stay def-before-use and ahead of every
-// pre-existing instruction.
+// block. Clones are collected per cone and only inserted when the whole
+// cone resolves; a cone goes in ahead of the entry block's current first
+// instruction, in emission order (operands first), so it stays
+// def-before-use and ahead of every pre-existing instruction. That also
+// puts it ahead of the cones hoisted before it, which is why the clone
+// cache lives for one cone only: a clone shared with an earlier cone would
+// follow its use (corpus mem2reg_shared_init_cone.llhd).
 type initHoister struct {
 	u       *ir.Unit
 	cloned  map[ir.Value]*ir.Inst
@@ -275,7 +276,7 @@ func (h *initHoister) commit() {
 	for _, v := range h.pending {
 		h.u.Entry().InsertBefore(h.cloned[v], anchor)
 	}
-	h.pending = h.pending[:0]
+	h.rollback()
 }
 
 func (h *initHoister) rollback() {

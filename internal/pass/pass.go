@@ -8,6 +8,8 @@ package pass
 
 import (
 	"fmt"
+	"io"
+	"time"
 
 	"llhd/internal/ir"
 )
@@ -61,13 +63,65 @@ type Pipeline struct {
 	// mode: the fuzzer and the lowering validity tests use it to
 	// attribute an invariant break to the pass that introduced it.
 	VerifyEach bool
+	// CollectStats makes Run append one PassStat per pass application to
+	// Stats. Off, Run reads no clock and counts nothing.
+	CollectStats bool
+	Stats        []PassStat
+}
+
+// PassStat is what one application of a pass did to the module: how long
+// it took, whether it reported a change, and the instruction and block
+// totals on either side of it.
+type PassStat struct {
+	Pass                      string
+	Wall                      time.Duration
+	Changed                   bool
+	InstsBefore, InstsAfter   int
+	BlocksBefore, BlocksAfter int
+}
+
+// Delta renders the counts of the application — the part of a PassStat
+// that is the same on every run.
+func (s PassStat) Delta() string {
+	return fmt.Sprintf("insts %d -> %d, blocks %d -> %d", s.InstsBefore, s.InstsAfter, s.BlocksBefore, s.BlocksAfter)
+}
+
+func moduleSize(m *ir.Module) (insts, blocks int) {
+	for _, u := range m.Units {
+		insts += u.NumInsts()
+		blocks += len(u.Blocks)
+	}
+	return insts, blocks
+}
+
+// WriteStats prints the collected statistics as a table, one row per pass
+// application in the order they ran.
+func (pl *Pipeline) WriteStats(w io.Writer) {
+	fmt.Fprintf(w, "%4s  %-18s %10s  %-7s  %s\n", "#", "pass", "ms", "changed", "size")
+	for i, s := range pl.Stats {
+		fmt.Fprintf(w, "%4d  %-18s %10.3f  %-7v  %s\n", i+1, s.Pass, s.Wall.Seconds()*1e3, s.Changed, s.Delta())
+	}
 }
 
 // Run executes each pass once in order.
 func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
 	changed := false
+	var insts, blocks int
+	if pl.CollectStats {
+		insts, blocks = moduleSize(m)
+	}
 	for _, p := range pl.Passes {
+		var start time.Time
+		if pl.CollectStats {
+			start = time.Now()
+		}
 		c, err := p.Run(m)
+		if pl.CollectStats {
+			st := PassStat{Pass: p.Name(), Wall: time.Since(start), Changed: c, InstsBefore: insts, BlocksBefore: blocks}
+			insts, blocks = moduleSize(m)
+			st.InstsAfter, st.BlocksAfter = insts, blocks
+			pl.Stats = append(pl.Stats, st)
+		}
 		if err != nil {
 			return changed, err
 		}

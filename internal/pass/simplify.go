@@ -168,36 +168,28 @@ func simplifyInst(in *ir.Inst) (ir.Value, bool) {
 	return nil, false
 }
 
+// simplifyUnit applies the identities in rounds of one sweep each (see
+// replaceSweep). An instruction is looked at after its operands have been
+// decided, so one round settles everything except what reads a value ahead
+// of its definition: a phi input along a back edge, a forward reference in
+// an entity. Another round runs only when such a reader had an operand
+// replaced under it, or when an instruction was rewritten in place into a
+// form (not) that an identity of its users matches on.
 func simplifyUnit(u *ir.Unit) (bool, error) {
 	changed := false
-	for {
-		var from *ir.Inst
-		var to ir.Value
-		mutated := false
-		u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-			if from != nil {
-				return
-			}
-			r, m := simplifyInst(in)
-			if m {
-				mutated = true
-			}
-			if r != nil && r != in {
-				from, to = in, r
+	for again := true; again; {
+		again = false
+		replaced, late := replaceSweep(u, ir.NewDomTree(u), func(_ int, in *ir.Inst) ir.Value {
+			for {
+				r, mutated := simplifyInst(in)
+				if !mutated {
+					return r
+				}
+				changed, again = true, true
 			}
 		})
-		if from == nil {
-			if mutated {
-				changed = true
-				continue
-			}
-			break
-		}
-		u.ReplaceAllUses(from, to)
-		if b := from.Block(); b != nil {
-			b.Remove(from)
-		}
-		changed = true
+		changed = changed || replaced > 0
+		again = again || len(late) > 0
 	}
 
 	// Fold "br cond, same, same" into an unconditional branch.

@@ -235,7 +235,7 @@ func phiToMux(u *ir.Unit) bool {
 	changed := false
 	for budget := 0; budget < 100; budget++ {
 		dt := ir.NewDomTree(u)
-		trs := TemporalRegions(u)
+		trs := temporalRegions(u, dt)
 		var phi *ir.Inst
 		var home *ir.Block
 		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {

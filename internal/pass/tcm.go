@@ -24,9 +24,9 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 		changed = true
 	}
 
-	trs := TemporalRegions(u)
-	exits := trs.ExitBlocks(u)
 	dt := ir.NewDomTree(u)
+	trs := temporalRegions(u, dt)
+	exits := trs.ExitBlocks(u)
 
 	// Runtime order anchor: every block of a TR executes before the exit
 	// block's own instructions, so drives moved into the exit must land

@@ -8,6 +8,8 @@ import "llhd/internal/ir"
 type TRMap struct {
 	Of    map[*ir.Block]int
 	Count int
+
+	byIndex []int // the same assignment over the DomTree's block index
 }
 
 // SameTR reports whether two blocks share a temporal region.
@@ -22,53 +24,61 @@ func (t *TRMap) SameTR(a, b *ir.Block) bool { return t.Of[a] == t.Of[b] }
 //
 // The rules are iterated to a fixed point to handle loops within a region.
 func TemporalRegions(u *ir.Unit) *TRMap {
-	t := &TRMap{Of: map[*ir.Block]int{}}
-	if len(u.Blocks) == 0 {
+	return temporalRegions(u, ir.NewDomTree(u))
+}
+
+// temporalRegions is TemporalRegions for a caller that already holds the
+// unit's dominator tree: the tree's block index and predecessor lists are
+// all the CFG the rules need.
+func temporalRegions(u *ir.Unit, dt *ir.DomTree) *TRMap {
+	n := dt.Len()
+	t := &TRMap{Of: make(map[*ir.Block]int, n), byIndex: make([]int, n)}
+	if n == 0 {
 		return t
 	}
-	preds := u.Preds()
-	// Stable fresh ids: one reserved per block, compacted afterwards.
-	fresh := map[*ir.Block]int{}
-	for i, b := range u.Blocks {
-		fresh[b] = i
-	}
-
-	assign := map[*ir.Block]int{}
-	for iter := 0; iter <= len(u.Blocks)+1; iter++ {
-		changed := false
-		for _, b := range u.Blocks {
-			var want int
-			switch {
-			case b == u.Entry() || hasWaitPred(preds[b]):
-				want = fresh[b]
-			default:
-				trs := map[int]bool{}
-				unassigned := false
-				for _, p := range preds[b] {
-					if tr, ok := assign[p]; ok {
-						trs[tr] = true
-					} else {
-						unassigned = true
-					}
-				}
-				switch {
-				case len(trs) == 1 && !unassigned:
-					for tr := range trs {
-						want = tr
-					}
-				case len(trs) == 1 && unassigned:
-					// Tentatively inherit; later iterations correct it.
-					for tr := range trs {
-						want = tr
-					}
-				case len(trs) == 0:
-					want = fresh[b] // unreachable or all preds unassigned
-				default:
-					want = fresh[b] // rule 3: distinct TRs
+	// The rules run over the blocks in layout order, and a block's fresh
+	// id is its layout position: ids are stable, compacted afterwards.
+	layout := make([]int, len(u.Blocks))
+	waitPred := make([]bool, n)
+	for pos, b := range u.Blocks {
+		layout[pos] = dt.Index(b)
+		if term := b.Terminator(); term != nil && term.Op == ir.OpWait {
+			for _, d := range term.Dests {
+				if i := dt.Index(d); i >= 0 {
+					waitPred[i] = true
 				}
 			}
-			if cur, ok := assign[b]; !ok || cur != want {
-				assign[b] = want
+		}
+	}
+
+	const unassigned = -1
+	assign := t.byIndex
+	for i := range assign {
+		assign[i] = unassigned
+	}
+	for iter := 0; iter <= len(u.Blocks)+1; iter++ {
+		changed := false
+		for pos, i := range layout {
+			want := pos // rules 1 and 3, and blocks with no assigned predecessor
+			if i != 0 && !waitPred[i] {
+				// Rule 2. A predecessor not assigned yet does not count:
+				// the block inherits tentatively and later rounds correct it.
+				only, distinct := unassigned, false
+				for _, p := range dt.Preds(i) {
+					switch tr := assign[p]; {
+					case tr == unassigned:
+					case only == unassigned:
+						only = tr
+					case tr != only:
+						distinct = true
+					}
+				}
+				if only != unassigned && !distinct {
+					want = only
+				}
+			}
+			if assign[i] != want {
+				assign[i] = want
 				changed = true
 			}
 		}
@@ -78,25 +88,21 @@ func TemporalRegions(u *ir.Unit) *TRMap {
 	}
 
 	// Compact ids in block order.
-	remap := map[int]int{}
-	for _, b := range u.Blocks {
-		id := assign[b]
-		if _, ok := remap[id]; !ok {
-			remap[id] = len(remap)
-		}
-		t.Of[b] = remap[id]
+	remap := make([]int, len(u.Blocks))
+	for i := range remap {
+		remap[i] = unassigned
 	}
-	t.Count = len(remap)
+	for _, i := range layout {
+		if remap[assign[i]] == unassigned {
+			remap[assign[i]] = t.Count
+			t.Count++
+		}
+	}
+	for i := range assign {
+		assign[i] = remap[assign[i]]
+		t.Of[dt.Block(i)] = assign[i]
+	}
 	return t
-}
-
-func hasWaitPred(preds []*ir.Block) bool {
-	for _, p := range preds {
-		if term := p.Terminator(); term != nil && term.Op == ir.OpWait {
-			return true
-		}
-	}
-	return false
 }
 
 // ExitBlocks returns, per TR, the blocks whose terminator leaves the
