@@ -23,10 +23,13 @@ test:
 # instruction stream, cross-checked against a serial interpreter
 # reference — concurrent VCD writers, the fault-injection matrix with its
 # in-coroutine svsim panic recovery), the kernel, the reference
-# interpreter, and svsim (coroutine handoff).
+# interpreter, and svsim (coroutine handoff). val and blaze ride along for
+# a different reason: -race turns on checkptr, the only check there is on
+# val's unsafe payload views, and blaze is their heaviest user (the call
+# depth bound is exercised there too, on race-sized stack frames).
 test-race:
 	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestUnfrozen|TestFault|TestGovernance|TestPoisoned' .
-	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim
+	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/...
 
 # test-timeout is the hang guard: the whole suite must finish inside a
 # hard wall-clock budget, so a containment or governance regression that

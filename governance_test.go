@@ -84,15 +84,13 @@ func TestGovernanceQuotas(t *testing.T) {
 	}
 }
 
-// TestRunawayFunctionIsStepLimit pins the classification of a loop that
-// never leaves a function: like the same loop in a process it is a
-// step-limit quota failure (llhd-sim exit 2, HTTP 429), not an internal
-// error, on both LLHD engines.
+// TestRunawayFunctionIsStepLimit pins the classification of a function
+// that never returns, by looping or by recursing without end: like the
+// same loop in a process it is a step-limit quota failure (llhd-sim exit
+// 2, HTTP 429), not an internal error — and, for the recursion, not a Go
+// stack overflow that no recover can contain — on both LLHD engines.
 func TestRunawayFunctionIsStepLimit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins each engine's full per-call step budget")
-	}
-	const src = `
+	const caller = `
 entity @top () -> () {
   inst @p () -> ()
 }
@@ -101,26 +99,45 @@ proc @p () -> () {
   call void @spin ()
   halt
 }
+`
+	cases := []struct {
+		name, src string
+		slow      bool // spins each engine's full per-call step budget
+	}{
+		{"loop", caller + `
 func @spin () void {
  entry:
   br %entry
 }
-`
-	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
-		t.Run(kind.String(), func(t *testing.T) {
-			m, err := llhd.ParseAssembly("runaway", src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := llhd.NewSession(llhd.FromModule(m), llhd.Backend(kind))
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = s.Run()
-			if got := llhd.ErrorClass(err); got != "step-limit" {
-				t.Fatalf("class = %q (err = %v), want step-limit", got, err)
-			}
-		})
+`, true},
+		{"recursion", caller + `
+func @spin () void {
+ entry:
+  call void @spin ()
+  ret
+}
+`, false},
+	}
+	for _, c := range cases {
+		for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+			t.Run(c.name+"/"+kind.String(), func(t *testing.T) {
+				if c.slow && testing.Short() {
+					t.Skip("spins each engine's full per-call step budget")
+				}
+				m, err := llhd.ParseAssembly("runaway", c.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := llhd.NewSession(llhd.FromModule(m), llhd.Backend(kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = s.Run()
+				if got := llhd.ErrorClass(err); got != "step-limit" {
+					t.Fatalf("class = %q (err = %v), want step-limit", got, err)
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package blaze_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"llhd/internal/assembly"
 	"llhd/internal/blaze"
+	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/sim"
@@ -169,6 +171,58 @@ proc @stim (i32$ %q) -> (i1$ %clk, i32$ %d) {
 	simtest.CompareTraces(t, interp, compiled)
 }
 
+// TestRegSamplesEveryTrigger pins the sampling rule of a multi-trigger
+// reg: a trigger behind the one that fired is still sampled. Both triggers
+// rise together at 2ns and the first wins; when only %a falls at 4ns, %b
+// has not moved and must not fire. (Blaze used to stop sampling at the
+// winner, judged %b's level at 4ns against its level before 2ns, and drove
+// a spurious q = 2.)
+func TestRegSamplesEveryTrigger(t *testing.T) {
+	const src = `
+entity @top () -> () {
+  %z1 = const i1 0
+  %z32 = const i32 0
+  %a = sig i1 %z1
+  %b = sig i1 %z1
+  %q = sig i32 %z32
+  inst @ff (i1$ %a, i1$ %b) -> (i32$ %q)
+  inst @stim () -> (i1$ %a, i1$ %b)
+}
+entity @ff (i1$ %a, i1$ %b) -> (i32$ %q) {
+  %delay = const time 1ns
+  %k1 = const i32 1
+  %k2 = const i32 2
+  %ap = prb i1$ %a
+  %bp = prb i1$ %b
+  reg i32$ %q, %k1 rise %ap, %k2 rise %bp after %delay
+}
+proc @stim () -> (i1$ %a, i1$ %b) {
+ entry:
+  %b0 = const i1 0
+  %b1 = const i1 1
+  %d2 = const time 2ns
+  drv i1$ %a, %b1 after %d2
+  drv i1$ %b, %b1 after %d2
+  wait %lo for %d2
+ lo:
+  drv i1$ %a, %b0 after %d2
+  wait %done for %d2
+ done:
+  wait %fin for %d2
+ fin:
+  halt
+}
+`
+	interp, ie := simtest.InterpTrace(t, assembly.MustParse("r", src), "top")
+	compiled, be := simtest.BlazeTrace(t, assembly.MustParse("r", src), "top")
+	simtest.CompareTraces(t, interp, compiled)
+	for name, e := range map[string]*engine.Engine{"interp": ie, "blaze": be} {
+		if got := e.SignalByName("top.q").Value().Bits; got != 1 {
+			t.Errorf("%s: q = %d, want 1 (the second trigger never rose alone)", name, got)
+		}
+	}
+}
+
 // TestBlazeFunctionCalls checks compiled function invocation including
 // recursion.
 func TestBlazeFunctionCalls(t *testing.T) {
@@ -225,10 +279,16 @@ func TestBlazeFasterThanInterpreter(t *testing.T) {
 	m1 := assembly.MustParse("c", counterSrc)
 	m2 := assembly.MustParse("c", counterSrc)
 
+	// Best of three: each leg is ~2 ms, so one scheduling hiccup on a busy
+	// box would otherwise decide the comparison.
 	timeRun := func(run func()) float64 {
-		t0 := time.Now()
-		run()
-		return time.Since(t0).Seconds()
+		best := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			t0 := time.Now()
+			run()
+			best = min(best, time.Since(t0).Seconds())
+		}
+		return best
 	}
 	var interpTime, blazeTime float64
 	interpTime = timeRun(func() {

@@ -73,6 +73,40 @@ func @spin () void {
 	}
 }
 
+// TestCallDepthBound pins the recursion guard: a function that calls
+// itself without end stops at engine.MaxCallDepth live calls with a
+// step-limit quota error naming it — before the bound existed the Go stack
+// overflowed, which no recover contains — and unwinds cleanly: the depth
+// counter is back at zero and every call frame is back in the pool.
+func TestCallDepthBound(t *testing.T) {
+	e, rt, u, fr := lowerProc(t, `
+proc @p () -> () {
+ entry:
+  %x = const i32 1
+  %r = call i32 @f (i32 %x)
+  halt
+}
+func @f (i32 %x) i32 {
+ entry:
+  %r = call i32 @f (i32 %x)
+  ret i32 %r
+}
+`)
+	_, err := rt.Exec(e, u, fr, 0)
+	if !errors.Is(err, engine.ErrStepLimit) {
+		t.Fatalf("err = %v, want one matching engine.ErrStepLimit", err)
+	}
+	if want := "@f: call depth"; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %q, want prefix %q", err, want)
+	}
+	if rt.depth != 0 {
+		t.Errorf("depth = %d after unwinding, want 0", rt.depth)
+	}
+	if got := len(rt.pools[rt.prog.funcs["f"].FuncIdx]); got != engine.MaxCallDepth {
+		t.Errorf("pool holds %d frames, want %d (one per live call, all returned)", got, engine.MaxCallDepth)
+	}
+}
+
 // TestCallFramePoolingUnderRecursion pins the per-session call-frame
 // pool: a recursive call chain allocates one frame per live depth, every
 // frame returns to the pool, and a second identical call reuses them —

@@ -37,6 +37,7 @@ const maxJumps = 100_000_000
 type Runtime struct {
 	prog  *Program
 	pools [][]*Frame // by Unit.FuncIdx
+	depth int        // live invoke chain, bounded by engine.MaxCallDepth
 }
 
 // NewRuntime builds a session-private runtime over a shared program.
@@ -56,12 +57,18 @@ func (rt *Runtime) Exec(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID
 // invoke runs a compiled function on a pooled call frame, seeding its
 // arguments from the caller's registers.
 func (rt *Runtime) invoke(e *engine.Engine, fu *Unit, caller []val.Value, argRegs []int32) (val.Value, error) {
+	if rt.depth >= engine.MaxCallDepth {
+		return val.Value{}, fmt.Errorf("@%s: call depth %d exceeded: %w", fu.Name, engine.MaxCallDepth, engine.ErrStepLimit)
+	}
 	fr := rt.acquire(fu)
 	defer rt.release(fu, fr)
 	for i, as := range fu.Args {
 		fr.Regs[as] = caller[argRegs[i]]
 	}
+	// Not deferred: a panic poisons the session, nothing reads depth again.
+	rt.depth++
 	st, err := rt.run(e, fu, fr, 0)
+	rt.depth--
 	switch {
 	case err == errStepBudget:
 		return val.Value{}, fmt.Errorf("@%s: step budget exhausted: %w", fu.Name, engine.ErrStepLimit)
@@ -181,24 +188,11 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		case opXor:
 			storeInt(&regs[i.Dst], int(i.C), regs[i.A].Bits^regs[i.B].Bits)
 		case opShl:
-			var x uint64
-			if y := regs[i.B].Bits; y < 64 {
-				x = regs[i.A].Bits << y
-			}
-			storeInt(&regs[i.Dst], int(i.C), x)
+			storeInt(&regs[i.Dst], int(i.C), val.Shl(regs[i.A].Bits, regs[i.B].Bits))
 		case opShr:
-			var x uint64
-			if y := regs[i.B].Bits; y < 64 {
-				x = regs[i.A].Bits >> y
-			}
-			storeInt(&regs[i.Dst], int(i.C), x)
+			storeInt(&regs[i.Dst], int(i.C), val.Shr(regs[i.A].Bits, regs[i.B].Bits))
 		case opAshr:
-			w := int(i.C)
-			sh := regs[i.B].Bits
-			if sh >= uint64(w) {
-				sh = uint64(w - 1)
-			}
-			storeInt(&regs[i.Dst], w, uint64(ir.SignExtend(regs[i.A].Bits, w)>>sh))
+			storeInt(&regs[i.Dst], int(i.C), val.Ashr(regs[i.A].Bits, regs[i.B].Bits, int(i.C)))
 		case opNot:
 			storeInt(&regs[i.Dst], int(i.C), ^regs[i.A].Bits)
 		case opNeg:
@@ -227,24 +221,19 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		case opUge:
 			storeBool(&regs[i.Dst], regs[i.A].Bits >= regs[i.B].Bits)
 		case opSlt:
-			w := int(i.C)
-			storeBool(&regs[i.Dst], ir.SignExtend(regs[i.A].Bits, w) < ir.SignExtend(regs[i.B].Bits, w))
+			storeBool(&regs[i.Dst], val.Slt(regs[i.A].Bits, regs[i.B].Bits, int(i.C)))
 		case opSgt:
-			w := int(i.C)
-			storeBool(&regs[i.Dst], ir.SignExtend(regs[i.A].Bits, w) > ir.SignExtend(regs[i.B].Bits, w))
+			storeBool(&regs[i.Dst], val.Sgt(regs[i.A].Bits, regs[i.B].Bits, int(i.C)))
 		case opSle:
-			w := int(i.C)
-			storeBool(&regs[i.Dst], ir.SignExtend(regs[i.A].Bits, w) <= ir.SignExtend(regs[i.B].Bits, w))
+			storeBool(&regs[i.Dst], val.Sle(regs[i.A].Bits, regs[i.B].Bits, int(i.C)))
 		case opSge:
-			w := int(i.C)
-			storeBool(&regs[i.Dst], ir.SignExtend(regs[i.A].Bits, w) >= ir.SignExtend(regs[i.B].Bits, w))
+			storeBool(&regs[i.Dst], val.Sge(regs[i.A].Bits, regs[i.B].Bits, int(i.C)))
 
 		case opExtSInt:
 			storeInt(&regs[i.Dst], int(i.C), regs[i.A].Bits>>uint(i.B))
 		case opInsSInt:
-			off, n, w := uint(aux[i.C]), int(aux[i.C+1]), int(aux[i.C+2])
-			mask := ir.MaskWidth(^uint64(0), n) << off
-			storeInt(&regs[i.Dst], w, regs[i.A].Bits&^mask|regs[i.B].Bits<<off&mask)
+			off, n, w := int(aux[i.C]), int(aux[i.C+1]), int(aux[i.C+2])
+			storeInt(&regs[i.Dst], w, val.InsBits(regs[i.A].Bits, regs[i.B].Bits, off, n))
 
 		case opEvalBin:
 			out, err := val.Binary(ir.Opcode(i.C), regs[i.A], regs[i.B])
@@ -416,37 +405,22 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 	}
 }
 
-// regSite executes one reg storage site: the first activation samples,
-// later activations fire at most one edge-matched, gate-open trigger.
+// regSite executes one reg storage site: every activation samples every
+// trigger; the first one samples only, later ones drive the value of the
+// first edge-matched, gate-open trigger. A trigger behind the winner is
+// still sampled, or its next edge would be judged against a stale level.
 func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Value, ri int) {
 	site := &u.RegSites[ri]
 	st := &fr.Regst[ri]
-	if !st.Seen {
-		st.Seen = true
-		for k, t := range site.Trigs {
-			st.Prev[k] = regs[t.Trigger].Bits != 0
-		}
-		return
-	}
+	first := !st.Seen
+	st.Seen = true
+	fired := false
 	for k := range site.Trigs {
 		t := &site.Trigs[k]
 		now := regs[t.Trigger].Bits != 0
 		was := st.Prev[k]
 		st.Prev[k] = now
-		var fired bool
-		switch t.Mode {
-		case ir.RegRise:
-			fired = !was && now
-		case ir.RegFall:
-			fired = was && !now
-		case ir.RegBoth:
-			fired = was != now
-		case ir.RegHigh:
-			fired = now
-		case ir.RegLow:
-			fired = !now
-		}
-		if !fired {
+		if first || fired || !t.Mode.Fires(was, now) {
 			continue
 		}
 		if t.Gate >= 0 && regs[t.Gate].Bits == 0 {
@@ -457,6 +431,6 @@ func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Valu
 			d = regs[site.Delay].Time()
 		}
 		driveReg(e, fr.Sigs[site.Sig], &regs[t.Value], d)
-		break
+		fired = true
 	}
 }

@@ -38,6 +38,13 @@ var (
 	ErrInternal = errors.New("internal runtime error")
 )
 
+// MaxCallDepth bounds the live function-call chain of one activation in
+// both LLHD engines. Neither engine keeps its own call stack — a call
+// recurses on the Go stack — so an unbounded recursion in the design would
+// end in Go's unrecoverable stack overflow; past this depth the call
+// fails as an ErrStepLimit quota hit instead.
+const MaxCallDepth = 1000
+
 // kinds lists the taxonomy for classification scans; order matters only
 // in that ErrInternal is the fallback and is not scanned.
 var kinds = []error{

@@ -240,6 +240,25 @@ func (m RegMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// Fires reports whether a trigger of this mode stores its value when the
+// observed i1 moves from was to now: the levels look at now alone, the
+// edges at the transition.
+func (m RegMode) Fires(was, now bool) bool {
+	switch m {
+	case RegLow:
+		return !now
+	case RegHigh:
+		return now
+	case RegRise:
+		return !was && now
+	case RegFall:
+		return was && !now
+	case RegBoth:
+		return was != now
+	}
+	return false
+}
+
 // RegTrigger is one (value, trigger) clause of a reg instruction: store
 // Value when Trigger fires under Mode, optionally gated by Gate ("if").
 type RegTrigger struct {

@@ -451,3 +451,28 @@ func TestBlockInsertRemove(t *testing.T) {
 		t.Error("Remove failed")
 	}
 }
+
+// TestRegModeFires is the full truth table of the reg firing rule that
+// both engines call: levels look at the current sample alone, edges at the
+// transition from the previous one.
+func TestRegModeFires(t *testing.T) {
+	// Indexed [was][now] as 00, 01, 10, 11.
+	table := map[RegMode][4]bool{
+		RegLow:  {true, false, true, false},
+		RegHigh: {false, true, false, true},
+		RegRise: {false, true, false, false},
+		RegFall: {false, false, true, false},
+		RegBoth: {false, true, true, false},
+	}
+	for mode, want := range table {
+		for i, w := range want {
+			was, now := i&2 != 0, i&1 != 0
+			if got := mode.Fires(was, now); got != w {
+				t.Errorf("%s.Fires(was=%v, now=%v) = %v, want %v", mode, was, now, got, w)
+			}
+		}
+	}
+	if RegMode(200).Fires(false, true) {
+		t.Error("an unknown mode fired")
+	}
+}

@@ -44,9 +44,10 @@ type memSlot struct {
 	freed bool
 }
 
-// sigTable is the dense signal-reference table shared by the process and
-// entity interpreters: elaborated bindings seeded from the instance, plus
-// signal projections (extf/exts on signals) recorded at runtime.
+// sigTable is the dense signal-reference table of a process or entity
+// activation: elaborated bindings seeded from the instance, plus signal
+// projections (extf/exts on signals) recorded at runtime. A function
+// activation leaves it empty: nothing in a function is a signal.
 type sigTable struct {
 	sigs     []engine.SigRef // value ID -> signal reference
 	sigKnown []bool
@@ -63,7 +64,7 @@ func (t *sigTable) seedSigs(inst *engine.Instance, n int) {
 
 // sigOf resolves an operand to a signal reference, if it is one.
 func (t *sigTable) sigOf(v ir.Value) (engine.SigRef, bool) {
-	if id := ir.ValueID(v); id >= 0 && t.sigKnown[id] {
+	if id := ir.ValueID(v); id >= 0 && id < len(t.sigKnown) && t.sigKnown[id] {
 		return t.sigs[id], true
 	}
 	return engine.SigRef{}, false
@@ -240,8 +241,7 @@ func (f *frame) evalFast(in *ir.Inst) bool {
 		if !ok {
 			return false
 		}
-		mask := ir.MaskWidth(^uint64(0), in.Imm1) << uint(in.Imm0)
-		f.setInt(ir.ValueID(in), w, a&^mask|v<<uint(in.Imm0)&mask)
+		f.setInt(ir.ValueID(in), w, val.InsBits(a, v, in.Imm0, in.Imm1))
 		return true
 
 	case op.IsBinary() || op.IsCompare():
@@ -268,23 +268,11 @@ func (f *frame) evalFast(in *ir.Inst) bool {
 		case ir.OpMul:
 			f.setInt(id, wa, a*b)
 		case ir.OpShl:
-			if b >= 64 {
-				f.setInt(id, wa, 0)
-			} else {
-				f.setInt(id, wa, a<<b)
-			}
+			f.setInt(id, wa, val.Shl(a, b))
 		case ir.OpShr:
-			if b >= 64 {
-				f.setInt(id, wa, 0)
-			} else {
-				f.setInt(id, wa, a>>b)
-			}
+			f.setInt(id, wa, val.Shr(a, b))
 		case ir.OpAshr:
-			sh := b
-			if sh >= uint64(wa) {
-				sh = uint64(wa - 1)
-			}
-			f.setInt(id, wa, uint64(ir.SignExtend(a, wa)>>sh))
+			f.setInt(id, wa, val.Ashr(a, b, wa))
 		case ir.OpEq:
 			f.setBool(id, wa == wb && a == b)
 		case ir.OpNeq:
@@ -298,13 +286,13 @@ func (f *frame) evalFast(in *ir.Inst) bool {
 		case ir.OpUge:
 			f.setBool(id, a >= b)
 		case ir.OpSlt:
-			f.setBool(id, ir.SignExtend(a, wa) < ir.SignExtend(b, wa))
+			f.setBool(id, val.Slt(a, b, wa))
 		case ir.OpSgt:
-			f.setBool(id, ir.SignExtend(a, wa) > ir.SignExtend(b, wa))
+			f.setBool(id, val.Sgt(a, b, wa))
 		case ir.OpSle:
-			f.setBool(id, ir.SignExtend(a, wa) <= ir.SignExtend(b, wa))
+			f.setBool(id, val.Sle(a, b, wa))
 		case ir.OpSge:
-			f.setBool(id, ir.SignExtend(a, wa) >= ir.SignExtend(b, wa))
+			f.setBool(id, val.Sge(a, b, wa))
 		default:
 			// udiv/sdiv/umod/smod: the generic path owns the
 			// division-by-zero diagnostics.

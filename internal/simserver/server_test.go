@@ -246,6 +246,46 @@ func TestQuotaRejection(t *testing.T) {
 	}
 }
 
+// TestUnboundedRecursionIsQuota: a request body whose function recurses
+// without end is answered 429 "step-limit" on both engines — the call
+// depth bound turns what used to be Go's unrecoverable stack overflow
+// under blaze (one request took the whole server down) into a quota hit —
+// and the server goes on to serve the next request.
+func TestUnboundedRecursionIsQuota(t *testing.T) {
+	const recursive = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %x = const i32 1
+  %r = call i32 @f (i32 %x)
+  halt
+}
+func @f (i32 %x) i32 {
+ entry:
+  %r = call i32 @f (i32 %x)
+  ret i32 %r
+}
+`
+	_, ts := newTestServer(t, simserver.Config{})
+	for _, eng := range []string{"blaze", "interp"} {
+		status, body := post(t, ts.URL+"/v1/sim/stream",
+			simserver.Request{Design: recursive, Kind: "llhd", Top: "top", Engine: eng})
+		if status != http.StatusTooManyRequests {
+			t.Fatalf("%s: status = %d, want 429; body %s", eng, status, body)
+		}
+		if _, res := splitStream(t, body); res.Class != "step-limit" {
+			t.Fatalf("%s: class = %q, want step-limit (%+v)", eng, res.Class, res)
+		}
+	}
+	status, body := post(t, ts.URL+"/v1/sim",
+		simserver.Request{Design: counterSrc, Kind: "llhd", Top: "top"})
+	if status != http.StatusOK {
+		t.Fatalf("request after the recursive ones: status = %d, body %s", status, body)
+	}
+}
+
 // TestNonStreamingResult: POST /v1/sim returns exactly one Result JSON
 // object with the Finish statistics and cache note.
 func TestNonStreamingResult(t *testing.T) {

@@ -285,6 +285,51 @@ func Unary(op ir.Opcode, ty *ir.Type, a Value) (Value, error) {
 	return Value{}, fmt.Errorf("val: not a unary op: %s", op)
 }
 
+// The scalar-integer rules that are more than one Go operator, on raw bit
+// patterns masked to their width w. Binary, Compare and InsS below, the
+// interpreter's in-place fast path and blaze's dispatch loop all call
+// these, one helper per op so a dispatch site stays a single switch; the
+// caller masks the result to w. Ops that are one operator (add, and, ult,
+// ...) are written out where they execute.
+
+// Shl shifts left; a shift amount of 64 or more clears the value (Go would
+// already, the rule is stated here so it cannot drift).
+func Shl(a, sh uint64) uint64 {
+	if sh >= 64 {
+		return 0
+	}
+	return a << sh
+}
+
+// Shr shifts right logically, clearing the value from 64 up.
+func Shr(a, sh uint64) uint64 {
+	if sh >= 64 {
+		return 0
+	}
+	return a >> sh
+}
+
+// Ashr shifts the w-bit value right arithmetically; amounts of w or more
+// saturate at w-1, leaving the sign bit everywhere.
+func Ashr(a, sh uint64, w int) uint64 {
+	if sh >= uint64(w) {
+		sh = uint64(w - 1)
+	}
+	return uint64(ir.SignExtend(a, w) >> sh)
+}
+
+// Slt, Sgt, Sle and Sge compare two w-bit values as signed.
+func Slt(a, b uint64, w int) bool { return ir.SignExtend(a, w) < ir.SignExtend(b, w) }
+func Sgt(a, b uint64, w int) bool { return ir.SignExtend(a, w) > ir.SignExtend(b, w) }
+func Sle(a, b uint64, w int) bool { return ir.SignExtend(a, w) <= ir.SignExtend(b, w) }
+func Sge(a, b uint64, w int) bool { return ir.SignExtend(a, w) >= ir.SignExtend(b, w) }
+
+// InsBits replaces the n bits of a at offset off with the low n bits of v.
+func InsBits(a, v uint64, off, n int) uint64 {
+	mask := ir.MaskWidth(^uint64(0), n) << uint(off)
+	return a&^mask | v<<uint(off)&mask
+}
+
 // Binary evaluates a pure binary LLHD op on two same-typed values.
 func Binary(op ir.Opcode, a, b Value) (Value, error) {
 	if a.Kind == KindLogic || b.Kind == KindLogic {
@@ -328,21 +373,11 @@ func Binary(op ir.Opcode, a, b Value) (Value, error) {
 		}
 		return Int(w, uint64(ir.SignExtend(a.Bits, w)%ir.SignExtend(b.Bits, w))), nil
 	case ir.OpShl:
-		if b.Bits >= 64 {
-			return Int(w, 0), nil
-		}
-		return Int(w, a.Bits<<b.Bits), nil
+		return Int(w, Shl(a.Bits, b.Bits)), nil
 	case ir.OpShr:
-		if b.Bits >= 64 {
-			return Int(w, 0), nil
-		}
-		return Int(w, a.Bits>>b.Bits), nil
+		return Int(w, Shr(a.Bits, b.Bits)), nil
 	case ir.OpAshr:
-		sh := b.Bits
-		if sh >= uint64(w) {
-			sh = uint64(w - 1)
-		}
-		return Int(w, uint64(ir.SignExtend(a.Bits, w)>>sh)), nil
+		return Int(w, Ashr(a.Bits, b.Bits, w)), nil
 	}
 	if op.IsCompare() {
 		return Compare(op, a, b)
@@ -389,7 +424,6 @@ func Compare(op ir.Opcode, a, b Value) (Value, error) {
 		return Value{}, fmt.Errorf("val: ordered comparison %s on non-integers", op)
 	}
 	w := int(a.Width)
-	sa, sb := ir.SignExtend(a.Bits, w), ir.SignExtend(b.Bits, w)
 	switch op {
 	case ir.OpUlt:
 		return Bool(a.Bits < b.Bits), nil
@@ -400,13 +434,13 @@ func Compare(op ir.Opcode, a, b Value) (Value, error) {
 	case ir.OpUge:
 		return Bool(a.Bits >= b.Bits), nil
 	case ir.OpSlt:
-		return Bool(sa < sb), nil
+		return Bool(Slt(a.Bits, b.Bits, w)), nil
 	case ir.OpSgt:
-		return Bool(sa > sb), nil
+		return Bool(Sgt(a.Bits, b.Bits, w)), nil
 	case ir.OpSle:
-		return Bool(sa <= sb), nil
+		return Bool(Sle(a.Bits, b.Bits, w)), nil
 	case ir.OpSge:
-		return Bool(sa >= sb), nil
+		return Bool(Sge(a.Bits, b.Bits, w)), nil
 	}
 	return Value{}, fmt.Errorf("val: not a comparison: %s", op)
 }
@@ -505,9 +539,7 @@ func InsS(a, v Value, off, n int) (Value, error) {
 		if off < 0 || off+n > int(a.Width) {
 			return Value{}, fmt.Errorf("val: inss out of range")
 		}
-		mask := ir.MaskWidth(^uint64(0), n) << uint(off)
-		bits := a.Bits&^mask | v.Bits<<uint(off)&mask
-		return Int(int(a.Width), bits), nil
+		return Int(int(a.Width), InsBits(a.Bits, v.Bits, off, n)), nil
 	case KindLogic:
 		if off < 0 || n < 0 || off+n > int(a.Bits) {
 			return Value{}, fmt.Errorf("val: inss out of range")
