@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-table2 bench-farm
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -19,7 +19,7 @@ test:
 
 # test-race runs the concurrency-exposed suites under the race detector:
 # the root package (session farm, 16 concurrent sessions per backend over
-# one frozen design — including 16 blaze sessions sharing one sealed
+# one frozen design — including 16 blaze sessions sharing one compiled
 # instruction stream, cross-checked against a serial interpreter
 # reference — concurrent VCD writers, the fault-injection matrix with its
 # in-coroutine svsim panic recovery), the kernel, the reference
@@ -28,7 +28,7 @@ test:
 # val's unsafe payload views, and blaze is their heaviest user (the call
 # depth bound is exercised there too, on race-sized stack frames).
 test-race:
-	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestUnfrozen|TestFault|TestGovernance|TestPoisoned' .
+	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestConstruction|TestFault|TestGovernance|TestPoisoned' .
 	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/...
 
 # test-timeout is the hang guard: the whole suite must finish inside a
@@ -83,8 +83,8 @@ bench:
 bench-compare:
 	$(GO) run ./benchmark -compare $(BASE) $(HEAD)
 
-# bench-paper regenerates the paper's evaluation benchmarks (Table 2/4,
-# Figure 5) as go test benchmarks.
+# bench-paper runs the go test benchmarks over the paper's evaluation
+# (Table 4 serialization, Figure 5 lowering, Moore compile).
 bench-paper:
 	$(GO) test -bench . -benchmem -run xxx .
 
@@ -99,16 +99,3 @@ bench-kernel:
 # lower_ms metric of `make bench`, not on this.
 bench-lower:
 	$(GO) test -bench BenchmarkLower -benchmem -run xxx .
-
-# bench-table2 runs the Table 2 benchmark and records the machine-readable
-# trajectory artifact (ns/op and allocs/op per design and engine).
-bench-table2:
-	$(GO) test -bench BenchmarkTable2 -benchmem -run xxx .
-	$(GO) run ./cmd/llhd-bench -table 2 -json BENCH_TABLE2.json
-
-# bench-farm measures concurrent session-farm throughput (sims/sec over
-# the Table 2 designs at -j 1/4/8, shared frozen designs) and records the
-# machine-readable artifact.
-bench-farm:
-	$(GO) test -bench BenchmarkFarmThroughput -benchmem -run xxx .
-	$(GO) run ./cmd/llhd-bench -farm -json BENCH_FARM.json

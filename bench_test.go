@@ -1,19 +1,16 @@
-// Benchmarks regenerating the paper's evaluation (§6). One benchmark per
-// Table 2 row and simulator; size and lowering benchmarks for Table 4 and
-// Figure 5. Run with:
+// Benchmarks and smoke tests over the paper's evaluation (§6): size and
+// lowering benchmarks for Table 4 and Figure 5, and one regeneration of
+// each table cmd/llhd-bench prints. Simulation performance (Table 2) is
+// measured by the repository benchmark (go run ./benchmark, workload
+// table2_sweep). Run the benchmarks here with:
 //
 //	go test -bench=. -benchmem
-//
-// cmd/llhd-bench prints the same data as formatted tables.
 package llhd_test
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"llhd"
 	"llhd/internal/bench"
@@ -23,53 +20,6 @@ import (
 	"llhd/internal/pass"
 	"llhd/internal/riscv"
 )
-
-// BenchmarkTable2 runs every design on the three simulators (Table 2)
-// through the unified Session API: the reference interpreter (Int), the
-// compiled simulator (Blaze) and the AST-level commercial substitute
-// (SVSim). One op is one elaborate+simulate session.
-func BenchmarkTable2(b *testing.B) {
-	runSession := func(b *testing.B, opts ...llhd.SessionOption) {
-		b.Helper()
-		s, err := llhd.NewSession(opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-		s.Finish()
-	}
-	for _, d := range designs.All() {
-		d := d
-		b.Run(d.Name+"/Int", func(b *testing.B) {
-			m, err := moore.Compile(d.Name, d.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSession(b, llhd.FromModule(m), llhd.Top(d.Top), llhd.Backend(llhd.Interp))
-			}
-		})
-		b.Run(d.Name+"/Blaze", func(b *testing.B) {
-			m, err := moore.Compile(d.Name, d.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSession(b, llhd.FromModule(m), llhd.Top(d.Top), llhd.Backend(llhd.Blaze))
-			}
-		})
-		b.Run(d.Name+"/SVSim", func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSession(b, llhd.FromSystemVerilog(d.Source), llhd.Top(d.Top), llhd.Backend(llhd.SVSim))
-			}
-		})
-	}
-}
 
 // BenchmarkTable4 measures the serialization paths behind Table 4: text
 // printing and bitcode encoding of every design.
@@ -178,36 +128,6 @@ func BenchmarkLower(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkFarmThroughput measures concurrent session throughput
-// (sims/sec) through llhd.Farm at -j 1, 4, and 8 workers: one op is a
-// full sweep of the Table 2 designs on the interpreter and the compiled
-// engine, all sessions sharing one frozen module and one sealed
-// CompiledDesign per design. On a multi-core host the -j 8 sims/sec
-// should scale near-linearly over -j 1 — all cross-session state is
-// frozen read-only, so the workers never contend on a lock.
-func BenchmarkFarmThroughput(b *testing.B) {
-	jobs, err := bench.FarmJobs(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
-			farm := llhd.Farm{Workers: workers}
-			start := time.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				results := farm.Run(context.Background(), jobs...)
-				if err := bench.CheckFarmResults(results); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sims := float64(b.N * len(jobs))
-			b.ReportMetric(sims/time.Since(start).Seconds(), "sims/sec")
 		})
 	}
 }

@@ -6,21 +6,17 @@
 //
 // Usage:
 //
-//	llhd-bench                              # all tables
-//	llhd-bench -table 2                     # one table
-//	llhd-bench -table 2 -json results.json  # + machine-readable Table 2
-//	llhd-bench -farm -json BENCH_FARM.json  # session-farm throughput
+//	llhd-bench            # all tables
+//	llhd-bench -table 2   # one table
+//	llhd-bench -farm      # session-farm throughput (sims/sec at -j 1/4/8)
 //
-// The -json flag writes the measurements as a JSON artifact ("-" for
-// stdout) — Table 2 ns/op+allocs/op per engine by default, or the farm
-// throughput rows (sims/sec at -j 1/4/8) with -farm — so benchmark
-// trajectories can be recorded across revisions.
+// The perf record is the repository benchmark (go run ./benchmark); these
+// printers regenerate the paper's tables for reading, not for comparing.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"llhd/internal/bench"
@@ -28,7 +24,6 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "table to regenerate (2, 3, or 4); 0 = all")
-	jsonPath := flag.String("json", "", "write results as JSON to this path (\"-\" = stdout)")
 	farm := flag.Bool("farm", false, "benchmark concurrent session-farm throughput (sims/sec at -j 1/4/8) instead of the tables")
 	sweeps := flag.Int("sweeps", 5, "farm benchmark: repetitions of the Table 2 design sweep per worker count")
 	flag.Parse()
@@ -39,13 +34,6 @@ func main() {
 			fatal(err)
 		}
 		bench.PrintFarmBench(os.Stdout, rows)
-		if *jsonPath != "" {
-			if err := writeOut(*jsonPath, func(w io.Writer) error {
-				return bench.WriteFarmJSON(w, rows)
-			}); err != nil {
-				fatal(err)
-			}
-		}
 		return
 	}
 
@@ -56,13 +44,6 @@ func main() {
 		}
 		bench.PrintTable2(os.Stdout, rows)
 		fmt.Println()
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rows); err != nil {
-				fatal(err)
-			}
-		}
-	} else if *jsonPath != "" {
-		fatal(fmt.Errorf("-json requires Table 2 (use -table 2 or -table 0)"))
 	}
 	if *table == 0 || *table == 3 {
 		bench.PrintTable3(os.Stdout, bench.Table3())
@@ -75,28 +56,6 @@ func main() {
 		}
 		bench.PrintTable4(os.Stdout, rows)
 	}
-}
-
-func writeJSON(path string, rows []bench.Table2Row) error {
-	return writeOut(path, func(w io.Writer) error {
-		return bench.WriteTable2JSON(w, rows)
-	})
-}
-
-// writeOut writes an artifact to path ("-" = stdout).
-func writeOut(path string, emit func(io.Writer) error) error {
-	if path == "-" {
-		return emit(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

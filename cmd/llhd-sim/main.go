@@ -15,9 +15,10 @@
 //	         design.{llhd,bc,sv}
 //
 // With -j N the design is run as a concurrent sweep: N independent
-// sessions over one shared frozen design (one blaze compile, N register
-// files), reporting aggregate throughput — the smallest deployment of the
-// llhd.Farm. -trace, -vcd, and -stats-json apply to single sessions only.
+// sessions over one shared frozen design — whatever the input format, one
+// frontend run and one blaze compile, N register files — reporting
+// aggregate throughput: the smallest deployment of the llhd.Farm. -trace,
+// -vcd, and -stats-json apply to single sessions only.
 //
 // With -stats-json the final statistics and failure class are emitted as
 // one JSON object on stdout, in the same result schema llhd-serve
@@ -201,8 +202,9 @@ func main() {
 }
 
 // runSweep fans n identical sessions across the farm's worker pool. The
-// farm freezes the design (and compiles it once for blaze) before the
-// fan-out, so the n sessions share all static artifacts.
+// jobs carry the same options, so the farm prepares the design once
+// (frontend for .sv input, freeze, blaze compile) before the fan-out and
+// the n sessions share all static artifacts.
 func runSweep(n int, limit llhd.Time, opts []llhd.SessionOption) {
 	farmJobs := make([]llhd.FarmJob, n)
 	for i := range farmJobs {

@@ -125,11 +125,11 @@ func TestConcurrentSessionsTable2Design(t *testing.T) {
 }
 
 // TestConcurrentBytecodeTierSharedDesign is blaze's race envelope: one
-// frozen module, one sealed bytecode CompiledDesign, 16
+// frozen module, one bytecode CompiledDesign, 16
 // fully concurrent sessions executing the shared flat instruction streams
 // through per-session frames. Under -race this enforces that the lowered
 // Units (code, aux pools, const templates, wait shapes) are never written
-// after sealing — only the per-session register files are. Every
+// after the compile — only the per-session register files are. Every
 // concurrent trace must match a serial interpreter reference session
 // byte for byte, so the engines are also cross-checked under contention.
 func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {

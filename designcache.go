@@ -3,10 +3,8 @@ package llhd
 import (
 	"fmt"
 
-	"llhd/internal/assembly"
 	"llhd/internal/designcache"
 	"llhd/internal/ir"
-	"llhd/internal/moore"
 )
 
 // DesignCache is the content-addressed compiled-design cache: a blaze
@@ -102,37 +100,22 @@ func (dc *DesignCache) Load(m *Module, top string, tier BlazeTier) (*CompiledDes
 // restarts. With lower set, the §4 lowering pipeline runs before
 // hashing, so the artifact (and the cache key) is the lowered design.
 func (dc *DesignCache) LoadAssembly(name, src, top string, tier BlazeTier, lower bool) (*CompiledDesign, bool, error) {
-	meta := fmt.Sprintf("llhd\x00%s\x00%t", name, lower)
-	return dc.c.LoadSource(meta, []byte(src), top, tier, func() (*ir.Module, error) {
-		m, err := assembly.Parse(name, src)
-		if err != nil {
-			return nil, err
-		}
-		if lower {
-			if err := Lower(m); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	})
+	return dc.loadSource(langLLHD, name, src, top, tier, lower)
 }
 
 // LoadSystemVerilog is LoadAssembly for SystemVerilog source compiled
 // through the Moore frontend: a warm source hit skips the frontend, and
 // with lower set also the lowering pipeline.
 func (dc *DesignCache) LoadSystemVerilog(name, src, top string, tier BlazeTier, lower bool) (*CompiledDesign, bool, error) {
-	meta := fmt.Sprintf("sv\x00%s\x00%t", name, lower)
+	return dc.loadSource(langSV, name, src, top, tier, lower)
+}
+
+// loadSource memoizes the frontend step under everything that selects
+// its output: language, module name, lowering.
+func (dc *DesignCache) loadSource(lang, name, src, top string, tier BlazeTier, lower bool) (*CompiledDesign, bool, error) {
+	meta := fmt.Sprintf("%s\x00%s\x00%t", lang, name, lower)
 	return dc.c.LoadSource(meta, []byte(src), top, tier, func() (*ir.Module, error) {
-		m, err := moore.Compile(name, src)
-		if err != nil {
-			return nil, err
-		}
-		if lower {
-			if err := Lower(m); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
+		return frontend(lang, name, src, lower)
 	})
 }
 

@@ -20,3 +20,11 @@ func WithFaultHook(h func(faultinject.Point) error) SessionOption {
 func WithGovernBatch(n int) SessionOption {
 	return func(c *sessionConfig) { c.governBatch = n }
 }
+
+// WithPhaseHook installs a probe that prepare calls with "frontend" before
+// it runs the Moore frontend and with "compile" before it compiles for
+// blaze (the design-cache path reports through CacheStats instead), so
+// tests can count how often shared work happened. Test-only.
+func WithPhaseHook(h func(phase string)) SessionOption {
+	return func(c *sessionConfig) { c.phaseHook = h }
+}

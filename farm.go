@@ -12,10 +12,11 @@ import (
 
 // FarmJob is one simulation to run: a session configuration (the same
 // options NewSession takes) plus an optional time limit. Jobs that share a
-// design should share it explicitly — the same *Module via FromModule, the
-// same *CompiledDesign via FromCompiled, or the same source string via
-// FromSystemVerilog; the farm then runs them concurrently over one frozen
-// copy instead of N private ones.
+// design should name it the same way — the same *Module via FromModule,
+// the same *CompiledDesign via FromCompiled, or the same source string via
+// FromSystemVerilog, with the same Top, Backend and WithDesignCache; the
+// farm then runs the frontend, the freeze and the blaze compile once for
+// all of them and the sessions run concurrently over that one design.
 type FarmJob struct {
 	// Name labels the job in its FarmResult; purely informational.
 	Name string
@@ -50,26 +51,26 @@ type FarmResult struct {
 // in-memory design, for throughput (parameter sweeps, regression farms)
 // or for cross-engine differential testing.
 //
-// Before any worker starts, Run prepares the shared artifacts serially:
-// every module referenced by a job is frozen (Module.Freeze — structural
-// mutation afterwards panics), and blaze jobs over a module are compiled
-// once per distinct (module, top) pair into a shared CompiledDesign. After
-// that preparation all cross-session state is immutable, so the fan-out
-// takes no locks anywhere on a simulation path: each session owns its
-// engine, frames, register files, and observers outright.
+// Before any worker starts, Run prepares the shared artifacts serially,
+// once per distinct input (module, compiled design or source string; top;
+// backend; cache), exactly as NewSession would for a single session: the
+// frontend runs, the module is frozen (structural mutation afterwards
+// panics), and blaze jobs get one shared CompiledDesign. After that
+// preparation all cross-session state is immutable, so the fan-out takes
+// no locks anywhere on a simulation path: each session owns its engine,
+// frames, register files, and observers outright.
 //
 // The zero Farm is ready to use.
 type Farm struct {
 	// Workers caps the number of concurrently running sessions. Zero or
 	// negative means GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, routes the preparation phase's blaze
-	// compilations through the shared content-addressed design cache:
-	// jobs whose content matches an already-warm design reuse it without
-	// freezing or recompiling, compiles are single-flighted across
-	// concurrent Run calls, and warm designs persist across Run calls
-	// (unlike the per-Run dedup map used without a cache). A job's own
-	// WithDesignCache option takes precedence over the farm-level cache.
+	// Cache, when non-nil, is the WithDesignCache default of the farm's
+	// blaze jobs: a job whose content matches an already-warm design
+	// reuses it without freezing or recompiling, compiles are
+	// single-flighted across concurrent Run calls, and warm designs
+	// persist across Run calls (unlike the per-Run sharing without a
+	// cache). A job's own WithDesignCache option takes precedence.
 	Cache *DesignCache
 }
 
@@ -84,65 +85,31 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 	}
 	results := make([]FarmResult, len(jobs))
 	cfgs := make([]*sessionConfig, len(jobs))
+	designs := make([]*design, len(jobs))
 
-	// Serial preparation: freeze shared modules, compile blaze designs
-	// once per (module, top). This is the only phase that writes to
-	// cross-session state.
-	type designKey struct {
-		m   *Module
-		top string
+	// Serial preparation, the only phase that writes cross-session state.
+	// A failed preparation fails every job that shares the input.
+	type prepared struct {
+		d   *design
+		err error
 	}
-	compiledCache := map[designKey]*CompiledDesign{}
+	shared := map[designInput]prepared{}
 	for i := range jobs {
 		results[i] = FarmResult{Name: jobs[i].Name, Index: i}
-		cfg := &sessionConfig{}
-		for _, opt := range jobs[i].Options {
-			opt(cfg)
-		}
-		if cfg.cache == nil && f.Cache != nil && cfg.backend == Blaze && cfg.compiled == nil {
+		cfg := newConfig(jobs[i].Options)
+		if cfg.cache == nil && cfg.backend == Blaze && cfg.compiled == nil {
 			cfg.cache = f.Cache
 		}
-		if cfg.cache != nil && cfg.module != nil && cfg.compiled == nil &&
-			(!cfg.backendSet || cfg.backend == Blaze) {
-			// Content-addressed path: the cache resolves freezing and
-			// compilation itself (a warm hit does neither) and
-			// single-flights compiles across concurrent Run calls.
-			cd, _, err := cfg.cache.Load(cfg.module, cfg.top, TierBytecode)
-			if err != nil {
-				results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
-				continue
-			}
-			cfg.compiled, cfg.module, cfg.cache = cd, nil, nil
-			cfg.backend, cfg.backendSet = Blaze, true
-			cfgs[i] = cfg
+		p, ok := shared[cfg.designInput]
+		if !ok {
+			p.d, p.err = prepareContained(cfg)
+			shared[cfg.designInput] = p
+		}
+		if p.err != nil {
+			results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, p.err)
 			continue
 		}
-		if cfg.module != nil {
-			cfg.module.Freeze()
-		}
-		if cfg.backend == Blaze && cfg.module != nil && cfg.compiled == nil {
-			top := cfg.top
-			if top == "" {
-				top = defaultTop(cfg.module)
-			}
-			if top == "" {
-				results[i].Err = fmt.Errorf("llhd: farm job %d: module has no entity; pass Top(name)", i)
-				continue
-			}
-			key := designKey{cfg.module, top}
-			cd, ok := compiledCache[key]
-			if !ok {
-				var err error
-				cd, err = CompileBlaze(cfg.module, top)
-				if err != nil {
-					results[i].Err = fmt.Errorf("llhd: farm job %d: %w", i, err)
-					continue
-				}
-				compiledCache[key] = cd
-			}
-			cfg.compiled, cfg.module = cd, nil
-		}
-		cfgs[i] = cfg
+		cfgs[i], designs[i] = cfg, p.d
 	}
 
 	workers := f.Workers
@@ -160,47 +127,54 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i].Stats, results[i].Err = runFarmJob(ctx, cfgs[i], jobs[i].Until)
+				results[i].Stats, results[i].Err = runFarmJob(ctx, designs[i], cfgs[i], jobs[i].Until)
 			}
 		}()
 	}
 	for i := range jobs {
-		if cfgs[i] == nil || results[i].Err != nil {
-			continue // failed during preparation
+		if designs[i] != nil {
+			idx <- i
 		}
-		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	return results
 }
 
-// runFarmJob builds and runs one session under the farm's context. The
+// recoverInternal is the farm's last-resort panic backstop for the phases
+// outside any session (a frontend, a compile, construction): deferred, it
+// turns a panic into an ErrInternal-classified error with the stack.
+func recoverInternal(err *error) {
+	if r := recover(); r != nil {
+		*err = &engine.RuntimeError{
+			Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack(),
+		}
+	}
+}
+
+func prepareContained(cfg *sessionConfig) (d *design, err error) {
+	defer recoverInternal(&err)
+	return prepare(cfg)
+}
+
+// runFarmJob opens and runs one session under the farm's context. The
 // session boundary is the containment layer: panics inside Run/Finish (a
 // bug in an engine, or one provoked by a malformed design) come back as
 // classified *RuntimeError values with the captured stack, so
 // differential harnesses can treat "this design panics an engine" as a
-// debuggable finding to report and shrink. The deferred recover here is
-// the farm's last-resort backstop for the phases outside any session
-// (config application, construction); it captures the stack the same
-// way. Cancellation of the farm context is polled by the engine at batch
-// granularity (engine.DefaultGovernBatch instants), so long-running jobs
-// stop promptly with an ErrCanceled-classified result.
-func runFarmJob(ctx context.Context, cfg *sessionConfig, until Time) (stats Finish, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &engine.RuntimeError{
-				Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
+// debuggable finding to report and shrink; recoverInternal covers the
+// construction before it. Cancellation of the farm context is polled by
+// the engine at batch granularity (engine.DefaultGovernBatch instants), so
+// long-running jobs stop promptly with an ErrCanceled-classified result.
+func runFarmJob(ctx context.Context, d *design, cfg *sessionConfig, until Time) (stats Finish, err error) {
+	defer recoverInternal(&err)
 	if cerr := ctx.Err(); cerr != nil {
 		return Finish{}, &engine.RuntimeError{Kind: engine.Classify(cerr), Cause: cerr}
 	}
 	if cfg.ctx == nil {
 		cfg.ctx = ctx // job-level WithContext wins; the farm ctx is the default
 	}
-	s, err := newSession(cfg)
+	s, err := d.open(cfg)
 	if err != nil {
 		return Finish{}, err
 	}

@@ -72,10 +72,9 @@ func TestFarmThreeBackendSweep(t *testing.T) {
 	}
 }
 
-// TestFarmSharesOneCompiledDesign pins the blaze sharing contract: the
-// farm compiles a module exactly once per (module, top) and all blaze
-// jobs run over that one sealed design; an explicitly precompiled design
-// works the same way through FromCompiled.
+// TestFarmSharesOneCompiledDesign pins the blaze sharing contract for an
+// explicitly precompiled design: every FromCompiled job runs over that one
+// immutable design and they all agree.
 func TestFarmSharesOneCompiledDesign(t *testing.T) {
 	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
 	if err != nil {
@@ -102,15 +101,6 @@ func TestFarmSharesOneCompiledDesign(t *testing.T) {
 		if r.Stats.AssertionFailures != 0 {
 			t.Errorf("%s: %d assertion failures", r.Name, r.Stats.AssertionFailures)
 		}
-	}
-
-	// Contradictory options against a compiled design must error, not
-	// silently simulate the design's own top/backend.
-	if _, err := llhd.NewSession(llhd.FromCompiled(cd), llhd.Top("other_tb")); err == nil {
-		t.Error("FromCompiled with a mismatching Top must fail")
-	}
-	if _, err := llhd.NewSession(llhd.FromCompiled(cd), llhd.Backend(llhd.SVSim)); err == nil {
-		t.Error("FromCompiled with a non-blaze backend must fail")
 	}
 }
 
@@ -217,55 +207,35 @@ func TestFarmContextCancellation(t *testing.T) {
 	}
 }
 
-// TestFarmReportsPreparationErrors checks that a broken job config fails
-// its own result without poisoning the rest of the farm.
-func TestFarmReportsPreparationErrors(t *testing.T) {
-	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f llhd.Farm
-	results := f.Run(context.Background(),
-		llhd.FarmJob{Name: "bad", Options: []llhd.SessionOption{llhd.Top("nope")}},
-		llhd.FarmJob{Name: "good", Options: []llhd.SessionOption{
-			llhd.FromModule(m), llhd.Top("toggle_tb")}},
-	)
-	if results[0].Err == nil {
-		t.Error("job without a source must fail")
-	}
-	if results[1].Err != nil {
-		t.Errorf("healthy job failed: %v", results[1].Err)
-	}
-}
-
-// TestUnfrozenModuleSingleSessionCompat is the compatibility regression
-// for the freeze contract: a module that was never frozen still elaborates
-// and simulates on every LLHD engine (the lazy, single-session path), and
-// freezing it afterwards changes nothing observable.
-func TestUnfrozenModuleSingleSessionCompat(t *testing.T) {
-	run := func(m *llhd.Module, kind llhd.EngineKind) llhd.Finish {
-		s, err := llhd.NewSession(llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(kind))
-		if err != nil {
-			t.Fatalf("NewSession(%v): %v", kind, err)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run(%v): %v", kind, err)
-		}
-		return s.Finish()
-	}
+// TestFarmSharesOneSourceDesign pins what FarmJob and llhd-sim -j promise
+// for source input: N jobs naming one SystemVerilog source string run the
+// Moore frontend once and, on blaze, compile once; the sessions then run
+// over that one design and agree.
+func TestFarmSharesOneSourceDesign(t *testing.T) {
 	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
-		m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Frozen() {
-			t.Fatal("CompileSystemVerilog must not freeze")
-		}
-		lazy := run(m, kind)
-		m.Freeze()
-		frozen := run(m, kind)
-		if lazy != frozen {
-			t.Errorf("%v: unfrozen and frozen runs disagree: %+v vs %+v", kind, lazy, frozen)
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			phases := map[string]int{} // written during the farm's serial preparation only
+			const n = 6
+			jobs := make([]llhd.FarmJob, n)
+			for i := range jobs {
+				jobs[i] = llhd.FarmJob{Options: []llhd.SessionOption{
+					llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(kind),
+					llhd.WithPhaseHook(func(p string) { phases[p]++ }),
+				}}
+			}
+			results := farmRun(t, &llhd.Farm{Workers: 3}, jobs...)
+			for _, r := range results {
+				if r.Stats != results[0].Stats || r.Stats.DeltaSteps == 0 {
+					t.Errorf("job %d: statistics %+v, job 0 has %+v", r.Index, r.Stats, results[0].Stats)
+				}
+			}
+			want := map[string]int{"frontend": 1}
+			if kind == llhd.Blaze {
+				want["compile"] = 1
+			}
+			if fmt.Sprint(phases) != fmt.Sprint(want) {
+				t.Errorf("%d jobs over one source ran %v, want %v", n, phases, want)
+			}
+		})
 	}
 }

@@ -5,10 +5,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"llhd"
@@ -19,32 +17,16 @@ import (
 	"llhd/internal/moore"
 )
 
-// Table2Row is one measured row of Table 2. The allocation counts cover
-// one full elaborate+simulate run per engine (the same "op" the ns numbers
-// time), so JSON trajectories can track both axes of the hot-path work.
+// Table2Row is one measured row of Table 2: one full elaborate+simulate
+// run per engine.
 type Table2Row struct {
-	Design       string
-	LoC          int // lines of SystemVerilog
-	Deltas       int // executed delta steps (design + testbench complexity)
-	InterpS      float64
-	BlazeS       float64
-	SVSimS       float64
-	InterpAllocs uint64
-	BlazeAllocs  uint64
-	SVSimAllocs  uint64
-	Failures     int
-}
-
-// measure times one elaborate+simulate run and counts its heap
-// allocations via the runtime's cumulative malloc counter.
-func measure(run func() error) (secs float64, allocs uint64, err error) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	err = run()
-	d := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	return d.Seconds(), m1.Mallocs - m0.Mallocs, err
+	Design   string
+	LoC      int // lines of SystemVerilog
+	Deltas   int // executed delta steps (design + testbench complexity)
+	InterpS  float64
+	BlazeS   float64
+	SVSimS   float64
+	Failures int
 }
 
 // RunTable2 measures all designs with the three simulators.
@@ -64,26 +46,24 @@ func RunTable2() ([]Table2Row, error) {
 // returns the measurement plus the session's final statistics. The module
 // compile (for the LLHD engines) stays outside the timed region, matching
 // what the paper's Table 2 measures.
-func runEngine(d designs.Design, kind llhd.EngineKind) (secs float64, allocs uint64, st llhd.Finish, err error) {
+func runEngine(d designs.Design, kind llhd.EngineKind) (secs float64, st llhd.Finish, err error) {
 	source := []llhd.SessionOption{llhd.FromSystemVerilog(d.Source)}
 	if kind != llhd.SVSim {
 		m, cerr := moore.Compile(d.Name, d.Source)
 		if cerr != nil {
-			return 0, 0, st, cerr
+			return 0, st, cerr
 		}
 		source = []llhd.SessionOption{llhd.FromModule(m)}
 	}
 	opts := append(source, llhd.Top(d.Top), llhd.Backend(kind))
-	secs, allocs, err = measure(func() error {
-		s, err := llhd.NewSession(opts...)
-		if err != nil {
-			return err
-		}
-		err = s.Run()
-		st = s.Finish()
-		return err
-	})
-	return secs, allocs, st, err
+	t0 := time.Now()
+	s, err := llhd.NewSession(opts...)
+	if err != nil {
+		return 0, st, err
+	}
+	err = s.Run()
+	st = s.Finish()
+	return time.Since(t0).Seconds(), st, err
 }
 
 // RunTable2Design measures one design on all three engines through the
@@ -92,65 +72,30 @@ func RunTable2Design(d designs.Design) (Table2Row, error) {
 	row := Table2Row{Design: d.Display, LoC: countLines(d.Source)}
 
 	// Reference interpreter (LLHD-Sim).
-	secs, allocs, st, err := runEngine(d, llhd.Interp)
+	secs, st, err := runEngine(d, llhd.Interp)
 	if err != nil {
 		return row, err
 	}
-	row.InterpS, row.InterpAllocs = secs, allocs
+	row.InterpS = secs
 	row.Deltas = st.DeltaSteps
 	row.Failures = st.AssertionFailures
 
 	// Compiled simulator (LLHD-Blaze analog).
-	secs, allocs, st, err = runEngine(d, llhd.Blaze)
+	secs, st, err = runEngine(d, llhd.Blaze)
 	if err != nil {
 		return row, err
 	}
-	row.BlazeS, row.BlazeAllocs = secs, allocs
+	row.BlazeS = secs
 	row.Failures += st.AssertionFailures
 
 	// AST-level simulator (commercial substitute).
-	secs, allocs, st, err = runEngine(d, llhd.SVSim)
+	secs, st, err = runEngine(d, llhd.SVSim)
 	if err != nil {
 		return row, err
 	}
-	row.SVSimS, row.SVSimAllocs = secs, allocs
+	row.SVSimS = secs
 	row.Failures += st.AssertionFailures
 	return row, nil
-}
-
-// Table2EngineJSON is one engine's measurement in the JSON emission.
-type Table2EngineJSON struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-}
-
-// Table2RowJSON is one design's measurements in the JSON emission. The op
-// is one full elaborate+simulate run.
-type Table2RowJSON struct {
-	Name    string                      `json:"name"`
-	Deltas  int                         `json:"deltas"`
-	Engines map[string]Table2EngineJSON `json:"engines"`
-}
-
-// WriteTable2JSON emits the Table 2 measurements as machine-readable JSON
-// (one object per design; ns/op and allocs/op per engine), so benchmark
-// trajectories can be recorded as artifacts instead of prose tables.
-func WriteTable2JSON(w io.Writer, rows []Table2Row) error {
-	out := make([]Table2RowJSON, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, Table2RowJSON{
-			Name:   r.Design,
-			Deltas: r.Deltas,
-			Engines: map[string]Table2EngineJSON{
-				"Int":   {NsPerOp: r.InterpS * 1e9, AllocsPerOp: r.InterpAllocs},
-				"Blaze": {NsPerOp: r.BlazeS * 1e9, AllocsPerOp: r.BlazeAllocs},
-				"SVSim": {NsPerOp: r.SVSimS * 1e9, AllocsPerOp: r.SVSimAllocs},
-			},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // PrintTable2 renders rows in the paper's format.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -16,15 +15,15 @@ import (
 // throughput benchmark: how many complete elaborate+simulate sessions per
 // second the farm sustains over the Table 2 designs.
 type FarmBenchRow struct {
-	Workers    int     `json:"workers"`
-	Sims       int     `json:"sims"`
-	Secs       float64 `json:"secs"`
-	SimsPerSec float64 `json:"sims_per_sec"`
+	Workers    int
+	Sims       int
+	Secs       float64
+	SimsPerSec float64
 }
 
 // FarmJobs builds the farm workload: sweeps repetitions of every Table 2
 // design on the interpreter (shared frozen module) and the compiled engine
-// (shared sealed CompiledDesign). All design preparation — Moore
+// (shared CompiledDesign). All design preparation — Moore
 // compilation, freezing, blaze compilation — happens here, outside any
 // timed region, exactly once per design; the returned jobs are reusable
 // across Farm.Run calls and worker counts.
@@ -93,14 +92,6 @@ func RunFarmBench(workerCounts []int, sweeps int) ([]FarmBenchRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// WriteFarmJSON emits the farm throughput rows as the machine-readable
-// BENCH_FARM artifact.
-func WriteFarmJSON(w io.Writer, rows []FarmBenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // PrintFarmBench renders the farm throughput table.

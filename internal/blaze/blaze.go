@@ -45,12 +45,26 @@ type Simulator struct {
 	design *CompiledDesign
 }
 
-// New compiles and elaborates the design hierarchy under the top unit for
-// single-session use. The module is not frozen and stays mutable once the
-// simulator exists; use Compile + CompiledDesign.NewSimulator to share one
-// compiled design across concurrent sessions.
+// New compiles the design hierarchy under the top unit and returns the
+// simulator of the elaboration that drove the compile: elaborating is how
+// the reachable units are discovered (each is lowered when its first
+// instance appears) and how every signal reference is checked to resolve,
+// so a cold session costs one elaboration, not two. On success the module
+// is frozen (ir.Module.Freeze) and Design() is ready to share; on error it
+// is left as it was.
 func New(m *ir.Module, top string) (*Simulator, error) {
-	return newDesign(m, top).newSimulator()
+	cd := &CompiledDesign{
+		module: m,
+		top:    top,
+		prog:   bytecode.NewProgram(m),
+		bunits: map[*ir.Unit]*bytecode.Unit{},
+	}
+	s, err := cd.elaborate(true)
+	if err != nil {
+		return nil, err
+	}
+	m.Freeze()
+	return s, nil
 }
 
 // Design returns the compiled design the simulator executes.

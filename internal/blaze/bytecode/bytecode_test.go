@@ -26,7 +26,6 @@ func lowerProc(t *testing.T, src string) (*engine.Engine, *Runtime, *Unit, *Fram
 	if err != nil {
 		t.Fatalf("NewFrame: %v", err)
 	}
-	prog.Seal()
 	return engine.New(), NewRuntime(prog), u, fr
 }
 

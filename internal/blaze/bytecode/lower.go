@@ -14,33 +14,26 @@ func errNotSignal(v ir.Value) error {
 }
 
 // Program is the lowered form of a design's units: the shared function
-// registry plus the module the bytecode was lowered from. Like a
-// CompiledDesign it is immutable once sealed and shared read-only by all
-// sessions; the per-session call-frame pools live in the Runtime.
+// registry plus the module the bytecode was lowered from. Only lowering
+// writes it (LowerUnit, and Func from inside a lowering), so once the
+// compile that owns it is over it is shared read-only by all sessions;
+// the per-session call-frame pools live in the Runtime.
 type Program struct {
 	mod      *ir.Module
 	funcs    map[string]*Unit
 	FuncList []*Unit // dense by FuncIdx, for per-session frame pools
-	sealed   bool
 }
 
-// NewProgram starts an unsealed program over the module.
+// NewProgram starts an empty program over the module.
 func NewProgram(m *ir.Module) *Program {
 	return &Program{mod: m, funcs: map[string]*Unit{}}
 }
 
-// Seal freezes the program: no further units or functions may be
-// lowered, making it shareable across concurrent sessions.
-func (p *Program) Seal() { p.sealed = true }
-
 // Func returns the lowered form of a called function, lowering it on
-// first encounter while the program is unsealed.
+// first encounter.
 func (p *Program) Func(name string) (*Unit, error) {
 	if fu, ok := p.funcs[name]; ok {
 		return fu, nil
-	}
-	if p.sealed {
-		return nil, fmt.Errorf("call to @%s, which is not part of the sealed design", name)
 	}
 	fn := p.mod.Unit(name)
 	if fn == nil {

@@ -19,50 +19,33 @@ const TierBytecode Tier = 0
 
 // CompiledDesign is the compile-once artifact of a design hierarchy: the
 // bytecode program holding one lowered unit per reachable process/entity
-// unit plus the functions they call. After Compile seals it, the design
-// is immutable and may be shared read-only by any number of concurrent
-// Simulators — every piece of mutable runtime state (register files,
-// signal tables, reg/del histories, call-frame pools) is created per
-// session by NewSimulator.
+// unit plus the functions they call. Compile and New return it complete
+// and over a frozen module; from then on it is immutable and may be shared
+// read-only by any number of concurrent Simulators — every piece of
+// mutable runtime state (register files, signal tables, reg/del histories,
+// call-frame pools) is created per session by NewSimulator.
 type CompiledDesign struct {
 	module *ir.Module
 	top    string
 
 	prog   *bytecode.Program
 	bunits map[*ir.Unit]*bytecode.Unit
-
-	sealed bool
 }
 
 // Compile lowers every unit reachable from the top entity exactly once,
-// freezes the module (ir.Module.Freeze), and returns the sealed,
-// immutable design. The compile performs one throwaway elaboration to
-// drive unit discovery and to validate that every signal reference
-// resolves; the scratch engine is discarded. On error the module is left
-// unfrozen — freezing is irreversible, so it must not outlive a failed
-// compile.
+// freezes the module (ir.Module.Freeze), and returns the immutable design.
+// Unit discovery is an elaboration (see New), whose simulator Compile
+// discards. On error the module is left unfrozen — freezing is
+// irreversible, so it must not outlive a failed compile.
 func Compile(m *ir.Module, top string) (*CompiledDesign, error) {
-	cd := newDesign(m, top)
-	if _, err := cd.newSimulator(); err != nil {
+	s, err := New(m, top)
+	if err != nil {
 		return nil, err
 	}
-	m.Freeze()
-	cd.sealed = true
-	cd.prog.Seal()
-	return cd, nil
+	return s.design, nil
 }
 
-func newDesign(m *ir.Module, top string) *CompiledDesign {
-	return &CompiledDesign{
-		module: m,
-		top:    top,
-		prog:   bytecode.NewProgram(m),
-		bunits: map[*ir.Unit]*bytecode.Unit{},
-	}
-}
-
-// Module returns the (frozen, for sealed designs) module the design was
-// compiled from.
+// Module returns the frozen module the design was compiled from.
 func (cd *CompiledDesign) Module() *ir.Module { return cd.module }
 
 // Top returns the name of the top unit the design elaborates.
@@ -70,26 +53,29 @@ func (cd *CompiledDesign) Top() string { return cd.top }
 
 // NewSimulator elaborates a fresh, independent session over the shared
 // compiled code: its own event engine, signals, register files, and
-// call-frame pools. Sessions built from one sealed design may run
-// concurrently; the shared code is never written after Compile.
+// call-frame pools. Sessions built from one design may run concurrently;
+// the shared code is never written after Compile.
 func (cd *CompiledDesign) NewSimulator() (*Simulator, error) {
-	if !cd.sealed {
-		return nil, fmt.Errorf("blaze: NewSimulator on an unsealed design (use Compile)")
-	}
-	return cd.newSimulator()
+	return cd.elaborate(false)
 }
 
-// newSimulator elaborates the design on a fresh engine. On an unsealed
-// design (during Compile, or blaze.New's single-session path) units are
-// lowered on first encounter; on a sealed design every unit must already
-// be present.
-func (cd *CompiledDesign) newSimulator() (*Simulator, error) {
+// elaborate builds the design on a fresh engine. While compiling (New),
+// a unit is lowered when its first instance appears; afterwards every
+// unit an elaboration can reach is present, and the design is only read.
+func (cd *CompiledDesign) elaborate(compiling bool) (*Simulator, error) {
 	e := engine.New()
 	rt := bytecode.NewRuntime(cd.prog)
 	factory := func(inst *engine.Instance) (engine.Process, error) {
-		u, err := cd.unitFor(inst)
-		if err != nil {
-			return nil, err
+		u, ok := cd.bunits[inst.Unit]
+		if !ok {
+			if !compiling {
+				return nil, fmt.Errorf("blaze: unit @%s is not part of the compiled design", inst.Unit.Name)
+			}
+			var err error
+			if u, err = cd.prog.LowerUnit(inst); err != nil {
+				return nil, err
+			}
+			cd.bunits[inst.Unit] = u
 		}
 		fr, err := u.NewFrame(inst)
 		if err != nil {
@@ -101,23 +87,6 @@ func (cd *CompiledDesign) newSimulator() (*Simulator, error) {
 		return nil, err
 	}
 	return &Simulator{Engine: e, Module: cd.module, Top: cd.top, design: cd}, nil
-}
-
-// unitFor returns the lowered form of the instance's unit, lowering it on
-// first encounter while the design is still unsealed.
-func (cd *CompiledDesign) unitFor(inst *engine.Instance) (*bytecode.Unit, error) {
-	if u, ok := cd.bunits[inst.Unit]; ok {
-		return u, nil
-	}
-	if cd.sealed {
-		return nil, fmt.Errorf("blaze: unit @%s is not part of the sealed design", inst.Unit.Name)
-	}
-	u, err := cd.prog.LowerUnit(inst)
-	if err != nil {
-		return nil, err
-	}
-	cd.bunits[inst.Unit] = u
-	return u, nil
 }
 
 // DisasmUnit renders the bytecode of one lowered unit; the golden tests

@@ -21,7 +21,7 @@
 //   - An in-process LRU of warm *blaze.CompiledDesign values, bounding
 //     resident compiled designs. A hit skips freeze and compile
 //     entirely and is safe to hand to any number of concurrent
-//     sessions (the design is sealed and immutable).
+//     sessions (the design is immutable).
 //   - A source memo mapping raw source bytes (SystemVerilog or LLHD
 //     assembly, plus the frontend/lowering configuration) to the
 //     content key, so a repeat submission of the same source skips the
@@ -92,7 +92,7 @@ func (k Key) String() string { return hex.EncodeToString(k.Digest[:]) }
 // entity is an error.
 func KeyOf(m *ir.Module, top string, tier blaze.Tier) (Key, []byte, error) {
 	if top == "" {
-		top = defaultTop(m)
+		top = m.DefaultTop()
 		if top == "" {
 			return Key{}, nil, fmt.Errorf("designcache: module has no entity; pass a top name")
 		}
@@ -109,17 +109,6 @@ func KeyOf(m *ir.Module, top string, tier blaze.Tier) (Key, []byte, error) {
 	k := Key{Top: top, Tier: tier}
 	h.Sum(k.Digest[:0])
 	return k, data, nil
-}
-
-// defaultTop mirrors the Session default: the module's last entity.
-func defaultTop(m *ir.Module) string {
-	top := ""
-	for _, u := range m.Units {
-		if u.Kind == ir.UnitEntity {
-			top = u.Name
-		}
-	}
-	return top
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -376,7 +365,7 @@ func (c *Cache) compile(key Key, module func() (*ir.Module, error)) (*blaze.Comp
 
 // insertLocked adds a resident design and enforces the LRU capacity.
 // Evicted designs stay valid for sessions already holding them — they
-// are sealed and immutable; the cache merely stops retaining them.
+// are immutable; the cache merely stops retaining them.
 func (c *Cache) insertLocked(key Key, cd *blaze.CompiledDesign) {
 	if el, ok := c.entries[key]; ok { // lost a benign race: keep the resident one
 		c.lru.MoveToFront(el)

@@ -21,36 +21,29 @@ type Instance struct {
 	num *ir.Numbering
 	// binds[id] is the elaborated signal reference of the value numbered id
 	// (arguments, sig results, signal projections); valid iff bound[id].
-	// Allocated on first SetBind (function instances bind nothing).
+	// Nil for function instances, which bind nothing.
 	binds []SigRef
 	bound []bool
 	// consts[id] is the elaboration-time value of the pure instruction
-	// numbered id; valid iff isConst[id]. Allocated on first SetConst (the
-	// elaborator only folds constants in entities, so process and function
-	// instances never pay for the table).
+	// numbered id; valid iff isConst[id]. Nil unless the unit is an entity:
+	// the elaborator folds constants nowhere else.
 	consts  []val.Value
 	isConst []bool
 }
 
-// NewInstance creates an empty instance of the unit. For units of a frozen
-// module (ir.Module.Freeze) the bind and const tables are precomputed
-// eagerly — frozen designs are elaborated by many concurrent sessions, and
-// the eager tables keep the whole instance read-path branch-free and
-// allocation-stable per session. Unfrozen units keep the lazy
-// materialize-on-first-write path (function instances bind nothing, and
-// only entities fold constants, so laziness still pays off there).
+// NewInstance creates an empty instance of the unit with its tables sized
+// for the unit's numbering, so the read paths are one bounds check and the
+// write paths never allocate.
 func NewInstance(u *ir.Unit, name string) *Instance {
 	inst := &Instance{Unit: u, Name: name, num: u.Numbering()}
-	if u.Frozen() {
-		n := inst.num.Len()
-		if u.Kind != ir.UnitFunc && n > 0 {
-			inst.binds = make([]SigRef, n)
-			inst.bound = make([]bool, n)
-		}
-		if u.Kind == ir.UnitEntity && n > 0 {
-			inst.consts = make([]val.Value, n)
-			inst.isConst = make([]bool, n)
-		}
+	n := inst.num.Len()
+	if u.Kind != ir.UnitFunc {
+		inst.binds = make([]SigRef, n)
+		inst.bound = make([]bool, n)
+	}
+	if u.Kind == ir.UnitEntity {
+		inst.consts = make([]val.Value, n)
+		inst.isConst = make([]bool, n)
 	}
 	return inst
 }
@@ -61,11 +54,7 @@ func (inst *Instance) Numbering() *ir.Numbering { return inst.num }
 // SetBind records the elaborated signal reference of v. Values that are not
 // numbered in the unit are ignored.
 func (inst *Instance) SetBind(v ir.Value, r SigRef) {
-	if id := ir.ValueID(v); id >= 0 && id < inst.num.Len() {
-		if inst.binds == nil {
-			inst.binds = make([]SigRef, inst.num.Len())
-			inst.bound = make([]bool, inst.num.Len())
-		}
+	if id := ir.ValueID(v); id >= 0 && id < len(inst.binds) {
 		inst.binds[id] = r
 		inst.bound[id] = true
 	}
@@ -81,11 +70,7 @@ func (inst *Instance) BindOf(v ir.Value) (SigRef, bool) {
 
 // SetConst records the elaboration-time value of v.
 func (inst *Instance) SetConst(v ir.Value, c val.Value) {
-	if id := ir.ValueID(v); id >= 0 && id < inst.num.Len() {
-		if inst.consts == nil {
-			inst.consts = make([]val.Value, inst.num.Len())
-			inst.isConst = make([]bool, inst.num.Len())
-		}
+	if id := ir.ValueID(v); id >= 0 && id < len(inst.consts) {
 		inst.consts[id] = c
 		inst.isConst[id] = true
 	}
@@ -100,15 +85,15 @@ func (inst *Instance) ConstOf(v ir.Value) (val.Value, bool) {
 }
 
 // BindTable exposes the dense bind table (indexed by value ID) for engines
-// that seed flat frames. Both slices are nil when nothing was bound.
-// Callers must treat them as read-only.
+// that seed flat frames; nil for a function instance. Callers must treat
+// them as read-only.
 func (inst *Instance) BindTable() (refs []SigRef, bound []bool) {
 	return inst.binds, inst.bound
 }
 
 // ConstTable exposes the dense constant table (indexed by value ID) for
-// engines that seed flat frames. Both slices are nil when nothing was
-// folded. Callers must treat them as read-only.
+// engines that seed flat frames; nil unless the unit is an entity. Callers
+// must treat them as read-only.
 func (inst *Instance) ConstTable() (vals []val.Value, set []bool) {
 	return inst.consts, inst.isConst
 }

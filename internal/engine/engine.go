@@ -775,29 +775,15 @@ func (e *Engine) Init() {
 // Run simulates until the event queue drains or physical time exceeds
 // limit (limit.Fs == 0 means no limit). It returns the number of time
 // instants executed: each counts exactly once, including the final one.
-// When governance is configured (context, deadline, event or memory
-// limit) the run is internally batched and the limits polled every
-// GovernBatch instants; ungoverned runs keep the tight loop.
+// The run is a sequence of RunBudget batches of GovernBatch instants;
+// configured governance (context, deadline, event or memory limit) is
+// polled at each batch boundary, and an ungoverned engine pays one
+// predictable branch per batch for it.
 func (e *Engine) Run(limit ir.Time) int {
-	steps := 0
-	if !e.governed() {
-		for len(e.heap) > 0 && e.err == nil {
-			if limit.Fs > 0 && e.heap[0].time.Fs > limit.Fs {
-				break
-			}
-			e.Step()
-			steps++
-		}
-		return steps
+	start := e.DeltaCount
+	for e.RunBudget(limit, e.governBatch()) {
 	}
-	for {
-		before := e.DeltaCount
-		more := e.RunBudget(limit, e.governBatch())
-		steps += e.DeltaCount - before
-		if !more {
-			return steps
-		}
-	}
+	return e.DeltaCount - start
 }
 
 // RunBudget simulates like Run but executes at most budget time instants,

@@ -129,7 +129,7 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 
 	topName := top
 	if topName == "" {
-		topName = lastEntity(m1)
+		topName = m1.DefaultTop()
 	}
 
 	legs := []struct {
@@ -259,17 +259,6 @@ func deterministicErr(err error) string {
 		return s[:i]
 	}
 	return s
-}
-
-// lastEntity mirrors the session's default-top rule.
-func lastEntity(m *ir.Module) string {
-	top := ""
-	for _, u := range m.Units {
-		if u.Kind == ir.UnitEntity {
-			top = u.Name
-		}
-	}
-	return top
 }
 
 // diffTraces compares two traces entry by entry and returns a description

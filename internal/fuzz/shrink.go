@@ -64,7 +64,7 @@ func shrinkRound(name string, cur *string, class string, opt Options, accept fun
 			return false
 		}
 		u := m.Units[i]
-		if u.Name == lastEntity(m) {
+		if u.Name == m.DefaultTop() {
 			return false
 		}
 		m.Remove(u)

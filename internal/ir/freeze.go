@@ -14,8 +14,10 @@ package ir
 //	farm-ready := moore-compiled module → Lower → Freeze
 //
 // Passes (llhd.Lower and friends) must run before Freeze; there is no
-// thaw. Code that only ever uses a module from a single goroutine does not
-// need to freeze it — the lazy single-session path keeps working.
+// thaw. Until then numberings are computed lazily and revalidated on every
+// access, which is what lets the passes edit a unit between two reads. The
+// simulation engines freeze the module they elaborate (sim.New, blaze.New):
+// their state is indexed by value ID, so nothing may renumber under them.
 func (m *Module) Freeze() *Module {
 	if m.frozen {
 		return m

@@ -249,6 +249,17 @@ func (m *Module) Unit(name string) *Unit {
 	return m.byName[name]
 }
 
+// DefaultTop returns the name of the module's last entity, the unit every
+// tool elaborates when no top is named, or "" if the module has none.
+func (m *Module) DefaultTop() string {
+	for i := len(m.Units) - 1; i >= 0; i-- {
+		if m.Units[i].Kind == UnitEntity {
+			return m.Units[i].Name
+		}
+	}
+	return ""
+}
+
 // Remove deletes the unit from the module.
 func (m *Module) Remove(u *Unit) {
 	if m.frozen {

@@ -44,7 +44,10 @@ type Simulator struct {
 }
 
 // New elaborates the design hierarchy under the named top unit with the
-// interpreting process factory.
+// interpreting process factory. A successful elaboration freezes the
+// module (ir.Module.Freeze): the simulator indexes its frames by value ID,
+// so a later structural edit must panic rather than corrupt it. On error
+// the module is left as it was.
 func New(m *ir.Module, top string) (*Simulator, error) {
 	e := engine.New()
 	s := &Simulator{Engine: e, Module: m, Top: top, funcs: map[*ir.Unit]*funcPool{}}
@@ -55,6 +58,7 @@ func New(m *ir.Module, top string) (*Simulator, error) {
 	if err := engine.Elaborate(e, m, top, factory); err != nil {
 		return nil, err
 	}
+	m.Freeze()
 	return s, nil
 }
 

@@ -35,10 +35,20 @@
 // bounded memory; TraceObserver buffers a full trace when a diffable
 // history is wanted.
 //
+// There is one road from a design to a running engine, and NewSession and
+// Farm both take it: prepare the input (check the options, run the
+// frontend, settle the top, freeze the module, compile for blaze — through
+// the DesignCache when one is given), then open a session on the prepared
+// design (elaborate, attach quotas, observers and VCD writers). A session
+// therefore freezes the module it was given (Module.Freeze): run Lower
+// before NewSession, a structural edit afterwards panics.
+//
 // Running many simulations — a parameter sweep, a regression farm, or a
-// cross-engine differential check — goes through Farm, which shares one
-// frozen design (Module.Freeze) across all sessions and compiles the
-// blaze code exactly once (CompileBlaze, shared via FromCompiled). A
+// cross-engine differential check — goes through Farm, which prepares
+// each distinct input once and opens every job's session on the shared
+// result: jobs that name the same *Module, the same CompiledDesign or the
+// same SystemVerilog source string (with the same Top, Backend and cache)
+// run over one frozen design, one frontend run and one blaze compile. A
 // three-backend differential sweep of one design is three jobs:
 //
 //	obsI, obsB := &llhd.TraceObserver{}, &llhd.TraceObserver{}
@@ -55,8 +65,8 @@
 //	// §6.1 trace-equivalence check (examples/quickstart runs this sweep).
 //
 // All sharing is frozen-read-only: after Farm.Run's serial preparation
-// (freeze + compile), concurrent sessions take no locks anywhere on a
-// simulation path.
+// (frontend, freeze, compile), concurrent sessions take no locks anywhere
+// on a simulation path.
 //
 // The engines also check each other: internal/fuzz generates seeded
 // random well-typed designs over the full instruction surface and farms
@@ -159,7 +169,6 @@ import (
 	"llhd/internal/assembly"
 	"llhd/internal/bitcode"
 	"llhd/internal/ir"
-	"llhd/internal/moore"
 	"llhd/internal/pass"
 )
 
@@ -183,12 +192,12 @@ const (
 // CompileSystemVerilog maps SystemVerilog source to Behavioural LLHD using
 // the Moore frontend.
 func CompileSystemVerilog(name, src string) (*Module, error) {
-	return moore.Compile(name, src)
+	return frontend(langSV, name, src, false)
 }
 
 // ParseAssembly reads LLHD assembly text.
 func ParseAssembly(name, src string) (*Module, error) {
-	return assembly.Parse(name, src)
+	return frontend(langLLHD, name, src, false)
 }
 
 // PrintAssembly writes the module as LLHD assembly text.

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
+	"llhd/internal/assembly"
 	"llhd/internal/blaze"
 	"llhd/internal/engine"
 	"llhd/internal/faultinject"
-	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/sim"
 	"llhd/internal/svsim"
@@ -98,19 +99,18 @@ type BlazeTier = blaze.Tier
 // TierBytecode is the only BlazeTier.
 const TierBytecode = blaze.TierBytecode
 
-// CompileBlaze freezes the module (Module.Freeze — structural mutation
-// afterwards panics) and compiles it once for the blaze engine. The
-// returned design is safe to share across concurrently running sessions;
-// per-session state (event queue, signals, register files) is created at
-// NewSession time. When top is empty the module's last entity is used.
+// CompileBlaze compiles the module once for the blaze engine and freezes
+// it (Module.Freeze — structural mutation afterwards panics); a failed
+// compile leaves it unfrozen. The returned design is safe to share across
+// concurrently running sessions; per-session state (event queue, signals,
+// register files) is created at NewSession time. When top is empty the
+// module's last entity is used.
 func CompileBlaze(m *Module, top string) (*CompiledDesign, error) {
-	if top == "" {
-		top = defaultTop(m)
-		if top == "" {
-			return nil, fmt.Errorf("llhd: module has no entity; pass a top name")
-		}
+	d, err := prepare(&sessionConfig{designInput: designInput{module: m, top: top, backend: Blaze}})
+	if err != nil {
+		return nil, err
 	}
-	return blaze.Compile(m, top)
+	return d.compiled, nil
 }
 
 // SessionOption configures NewSession.
@@ -121,7 +121,10 @@ type observerSub struct {
 	paths []string
 }
 
-type sessionConfig struct {
+// designInput is the part of a configuration prepare reads. It is
+// comparable: configurations with equal inputs prepare to interchangeable
+// designs, which is how the farm prepares each shared design once.
+type designInput struct {
 	module     *Module
 	source     string
 	hasSource  bool
@@ -130,11 +133,16 @@ type sessionConfig struct {
 	top        string
 	backend    EngineKind
 	backendSet bool
-	observers  []observerSub
-	vcdOuts    []io.Writer
-	display    func(string)
-	onAssert   func(name string, t Time)
-	stepLimit  int
+}
+
+type sessionConfig struct {
+	designInput
+
+	observers []observerSub
+	vcdOuts   []io.Writer
+	display   func(string)
+	onAssert  func(name string, t Time)
+	stepLimit int
 
 	// Resource governance (see the With* options). All polled at batch
 	// granularity by the engine; zero values mean unlimited.
@@ -143,11 +151,22 @@ type sessionConfig struct {
 	eventLimit int
 	memLimit   uint64
 
-	// Test-only knobs: the fault-injection hook and the governance batch
-	// size. Installed exclusively through options defined in _test.go
-	// files (see internal/faultinject).
+	// Test-only knobs: the fault-injection hook, the governance batch
+	// size, and the probe that counts prepare's phases. Installed
+	// exclusively through options defined in _test.go files (see
+	// internal/faultinject).
 	faultHook   func(faultinject.Point) error
 	governBatch int
+	phaseHook   func(phase string)
+}
+
+// newConfig applies the options to an empty configuration.
+func newConfig(opts []SessionOption) *sessionConfig {
+	cfg := &sessionConfig{}
+	for _, opt := range opts {
+		opt(cfg)
+	}
+	return cfg
 }
 
 // FromModule simulates an already-built LLHD module (parsed assembly,
@@ -298,8 +317,6 @@ type Finish struct {
 // A Session is not safe for concurrent use.
 type Session struct {
 	eng     *engine.Engine
-	kind    EngineKind
-	top     string
 	sv      *svsim.Simulator // SVSim backend, for coroutine shutdown
 	vcd     []flusher
 	inited  bool
@@ -312,126 +329,181 @@ type flusher interface{ Flush() error }
 
 // NewSession elaborates a design on the selected engine and returns the
 // session handle. Exactly one of FromModule, FromSystemVerilog, or
-// FromCompiled must be given.
+// FromCompiled must be given. A module given with FromModule is frozen
+// (Module.Freeze) once the session exists: the engines index their state
+// by its value numbering, so run llhd.Lower before, not after.
 func NewSession(opts ...SessionOption) (*Session, error) {
-	var cfg sessionConfig
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg := newConfig(opts)
+	d, err := prepare(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return newSession(&cfg)
+	return d.open(cfg)
 }
 
-// newSession builds the session from an applied configuration. It is
-// shared by NewSession and the Farm, which prepares configs (freezing
-// modules, injecting precompiled designs) before fanning out.
-func newSession(cfg *sessionConfig) (*Session, error) {
-	if cfg.compiled != nil {
-		if cfg.module != nil || cfg.hasSource {
-			return nil, fmt.Errorf("llhd: FromCompiled excludes FromModule and FromSystemVerilog")
-		}
-		if cfg.backendSet && cfg.backend != Blaze {
-			return nil, fmt.Errorf("llhd: FromCompiled runs on the blaze engine, not %v", cfg.backend)
-		}
-		if cfg.top != "" && cfg.top != cfg.compiled.Top() {
-			return nil, fmt.Errorf("llhd: FromCompiled design was compiled for Top(%q), not %q",
-				cfg.compiled.Top(), cfg.top)
-		}
-		cfg.backend = Blaze
-	} else if cfg.module == nil && !cfg.hasSource {
+// design is a prepared input: what is left of a configuration once its
+// options are checked, its frontend has run, its top is settled, its
+// module is frozen and, for Blaze, compiled. It is immutable, and every
+// session opened from it — serially or concurrently — shares it.
+type design struct {
+	kind     EngineKind
+	top      string          // of source and module; a compiled design carries its own
+	source   string          // SVSim executes the source itself
+	module   *Module         // Interp
+	compiled *CompiledDesign // Blaze
+
+	// first is the engine of the elaboration that validated (and for
+	// Blaze compiled) the design inside prepare. The first open takes it,
+	// so a cold session elaborates once.
+	first atomic.Pointer[engine.Engine]
+}
+
+// prepare and open are the only road from a configuration to a running
+// engine: nothing else in this package calls a frontend or an engine
+// constructor. prepare does everything sessions of one input can share —
+// NewSession runs it per session, the Farm once per distinct input.
+func prepare(cfg *sessionConfig) (*design, error) {
+	kind := cfg.backend
+	if cfg.compiled != nil || cfg.cache != nil {
+		kind = Blaze
+	}
+	switch {
+	case cfg.module == nil && !cfg.hasSource && cfg.compiled == nil:
 		return nil, fmt.Errorf("llhd: NewSession needs FromModule, FromSystemVerilog, or FromCompiled")
-	}
-	if cfg.module != nil && cfg.hasSource {
+	case cfg.module != nil && cfg.hasSource:
 		return nil, fmt.Errorf("llhd: FromModule and FromSystemVerilog are mutually exclusive")
-	}
-	if cfg.cache != nil {
-		if cfg.compiled != nil {
-			return nil, fmt.Errorf("llhd: WithDesignCache and FromCompiled are mutually exclusive (a compiled design is already past the cache)")
-		}
-		if cfg.backendSet && cfg.backend != Blaze {
-			return nil, fmt.Errorf("llhd: WithDesignCache applies to the blaze engine, not %v", cfg.backend)
-		}
-		cfg.backend = Blaze
+	case cfg.compiled != nil && (cfg.module != nil || cfg.hasSource):
+		return nil, fmt.Errorf("llhd: FromCompiled excludes FromModule and FromSystemVerilog")
+	case cfg.compiled != nil && cfg.cache != nil:
+		return nil, fmt.Errorf("llhd: WithDesignCache and FromCompiled are mutually exclusive (a compiled design is already past the cache)")
+	case cfg.backendSet && cfg.backend != kind:
+		return nil, fmt.Errorf("llhd: FromCompiled and WithDesignCache run on the blaze engine, not %v", cfg.backend)
+	case cfg.compiled != nil && cfg.top != "" && cfg.top != cfg.compiled.Top():
+		return nil, fmt.Errorf("llhd: FromCompiled design was compiled for Top(%q), not %q",
+			cfg.compiled.Top(), cfg.top)
+	case kind == SVSim && !cfg.hasSource:
+		return nil, fmt.Errorf("llhd: the svsim engine executes SystemVerilog directly; use FromSystemVerilog")
+	case kind == SVSim && cfg.top == "":
+		return nil, fmt.Errorf("llhd: the svsim engine needs Top(module)")
+	case kind != Interp && kind != Blaze && kind != SVSim:
+		return nil, fmt.Errorf("llhd: unknown engine %d", int(kind))
 	}
 
-	s := &Session{kind: cfg.backend}
-	switch cfg.backend {
-	case SVSim:
-		if !cfg.hasSource {
-			return nil, fmt.Errorf("llhd: the svsim engine executes SystemVerilog directly; use FromSystemVerilog")
+	d := &design{kind: kind, top: cfg.top}
+	var err error
+	switch {
+	case kind == SVSim:
+		d.source = cfg.source
+		return d, nil
+	case cfg.compiled != nil:
+		d.compiled = cfg.compiled
+	case cfg.cache != nil && cfg.module != nil:
+		// Content-addressed: a warm hit skips freeze and compile, a miss
+		// compiles once and leaves the design behind for later sessions.
+		d.compiled, _, err = cfg.cache.Load(cfg.module, cfg.top, TierBytecode)
+	case cfg.cache != nil:
+		// The source memo in front of it skips the frontend as well.
+		d.compiled, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, TierBytecode, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if d.compiled != nil {
+		return d, nil
+	}
+
+	m := cfg.module
+	if m == nil {
+		cfg.phase("frontend")
+		if m, err = frontend(langSV, "design", cfg.source, false); err != nil {
+			return nil, err
 		}
-		if cfg.top == "" {
-			return nil, fmt.Errorf("llhd: the svsim engine needs Top(module)")
+	}
+	if d.top == "" {
+		if d.top = m.DefaultTop(); d.top == "" {
+			return nil, fmt.Errorf("llhd: module has no entity; name a top unit")
 		}
-		sv, err := svsim.New(cfg.source, cfg.top)
+	}
+	// Both constructors freeze m once their elaboration succeeded and
+	// leave it untouched when it failed.
+	if kind == Interp {
+		si, err := sim.New(m, d.top)
 		if err != nil {
 			return nil, err
 		}
-		s.sv, s.eng, s.top = sv, sv.Engine, cfg.top
+		d.module = m
+		d.first.Store(si.Engine)
+		return d, nil
+	}
+	cfg.phase("compile")
+	bz, err := blaze.New(m, d.top)
+	if err != nil {
+		return nil, err
+	}
+	d.compiled = bz.Design()
+	d.first.Store(bz.Engine)
+	return d, nil
+}
 
-	case Interp, Blaze:
-		if cfg.compiled != nil {
-			bz, err := cfg.compiled.NewSimulator()
+// Source languages of the frontend step. The spellings are part of the
+// design cache's source-memo key.
+const (
+	langSV   = "sv"
+	langLLHD = "llhd"
+)
+
+// frontend turns design source into a module, optionally lowered (§4): the
+// step prepare, the design cache's parse callbacks and the exported
+// CompileSystemVerilog / ParseAssembly all share.
+func frontend(lang, name, src string, lower bool) (*Module, error) {
+	var m *Module
+	var err error
+	if lang == langSV {
+		m, err = moore.Compile(name, src)
+	} else {
+		m, err = assembly.Parse(name, src)
+	}
+	if err == nil && lower {
+		err = Lower(m)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func (c *sessionConfig) phase(name string) {
+	if c.phaseHook != nil {
+		c.phaseHook(name)
+	}
+}
+
+// open elaborates the design on a fresh engine — or takes the one prepare
+// left — and attaches what is the session's own: quotas, handlers,
+// observers, VCD writers.
+func (d *design) open(cfg *sessionConfig) (*Session, error) {
+	s := &Session{eng: d.first.Swap(nil)}
+	if s.eng == nil {
+		switch d.kind {
+		case SVSim:
+			sv, err := svsim.New(d.source, d.top)
 			if err != nil {
 				return nil, err
 			}
-			s.eng, s.top = bz.Engine, cfg.compiled.Top()
-			break
-		}
-		if cfg.cache != nil {
-			// Cache-aware construction: resolve the design through the
-			// content-addressed cache. A warm hit skips parse, lowering,
-			// freeze, and compile; a miss compiles once and leaves the
-			// warm design behind for every later session.
-			var cd *CompiledDesign
-			var err error
-			if cfg.module != nil {
-				cd, _, err = cfg.cache.Load(cfg.module, cfg.top, TierBytecode)
-			} else {
-				cd, _, err = cfg.cache.LoadSystemVerilog("design", cfg.source, cfg.top, TierBytecode, false)
-			}
-			if err != nil {
-				return nil, err
-			}
-			bz, err := cd.NewSimulator()
-			if err != nil {
-				return nil, err
-			}
-			s.eng, s.top = bz.Engine, cd.Top()
-			break
-		}
-		m := cfg.module
-		if m == nil {
-			var err error
-			m, err = moore.Compile("design", cfg.source)
-			if err != nil {
-				return nil, err
-			}
-		}
-		top := cfg.top
-		if top == "" {
-			top = defaultTop(m)
-			if top == "" {
-				return nil, fmt.Errorf("llhd: module has no entity; pass Top(name)")
-			}
-		}
-		s.top = top
-		switch cfg.backend {
+			s.sv, s.eng = sv, sv.Engine
 		case Interp:
-			si, err := sim.New(m, top)
+			si, err := sim.New(d.module, d.top)
 			if err != nil {
 				return nil, err
 			}
 			s.eng = si.Engine
 		case Blaze:
-			bz, err := blaze.New(m, top)
+			bz, err := d.compiled.NewSimulator()
 			if err != nil {
 				return nil, err
 			}
 			s.eng = bz.Engine
 		}
-
-	default:
-		return nil, fmt.Errorf("llhd: unknown engine %d", int(cfg.backend))
 	}
 
 	if cfg.display != nil {
@@ -470,18 +542,6 @@ func newSession(cfg *sessionConfig) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// defaultTop returns the module's last entity, the default top unit when
-// Top is omitted, or "" if the module has none.
-func defaultTop(m *Module) string {
-	top := ""
-	for _, u := range m.Units {
-		if u.Kind == ir.UnitEntity {
-			top = u.Name
-		}
-	}
-	return top
 }
 
 // init runs every process to its first suspension, exactly once.

@@ -1,6 +1,7 @@
 package llhd_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -169,29 +170,117 @@ type observerFunc func(llhd.Time, *llhd.Signal, llhd.Value)
 
 func (f observerFunc) OnChange(t llhd.Time, s *llhd.Signal, v llhd.Value) { f(t, s, v) }
 
-// TestSessionErrors pins the constructor's misuse diagnostics.
-func TestSessionErrors(t *testing.T) {
+// TestConstructionErrorsBothDoors pins the misuse diagnostics of the one
+// prepare/open path through both of its doors: every illegal option
+// combination and every design that cannot be built fails NewSession, and
+// fails a farm job with the same diagnosis without poisoning the healthy
+// job queued next to it.
+func TestConstructionErrorsBothDoors(t *testing.T) {
 	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cd, err := llhd.CompileBlaze(m, "toggle_tb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := llhd.NewDesignCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, top := llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb")
 	cases := []struct {
 		name string
 		opts []llhd.SessionOption
 	}{
 		{"no source", []llhd.SessionOption{llhd.Top("x")}},
-		{"both sources", []llhd.SessionOption{llhd.FromModule(m), llhd.FromSystemVerilog(toggleSrc)}},
+		{"both sources", []llhd.SessionOption{llhd.FromModule(m), sv}},
 		{"svsim needs source", []llhd.SessionOption{llhd.FromModule(m), llhd.Backend(llhd.SVSim)}},
-		{"svsim needs top", []llhd.SessionOption{llhd.FromSystemVerilog(toggleSrc), llhd.Backend(llhd.SVSim)}},
-		{"unknown observer path", []llhd.SessionOption{
-			llhd.FromModule(m), llhd.Top("toggle_tb"),
-			llhd.WithObserver(&llhd.TraceObserver{}, "toggle_tb.nope")}},
+		{"svsim needs top", []llhd.SessionOption{sv, llhd.Backend(llhd.SVSim)}},
+		{"unknown engine", []llhd.SessionOption{sv, top, llhd.Backend(llhd.EngineKind(99))}},
+		{"compiled with a module", []llhd.SessionOption{llhd.FromCompiled(cd), llhd.FromModule(m)}},
+		{"compiled with another top", []llhd.SessionOption{llhd.FromCompiled(cd), llhd.Top("other_tb")}},
+		{"compiled on svsim", []llhd.SessionOption{llhd.FromCompiled(cd), llhd.Backend(llhd.SVSim)}},
+		{"cache with compiled", []llhd.SessionOption{llhd.FromCompiled(cd), llhd.WithDesignCache(dc)}},
+		{"cache on svsim", []llhd.SessionOption{sv, top, llhd.Backend(llhd.SVSim), llhd.WithDesignCache(dc)}},
+		{"cache on interp", []llhd.SessionOption{sv, top, llhd.Backend(llhd.Interp), llhd.WithDesignCache(dc)}},
 		{"unknown top", []llhd.SessionOption{llhd.FromModule(m), llhd.Top("nope")}},
+		{"unknown top, blaze", []llhd.SessionOption{sv, llhd.Top("nope"), llhd.Backend(llhd.Blaze)}},
+		{"unknown observer path", []llhd.SessionOption{
+			llhd.FromModule(m), top,
+			llhd.WithObserver(&llhd.TraceObserver{}, "toggle_tb.nope")}},
 	}
+	good := llhd.FarmJob{Name: "good", Options: []llhd.SessionOption{llhd.FromModule(m), top}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := llhd.NewSession(c.opts...); err == nil {
-				t.Error("NewSession unexpectedly succeeded")
+			_, serr := llhd.NewSession(c.opts...)
+			if serr == nil {
+				t.Fatal("NewSession unexpectedly succeeded")
+			}
+			var f llhd.Farm
+			results := f.Run(context.Background(), llhd.FarmJob{Name: "bad", Options: c.opts}, good)
+			if results[0].Err == nil {
+				t.Error("the farm job unexpectedly succeeded")
+			} else if !strings.HasSuffix(results[0].Err.Error(), serr.Error()) {
+				t.Errorf("the doors disagree:\n  session: %v\n  farm:    %v", serr, results[0].Err)
+			}
+			if results[1].Err != nil {
+				t.Errorf("healthy job failed next to a broken one: %v", results[1].Err)
+			}
+		})
+	}
+}
+
+// TestSessionsFreezeTheirModule pins the freeze contract of construction:
+// a session indexes its state by the module's value numbering, so building
+// one on either LLHD engine freezes the module and a later pass run
+// panics instead of corrupting it; a construction that fails leaves the
+// module as mutable as it found it.
+func TestSessionsFreezeTheirModule(t *testing.T) {
+	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+		t.Run(kind.String(), func(t *testing.T) {
+			m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Frozen() {
+				t.Fatal("CompileSystemVerilog must not freeze")
+			}
+			if _, err := llhd.NewSession(llhd.FromModule(m), llhd.Top("nope"), llhd.Backend(kind)); err == nil {
+				t.Fatal("NewSession with an unknown top must fail")
+			}
+			if m.Frozen() {
+				t.Fatal("a failed construction must leave the module unfrozen")
+			}
+			s, err := llhd.NewSession(llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Frozen() {
+				t.Fatal("a successful construction must freeze the module")
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("llhd.Lower on the module of a live session must panic")
+					}
+				}()
+				llhd.Lower(m) //nolint:errcheck // expected to panic
+			}()
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			first := s.Finish()
+			// The frozen module keeps serving sessions.
+			s, err = llhd.NewSession(llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if again := s.Finish(); again != first {
+				t.Errorf("second session over the frozen module disagrees: %+v vs %+v", again, first)
 			}
 		})
 	}
