@@ -79,7 +79,7 @@ func (s *Simulator) Run(limit ir.Time) error {
 
 // bcProc is one unit instance executing shared bytecode over a private
 // frame: Init subscribes entity sensitivity, Wake re-runs the cone or
-// resumes the process, and a halt latches.
+// resumes the process, and a halted one is never woken again (Engine.Halt).
 type bcProc struct {
 	engine.ProcHandle
 	name   string
@@ -87,7 +87,6 @@ type bcProc struct {
 	fr     *bytecode.Frame
 	rt     *bytecode.Runtime
 	entity bool
-	halted bool
 }
 
 func (p *bcProc) Name() string { return p.name }
@@ -102,9 +101,6 @@ func (p *bcProc) Init(e *engine.Engine) {
 }
 
 func (p *bcProc) Wake(e *engine.Engine) {
-	if p.halted {
-		return
-	}
 	if p.entity {
 		p.fr.PC = 0
 	}
@@ -119,6 +115,5 @@ func (p *bcProc) step(e *engine.Engine) {
 	}
 	if st == bytecode.StatusHalt {
 		e.Halt(p.ProcID())
-		p.halted = true
 	}
 }

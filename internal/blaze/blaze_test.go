@@ -279,30 +279,25 @@ func TestBlazeFasterThanInterpreter(t *testing.T) {
 	m1 := assembly.MustParse("c", counterSrc)
 	m2 := assembly.MustParse("c", counterSrc)
 
-	// Best of three: each leg is ~2 ms, so one scheduling hiccup on a busy
-	// box would otherwise decide the comparison.
-	timeRun := func(run func()) float64 {
-		best := math.Inf(1)
-		for round := 0; round < 3; round++ {
-			t0 := time.Now()
-			run()
-			best = min(best, time.Since(t0).Seconds())
-		}
-		return best
-	}
-	var interpTime, blazeTime float64
-	interpTime = timeRun(func() {
+	// Best of five, the two legs taking turns: each leg is ~2 ms, so on a
+	// busy box (go test ./... runs packages side by side) a scheduling
+	// hiccup would otherwise decide the comparison, and a burst of them
+	// must hit both legs alike.
+	interpTime, blazeTime := math.Inf(1), math.Inf(1)
+	for round := 0; round < 5; round++ {
+		t0 := time.Now()
 		for i := 0; i < 50; i++ {
 			s, _ := sim.New(m1, "top")
 			s.Run(ir.Time{})
 		}
-	})
-	blazeTime = timeRun(func() {
+		t1 := time.Now()
 		for i := 0; i < 50; i++ {
 			s, _ := blaze.New(m2, "top")
 			s.Run(ir.Time{})
 		}
-	})
+		interpTime = min(interpTime, t1.Sub(t0).Seconds())
+		blazeTime = min(blazeTime, time.Since(t1).Seconds())
+	}
 	if blazeTime > interpTime {
 		t.Errorf("compiled simulation (%.4fs) slower than interpretation (%.4fs)", blazeTime, interpTime)
 	}

@@ -128,33 +128,6 @@ func storeBool(r *val.Value, b bool) {
 	}
 }
 
-// moveVal copies src into dst with the scalar-int fast path: two-state
-// integers touch only Kind/Width/Bits (a stale payload pointer stays
-// inert, exactly as with storeInt), everything else takes the full struct
-// copy. A full val.Value assignment stores the payload pointer through a
-// GC write barrier, and moves dominate lowered code — this is the dispatch
-// loop's hottest path.
-func moveVal(dst, src *val.Value) {
-	if src.Kind == val.KindInt {
-		dst.Kind = val.KindInt
-		dst.Width = src.Width
-		dst.Bits = src.Bits
-		return
-	}
-	*dst = *src
-}
-
-// driveReg schedules a drive of the register's value: two-state scalars go
-// through the engine's field-level DriveInt, everything else through the
-// generic Drive.
-func driveReg(e *engine.Engine, r engine.SigRef, v *val.Value, delay ir.Time) {
-	if v.Kind == val.KindInt {
-		e.DriveInt(r, int(v.Width), v.Bits, delay)
-		return
-	}
-	e.Drive(r, *v, delay)
-}
-
 // run is the threaded dispatch loop. It executes from fr.PC until the
 // activation suspends, halts, or fails. All mutable state is reached
 // through fr; u is shared read-only across sessions.
@@ -171,9 +144,9 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		pc++
 		switch i.Op {
 		case opMove, opClone:
-			moveVal(&regs[i.Dst], &regs[i.A])
+			regs[i.Dst] = regs[i.A]
 		case opCloneP:
-			moveVal(&regs[i.Dst], &u.Pool[i.A])
+			regs[i.Dst] = u.Pool[i.A]
 
 		case opAdd:
 			storeInt(&regs[i.Dst], int(i.C), regs[i.A].Bits+regs[i.B].Bits)
@@ -298,20 +271,12 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			regs[i.Dst] = val.Agg(elems)
 
 		case opPrb:
-			// Whole-signal scalar probes and drives bypass the full
-			// val.Value plumbing (see ProbeScalar/DriveInt); anything
-			// projected or non-integer takes the generic path.
-			if w, b, ok := e.ProbeScalar(fr.Sigs[i.A]); ok {
-				storeInt(&regs[i.Dst], w, b)
-			} else {
-				v := e.Probe(fr.Sigs[i.A])
-				moveVal(&regs[i.Dst], &v)
-			}
+			regs[i.Dst] = e.Probe(fr.Sigs[i.A])
 		case opDrv:
-			driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].Time())
+			e.Drive(fr.Sigs[i.A], regs[i.B], regs[i.C].Time())
 		case opDrvCond:
 			if regs[i.Dst].Bits != 0 {
-				driveReg(e, fr.Sigs[i.A], &regs[i.B], regs[i.C].Time())
+				e.Drive(fr.Sigs[i.A], regs[i.B], regs[i.C].Time())
 			}
 		case opDel:
 			cur := e.Probe(fr.Sigs[i.B])
@@ -321,7 +286,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				d.Prev = cur
 			} else if !cur.Eq(d.Prev) {
 				d.Prev = cur
-				driveReg(e, fr.Sigs[i.A], &cur, regs[i.C].Time())
+				e.Drive(fr.Sigs[i.A], cur, regs[i.C].Time())
 			}
 		case opReg:
 			rt.regSite(e, u, fr, regs, int(i.A))
@@ -377,10 +342,10 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			moves := aux[i.A : int(i.A)+2*n]
 			tmp := fr.Phi[:n]
 			for k := 0; k < n; k++ {
-				moveVal(&tmp[k], &regs[moves[2*k]])
+				tmp[k] = regs[moves[2*k]]
 			}
 			for k := 0; k < n; k++ {
-				moveVal(&regs[moves[2*k+1]], &tmp[k])
+				regs[moves[2*k+1]] = tmp[k]
 			}
 		case opWaitArm:
 			e.Subscribe(self, fr.Waits[i.A])
@@ -430,7 +395,7 @@ func (rt *Runtime) regSite(e *engine.Engine, u *Unit, fr *Frame, regs []val.Valu
 		if site.Delay >= 0 {
 			d = regs[site.Delay].Time()
 		}
-		driveReg(e, fr.Sigs[site.Sig], &regs[t.Value], d)
+		e.Drive(fr.Sigs[site.Sig], regs[t.Value], d)
 		fired = true
 	}
 }

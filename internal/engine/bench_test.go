@@ -41,17 +41,34 @@ func newTogglerEngine() *Engine {
 // benchmark isolates kernel dispatch.
 type sinkProc struct {
 	ProcHandle
-	ref   SigRef
+	refs  []SigRef
 	wakes int
 }
 
 func (p *sinkProc) Name() string { return "sink" }
 func (p *sinkProc) Init(e *Engine) {
-	e.Subscribe(p.ProcID(), []SigRef{p.ref})
+	e.Subscribe(p.ProcID(), p.refs)
 }
 func (p *sinkProc) Wake(e *Engine) {
 	p.wakes++
-	e.Subscribe(p.ProcID(), []SigRef{p.ref})
+	e.Subscribe(p.ProcID(), p.refs)
+}
+
+// newFanoutEngine builds one toggling clk that wakes n sinks per instant.
+// With rst every sink also waits on a signal "rst" that never changes: a
+// process's `wait (clk, rst)` under a quiet reset.
+func newFanoutEngine(n int, rst bool) *Engine {
+	e := New()
+	refs := []SigRef{{Sig: e.NewSignal("clk", ir.IntType(1), val.Int(1, 0))}}
+	e.AddProcess(&togglerProc{ref: refs[0]}, true)
+	if rst {
+		refs = append(refs, SigRef{Sig: e.NewSignal("rst", ir.IntType(1), val.Int(1, 0))})
+	}
+	for i := 0; i < n; i++ {
+		e.AddProcess(&sinkProc{refs: refs}, true)
+	}
+	e.Init()
+	return e
 }
 
 // chainProc forwards a change on its input to its output with a delta
@@ -72,38 +89,29 @@ func (p *chainProc) Wake(e *Engine) {
 
 // BenchmarkEngineKernel measures the kernel hot paths in isolation:
 //
-//	DriveStorm:   1 signal, 1 process, one drive+apply+wake per instant
-//	WakeFanout64: one toggling signal waking 64 subscribed processes
-//	DeltaCascade: a 32-deep delta chain triggered once per iteration
+//	DriveStorm:      1 signal, 1 process, one drive+apply+wake per instant
+//	WakeFanout64:    one toggling signal waking 64 subscribed processes
+//	WakeFanout1024:  the same at 1024: ns/op over the fan-out is the cost
+//	                 per subscriber, and must not grow with the fan-out
+//	IdleSensitivity: 64 processes waiting on {clk, rst}, only clk toggles
+//	DeltaCascade:    a 32-deep delta chain triggered once per iteration
 //
-// All three must run allocation-free at steady state (see
+// All five must run allocation-free at steady state (see
 // TestDriveWakeHotPathAllocFree).
 func BenchmarkEngineKernel(b *testing.B) {
-	b.Run("DriveStorm", func(b *testing.B) {
-		e := newTogglerEngine()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
+	steps := func(e *Engine) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
 		}
-	})
-
-	b.Run("WakeFanout64", func(b *testing.B) {
-		e := New()
-		s := e.NewSignal("clk", ir.IntType(1), val.Int(1, 0))
-		ref := SigRef{Sig: s}
-		tp := &togglerProc{ref: ref}
-		e.AddProcess(tp, true)
-		for i := 0; i < 64; i++ {
-			e.AddProcess(&sinkProc{ref: ref}, true)
-		}
-		e.Init()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	})
+	}
+	b.Run("DriveStorm", steps(newTogglerEngine()))
+	b.Run("WakeFanout64", steps(newFanoutEngine(64, false)))
+	b.Run("WakeFanout1024", steps(newFanoutEngine(1024, false)))
+	b.Run("IdleSensitivity", steps(newFanoutEngine(64, true)))
 
 	b.Run("DeltaCascade32", func(b *testing.B) {
 		e := New()

@@ -56,19 +56,17 @@ func (h *ProcHandle) ProcID() ProcID { return h.idPlus1 - 1 }
 // procEntry tracks one registered process and its scheduling state.
 type procEntry struct {
 	proc Process
-	// oneShot: sensitivity is cleared when the process wakes (processes
+	// oneShot: the sensitivity is consumed by the wake it causes (processes
 	// re-arm at each wait). Entities keep their sensitivity forever.
 	oneShot bool
-	halted  bool
-	// armed sensitivity generation: invalidates stale subscriptions and
-	// pending timeouts after the process has been woken by another cause.
+	// gen is the generation the process's sensitivity entries and pending
+	// timeout were armed under. Subscribe, a one-shot wake and Halt each
+	// start a new one, which retires every entry and timeout of the old:
+	// a subscription or wake event counts only while its gen equals this.
 	gen uint64
 	// wakeStamp marks the step in which the entry was last queued to wake,
 	// deduplicating sensitivity hits and timeouts without a per-step map.
 	wakeStamp uint64
-	// subscribedTo lists the signals currently holding a subscription to
-	// this entry, so one-shot wakes can unsubscribe in O(own signals).
-	subscribedTo []*Signal
 }
 
 // event is a scheduled state change or wakeup. Events live inline in their
@@ -265,8 +263,6 @@ func (e *Engine) SetError(err error) {
 	e.err = e.Capture(Classify(err), err, nil, nil)
 }
 
-func (e *Engine) fail(err error) { e.SetError(err) }
-
 // RunningProc names the process currently being initialized or woken, ""
 // when the engine is between process executions.
 func (e *Engine) RunningProc() string {
@@ -419,24 +415,48 @@ func (e *Engine) AddProcess(p Process, oneShot bool) ProcID {
 
 func (e *Engine) entryAt(id ProcID, op string) *procEntry {
 	if id < 0 || int(id) >= len(e.procs) {
-		e.fail(fmt.Errorf("engine: %s with invalid ProcID %d", op, id))
+		e.SetError(fmt.Errorf("engine: %s with invalid ProcID %d", op, id))
 		return nil
 	}
 	return &e.procs[id]
 }
 
-// Subscribe arms the process's sensitivity on the given signals. For
-// one-shot processes the subscription is consumed by the next wake.
+// Subscribe replaces the process's sensitivity: it starts a new generation,
+// which retires whatever the process had armed before (entries and
+// timeout alike), and arms the process on the given signals. For one-shot
+// processes the subscription is consumed by the next wake.
 func (e *Engine) Subscribe(id ProcID, refs []SigRef) {
 	pe := e.entryAt(id, "Subscribe")
 	if pe == nil {
 		return
 	}
 	pe.gen++
+	sub := subscription{proc: id, gen: pe.gen}
 	for _, r := range refs {
-		r.Sig.subscribers = append(r.Sig.subscribers, id)
-		pe.subscribedTo = append(pe.subscribedTo, r.Sig)
+		s := r.Sig
+		if len(s.subscribers) == cap(s.subscribers) {
+			s.subscribers = e.sweep(s.subscribers)
+		}
+		s.subscribers = append(s.subscribers, sub)
 	}
+}
+
+// sweep makes room in a full subscriber list: it drops the stale entries
+// and grows the list only if that freed less than half of it. Step never
+// walks a signal that never changes (a reset), so this is what bounds its
+// list, at 2n+1 entries for n processes armed on it; the half-free rule
+// keeps sweeping amortized O(1) per entry armed.
+func (e *Engine) sweep(subs []subscription) []subscription {
+	live := subs[:0]
+	for _, sub := range subs {
+		if sub.gen == e.procs[sub.proc].gen {
+			live = append(live, sub)
+		}
+	}
+	if 2*len(live) >= cap(live) {
+		live = append(make([]subscription, 0, 2*len(live)+1), live...)
+	}
+	return live
 }
 
 // ScheduleWake schedules a timeout wake for the process after the delay.
@@ -448,10 +468,11 @@ func (e *Engine) ScheduleWake(id ProcID, delay ir.Time) {
 	e.schedule(e.Now.Add(delay), event{isWake: true, proc: id, gen: pe.gen})
 }
 
-// Halt permanently retires the process.
+// Halt permanently retires the process: a new generation with nothing
+// armed under it, so the process is never handed to Wake again.
 func (e *Engine) Halt(id ProcID) {
 	if pe := e.entryAt(id, "Halt"); pe != nil {
-		pe.halted = true
+		pe.gen++
 	}
 }
 
@@ -465,24 +486,6 @@ func (e *Engine) Drive(r SigRef, v val.Value, delay ir.Time) {
 	}
 	s := e.slotFor(t)
 	s.events = append(s.events, event{ref: r, value: v})
-	e.pending++
-}
-
-// DriveInt schedules a two-state scalar drive without routing a full
-// val.Value through the call chain. It is Drive specialized to the
-// compiled simulator's hot shape: the event's value is written field by
-// field into its bucket slot.
-func (e *Engine) DriveInt(r SigRef, width int, bits uint64, delay ir.Time) {
-	t := e.Now.Add(delay)
-	if delay.IsZero() {
-		t = e.Now.Add(ir.Time{Delta: 1})
-	}
-	s := e.slotFor(t)
-	s.events = append(s.events, event{ref: r})
-	ev := &s.events[len(s.events)-1]
-	ev.value.Kind = val.KindInt
-	ev.value.Width = int32(width)
-	ev.value.Bits = bits
 	e.pending++
 }
 
@@ -600,14 +603,14 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if e.StepLimit > 0 && e.DeltaCount >= e.StepLimit {
-		e.fail(e.Capture(ErrStepLimit,
+		e.SetError(e.Capture(ErrStepLimit,
 			fmt.Errorf("engine: step limit of %d instants exceeded at %v (livelock?)", e.StepLimit, e.Now),
 			nil, nil))
 		return false
 	}
 	if e.FaultHook != nil {
 		if err := e.FaultHook(faultinject.PointStep); err != nil {
-			e.fail(err)
+			e.SetError(err)
 			return false
 		}
 	}
@@ -652,7 +655,7 @@ func (e *Engine) Step() bool {
 		}
 		newWhole, err := inject(ev.ref.Sig.value, ev.value, ev.ref.Path)
 		if err != nil {
-			e.fail(e.Capture(ErrInternal, fmt.Errorf("drive %s: %w", ev.ref.Sig.Name, err), nil, nil))
+			e.SetError(e.Capture(ErrInternal, fmt.Errorf("drive %s: %w", ev.ref.Sig.Name, err), nil, nil))
 			e.pending -= len(slot.events) - i - 1 // discarded with the slot
 			e.changedScratch = changed
 			e.releaseSlot(slot)
@@ -689,15 +692,24 @@ func (e *Engine) Step() bool {
 		e.notifyObservers(now, changed)
 	}
 
+	// Queue the live subscribers of every changed signal, dropping the
+	// stale entries on the way; live ones keep their relative order.
 	toWake := e.wakeScratch[:0]
 	for _, sig := range changed {
-		for _, id := range sig.subscribers {
-			pe := &e.procs[id]
-			if !pe.halted && pe.wakeStamp != e.stamp {
+		subs, n := sig.subscribers, 0
+		for _, sub := range subs {
+			pe := &e.procs[sub.proc]
+			if sub.gen != pe.gen {
+				continue // consumed, superseded, or halted since it was armed
+			}
+			subs[n] = sub
+			n++
+			if pe.wakeStamp != e.stamp {
 				pe.wakeStamp = e.stamp
-				toWake = append(toWake, id)
+				toWake = append(toWake, sub.proc)
 			}
 		}
+		sig.subscribers = subs[:n]
 	}
 	for i := range slot.events {
 		ev := &slot.events[i]
@@ -705,8 +717,8 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		pe := &e.procs[ev.proc]
-		if pe.halted || ev.gen != pe.gen || pe.wakeStamp == e.stamp {
-			continue // stale timeout: the process re-armed since
+		if ev.gen != pe.gen || pe.wakeStamp == e.stamp {
+			continue // stale timeout: the process re-armed or halted since
 		}
 		pe.wakeStamp = e.stamp
 		toWake = append(toWake, ev.proc)
@@ -717,13 +729,11 @@ func (e *Engine) Step() bool {
 	for _, id := range toWake {
 		pe := &e.procs[id]
 		if pe.oneShot {
-			// Consume the subscription: drop this entry from all signals.
-			pe.gen++
-			e.unsubscribe(pe, id)
+			pe.gen++ // consume the subscription and the pending timeout
 		}
 		if e.FaultHook != nil {
 			if err := e.FaultHook(faultinject.PointWake); err != nil {
-				e.fail(err)
+				e.SetError(err)
 				return false
 			}
 		}
@@ -737,19 +747,6 @@ func (e *Engine) Step() bool {
 	return len(e.heap) > 0
 }
 
-func (e *Engine) unsubscribe(pe *procEntry, id ProcID) {
-	for _, s := range pe.subscribedTo {
-		out := s.subscribers[:0]
-		for _, sub := range s.subscribers {
-			if sub != id {
-				out = append(out, sub)
-			}
-		}
-		s.subscribers = out
-	}
-	pe.subscribedTo = pe.subscribedTo[:0]
-}
-
 // Init runs every registered process once, in registration order, at time
 // zero. Call it exactly once before Run or Step.
 func (e *Engine) Init() {
@@ -759,7 +756,7 @@ func (e *Engine) Init() {
 		}
 		if e.FaultHook != nil {
 			if err := e.FaultHook(faultinject.PointInit); err != nil {
-				e.fail(err)
+				e.SetError(err)
 				return
 			}
 		}

@@ -1,7 +1,16 @@
 // Package engine implements the discrete-event simulation kernel shared by
-// the LLHD reference interpreter (internal/sim) and the compiled simulator
-// (internal/blaze): signals, the (time, delta, epsilon) event queue, process
-// scheduling, design elaboration, and streaming change observation.
+// the LLHD reference interpreter (internal/sim), the compiled simulator
+// (internal/blaze) and the SystemVerilog interpreter (internal/svsim):
+// signals, the (time, delta, epsilon) event queue, process scheduling,
+// design elaboration, and streaming change observation.
+//
+// A process reaches a signal through Probe and Drive only, and arms
+// itself through Subscribe and ScheduleWake. One rule retires everything a
+// process armed: each process carries a generation, sensitivity entries
+// and timeouts record the generation they were armed under, and they count
+// only while it is still the process's current one. Subscribe replaces the
+// process's sensitivity (it starts a new generation), a one-shot wake and
+// Halt start a new generation and arm nothing.
 package engine
 
 import (
@@ -19,10 +28,20 @@ type Signal struct {
 	Type  *ir.Type
 	value val.Value
 
-	subscribers []ProcID // processes woken when the value changes
+	// subscribers are the processes woken when the value changes, in
+	// arming order. Stale entries (see subscription) stay in the list until
+	// Step walks it or Subscribe finds it full.
+	subscribers []subscription
 	// changeStamp marks the step in which the signal last changed,
 	// deduplicating multi-drive instants without a per-step map.
 	changeStamp uint64
+}
+
+// subscription is one sensitivity entry: live only while gen is still the
+// generation of procs[proc], exactly like a pending timeout event.
+type subscription struct {
+	proc ProcID
+	gen  uint64
 }
 
 // Value returns the signal's current value.
@@ -110,17 +129,6 @@ func inject(whole, part val.Value, path []Proj) (val.Value, error) {
 	return val.Value{}, fmt.Errorf("engine: bad projection")
 }
 
-// ProbeScalar reads a whole-signal two-state integer without copying a
-// full val.Value out: the compiled simulator's hot probe shape. It
-// reports ok=false when the reference is projected or the signal holds
-// a non-integer value, in which case the caller falls back to Probe.
-func (e *Engine) ProbeScalar(r SigRef) (width int, bits uint64, ok bool) {
-	if len(r.Path) != 0 || r.Sig.value.Kind != val.KindInt {
-		return 0, 0, false
-	}
-	return int(r.Sig.value.Width), r.Sig.value.Bits, true
-}
-
 // Probe reads the current value of the referenced signal part.
 func (e *Engine) Probe(r SigRef) val.Value {
 	if len(r.Path) == 0 {
@@ -130,7 +138,7 @@ func (e *Engine) Probe(r SigRef) val.Value {
 	}
 	v, err := project(r.Sig.value, r.Path)
 	if err != nil {
-		e.fail(fmt.Errorf("probe %s: %w", r.Sig.Name, err))
+		e.SetError(fmt.Errorf("probe %s: %w", r.Sig.Name, err))
 		return val.Default(ir.IntType(1))
 	}
 	return v

@@ -64,16 +64,6 @@ type Failure struct {
 
 func (f *Failure) Error() string { return f.Reason }
 
-// class returns the failure class, falling back to the legacy
-// reason-string bucketing for Failure values built without one (e.g.
-// hand-constructed in tests).
-func (f *Failure) class() string {
-	if f.Class != "" {
-		return f.Class
-	}
-	return failureClass(f.Reason)
-}
-
 // classifyLegErr maps a farm-leg error to its failure class through the
 // structured error taxonomy — errors.Is on the RuntimeError kinds
 // instead of string matching.
@@ -103,28 +93,29 @@ func classifyLegErr(err error) string {
 func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failure {
 	m1, err := mk()
 	if err != nil {
-		return &Failure{Reason: fmt.Sprintf("building the design failed: %v", err)}
+		return &Failure{Reason: fmt.Sprintf("building the design failed: %v", err), Class: "error"}
 	}
 	text := assembly.String(m1)
-	fail := func(format string, args ...any) *Failure {
-		reason := fmt.Sprintf(format, args...)
-		return &Failure{Reason: reason, Text: text, Class: failureClass(reason)}
+	// fail names the violated clause by its slug: the class is what the
+	// call site knows, never something read back out of the rendered reason.
+	fail := func(class, format string, args ...any) *Failure {
+		return &Failure{Reason: fmt.Sprintf(format, args...), Text: text, Class: class}
 	}
 	if err := ir.Verify(m1, ir.Behavioural); err != nil {
-		return fail("unlowered design fails ir.Verify: %v", err)
+		return fail("verify", "unlowered design fails ir.Verify: %v", err)
 	}
 	m2, err := mk()
 	if err != nil {
-		return fail("rebuilding the design failed: %v", err)
+		return fail("error", "rebuilding the design failed: %v", err)
 	}
 	if assembly.String(m2) != text {
-		return fail("mk is not deterministic: two builds printed differently")
+		return fail("error", "mk is not deterministic: two builds printed differently")
 	}
 	if err := opt.lower()(m2); err != nil {
-		return fail("lowering failed: %v", err)
+		return fail("lower-error", "lowering failed: %v", err)
 	}
 	if err := ir.Verify(m2, ir.Behavioural); err != nil {
-		return fail("lowered design fails ir.Verify: %v", err)
+		return fail("verify", "lowered design fails ir.Verify: %v", err)
 	}
 
 	topName := top
@@ -159,24 +150,20 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 	results := farm.Run(nil, jobs...)
 	for _, r := range results {
 		if r.Err != nil {
-			f := fail("%s: %s", r.Name, deterministicErr(r.Err))
-			f.Class = classifyLegErr(r.Err)
-			return f
+			return fail(classifyLegErr(r.Err), "%s: %s", r.Name, deterministicErr(r.Err))
 		}
 		if r.Stats.AssertionFailures != 0 {
-			f := fail("%s: %d assertion failures", r.Name, r.Stats.AssertionFailures)
-			f.Class = "assert"
-			return f
+			return fail("assert", "%s: %d assertion failures", r.Name, r.Stats.AssertionFailures)
 		}
 	}
 
 	// Clause 3: engine equivalence within each lowering level — interp vs
 	// blaze, delta-exactly.
 	if f := diffTraces(legs[0].name, obs[0], legs[1].name, obs[1]); f != "" {
-		return fail("%s", f)
+		return fail("trace-divergence", "%s", f)
 	}
 	if f := diffTraces(legs[2].name, obs[2], legs[3].name, obs[3]); f != "" {
-		return fail("%s", f)
+		return fail("trace-divergence", "%s", f)
 	}
 	// Clause 4: lowering equivalence on settled top-level waveforms.
 	// Targets of reg instructions are excluded here (not in clause 3):
@@ -192,7 +179,7 @@ func CheckModule(mk func() (*ir.Module, error), top string, opt Options) *Failur
 	}
 	if f := diffSettled(topName, topSigInits(m1, topName), topSigInits(m2, topName),
 		skip, obs[0], obs[2]); f != "" {
-		return fail("unlowered vs lowered: %s", f)
+		return fail("settled-divergence", "unlowered vs lowered: %s", f)
 	}
 	return nil
 }

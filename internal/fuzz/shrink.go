@@ -27,7 +27,7 @@ func Shrink(name, text string, opt Options) (string, *Failure) {
 	if orig == nil {
 		return text, nil
 	}
-	class := orig.class()
+	class := orig.Class
 	cur := canonical(name, text)
 	if cur == "" {
 		return text, orig
@@ -475,7 +475,7 @@ func acceptText(name string, cur *string, cand, class string, opt Options) bool 
 		return false
 	}
 	f := CheckText(name, cand, opt)
-	if f == nil || f.class() != class {
+	if f == nil || f.Class != class {
 		return false
 	}
 	*cur = assembly.String(m)
@@ -490,31 +490,6 @@ func canonical(name, text string) string {
 		return ""
 	}
 	return assembly.String(m)
-}
-
-// failureClass buckets a failure reason string so the shrinker never
-// trades one kind of bug for another (e.g. a trace divergence for a
-// livelock). It is the oracle-clause bucketing and the legacy fallback:
-// runtime failures are classified structurally through the error
-// taxonomy (Failure.Class via engine.KindName), not by this string
-// match.
-func failureClass(reason string) string {
-	switch {
-	case strings.Contains(reason, "traces diverge"), strings.Contains(reason, "trace lengths differ"):
-		return "trace-divergence"
-	case strings.Contains(reason, "settled"):
-		return "settled-divergence"
-	case strings.Contains(reason, "panic"):
-		return "panic"
-	case strings.Contains(reason, "assertion failures"):
-		return "assert"
-	case strings.Contains(reason, "ir.Verify"):
-		return "verify"
-	case strings.Contains(reason, "lowering failed"):
-		return "lower-error"
-	default:
-		return "error"
-	}
 }
 
 // NumInstsOf reports the instruction count of assembly text, for

@@ -52,8 +52,8 @@ func TestShrinkerReducesReintroducedMiscompile(t *testing.T) {
 	if rf == nil {
 		t.Fatal("shrunk repro no longer fails the oracle")
 	}
-	if failureClass(rf.Reason) != failureClass(fail.Reason) {
-		t.Fatalf("shrinking changed the failure class: %q -> %q", fail.Reason, rf.Reason)
+	if rf.Class != fail.Class {
+		t.Fatalf("shrinking changed the failure class: %s (%q) -> %s (%q)", fail.Class, fail.Reason, rf.Class, rf.Reason)
 	}
 	m, err := llhd.ParseAssembly("repro", reduced)
 	if err != nil {
@@ -70,6 +70,19 @@ func TestShrinkerReducesReintroducedMiscompile(t *testing.T) {
 		t.Errorf("shrinker made no progress: %d -> %d instructions", before, after)
 	}
 	t.Logf("seed %d: shrunk %d -> %d instructions", seed, before, after)
+}
+
+// TestFailureClassIsTheClauseNotTheText pins that a finding's class names
+// the oracle clause that failed, whatever words the rendered reason
+// happens to contain: the shrinker's same-class rule compares it.
+func TestFailureClassIsTheClauseNotTheText(t *testing.T) {
+	opt := Options{Lower: func(*llhd.Module) error {
+		return fmt.Errorf("pass hit a panic: traces diverge, nothing settled")
+	}}
+	f := CheckGenerated(1, 20, opt)
+	if f == nil || f.Class != "lower-error" {
+		t.Fatalf("a failing lowering classed %+v, want class lower-error", f)
+	}
 }
 
 // TestShrinkDeterministic: shrinking the same failure twice yields

@@ -81,7 +81,6 @@ type proc struct {
 	name   string
 	act    activation
 	entity bool
-	halted bool
 }
 
 func newProc(s *Simulator, inst *engine.Instance) *proc {
@@ -132,9 +131,6 @@ func (p *proc) Init(e *engine.Engine) {
 }
 
 func (p *proc) Wake(e *engine.Engine) {
-	if p.halted {
-		return
-	}
 	if p.entity {
 		// Invalidate the previous wake's runtime values; the constant
 		// prefix stays valid across the stamp bump.
@@ -148,6 +144,5 @@ func (p *proc) Wake(e *engine.Engine) {
 	}
 	if st == finished && !p.entity {
 		e.Halt(p.ProcID())
-		p.halted = true
 	}
 }

@@ -1,6 +1,8 @@
 package svsim
 
 import (
+	"fmt"
+
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/val"
@@ -55,7 +57,7 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 			}
 			return cval{bits: n, width: 1}, nil
 		}
-		return cval{}, p.errf("unsupported unary %q", x.Op)
+		return cval{}, fmt.Errorf("unsupported unary %q", x.Op)
 
 	case *moore.Binary:
 		return p.binary(x)
@@ -79,7 +81,7 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 				}
 				i := int(idx.bits)
 				if i < 0 || i >= len(arr.elems) {
-					return cval{}, p.errf("array index %d out of range on %q", i, id.Name)
+					return cval{}, fmt.Errorf("array index %d out of range on %q", i, id.Name)
 				}
 				return cval{bits: arr.elems[i], width: arr.width}, nil
 			}
@@ -104,11 +106,11 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 			// top read as zero (Go shifts by >= 64 yield 0).
 			wamt, err := p.sc.constEval(x.Lsb)
 			if err != nil {
-				return cval{}, p.errf("indexed part select width must be constant: %v", err)
+				return cval{}, fmt.Errorf("indexed part select width must be constant: %v", err)
 			}
 			w := int(wamt)
 			if w <= 0 || w > base.width {
-				return cval{}, p.errf("indexed part select width %d out of range", w)
+				return cval{}, fmt.Errorf("indexed part select width %d out of range", w)
 			}
 			idx, err := p.eval(x.Msb)
 			if err != nil {
@@ -171,11 +173,11 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 	case *moore.IncDec:
 		id, ok := x.X.(*moore.Ident)
 		if !ok {
-			return cval{}, p.errf("++/-- target must be a variable")
+			return cval{}, fmt.Errorf("++/-- target must be a variable")
 		}
 		lv, ok := p.locals[id.Name]
 		if !ok {
-			return cval{}, p.errf("++/-- target %q must be local", id.Name)
+			return cval{}, fmt.Errorf("++/-- target %q must be local", id.Name)
 		}
 		old := lv.Bits
 		var next uint64
@@ -190,7 +192,7 @@ func (p *astProc) eval(e moore.Expr) (cval, error) {
 		}
 		return cval{bits: mask(next, int(lv.Width)), width: int(lv.Width)}, nil
 	}
-	return cval{}, p.errf("unsupported expression %T", e)
+	return cval{}, fmt.Errorf("unsupported expression %T", e)
 }
 
 func b2b(b bool) uint64 {
@@ -252,7 +254,7 @@ func (p *astProc) binary(x *moore.Binary) (cval, error) {
 		return cval{bits: mask(av*bv, w), width: w, signed: signed}, nil
 	case "/":
 		if bv == 0 {
-			return cval{}, p.errf("division by zero")
+			return cval{}, fmt.Errorf("division by zero")
 		}
 		if signed {
 			return cval{bits: mask(uint64(sa/sb), w), width: w, signed: true}, nil
@@ -260,7 +262,7 @@ func (p *astProc) binary(x *moore.Binary) (cval, error) {
 		return cval{bits: av / bv, width: w}, nil
 	case "%":
 		if bv == 0 {
-			return cval{}, p.errf("modulo by zero")
+			return cval{}, fmt.Errorf("modulo by zero")
 		}
 		if signed {
 			return cval{bits: mask(uint64(sa%sb), w), width: w, signed: true}, nil
@@ -313,7 +315,7 @@ func (p *astProc) binary(x *moore.Binary) (cval, error) {
 		}
 		return cval{bits: b2b(av >= bv), width: 1}, nil
 	}
-	return cval{}, p.errf("unsupported binary %q", x.Op)
+	return cval{}, fmt.Errorf("unsupported binary %q", x.Op)
 }
 
 // callExpr dispatches system functions and user function calls.
@@ -344,7 +346,7 @@ func (p *astProc) callExpr(x *moore.CallExpr) (cval, error) {
 
 	fn, ok := p.sc.funcs[x.Name]
 	if !ok {
-		return cval{}, p.errf("unknown function %q", x.Name)
+		return cval{}, fmt.Errorf("unknown function %q", x.Name)
 	}
 	// Fresh frame: save the caller's locals.
 	saved := p.locals
@@ -353,7 +355,7 @@ func (p *astProc) callExpr(x *moore.CallExpr) (cval, error) {
 
 	for i, arg := range fn.Args {
 		if i >= len(x.Args) {
-			return cval{}, p.errf("%s called with too few arguments", x.Name)
+			return cval{}, fmt.Errorf("%s called with too few arguments", x.Name)
 		}
 		v, err := p.evalIn(saved, x.Args[i])
 		if err != nil {
@@ -392,7 +394,7 @@ func (p *astProc) callExpr(x *moore.CallExpr) (cval, error) {
 			break
 		}
 		if c != ctrlNone {
-			return cval{}, p.errf("illegal control flow inside function %s", x.Name)
+			return cval{}, fmt.Errorf("illegal control flow inside function %s", x.Name)
 		}
 	}
 	rv := p.locals[fn.Name]

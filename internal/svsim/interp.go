@@ -18,10 +18,6 @@ type cval struct {
 	fill   bool
 }
 
-func (p *astProc) errf(format string, args ...any) error {
-	return fmt.Errorf("%s: %s", p.name, fmt.Sprintf(format, args...))
-}
-
 func mask(v uint64, w int) uint64 { return ir.MaskWidth(v, w) }
 
 func (c cval) adapt(w int) uint64 {
@@ -112,7 +108,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 				}
 			}
 		}
-		return ctrlNone, p.errf("for loop exceeded iteration budget")
+		return ctrlNone, fmt.Errorf("for loop exceeded iteration budget")
 
 	case *moore.WhileStmt:
 		first := st.DoWhile
@@ -140,7 +136,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 				}
 			}
 		}
-		return ctrlNone, p.errf("while loop exceeded iteration budget")
+		return ctrlNone, fmt.Errorf("while loop exceeded iteration budget")
 
 	case *moore.RepeatStmt:
 		n, err := p.eval(st.Count)
@@ -160,7 +156,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 			return ctrlNone, err
 		}
 		if !d.isTime {
-			return ctrlNone, p.errf("delay is not a time")
+			return ctrlNone, fmt.Errorf("delay is not a time")
 		}
 		t := d.t
 		if !p.suspend(yieldMsg{timeout: &t}) {
@@ -210,61 +206,21 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 			"$readmemh", "$dumpfile", "$dumpvars", "$monitor":
 			return ctrlNone, nil
 		}
-		return ctrlNone, p.errf("unsupported system task %s", st.Name)
+		return ctrlNone, fmt.Errorf("unsupported system task %s", st.Name)
 	}
-	return ctrlNone, p.errf("unsupported statement %T", s)
+	return ctrlNone, fmt.Errorf("unsupported statement %T", s)
 }
 
 func (p *astProc) waitEvents(events []moore.Event) (ctrl, error) {
-	type edge struct {
-		net  string
-		mode string
-		prev uint64
+	l, err := p.sc.resolveEvents("event", events)
+	if err != nil {
+		return ctrlNone, err
 	}
-	var edges []edge
-	var refs []engineRefs
-	_ = refs
-	var sigs []string
-	for _, ev := range events {
-		id, ok := ev.Sig.(*moore.Ident)
-		if !ok {
-			return ctrlNone, p.errf("event expression must name a net")
-		}
-		edges = append(edges, edge{net: id.Name, mode: ev.Edge})
-		sigs = append(sigs, id.Name)
+	if !p.await(l) {
+		return ctrlStop, nil
 	}
-	for {
-		for i := range edges {
-			edges[i].prev = p.e.Probe(p.sc.sigs[edges[i].net]).Bits
-		}
-		y := yieldMsg{}
-		for _, n := range sigs {
-			y.refs = append(y.refs, p.sc.sigs[n])
-		}
-		if !p.suspend(y) {
-			return ctrlStop, nil
-		}
-		for i := range edges {
-			now := p.e.Probe(p.sc.sigs[edges[i].net]).Bits
-			switch edges[i].mode {
-			case "posedge":
-				if edges[i].prev == 0 && now != 0 {
-					return ctrlNone, nil
-				}
-			case "negedge":
-				if edges[i].prev != 0 && now == 0 {
-					return ctrlNone, nil
-				}
-			default:
-				if edges[i].prev != now {
-					return ctrlNone, nil
-				}
-			}
-		}
-	}
+	return ctrlNone, nil
 }
-
-type engineRefs = struct{}
 
 func (p *astProc) declLocals(d *moore.NetDecl) error {
 	w, err := p.sc.typeWidth(d.Type)
@@ -302,7 +258,7 @@ func (p *astProc) readName(name string) (cval, error) {
 		v := p.e.Probe(ref)
 		return cval{bits: v.Bits, width: p.sc.widths[name], signed: p.sc.signed[name]}, nil
 	}
-	return cval{}, p.errf("unknown identifier %q", name)
+	return cval{}, fmt.Errorf("unknown identifier %q", name)
 }
 
 func (p *astProc) assign(st *moore.AssignStmt) error {
@@ -327,7 +283,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 		}
 		w, ok := p.sc.widths[t.Name]
 		if !ok {
-			return p.errf("assignment to unknown name %q", t.Name)
+			return fmt.Errorf("assignment to unknown name %q", t.Name)
 		}
 		v := val.Int(w, rhs.adapt(w))
 		if st.Blocking {
@@ -340,7 +296,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 	case *moore.Index:
 		id, ok := t.X.(*moore.Ident)
 		if !ok {
-			return p.errf("unsupported assignment target")
+			return fmt.Errorf("unsupported assignment target")
 		}
 		idx, err := p.eval(t.Idx)
 		if err != nil {
@@ -349,7 +305,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 		if arr, isArr := p.sc.arrays[id.Name]; isArr {
 			i := int(idx.bits)
 			if i < 0 || i >= len(arr.elems) {
-				return p.errf("array index %d out of range on %q", i, id.Name)
+				return fmt.Errorf("array index %d out of range on %q", i, id.Name)
 			}
 			arr.elems[i] = rhs.adapt(arr.width)
 			return nil
@@ -366,13 +322,13 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 	case *moore.Slice:
 		id, ok := t.X.(*moore.Ident)
 		if !ok {
-			return p.errf("unsupported assignment target")
+			return fmt.Errorf("unsupported assignment target")
 		}
 		if t.Up {
 			// x[base +: w] = rhs: clear the field, or the value in.
 			wamt, err := p.sc.constEval(t.Lsb)
 			if err != nil {
-				return p.errf("indexed part select width must be constant: %v", err)
+				return fmt.Errorf("indexed part select width must be constant: %v", err)
 			}
 			w := int(wamt)
 			cur, err := p.readName(id.Name)
@@ -380,7 +336,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 				return err
 			}
 			if w <= 0 || w > cur.width {
-				return p.errf("indexed part select width %d out of range", w)
+				return fmt.Errorf("indexed part select width %d out of range", w)
 			}
 			idx, err := p.eval(t.Msb)
 			if err != nil {
@@ -420,7 +376,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 		for _, part := range t.Parts {
 			id, ok := part.(*moore.Ident)
 			if !ok {
-				return p.errf("concat target parts must be nets")
+				return fmt.Errorf("concat target parts must be nets")
 			}
 			w := p.sc.widths[id.Name]
 			if lv, isLocal := p.locals[id.Name]; isLocal {
@@ -444,7 +400,7 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 		}
 		return nil
 	}
-	return p.errf("unsupported assignment target %T", st.Target)
+	return fmt.Errorf("unsupported assignment target %T", st.Target)
 }
 
 func (p *astProc) writeWhole(name string, bits uint64, blocking bool, delay ir.Time) error {
@@ -454,7 +410,7 @@ func (p *astProc) writeWhole(name string, bits uint64, blocking bool, delay ir.T
 	}
 	w, ok := p.sc.widths[name]
 	if !ok {
-		return p.errf("assignment to unknown name %q", name)
+		return fmt.Errorf("assignment to unknown name %q", name)
 	}
 	v := val.Int(w, mask(bits, w))
 	if blocking {

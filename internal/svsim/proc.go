@@ -19,6 +19,9 @@ type astProc struct {
 	name string
 	sc   *scope
 	blk  *moore.AlwaysBlock
+	// events is the block's own sensitivity list when it is edge-triggered
+	// (always_ff, always @(posedge ...)); nil for a combinational block.
+	events *eventList
 
 	wakeCh  chan struct{}
 	yieldCh chan yieldMsg
@@ -38,8 +41,12 @@ type yieldMsg struct {
 	timeout *ir.Time
 }
 
-func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock, _ any) *astProc {
-	return &astProc{
+// newAstProc builds the process of one always/initial block. Every name
+// the block mentions is resolved here (checkNames, resolveEvents), so a
+// misspelt net is a diagnostic of New and the running process never hands
+// the kernel the zero SigRef of a failed lookup.
+func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error) {
+	p := &astProc{
 		name:    name,
 		sc:      sc,
 		blk:     blk,
@@ -49,6 +56,14 @@ func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock, _ any) *astProc 
 		pending: map[string]val.Value{},
 		reads:   map[string]bool{},
 	}
+	err := sc.checkNames(map[string]bool{}, blk.Body)
+	if err == nil && edgeTriggered(blk) {
+		p.events, err = sc.resolveEvents("edge", blk.Events)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("svsim: %s: %w", name, err)
+	}
+	return p, nil
 }
 
 func (p *astProc) Name() string { return p.name }
@@ -128,13 +143,7 @@ func (p *astProc) main() {
 	case "always_comb", "always_latch":
 		p.combLoop()
 	case "always_ff", "always":
-		edge := false
-		for _, ev := range p.blk.Events {
-			if ev.Edge == "posedge" || ev.Edge == "negedge" {
-				edge = true
-			}
-		}
-		if edge {
+		if p.events != nil {
 			p.ffLoop()
 		} else {
 			p.combLoop()
@@ -184,53 +193,87 @@ func (p *astProc) combLoop() {
 	}
 }
 
-// ffLoop waits for the configured edges, then runs the body.
-func (p *astProc) ffLoop() {
-	type edge struct {
-		net  string
-		mode string
-		prev uint64
+// edgeTriggered reports whether the block waits for its own event list
+// (always_ff, always @(posedge ...)) rather than for the nets it reads.
+func edgeTriggered(blk *moore.AlwaysBlock) bool {
+	if blk.Kind != "always_ff" && blk.Kind != "always" {
+		return false
 	}
-	var edges []edge
-	var refs []engine.SigRef
-	for _, ev := range p.blk.Events {
+	for _, ev := range blk.Events {
+		if ev.Edge == "posedge" || ev.Edge == "negedge" {
+			return true
+		}
+	}
+	return false
+}
+
+// edge is one resolved event: the net, which transition of it counts, and
+// its level when the wait began.
+type edge struct {
+	ref  engine.SigRef
+	mode string // "posedge", "negedge", or any change
+	prev uint64
+}
+
+// eventList is a resolved sensitivity list; refs are the nets of edges in
+// the form the kernel subscribes to.
+type eventList struct {
+	edges []edge
+	refs  []engine.SigRef
+}
+
+// resolveEvents maps an event list to the nets it names; kind words the
+// diagnostic ("edge" for a block's own list, "event" for a wait inside it).
+func (sc *scope) resolveEvents(kind string, events []moore.Event) (*eventList, error) {
+	l := &eventList{}
+	for _, ev := range events {
 		id, ok := ev.Sig.(*moore.Ident)
 		if !ok {
-			p.e.SetError(fmt.Errorf("svsim: %s: edge event must name a net", p.name))
-			p.yieldCh <- yieldMsg{halt: true}
-			return
+			return nil, fmt.Errorf("%s expression must name a net", kind)
 		}
-		edges = append(edges, edge{net: id.Name, mode: ev.Edge})
-		refs = append(refs, p.sc.sigs[id.Name])
+		ref, ok := sc.sigs[id.Name]
+		if !ok {
+			return nil, fmt.Errorf("%s net %q not visible to process", kind, id.Name)
+		}
+		l.edges = append(l.edges, edge{ref: ref, mode: ev.Edge})
+		l.refs = append(l.refs, ref)
 	}
+	return l, nil
+}
+
+// await suspends until one of the list's edges fires. It reports false
+// when the simulator shut down.
+func (p *astProc) await(l *eventList) bool {
 	for {
-		for i := range edges {
-			edges[i].prev = p.e.Probe(p.sc.sigs[edges[i].net]).Bits
+		for i := range l.edges {
+			l.edges[i].prev = p.e.Probe(l.edges[i].ref).Bits
 		}
-		if !p.suspend(yieldMsg{refs: refs}) {
-			return
+		if !p.suspend(yieldMsg{refs: l.refs}) {
+			return false
 		}
-		fired := false
-		for i := range edges {
-			now := p.e.Probe(p.sc.sigs[edges[i].net]).Bits
-			switch edges[i].mode {
+		for _, ed := range l.edges {
+			now := p.e.Probe(ed.ref).Bits
+			switch ed.mode {
 			case "posedge":
-				if edges[i].prev == 0 && now != 0 {
-					fired = true
+				if ed.prev == 0 && now != 0 {
+					return true
 				}
 			case "negedge":
-				if edges[i].prev != 0 && now == 0 {
-					fired = true
+				if ed.prev != 0 && now == 0 {
+					return true
 				}
 			default:
-				if edges[i].prev != now {
-					fired = true
+				if ed.prev != now {
+					return true
 				}
 			}
 		}
-		if !fired {
-			continue
-		}
+	}
+}
+
+// ffLoop waits for the configured edges, then runs the body.
+func (p *astProc) ffLoop() {
+	for p.await(p.events) {
 		clear(p.pending)
 		c, err := p.exec(p.blk.Body)
 		if err != nil || c == ctrlFinish {

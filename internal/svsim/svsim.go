@@ -216,6 +216,20 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 		}
 	}
 
+	// Functions see the instance's nets, so their names resolve only now.
+	for _, item := range m.Items {
+		if fn, ok := item.(*moore.FuncDecl); ok {
+			locals := map[string]bool{fn.Name: true}
+			for _, arg := range fn.Args {
+				locals[arg.Name] = true
+			}
+			body := &moore.BlockStmt{Decls: fn.Locals, Stmts: fn.Body}
+			if err := sc.checkNames(locals, body); err != nil {
+				return fmt.Errorf("svsim: %s: function %s: %w", name, fn.Name, err)
+			}
+		}
+	}
+
 	// Child instances and processes.
 	nproc := 0
 	for _, item := range m.Items {
@@ -276,19 +290,29 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 
 		case *moore.AlwaysBlock:
 			nproc++
-			p := newAstProc(fmt.Sprintf("%s.p%d", name, nproc), sc, it, nil)
-			s.procs = append(s.procs, p)
-			s.Engine.AddProcess(p, true)
+			if err := s.addProcess(fmt.Sprintf("%s.p%d", name, nproc), sc, it); err != nil {
+				return err
+			}
 
 		case *moore.AssignItem:
 			nproc++
 			blk := &moore.AlwaysBlock{Kind: "always_comb",
 				Body: &moore.AssignStmt{Target: it.Target, Value: it.Value, Blocking: true}}
-			p := newAstProc(fmt.Sprintf("%s.p%d", name, nproc), sc, blk, nil)
-			s.procs = append(s.procs, p)
-			s.Engine.AddProcess(p, true)
+			if err := s.addProcess(fmt.Sprintf("%s.p%d", name, nproc), sc, blk); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+func (s *Simulator) addProcess(name string, sc *scope, blk *moore.AlwaysBlock) error {
+	p, err := newAstProc(name, sc, blk)
+	if err != nil {
+		return err
+	}
+	s.procs = append(s.procs, p)
+	s.Engine.AddProcess(p, true)
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package svsim_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"llhd/internal/designs"
+	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/sim"
@@ -75,5 +78,52 @@ func TestSVSimAgreesWithLLHDSim(t *testing.T) {
 				t.Errorf("end times differ: svsim %v vs llhd %v", sv.Engine.Now, li.Engine.Now)
 			}
 		})
+	}
+}
+
+// TestUndeclaredNamesAreInputErrors pins that a name which resolves to
+// nothing is reported by New, in one plain line, for every place a process
+// can mention one. Before, the edge and event shapes handed the kernel the
+// zero SigRef of a failed map lookup (a nil-pointer panic at time zero,
+// exit 3) and the identifier shape surfaced as an internal runtime error.
+func TestUndeclaredNamesAreInputErrors(t *testing.T) {
+	for _, tc := range []struct{ name, body, want string }{
+		{"always_ff edge", "always_ff @(posedge nosuch) q <= q + 1;",
+			`svsim: bad_tb.p1: edge net "nosuch" not visible to process`},
+		{"event wait in initial", "initial begin q <= 0; @(posedge nosuch); q <= 1; end",
+			`svsim: bad_tb.p1: event net "nosuch" not visible to process`},
+		{"identifier in always_comb", "always_comb q = q + nosuch;",
+			`svsim: bad_tb.p1: unknown identifier "nosuch"`},
+		{"identifier in function", "function logic [7:0] f(input logic [7:0] x); f = x + nosuch; endfunction",
+			`svsim: bad_tb: function f: unknown identifier "nosuch"`},
+		{"call of undeclared function", "always_comb q = nosuch(q);",
+			`svsim: bad_tb.p1: unknown function "nosuch"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := svsim.New("module bad_tb;\n  logic [7:0] q;\n  "+tc.body+"\nendmodule\n", "bad_tb")
+			if err == nil {
+				t.Fatal("New accepted the design")
+			}
+			var re *engine.RuntimeError
+			if errors.As(err, &re) {
+				t.Errorf("New returned a *RuntimeError (class %s), want a plain input error", engine.KindName(err))
+			}
+			if err.Error() != tc.want {
+				t.Errorf("New: %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRuntimeErrorNamesProcessOnce pins the wording of a failure inside a
+// running process: "svsim: <process>: <cause>", the process named once.
+func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
+	s, err := svsim.New("module bad_tb;\n  logic [7:0] q;\n  always_comb q = 8'd1 / (q - q);\nendmodule\n", "bad_tb")
+	if err != nil {
+		t.Fatalf("svsim.New: %v", err)
+	}
+	err = s.Run(ir.Time{})
+	if err == nil || !strings.HasPrefix(err.Error(), "svsim: bad_tb.p1: division by zero") {
+		t.Errorf("Run: %v, want svsim: bad_tb.p1: division by zero ...", err)
 	}
 }
