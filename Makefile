@@ -46,10 +46,20 @@ test-timeout:
 # pass application, so any divergence is bisected to the first divergent
 # pass (named in the repro header and on the report line). Failing designs
 # are shrunk into fuzz-failures/ (uploaded as a CI artifact) and fail the
-# target. The full acceptance run is -n 1000 for both legs.
+# target. The full acceptance run is -n 1000 for both legs. The last two
+# legs are Go-native fuzz targets on the two byte-level trust boundaries:
+# SystemVerilog source into the Moore parser (a file or an error, soon)
+# and bitcode read back from the disk cache (a module or an error, never a
+# panic, allocation in proportion to the input). A crasher is written
+# under the package's testdata/fuzz/ — commit it: it replays in every
+# plain `go test` from then on — and fails the target. The minimizer is
+# capped because its default (60 s per interesting input) would eat the
+# whole 10 s on the first multi-kilobyte seed.
 fuzz-smoke:
 	$(GO) run ./cmd/llhd-fuzz -seed 1 -n 300 -corpus fuzz-failures
 	$(GO) run ./cmd/llhd-fuzz -pipeline -seed 1 -n 150 -corpus fuzz-failures
+	$(GO) test -run xxx -fuzz FuzzMooreParse -fuzztime 10s -fuzzminimizetime 1s ./internal/moore
+	$(GO) test -run xxx -fuzz FuzzBitcodeDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/bitcode
 
 # conformance runs the RV32I conformance suite explicitly and verbosely:
 # every image under testdata/rv32i assembled, executed on the reference

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"llhd/internal/ir"
 	"llhd/internal/logic"
@@ -244,29 +245,38 @@ func (e *encoder) unit(w *bytes.Buffer, u *ir.Unit) error {
 	return nil
 }
 
-// Decode deserializes a module encoded by Encode.
-func Decode(data []byte) (*ir.Module, error) {
+// Decode deserializes a module encoded by Encode. The bytes may come from
+// anywhere (the design cache reads them back from disk): every count is
+// bounded by the bytes that remain, every index by the table it points
+// into, and whatever else a malformed input trips over surfaces as an
+// error here, never as a panic in the caller.
+func Decode(data []byte) (m *ir.Module, err error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, fmt.Errorf("bitcode: bad magic")
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = nil, fmt.Errorf("bitcode: malformed input: %v", r)
+		}
+	}()
 	d := &decoder{buf: bytes.NewBuffer(data[len(magic):])}
 
-	nstr, err := d.uvarint()
+	nstr, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nstr; i++ {
+	for i := 0; i < nstr; i++ {
 		s, err := d.str()
 		if err != nil {
 			return nil, err
 		}
 		d.strings = append(d.strings, s)
 	}
-	ntypes, err := d.uvarint()
+	ntypes, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < ntypes; i++ {
+	for i := 0; i < ntypes; i++ {
 		t, err := d.typeDef()
 		if err != nil {
 			return nil, err
@@ -277,12 +287,12 @@ func Decode(data []byte) (*ir.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := ir.NewModule(name)
-	nunits, err := d.uvarint()
+	m = ir.NewModule(name)
+	nunits, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nunits; i++ {
+	for i := 0; i < nunits; i++ {
 		u, err := d.unit()
 		if err != nil {
 			return nil, err
@@ -304,38 +314,82 @@ func (d *decoder) uvarint() (uint64, error) {
 	return binary.ReadUvarint(d.buf)
 }
 
-func (d *decoder) str() (string, error) {
+// count reads the length of something that follows in the stream. Every
+// element takes at least a byte, so a count beyond the bytes that remain
+// is malformed; rejecting it here keeps allocation proportional to the
+// input.
+func (d *decoder) count() (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.buf.Len()) {
+		return 0, fmt.Errorf("bitcode: count %d exceeds the %d bytes that remain", n, d.buf.Len())
+	}
+	return int(n), nil
+}
+
+// index reads a reference into a table of n entries.
+func (d *decoder) index(what string, n int) (int, error) {
+	i, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(n) {
+		return 0, fmt.Errorf("bitcode: %s index %d out of range", what, i)
+	}
+	return int(i), nil
+}
+
+// width reads a type width or length in [min, MaxInt32].
+func (d *decoder) width(what string, min uint64) (int, error) {
+	w, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if w < min || w > math.MaxInt32 {
+		return 0, fmt.Errorf("bitcode: invalid %s %d", what, w)
+	}
+	return int(w), nil
+}
+
+func (d *decoder) str() (string, error) {
+	n, err := d.count()
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := d.buf.Read(b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return string(d.buf.Next(n)), nil
 }
 
 func (d *decoder) strRef() (string, error) {
-	i, err := d.uvarint()
+	i, err := d.index("string", len(d.strings))
 	if err != nil {
 		return "", err
-	}
-	if int(i) >= len(d.strings) {
-		return "", fmt.Errorf("bitcode: string index %d out of range", i)
 	}
 	return d.strings[i], nil
 }
 
 func (d *decoder) typeRef() (*ir.Type, error) {
-	i, err := d.uvarint()
+	i, err := d.index("type", len(d.types))
 	if err != nil {
 		return nil, err
 	}
-	if int(i) >= len(d.types) {
-		return nil, fmt.Errorf("bitcode: type index %d out of range", i)
-	}
 	return d.types[i], nil
+}
+
+// typeRefs reads a counted list of type references.
+func (d *decoder) typeRefs() ([]*ir.Type, error) {
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	types := make([]*ir.Type, n)
+	for i := range types {
+		if types[i], err = d.typeRef(); err != nil {
+			return nil, err
+		}
+	}
+	return types, nil
 }
 
 func (d *decoder) typeDef() (*ir.Type, error) {
@@ -350,17 +404,17 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 	case ir.TimeKind:
 		return ir.TimeType(), nil
 	case ir.IntKind, ir.EnumKind, ir.LogicKind:
-		w, err := d.uvarint()
+		w, err := d.width("type width", 1)
 		if err != nil {
 			return nil, err
 		}
 		switch kind {
 		case ir.IntKind:
-			return ir.IntType(int(w)), nil
+			return ir.IntType(w), nil
 		case ir.EnumKind:
-			return ir.EnumType(int(w)), nil
+			return ir.EnumType(w), nil
 		default:
-			return ir.LogicType(int(w)), nil
+			return ir.LogicType(w), nil
 		}
 	case ir.PointerKind, ir.SignalKind:
 		elem, err := d.typeRef()
@@ -372,7 +426,7 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		}
 		return ir.SignalType(elem), nil
 	case ir.ArrayKind:
-		n, err := d.uvarint()
+		n, err := d.width("array length", 0)
 		if err != nil {
 			return nil, err
 		}
@@ -380,19 +434,11 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ir.ArrayType(int(n), elem), nil
+		return ir.ArrayType(n, elem), nil
 	case ir.StructKind:
-		n, err := d.uvarint()
+		fields, err := d.typeRefs()
 		if err != nil {
 			return nil, err
-		}
-		fields := make([]*ir.Type, n)
-		for i := range fields {
-			f, err := d.typeRef()
-			if err != nil {
-				return nil, err
-			}
-			fields[i] = f
 		}
 		return ir.StructType(fields...), nil
 	case ir.FuncKind:
@@ -400,21 +446,50 @@ func (d *decoder) typeDef() (*ir.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.uvarint()
+		params, err := d.typeRefs()
 		if err != nil {
 			return nil, err
-		}
-		params := make([]*ir.Type, n)
-		for i := range params {
-			f, err := d.typeRef()
-			if err != nil {
-				return nil, err
-			}
-			params[i] = f
 		}
 		return ir.FuncType(ret, params...), nil
 	}
 	return nil, fmt.Errorf("bitcode: unknown type kind %d", kind)
+}
+
+// instRefs are the operand references of one instruction, resolved once
+// every value and block of its unit exists.
+type instRefs struct {
+	in      *ir.Inst
+	args    []uint64
+	dests   []uint64
+	timeArg *uint64 // nil: none
+	delay   *uint64
+	trigs   []trigRefs
+}
+
+type trigRefs struct {
+	mode           ir.RegMode
+	value, trigger uint64
+	gate           *uint64 // nil: ungated
+}
+
+// args reads a counted list of named, typed unit arguments.
+func (d *decoder) args(add func(name string, ty *ir.Type) *ir.Arg, values []ir.Value) ([]ir.Value, error) {
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		an, err := d.strRef()
+		if err != nil {
+			return nil, err
+		}
+		at, err := d.typeRef()
+		if err != nil {
+			return nil, err
+		}
+		values = append(values, add(an, at))
+	}
+	return values, nil
 }
 
 func (d *decoder) unit() (*ir.Unit, error) {
@@ -428,269 +503,216 @@ func (d *decoder) unit() (*ir.Unit, error) {
 	}
 	u := &ir.Unit{Kind: ir.UnitKind(kindByte), Name: name, RetType: ir.VoidType()}
 
-	var values []ir.Value
-	nin, err := d.uvarint()
+	values, err := d.args(u.AddInput, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nin; i++ {
-		an, err := d.strRef()
-		if err != nil {
-			return nil, err
-		}
-		at, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		values = append(values, u.AddInput(an, at))
-	}
-	nout, err := d.uvarint()
-	if err != nil {
+	if values, err = d.args(u.AddOutput, values); err != nil {
 		return nil, err
-	}
-	for i := uint64(0); i < nout; i++ {
-		an, err := d.strRef()
-		if err != nil {
-			return nil, err
-		}
-		at, err := d.typeRef()
-		if err != nil {
-			return nil, err
-		}
-		values = append(values, u.AddOutput(an, at))
 	}
 	if u.RetType, err = d.typeRef(); err != nil {
 		return nil, err
 	}
 
-	nblocks, err := d.uvarint()
+	// First pass: read the blocks and their instruction payloads; a
+	// reference may name a value or block that comes later.
+	nblocks, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	type pendingRefs struct {
-		in      *ir.Inst
-		args    []uint64
-		dests   []uint64
-		timeArg *uint64
-		delay   *uint64
-		trigs   [][3]uint64 // value, trigger, gate (gate may be ^0)
-		modes   []ir.RegMode
-	}
-	var pending []pendingRefs
-	var blocks []*ir.Block
-	counts := make([]uint64, nblocks)
-	// First pass: blocks must exist before branches reference them, so
-	// read block headers and instruction payloads in one sweep, creating
-	// blocks lazily in order.
-	for bi := uint64(0); bi < nblocks; bi++ {
+	var pending []instRefs
+	for bi := 0; bi < nblocks; bi++ {
 		bn, err := d.strRef()
 		if err != nil {
 			return nil, err
 		}
 		b := u.AddBlock(bn)
-		blocks = append(blocks, b)
-		n, err := d.uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		counts[bi] = n
-		for ii := uint64(0); ii < n; ii++ {
-			in, refs, err := d.inst()
+		for ii := 0; ii < n; ii++ {
+			refs, err := d.inst()
 			if err != nil {
 				return nil, err
 			}
-			b.Append(in)
-			values = append(values, in)
-			refs.in = in
-			pending = append(pending, *refs)
+			b.Append(refs.in)
+			values = append(values, refs.in)
+			pending = append(pending, refs)
 		}
 	}
+
 	// Second pass: resolve value and block references.
+	value := func(r uint64) (ir.Value, error) {
+		if r >= uint64(len(values)) {
+			return nil, fmt.Errorf("bitcode: value ref %d out of range", r)
+		}
+		return values[r], nil
+	}
 	for _, p := range pending {
 		in := p.in
 		for _, r := range p.args {
-			if int(r) >= len(values) {
-				return nil, fmt.Errorf("bitcode: value ref %d out of range", r)
+			v, err := value(r)
+			if err != nil {
+				return nil, err
 			}
-			in.Args = append(in.Args, values[r])
+			in.Args = append(in.Args, v)
 		}
 		for _, r := range p.dests {
-			if int(r) >= len(blocks) {
+			if r >= uint64(len(u.Blocks)) {
 				return nil, fmt.Errorf("bitcode: block ref %d out of range", r)
 			}
-			in.Dests = append(in.Dests, blocks[r])
+			in.Dests = append(in.Dests, u.Blocks[r])
 		}
 		if p.timeArg != nil {
-			in.TimeArg = values[*p.timeArg]
+			if in.TimeArg, err = value(*p.timeArg); err != nil {
+				return nil, err
+			}
 		}
 		if p.delay != nil {
-			in.Delay = values[*p.delay]
+			if in.Delay, err = value(*p.delay); err != nil {
+				return nil, err
+			}
 		}
-		for i, tr := range p.trigs {
-			t := ir.RegTrigger{Mode: p.modes[i], Value: values[tr[0]], Trigger: values[tr[1]]}
-			if tr[2] != ^uint64(0) {
-				t.Gate = values[tr[2]]
+		for _, tr := range p.trigs {
+			t := ir.RegTrigger{Mode: tr.mode}
+			if t.Value, err = value(tr.value); err != nil {
+				return nil, err
+			}
+			if t.Trigger, err = value(tr.trigger); err != nil {
+				return nil, err
+			}
+			if tr.gate != nil {
+				if t.Gate, err = value(*tr.gate); err != nil {
+					return nil, err
+				}
 			}
 			in.Triggers = append(in.Triggers, t)
 		}
 	}
-	_ = counts
 	return u, nil
 }
 
+// refs reads a counted list of references, left unresolved.
+func (d *decoder) refs() ([]uint64, error) {
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		if out[i], err = d.uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// optRef reads a presence byte and, when it is set, a reference.
+func (d *decoder) optRef() (*uint64, error) {
+	has, err := d.buf.ReadByte()
+	if err != nil || has != 1 {
+		return nil, err
+	}
+	r, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
 // inst reads one instruction payload, deferring reference resolution.
-func (d *decoder) inst() (*ir.Inst, *struct {
-	in      *ir.Inst
-	args    []uint64
-	dests   []uint64
-	timeArg *uint64
-	delay   *uint64
-	trigs   [][3]uint64
-	modes   []ir.RegMode
-}, error) {
-	refs := &struct {
-		in      *ir.Inst
-		args    []uint64
-		dests   []uint64
-		timeArg *uint64
-		delay   *uint64
-		trigs   [][3]uint64
-		modes   []ir.RegMode
-	}{}
+func (d *decoder) inst() (refs instRefs, err error) {
 	opByte, err := d.buf.ReadByte()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	in := &ir.Inst{Op: ir.Opcode(opByte)}
+	refs.in = in
 	if in.Ty, err = d.typeRef(); err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	name, err := d.strRef()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	in.SetName(name)
 	if in.IVal, err = d.uvarint(); err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	fs, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	delta, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	eps, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	in.TVal = ir.Time{Fs: int64(fs), Delta: int(delta), Eps: int(eps)}
 	imm0, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	imm1, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	in.Imm0, in.Imm1 = int(int64(imm0)), int(int64(imm1))
 	if in.Callee, err = d.strRef(); err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	numIns, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	in.NumIns = int(numIns)
-	nlogic, err := d.uvarint()
+	nlogic, err := d.count()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
 	if nlogic > 0 {
 		in.LVal = make(logic.Vector, nlogic)
-		for i := uint64(0); i < nlogic; i++ {
-			lb, err := d.buf.ReadByte()
-			if err != nil {
-				return nil, nil, err
-			}
+		for i, lb := range d.buf.Next(nlogic) {
 			in.LVal[i] = logic.Value(lb)
 		}
 	}
 
-	nargs, err := d.uvarint()
+	if refs.args, err = d.refs(); err != nil {
+		return refs, err
+	}
+	if refs.dests, err = d.refs(); err != nil {
+		return refs, err
+	}
+	if refs.timeArg, err = d.optRef(); err != nil {
+		return refs, err
+	}
+	if refs.delay, err = d.optRef(); err != nil {
+		return refs, err
+	}
+	ntrig, err := d.count()
 	if err != nil {
-		return nil, nil, err
+		return refs, err
 	}
-	for i := uint64(0); i < nargs; i++ {
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		refs.args = append(refs.args, r)
-	}
-	ndests, err := d.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := uint64(0); i < ndests; i++ {
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		refs.dests = append(refs.dests, r)
-	}
-	hasTime, err := d.buf.ReadByte()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hasTime == 1 {
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		refs.timeArg = &r
-	}
-	hasDelay, err := d.buf.ReadByte()
-	if err != nil {
-		return nil, nil, err
-	}
-	if hasDelay == 1 {
-		r, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		refs.delay = &r
-	}
-	ntrig, err := d.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := uint64(0); i < ntrig; i++ {
+	for i := 0; i < ntrig; i++ {
 		modeByte, err := d.buf.ReadByte()
 		if err != nil {
-			return nil, nil, err
+			return refs, err
 		}
-		rv, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
+		tr := trigRefs{mode: ir.RegMode(modeByte)}
+		if tr.value, err = d.uvarint(); err != nil {
+			return refs, err
 		}
-		rt, err := d.uvarint()
-		if err != nil {
-			return nil, nil, err
+		if tr.trigger, err = d.uvarint(); err != nil {
+			return refs, err
 		}
-		gate := ^uint64(0)
-		hasGate, err := d.buf.ReadByte()
-		if err != nil {
-			return nil, nil, err
+		if tr.gate, err = d.optRef(); err != nil {
+			return refs, err
 		}
-		if hasGate == 1 {
-			if gate, err = d.uvarint(); err != nil {
-				return nil, nil, err
-			}
-		}
-		refs.modes = append(refs.modes, ir.RegMode(modeByte))
-		refs.trigs = append(refs.trigs, [3]uint64{rv, rt, gate})
+		refs.trigs = append(refs.trigs, tr)
 	}
-	return in, refs, nil
+	return refs, nil
 }

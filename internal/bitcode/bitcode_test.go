@@ -1,6 +1,9 @@
 package bitcode_test
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"llhd/internal/assembly"
@@ -91,4 +94,60 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := bitcode.Decode([]byte{'L', 'L', 'H', 'D', 1, 0xFF, 0xFF}); err == nil {
 		t.Error("truncated payload accepted")
 	}
+}
+
+// TestDecodeSurvivesByteFlips overwrites every offset of an encoded
+// Table 2 module (the rr_arbiter golden) with 0x40, 0x7f and 0xff in turn:
+// Decode returns a module or an error, never a panic (which, inside the
+// design cache's single-flight leader, would block every later request
+// for the design).
+func TestDecodeSurvivesByteFlips(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "rr_arbiter.bc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := make([]byte, len(data))
+	for off := range data {
+		for _, b := range []byte{0x40, 0x7f, 0xff} {
+			copy(mut, data)
+			mut[off] = b
+			decodeNoPanic(t, mut)
+		}
+	}
+}
+
+// decodeNoPanic decodes data and fails the test if Decode panics.
+func decodeNoPanic(t *testing.T, data []byte) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Decode panicked on %d bytes: %v\ninput: %x", len(data), r, data)
+		}
+	}()
+	if m, err := bitcode.Decode(data); (m == nil) == (err == nil) {
+		t.Fatalf("Decode returned module %v and error %v", m != nil, err)
+	}
+}
+
+// FuzzBitcodeDecode feeds Decode arbitrary bytes, seeded with the
+// rr_arbiter golden: no panic, and allocation in proportion to the input
+// (a decoded instruction is a few hundred bytes of IR for a payload of
+// twenty or so; a count taken on trust would allocate gigabytes).
+func FuzzBitcodeDecode(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "rr_arbiter.bc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte{'L', 'L', 'H', 'D', 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decodeNoPanic(t, data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+1024*len(data)); got > limit {
+			t.Fatalf("Decode of %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+	})
 }

@@ -386,6 +386,11 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
+// TestDiskLayerSelfHealsCorruptArtifact damages the persisted artifact —
+// wholesale, then one byte at a time at every offset — and requires each
+// reload to fall back to the frontend or decode to the same design: never
+// a panic, which would leave the single-flight entry open and block every
+// later request for the design.
 func TestDiskLayerSelfHealsCorruptArtifact(t *testing.T) {
 	dir := t.TempDir()
 	src := []byte(counterSrc(1))
@@ -395,34 +400,43 @@ func TestDiskLayerSelfHealsCorruptArtifact(t *testing.T) {
 	if _, _, err := c1.LoadSource("llhd", src, "top", blaze.TierBytecode, parseFn); err != nil {
 		t.Fatalf("cold LoadSource: %v", err)
 	}
+	artifacts, _ := filepath.Glob(filepath.Join(dir, "d-*"))
+	if len(artifacts) != 1 {
+		t.Fatalf("want one artifact on disk, have %v", artifacts)
+	}
+	good, err := os.ReadFile(artifacts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Corrupt every artifact on disk.
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "d-") {
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte("garbage"), 0o644); err != nil {
-				t.Fatal(err)
+	reload := func(what string, damaged []byte) (parsed bool, st designcache.Stats) {
+		t.Helper()
+		if err := os.WriteFile(artifacts[0], damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := newCache(t, designcache.Config{Dir: dir})
+		for i := 0; i < 2; i++ { // the second request must not find a flight left open
+			cd, _, err := c.LoadSource("llhd", src, "top", blaze.TierBytecode, func() (*ir.Module, error) {
+				parsed = true
+				return parseFn()
+			})
+			if err != nil || cd == nil {
+				t.Fatalf("%s: LoadSource over corrupt artifact: design %v, error %v", what, cd != nil, err)
 			}
 		}
+		return parsed, c.Stats()
 	}
 
-	c2 := newCache(t, designcache.Config{Dir: dir})
-	parsed := false
-	cd, _, err := c2.LoadSource("llhd", src, "top", blaze.TierBytecode, func() (*ir.Module, error) {
-		parsed = true
-		return parseFn()
-	})
-	if err != nil {
-		t.Fatalf("LoadSource over corrupt artifact: %v", err)
+	if parsed, st := reload("garbage", []byte("garbage")); !parsed || st.DiskHits != 0 {
+		t.Fatalf("garbage artifact: parsed=%v stats=%+v, want a frontend fallback and no disk hit", parsed, st)
 	}
-	if !parsed {
-		t.Fatal("corrupt artifact must fall back to the frontend")
-	}
-	if cd == nil {
-		t.Fatal("nil design")
-	}
-	if st := c2.Stats(); st.DiskHits != 0 {
-		t.Fatalf("corrupt artifact counted as a disk hit: %+v", st)
+	for off := range good {
+		damaged := append([]byte(nil), good...)
+		damaged[off] = 0xff
+		what := fmt.Sprintf("byte %d of %d set to 0xff", off, len(good))
+		if parsed, st := reload(what, damaged); parsed == (st.DiskHits != 0) {
+			t.Fatalf("%s: parsed=%v stats=%+v, want exactly one of frontend fallback and disk hit", what, parsed, st)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package moore
 
-// AST for the supported SystemVerilog subset.
+// AST for the supported SystemVerilog subset, and the one traversal of it:
+// Inspect, LvalueNets and EdgeTriggered are the only code that spells out
+// the shape of a node; the Moore code generator and SVSim state what they
+// do at a node, never which children it has.
 
 // SourceFile is a parsed compilation unit.
 type SourceFile struct {
@@ -321,3 +324,195 @@ func (*Repl) expr()      {}
 func (*ArrayLit) expr()  {}
 func (*CallExpr) expr()  {}
 func (*IncDec) expr()    {}
+
+// Node is anything Inspect visits: a *SourceFile, a *Module, an Item, a
+// Stmt or an Expr. Param, Port, DataType, Event, CaseItem and Connection
+// are not nodes; the expressions they hold are visited as children of the
+// node that holds them.
+type Node any
+
+// Inspect walks the tree under n in pre-order and source order: it calls
+// f(n), and if f returns true it inspects each child of n in turn. Absent
+// children (a nil Else, a missing initializer) are skipped.
+func Inspect(n Node, f func(Node) bool) {
+	if n == nil || !f(n) {
+		return
+	}
+	v := inspector(f)
+	switch x := n.(type) {
+	case *SourceFile:
+		for _, m := range x.Modules {
+			Inspect(m, f)
+		}
+	case *Module:
+		for _, p := range x.Params {
+			v.exprs(p.Default)
+		}
+		v.ports(x.Ports)
+		for _, it := range x.Items {
+			Inspect(it, f)
+		}
+
+	case *NetDecl:
+		v.dataType(x.Type)
+		v.exprs(x.Inits...)
+	case *LocalParam:
+		v.exprs(x.Value)
+	case *AssignItem:
+		v.exprs(x.Target, x.Value)
+	case *AlwaysBlock:
+		v.events(x.Events)
+		Inspect(x.Body, f)
+	case *FuncDecl:
+		v.dataType(x.Ret)
+		v.ports(x.Args)
+		v.decls(x.Locals)
+		v.stmts(x.Body...)
+	case *InstItem:
+		for _, c := range x.Params {
+			v.exprs(c.Expr)
+		}
+		for _, c := range x.Conns {
+			v.exprs(c.Expr)
+		}
+
+	case *BlockStmt:
+		v.decls(x.Decls)
+		v.stmts(x.Stmts...)
+	case *AssignStmt:
+		v.exprs(x.Target, x.Delay, x.Value)
+	case *IfStmt:
+		v.exprs(x.Cond)
+		v.stmts(x.Then, x.Else)
+	case *CaseStmt:
+		v.exprs(x.Subject)
+		for _, item := range x.Items {
+			v.exprs(item.Labels...)
+			v.stmts(item.Body)
+		}
+		v.stmts(x.Default)
+	case *ForStmt:
+		v.stmts(x.Init)
+		v.exprs(x.Cond)
+		v.stmts(x.Step, x.Body)
+	case *WhileStmt:
+		if x.DoWhile {
+			v.stmts(x.Body)
+			v.exprs(x.Cond)
+		} else {
+			v.exprs(x.Cond)
+			v.stmts(x.Body)
+		}
+	case *RepeatStmt:
+		v.exprs(x.Count)
+		v.stmts(x.Body)
+	case *DelayStmt:
+		v.exprs(x.Delay)
+		v.stmts(x.Inner)
+	case *WaitEventStmt:
+		v.events(x.Events)
+	case *ExprStmt:
+		v.exprs(x.X)
+	case *AssertStmt:
+		v.exprs(x.Cond)
+	case *SysCallStmt:
+		v.exprs(x.Args...)
+
+	case *Unary:
+		v.exprs(x.X)
+	case *Binary:
+		v.exprs(x.X, x.Y)
+	case *Ternary:
+		v.exprs(x.Cond, x.Then, x.Else)
+	case *Index:
+		v.exprs(x.X, x.Idx)
+	case *Slice:
+		v.exprs(x.X, x.Msb, x.Lsb)
+	case *Concat:
+		v.exprs(x.Parts...)
+	case *Repl:
+		v.exprs(x.Count, x.X)
+	case *ArrayLit:
+		v.exprs(x.Elems...)
+	case *CallExpr:
+		v.exprs(x.Args...)
+	case *IncDec:
+		v.exprs(x.X)
+	}
+}
+
+// inspector walks the children that reach Inspect through a slice or
+// through one of the structs that are not nodes themselves.
+type inspector func(Node) bool
+
+func (v inspector) exprs(es ...Expr) {
+	for _, e := range es {
+		Inspect(e, v)
+	}
+}
+
+func (v inspector) stmts(ss ...Stmt) {
+	for _, s := range ss {
+		Inspect(s, v)
+	}
+}
+
+func (v inspector) decls(ds []*NetDecl) {
+	for _, d := range ds {
+		Inspect(d, v)
+	}
+}
+
+func (v inspector) events(evs []Event) {
+	for _, ev := range evs {
+		Inspect(ev.Sig, v)
+	}
+}
+
+func (v inspector) ports(ps []*Port) {
+	for _, p := range ps {
+		v.dataType(p.Type)
+	}
+}
+
+func (v inspector) dataType(dt *DataType) {
+	if dt != nil {
+		v.exprs(dt.Msb, dt.Lsb, dt.UnpackedLo, dt.UnpackedHi)
+	}
+}
+
+// LvalueNets returns the names an assignment to target writes: the base
+// of an Ident, Index or Slice target and, for a Concat, those of every
+// part, in source order. Anything else is no lvalue and yields nothing.
+func LvalueNets(target Expr) []string {
+	switch t := target.(type) {
+	case *Ident:
+		return []string{t.Name}
+	case *Index:
+		return LvalueNets(t.X)
+	case *Slice:
+		return LvalueNets(t.X)
+	case *Concat:
+		var names []string
+		for _, p := range t.Parts {
+			names = append(names, LvalueNets(p)...)
+		}
+		return names
+	}
+	return nil
+}
+
+// EdgeTriggered reports whether the block waits for an edge of its own
+// event list (always_ff, always @(posedge ...)) rather than for the nets
+// it reads.
+func (b *AlwaysBlock) EdgeTriggered() bool {
+	if b.Kind != "always_ff" && b.Kind != "always" {
+		return false
+	}
+	for _, ev := range b.Events {
+		if ev.Edge == "posedge" || ev.Edge == "negedge" {
+			return true
+		}
+	}
+	return false
+}

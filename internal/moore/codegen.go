@@ -257,34 +257,37 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 	}
 
 	// Determine array ownership: exactly one process may touch an array.
+	// $readmemh arguments claim none: the load is applied at elaboration.
+	arraysUsed := func(item Item) (names []string) {
+		Inspect(item, func(n Node) bool {
+			switch x := n.(type) {
+			case *Ident:
+				if ni := sc.nets[x.Name]; ni != nil && ni.isArray {
+					names = append(names, x.Name)
+				}
+			case *SysCallStmt:
+				return x.Name != "$readmemh"
+			}
+			return true
+		})
+		return names
+	}
 	arrayOwner := map[string]int{}
 	procIdx := 0
-	var procItems []Item
 	for _, item := range m.Items {
 		switch it := item.(type) {
 		case *AlwaysBlock:
-			names := map[string]bool{}
-			collectIdents(it.Body, names)
-			for n := range names {
-				if ni := sc.nets[n]; ni != nil && ni.isArray {
-					if owner, claimed := arrayOwner[n]; claimed && owner != procIdx {
-						return "", fmt.Errorf("moore: %s: array %q used by more than one process", m.Name, n)
-					}
-					arrayOwner[n] = procIdx
+			for _, n := range arraysUsed(it) {
+				if owner, claimed := arrayOwner[n]; claimed && owner != procIdx {
+					return "", fmt.Errorf("moore: %s: array %q used by more than one process", m.Name, n)
 				}
+				arrayOwner[n] = procIdx
 			}
-			procItems = append(procItems, it)
 			procIdx++
 		case *AssignItem:
-			names := map[string]bool{}
-			collectExprIdents(it.Value, names)
-			collectExprIdents(it.Target, names)
-			for n := range names {
-				if ni := sc.nets[n]; ni != nil && ni.isArray {
-					return "", fmt.Errorf("moore: %s: array %q used in a continuous assign", m.Name, n)
-				}
+			if names := arraysUsed(it); len(names) > 0 {
+				return "", fmt.Errorf("moore: %s: array %q used in a continuous assign", m.Name, names[0])
 			}
-			procItems = append(procItems, it)
 			procIdx++
 		}
 	}
@@ -323,102 +326,6 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 		}
 	}
 	return uname, nil
-}
-
-// collectIdents gathers every identifier referenced in a statement.
-func collectIdents(s Stmt, out map[string]bool) {
-	switch st := s.(type) {
-	case nil:
-	case *BlockStmt:
-		for _, d := range st.Decls {
-			for _, init := range d.Inits {
-				collectExprIdents(init, out)
-			}
-		}
-		for _, x := range st.Stmts {
-			collectIdents(x, out)
-		}
-	case *AssignStmt:
-		collectExprIdents(st.Target, out)
-		collectExprIdents(st.Value, out)
-	case *IfStmt:
-		collectExprIdents(st.Cond, out)
-		collectIdents(st.Then, out)
-		collectIdents(st.Else, out)
-	case *CaseStmt:
-		collectExprIdents(st.Subject, out)
-		for _, item := range st.Items {
-			for _, l := range item.Labels {
-				collectExprIdents(l, out)
-			}
-			collectIdents(item.Body, out)
-		}
-		collectIdents(st.Default, out)
-	case *ForStmt:
-		collectIdents(st.Init, out)
-		collectExprIdents(st.Cond, out)
-		collectIdents(st.Step, out)
-		collectIdents(st.Body, out)
-	case *WhileStmt:
-		collectExprIdents(st.Cond, out)
-		collectIdents(st.Body, out)
-	case *RepeatStmt:
-		collectExprIdents(st.Count, out)
-		collectIdents(st.Body, out)
-	case *DelayStmt:
-		collectIdents(st.Inner, out)
-	case *ExprStmt:
-		collectExprIdents(st.X, out)
-	case *AssertStmt:
-		collectExprIdents(st.Cond, out)
-	case *SysCallStmt:
-		if st.Name == "$readmemh" {
-			return // applied at elaboration; args claim no array ownership
-		}
-		for _, a := range st.Args {
-			collectExprIdents(a, out)
-		}
-	}
-}
-
-func collectExprIdents(e Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *Ident:
-		out[x.Name] = true
-	case *Unary:
-		collectExprIdents(x.X, out)
-	case *Binary:
-		collectExprIdents(x.X, out)
-		collectExprIdents(x.Y, out)
-	case *Ternary:
-		collectExprIdents(x.Cond, out)
-		collectExprIdents(x.Then, out)
-		collectExprIdents(x.Else, out)
-	case *Index:
-		collectExprIdents(x.X, out)
-		collectExprIdents(x.Idx, out)
-	case *Slice:
-		collectExprIdents(x.X, out)
-		collectExprIdents(x.Msb, out)
-		collectExprIdents(x.Lsb, out)
-	case *Concat:
-		for _, p := range x.Parts {
-			collectExprIdents(p, out)
-		}
-	case *Repl:
-		collectExprIdents(x.X, out)
-	case *ArrayLit:
-		for _, p := range x.Elems {
-			collectExprIdents(p, out)
-		}
-	case *CallExpr:
-		for _, a := range x.Args {
-			collectExprIdents(a, out)
-		}
-	case *IncDec:
-		collectExprIdents(x.X, out)
-	}
 }
 
 // typeWidth computes the bit width of a declaration type.
@@ -686,127 +593,35 @@ func (c *compiler) typeWidthInChild(port *Port, child *Module, overrides map[str
 	return c.typeWidth(port.Type, childSc)
 }
 
-// readsWrites analyses which module nets a process reads and writes.
+// readsWrites analyses which module nets a process reads and writes: it
+// writes the nets its assignment targets name and reads every other net
+// it mentions, the events it waits on included. $readmemh arguments are
+// resolved at elaboration and read nothing.
 func readsWrites(item Item, sc *scope) (reads, writes []string) {
 	readSet := map[string]bool{}
 	writeSet := map[string]bool{}
-
-	var scanStmt func(s Stmt)
-	var scanExpr func(e Expr)
-	scanExpr = func(e Expr) {
-		names := map[string]bool{}
-		collectExprIdents(e, names)
-		for n := range names {
+	mark := func(set map[string]bool, names ...string) {
+		for _, n := range names {
 			if ni := sc.nets[n]; ni != nil && ni.isNet {
-				readSet[n] = true
+				set[n] = true
 			}
 		}
 	}
-	var markWrite func(target Expr)
-	markWrite = func(target Expr) {
-		switch t := target.(type) {
+	Inspect(item, func(n Node) bool {
+		switch x := n.(type) {
 		case *Ident:
-			if ni := sc.nets[t.Name]; ni != nil && ni.isNet {
-				writeSet[t.Name] = true
-			}
-		case *Index:
-			if id, ok := t.X.(*Ident); ok {
-				if ni := sc.nets[id.Name]; ni != nil && ni.isNet {
-					writeSet[id.Name] = true
-					readSet[id.Name] = true // read-modify-write
-				}
-			}
-			scanExpr(t.Idx)
-		case *Slice:
-			if id, ok := t.X.(*Ident); ok {
-				if ni := sc.nets[id.Name]; ni != nil && ni.isNet {
-					writeSet[id.Name] = true
-					readSet[id.Name] = true
-				}
-			}
-		case *Concat:
-			for _, p := range t.Parts {
-				markWrite(p)
-			}
-		}
-	}
-	scanStmt = func(s Stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *BlockStmt:
-			for _, d := range st.Decls {
-				for _, init := range d.Inits {
-					scanExpr(init)
-				}
-			}
-			for _, x := range st.Stmts {
-				scanStmt(x)
-			}
+			mark(readSet, x.Name)
+		case *AssignItem:
+			mark(writeSet, LvalueNets(x.Target)...)
 		case *AssignStmt:
-			markWrite(st.Target)
-			scanExpr(st.Value)
-			// Index expressions on the target read nets too.
-			if idx, ok := st.Target.(*Index); ok {
-				scanExpr(idx.Idx)
-			}
-			if sl, ok := st.Target.(*Slice); ok {
-				scanExpr(sl.Msb)
-				scanExpr(sl.Lsb)
-			}
-		case *IfStmt:
-			scanExpr(st.Cond)
-			scanStmt(st.Then)
-			scanStmt(st.Else)
-		case *CaseStmt:
-			scanExpr(st.Subject)
-			for _, item := range st.Items {
-				for _, l := range item.Labels {
-					scanExpr(l)
-				}
-				scanStmt(item.Body)
-			}
-			scanStmt(st.Default)
-		case *ForStmt:
-			scanStmt(st.Init)
-			scanExpr(st.Cond)
-			scanStmt(st.Step)
-			scanStmt(st.Body)
-		case *WhileStmt:
-			scanExpr(st.Cond)
-			scanStmt(st.Body)
-		case *RepeatStmt:
-			scanExpr(st.Count)
-			scanStmt(st.Body)
-		case *DelayStmt:
-			scanStmt(st.Inner)
-		case *ExprStmt:
-			scanExpr(st.X)
-			if inc, ok := st.X.(*IncDec); ok {
-				markWrite(inc.X)
-			}
-		case *AssertStmt:
-			scanExpr(st.Cond)
+			mark(writeSet, LvalueNets(x.Target)...)
+		case *IncDec:
+			mark(writeSet, LvalueNets(x.X)...)
 		case *SysCallStmt:
-			if st.Name == "$readmemh" {
-				return // resolved at elaboration; reads no nets
-			}
-			for _, a := range st.Args {
-				scanExpr(a)
-			}
+			return x.Name != "$readmemh"
 		}
-	}
-
-	switch it := item.(type) {
-	case *AlwaysBlock:
-		for _, ev := range it.Events {
-			scanExpr(ev.Sig)
-		}
-		scanStmt(it.Body)
-	case *AssignItem:
-		markWrite(it.Target)
-		scanExpr(it.Value)
-	}
-
+		return true
+	})
 	for n := range readSet {
 		if !writeSet[n] {
 			reads = append(reads, n)
@@ -818,58 +633,6 @@ func readsWrites(item Item, sc *scope) (reads, writes []string) {
 	sort.Strings(reads)
 	sort.Strings(writes)
 	return reads, writes
-}
-
-// blockingTargets finds the nets assigned with blocking assignments.
-func blockingTargets(item Item) map[string]bool {
-	out := map[string]bool{}
-	var scan func(s Stmt)
-	scan = func(s Stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *BlockStmt:
-			for _, x := range st.Stmts {
-				scan(x)
-			}
-		case *AssignStmt:
-			if st.Blocking {
-				switch t := st.Target.(type) {
-				case *Ident:
-					out[t.Name] = true
-				case *Index:
-					if id, ok := t.X.(*Ident); ok {
-						out[id.Name] = true
-					}
-				case *Slice:
-					if id, ok := t.X.(*Ident); ok {
-						out[id.Name] = true
-					}
-				}
-			}
-		case *IfStmt:
-			scan(st.Then)
-			scan(st.Else)
-		case *CaseStmt:
-			for _, item := range st.Items {
-				scan(item.Body)
-			}
-			scan(st.Default)
-		case *ForStmt:
-			scan(st.Init)
-			scan(st.Step)
-			scan(st.Body)
-		case *WhileStmt:
-			scan(st.Body)
-		case *RepeatStmt:
-			scan(st.Body)
-		case *DelayStmt:
-			scan(st.Inner)
-		}
-	}
-	if ab, ok := item.(*AlwaysBlock); ok {
-		scan(ab.Body)
-	}
-	return out
 }
 
 var _ = strings.TrimSpace // silence unused import until diagnostics land

@@ -159,6 +159,9 @@ func (p *svparser) module() (*Module, error) {
 	return m, nil
 }
 
+// skipDataTypeKeywords steps over the optional type of a parameter or
+// localparam (its value alone matters here); a range the source ends
+// inside of is left for the caller's next expect to report.
 func (p *svparser) skipDataTypeKeywords() {
 	for p.at(tIdent, "int") || p.at(tIdent, "integer") || p.at(tIdent, "bit") ||
 		p.at(tIdent, "logic") || p.at(tIdent, "unsigned") || p.at(tIdent, "signed") {
@@ -241,7 +244,7 @@ func (p *svparser) item() (Item, error) {
 	switch t.text {
 	case "localparam", "parameter":
 		p.next()
-		p.skipDataTypeKeywordsSimple()
+		p.skipDataTypeKeywords()
 		nTok, err := p.expect(tIdent, "")
 		if err != nil {
 			return nil, err
@@ -292,28 +295,6 @@ func (p *svparser) item() (Item, error) {
 	default:
 		// Module instantiation: ident [#(...)] ident ( conns ) ;
 		return p.instantiation()
-	}
-}
-
-func (p *svparser) skipDataTypeKeywordsSimple() {
-	for p.at(tIdent, "int") || p.at(tIdent, "integer") || p.at(tIdent, "bit") ||
-		p.at(tIdent, "logic") || p.at(tIdent, "unsigned") {
-		p.next()
-	}
-	if p.at(tPunct, "[") {
-		depth := 0
-		for {
-			if p.at(tPunct, "[") {
-				depth++
-			}
-			if p.at(tPunct, "]") {
-				depth--
-			}
-			p.next()
-			if depth == 0 {
-				break
-			}
-		}
 	}
 }
 

@@ -126,11 +126,16 @@ func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays ma
 		err = g.genComb(&AlwaysBlock{Kind: "always_comb",
 			Body: &AssignStmt{Target: it.Target, Value: it.Value, Line: it.Line}}, reads)
 	case *AlwaysBlock:
-		for n := range blockingTargets(it) {
-			if ni := sc.nets[n]; ni != nil && ni.isNet {
-				g.blocking[n] = true
+		Inspect(it, func(n Node) bool {
+			if st, ok := n.(*AssignStmt); ok && st.Blocking {
+				for _, name := range LvalueNets(st.Target) {
+					if ni := sc.nets[name]; ni != nil && ni.isNet {
+						g.blocking[name] = true
+					}
+				}
 			}
-		}
+			return true
+		})
 		switch it.Kind {
 		case "initial":
 			err = g.genInitial(it)
@@ -142,13 +147,7 @@ func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays ma
 			if len(it.Events) == 0 {
 				return nil, nil, g.errf("plain always without sensitivity is unsupported")
 			}
-			edge := false
-			for _, ev := range it.Events {
-				if ev.Edge == "posedge" || ev.Edge == "negedge" {
-					edge = true
-				}
-			}
-			if edge {
+			if it.EdgeTriggered() {
 				err = g.genFF(it)
 			} else {
 				err = g.genComb(it, reads)

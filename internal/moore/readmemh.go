@@ -28,57 +28,34 @@ type ReadmemhCall struct {
 func CollectReadmemh(s Stmt) ([]ReadmemhCall, error) {
 	var out []ReadmemhCall
 	var err error
-	var walk func(Stmt)
-	walk = func(s Stmt) {
+	Inspect(s, func(n Node) bool {
 		if err != nil {
-			return
+			return false
 		}
-		switch st := s.(type) {
-		case *BlockStmt:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *CaseStmt:
-			for _, item := range st.Items {
-				walk(item.Body)
-			}
-			walk(st.Default)
-		case *ForStmt:
-			walk(st.Body)
-		case *WhileStmt:
-			walk(st.Body)
-		case *RepeatStmt:
-			walk(st.Body)
-		case *DelayStmt:
-			walk(st.Inner)
-		case *SysCallStmt:
-			if st.Name != "$readmemh" {
-				return
-			}
-			if len(st.Args) != 2 {
-				err = fmt.Errorf("$readmemh takes (file, array), got %d arguments", len(st.Args))
-				return
-			}
-			lit, ok := st.Args[0].(*StringLit)
-			if !ok {
-				err = fmt.Errorf("$readmemh: first argument must be a string literal path")
-				return
-			}
-			id, ok := st.Args[1].(*Ident)
-			if !ok {
-				err = fmt.Errorf("$readmemh: second argument must name an unpacked array")
-				return
-			}
-			out = append(out, ReadmemhCall{
-				File:  strings.Trim(lit.Text, `"`),
-				Array: id.Name,
-			})
+		st, ok := n.(*SysCallStmt)
+		if !ok || st.Name != "$readmemh" {
+			return true
 		}
-	}
-	walk(s)
+		if len(st.Args) != 2 {
+			err = fmt.Errorf("$readmemh takes (file, array), got %d arguments", len(st.Args))
+			return false
+		}
+		lit, ok := st.Args[0].(*StringLit)
+		if !ok {
+			err = fmt.Errorf("$readmemh: first argument must be a string literal path")
+			return false
+		}
+		id, ok := st.Args[1].(*Ident)
+		if !ok {
+			err = fmt.Errorf("$readmemh: second argument must name an unpacked array")
+			return false
+		}
+		out = append(out, ReadmemhCall{
+			File:  strings.Trim(lit.Text, `"`),
+			Array: id.Name,
+		})
+		return false
+	})
 	return out, err
 }
 

@@ -3,6 +3,7 @@ package svsim
 import (
 	"fmt"
 	"runtime/debug"
+	"sort"
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
@@ -31,7 +32,8 @@ type astProc struct {
 	e *engine.Engine // valid while the coroutine holds control
 
 	locals  map[string]val.Value
-	pending map[string]val.Value // comb blocking writes, flushed per pass
+	pending map[string]val.Value // blocking net writes not yet driven, see flush
+	flushed []string             // scratch of flush: the names of pending, sorted
 	reads   map[string]bool      // nets probed during the current pass
 }
 
@@ -57,7 +59,7 @@ func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error
 		reads:   map[string]bool{},
 	}
 	err := sc.checkNames(map[string]bool{}, blk.Body)
-	if err == nil && edgeTriggered(blk) {
+	if err == nil && blk.EdgeTriggered() {
 		p.events, err = sc.resolveEvents("edge", blk.Events)
 	}
 	if err != nil {
@@ -104,9 +106,30 @@ func (p *astProc) shutdown() {
 	}
 }
 
-// suspend yields to the kernel and blocks until the next wake. It reports
-// false when the simulator shut down.
+// flush drives every blocking net write still pending as a delta drive,
+// in name order. A blocking write is visible to the process at once
+// (readName) and to everyone else one delta after the process next hands
+// control back, wherever that is: a #delay, an @(...), the end of a pass
+// or of an initial block.
+func (p *astProc) flush() {
+	if len(p.pending) == 0 {
+		return
+	}
+	p.flushed = p.flushed[:0]
+	for n := range p.pending {
+		p.flushed = append(p.flushed, n)
+	}
+	sort.Strings(p.flushed)
+	for _, n := range p.flushed {
+		p.e.Drive(p.sc.sigs[n], p.pending[n], ir.Time{})
+	}
+	clear(p.pending)
+}
+
+// suspend flushes the pending writes, yields to the kernel and blocks
+// until the next wake. It reports false when the simulator shut down.
 func (p *astProc) suspend(y yieldMsg) bool {
+	p.flush()
 	p.yieldCh <- y
 	_, ok := <-p.wakeCh
 	return ok
@@ -159,15 +182,15 @@ func (p *astProc) finish(c ctrl, err error) {
 		p.e.SetError(fmt.Errorf("svsim: %s: %w", p.name, err))
 	}
 	if c != ctrlStop {
+		p.flush()
 		p.yieldCh <- yieldMsg{halt: true}
 	}
 }
 
-// combLoop evaluates the body, flushes blocking writes, and re-arms on the
-// signals read during the pass.
+// combLoop evaluates the body and re-arms on the signals read during the
+// pass, those it wrote itself excepted.
 func (p *astProc) combLoop() {
 	for {
-		clear(p.pending)
 		clear(p.reads)
 		c, err := p.exec(p.blk.Body)
 		if err != nil || c == ctrlFinish {
@@ -176,10 +199,6 @@ func (p *astProc) combLoop() {
 		}
 		if c == ctrlStop {
 			return
-		}
-		// Flush blocking writes as delta drives.
-		for n, v := range p.pending {
-			p.e.Drive(p.sc.sigs[n], v, ir.Time{})
 		}
 		var refs []engine.SigRef
 		for n := range p.reads {
@@ -191,20 +210,6 @@ func (p *astProc) combLoop() {
 			return
 		}
 	}
-}
-
-// edgeTriggered reports whether the block waits for its own event list
-// (always_ff, always @(posedge ...)) rather than for the nets it reads.
-func edgeTriggered(blk *moore.AlwaysBlock) bool {
-	if blk.Kind != "always_ff" && blk.Kind != "always" {
-		return false
-	}
-	for _, ev := range blk.Events {
-		if ev.Edge == "posedge" || ev.Edge == "negedge" {
-			return true
-		}
-	}
-	return false
 }
 
 // edge is one resolved event: the net, which transition of it counts, and
@@ -274,7 +279,6 @@ func (p *astProc) await(l *eventList) bool {
 // ffLoop waits for the configured edges, then runs the body.
 func (p *astProc) ffLoop() {
 	for p.await(p.events) {
-		clear(p.pending)
 		c, err := p.exec(p.blk.Body)
 		if err != nil || c == ctrlFinish {
 			p.finish(c, err)
@@ -282,9 +286,6 @@ func (p *astProc) ffLoop() {
 		}
 		if c == ctrlStop {
 			return
-		}
-		for n, v := range p.pending {
-			p.e.Drive(p.sc.sigs[n], v, ir.Time{})
 		}
 	}
 }

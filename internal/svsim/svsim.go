@@ -223,8 +223,7 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 			for _, arg := range fn.Args {
 				locals[arg.Name] = true
 			}
-			body := &moore.BlockStmt{Decls: fn.Locals, Stmts: fn.Body}
-			if err := sc.checkNames(locals, body); err != nil {
+			if err := sc.checkNames(locals, fn); err != nil {
 				return fmt.Errorf("svsim: %s: function %s: %w", name, fn.Name, err)
 			}
 		}

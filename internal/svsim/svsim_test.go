@@ -2,6 +2,9 @@ package svsim_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -125,5 +128,109 @@ func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
 	err = s.Run(ir.Time{})
 	if err == nil || !strings.HasPrefix(err.Error(), "svsim: bad_tb.p1: division by zero") {
 		t.Errorf("Run: %v, want svsim: bad_tb.p1: division by zero ...", err)
+	}
+}
+
+// changes runs an engine to quiescence and returns every signal change
+// as "time name=value" lines, sorted within the run: signal IDs, and so
+// the order inside one instant, differ between the two flows.
+func changes(t *testing.T, e *engine.Engine, run func(ir.Time) error) []string {
+	t.Helper()
+	var obs engine.TraceObserver
+	e.Observe(&obs)
+	if err := run(ir.Time{}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var lines []string
+	for _, c := range obs.Entries {
+		lines = append(lines, fmt.Sprintf("%v %s=%s", c.Time, c.Sig.Name, c.Value))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// TestBlockingWritesReachTheNet: a blocking write to a module net is
+// driven when the process next hands control back, wherever that is, and
+// the waveform is the one the Moore flow produces on the reference
+// interpreter. Before, only the end of an always_comb / always_ff pass
+// flushed: in an initial block the write stayed in the process's pending
+// map for good, a clock made with "clk = ~clk" never toggled, and the run
+// reported no failure because nothing ran.
+func TestBlockingWritesReachTheNet(t *testing.T) {
+	for _, tc := range []struct{ name, body string }{
+		{"blocking then delay", `
+  bit clk;
+  bit [7:0] n;
+  initial begin
+    clk = 0;
+    n = 8'd5;
+    repeat (3) begin
+      #1ns;
+      clk = ~clk;
+      n = n + 8'd1;
+    end
+    #1ns;
+    assert(n == 8'd8);
+  end`},
+		{"blocking then event", `
+  bit clk, go;
+  bit [7:0] seen;
+  initial begin
+    clk <= #1ns 1;
+    clk <= #2ns 0;
+    clk <= #3ns 1;
+  end
+  initial begin
+    go = 1;
+    @(posedge clk);
+    seen = 8'd1;
+    @(negedge clk);
+    seen = 8'd2;
+    @(posedge clk);
+    seen = seen + 8'd1;
+  end
+  initial begin
+    #4ns;
+    assert(go == 1);
+    assert(seen == 8'd3);
+  end`},
+		{"end of initial", `
+  bit [7:0] x, y, z, sum;
+  initial begin
+    z = 8'd1;
+    y = 8'd2;
+    x = 8'd3;
+  end
+  always_comb sum = x + y + z;
+  initial begin
+    #1ns;
+    assert(sum == 8'd6);
+  end`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "module flush_tb;" + tc.body + "\nendmodule\n"
+			sv, err := svsim.New(src, "flush_tb")
+			if err != nil {
+				t.Fatalf("svsim.New: %v", err)
+			}
+			m, err := moore.Compile("flush", src)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			li, err := sim.New(m, "flush_tb")
+			if err != nil {
+				t.Fatalf("sim.New: %v", err)
+			}
+			got, want := changes(t, sv.Engine, sv.Run), changes(t, li.Engine, li.Run)
+			if !slices.Equal(got, want) {
+				t.Errorf("waveforms differ:\n svsim  %q\n interp %q", got, want)
+			}
+			if len(want) < 3 {
+				t.Errorf("interp saw only %d changes; the row tests nothing", len(want))
+			}
+			if sv.Engine.Failures != 0 || li.Engine.Failures != 0 {
+				t.Errorf("assertion failures: svsim %d, interp %d", sv.Engine.Failures, li.Engine.Failures)
+			}
+		})
 	}
 }
