@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-observe
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -23,13 +23,14 @@ test:
 # instruction stream, cross-checked against a serial interpreter
 # reference — concurrent VCD writers, the fault-injection matrix with its
 # in-coroutine svsim panic recovery), the kernel, the reference
-# interpreter, and svsim (coroutine handoff). val and blaze ride along for
+# interpreter, svsim (coroutine handoff), and llhd-sim (the -j sweep's
+# sessions display into one stdout writer). val and blaze ride along for
 # a different reason: -race turns on checkptr, the only check there is on
 # val's unsafe payload views, and blaze is their heaviest user (the call
 # depth bound is exercised there too, on race-sized stack frames).
 test-race:
 	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestConstruction|TestFault|TestGovernance|TestPoisoned' .
-	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/...
+	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/... ./cmd/llhd-sim
 
 # test-timeout is the hang guard: the whole suite must finish inside a
 # hard wall-clock budget, so a containment or governance regression that
@@ -46,11 +47,13 @@ test-timeout:
 # pass application, so any divergence is bisected to the first divergent
 # pass (named in the repro header and on the report line). Failing designs
 # are shrunk into fuzz-failures/ (uploaded as a CI artifact) and fail the
-# target. The full acceptance run is -n 1000 for both legs. The last two
-# legs are Go-native fuzz targets on the two byte-level trust boundaries:
-# SystemVerilog source into the Moore parser (a file or an error, soon)
-# and bitcode read back from the disk cache (a module or an error, never a
-# panic, allocation in proportion to the input). A crasher is written
+# target. The full acceptance run is -n 1000 for both legs. The last three
+# legs are Go-native fuzz targets on the byte-level boundaries:
+# SystemVerilog source into the Moore parser (a file or an error, soon),
+# bitcode read back from the disk cache (a module or an error, never a
+# panic, allocation in proportion to the input), and the NDJSON delta line
+# on its way out (the bytes json.Marshal gives, whatever the signal is
+# called). A crasher is written
 # under the package's testdata/fuzz/ — commit it: it replays in every
 # plain `go test` from then on — and fails the target. The minimizer is
 # capped because its default (60 s per interesting input) would eat the
@@ -60,6 +63,7 @@ fuzz-smoke:
 	$(GO) run ./cmd/llhd-fuzz -pipeline -seed 1 -n 150 -corpus fuzz-failures
 	$(GO) test -run xxx -fuzz FuzzMooreParse -fuzztime 10s -fuzzminimizetime 1s ./internal/moore
 	$(GO) test -run xxx -fuzz FuzzBitcodeDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/bitcode
+	$(GO) test -run xxx -fuzz FuzzAppendDelta -fuzztime 10s -fuzzminimizetime 1s ./internal/simserver
 
 # conformance runs the RV32I conformance suite explicitly and verbosely:
 # every image under testdata/rv32i assembled, executed on the reference
@@ -111,3 +115,12 @@ bench-kernel:
 # lower_ms metric of `make bench`, not on this.
 bench-lower:
 	$(GO) test -bench BenchmarkLower -benchmem -run xxx .
+
+# bench-observe times the two change renderers per streamed change (VCD
+# into a discarding writer, NDJSON into a discarding response; a 1-bit, a
+# 32-bit and a logic signal each; ns/op and allocs/op, which must read 0).
+# It is the builder's inner loop for the observer path; a claim rests on
+# blaze_vcd_cycles_per_s / serve_stream_mb_per_s of `make bench`, not on
+# this.
+bench-observe:
+	$(GO) test -bench 'BenchmarkVCDChange|BenchmarkStreamDelta' -benchmem -run xxx ./internal/vcd ./internal/simserver

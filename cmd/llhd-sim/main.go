@@ -29,19 +29,26 @@
 // errors), 2 when a resource quota stopped the run (-steps, -timeout, or
 // a library-imposed limit), 3 for an internal runtime error or contained
 // engine panic — the structured diagnostic (failure kind, instant,
-// process, stack for panics) is printed to stderr.
+// process, stack for panics) is printed to stderr. Stdout is buffered
+// unless it is a terminal; SIGINT and SIGTERM flush it before the process
+// leaves with status 128+signal.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"llhd"
@@ -56,9 +63,81 @@ const usageText = `usage: llhd-sim [-top name] [-engine interp|blaze|svsim]
 exit status: 0 ok | 1 assertion failures or input errors
              2 resource quota exceeded (step/deadline/event/memory limit,
                cancellation) | 3 internal runtime error or engine panic
+             128+N ended by SIGINT or SIGTERM, after flushing stdout
+
+stdout is buffered (64 KiB) unless it is a terminal: redirected output
+appears when the buffer fills and when the program ends.
 
 flags:
 `
+
+// stdout is the one writer everything a run prints goes through — trace
+// lines, $display text, the closing summary or the -stats-json object —
+// so they come out in the order they were produced, in large writes
+// instead of one write(2) per signal change. Every way out of the program
+// is exit, which flushes it.
+var stdout = newOutput(os.Stdout, isTerminal(os.Stdout))
+
+// output is a line-oriented buffered writer. The lock makes a line atomic:
+// the sessions of a -j sweep call the display handler from the farm's
+// worker goroutines, and the signal handler flushes from its own. A
+// bufio.Writer keeps its first write error and returns it from Flush, so
+// the writes in between go unchecked.
+type output struct {
+	mu  sync.Mutex
+	w   *bufio.Writer
+	tty bool // a person is watching: every line goes out as it is written
+}
+
+func newOutput(w io.Writer, tty bool) *output {
+	return &output{w: bufio.NewWriterSize(w, 64<<10), tty: tty}
+}
+
+func isTerminal(f *os.File) bool {
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}
+
+// begin locks the writer for one line, end closes the line.
+func (o *output) begin() { o.mu.Lock() }
+
+func (o *output) end() {
+	if o.tty {
+		o.w.Flush()
+	}
+	o.mu.Unlock()
+}
+
+func (o *output) println(s string) {
+	o.begin()
+	o.w.WriteString(s)
+	o.w.WriteByte('\n')
+	o.end()
+}
+
+func (o *output) printf(format string, args ...any) {
+	o.begin()
+	fmt.Fprintf(o.w, format, args...)
+	o.end()
+}
+
+func (o *output) flush() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.w.Flush()
+}
+
+// exit flushes stdout and ends the process; it keeps the lock, so nothing
+// is written after the flush. A clean run whose output could not be
+// written is not clean.
+func exit(code int) {
+	stdout.mu.Lock()
+	if err := stdout.w.Flush(); err != nil && code == 0 {
+		fmt.Fprintln(os.Stderr, "llhd-sim:", err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 func main() {
 	flag.Usage = func() {
@@ -75,9 +154,19 @@ func main() {
 	vcdPath := flag.String("vcd", "", "write the waveform as VCD to this file")
 	jobs := flag.Int("j", 1, "run N concurrent sessions over one shared frozen design (sweep mode)")
 	flag.Parse()
+
+	// An interrupted run keeps what it printed: flush, then leave with the
+	// status a shell reports for a death by that signal.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig := <-sigs
+		exit(128 + int(sig.(syscall.Signal)))
+	}()
+
 	if flag.NArg() != 1 {
 		flag.Usage()
-		os.Exit(1)
+		exit(1)
 	}
 	if *jobs > 1 && (*trace || *vcdPath != "" || *statsJSON) {
 		fatal(fmt.Errorf("-j %d is a throughput sweep; -trace, -vcd, and -stats-json need a single session", *jobs))
@@ -103,7 +192,7 @@ func main() {
 
 	opts := []llhd.SessionOption{
 		llhd.Backend(kind),
-		llhd.WithDisplay(func(s string) { fmt.Println(s) }),
+		llhd.WithDisplay(stdout.println),
 	}
 	if *top != "" {
 		opts = append(opts, llhd.Top(*top))
@@ -144,7 +233,7 @@ func main() {
 
 	if *jobs > 1 {
 		runSweep(*jobs, limitTime, opts)
-		return
+		exit(0)
 	}
 
 	if *trace {
@@ -178,27 +267,28 @@ func main() {
 		// One JSON object on stdout in the llhd-serve result schema
 		// (statistics, failure class slug, error text); diagnostics stay
 		// on stderr and the exit status keeps its taxonomy mapping.
-		res := simserver.ResultFrom(st, runErr)
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(res); err != nil {
+		res, err := json.Marshal(simserver.ResultFrom(st, runErr))
+		if err != nil {
 			fatal(err)
 		}
+		stdout.println(string(res))
 		if runErr != nil {
 			fatal(runErr)
 		}
 		if st.AssertionFailures > 0 {
-			os.Exit(1)
+			exit(1)
 		}
-		return
+		exit(0)
 	}
 	if runErr != nil {
 		fatal(runErr)
 	}
-	fmt.Printf("simulation finished at %v: %d delta steps, %d events, %d assertion failures\n",
+	stdout.printf("simulation finished at %v: %d delta steps, %d events, %d assertion failures\n",
 		st.Now, st.DeltaSteps, st.Events, st.AssertionFailures)
 	if st.AssertionFailures > 0 {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 // runSweep fans n identical sessions across the farm's worker pool. The
@@ -222,20 +312,35 @@ func runSweep(n int, limit llhd.Time, opts []llhd.SessionOption) {
 		failures += r.Stats.AssertionFailures
 	}
 	st := results[0].Stats
-	fmt.Printf("%d sessions finished at %v: %d delta steps each, %d total assertion failures\n",
+	stdout.printf("%d sessions finished at %v: %d delta steps each, %d total assertion failures\n",
 		n, st.Now, st.DeltaSteps, failures)
-	fmt.Printf("sweep took %.3fs: %.1f sims/sec\n", secs, float64(n)/secs)
+	stdout.printf("sweep took %.3fs: %.1f sims/sec\n", secs, float64(n)/secs)
 	if failures > 0 {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
 // printObserver streams changes to stdout as they settle — bounded
-// memory, unlike the retired grow-only trace buffer.
+// memory, unlike the retired grow-only trace buffer. A line is the time
+// left-aligned in 14 columns, then "name = value", appended piece by piece
+// with the value types' own formatters into stdout's buffer.
 type printObserver struct{}
 
 func (printObserver) OnChange(t llhd.Time, sig *llhd.Signal, v llhd.Value) {
-	fmt.Printf("%-14v %s = %s\n", t, sig.Name, v)
+	const timeColumn = 14
+	stdout.begin()
+	b := stdout.w.AvailableBuffer()
+	b = t.Append(b)
+	for len(b) < timeColumn {
+		b = append(b, ' ')
+	}
+	b = append(b, ' ')
+	b = append(b, sig.Name...)
+	b = append(b, " = "...)
+	b = v.Append(b)
+	b = append(b, '\n')
+	stdout.w.Write(b)
+	stdout.end()
 }
 
 // fatal prints the diagnostic and exits with the taxonomy-derived status:
@@ -244,6 +349,7 @@ func (printObserver) OnChange(t llhd.Time, sig *llhd.Signal, v llhd.Value) {
 // Structured runtime errors print their full context — kind, failing
 // instant, executing process, and the captured stack for panics.
 func fatal(err error) {
+	stdout.flush() // what the run printed comes before the diagnostic
 	fmt.Fprintln(os.Stderr, "llhd-sim:", err)
 	var re *llhd.RuntimeError
 	code := 1
@@ -263,5 +369,5 @@ func fatal(err error) {
 		}
 		fmt.Fprintln(os.Stderr, ")")
 	}
-	os.Exit(code)
+	exit(code)
 }

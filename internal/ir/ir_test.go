@@ -1,6 +1,9 @@
 package ir
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +127,79 @@ func TestTimeStringRoundTrip(t *testing.T) {
 		if got != c {
 			t.Errorf("round trip %v -> %q -> %v", c, s, got)
 		}
+	}
+}
+
+// oldTimeString is the fmt-based renderer Time.String was before Append;
+// it stays here as the reference Append is held to.
+func oldTimeString(t Time) string {
+	fs := fmt.Sprintf("%dfs", t.Fs)
+	if t.Fs == 0 {
+		fs = "0s"
+	} else {
+		for _, u := range []struct {
+			fs   int64
+			name string
+		}{{Second, "s"}, {Millisecond, "ms"}, {Microsecond, "us"}, {Nanosecond, "ns"}, {Picosecond, "ps"}} {
+			if t.Fs%u.fs == 0 {
+				fs = fmt.Sprintf("%d%s", t.Fs/u.fs, u.name)
+				break
+			}
+		}
+	}
+	if t.Delta != 0 {
+		fs += fmt.Sprintf(" %dd", t.Delta)
+	}
+	if t.Eps != 0 {
+		fs += fmt.Sprintf(" %de", t.Eps)
+	}
+	return fs
+}
+
+// TestTimeAppendProperty: over random (Fs, Delta, Eps) — every unit
+// boundary, its neighbours and 0s among them — the text parses back to the
+// time it came from, and Append yields exactly what the fmt-based String
+// yielded, after whatever the buffer already held.
+func TestTimeAppendProperty(t *testing.T) {
+	units := []int64{Femtosecond, Picosecond, Nanosecond, Microsecond, Millisecond, Second}
+	check := func(c Time) {
+		t.Helper()
+		s := c.String()
+		if want := oldTimeString(c); s != want {
+			t.Fatalf("String(%+v) = %q, want %q", c, s, want)
+		}
+		if got := string(c.Append([]byte("t="))); got != "t="+s {
+			t.Fatalf("Append(%+v) = %q, want %q", c, got, "t="+s)
+		}
+		got, err := ParseTime(s)
+		if err != nil || got != c {
+			t.Fatalf("ParseTime(%q) = %+v (%v), want %+v", s, got, err, c)
+		}
+	}
+	steps := []int{0, 1, 2, 7, 1000, 1 << 30}
+	for _, d := range steps {
+		for _, e := range steps {
+			check(Time{Delta: d, Eps: e})
+			for _, u := range units {
+				for _, fs := range []int64{u, u - 1, u + 1, 999 * u, 1000*u - 1, 1000*u + u, 9223 * u} {
+					check(Time{Fs: fs, Delta: d, Eps: e})
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 20000; i++ {
+		// A random count of a random unit, so every suffix is drawn as
+		// often as "fs"; the count stays clear of int64 overflow.
+		u := units[rng.Intn(len(units))]
+		c := Time{Fs: rng.Int63n(math.MaxInt64/u) >> uint(rng.Intn(40)) * u}
+		if rng.Intn(2) == 0 {
+			c.Delta = rng.Intn(1 << 20)
+		}
+		if rng.Intn(3) == 0 {
+			c.Eps = rng.Intn(1 << 20)
+		}
+		check(c)
 	}
 }
 

@@ -72,41 +72,53 @@ func (t Time) Before(u Time) bool { return t.Compare(u) < 0 }
 func (t Time) IsZero() bool { return t.Fs == 0 && t.Delta == 0 && t.Eps == 0 }
 
 // String renders the time in LLHD assembly syntax, e.g. "1ns", "0s 1d",
-// "2ns 1d 3e".
+// "2ns 1d 3e": Append onto a small stack buffer.
 func (t Time) String() string {
-	var b strings.Builder
-	b.WriteString(formatFs(t.Fs))
-	if t.Delta != 0 {
-		fmt.Fprintf(&b, " %dd", t.Delta)
-	}
-	if t.Eps != 0 {
-		fmt.Fprintf(&b, " %de", t.Eps)
-	}
-	return b.String()
+	var buf [24]byte
+	return string(t.Append(buf[:0]))
 }
 
-func formatFs(fs int64) string {
-	type unit struct {
-		fs   int64
-		name string
-	}
-	units := []unit{
-		{Second, "s"},
-		{Millisecond, "ms"},
-		{Microsecond, "us"},
-		{Nanosecond, "ns"},
-		{Picosecond, "ps"},
-		{Femtosecond, "fs"},
-	}
-	if fs == 0 {
-		return "0s"
-	}
-	for _, u := range units {
-		if fs%u.fs == 0 {
-			return fmt.Sprintf("%d%s", fs/u.fs, u.name)
+// timeUnits are the physical-time suffixes, coarsest first.
+var timeUnits = [...]struct {
+	fs   int64
+	name string
+}{
+	{Second, "s"},
+	{Millisecond, "ms"},
+	{Microsecond, "us"},
+	{Nanosecond, "ns"},
+	{Picosecond, "ps"},
+	{Femtosecond, "fs"},
+}
+
+// Append appends the String form of t to b and returns the extended
+// slice. It is the one formatter of a time: the physical part in the
+// coarsest unit that divides it ("0s" for none), then the non-zero delta
+// and epsilon counts. Renderers on the per-change path call it on a buffer
+// they reuse, so a rendered time allocates nothing.
+func (t Time) Append(b []byte) []byte {
+	if t.Fs == 0 {
+		b = append(b, "0s"...)
+	} else {
+		for _, u := range timeUnits {
+			if t.Fs%u.fs == 0 {
+				b = strconv.AppendInt(b, t.Fs/u.fs, 10)
+				b = append(b, u.name...)
+				break
+			}
 		}
 	}
-	return fmt.Sprintf("%dfs", fs)
+	if t.Delta != 0 {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(t.Delta), 10)
+		b = append(b, 'd')
+	}
+	if t.Eps != 0 {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(t.Eps), 10)
+		b = append(b, 'e')
+	}
+	return b
 }
 
 // ParseTime parses a physical-time literal such as "1ns", "250ps", "0s",

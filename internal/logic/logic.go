@@ -213,12 +213,15 @@ func (v Vector) Eq(u Vector) bool {
 }
 
 // String renders the vector MSB-first, e.g. "01XZ".
-func (v Vector) String() string {
-	buf := make([]byte, len(v))
-	for i, x := range v {
-		buf[len(v)-1-i] = names[x]
+func (v Vector) String() string { return string(v.Append(make([]byte, 0, len(v)))) }
+
+// Append appends the String form of v to b and returns the extended
+// slice.
+func (v Vector) Append(b []byte) []byte {
+	for i := len(v) - 1; i >= 0; i-- {
+		b = append(b, names[v[i]])
 	}
-	return string(buf)
+	return b
 }
 
 // ParseVector parses an MSB-first IEEE 1164 string.

@@ -326,17 +326,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // streaming endpoint).
 type streamWriter struct {
 	w       http.ResponseWriter
+	enc     deltaEncoder
 	buf     []byte
 	started bool
+	err     error // first failed Write; sticky: nothing is rendered or written after it
 }
 
 // streamObserver adapts the writer to the Observer contract. OnChange
 // is invoked synchronously on the session goroutine in the kernel's
-// deterministic order, so the buffer needs no locking.
+// deterministic order, so the buffer needs no locking. Lines are appended
+// whole to the one reused buffer, so every flush ends on a line boundary.
 type streamObserver struct{ sw *streamWriter }
 
 func (o streamObserver) OnChange(t llhd.Time, sig *llhd.Signal, v llhd.Value) {
-	o.sw.buf = AppendDelta(o.sw.buf, t, sig.Name, v.String())
+	if o.sw.err != nil {
+		return
+	}
+	o.sw.buf = o.sw.enc.append(o.sw.buf, t, sig, v)
 	if len(o.sw.buf) >= streamFlushThreshold {
 		o.sw.start(http.StatusOK)
 		o.sw.flush()
@@ -354,10 +360,10 @@ func (sw *streamWriter) start(status int) {
 }
 
 func (sw *streamWriter) flush() {
-	if len(sw.buf) > 0 {
-		_, _ = sw.w.Write(sw.buf)
-		sw.buf = sw.buf[:0]
+	if sw.err == nil && len(sw.buf) > 0 {
+		_, sw.err = sw.w.Write(sw.buf)
 	}
+	sw.buf = sw.buf[:0]
 	if f, ok := sw.w.(http.Flusher); ok {
 		f.Flush()
 	}

@@ -9,11 +9,11 @@
 //
 // The wire format lives in this file so the server, the CLI (-stats-json
 // shares the Result schema), and the smoke/round-trip tests agree on the
-// exact bytes: delta lines are rendered by one function (AppendDelta)
-// whether they come from a live streaming session or from a buffered
-// serial TraceObserver reference, which is what makes "streamed trace is
-// byte-identical to a serial run" a testable contract rather than a
-// hope.
+// exact bytes: delta lines are rendered by one encoder (deltaEncoder;
+// AppendDelta is its string form) whether they come from a live streaming
+// session or from a buffered serial TraceObserver reference, which is what
+// makes "streamed trace is byte-identical to a serial run" a testable
+// contract rather than a hope.
 package simserver
 
 import (
@@ -131,16 +131,79 @@ func StatusFor(class string) int {
 }
 
 // AppendDelta appends one NDJSON delta line (newline-terminated) to buf
-// and returns the extended slice. Every delta the server streams and
-// every reference trace a test renders goes through this one function.
+// and returns the extended slice: the bytes json.Marshal(Delta{t.String(),
+// sig, val}) yields, without the marshaller. It is the string form of the
+// one delta rendering; the server's stream and RenderTrace go through a
+// deltaEncoder, which writes the same line from a signal and a value.
 func AppendDelta(buf []byte, t llhd.Time, sig string, val string) []byte {
-	line, err := json.Marshal(Delta{T: t.String(), Sig: sig, Val: val})
-	if err != nil {
-		// Delta marshals three strings; failure here is unreachable.
-		panic(err)
+	buf = append(buf, `{"t":"`...)
+	buf = t.Append(buf)
+	buf = append(buf, `","sig":`...)
+	buf = appendJSONString(buf, sig)
+	buf = append(buf, `,"val":`...)
+	buf = appendJSONString(buf, val)
+	return append(buf, "}\n"...)
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte as
+// encoding/json renders it. Printable ASCII that json.Marshal copies
+// through is copied through; a string holding anything else (a quote, a
+// backslash, the HTML-sensitive <, > and &, a control byte, any non-ASCII
+// or invalid UTF-8) is handed to encoding/json itself, so there is no
+// second copy of its escaping rules to drift.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			lit, err := json.Marshal(s)
+			if err != nil {
+				panic(err) // unreachable: a string always marshals
+			}
+			return append(buf, lit...)
+		}
 	}
-	buf = append(buf, line...)
-	return append(buf, '\n')
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
+// deltaEncoder renders the delta lines of one session. Per signal it
+// keeps the bytes of the line that never change — `","sig":<name>,"val":"`,
+// the name escaped once — in a table indexed by the dense signal ID, so a
+// line is the time, that fragment and the value appended to the caller's
+// buffer: no marshaller, no intermediate string, nothing allocated once
+// each signal has been seen. The time and the value are appended bare
+// because the alphabet of ir.Time.Append and val.Value.Append (digits,
+// unit and logic letters, space, comma, brackets, '-', '?') needs no JSON
+// escaping; TestDeltaEncoderMatchesMarshal holds both to json.Marshal.
+type deltaEncoder struct {
+	frags []sigFragment
+}
+
+// sigFragment is one table entry; sig guards against a stale or foreign
+// entry under the same ID (a trace that mixes engines).
+type sigFragment struct {
+	sig   *llhd.Signal
+	bytes []byte
+}
+
+func (d *deltaEncoder) append(buf []byte, t llhd.Time, sig *llhd.Signal, v llhd.Value) []byte {
+	buf = append(buf, `{"t":"`...)
+	buf = t.Append(buf)
+	buf = append(buf, d.fragment(sig)...)
+	buf = v.Append(buf)
+	return append(buf, "\"}\n"...)
+}
+
+func (d *deltaEncoder) fragment(sig *llhd.Signal) []byte {
+	if sig.ID >= len(d.frags) {
+		d.frags = append(d.frags, make([]sigFragment, sig.ID+1-len(d.frags))...)
+	}
+	f := &d.frags[sig.ID]
+	if f.sig != sig {
+		f.sig = sig
+		f.bytes = append(appendJSONString([]byte(`","sig":`), sig.Name), `,"val":"`...)
+	}
+	return f.bytes
 }
 
 // AppendResult appends the terminal NDJSON result line to buf.
@@ -157,9 +220,12 @@ func AppendResult(buf []byte, r Result) []byte {
 // streaming endpoint produces for its delta portion — the reference
 // side of the byte-for-byte stream determinism check.
 func RenderTrace(o *llhd.TraceObserver) []byte {
-	var buf []byte
+	var (
+		enc deltaEncoder
+		buf []byte
+	)
 	for _, e := range o.Entries {
-		buf = AppendDelta(buf, e.Time, e.Sig.Name, e.Value.String())
+		buf = enc.append(buf, e.Time, e.Sig, e.Value)
 	}
 	return buf
 }

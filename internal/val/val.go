@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"unsafe"
 
 	"llhd/internal/ir"
@@ -247,23 +246,44 @@ func (v Value) Eq(u Value) bool {
 	return false
 }
 
-// String renders the value for traces and error messages.
+// String renders the value for traces and error messages: Append onto a
+// small stack buffer, so a scalar costs the one string it returns. It
+// stays out of line because the engines call it from the cold display arm
+// of their dispatch loops, where an inlined copy grows the loop's frame
+// and body: blaze_lowered_cycles_per_s on rv32i_long read 4 % lower, 0 of
+// 10 pairs ahead, and 4 of 10 with this pragma (CHANGES.md, PR 20).
+//
+//go:noinline
 func (v Value) String() string {
+	var buf [24]byte
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends the String form of v to b and returns the extended
+// slice. It is the one formatter of a runtime value — integers in
+// unsigned decimal, times and logic vectors as ir.Time and logic.Vector
+// append themselves, aggregates as "[e0, e1, ...]" whatever their
+// representation — and it allocates only when b must grow, which is what
+// lets the trace renderers run allocation-free on a reused buffer.
+func (v Value) Append(b []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatUint(v.Bits, 10)
+		return strconv.AppendUint(b, v.Bits, 10)
 	case KindTime:
-		return v.Time().String()
+		return v.Time().Append(b)
 	case KindLogic:
-		return v.Logic().String()
+		return v.Logic().Append(b)
 	case KindAgg:
-		parts := make([]string, v.Len())
-		for i := range parts {
-			parts[i] = v.Elem(i).String()
+		b = append(b, '[')
+		for i, n := 0, v.Len(); i < n; i++ {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = v.Elem(i).Append(b)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(b, ']')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Unary evaluates a pure unary LLHD op.

@@ -2,6 +2,7 @@ package val
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,12 @@ func TestAggregateOps(t *testing.T) {
 			if n > 0 && a.Eq(d) {
 				t.Error("distinct aggregate equals the default")
 			}
+			// Append is the one formatter: in both forms it yields the text
+			// the fmt/strings.Join renderer it replaced yielded, after
+			// whatever the buffer already held.
+			for _, v := range []Value{d, a, g} {
+				checkAppend(t, v)
+			}
 
 			// Static out-of-range indices keep their messages.
 			for _, idx := range []int{-1, n, n + 5} {
@@ -319,21 +326,64 @@ func TestInsFLeavesPackedFormOnKindMismatch(t *testing.T) {
 	}
 }
 
+// oldString is the renderer Value.String was before Append: strconv for
+// integers, a []string and strings.Join for aggregates. It stays here as
+// the reference Append is held to.
+func oldString(v Value) string {
+	switch v.Kind {
+	case KindInt:
+		return strconv.FormatUint(v.Bits, 10)
+	case KindTime:
+		return v.Time().String()
+	case KindLogic:
+		return v.Logic().String()
+	case KindAgg:
+		parts := make([]string, v.Len())
+		for i := range parts {
+			parts[i] = oldString(v.Elem(i))
+		}
+		return "[" + strings.Join(parts, ", ") + "]"
+	}
+	return "?"
+}
+
+func checkAppend(t *testing.T, v Value) {
+	t.Helper()
+	want := oldString(v)
+	if got := v.String(); got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	if got := string(v.Append([]byte("x = "))); got != "x = "+want {
+		t.Errorf("Append = %q, want %q", got, "x = "+want)
+	}
+}
+
 func TestStringForms(t *testing.T) {
 	for _, c := range []struct {
 		v    Value
 		want string
 	}{
+		{Value{}, "0"},
+		{Int(1, 1), "1"},
+		{Int(32, 0xDEADBEEF), "3735928559"},
+		{Int(64, ^uint64(0)), "18446744073709551615"},
+		{l4("01XZ"), "01XZ"},
+		{l4("UX01ZWLH-"), "UX01ZWLH-"},
+		{LogicVal(nil), ""},
+		{TimeVal(ir.Time{Fs: 1500, Delta: 2, Eps: 1}), "1500fs 2d 1e"},
 		{Agg([]Value{Int(8, 1), Int(8, 255)}), "[1, 255]"},
 		{Agg([]Value{Int(8, 1), Agg([]Value{Int(4, 2)})}), "[1, [2]]"},
+		{Agg([]Value{Agg(nil), Agg([]Value{Agg(nil)})}), "[[], [[]]]"},
 		{Agg(nil), "[]"},
 		{Agg([]Value{l4("01XZ"), TimeVal(ir.Nanoseconds(1))}), "[01XZ, 1ns]"},
 		{Value{Kind: KindTime}, ir.Time{}.String()},
 		{Value{Kind: KindAgg}, "[]"},
+		{Value{Kind: Kind(9)}, "?"},
 	} {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
 		}
+		checkAppend(t, c.v)
 	}
 }
 

@@ -14,10 +14,11 @@
 package vcd
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"llhd/internal/engine"
@@ -29,21 +30,41 @@ import (
 // Writer streams signal changes as VCD. Create it with NewWriter after
 // elaboration (all signals registered), then attach it as an observer.
 // The header and the time-zero value dump are written immediately.
+//
+// The Writer appends, it never formats: every line is appended whole to
+// one buffer the Writer owns and reuses, which goes to the underlying
+// writer once flushThreshold bytes have gathered and at Flush. A change
+// in steady state allocates nothing, and because the buffer only ever
+// holds whole lines, whatever reaches the underlying writer ends on a
+// line boundary — the waveform of a run that failed half way is
+// well-formed up to the failure instant.
 type Writer struct {
-	w   *bufio.Writer
+	w   io.Writer
+	buf []byte
 	err error
 
-	// Dense per-signal-ID tables, matching the kernel's dense observer
-	// mask: no hashing on the per-change streaming path. An empty id
-	// string means the signal is not dumped.
-	ids    []string
-	widths []int
+	// vars is the dense per-signal-ID table, matching the kernel's dense
+	// observer mask: no hashing on the per-change streaming path.
+	vars   []dumpedVar
 	lastFs int64
 }
 
+// dumpedVar is what the change stream needs of one signal: its width and
+// tail, the bytes of its change lines that never change — " <id>\n"; a
+// scalar line is the value bit followed by tail[1:]. A nil tail means the
+// signal is not dumped.
+type dumpedVar struct {
+	tail  []byte
+	width int
+}
+
+// flushThreshold is how many buffered bytes send the buffer to the
+// underlying writer.
+const flushThreshold = 32 << 10
+
 // vcdVar is one dumped signal while the scope tree is being built.
 type vcdVar struct {
-	sig   *engine.Signal
+	id    string // identifier code
 	name  string // leaf name within its scope
 	width int
 }
@@ -92,9 +113,8 @@ func Signals(e *engine.Engine) []*engine.Signal {
 func NewWriter(w io.Writer, e *engine.Engine) *Writer {
 	nsig := len(e.Signals())
 	vw := &Writer{
-		w:      bufio.NewWriter(w),
-		ids:    make([]string, nsig),
-		widths: make([]int, nsig),
+		w:      w,
+		vars:   make([]dumpedVar, nsig),
 		lastFs: -1,
 	}
 	root := &scopeNode{children: map[string]*scopeNode{}}
@@ -104,8 +124,8 @@ func NewWriter(w io.Writer, e *engine.Engine) *Writer {
 		if !ok {
 			continue
 		}
-		vw.ids[s.ID] = idCode(len(dumped))
-		vw.widths[s.ID] = width
+		id := idCode(len(dumped))
+		vw.vars[s.ID] = dumpedVar{tail: []byte(" " + id + "\n"), width: width}
 		dumped = append(dumped, s)
 		scope, leaf := root, s.Name
 		if parts := strings.Split(s.Name, "."); len(parts) > 1 {
@@ -120,7 +140,7 @@ func NewWriter(w io.Writer, e *engine.Engine) *Writer {
 				scope = child
 			}
 		}
-		scope.vars = append(scope.vars, vcdVar{sig: s, name: leaf, width: width})
+		scope.vars = append(scope.vars, vcdVar{id: id, name: leaf, width: width})
 	}
 
 	vw.printf("$timescale 1fs $end\n")
@@ -128,7 +148,7 @@ func NewWriter(w io.Writer, e *engine.Engine) *Writer {
 	vw.printf("$enddefinitions $end\n")
 	vw.printf("#0\n$dumpvars\n")
 	for _, s := range dumped {
-		vw.writeValue(s, s.Value())
+		vw.buf = appendChange(vw.buf, vw.vars[s.ID], s.Value())
 	}
 	vw.printf("$end\n")
 	vw.lastFs = 0
@@ -147,7 +167,7 @@ func (vw *Writer) writeScope(n *scopeNode) {
 	vars := append([]vcdVar(nil), n.vars...)
 	sort.SliceStable(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
 	for _, v := range vars {
-		vw.printf("$var wire %d %s %s $end\n", v.width, vw.ids[v.sig.ID], escapeName(v.name))
+		vw.printf("$var wire %d %s %s $end\n", v.width, v.id, escapeName(v.name))
 	}
 	for _, name := range n.order {
 		vw.writeScope(n.children[name])
@@ -165,40 +185,49 @@ func (vw *Writer) OnChange(t ir.Time, sig *engine.Signal, v val.Value) {
 	if vw.err != nil {
 		return
 	}
-	if sig.ID >= len(vw.ids) || vw.ids[sig.ID] == "" {
+	if sig.ID >= len(vw.vars) || vw.vars[sig.ID].tail == nil {
 		return // not representable (or registered after NewWriter)
 	}
+	buf := vw.buf
 	if t.Fs != vw.lastFs {
-		vw.printf("#%d\n", t.Fs)
+		buf = append(buf, '#')
+		buf = strconv.AppendInt(buf, t.Fs, 10)
+		buf = append(buf, '\n')
 		vw.lastFs = t.Fs
 	}
-	vw.writeValue(sig, v)
-}
-
-// writeValue emits one value-change line for the signal.
-func (vw *Writer) writeValue(sig *engine.Signal, v val.Value) {
-	id := vw.ids[sig.ID]
-	width := vw.widths[sig.ID]
-	if width == 1 && v.Kind == val.KindInt {
-		vw.printf("%d%s\n", v.Bits&1, id)
-		return
+	vw.buf = appendChange(buf, vw.vars[sig.ID], v)
+	if len(vw.buf) >= flushThreshold {
+		vw.Flush() // the error is sticky: the next call and the caller's Flush see it
 	}
-	vw.printf("b%s %s\n", bits(v, width), id)
 }
 
-// bits renders the value MSB-first using the four VCD value characters
+// appendChange appends one value-change line: the scalar form for a
+// two-state bit, the vector form for everything else.
+func appendChange(b []byte, dv dumpedVar, v val.Value) []byte {
+	if dv.width == 1 && v.Kind == val.KindInt {
+		b = append(b, '0'+byte(v.Bits&1))
+		return append(b, dv.tail[1:]...)
+	}
+	b = append(b, 'b')
+	b = appendBits(b, v, dv.width)
+	return append(b, dv.tail...)
+}
+
+// appendBits appends the value MSB-first in the four VCD value characters
 // (0, 1, x, z). Nine-valued logic collapses onto them: forcing/weak levels
 // keep their polarity, Z stays z, everything else is x.
-func bits(v val.Value, width int) string {
-	buf := make([]byte, width)
+func appendBits(b []byte, v val.Value, width int) []byte {
+	n := len(b)
+	b = slices.Grow(b, width)[:n+width]
+	out := b[n:]
 	switch v.Kind {
 	case val.KindInt:
-		for i := 0; i < width; i++ {
-			buf[width-1-i] = '0' + byte(v.Bits>>uint(i)&1)
+		for i := range out {
+			out[width-1-i] = '0' + byte(v.Bits>>uint(i)&1)
 		}
 	case val.KindLogic:
 		lv := v.Logic()
-		for i := 0; i < width; i++ {
+		for i := range out {
 			c := byte('x')
 			if i < len(lv) {
 				l := lv[i]
@@ -211,32 +240,31 @@ func bits(v val.Value, width int) string {
 					c = 'z'
 				}
 			}
-			buf[width-1-i] = c
+			out[width-1-i] = c
 		}
 	default:
-		for i := range buf {
-			buf[i] = 'x'
+		for i := range out {
+			out[i] = 'x'
 		}
 	}
-	return string(buf)
+	return b
 }
 
 // Flush forces buffered output to the underlying writer and returns the
-// first write error encountered, if any.
+// first write error encountered, if any. The error is sticky: once a
+// write has failed the Writer renders nothing more.
 func (vw *Writer) Flush() error {
-	if err := vw.w.Flush(); vw.err == nil && err != nil {
-		vw.err = err
+	if vw.err == nil && len(vw.buf) > 0 {
+		_, vw.err = vw.w.Write(vw.buf)
 	}
+	vw.buf = vw.buf[:0]
 	return vw.err
 }
 
+// printf appends one formatted piece of the header; the change stream
+// does not come here.
 func (vw *Writer) printf(format string, args ...any) {
-	if vw.err != nil {
-		return
-	}
-	if _, err := fmt.Fprintf(vw.w, format, args...); err != nil {
-		vw.err = err
-	}
+	vw.buf = fmt.Appendf(vw.buf, format, args...)
 }
 
 // idCode maps a dense variable index onto the VCD identifier alphabet
