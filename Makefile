@@ -51,9 +51,10 @@ test-timeout:
 # legs are Go-native fuzz targets on the byte-level boundaries:
 # SystemVerilog source into the Moore parser (a file or an error, soon),
 # bitcode read back from the disk cache (a module or an error, never a
-# panic, allocation in proportion to the input), and the NDJSON delta line
-# on its way out (the bytes json.Marshal gives, whatever the signal is
-# called). A crasher is written
+# panic, allocation in proportion to the input; a module goes on through
+# ir.CheckShape, and one that passes must print and re-encode), and the
+# NDJSON delta line on its way out (the bytes json.Marshal gives, whatever
+# the signal is called). A crasher is written
 # under the package's testdata/fuzz/ — commit it: it replays in every
 # plain `go test` from then on — and fails the target. The minimizer is
 # capped because its default (60 s per interesting input) would eat the

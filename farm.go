@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"llhd/internal/engine"
@@ -102,7 +101,7 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 		}
 		p, ok := shared[cfg.designInput]
 		if !ok {
-			p.d, p.err = prepareContained(cfg)
+			p.d, p.err = prepare(cfg)
 			shared[cfg.designInput] = p
 		}
 		if p.err != nil {
@@ -141,31 +140,16 @@ func (f *Farm) Run(ctx context.Context, jobs ...FarmJob) []FarmResult {
 	return results
 }
 
-// recoverInternal is the farm's last-resort panic backstop for the phases
-// outside any session (a frontend, a compile, construction): deferred, it
-// turns a panic into an ErrInternal-classified error with the stack.
-func recoverInternal(err *error) {
-	if r := recover(); r != nil {
-		*err = &engine.RuntimeError{
-			Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack(),
-		}
-	}
-}
-
-func prepareContained(cfg *sessionConfig) (d *design, err error) {
-	defer recoverInternal(&err)
-	return prepare(cfg)
-}
-
 // runFarmJob opens and runs one session under the farm's context. The
 // session boundary is the containment layer: panics inside Run/Finish (a
 // bug in an engine, or one provoked by a malformed design) come back as
 // classified *RuntimeError values with the captured stack, so
 // differential harnesses can treat "this design panics an engine" as a
-// debuggable finding to report and shrink; recoverInternal covers the
-// construction before it. Cancellation of the farm context is polled by
-// the engine at batch granularity (engine.DefaultGovernBatch instants), so
-// long-running jobs stop promptly with an ErrCanceled-classified result.
+// debuggable finding to report and shrink; open contains its own
+// construction, and recoverInternal here is the worker's last resort.
+// Cancellation of the farm context is polled by the engine at batch
+// granularity (engine.DefaultGovernBatch instants), so long-running jobs
+// stop promptly with an ErrCanceled-classified result.
 func runFarmJob(ctx context.Context, d *design, cfg *sessionConfig, until Time) (stats Finish, err error) {
 	defer recoverInternal(&err)
 	if cerr := ctx.Err(); cerr != nil {

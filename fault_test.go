@@ -309,3 +309,62 @@ func TestPoisonedSessionSemantics(t *testing.T) {
 		})
 	}
 }
+
+// panicWriter is a VCD sink that panics on its first write, which is the
+// header NewSession writes while it opens the session.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("faultinject: deliberate panic in a writer") }
+
+// TestConstructionPanicIsContained is the matrix's row for the one phase
+// no scheduling point covers: construction. A panic inside prepare (here:
+// from the phase probe, where a frontend or a compile would panic) or
+// inside open (from the VCD header write, where an elaboration would) is
+// an ErrInternal RuntimeError with the recovered value and the stack, from
+// plain NewSession exactly as from a farm job — the backstop sits in the
+// two functions themselves, not in the farm around them.
+func TestConstructionPanicIsContained(t *testing.T) {
+	phases := map[string]llhd.SessionOption{
+		"prepare": llhd.WithPhaseHook(func(string) { panic("faultinject: deliberate panic in prepare") }),
+		"open":    llhd.WithVCD(panicWriter{}),
+	}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var re *llhd.RuntimeError
+		if !errors.As(err, &re) || !errors.Is(err, llhd.ErrInternal) {
+			t.Fatalf("error = %v, want an ErrInternal *RuntimeError", err)
+		}
+		if got := llhd.ErrorClass(err); got != "panic" {
+			t.Errorf("ErrorClass = %q, want \"panic\"", got)
+		}
+		if re.Recovered == nil || len(re.Stack) == 0 {
+			t.Errorf("contained panic lost its recovered value or stack: %+v", re)
+		}
+	}
+	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+		for phase, fault := range phases {
+			opts := []llhd.SessionOption{
+				llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(kind), fault,
+			}
+			t.Run(fmt.Sprintf("%v/%s/session", kind, phase), func(t *testing.T) {
+				s, err := llhd.NewSession(opts...)
+				if s != nil {
+					t.Error("NewSession returned a session next to the error")
+				}
+				check(t, err)
+			})
+			t.Run(fmt.Sprintf("%v/%s/farm", kind, phase), func(t *testing.T) {
+				var farm llhd.Farm
+				results := farm.Run(context.Background(),
+					llhd.FarmJob{Name: "faulty", Options: opts},
+					// Another input: jobs naming one input share its preparation.
+					llhd.FarmJob{Name: "good", Options: []llhd.SessionOption{
+						llhd.FromSystemVerilog(toggleSrc + "\n"), llhd.Top("toggle_tb"), llhd.Backend(kind)}})
+				check(t, results[0].Err)
+				if results[1].Err != nil {
+					t.Errorf("healthy job failed next to the panicking one: %v", results[1].Err)
+				}
+			})
+		}
+	}
+}

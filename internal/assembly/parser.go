@@ -393,8 +393,12 @@ func (p *parser) instruction(b *ir.Block) error {
 		return p.errorf("expected instruction mnemonic, found %s", t)
 	}
 	mnemonic := p.advance().text
+	op, ok := ir.OpcodeByName(mnemonic)
+	if !ok {
+		return p.errorf("unknown instruction %q", mnemonic)
+	}
 
-	in := &ir.Inst{Ty: ir.VoidType()}
+	in := &ir.Inst{Op: op, Ty: ir.VoidType()}
 	emit := func() {
 		if resultName != "" {
 			p.define(resultName, in)
@@ -405,8 +409,8 @@ func (p *parser) instruction(b *ir.Block) error {
 		return func(v ir.Value) { in.Args[i] = v }
 	}
 
-	switch mnemonic {
-	case "const":
+	switch op {
+	case ir.OpConstInt:
 		ty, err := p.parseType()
 		if err != nil {
 			return err
@@ -459,185 +463,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		emit()
 		return nil
 
-	case "not", "neg":
-		in.Op = map[string]ir.Opcode{"not": ir.OpNot, "neg": ir.OpNeg}[mnemonic]
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ty
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "and", "or",
-		"xor", "shl", "shr", "ashr", "div", "mod":
-		ops := map[string]ir.Opcode{
-			"add": ir.OpAdd, "sub": ir.OpSub, "mul": ir.OpMul,
-			"udiv": ir.OpUdiv, "sdiv": ir.OpSdiv, "div": ir.OpUdiv,
-			"umod": ir.OpUmod, "smod": ir.OpSmod, "mod": ir.OpUmod,
-			"and": ir.OpAnd, "or": ir.OpOr, "xor": ir.OpXor,
-			"shl": ir.OpShl, "shr": ir.OpShr, "ashr": ir.OpAshr,
-		}
-		in.Op = ops[mnemonic]
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ty
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		return p.operand(argSlot(1))
-
-	case "eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge":
-		ops := map[string]ir.Opcode{
-			"eq": ir.OpEq, "neq": ir.OpNeq, "ult": ir.OpUlt, "ugt": ir.OpUgt,
-			"ule": ir.OpUle, "uge": ir.OpUge, "slt": ir.OpSlt, "sgt": ir.OpSgt,
-			"sle": ir.OpSle, "sge": ir.OpSge,
-		}
-		in.Op = ops[mnemonic]
-		if _, err := p.parseType(); err != nil { // operand type annotation
-			return err
-		}
-		in.Ty = ir.IntType(1)
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		return p.operand(argSlot(1))
-
-	case "mux":
-		in.Op = ir.OpMux
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ty
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		return p.operand(argSlot(1))
-
-	case "insf", "inss":
-		in.Op = map[string]ir.Opcode{"insf": ir.OpInsF, "inss": ir.OpInsS}[mnemonic]
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ty
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		if err := p.operand(argSlot(1)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		if in.Op == ir.OpInsF && p.peek().kind == tokLocal {
-			in.Args = append(in.Args, nil)
-			return p.operand(argSlot(2))
-		}
-		num, err := p.expect(tokNumber, "index")
-		if err != nil {
-			return err
-		}
-		in.Imm0, _ = strconv.Atoi(num.text)
-		if in.Op == ir.OpInsS {
-			if _, err := p.expect(tokComma, ","); err != nil {
-				return err
-			}
-			num, err := p.expect(tokNumber, "length")
-			if err != nil {
-				return err
-			}
-			in.Imm1, _ = strconv.Atoi(num.text)
-		}
-		return nil
-
-	case "extf", "exts":
-		in.Op = map[string]ir.Opcode{"extf": ir.OpExtF, "exts": ir.OpExtS}[mnemonic]
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ty
-		in.Args = make([]ir.Value, 1)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		if in.Op == ir.OpExtF && p.peek().kind == tokLocal {
-			in.Args = append(in.Args, nil)
-			return p.operand(argSlot(1))
-		}
-		num, err := p.expect(tokNumber, "index")
-		if err != nil {
-			return err
-		}
-		in.Imm0, _ = strconv.Atoi(num.text)
-		if in.Op == ir.OpExtS {
-			if _, err := p.expect(tokComma, ","); err != nil {
-				return err
-			}
-			num, err := p.expect(tokNumber, "length")
-			if err != nil {
-				return err
-			}
-			in.Imm1, _ = strconv.Atoi(num.text)
-		}
-		return nil
-
-	case "sig":
-		in.Op = ir.OpSig
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ir.SignalType(ty)
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "prb":
-		in.Op = ir.OpPrb
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		if !ty.IsSignal() {
-			return p.errorf("prb needs a signal type, got %s", ty)
-		}
-		in.Ty = ty.Elem
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "drv":
-		in.Op = ir.OpDrv
+	case ir.OpDrv:
 		if _, err := p.parseType(); err != nil {
 			return err
 		}
@@ -665,8 +491,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 		return nil
 
-	case "reg":
-		in.Op = ir.OpReg
+	case ir.OpReg:
 		if _, err := p.parseType(); err != nil {
 			return err
 		}
@@ -686,11 +511,7 @@ func (p *parser) instruction(b *ir.Block) error {
 			if err != nil {
 				return err
 			}
-			modes := map[string]ir.RegMode{
-				"low": ir.RegLow, "high": ir.RegHigh, "rise": ir.RegRise,
-				"fall": ir.RegFall, "both": ir.RegBoth,
-			}
-			mode, ok := modes[modeTok.text]
+			mode, ok := ir.ParseRegMode(modeTok.text)
 			if !ok {
 				return p.errorf("unknown reg trigger mode %q", modeTok.text)
 			}
@@ -711,42 +532,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 		return nil
 
-	case "con":
-		in.Op = ir.OpCon
-		if _, err := p.parseType(); err != nil {
-			return err
-		}
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		return p.operand(argSlot(1))
-
-	case "del":
-		in.Op = ir.OpDel
-		if _, err := p.parseType(); err != nil {
-			return err
-		}
-		in.Args = make([]ir.Value, 3)
-		emit()
-		for i := 0; i < 3; i++ {
-			if i > 0 {
-				if _, err := p.expect(tokComma, ","); err != nil {
-					return err
-				}
-			}
-			if err := p.operand(argSlot(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case "inst":
-		in.Op = ir.OpInst
+	case ir.OpInst:
 		g, err := p.expect(tokGlobal, "unit name")
 		if err != nil {
 			return err
@@ -768,67 +554,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		_ = outs
 		return nil
 
-	case "var":
-		in.Op = ir.OpVar
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ir.PointerType(ty)
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "alloc":
-		in.Op = ir.OpAlloc
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		in.Ty = ir.PointerType(ty)
-		emit()
-		return nil
-
-	case "free":
-		in.Op = ir.OpFree
-		if _, err := p.parseType(); err != nil {
-			return err
-		}
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "ld":
-		in.Op = ir.OpLd
-		ty, err := p.parseType()
-		if err != nil {
-			return err
-		}
-		if !ty.IsPointer() {
-			return p.errorf("ld needs a pointer type, got %s", ty)
-		}
-		in.Ty = ty.Elem
-		in.Args = make([]ir.Value, 1)
-		emit()
-		return p.operand(argSlot(0))
-
-	case "st":
-		in.Op = ir.OpSt
-		if _, err := p.parseType(); err != nil {
-			return err
-		}
-		in.Args = make([]ir.Value, 2)
-		emit()
-		if err := p.operand(argSlot(0)); err != nil {
-			return err
-		}
-		if _, err := p.expect(tokComma, ","); err != nil {
-			return err
-		}
-		return p.operand(argSlot(1))
-
-	case "call":
-		in.Op = ir.OpCall
+	case ir.OpCall:
 		ty, err := p.parseType()
 		if err != nil {
 			return err
@@ -860,8 +586,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		p.advance()
 		return nil
 
-	case "ret":
-		in.Op = ir.OpRet
+	case ir.OpRet:
 		emit()
 		if p.peekIsType() {
 			if _, err := p.parseType(); err != nil {
@@ -876,8 +601,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 		return nil
 
-	case "br":
-		in.Op = ir.OpBr
+	case ir.OpBr:
 		emit()
 		// br %dest | br %cond, %bbFalse, %bbTrue. Look ahead for a comma.
 		first, err := p.expect(tokLocal, "branch operand")
@@ -909,8 +633,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		in.Dests = []*ir.Block{p.getBlock(first.text)}
 		return nil
 
-	case "phi":
-		in.Op = ir.OpPhi
+	case ir.OpPhi:
 		ty, err := p.parseType()
 		if err != nil {
 			return err
@@ -947,8 +670,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 		return nil
 
-	case "wait":
-		in.Op = ir.OpWait
+	case ir.OpWait:
 		emit()
 		dest, err := p.expect(tokLocal, "resume block")
 		if err != nil {
@@ -987,17 +709,56 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 		return nil
 
-	case "halt":
-		in.Op = ir.OpHalt
-		emit()
-		return nil
-
-	case "unreachable":
-		in.Op = ir.OpUnreachable
-		emit()
-		return nil
 	}
-	return p.errorf("unknown instruction %q", mnemonic)
+
+	// Every other form is the table's: "name [T] %a, %b…[, imm…]".
+	info := op.Info()
+	if info.Result == ir.ResultIrregular {
+		return p.errorf("unknown instruction %q", mnemonic) // array, struct: written as literals
+	}
+	if info.Type != ir.AsmNoType {
+		ty, err := p.parseType()
+		if err != nil {
+			return err
+		}
+		if in.Ty, err = info.ResultType(ty); err != nil {
+			return p.errorf("%v", err)
+		}
+	}
+	in.Args = make([]ir.Value, info.MinArgs)
+	emit()
+	for i := range in.Args {
+		if i > 0 {
+			if _, err := p.expect(tokComma, ","); err != nil {
+				return err
+			}
+		}
+		if err := p.operand(argSlot(i)); err != nil {
+			return err
+		}
+	}
+	imms := [...]struct {
+		dst  *int
+		what string
+	}{{&in.Imm0, "index"}, {&in.Imm1, "length"}}
+	for _, imm := range imms[:info.Imms] {
+		if _, err := p.expect(tokComma, ","); err != nil {
+			return err
+		}
+		if len(in.Args) < int(info.MaxArgs) && p.peek().kind == tokLocal {
+			in.Args = append(in.Args, nil) // a dynamic index in the immediate's place
+			if err := p.operand(argSlot(len(in.Args) - 1)); err != nil {
+				return err
+			}
+			continue
+		}
+		num, err := p.expect(tokNumber, imm.what)
+		if err != nil {
+			return err
+		}
+		*imm.dst, _ = strconv.Atoi(num.text)
+	}
+	return nil
 }
 
 // instArgList parses "(T %a, T %b)" for inst, appending operands to the

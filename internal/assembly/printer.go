@@ -184,30 +184,6 @@ func (p *printer) inst(in *ir.Inst) {
 			p.printf("%s %s", a.Type(), p.ref(a))
 		}
 		p.printf("}")
-	case ir.OpNot, ir.OpNeg:
-		p.printf("%s %s %s", in.Op, in.Ty, p.ref(in.Args[0]))
-	case ir.OpMux:
-		p.printf("mux %s %s, %s", in.Ty, p.ref(in.Args[0]), p.ref(in.Args[1]))
-	case ir.OpInsF:
-		if len(in.Args) == 3 {
-			p.printf("insf %s %s, %s, %s", in.Ty, p.ref(in.Args[0]), p.ref(in.Args[1]), p.ref(in.Args[2]))
-		} else {
-			p.printf("insf %s %s, %s, %d", in.Ty, p.ref(in.Args[0]), p.ref(in.Args[1]), in.Imm0)
-		}
-	case ir.OpInsS:
-		p.printf("inss %s %s, %s, %d, %d", in.Ty, p.ref(in.Args[0]), p.ref(in.Args[1]), in.Imm0, in.Imm1)
-	case ir.OpExtF:
-		if len(in.Args) == 2 {
-			p.printf("extf %s %s, %s", in.Ty, p.ref(in.Args[0]), p.ref(in.Args[1]))
-		} else {
-			p.printf("extf %s %s, %d", in.Ty, p.ref(in.Args[0]), in.Imm0)
-		}
-	case ir.OpExtS:
-		p.printf("exts %s %s, %d, %d", in.Ty, p.ref(in.Args[0]), in.Imm0, in.Imm1)
-	case ir.OpSig:
-		p.printf("sig %s %s", in.Ty.Elem, p.ref(in.Args[0]))
-	case ir.OpPrb:
-		p.printf("prb %s %s", in.Args[0].Type(), p.ref(in.Args[0]))
 	case ir.OpDrv:
 		p.printf("drv %s %s, %s after %s", in.Args[0].Type(), p.ref(in.Args[0]), p.ref(in.Args[1]), p.ref(in.Args[2]))
 		if len(in.Args) == 4 {
@@ -224,10 +200,6 @@ func (p *printer) inst(in *ir.Inst) {
 		if in.Delay != nil {
 			p.printf(" after %s", p.ref(in.Delay))
 		}
-	case ir.OpCon:
-		p.printf("con %s %s, %s", in.Args[0].Type(), p.ref(in.Args[0]), p.ref(in.Args[1]))
-	case ir.OpDel:
-		p.printf("del %s %s, %s, %s", in.Args[0].Type(), p.ref(in.Args[0]), p.ref(in.Args[1]), p.ref(in.Args[2]))
 	case ir.OpInst:
 		p.printf("inst @%s (", in.Callee)
 		for i, a := range in.Args[:in.NumIns] {
@@ -244,16 +216,6 @@ func (p *printer) inst(in *ir.Inst) {
 			p.printf("%s %s", a.Type(), p.ref(a))
 		}
 		p.printf(")")
-	case ir.OpVar:
-		p.printf("var %s %s", in.Ty.Elem, p.ref(in.Args[0]))
-	case ir.OpAlloc:
-		p.printf("alloc %s", in.Ty.Elem)
-	case ir.OpFree:
-		p.printf("free %s %s", in.Args[0].Type(), p.ref(in.Args[0]))
-	case ir.OpLd:
-		p.printf("ld %s %s", in.Args[0].Type(), p.ref(in.Args[0]))
-	case ir.OpSt:
-		p.printf("st %s %s, %s", in.Args[0].Type(), p.ref(in.Args[0]), p.ref(in.Args[1]))
 	case ir.OpCall:
 		p.printf("call %s @%s (", in.Ty, in.Callee)
 		for i, a := range in.Args {
@@ -300,19 +262,31 @@ func (p *printer) inst(in *ir.Inst) {
 				first = false
 			}
 		}
-	case ir.OpHalt:
-		p.printf("halt")
-	case ir.OpUnreachable:
-		p.printf("unreachable")
 	default:
-		// Generic fallback: mnemonic, type, operands.
-		p.printf("%s %s", in.Op, in.Ty)
-		for i, a := range in.Args {
-			if i == 0 {
-				p.printf(" %s", p.ref(a))
-			} else {
-				p.printf(", %s", p.ref(a))
-			}
+		p.regular(in)
+	}
+}
+
+// regular prints the forms the instruction-set table describes:
+// "name [T] %a, %b…[, imm…]", a dynamic index operand standing in for the
+// first immediate.
+func (p *printer) regular(in *ir.Inst) {
+	info := in.Op.Info()
+	p.printf("%s", in.Op)
+	if info.Result == ir.ResultIrregular {
+		return // no assembly form: an opcode outside the instruction set
+	}
+	if info.Type != ir.AsmNoType {
+		p.printf(" %s", info.WrittenType(in))
+	}
+	for i, a := range in.Args {
+		if i > 0 {
+			p.printf(",")
 		}
+		p.printf(" %s", p.ref(a))
+	}
+	imms := [...]int{in.Imm0, in.Imm1}
+	for i := len(in.Args) - int(info.MinArgs); i < int(info.Imms); i++ {
+		p.printf(", %d", imms[i])
 	}
 }

@@ -50,7 +50,7 @@ func (p *Program) Func(name string) (*Unit, error) {
 	for _, a := range fn.Inputs {
 		fu.Args = append(fu.Args, lo.reg(a))
 	}
-	if err := lo.lowerBlocks(true); err != nil {
+	if err := lo.lowerBlocks(); err != nil {
 		return nil, fmt.Errorf("@%s: %w", name, err)
 	}
 	if len(fu.SigVals) > 0 {
@@ -69,7 +69,7 @@ func (p *Program) LowerUnit(inst *engine.Instance) (*Unit, error) {
 		unit:   inst.Unit,
 	}
 	lo := newLowerer(p, inst, u)
-	if err := lo.lowerBlocks(false); err != nil {
+	if err := lo.lowerBlocks(); err != nil {
 		return nil, fmt.Errorf("@%s: %w", u.Name, err)
 	}
 	return u, nil
@@ -217,11 +217,12 @@ func (lo *lowerer) jumpTo(pc int, f uint8, b *ir.Block) {
 }
 
 // lowerBlocks lowers every block in order, then patches jump targets.
-// Function bodies (isFunc) additionally treat ret as their terminator.
-func (lo *lowerer) lowerBlocks(isFunc bool) error {
+// Operand counts and which ops the unit's kind may hold were checked by
+// the elaboration that got here (ir.CheckShape).
+func (lo *lowerer) lowerBlocks() error {
 	for _, b := range lo.unit.Blocks {
 		lo.blockPC[b] = len(lo.u.Code)
-		if err := lo.lowerBlock(b, isFunc); err != nil {
+		if err := lo.lowerBlock(b); err != nil {
 			return err
 		}
 	}
@@ -242,17 +243,9 @@ func (lo *lowerer) lowerBlocks(isFunc bool) error {
 	return nil
 }
 
-func (lo *lowerer) lowerBlock(b *ir.Block, isFunc bool) error {
+func (lo *lowerer) lowerBlock(b *ir.Block) error {
 	start := int32(lo.blockPC[b])
 	for _, in := range b.Insts {
-		if isFunc && in.Op == ir.OpRet {
-			if len(in.Args) == 1 {
-				lo.emit(Instr{Op: opRetV, A: lo.reg(in.Args[0])})
-			} else {
-				lo.emit(Instr{Op: opRet})
-			}
-			return nil
-		}
 		if in.Op.IsTerminator() {
 			return lo.lowerTerm(b, in)
 		}
@@ -260,7 +253,7 @@ func (lo *lowerer) lowerBlock(b *ir.Block, isFunc bool) error {
 			return err
 		}
 	}
-	if isFunc {
+	if lo.unit.Kind == ir.UnitFunc {
 		return fmt.Errorf("block %s lacks a terminator", b)
 	}
 	// Entity bodies have no terminator: suspend after each evaluation,
@@ -364,7 +357,12 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 		return nil
 
 	case ir.OpRet:
-		return fmt.Errorf("ret outside a function")
+		if len(in.Args) == 1 {
+			lo.emit(Instr{Op: opRetV, A: lo.reg(in.Args[0])})
+		} else {
+			lo.emit(Instr{Op: opRet})
+		}
+		return nil
 
 	case ir.OpUnreachable:
 		lo.emit(Instr{Op: opUnreach})
@@ -381,8 +379,10 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		return nil // pre-placed by the register template
 	case ir.OpPhi:
 		return nil // register reserved by value ID; filled by edge moves
-	case ir.OpSig, ir.OpInst, ir.OpCon, ir.OpFree:
-		return nil // elaboration artifacts
+	case ir.OpSig, ir.OpInst, ir.OpCon:
+		return nil // entity only; handled at elaboration
+	case ir.OpFree:
+		return nil // a memory slot is a register; there is nothing to release
 
 	case ir.OpPrb:
 		si, err := lo.sigSlot(in.Args[0])

@@ -105,8 +105,15 @@ func (inst *Instance) ConstTable() (vals []val.Value, set []bool) {
 type ProcFactory func(inst *Instance) (Process, error)
 
 // Elaborate instantiates the design hierarchy rooted at the named top
-// entity (or process), creating signals and processes on the engine.
+// entity (or process), creating signals and processes on the engine. It
+// starts with ir.CheckShape: every engine is built through here, so the
+// elaborator, the interpreter and the bytecode lowering index operands and
+// assume kind legality only behind that check, and a malformed module is
+// the same input error from all of them.
 func Elaborate(e *Engine, m *ir.Module, top string, factory ProcFactory) error {
+	if err := ir.CheckShape(m); err != nil {
+		return err
+	}
 	u := m.Unit(top)
 	if u == nil {
 		return fmt.Errorf("engine: top unit @%s not found", top)
@@ -237,10 +244,8 @@ func (el *elaborator) entity(inst *Instance) error {
 			el.e.AddProcess(cp, false)
 
 		default:
-			if in.Op.IsPure() || in.Op.IsConst() {
-				if el.tryConst(inst, in) {
-					continue
-				}
+			if in.Op.IsPure() && el.tryConst(inst, in) {
+				continue
 			}
 			reactive++
 		}

@@ -222,7 +222,7 @@ func topSigInits(m *ir.Module, topName string) map[string]string {
 			}
 			continue
 		}
-		if in.Op.IsConst() || in.Op.IsPure() {
+		if in.Op.IsPure() {
 			v, err := engine.EvalPure(in, func(x ir.Value) (val.Value, bool) {
 				k, ok := known[x]
 				return k, ok

@@ -96,127 +96,40 @@ const (
 	numOpcodes
 )
 
-var opNames = [...]string{
-	OpInvalid:     "<invalid>",
-	OpConstInt:    "const",
-	OpConstTime:   "const",
-	OpConstLogic:  "const",
-	OpArray:       "array",
-	OpStruct:      "struct",
-	OpNot:         "not",
-	OpNeg:         "neg",
-	OpAnd:         "and",
-	OpOr:          "or",
-	OpXor:         "xor",
-	OpAdd:         "add",
-	OpSub:         "sub",
-	OpMul:         "mul",
-	OpUdiv:        "udiv",
-	OpSdiv:        "sdiv",
-	OpUmod:        "umod",
-	OpSmod:        "smod",
-	OpShl:         "shl",
-	OpShr:         "shr",
-	OpAshr:        "ashr",
-	OpEq:          "eq",
-	OpNeq:         "neq",
-	OpUlt:         "ult",
-	OpUgt:         "ugt",
-	OpUle:         "ule",
-	OpUge:         "uge",
-	OpSlt:         "slt",
-	OpSgt:         "sgt",
-	OpSle:         "sle",
-	OpSge:         "sge",
-	OpMux:         "mux",
-	OpInsF:        "insf",
-	OpInsS:        "inss",
-	OpExtF:        "extf",
-	OpExtS:        "exts",
-	OpSig:         "sig",
-	OpPrb:         "prb",
-	OpDrv:         "drv",
-	OpReg:         "reg",
-	OpCon:         "con",
-	OpDel:         "del",
-	OpInst:        "inst",
-	OpVar:         "var",
-	OpLd:          "ld",
-	OpSt:          "st",
-	OpAlloc:       "alloc",
-	OpFree:        "free",
-	OpCall:        "call",
-	OpRet:         "ret",
-	OpBr:          "br",
-	OpPhi:         "phi",
-	OpWait:        "wait",
-	OpHalt:        "halt",
-	OpUnreachable: "unreachable",
-}
-
 // String returns the assembly mnemonic of the opcode.
 func (op Opcode) String() string {
-	if int(op) < len(opNames) {
-		return opNames[op]
+	if op < numOpcodes {
+		return opInfos[op].Name
 	}
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
+func (op Opcode) has(f OpFlags) bool { return op.Info().Flags&f != 0 }
+
 // IsTerminator reports whether op ends a basic block.
-func (op Opcode) IsTerminator() bool {
-	switch op {
-	case OpBr, OpWait, OpHalt, OpRet, OpUnreachable:
-		return true
-	}
-	return false
-}
+func (op Opcode) IsTerminator() bool { return op.has(FlagTerminator) }
 
 // IsConst reports whether op is a constant.
-func (op Opcode) IsConst() bool {
-	return op == OpConstInt || op == OpConstTime || op == OpConstLogic
-}
+func (op Opcode) IsConst() bool { return op.has(FlagConst) }
 
 // IsBinary reports whether op is a two-operand pure data-flow instruction.
-func (op Opcode) IsBinary() bool { return op >= OpAnd && op <= OpAshr }
+func (op Opcode) IsBinary() bool { return op.has(FlagBinary) }
 
 // IsCompare reports whether op is a comparison.
-func (op Opcode) IsCompare() bool { return op >= OpEq && op <= OpSge }
+func (op Opcode) IsCompare() bool { return op.has(FlagCompare) }
 
 // IsCommutative reports whether the operands of op may be swapped.
-func (op Opcode) IsCommutative() bool {
-	switch op {
-	case OpAnd, OpOr, OpXor, OpAdd, OpMul, OpEq, OpNeq:
-		return true
-	}
-	return false
-}
+func (op Opcode) IsCommutative() bool { return op.has(FlagCommutative) }
 
 // HasSideEffects reports whether the instruction does something beyond
 // producing its result value, and therefore must not be removed by DCE
 // even when unused.
-func (op Opcode) HasSideEffects() bool {
-	switch op {
-	case OpDrv, OpReg, OpCon, OpDel, OpInst, OpSt, OpFree, OpCall,
-		OpRet, OpBr, OpPhi, OpWait, OpHalt, OpUnreachable, OpSig, OpVar, OpAlloc:
-		return true
-	}
-	return false
-}
+func (op Opcode) HasSideEffects() bool { return op.has(FlagSideEffects) }
 
 // IsPure reports whether op computes its result from operands alone: no
-// side effects and no dependence on mutable state. Pure instructions are
-// subject to CSE and hoisting.
-func (op Opcode) IsPure() bool {
-	switch op {
-	case OpConstInt, OpConstTime, OpConstLogic, OpArray, OpStruct, OpNot,
-		OpNeg, OpMux, OpInsF, OpInsS:
-		return true
-	}
-	if op.IsBinary() || op.IsCompare() {
-		return true
-	}
-	return false
-}
+// side effects and no dependence on mutable state. Pure instructions —
+// the constants among them — are subject to CSE, hoisting and folding.
+func (op Opcode) IsPure() bool { return op.has(FlagPure) }
 
 // RegMode describes when a reg trigger stores its value (§2.5.3).
 type RegMode uint8
@@ -238,6 +151,16 @@ func (m RegMode) String() string {
 		return regModeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParseRegMode reads the assembly keyword of a trigger mode.
+func ParseRegMode(s string) (RegMode, bool) {
+	for m, name := range regModeNames {
+		if name == s {
+			return RegMode(m), true
+		}
+	}
+	return 0, false
 }
 
 // Fires reports whether a trigger of this mode stores its value when the
@@ -268,27 +191,9 @@ type RegTrigger struct {
 	Gate    Value // optional "if" condition, nil if absent
 }
 
-// Inst is a single LLHD instruction. The interpretation of Args, Dests and
-// the immediate fields depends on Op; see the Opcode constants.
-//
-// Operand layout by opcode:
-//
-//	drv:   Args = [signal, value, delay] or [signal, value, delay, cond]
-//	reg:   Args[0] = signal, Delay = after-delay; Triggers hold the clauses
-//	mux:   Args = [array, selector]
-//	insf:  Args = [target, value], Imm0 = index
-//	inss:  Args = [target, value], Imm0 = offset, Imm1 = length
-//	extf:  Args = [target], Imm0 = index
-//	exts:  Args = [target], Imm0 = offset, Imm1 = length
-//	call:  Callee = @name, Args = arguments
-//	inst:  Callee = @name, Args = input signals then output signals,
-//	       NumIns = number of inputs
-//	br:    unconditional: Dests = [dest]
-//	       conditional: Args = [cond], Dests = [ifFalse, ifTrue]
-//	wait:  Dests = [resume], Args = observed signals, TimeArg = optional
-//	phi:   Args = incoming values, Dests = incoming blocks
-//	con:   Args = [a, b]
-//	del:   Args = [out, in, delay]
+// Inst is a single LLHD instruction. What Args, Dests and the immediate
+// fields hold depends on Op: the instruction-set table (opinfo.go) lists
+// the operand layout and the legal counts per opcode.
 type Inst struct {
 	Op   Opcode
 	Ty   *Type // result type (void for pure side effects)

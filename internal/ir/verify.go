@@ -119,11 +119,16 @@ func (v *verifier) verifyUnit(m *Module, u *Unit, level Level) {
 		v.errorf("%s: functions have no output arguments", name)
 	}
 
-	switch u.Kind {
-	case UnitEntity:
+	// Shape and kind legality come from the instruction-set table; the
+	// rules below index operands behind it.
+	if p := shapeProblem(u); p != "" {
+		v.problems = append(v.problems, p)
+		return
+	}
+	if u.Kind == UnitEntity {
 		v.verifyEntity(u, level, name)
-	default:
-		v.verifyControlFlow(m, u, name)
+	} else {
+		v.verifyControlFlow(u, name)
 	}
 	v.verifyDefs(u, name)
 
@@ -145,48 +150,16 @@ func (v *verifier) verifyUnit(m *Module, u *Unit, level Level) {
 	}
 }
 
-// entityOps lists the opcodes admissible in an entity body per level.
-func entityOpAllowed(op Opcode, level Level) bool {
-	switch level {
-	case Netlist:
-		switch op {
-		case OpConstInt, OpConstTime, OpConstLogic, OpArray, OpStruct,
-			OpSig, OpCon, OpDel, OpInst:
-			return true
-		}
-		return false
-	default:
-		switch op {
-		case OpBr, OpWait, OpHalt, OpRet, OpPhi, OpVar, OpLd, OpSt,
-			OpAlloc, OpFree, OpUnreachable:
-			return false
-		}
-		return true
-	}
-}
-
 func (v *verifier) verifyEntity(u *Unit, level Level, name string) {
-	if len(u.Blocks) != 1 {
-		v.errorf("%s: entity must have exactly one implicit block, has %d", name, len(u.Blocks))
-		return
-	}
 	for _, in := range u.Body().Insts {
-		if in.Op.IsTerminator() {
-			v.errorf("%s: entity body may not contain terminator %s", name, in.Op)
-			continue
-		}
-		if !entityOpAllowed(in.Op, level) {
+		if in.Op.Info().Level < level {
 			v.errorf("%s: instruction %s not allowed in entity at %s level", name, in.Op, level)
 		}
 		v.verifyInst(u, u.Body(), in, name)
 	}
 }
 
-func (v *verifier) verifyControlFlow(m *Module, u *Unit, name string) {
-	if len(u.Blocks) == 0 {
-		v.errorf("%s: unit has no blocks", name)
-		return
-	}
+func (v *verifier) verifyControlFlow(u *Unit, name string) {
 	for _, b := range u.Blocks {
 		if b.Terminator() == nil {
 			v.errorf("%s: block %s lacks a terminator", name, b)
@@ -196,23 +169,6 @@ func (v *verifier) verifyControlFlow(m *Module, u *Unit, name string) {
 				v.errorf("%s: terminator %s in the middle of block %s", name, in.Op, b)
 			}
 			v.verifyInst(u, b, in, name)
-
-			// Timing model (§2.4): immediate units may not suspend or
-			// touch signals; processes may not return.
-			if u.Kind == UnitFunc {
-				switch in.Op {
-				case OpWait, OpHalt, OpDrv, OpPrb, OpSig, OpReg, OpInst, OpCon, OpDel:
-					v.errorf("%s: function may not contain timed instruction %s", name, in.Op)
-				}
-			}
-			if u.Kind == UnitProc {
-				switch in.Op {
-				case OpRet:
-					v.errorf("%s: process may not return (processes never return, §2.4.2)", name)
-				case OpSig, OpReg, OpCon, OpDel, OpInst:
-					v.errorf("%s: %s is limited to entities", name, in.Op)
-				}
-			}
 		}
 	}
 
@@ -221,10 +177,6 @@ func (v *verifier) verifyControlFlow(m *Module, u *Unit, name string) {
 	for _, b := range u.Blocks {
 		for _, in := range b.Insts {
 			if in.Op != OpPhi {
-				continue
-			}
-			if len(in.Args) != len(in.Dests) {
-				v.instErrorf(name, b, in, "phi arity mismatch (%d values, %d blocks)", len(in.Args), len(in.Dests))
 				continue
 			}
 			for _, pb := range in.Dests {
@@ -241,7 +193,6 @@ func (v *verifier) verifyControlFlow(m *Module, u *Unit, name string) {
 			}
 		}
 	}
-
 }
 
 // verifyInst checks per-instruction operand typing. All problems are
@@ -255,10 +206,6 @@ func (v *verifier) verifyInst(u *Unit, b *Block, in *Inst, name string) {
 			v.instErrorf(name, b, in, "logic constant value width %d does not match type %s", len(in.LVal), in.Ty)
 		}
 	case OpDrv:
-		if len(in.Args) < 3 {
-			v.instErrorf(name, b, in, "drv needs signal, value, delay")
-			return
-		}
 		if !in.Args[0].Type().IsSignal() {
 			v.instErrorf(name, b, in, "drv target must be a signal, got %s", in.Args[0].Type())
 		} else if in.Args[0].Type().Elem != in.Args[1].Type() {
@@ -271,11 +218,11 @@ func (v *verifier) verifyInst(u *Unit, b *Block, in *Inst, name string) {
 			v.instErrorf(name, b, in, "drv condition must be i1, got %s", in.Args[3].Type())
 		}
 	case OpPrb:
-		if len(in.Args) != 1 || !in.Args[0].Type().IsSignal() {
+		if !in.Args[0].Type().IsSignal() {
 			v.instErrorf(name, b, in, "prb needs one signal operand")
 		}
 	case OpReg:
-		if len(in.Args) != 1 || !in.Args[0].Type().IsSignal() {
+		if !in.Args[0].Type().IsSignal() {
 			v.instErrorf(name, b, in, "reg needs a signal target")
 			return
 		}
@@ -292,19 +239,10 @@ func (v *verifier) verifyInst(u *Unit, b *Block, in *Inst, name string) {
 			}
 		}
 	case OpBr:
-		switch {
-		case len(in.Args) == 0 && len(in.Dests) == 1:
-		case len(in.Args) == 1 && len(in.Dests) == 2:
-			if !in.Args[0].Type().IsBool() {
-				v.instErrorf(name, b, in, "br condition must be i1, got %s", in.Args[0].Type())
-			}
-		default:
-			v.instErrorf(name, b, in, "malformed br (%d args, %d dests)", len(in.Args), len(in.Dests))
+		if len(in.Args) == 1 && !in.Args[0].Type().IsBool() {
+			v.instErrorf(name, b, in, "br condition must be i1, got %s", in.Args[0].Type())
 		}
 	case OpWait:
-		if len(in.Dests) != 1 {
-			v.instErrorf(name, b, in, "wait needs exactly one resume block")
-		}
 		if in.TimeArg != nil && !in.TimeArg.Type().IsTime() {
 			v.instErrorf(name, b, in, "wait timeout must be time, got %s", in.TimeArg.Type())
 		}
@@ -314,24 +252,22 @@ func (v *verifier) verifyInst(u *Unit, b *Block, in *Inst, name string) {
 			}
 		}
 	case OpMux:
-		if len(in.Args) != 2 || !in.Args[0].Type().IsArray() {
+		if !in.Args[0].Type().IsArray() {
 			v.instErrorf(name, b, in, "mux needs array and selector")
 		}
 	case OpLd:
-		if len(in.Args) != 1 || !in.Args[0].Type().IsPointer() {
+		if !in.Args[0].Type().IsPointer() {
 			v.instErrorf(name, b, in, "ld needs one pointer operand")
 		}
 	case OpSt:
-		if len(in.Args) != 2 || !in.Args[0].Type().IsPointer() {
+		if !in.Args[0].Type().IsPointer() {
 			v.instErrorf(name, b, in, "st needs pointer and value")
 		} else if in.Args[0].Type().Elem != in.Args[1].Type() {
 			v.instErrorf(name, b, in, "st value type %s does not match pointer %s", in.Args[1].Type(), in.Args[0].Type())
 		}
 	}
 	if in.Op.IsBinary() || in.Op.IsCompare() {
-		if len(in.Args) != 2 {
-			v.instErrorf(name, b, in, "%s needs two operands", in.Op)
-		} else if in.Args[0].Type() != in.Args[1].Type() {
+		if in.Args[0].Type() != in.Args[1].Type() {
 			v.instErrorf(name, b, in, "operand types differ: %s vs %s", in.Args[0].Type(), in.Args[1].Type())
 		}
 	}
@@ -380,9 +316,6 @@ func (v *verifier) verifyDefs(u *Unit, name string) {
 			}
 			if !inPrefix {
 				v.instErrorf(name, b, in, "phi follows a non-phi instruction")
-			}
-			if len(in.Args) != len(in.Dests) {
-				continue // arity mismatch already reported by the inst check
 			}
 			for i, pred := range in.Dests {
 				def, ok := in.Args[i].(*Inst)

@@ -91,7 +91,7 @@ func TestVerifyEntitySingleBlock(t *testing.T) {
 func TestVerifyEntityRejectsTerminators(t *testing.T) {
 	u := NewUnit(UnitEntity, "e")
 	u.Body().Append(halt())
-	expectProblem(t, mod(u), Behavioural, "@e", "may not contain terminator")
+	expectProblem(t, mod(u), Behavioural, "@e", "(halt)", "illegal in entity units")
 }
 
 func TestVerifyNetlistRestrictsEntityOps(t *testing.T) {
@@ -127,13 +127,13 @@ func TestVerifyFunctionRejectsTimedOps(t *testing.T) {
 	u.RetType = VoidType()
 	b := u.AddBlock("entry")
 	b.Append(&Inst{Op: OpHalt, Ty: VoidType()})
-	expectProblem(t, mod(u), Behavioural, "@f", "timed instruction halt")
+	expectProblem(t, mod(u), Behavioural, "@f", "(halt)", "illegal in func units")
 }
 
 func TestVerifyProcessRejectsRet(t *testing.T) {
 	u, b := vtProc()
 	b.Append(&Inst{Op: OpRet, Ty: VoidType()})
-	expectProblem(t, mod(u), Behavioural, "@p", "may not return")
+	expectProblem(t, mod(u), Behavioural, "@p", "(ret)", "illegal in proc units")
 }
 
 func TestVerifyProcessRejectsEntityOps(t *testing.T) {
@@ -143,7 +143,7 @@ func TestVerifyProcessRejectsEntityOps(t *testing.T) {
 	k := nb.ConstInt(IntType(1), 0)
 	nb.Sig(k)
 	b.Append(halt())
-	expectProblem(t, mod(u), Behavioural, "@p", "limited to entities")
+	expectProblem(t, mod(u), Behavioural, "@p", "(sig)", "illegal in proc units")
 }
 
 func TestVerifyPhiArityMismatch(t *testing.T) {
@@ -203,7 +203,7 @@ func TestVerifyDrvRules(t *testing.T) {
 		u, b := vtProc()
 		b.Append(&Inst{Op: OpDrv, Ty: VoidType()})
 		b.Append(halt())
-		expectProblem(t, mod(u), Behavioural, "@p", "(drv)", "%entry", "needs signal, value, delay")
+		expectProblem(t, mod(u), Behavioural, "@p", "(drv)", "%entry", "takes 3 to 4 operands, has 0")
 	})
 	t.Run("value type", func(t *testing.T) {
 		u, b := vtProc()
@@ -266,7 +266,7 @@ func TestVerifyBrRules(t *testing.T) {
 	t.Run("malformed", func(t *testing.T) {
 		u, b := vtProc()
 		b.Append(&Inst{Op: OpBr, Ty: VoidType()})
-		expectProblem(t, mod(u), Behavioural, "@p", "(br)", "malformed br")
+		expectProblem(t, mod(u), Behavioural, "@p", "(br)", "takes 1 to 2 destination blocks, has 0")
 	})
 	t.Run("cond type", func(t *testing.T) {
 		u, b := vtProc()

@@ -98,7 +98,7 @@ func cseUnit(u *ir.Unit) (bool, error) {
 		num := u.Numbering()
 		holders := map[cseKey]holder{}
 		replaced, late := replaceSweep(u, dt, func(block int, in *ir.Inst) ir.Value {
-			if !in.Op.IsPure() && !in.Op.IsConst() {
+			if !in.Op.IsPure() {
 				return nil
 			}
 			key, ok := cseKeyOf(num, in)

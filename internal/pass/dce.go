@@ -2,16 +2,11 @@ package pass
 
 import "llhd/internal/ir"
 
-// DCE returns the dead code elimination pass (§4.1): unused pure
-// instructions, single-entry phis, and unreachable blocks are removed.
+// DCE returns the dead code elimination pass (§4.1): unused instructions
+// without side effects (phis among them), single-entry phis, and
+// unreachable blocks are removed.
 func DCE() Pass {
 	return &unitPass{name: "dce", run: dceUnit}
-}
-
-// removable reports whether DCE may drop in once nothing uses it: an
-// instruction without side effects, or a phi.
-func removable(in *ir.Inst) bool {
-	return !in.Op.HasSideEffects() || in.Op == ir.OpPhi
 }
 
 // dceUnit counts the uses of every value once and then follows the deaths:
@@ -31,7 +26,7 @@ func dceUnit(u *ir.Unit) (bool, error) {
 	const dead = -1
 	var work []*ir.Inst
 	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-		if uses[ir.ValueID(in)] == 0 && removable(in) {
+		if uses[ir.ValueID(in)] == 0 && !in.Op.HasSideEffects() {
 			work = append(work, in)
 		}
 	})
@@ -48,7 +43,7 @@ func dceUnit(u *ir.Unit) (bool, error) {
 				return
 			}
 			if id := num.ID(def); id >= 0 && uses[id] > 0 {
-				if uses[id]--; uses[id] == 0 && removable(def) {
+				if uses[id]--; uses[id] == 0 && !def.Op.HasSideEffects() {
 					work = append(work, def)
 				}
 			}

@@ -105,7 +105,7 @@ func deseqUnit(u *ir.Unit) (bool, error) {
 			switch in.Op {
 			case ir.OpDrv, ir.OpPrb, ir.OpWait, ir.OpBr:
 			default:
-				if !in.Op.IsPure() && !in.Op.IsConst() {
+				if !in.Op.IsPure() {
 					return false, nil
 				}
 			}
@@ -307,8 +307,7 @@ func (cl *dfgCloner) clone(v ir.Value) (ir.Value, error) {
 		return x, nil
 	case *ir.Inst:
 		switch {
-		case x.Op == ir.OpPrb, x.Op.IsPure(), x.Op.IsConst(),
-			x.Op == ir.OpExtF, x.Op == ir.OpExtS:
+		case x.Op == ir.OpPrb, x.Op.IsPure(), x.Op == ir.OpExtF, x.Op == ir.OpExtS:
 			cp := x.Clone()
 			for i, a := range cp.Args {
 				na, err := cl.clone(a)

@@ -108,10 +108,7 @@ func ecmUnit(u *ir.Unit) (bool, error) {
 }
 
 func hoistable(in *ir.Inst) bool {
-	if in.Op == ir.OpPrb {
-		return true
-	}
-	return in.Op.IsPure() || in.Op.IsConst()
+	return in.Op == ir.OpPrb || in.Op.IsPure()
 }
 
 // hoistTarget finds the highest block that all operand definitions of in

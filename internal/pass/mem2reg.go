@@ -305,7 +305,7 @@ func (h *initHoister) entryAvailable(v ir.Value, depth int, top bool) (ir.Value,
 	if top && in.Block() == h.u.Entry() {
 		return v, true
 	}
-	if depth <= 0 || in.Block() == nil || !(in.Op.IsConst() || in.Op.IsPure()) {
+	if depth <= 0 || in.Block() == nil || !in.Op.IsPure() {
 		return nil, false
 	}
 	clone := &ir.Inst{

@@ -46,15 +46,8 @@ func plUnit(u *ir.Unit) (bool, error) {
 		if in == term {
 			continue
 		}
-		switch in.Op {
-		case ir.OpPrb, ir.OpDrv:
-		case ir.OpVar, ir.OpLd, ir.OpSt, ir.OpAlloc, ir.OpFree, ir.OpCall,
-			ir.OpPhi, ir.OpBr, ir.OpHalt, ir.OpRet, ir.OpUnreachable:
+		if in.Op != ir.OpPrb && in.Op != ir.OpDrv && !in.Op.IsPure() {
 			return false, nil
-		default:
-			if !in.Op.IsPure() && !in.Op.IsConst() {
-				return false, nil
-			}
 		}
 	}
 

@@ -73,7 +73,7 @@ func mergeOnce(u *ir.Unit) bool {
 				if in == term {
 					continue
 				}
-				if !in.Op.IsPure() && !in.Op.IsConst() {
+				if !in.Op.IsPure() {
 					movable = false
 					break
 				}

@@ -51,7 +51,9 @@ func (a *activation) enter() {
 }
 
 // run is the interpreter's instruction loop: it executes from the current
-// position until the activation suspends or finishes. Errors leave here
+// position until the activation suspends or finishes. Operand counts and
+// which ops a unit kind may hold were checked when the design was
+// elaborated (ir.CheckShape); the switch relies on both. Errors leave here
 // bare: proc.Wake names the instance, invoke the function.
 func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 	f := a.frame
@@ -70,10 +72,7 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			continue // assigned by jump
 
 		case ir.OpSig, ir.OpInst, ir.OpCon:
-			if kind != ir.UnitEntity {
-				return finished, illegal(in, a.unit)
-			}
-			continue // handled at elaboration
+			continue // entity only; handled at elaboration
 
 		case ir.OpExtF:
 			if r, ok := a.sigOf(in.Args[0]); ok && len(in.Args) == 1 {
@@ -126,18 +125,12 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			continue
 
 		case ir.OpReg:
-			if kind != ir.UnitEntity {
-				return finished, illegal(in, a.unit)
-			}
 			if err := a.reg(e, in); err != nil {
 				return finished, err
 			}
 			continue
 
 		case ir.OpDel:
-			if kind != ir.UnitEntity {
-				return finished, illegal(in, a.unit)
-			}
 			if err := a.del(e, in); err != nil {
 				return finished, err
 			}
@@ -194,9 +187,6 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			continue
 
 		case ir.OpBr:
-			if kind == ir.UnitEntity {
-				return finished, illegal(in, a.unit)
-			}
 			dest := in.Dests[0]
 			if len(in.Args) == 1 {
 				c, ok := f.boolAt(in.Args[0])
@@ -217,9 +207,6 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			continue
 
 		case ir.OpWait:
-			if kind != ir.UnitProc {
-				return finished, illegal(in, a.unit)
-			}
 			refs := a.waitRefs[:0]
 			for _, x := range in.Args {
 				r, err := a.sigRef(x)
@@ -240,15 +227,9 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			return suspended, a.jump(in.Dests[0])
 
 		case ir.OpHalt:
-			if kind != ir.UnitProc {
-				return finished, illegal(in, a.unit)
-			}
 			return finished, nil
 
 		case ir.OpRet:
-			if kind != ir.UnitFunc {
-				return finished, illegal(in, a.unit)
-			}
 			if len(in.Args) == 1 {
 				v, err := a.value(in.Args[0])
 				if err != nil {
@@ -292,11 +273,6 @@ func (a *activation) sigRef(v ir.Value) (engine.SigRef, error) {
 		return r, nil
 	}
 	return engine.SigRef{}, fmt.Errorf("%s is not a signal reference", v)
-}
-
-// illegal is the error for an instruction its unit kind does not allow.
-func illegal(in *ir.Inst, u *ir.Unit) error {
-	return fmt.Errorf("%s in %s @%s", in.Op, u.Kind, u.Name)
 }
 
 // jump transfers control to dest, assigning its phi nodes simultaneously

@@ -9,10 +9,12 @@
 // activation starts and what ends it: a process resumes where its last
 // wait left it and runs to the next wait or halt, an entity restarts its
 // body on a reset frame and runs it to the end, a function call takes a
-// pooled activation, seeds its arguments and runs to ret. Ops that make no
-// sense for a unit kind (wait in a function, ret in a process, reg outside
-// an entity) are rejected in that switch. What lives here is the
-// Simulator and the one engine.Process adapter over an activation.
+// pooled activation, seeds its arguments and runs to ret. Which ops a unit
+// kind may hold, and how many operands each takes, is not this package's
+// business: engine.Elaborate checks both once, from the ir.OpInfo table
+// (ir.CheckShape), before New returns, and the switch indexes operands
+// only behind that check. What lives here is the Simulator and the one
+// engine.Process adapter over an activation.
 //
 // Every value access indexes a flat frame by the unit's ir.Numbering (see
 // frame.go), the same value-ID scheme the blaze compiler assigns register

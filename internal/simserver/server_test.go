@@ -286,6 +286,44 @@ func @f (i32 %x) i32 {
 	}
 }
 
+// TestIllegalDesignIsBadRequest: a design holding an instruction its unit
+// kind does not allow is an input error, 400 "bad-request" with the words
+// of ir.CheckShape, on both engines. Before sessions checked shape at
+// construction this body was a 500 "internal" on interp and a 200 "ok"
+// on blaze, the default engine, with the process's drives silently gone.
+func TestIllegalDesignIsBadRequest(t *testing.T) {
+	const regInProc = `
+entity @top () -> () {
+  %z = const i1 0
+  %a = sig i1 %z
+  %q = sig i1 %z
+  inst @p (i1$ %a) -> (i1$ %q)
+}
+proc @p (i1$ %a) -> (i1$ %q) {
+ entry:
+  %x = prb i1$ %a
+  %o = const i1 1
+  %d = const time 1ns
+  drv i1$ %q, %o after %d
+  reg i1$ %q, %x rise %x
+  halt
+}
+`
+	_, ts := newTestServer(t, simserver.Config{})
+	for _, eng := range []string{"blaze", "interp"} {
+		status, body := post(t, ts.URL+"/v1/sim",
+			simserver.Request{Design: regInProc, Kind: "llhd", Top: "top", Engine: eng})
+		var res simserver.Result
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("%s: unmarshal: %v (%s)", eng, err, body)
+		}
+		const want = "ir: @p: %<reg> (reg) in %entry: illegal in proc units"
+		if status != http.StatusBadRequest || res.Class != simserver.ClassBadRequest || !strings.HasSuffix(res.Error, want) {
+			t.Errorf("%s: status %d, result %+v; want 400 bad-request ending %q", eng, status, res, want)
+		}
+	}
+}
+
 // TestNonStreamingResult: POST /v1/sim returns exactly one Result JSON
 // object with the Finish statistics and cache note.
 func TestNonStreamingResult(t *testing.T) {

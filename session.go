@@ -361,8 +361,12 @@ type design struct {
 // prepare and open are the only road from a configuration to a running
 // engine: nothing else in this package calls a frontend or an engine
 // constructor. prepare does everything sessions of one input can share —
-// NewSession runs it per session, the Farm once per distinct input.
-func prepare(cfg *sessionConfig) (*design, error) {
+// NewSession runs it per session, the Farm once per distinct input. Both
+// carry the construction-time panic backstop, so a defect in a frontend, a
+// compile or an elaboration is an ErrInternal on every path that builds a
+// session, not only under the farm.
+func prepare(cfg *sessionConfig) (_ *design, err error) {
+	defer recoverInternal(&err)
 	kind := cfg.backend
 	if cfg.compiled != nil || cfg.cache != nil {
 		kind = Blaze
@@ -390,7 +394,6 @@ func prepare(cfg *sessionConfig) (*design, error) {
 	}
 
 	d := &design{kind: kind, top: cfg.top}
-	var err error
 	switch {
 	case kind == SVSim:
 		d.source = cfg.source
@@ -481,7 +484,8 @@ func (c *sessionConfig) phase(name string) {
 // open elaborates the design on a fresh engine — or takes the one prepare
 // left — and attaches what is the session's own: quotas, handlers,
 // observers, VCD writers.
-func (d *design) open(cfg *sessionConfig) (*Session, error) {
+func (d *design) open(cfg *sessionConfig) (_ *Session, err error) {
+	defer recoverInternal(&err)
 	s := &Session{eng: d.first.Swap(nil)}
 	if s.eng == nil {
 		switch d.kind {
@@ -542,6 +546,18 @@ func (d *design) open(cfg *sessionConfig) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// recoverInternal is the panic backstop of the phases outside any running
+// session (a frontend, a compile, construction; in the farm, a worker's
+// whole job): deferred, it turns a panic into an ErrInternal-classified
+// error with the stack.
+func recoverInternal(err *error) {
+	if r := recover(); r != nil {
+		*err = &engine.RuntimeError{
+			Kind: engine.ErrInternal, Recovered: r, Stack: debug.Stack(),
+		}
+	}
 }
 
 // init runs every process to its first suspension, exactly once.
