@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-observe
+.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-observe
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -116,6 +116,14 @@ bench-kernel:
 # lower_ms metric of `make bench`, not on this.
 bench-lower:
 	$(GO) test -bench BenchmarkLower -benchmem -run xxx .
+
+# bench-blaze times llhd.CompileBlaze per design (the ten Table 2 designs
+# and the RV32I core, behavioural and lowered; ns/op and allocs/op, module
+# decoded outside the timer). It is the builder's inner loop for the
+# bytecode lowering and its forwarding plan; a claim rests on
+# blaze_cycles_per_s / cold_start_ms of `make bench`, not on this.
+bench-blaze:
+	$(GO) test -bench BenchmarkBlazeCompile -benchmem -run xxx .
 
 # bench-observe times the two change renderers per streamed change (VCD
 # into a discarding writer, NDJSON into a discarding response; a 1-bit, a

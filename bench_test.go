@@ -132,6 +132,48 @@ func BenchmarkLower(b *testing.B) {
 	}
 }
 
+// BenchmarkBlazeCompile measures llhd.CompileBlaze — elaboration plus the
+// bytecode lowering with its forwarding plan — per design: the ten Table 2
+// designs and the RV32I core, as the frontend emits them and after
+// llhd.Lower (ns/op and allocs/op; every iteration compiles a fresh module
+// decoded from bitcode outside the timer, because a compile freezes its
+// module). It is the inner-loop view of cold_start_ms and blaze.compile_ms
+// of `go run ./benchmark`, which stay the record.
+func BenchmarkBlazeCompile(b *testing.B) {
+	for _, d := range loweringInputs(b) {
+		m, err := moore.Compile(d.Name, d.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []string{"behavioural", "lowered"} {
+			if form == "lowered" {
+				if err := llhd.Lower(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			image, err := llhd.EncodeBitcode(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			top := d.Top
+			b.Run(d.Name+"/"+form, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					fresh, err := llhd.DecodeBitcode(image)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := llhd.CompileBlaze(fresh, top); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestFarmBenchSmoke runs the farm throughput measurement once at -j 1
 // and -j 2 and checks that every session completed cleanly.
 func TestFarmBenchSmoke(t *testing.T) {

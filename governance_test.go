@@ -141,6 +141,57 @@ func @spin () void {
 	}
 }
 
+// TestJumpOnlyCycleIsStepLimit pins what is left of a process that does
+// nothing but jump, in one block or in two: blaze's lowering drops the
+// fall-through br and threads the rest (bytecode/plan.go, rule 3), and the
+// cycle must still hold a transfer that counts against the activation's
+// step budget, so that it ends as the same step-limit quota failure as on
+// the interpreter instead of spinning forever. WithStepLimit bounds
+// instants and is no help here: the process never finishes its first.
+func TestJumpOnlyCycleIsStepLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins each engine's full per-activation step budget")
+	}
+	const top = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+`
+	cases := []struct{ name, src string }{
+		{"one block", top + `
+proc @p () -> () {
+ spin:
+  br %spin
+}
+`},
+		{"two blocks", top + `
+proc @p () -> () {
+ ping:
+  br %pong
+ pong:
+  br %ping
+}
+`},
+	}
+	for _, c := range cases {
+		for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+			t.Run(c.name+"/"+kind.String(), func(t *testing.T) {
+				m, err := llhd.ParseAssembly("cycle", c.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := llhd.NewSession(llhd.FromModule(m), llhd.Backend(kind), llhd.WithStepLimit(100))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := llhd.ErrorClass(s.Run()); got != "step-limit" {
+					t.Fatalf("class = %q, want step-limit", got)
+				}
+			})
+		}
+	}
+}
+
 // TestGovernanceRuntimeErrorContext checks that a quota failure carries
 // the structured failure context: the instant, progress counters, and a
 // kind that survives wrapping.

@@ -6,7 +6,9 @@
 //
 // The package is a thin shell over internal/blaze/bytecode, which lowers
 // each unit to a flat, fixed-width instruction stream executed by a
-// threaded dispatch loop: one switch dispatch per instruction, registers
+// threaded dispatch loop: one switch dispatch per lowered instruction
+// (the lowering forwards loads, coalesces stores and fuses splice chains,
+// see bytecode/plan.go), registers
 // indexed directly by dense value IDs, scalar integer ops running in
 // place on the uint64 payload. What lives here is the compile-once
 // artifact (CompiledDesign), the per-session Simulator, and the adapter

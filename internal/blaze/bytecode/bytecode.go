@@ -1,8 +1,10 @@
 // Package bytecode is blaze's execution core: a lowering pass from
 // frozen IR units to a linear, fixed-width instruction stream plus a
 // threaded dispatch loop that executes process bodies and entity dataflow
-// cones — one switch dispatch per instruction over a cache-friendly
-// []Instr, with no per-instruction indirect calls.
+// cones — one switch dispatch per lowered instruction over a
+// cache-friendly []Instr, with no per-instruction indirect calls. Lowering
+// forwards values where it can prove it may (plan.go), so a unit executes
+// fewer instructions than its IR has.
 //
 // # Register file = value IDs
 //
@@ -128,8 +130,27 @@ const (
 	opRetV    // function return, Ret = Regs[A]
 	opUnreach // reached unreachable: runtime error
 
+	// A fused chain of integer splices (rule 4 of plan.go).
+	opInsSCat // Dst = Regs[A] with B pieces spliced in; aux[C] = width, then (src, off, n) per piece
+
 	numOps
 )
+
+// opWritesDst marks the opcodes whose Dst is a register the instruction
+// writes (for the others it is unused, a condition or a site index). Store
+// coalescing may only redirect these, and each of them must read all its
+// operands before it writes (TestOpsReadOperandsBeforeDst walks the table).
+var opWritesDst = [numOps]bool{
+	opMove: true, opClone: true, opCloneP: true,
+	opAdd: true, opSub: true, opMul: true, opAnd: true, opOr: true, opXor: true,
+	opShl: true, opShr: true, opAshr: true, opNot: true, opNeg: true,
+	opEq: true, opNeq: true, opUlt: true, opUgt: true, opUle: true, opUge: true,
+	opSlt: true, opSgt: true, opSle: true, opSge: true,
+	opExtSInt: true, opInsSInt: true, opInsSCat: true, opEvalBin: true, opEvalUn: true,
+	opMux: true, opExtF: true, opExtFDyn: true, opExtS: true,
+	opInsF: true, opInsFDyn: true, opInsS: true, opAgg: true,
+	opPrb: true, opCall: true, opTimeNow: true,
+}
 
 // Instr is one fixed-width bytecode instruction.
 type Instr struct {

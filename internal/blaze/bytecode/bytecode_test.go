@@ -32,7 +32,8 @@ func lowerProc(t *testing.T, src string) (*engine.Engine, *Runtime, *Unit, *Fram
 // TestMaxJumpsGuard pins the runaway-loop guard: a control-flow cycle
 // that never suspends must stop after maxJumps transfers with an error
 // classified as a step-limit quota, whether the cycle is in a process or
-// in a function it calls (each loop spins ~1 s, hence the Short guard).
+// in a function it calls, one block or two (each loop spins ~1 s, hence the
+// Short guard).
 func TestMaxJumpsGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins maxJumps control transfers per case")
@@ -44,6 +45,18 @@ func TestMaxJumpsGuard(t *testing.T) {
 proc @p () -> () {
  entry:
   br %entry
+}
+`, "step budget exhausted"},
+		// Lowered, %ping falls through and %pong jumps to itself: the
+		// cycle keeps its one counted transfer (rule 3 of plan.go).
+		{"two-block cycle", `
+proc @p () -> () {
+ entry:
+  br %ping
+ ping:
+  br %pong
+ pong:
+  br %ping
 }
 `, "step budget exhausted"},
 		{"function", `

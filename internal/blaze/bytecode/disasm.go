@@ -64,6 +64,7 @@ var opNames = [numOps]string{
 	opRet:     "ret",
 	opRetV:    "retv",
 	opUnreach: "unreachable",
+	opInsSCat: "inss.cat",
 }
 
 // String returns the opcode mnemonic.
@@ -136,6 +137,14 @@ func disasmInstr(u *Unit, pc int) string {
 	case opInsSInt:
 		return head + fmt.Sprintf("r%d, r%d, r%d, off=%d, n=%d, w=%d",
 			i.Dst, i.A, i.B, u.Aux[i.C], u.Aux[i.C+1], u.Aux[i.C+2])
+	case opInsSCat:
+		var sb strings.Builder
+		// The mnemonic fills the column: the separating space is the arm's.
+		fmt.Fprintf(&sb, " r%d, r%d, w=%d", i.Dst, i.A, u.Aux[i.C])
+		for k := i.C + 1; k < i.C+1+3*i.B; k += 3 {
+			fmt.Fprintf(&sb, ", r%d@%d+%d", u.Aux[k], u.Aux[k+1], u.Aux[k+2])
+		}
+		return head + sb.String()
 	case opEvalBin:
 		return head + fmt.Sprintf("r%d, r%d, r%d, op=%d", i.Dst, i.A, i.B, i.C)
 	case opEvalUn:

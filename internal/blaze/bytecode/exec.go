@@ -207,6 +207,15 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 		case opInsSInt:
 			off, n, w := int(aux[i.C]), int(aux[i.C+1]), int(aux[i.C+2])
 			storeInt(&regs[i.Dst], w, val.InsBits(regs[i.A].Bits, regs[i.B].Bits, off, n))
+		case opInsSCat:
+			// The links of the chain wrote words of one width, so masking
+			// once at the end equals masking after every splice.
+			bits := regs[i.A].Bits
+			pieces := aux[i.C+1 : i.C+1+3*i.B]
+			for k := 0; k+2 < len(pieces); k += 3 {
+				bits = val.InsBits(bits, regs[pieces[k]].Bits, int(pieces[k+1]), int(pieces[k+2]))
+			}
+			storeInt(&regs[i.Dst], int(aux[i.C]), bits)
 
 		case opEvalBin:
 			out, err := val.Binary(ir.Opcode(i.C), regs[i.A], regs[i.B])
@@ -308,11 +317,7 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			}
 		case opDisplay:
 			if e.Display != nil {
-				parts := make([]string, i.B)
-				for k := range parts {
-					parts[k] = regs[aux[int(i.A)+k]].String()
-				}
-				e.Display(strings.Join(parts, " "))
+				display(e, regs, aux[i.A:i.A+i.B])
 			}
 		case opTimeNow:
 			if i.Dst >= 0 {
@@ -368,6 +373,18 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			return 0, fmt.Errorf("bytecode: invalid opcode %d at pc %d in @%s", i.Op, pc-1, u.Name)
 		}
 	}
+}
+
+// display renders an llhd.display call. It is the dispatch loop's one
+// formatting arm and lives out here so that run carries neither its frame
+// nor an inlined val.Value.String (the inliner leaves it alone: it is
+// over budget).
+func display(e *engine.Engine, regs []val.Value, args []int32) {
+	parts := make([]string, len(args))
+	for k, r := range args {
+		parts[k] = regs[r].String()
+	}
+	e.Display(strings.Join(parts, " "))
 }
 
 // regSite executes one reg storage site: every activation samples every

@@ -88,6 +88,17 @@ type lowerer struct {
 	constKnown []bool  // value ID -> pre-placed in ConstRegs
 	blockPC    map[*ir.Block]int
 	fixups     []fixup
+
+	// The forwarding plan (plan.go), filled by newLowerer's walk.
+	uses []int32   // value ID -> operand occurrences
+	mem  []memPlan // value ID -> rules 1 and 2; nil in a unit without memory instructions
+	pos  int32     // walk position counter
+
+	// While lowering a block: the block laid out after it, and the
+	// instruction just before the current one if all it lowered to is the
+	// last Instr of Code (nil otherwise, and at the head of a block).
+	next *ir.Block
+	tail *ir.Inst
 }
 
 // fixup is a deferred jump-target patch: field f (0=A, 1=B, 2=C) of the
@@ -110,6 +121,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		sigIdx:     make([]int32, n),
 		constKnown: make([]bool, n),
 		blockPC:    map[*ir.Block]int{},
+		uses:       make([]int32, n),
 	}
 	for i := range lo.sigIdx {
 		lo.sigIdx[i] = -1
@@ -129,6 +141,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		}
 	}
 	for _, b := range lo.unit.Blocks {
+		blockStart := lo.tick()
 		for _, in := range b.Insts {
 			var cv val.Value
 			switch in.Op {
@@ -139,6 +152,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 			case ir.OpConstLogic:
 				cv = val.LogicVal(in.LVal)
 			default:
+				lo.plan(in, blockStart)
 				continue
 			}
 			id := ir.ValueID(in)
@@ -159,11 +173,15 @@ func widthOf(ty *ir.Type) int {
 	return ty.BitWidth()
 }
 
-// reg returns the register index of v: its dense value ID.
+// reg returns the register index of v: its dense value ID, or for a
+// forwarded load the ID of the var it reads.
 func (lo *lowerer) reg(v ir.Value) int32 {
 	id := ir.ValueID(v)
 	if id < 0 {
 		panic(fmt.Sprintf("bytecode: operand %s has no value ID in @%s", v, lo.unit.Name))
+	}
+	if r := lo.forwardedTo(id); r >= 0 {
+		return r
 	}
 	return int32(id)
 }
@@ -220,8 +238,13 @@ func (lo *lowerer) jumpTo(pc int, f uint8, b *ir.Block) {
 // Operand counts and which ops the unit's kind may hold were checked by
 // the elaboration that got here (ir.CheckShape).
 func (lo *lowerer) lowerBlocks() error {
-	for _, b := range lo.unit.Blocks {
+	blocks := lo.unit.Blocks
+	for k, b := range blocks {
 		lo.blockPC[b] = len(lo.u.Code)
+		lo.next = nil
+		if k+1 < len(blocks) {
+			lo.next = blocks[k+1]
+		}
 		if err := lo.lowerBlock(b); err != nil {
 			return err
 		}
@@ -240,17 +263,52 @@ func (lo *lowerer) lowerBlocks() error {
 			lo.u.Code[fx.pc].C = int32(pc)
 		}
 	}
+	lo.threadJumps()
 	return nil
+}
+
+// maxThread bounds how many jumps one target is followed through: a
+// jump-only cycle has no end to find.
+const maxThread = 8
+
+// threadJumps retargets every jump and branch whose target is itself a
+// jump (rule 3 of plan.go).
+func (lo *lowerer) threadJumps() {
+	code := lo.u.Code
+	for pc := range code {
+		switch i := &code[pc]; i.Op {
+		case opJump:
+			i.A = threaded(code, i.A)
+		case opBranch:
+			i.B, i.C = threaded(code, i.B), threaded(code, i.C)
+		}
+	}
+}
+
+// threaded follows the jumps at pc, at most maxThread of them.
+func threaded(code []Instr, pc int32) int32 {
+	for hops := 0; hops < maxThread && code[pc].Op == opJump; hops++ {
+		pc = code[pc].A
+	}
+	return pc
 }
 
 func (lo *lowerer) lowerBlock(b *ir.Block) error {
 	start := int32(lo.blockPC[b])
+	lo.tail = nil
 	for _, in := range b.Insts {
 		if in.Op.IsTerminator() {
 			return lo.lowerTerm(b, in)
 		}
+		n := len(lo.u.Code)
 		if err := lo.lowerStep(in); err != nil {
 			return err
+		}
+		// A fused splice extends the last Instr and names itself the tail.
+		if len(lo.u.Code) == n+1 {
+			lo.tail = in
+		} else if lo.tail != in {
+			lo.tail = nil
 		}
 	}
 	if lo.unit.Kind == ir.UnitFunc {
@@ -319,7 +377,11 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 	switch in.Op {
 	case ir.OpBr:
 		if len(in.Args) == 0 {
-			lo.emitMoves(lo.edgeMoves(b, in.Dests[0]))
+			pairs := lo.edgeMoves(b, in.Dests[0])
+			if len(pairs) == 0 && in.Dests[0] == lo.next {
+				return nil // rule 3: falls through
+			}
+			lo.emitMoves(pairs)
 			jmp := lo.emit(Instr{Op: opJump})
 			lo.jumpTo(jmp, 0, in.Dests[0])
 			return nil
@@ -435,11 +497,22 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		return nil
 
 	case ir.OpLd:
+		if lo.forwardedTo(ir.ValueID(in)) >= 0 {
+			return nil // rule 1: users read the var's register
+		}
 		lo.emit(Instr{Op: opMove, Dst: lo.reg(in), A: lo.reg(in.Args[0])})
 		return nil
 
 	case ir.OpSt:
-		lo.emit(Instr{Op: opMove, Dst: lo.reg(in.Args[0]), A: lo.reg(in.Args[1])})
+		ptr, x := in.Args[0], in.Args[1]
+		if lo.tail != nil && lo.tail == x && lo.singleUse(x) && lo.private(ptr) {
+			// Rule 2: the value's one Instr writes the var's register.
+			if i := &lo.u.Code[len(lo.u.Code)-1]; opWritesDst[i.Op] && i.Dst == lo.reg(x) {
+				i.Dst = lo.reg(ptr)
+				return nil
+			}
+		}
+		lo.emit(Instr{Op: opMove, Dst: lo.reg(ptr), A: lo.reg(x)})
 		return nil
 
 	case ir.OpCall:
@@ -495,6 +568,9 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		}
 		i := Instr{Op: opInsS, Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: lo.reg(in.Args[1])}
 		if in.Args[0].Type().IsInt() {
+			if lo.tail != nil && lo.tail == in.Args[0] && lo.singleUse(lo.tail) && lo.fuseSplice(in, i) {
+				return nil
+			}
 			i.Op = opInsSInt
 			i.C = lo.auxPut(int32(in.Imm0), int32(in.Imm1), int32(in.Args[0].Type().Width))
 		} else {
@@ -549,6 +625,30 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 	return fmt.Errorf("unsupported instruction %s", in.Op)
 }
 
+// fuseSplice folds the integer inss in — whose target is the value of the
+// last Instr and read by nothing else — into that Instr (rule 4): an
+// inss.i becomes an inss.cat of two pieces, an inss.cat gains one. i holds
+// in's operand registers. The last Instr's aux record is the pool's tail,
+// because nothing was lowered since.
+func (lo *lowerer) fuseSplice(in *ir.Inst, i Instr) bool {
+	last := &lo.u.Code[len(lo.u.Code)-1]
+	switch last.Op {
+	case opInsSInt:
+		off, n, w := lo.u.Aux[last.C], lo.u.Aux[last.C+1], lo.u.Aux[last.C+2]
+		lo.u.Aux = lo.u.Aux[:last.C]
+		last.C = lo.auxPut(w, last.B, off, n, i.B, int32(in.Imm0), int32(in.Imm1))
+		last.Op, last.B = opInsSCat, 2
+	case opInsSCat:
+		lo.auxPut(i.B, int32(in.Imm0), int32(in.Imm1))
+		last.B++
+	default:
+		return false
+	}
+	last.Dst = i.Dst
+	lo.tail = in
+	return true
+}
+
 // skipFolded reports whether the instruction's result was already folded
 // into the constant template by elaboration — re-evaluating a pure
 // instruction whose value is pre-placed would be wasted work (a
@@ -564,8 +664,9 @@ func (lo *lowerer) skipFolded(in *ir.Inst) bool {
 
 // intBinOps maps integer binary/compare IR ops to their fast-path
 // opcodes. Division and modulo stay on the generic evaluator for its
-// divide-by-zero error reporting.
-var intBinOps = map[ir.Opcode]Op{
+// divide-by-zero error reporting. The array is indexed by ir.Opcode;
+// opNop marks an op without a fast path.
+var intBinOps = [...]Op{
 	ir.OpAnd: opAnd, ir.OpOr: opOr, ir.OpXor: opXor,
 	ir.OpAdd: opAdd, ir.OpSub: opSub, ir.OpMul: opMul,
 	ir.OpShl: opShl, ir.OpShr: opShr, ir.OpAshr: opAshr,
@@ -577,8 +678,8 @@ var intBinOps = map[ir.Opcode]Op{
 func (lo *lowerer) lowerBinary(in *ir.Inst) error {
 	i := Instr{Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: lo.reg(in.Args[1])}
 	if ty := in.Args[0].Type(); ty.IsInt() || ty.IsEnum() {
-		if op, ok := intBinOps[in.Op]; ok {
-			i.Op = op
+		if int(in.Op) < len(intBinOps) && intBinOps[in.Op] != opNop {
+			i.Op = intBinOps[in.Op]
 			i.C = int32(widthOf(ty))
 			lo.emit(i)
 			return nil

@@ -247,13 +247,7 @@ func (v Value) Eq(u Value) bool {
 }
 
 // String renders the value for traces and error messages: Append onto a
-// small stack buffer, so a scalar costs the one string it returns. It
-// stays out of line because the engines call it from the cold display arm
-// of their dispatch loops, where an inlined copy grows the loop's frame
-// and body: blaze_lowered_cycles_per_s on rv32i_long read 4 % lower, 0 of
-// 10 pairs ahead, and 4 of 10 with this pragma (CHANGES.md, PR 20).
-//
-//go:noinline
+// small stack buffer, so a scalar costs the one string it returns.
 func (v Value) String() string {
 	var buf [24]byte
 	return string(v.Append(buf[:0]))
