@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke serve-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-observe
+.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-observe
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -68,21 +68,14 @@ fuzz-smoke:
 
 # conformance runs the RV32I conformance suite explicitly and verbosely:
 # every image under testdata/rv32i assembled, executed on the reference
-# ISS, and cross-checked on all three engines (see conformance_test.go).
-# Engine step limits and the ISS step budget keep a wedged core a fast
-# deterministic failure; failing runs leave VCD + trace artifacts under
+# ISS, and run through the differential oracle on five legs — {interp,
+# blaze} x {unlowered, lowered} and svsim — each leg held to the ISS's
+# tohost verdict and dump stream (see conformance_test.go). Engine step
+# limits and the ISS step budget keep a wedged core a fast deterministic
+# failure; failing runs leave one trace per leg under
 # conformance-failures/ for CI to upload.
 conformance:
 	$(GO) test -run TestRV32IConformance -count=1 -v .
-
-# serve-smoke is the simulation server's end-to-end self-test: boot
-# llhd-serve on an ephemeral port, stream rr_arbiter and byte-diff the
-# NDJSON deltas against a serial TraceObserver reference, resubmit to
-# check the content-addressed cache hit (identical stream, no recompile),
-# and assert that a tiny step budget is rejected with HTTP 429 and the
-# "step-limit" failure slug.
-serve-smoke:
-	$(GO) run ./cmd/llhd-serve -smoke
 
 # bench runs the repository benchmark (benchmark/README.md): four
 # workloads, every metric printed by name, every op checked (ISS dump

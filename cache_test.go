@@ -1,39 +1,25 @@
 package llhd_test
 
 import (
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"llhd"
 	"llhd/internal/designs"
+	"llhd/internal/oracle"
 )
 
-// renderTrace runs one session to quiescence with an all-signals observer
-// and returns the full delta trace as one string, so equality checks are
-// byte-for-byte.
-func renderTrace(t *testing.T, opts ...llhd.SessionOption) string {
+// runOne runs one session to quiescence as a one-leg oracle run and
+// returns its trace, failing the test on any error.
+func runOne(t *testing.T, opts ...llhd.SessionOption) *llhd.TraceObserver {
 	t.Helper()
-	obs := &llhd.TraceObserver{}
-	s, err := llhd.NewSession(append(opts, llhd.WithObserver(obs))...)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+	r := oracle.Run(0, oracle.Leg{Name: "session", Options: opts})[0]
+	if r.Err != nil {
+		t.Fatalf("run: %v", r.Err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	s.Finish()
-	var b strings.Builder
-	for _, e := range obs.Entries {
-		b.WriteString(e.Time.String())
-		b.WriteByte(' ')
-		b.WriteString(e.Sig.Name)
-		b.WriteByte('=')
-		b.WriteString(e.Value.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return r.Trace
 }
 
 // TestDesignCacheWarmHitTable2 is the acceptance check for the cache:
@@ -55,26 +41,26 @@ func TestDesignCacheWarmHitTable2(t *testing.T) {
 			base := []llhd.SessionOption{
 				llhd.FromSystemVerilog(d.Source), llhd.Top(d.Top),
 			}
-			ref := renderTrace(t, append(base, llhd.Backend(llhd.Blaze))...)
+			ref := runOne(t, append(base, llhd.Backend(llhd.Blaze))...)
 
 			before := compiles.Load()
-			cold := renderTrace(t, append(base, llhd.WithDesignCache(dc))...)
+			cold := runOne(t, append(base, llhd.WithDesignCache(dc))...)
 			if n := compiles.Load() - before; n != 1 {
 				t.Fatalf("cold run compiled %d times, want 1", n)
 			}
-			warm := renderTrace(t, append(base, llhd.WithDesignCache(dc))...)
+			warm := runOne(t, append(base, llhd.WithDesignCache(dc))...)
 			if n := compiles.Load() - before; n != 1 {
 				t.Fatalf("warm run recompiled (%d compiles for design, want 1)", n)
 			}
 
-			if ref == "" {
+			if len(ref.Entries) == 0 {
 				t.Fatal("empty reference trace")
 			}
-			if cold != ref {
-				t.Errorf("cold cache trace differs from cache-free blaze trace")
+			if d := oracle.Diff("cache-free blaze", ref, "cold cache", cold); d != "" {
+				t.Error(d)
 			}
-			if warm != ref {
-				t.Errorf("warm cache trace differs from cache-free blaze trace")
+			if d := oracle.Diff("cache-free blaze", ref, "warm cache", warm); d != "" {
+				t.Error(d)
 			}
 		})
 	}
@@ -157,11 +143,11 @@ func TestDesignCacheConcurrentSessions(t *testing.T) {
 	var compiles atomic.Int64
 	dc.SetCompileHook(func(string) { compiles.Add(1) })
 
-	ref := renderTrace(t,
+	ref := runOne(t,
 		llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(llhd.Blaze))
 
 	const n = 6
-	traces := make([]string, n)
+	traces := make([]*llhd.TraceObserver, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -180,11 +166,7 @@ func TestDesignCacheConcurrentSessions(t *testing.T) {
 				return
 			}
 			s.Finish()
-			var b strings.Builder
-			for _, e := range obs.Entries {
-				b.WriteString(e.Time.String() + " " + e.Sig.Name + "=" + e.Value.String() + "\n")
-			}
-			traces[i] = b.String()
+			traces[i] = obs
 		}(i)
 	}
 	wg.Wait()
@@ -192,8 +174,8 @@ func TestDesignCacheConcurrentSessions(t *testing.T) {
 		t.Fatalf("%d compiles for one design, want 1", n)
 	}
 	for i, tr := range traces {
-		if tr != ref {
-			t.Fatalf("concurrent session %d trace differs from serial reference", i)
+		if d := oracle.Diff("serial reference", ref, fmt.Sprintf("concurrent session %d", i), tr); d != "" {
+			t.Fatal(d)
 		}
 	}
 }

@@ -18,26 +18,14 @@
 // Usage:
 //
 //	llhd-serve [-addr :8080] [-cache-dir DIR] [-cache-cap N] [-workers N]
-//	           [-max-steps N] [-max-events N] [-timeout 30s] [-smoke]
-//
-// With -smoke the server starts on an ephemeral port, exercises itself
-// (rr_arbiter streamed vs a serial reference, warm-hit resubmission,
-// quota rejection), and exits non-zero on any mismatch — the CI
-// self-test.
+//	           [-max-steps N] [-max-events N] [-timeout 30s]
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
-	"net"
 	"net/http"
 
-	"llhd"
-	"llhd/internal/designs"
 	"llhd/internal/simserver"
 )
 
@@ -49,7 +37,6 @@ func main() {
 	maxSteps := flag.Int("max-steps", 0, "per-session instant budget (0: server default)")
 	maxEvents := flag.Int("max-events", 0, "per-session event budget (0: server default)")
 	timeout := flag.Duration("timeout", 0, "per-session wall-clock budget (0: server default 30s)")
-	smoke := flag.Bool("smoke", false, "self-test against an ephemeral instance and exit")
 	flag.Parse()
 
 	srv, err := simserver.New(simserver.Config{
@@ -64,159 +51,6 @@ func main() {
 		log.Fatalf("llhd-serve: %v", err)
 	}
 
-	if *smoke {
-		if err := runSmoke(srv); err != nil {
-			log.Fatalf("llhd-serve: smoke: %v", err)
-		}
-		fmt.Println("llhd-serve: smoke OK")
-		return
-	}
-
 	log.Printf("llhd-serve: listening on %s", *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv))
-}
-
-// runSmoke boots the server on an ephemeral port and drives the
-// end-to-end contract: a streamed rr_arbiter run must byte-match the
-// serial TraceObserver reference, a resubmission must be a cache hit
-// with the identical stream, and a tiny step budget must be rejected
-// with HTTP 429 carrying the "step-limit" slug.
-func runSmoke(srv *simserver.Server) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-
-	d, err := designs.ByName("rr_arbiter")
-	if err != nil {
-		return err
-	}
-
-	// Serial reference: the same design through the Session API with a
-	// buffered observer, rendered by the shared delta renderer.
-	obs := &llhd.TraceObserver{}
-	sess, err := llhd.NewSession(
-		llhd.FromSystemVerilog(d.Source), llhd.Top(d.Top),
-		llhd.Backend(llhd.Blaze), llhd.WithObserver(obs))
-	if err != nil {
-		return fmt.Errorf("serial reference session: %w", err)
-	}
-	if err := sess.Run(); err != nil {
-		return fmt.Errorf("serial reference run: %w", err)
-	}
-	sess.Finish()
-	ref := simserver.RenderTrace(obs)
-	if len(ref) == 0 {
-		return fmt.Errorf("serial reference trace is empty")
-	}
-
-	req := simserver.Request{Design: d.Source, Kind: "sv", Top: d.Top}
-
-	status, body, err := submit(base+"/v1/sim/stream", req)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("cold stream status %d: %s", status, body)
-	}
-	deltas, res, err := splitStream(body)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(deltas, ref) {
-		return fmt.Errorf("cold streamed deltas differ from serial reference (%d vs %d bytes)",
-			len(deltas), len(ref))
-	}
-	if res.Class != simserver.ClassOK || res.Cache != "miss" {
-		return fmt.Errorf("cold result %+v, want ok/miss", res)
-	}
-	fmt.Printf("llhd-serve: smoke: cold stream matches serial reference (%d delta bytes, %d instants)\n",
-		len(deltas), res.DeltaSteps)
-
-	status, body, err = submit(base+"/v1/sim/stream", req)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("warm stream status %d", status)
-	}
-	deltas, res, err = splitStream(body)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(deltas, ref) {
-		return fmt.Errorf("warm streamed deltas differ from serial reference")
-	}
-	if res.Cache != "hit" {
-		return fmt.Errorf("warm result %+v, want a cache hit", res)
-	}
-	fmt.Println("llhd-serve: smoke: warm resubmission is a cache hit with an identical stream")
-
-	// Quota rejection: a 2-instant budget cannot finish; the stream
-	// endpoint must map it to 429 with the taxonomy slug.
-	tiny := req
-	tiny.Steps = 2
-	status, body, err = submit(base+"/v1/sim/stream", tiny)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusTooManyRequests {
-		return fmt.Errorf("quota status %d, want 429: %s", status, body)
-	}
-	if _, res, err = splitStream(body); err != nil {
-		return err
-	}
-	if res.Class != "step-limit" {
-		return fmt.Errorf("quota class %q, want step-limit", res.Class)
-	}
-	fmt.Println("llhd-serve: smoke: tiny step budget rejected with 429 step-limit")
-	return nil
-}
-
-func submit(url string, req simserver.Request) (int, []byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return 0, nil, fmt.Errorf("POST %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, body, nil
-}
-
-// splitStream separates an NDJSON body into the delta bytes and the
-// parsed terminal result line.
-func splitStream(body []byte) ([]byte, simserver.Result, error) {
-	trimmed := bytes.TrimSuffix(body, []byte("\n"))
-	i := bytes.LastIndexByte(trimmed, '\n')
-	var deltas, last []byte
-	if i < 0 {
-		deltas, last = nil, trimmed
-	} else {
-		deltas, last = body[:i+1], trimmed[i+1:]
-	}
-	var res simserver.Result
-	if err := json.Unmarshal(last, &res); err != nil {
-		return nil, res, fmt.Errorf("parsing result line %q: %w", last, err)
-	}
-	return deltas, res, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"llhd"
 	"llhd/internal/designs"
+	"llhd/internal/oracle"
 )
 
 // concurrentSessions is the farm's race envelope: enough goroutines to
@@ -147,20 +148,10 @@ func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 	}
 
 	// Serial interpreter reference over the same frozen module.
-	refObs := &llhd.TraceObserver{}
-	ref, err := llhd.NewSession(llhd.FromModule(m), llhd.Top(d.Top),
-		llhd.Backend(llhd.Interp), llhd.WithObserver(refObs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ref.Finish()
-	want := traceStrings(refObs)
+	ref := runOne(t, llhd.FromModule(m), llhd.Top(d.Top), llhd.Backend(llhd.Interp))
 
 	errs := make([]error, concurrentSessions)
-	traces := make([][]string, concurrentSessions)
+	traces := make([]*llhd.TraceObserver, concurrentSessions)
 	var wg sync.WaitGroup
 	for g := 0; g < concurrentSessions; g++ {
 		wg.Add(1)
@@ -180,7 +171,7 @@ func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 				errs[g] = fmt.Errorf("%d assertion failures", st.AssertionFailures)
 				return
 			}
-			traces[g] = traceStrings(obs)
+			traces[g] = obs
 		}(g)
 	}
 	wg.Wait()
@@ -190,25 +181,10 @@ func TestConcurrentBytecodeTierSharedDesign(t *testing.T) {
 		}
 	}
 	for g, tr := range traces {
-		if len(tr) != len(want) {
-			t.Fatalf("session %d: trace length %d, interpreter reference %d", g, len(tr), len(want))
-		}
-		for i := range tr {
-			if tr[i] != want[i] {
-				t.Fatalf("session %d: trace diverges from interpreter reference at %d: %q vs %q",
-					g, i, tr[i], want[i])
-			}
+		if d := oracle.Diff(fmt.Sprintf("session %d", g), tr, "interpreter reference", ref); d != "" {
+			t.Fatal(d)
 		}
 	}
-}
-
-// traceStrings renders a buffered trace for comparison.
-func traceStrings(o *llhd.TraceObserver) []string {
-	out := make([]string, 0, len(o.Entries))
-	for _, te := range o.Entries {
-		out = append(out, fmt.Sprintf("%v %s=%s", te.Time, te.Sig.Name, te.Value))
-	}
-	return out
 }
 
 // TestConcurrentVCDMatchesSerial checks that waveform output is oblivious

@@ -16,37 +16,29 @@ import (
 // Blaze} × {unlowered, lowered}, .sv entries additionally through the
 // SVSim AST engine. The corpus pins the five PR-4 lowering miscompiles
 // (and every future fuzzer finding) as a regression net that is
-// independent of the Table 2 matrix test.
+// independent of the Table 2 matrix test. A file with no replay rule
+// fails: a misnamed repro must not drop out of the net unnoticed.
 func TestCorpusReplay(t *testing.T) {
 	entries, err := filepath.Glob(filepath.Join("testdata", "corpus", "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("testdata/corpus is empty")
+	if len(entries) < 6 {
+		t.Fatalf("expected at least the five PR-4 repros plus one .sv entry, found %d", len(entries))
 	}
-	ran := 0
 	for _, path := range entries {
 		name := filepath.Base(path)
-		switch filepath.Ext(path) {
-		case ".llhd":
-			ran++
-			t.Run(name, func(t *testing.T) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch ext := filepath.Ext(path); ext {
+			case ".llhd":
 				if f := fuzz.CheckText(name, string(data), fuzz.Options{}); f != nil {
 					t.Errorf("corpus repro fails the differential oracle:\n%s", f.Reason)
 				}
-			})
-		case ".sv":
-			ran++
-			t.Run(name, func(t *testing.T) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
+			case ".sv":
 				top := svTopModule(string(data))
 				if top == "" {
 					t.Fatalf("cannot find a module in %s", path)
@@ -54,11 +46,10 @@ func TestCorpusReplay(t *testing.T) {
 				if f := fuzz.CheckSV(name, string(data), top, fuzz.Options{}); f != nil {
 					t.Errorf("corpus repro fails the three-engine oracle:\n%s", f.Reason)
 				}
-			})
-		}
-	}
-	if ran < 6 {
-		t.Errorf("expected at least the five PR-4 repros plus one .sv entry, replayed %d", ran)
+			default:
+				t.Errorf("no replay rule for %q files: corpus entries are .llhd or .sv", ext)
+			}
+		})
 	}
 }
 

@@ -22,56 +22,6 @@ func farmRun(t *testing.T, f *llhd.Farm, jobs ...llhd.FarmJob) []llhd.FarmResult
 	return results
 }
 
-// TestFarmThreeBackendSweep is the quickstart scenario: one design, three
-// engines, run as a farm, traces and statistics compared across backends.
-func TestFarmThreeBackendSweep(t *testing.T) {
-	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interpObs, blazeObs := &llhd.TraceObserver{}, &llhd.TraceObserver{}
-	jobs := []llhd.FarmJob{
-		{Name: "interp", Options: []llhd.SessionOption{
-			llhd.FromModule(m), llhd.Top("toggle_tb"),
-			llhd.Backend(llhd.Interp), llhd.WithObserver(interpObs)}},
-		{Name: "blaze", Options: []llhd.SessionOption{
-			llhd.FromModule(m), llhd.Top("toggle_tb"),
-			llhd.Backend(llhd.Blaze), llhd.WithObserver(blazeObs)}},
-		{Name: "svsim", Options: []llhd.SessionOption{
-			llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"),
-			llhd.Backend(llhd.SVSim)}},
-	}
-	results := farmRun(t, &llhd.Farm{}, jobs...)
-
-	if !m.Frozen() {
-		t.Error("the farm must freeze shared modules before fanning out")
-	}
-	for _, r := range results {
-		if r.Stats.AssertionFailures != 0 {
-			t.Errorf("%s: %d assertion failures", r.Name, r.Stats.AssertionFailures)
-		}
-		if r.Stats.DeltaSteps == 0 {
-			t.Errorf("%s: empty statistics %+v", r.Name, r.Stats)
-		}
-	}
-	if results[0].Stats.DeltaSteps != results[1].Stats.DeltaSteps {
-		t.Errorf("interp and blaze executed different instant counts: %d vs %d",
-			results[0].Stats.DeltaSteps, results[1].Stats.DeltaSteps)
-	}
-	// The §6.1 differential check: identical observer streams.
-	if len(interpObs.Entries) == 0 || len(interpObs.Entries) != len(blazeObs.Entries) {
-		t.Fatalf("trace lengths: interp %d, blaze %d", len(interpObs.Entries), len(blazeObs.Entries))
-	}
-	for i := range interpObs.Entries {
-		a, b := interpObs.Entries[i], blazeObs.Entries[i]
-		as := fmt.Sprintf("%v %s=%s", a.Time, a.Sig.Name, a.Value)
-		bs := fmt.Sprintf("%v %s=%s", b.Time, b.Sig.Name, b.Value)
-		if as != bs {
-			t.Fatalf("traces diverge at %d: %s vs %s", i, as, bs)
-		}
-	}
-}
-
 // TestFarmSharesOneCompiledDesign pins the blaze sharing contract for an
 // explicitly precompiled design: every FromCompiled job runs over that one
 // immutable design and they all agree.
@@ -172,6 +122,9 @@ func TestFarmUntilBoundsJobs(t *testing.T) {
 	}
 	if results[0].Stats.DeltaSteps == 0 {
 		t.Error("bounded job executed nothing")
+	}
+	if !m.Frozen() {
+		t.Error("the farm must freeze a FromModule module before fanning out")
 	}
 }
 

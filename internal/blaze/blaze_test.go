@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"llhd"
 	"llhd/internal/assembly"
 	"llhd/internal/blaze"
-	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
+	"llhd/internal/oracle"
 	"llhd/internal/sim"
-	"llhd/internal/simtest"
 )
 
 const counterSrc = `
@@ -67,12 +67,30 @@ proc @counter (i1$ %clk) -> (i32$ %count) {
 }
 `
 
+// tracesMatch runs m1 on the reference interpreter and m2 on blaze as one
+// oracle run and fails unless both finish and produce the same non-empty
+// trace; it returns the two legs.
+func tracesMatch(t *testing.T, m1, m2 *ir.Module, top string) []oracle.Result {
+	t.Helper()
+	rs := oracle.Run(0,
+		oracle.Leg{Name: "interp", Options: []llhd.SessionOption{llhd.FromModule(m1), llhd.Top(top), llhd.Backend(llhd.Interp)}},
+		oracle.Leg{Name: "blaze", Options: []llhd.SessionOption{llhd.FromModule(m2), llhd.Top(top), llhd.Backend(llhd.Blaze)}})
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+	}
+	if len(rs[0].Trace.Entries) == 0 {
+		t.Fatal("interpreter trace is empty")
+	}
+	if d := oracle.Diff(rs[0].Name, rs[0].Trace, rs[1].Name, rs[1].Trace); d != "" {
+		t.Fatal(d)
+	}
+	return rs
+}
+
 func TestTracesMatchCounter(t *testing.T) {
-	m1 := assembly.MustParse("c", counterSrc)
-	m2 := assembly.MustParse("c", counterSrc)
-	interp, _ := simtest.InterpTrace(t, m1, "top")
-	compiled, _ := simtest.BlazeTrace(t, m2, "top")
-	simtest.CompareTraces(t, interp, compiled)
+	tracesMatch(t, assembly.MustParse("c", counterSrc), assembly.MustParse("c", counterSrc), "top")
 }
 
 // TestTracesMatchFigure3 compiles the paper's Figure 3 SystemVerilog with
@@ -112,9 +130,7 @@ endmodule
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	interp, _ := simtest.InterpTrace(t, m1, "acc_tb")
-	compiled, _ := simtest.BlazeTrace(t, m2, "acc_tb")
-	simtest.CompareTraces(t, interp, compiled)
+	tracesMatch(t, m1, m2, "acc_tb")
 }
 
 // TestTracesMatchStructuralReg cross-validates the reg instruction.
@@ -164,11 +180,7 @@ proc @stim (i32$ %q) -> (i1$ %clk, i32$ %d) {
   halt
 }
 `
-	m1 := assembly.MustParse("r", src)
-	m2 := assembly.MustParse("r", src)
-	interp, _ := simtest.InterpTrace(t, m1, "top")
-	compiled, _ := simtest.BlazeTrace(t, m2, "top")
-	simtest.CompareTraces(t, interp, compiled)
+	tracesMatch(t, assembly.MustParse("r", src), assembly.MustParse("r", src), "top")
 }
 
 // TestRegSamplesEveryTrigger pins the sampling rule of a multi-trigger
@@ -213,12 +225,9 @@ proc @stim () -> (i1$ %a, i1$ %b) {
   halt
 }
 `
-	interp, ie := simtest.InterpTrace(t, assembly.MustParse("r", src), "top")
-	compiled, be := simtest.BlazeTrace(t, assembly.MustParse("r", src), "top")
-	simtest.CompareTraces(t, interp, compiled)
-	for name, e := range map[string]*engine.Engine{"interp": ie, "blaze": be} {
-		if got := e.SignalByName("top.q").Value().Bits; got != 1 {
-			t.Errorf("%s: q = %d, want 1 (the second trigger never rose alone)", name, got)
+	for _, r := range tracesMatch(t, assembly.MustParse("r", src), assembly.MustParse("r", src), "top") {
+		if q := oracle.Values(r.Trace, "top.q"); len(q) == 0 || q[len(q)-1] != 1 {
+			t.Errorf("%s: q took %v, want it to end at 1 (the second trigger never rose alone)", r.Name, q)
 		}
 	}
 }

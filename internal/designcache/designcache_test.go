@@ -9,13 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"llhd"
 	"llhd/internal/assembly"
 	"llhd/internal/bitcode"
 	"llhd/internal/blaze"
 	"llhd/internal/designcache"
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/simtest"
+	"llhd/internal/oracle"
 )
 
 // counterSrc builds a small self-driving counter design whose content
@@ -82,19 +83,21 @@ func newCache(t *testing.T, cfg designcache.Config) *designcache.Cache {
 	return c
 }
 
-// runCompiled runs one session over a compiled design and returns the
-// rendered trace.
-func runCompiled(t *testing.T, cd *blaze.CompiledDesign) []string {
+// sameTrace runs the two compiled designs as one two-leg oracle run and
+// fails unless both finish and trace identically.
+func sameTrace(t *testing.T, a, b *blaze.CompiledDesign) {
 	t.Helper()
-	s, err := cd.NewSimulator()
-	if err != nil {
-		t.Fatalf("NewSimulator: %v", err)
+	rs := oracle.Run(0,
+		oracle.Leg{Name: "a", Options: []llhd.SessionOption{llhd.FromCompiled(a)}},
+		oracle.Leg{Name: "b", Options: []llhd.SessionOption{llhd.FromCompiled(b)}})
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("run %s: %v", r.Name, r.Err)
+		}
 	}
-	o := simtest.Capture(s.Engine)
-	if err := s.Run(ir.Time{}); err != nil {
-		t.Fatalf("run: %v", err)
+	if d := oracle.Diff(rs[0].Name, rs[0].Trace, rs[1].Name, rs[1].Trace); d != "" {
+		t.Fatal(d)
 	}
-	return simtest.Strings(o)
 }
 
 func TestKeyOfStability(t *testing.T) {
@@ -173,9 +176,7 @@ func TestLoadContentAddressed(t *testing.T) {
 	}
 
 	// Warm-hit sessions trace identically to cold-compile sessions.
-	if cold, warm := runCompiled(t, cd1), runCompiled(t, cd2); strings.Join(cold, "\n") != strings.Join(warm, "\n") {
-		t.Fatal("warm-hit trace diverges from cold-compile trace")
-	}
+	sameTrace(t, cd1, cd2)
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -326,9 +327,7 @@ func TestDiskLayerPersistsAcrossCaches(t *testing.T) {
 	}
 
 	// The reloaded design simulates identically to the original.
-	if a, b := runCompiled(t, cd1), runCompiled(t, cd2); strings.Join(a, "\n") != strings.Join(b, "\n") {
-		t.Fatal("disk-reloaded design traces differently")
-	}
+	sameTrace(t, cd1, cd2)
 }
 
 // TestKeyStability pins the cache-key derivation and the on-disk layout

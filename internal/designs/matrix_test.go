@@ -1,14 +1,13 @@
 package designs_test
 
 import (
-	"context"
 	"testing"
 
 	"llhd"
 	"llhd/internal/designs"
+	"llhd/internal/fuzz"
 	"llhd/internal/ir"
 	"llhd/internal/pass"
-	"llhd/internal/simtest"
 )
 
 // TestLowerProducesValidIR pins the §4 pipeline on the full benchmark
@@ -36,73 +35,18 @@ func TestLowerProducesValidIR(t *testing.T) {
 	}
 }
 
-// TestFarmDifferentialMatrix is the full §6.1 cross-backend matrix, run as
-// one concurrent farm per design: all ten Table 2 designs × {Interp,
-// Blaze, SVSim} × {unlowered, lowered via llhd.Lower}. Within each
-// lowering level the interpreter and the compiled engine must produce
-// identical signal-change traces; across every cell the self-checking
-// testbenches must report zero assertion failures (the SVSim and
-// lowered-vs-unlowered legs compare through those embedded checks, since
-// their signal sets legitimately differ). The farm shares one frozen
-// module per (design, lowering) between the LLHD engines.
+// TestFarmDifferentialMatrix is the full §6.1 cross-backend matrix: every
+// Table 2 design through fuzz.CheckSV — {Interp, Blaze} × {unlowered,
+// lowered via llhd.Lower} plus SVSim, one concurrent farm per design.
+// Both copies must verify (the lowered one after lowering), every leg
+// must finish with zero assertion failures, interpreter and compiled
+// engine must trace identically within each lowering level, and the
+// top-level signals must settle identically across lowering levels.
 func TestFarmDifferentialMatrix(t *testing.T) {
 	for _, d := range designs.All() {
 		t.Run(d.Name, func(t *testing.T) {
-			unlowered, err := llhd.CompileSystemVerilog(d.Name, d.Source)
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			lowered, err := llhd.CompileSystemVerilog(d.Name, d.Source)
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			if err := llhd.Lower(lowered); err != nil {
-				t.Fatalf("Lower: %v", err)
-			}
-
-			obs := make([]*llhd.TraceObserver, 4)
-			var jobs []llhd.FarmJob
-			for i, leg := range []struct {
-				name string
-				m    *llhd.Module
-				kind llhd.EngineKind
-			}{
-				{"interp/unlowered", unlowered, llhd.Interp},
-				{"blaze/unlowered", unlowered, llhd.Blaze},
-				{"interp/lowered", lowered, llhd.Interp},
-				{"blaze/lowered", lowered, llhd.Blaze},
-			} {
-				obs[i] = &llhd.TraceObserver{}
-				opts := []llhd.SessionOption{
-					llhd.FromModule(leg.m), llhd.Top(d.Top),
-					llhd.Backend(leg.kind), llhd.WithObserver(obs[i]),
-				}
-				jobs = append(jobs, llhd.FarmJob{Name: leg.name, Options: opts})
-			}
-			jobs = append(jobs, llhd.FarmJob{
-				Name: "svsim",
-				Options: []llhd.SessionOption{
-					llhd.FromSystemVerilog(d.Source), llhd.Top(d.Top),
-					llhd.Backend(llhd.SVSim),
-				},
-			})
-
-			var farm llhd.Farm
-			results := farm.Run(context.Background(), jobs...)
-			for _, r := range results {
-				if r.Err != nil {
-					t.Fatalf("%s: %v", r.Name, r.Err)
-				}
-				if r.Stats.AssertionFailures != 0 {
-					t.Errorf("%s: %d assertion failures", r.Name, r.Stats.AssertionFailures)
-				}
-			}
-
-			// Interp vs Blaze per lowering level: identical traces.
-			simtest.CompareTraces(t, simtest.Strings(obs[0]), simtest.Strings(obs[1]))
-			simtest.CompareTraces(t, simtest.Strings(obs[2]), simtest.Strings(obs[3]))
-			if !unlowered.Frozen() || !lowered.Frozen() {
-				t.Error("farm must have frozen both shared modules")
+			if f := fuzz.CheckSV(d.Name, d.Source, d.Top, fuzz.Options{}); f != nil {
+				t.Errorf("%s: %s", f.Class, f.Reason)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -127,37 +128,46 @@ func acceptIndexed(accept func(func(m *ir.Module) bool) bool, mut func(m *ir.Mod
 	}
 }
 
-// removeNthInst removes the i-th non-terminator instruction (in module
-// walk order). An instruction whose uses cannot be replaced is a no-op
-// mutation: it counts toward the index (so the scan continues past it)
-// but leaves the module unchanged, which the acceptance check rejects
-// cheaply.
-func removeNthInst(m *ir.Module, i int) bool {
-	n := 0
+// nthInst returns the i-th instruction (in module walk order) that match
+// accepts, with its unit and block, or a nil instruction when fewer match.
+// It is the index walk of every indexed mutation below.
+func nthInst(m *ir.Module, i int, match func(u *ir.Unit, b *ir.Block, in *ir.Inst) bool) (*ir.Unit, *ir.Block, *ir.Inst) {
 	for _, u := range m.Units {
 		for _, b := range u.Blocks {
 			for _, in := range b.Insts {
-				if in.Op.IsTerminator() {
+				if !match(u, b, in) {
 					continue
 				}
-				if n != i {
-					n++
-					continue
+				if i == 0 {
+					return u, b, in
 				}
-				uses := u.Uses()[in]
-				if len(uses) > 0 {
-					repl := replacementFor(b, in)
-					if repl == nil {
-						return true // eligible but stuck: no-op
-					}
-					u.ReplaceAllUses(in, repl)
-				}
-				b.Remove(in)
-				return true
+				i--
 			}
 		}
 	}
-	return false
+	return nil, nil, nil
+}
+
+// removeNthInst removes the i-th non-terminator instruction. An
+// instruction whose uses cannot be replaced is a no-op mutation: it counts
+// toward the index (so the scan continues past it) but leaves the module
+// unchanged, which the acceptance check rejects cheaply.
+func removeNthInst(m *ir.Module, i int) bool {
+	u, b, in := nthInst(m, i, func(_ *ir.Unit, _ *ir.Block, in *ir.Inst) bool {
+		return !in.Op.IsTerminator()
+	})
+	if in == nil {
+		return false
+	}
+	if len(u.Uses()[in]) > 0 {
+		repl := replacementFor(b, in)
+		if repl == nil {
+			return true // eligible but stuck: no-op
+		}
+		u.ReplaceAllUses(in, repl)
+	}
+	b.Remove(in)
+	return true
 }
 
 // replacementFor finds a value to stand in for in at its uses: an operand
@@ -198,48 +208,32 @@ func replacementFor(b *ir.Block, in *ir.Inst) ir.Value {
 // foldNthBranch rewrites the i-th conditional branch to always take arm,
 // then prunes unreachable blocks and stale phi edges.
 func foldNthBranch(m *ir.Module, i int, arm int) bool {
-	n := 0
-	for _, u := range m.Units {
-		for _, b := range u.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpBr || len(t.Dests) != 2 {
-				continue
-			}
-			if n != i {
-				n++
-				continue
-			}
-			t.Args = nil
-			t.Dests = []*ir.Block{t.Dests[arm]}
-			cleanupCFG(u)
-			return true
-		}
+	u, _, t := nthInst(m, i, func(_ *ir.Unit, b *ir.Block, in *ir.Inst) bool {
+		return in == b.Terminator() && in.Op == ir.OpBr && len(in.Dests) == 2
+	})
+	if t == nil {
+		return false
 	}
-	return false
+	t.Args = nil
+	t.Dests = []*ir.Block{t.Dests[arm]}
+	cleanupCFG(u)
+	return true
+}
+
+// procWait matches the wait terminating a process block.
+func procWait(u *ir.Unit, b *ir.Block, in *ir.Inst) bool {
+	return u.Kind == ir.UnitProc && in == b.Terminator() && in.Op == ir.OpWait
 }
 
 func waitNthToHalt(m *ir.Module, i int) bool {
-	n := 0
-	for _, u := range m.Units {
-		if u.Kind != ir.UnitProc {
-			continue
-		}
-		for _, b := range u.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpWait {
-				continue
-			}
-			if n != i {
-				n++
-				continue
-			}
-			t.Op = ir.OpHalt
-			t.Args, t.Dests, t.TimeArg = nil, nil, nil
-			cleanupCFG(u)
-			return true
-		}
+	u, _, t := nthInst(m, i, procWait)
+	if t == nil {
+		return false
 	}
-	return false
+	t.Op = ir.OpHalt
+	t.Args, t.Dests, t.TimeArg = nil, nil, nil
+	cleanupCFG(u)
+	return true
 }
 
 // waitNthToBr replaces the i-th wait with an unconditional branch to its
@@ -247,81 +241,46 @@ func waitNthToHalt(m *ir.Module, i int) bool {
 // creates a zero-time livelock changes the failure class and is rejected
 // by the acceptance check.)
 func waitNthToBr(m *ir.Module, i int) bool {
-	n := 0
-	for _, u := range m.Units {
-		if u.Kind != ir.UnitProc {
-			continue
-		}
-		for _, b := range u.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpWait {
-				continue
-			}
-			if n != i {
-				n++
-				continue
-			}
-			t.Op = ir.OpBr
-			t.Args, t.TimeArg = nil, nil
-			return true
-		}
+	_, _, t := nthInst(m, i, procWait)
+	if t == nil {
+		return false
 	}
-	return false
+	t.Op = ir.OpBr
+	t.Args, t.TimeArg = nil, nil
+	return true
 }
 
 // simplifyNthTimed drops optional payload from timed instructions: a drv
 // condition, or a wait's observed-signal list.
 func simplifyNthTimed(m *ir.Module, i int) bool {
-	n := 0
-	for _, u := range m.Units {
-		for _, b := range u.Blocks {
-			for _, in := range b.Insts {
-				switch {
-				case in.Op == ir.OpDrv && len(in.Args) == 4:
-				case in.Op == ir.OpWait && len(in.Args) > 0:
-				default:
-					continue
-				}
-				if n != i {
-					n++
-					continue
-				}
-				if in.Op == ir.OpDrv {
-					in.Args = in.Args[:3]
-				} else {
-					in.Args = nil
-				}
-				return true
-			}
-		}
+	_, _, in := nthInst(m, i, func(_ *ir.Unit, _ *ir.Block, in *ir.Inst) bool {
+		return (in.Op == ir.OpDrv && len(in.Args) == 4) || (in.Op == ir.OpWait && len(in.Args) > 0)
+	})
+	if in == nil {
+		return false
 	}
-	return false
+	if in.Op == ir.OpDrv {
+		in.Args = in.Args[:3]
+	} else {
+		in.Args = nil
+	}
+	return true
 }
 
 func zeroNthConst(m *ir.Module, i int) bool {
-	n := 0
-	for _, u := range m.Units {
-		for _, b := range u.Blocks {
-			for _, in := range b.Insts {
-				interesting := (in.Op == ir.OpConstInt && in.IVal != 0) ||
-					(in.Op == ir.OpConstTime && (in.TVal.Delta != 0 || in.TVal.Eps != 0))
-				if !interesting {
-					continue
-				}
-				if n != i {
-					n++
-					continue
-				}
-				if in.Op == ir.OpConstInt {
-					in.IVal = 0
-				} else {
-					in.TVal = ir.Time{Fs: in.TVal.Fs}
-				}
-				return true
-			}
-		}
+	_, _, in := nthInst(m, i, func(_ *ir.Unit, _ *ir.Block, in *ir.Inst) bool {
+		return (in.Op == ir.OpConstInt && in.IVal != 0) ||
+			(in.Op == ir.OpConstTime && (in.TVal.Delta != 0 || in.TVal.Eps != 0))
+	})
+	if in == nil {
+		return false
 	}
-	return false
+	if in.Op == ir.OpConstInt {
+		in.IVal = 0
+	} else {
+		in.TVal = ir.Time{Fs: in.TVal.Fs}
+	}
+	return true
 }
 
 // cleanupCFG removes unreachable blocks and prunes phi edges whose
@@ -410,13 +369,7 @@ func narrowWidths(name string, cur *string, class string, opt Options) bool {
 		ordered = append(ordered, w)
 	}
 	// Largest widths first: the biggest single reduction.
-	for i := 0; i < len(ordered); i++ {
-		for j := i + 1; j < len(ordered); j++ {
-			if ordered[j] > ordered[i] {
-				ordered[i], ordered[j] = ordered[j], ordered[i]
-			}
-		}
-	}
+	slices.SortFunc(ordered, func(a, b int) int { return b - a })
 	for _, w := range ordered {
 		for _, to := range []int{1, w / 2} {
 			if to < 1 || to == w {

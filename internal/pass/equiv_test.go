@@ -3,11 +3,11 @@ package pass_test
 import (
 	"testing"
 
+	"llhd"
 	"llhd/internal/assembly"
 	"llhd/internal/ir"
+	"llhd/internal/oracle"
 	"llhd/internal/pass"
-	"llhd/internal/sim"
-	"llhd/internal/simtest"
 )
 
 // accWithTB wraps the Figure 5 accumulator in a testbench that pulses the
@@ -100,15 +100,12 @@ proc @acc_comb (i32$ %q, i32$ %x, i1$ %en) -> (i32$ %d) {
 // behavioural and lowered forms).
 func qSequence(t *testing.T, m *ir.Module) []uint64 {
 	t.Helper()
-	s, err := sim.New(m, "top")
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
+	r := oracle.Run(0, oracle.Leg{Name: "interp", Options: []llhd.SessionOption{
+		llhd.FromModule(m), llhd.Top("top"), llhd.Backend(llhd.Interp)}})[0]
+	if r.Err != nil {
+		t.Fatalf("Run: %v", r.Err)
 	}
-	o := simtest.Capture(s.Engine)
-	if err := s.Run(ir.Time{}); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return simtest.ValueSequence(o, s.Engine.SignalByName("top.q"))
+	return oracle.Values(r.Trace, "top.q")
 }
 
 // TestLoweringPreservesBehaviour simulates the accumulator before and

@@ -2,7 +2,6 @@ package svsim_test
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
+	"llhd/internal/oracle"
 	"llhd/internal/sim"
 	"llhd/internal/svsim"
 )
@@ -141,10 +141,7 @@ func changes(t *testing.T, e *engine.Engine, run func(ir.Time) error) []string {
 	if err := run(ir.Time{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var lines []string
-	for _, c := range obs.Entries {
-		lines = append(lines, fmt.Sprintf("%v %s=%s", c.Time, c.Sig.Name, c.Value))
-	}
+	lines := oracle.Lines(&obs)
 	sort.Strings(lines)
 	return lines
 }

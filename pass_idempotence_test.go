@@ -136,7 +136,7 @@ func TestPassIdempotence(t *testing.T) {
 // process of cdc_gray and of rr_arbiter, tcm inserts the auxiliary
 // single-exit block of a temporal region (§4.3.2), moves no drive into it,
 // and tcfe folds it away again, every iteration, until the cap (ROADMAP
-// open item 4). They are pinned as they are, so that a change which makes
+// open item 6). They are pinned as they are, so that a change which makes
 // them converge, or makes anything else oscillate, shows.
 func TestLowerReachesFixpoint(t *testing.T) {
 	oscillates := map[string][]string{

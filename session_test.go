@@ -11,6 +11,7 @@ import (
 
 	"llhd"
 	"llhd/internal/designs"
+	"llhd/internal/oracle"
 )
 
 // updateGolden regenerates testdata golden files instead of comparing:
@@ -322,29 +323,27 @@ func TestSessionVCDErrorSurfacesOnFinish(t *testing.T) {
 
 // TestSessionTraceEquivalence is the §6.1 cross-engine claim expressed
 // through the public API: identical buffered traces from the interpreter
-// and the compiled engine for the same module.
+// and the compiled engine for the same module, over the same number of
+// instants.
 func TestSessionTraceEquivalence(t *testing.T) {
-	render := func(kind llhd.EngineKind) []string {
+	run := func(kind llhd.EngineKind) (*llhd.TraceObserver, llhd.Finish) {
 		obs := &llhd.TraceObserver{}
 		s := sessionFor(t, kind, llhd.WithObserver(obs))
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		s.Finish()
-		out := make([]string, len(obs.Entries))
-		for i, te := range obs.Entries {
-			out[i] = fmt.Sprintf("%v %s=%s", te.Time, te.Sig.Name, te.Value)
-		}
-		return out
+		return obs, s.Finish()
 	}
-	a, b := render(llhd.Interp), render(llhd.Blaze)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("trace lengths: interp %d, blaze %d", len(a), len(b))
+	a, fa := run(llhd.Interp)
+	b, fb := run(llhd.Blaze)
+	if len(a.Entries) == 0 {
+		t.Fatal("interp trace is empty")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %s vs %s", i, a[i], b[i])
-		}
+	if d := oracle.Diff("interp", a, "blaze", b); d != "" {
+		t.Fatal(d)
+	}
+	if fa.DeltaSteps != fb.DeltaSteps {
+		t.Errorf("interp and blaze executed different instant counts: %d vs %d", fa.DeltaSteps, fb.DeltaSteps)
 	}
 }
 
