@@ -96,10 +96,12 @@ bench-compare:
 bench-paper:
 	$(GO) test -bench . -benchmem -run xxx .
 
-# bench-kernel runs the event-kernel microbenchmarks (drive storm, wake
-# fan-out at 64 and 1024 subscribers, idle sensitivity, delta cascade);
-# all must report 0 allocs/op at steady state, and the cost per woken
-# subscriber must be the same at both fan-outs.
+# bench-kernel runs the seven event-kernel microbenchmarks (drive storm,
+# wake fan-out at 64 and 1024 subscribers, idle sensitivity, delta
+# cascade, and the two wide instants: 256 changes per instant, and 40
+# changes spread over 64 k signals, the span-bound case of the ID-order
+# bitmap scan); all must report 0 allocs/op at steady state, and the cost
+# per woken subscriber must be the same at both fan-outs.
 bench-kernel:
 	$(GO) test -bench BenchmarkEngineKernel -benchmem -run xxx ./internal/engine/
 

@@ -87,6 +87,54 @@ func (p *chainProc) Wake(e *Engine) {
 	e.Drive(p.out, e.Probe(p.in), ir.Time{})
 }
 
+// wideProc drives its signals, in list order, to one value toggled per
+// instant, and wakes itself a nanosecond later to do it again: every
+// instant changes all of them.
+type wideProc struct {
+	ProcHandle
+	refs []SigRef
+	bit  uint64
+}
+
+func (p *wideProc) Name() string   { return "wide" }
+func (p *wideProc) Init(e *Engine) { p.Wake(e) }
+func (p *wideProc) Wake(e *Engine) {
+	p.bit ^= 1
+	for _, r := range p.refs {
+		e.Drive(r, val.Int(1, p.bit), ir.Nanoseconds(1))
+	}
+	e.ScheduleWake(p.ProcID(), ir.Nanoseconds(1))
+}
+
+// newWideEngine registers n signals and one wideProc driving the listed
+// IDs; each driven signal also wakes one sink.
+func newWideEngine(n int, ids []int) *Engine {
+	e := New()
+	sigs := make([]*Signal, n)
+	for i := range sigs {
+		sigs[i] = e.NewSignal("s", ir.IntType(1), val.Int(1, 0))
+	}
+	w := &wideProc{}
+	for _, id := range ids {
+		r := SigRef{Sig: sigs[id]}
+		w.refs = append(w.refs, r)
+		e.AddProcess(&sinkProc{refs: []SigRef{r}}, true)
+	}
+	e.AddProcess(w, true)
+	e.Init()
+	return e
+}
+
+// newWideInstant256Engine changes 256 signals per instant, driven in
+// descending ID order.
+func newWideInstant256Engine() *Engine {
+	ids := make([]int, 256)
+	for i := range ids {
+		ids[i] = len(ids) - 1 - i
+	}
+	return newWideEngine(len(ids), ids)
+}
+
 // BenchmarkEngineKernel measures the kernel hot paths in isolation:
 //
 //	DriveStorm:      1 signal, 1 process, one drive+apply+wake per instant
@@ -95,9 +143,14 @@ func (p *chainProc) Wake(e *Engine) {
 //	                 per subscriber, and must not grow with the fan-out
 //	IdleSensitivity: 64 processes waiting on {clk, rst}, only clk toggles
 //	DeltaCascade:    a 32-deep delta chain triggered once per iteration
+//	WideInstant256:  256 signals changed per instant, driven in descending
+//	                 ID order, each waking one subscriber
+//	WideSparse:      40 changes spread over 64 k signals, the worst case
+//	                 of the wide-instant ordering: its scan walks ~1 000
+//	                 bitmap words for 40 signals
 //
-// All five must run allocation-free at steady state (see
-// TestDriveWakeHotPathAllocFree).
+// All seven must run allocation-free at steady state (see
+// TestDriveWakeHotPathAllocFree and TestWideInstantAllocFree).
 func BenchmarkEngineKernel(b *testing.B) {
 	steps := func(e *Engine) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -132,6 +185,14 @@ func BenchmarkEngineKernel(b *testing.B) {
 			}
 		}
 	})
+
+	b.Run("WideInstant256", steps(newWideInstant256Engine()))
+	const sparse, changes = 1 << 16, 40
+	ids := make([]int, changes)
+	for i := range ids {
+		ids[i] = (changes - 1 - i) * (sparse / changes)
+	}
+	b.Run("WideSparse", steps(newWideEngine(sparse, ids)))
 }
 
 // TestDriveWakeHotPathAllocFree is the tier-1 guarantee behind the kernel
@@ -148,5 +209,21 @@ func TestDriveWakeHotPathAllocFree(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Errorf("drive/wake hot path allocates %.2f times per step, want <= 1", avg)
+	}
+}
+
+// TestWideInstantAllocFree holds instants wider than 32 changes to the same
+// budget: ordering 256 changed signals by ID through changedBits allocates
+// nothing once the scratch slices are warm.
+func TestWideInstantAllocFree(t *testing.T) {
+	e := newWideInstant256Engine()
+	for i := 0; i < 256; i++ {
+		e.Step()
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		e.Step()
+	})
+	if avg > 1 {
+		t.Errorf("wide-instant path allocates %.2f times per step, want <= 1", avg)
 	}
 }

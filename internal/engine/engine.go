@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"slices"
 	"time"
 
 	"llhd/internal/faultinject"
@@ -101,7 +101,8 @@ type TraceEntry struct {
 // instant the engine delivers exactly one OnChange per signal that changed
 // during the instant, carrying the settled value, in ascending signal-ID
 // order (the same deterministic contract as the wake order, pinned by
-// TestObserverSignalIDOrder). Callbacks run synchronously on the
+// TestObserverSignalIDOrder and, for instants wider than 32 changes,
+// TestWideInstantOrder). Callbacks run synchronously on the
 // simulation goroutine, before the instant's processes wake.
 //
 // Value payloads are immutable (see val.Value): observers may retain the
@@ -161,9 +162,12 @@ type Engine struct {
 	pending    int                   // scheduled-but-unapplied events
 
 	// Per-step scratch, reused across steps. stamp is the generation
-	// counter that replaces per-step changed/woken maps.
+	// counter that replaces per-step changed/woken maps. changedBits holds
+	// one bit per signal ID for ordering wide instants (orderWide); it is
+	// all-zero outside Step.
 	stamp          uint64
 	changedScratch []*Signal
+	changedBits    []uint64
 	wakeScratch    []ProcID
 
 	// Attached observers and their combined subscription. obsAny is the
@@ -334,6 +338,9 @@ func (e *Engine) pollGovernance() bool {
 func (e *Engine) NewSignal(name string, ty *ir.Type, init val.Value) *Signal {
 	s := &Signal{ID: len(e.signals), Name: name, Type: ty, value: init}
 	e.signals = append(e.signals, s)
+	if s.ID>>6 == len(e.changedBits) {
+		e.changedBits = append(e.changedBits, 0)
+	}
 	if e.byName != nil {
 		if _, dup := e.byName[name]; !dup {
 			e.byName[name] = s
@@ -388,7 +395,7 @@ func (e *Engine) Observe(obs Observer, sigs ...*Signal) {
 }
 
 // notifyObservers streams the instant's settled changes, in the signal-ID
-// order changed was sorted into. It is kept out of Step's inlineable body:
+// order Step put changed into. It is kept out of Step's inlineable body:
 // the no-observer hot path pays only the length check at the call site.
 func (e *Engine) notifyObservers(now ir.Time, changed []*Signal) {
 	for _, sig := range changed {
@@ -673,7 +680,8 @@ func (e *Engine) Step() bool {
 	// Deterministic wake order: sensitivity hits in signal-ID order first,
 	// then timeouts in schedule order. Typical instants change a handful
 	// of signals, where an in-place insertion sort is cheapest; wide
-	// instants fall back to slices.SortFunc to stay out of O(n^2).
+	// instants read the order off a bitmap over signal IDs (orderWide) to
+	// stay out of O(n^2).
 	if len(changed) <= 32 {
 		for i := 1; i < len(changed); i++ {
 			for j := i; j > 0 && changed[j-1].ID > changed[j].ID; j-- {
@@ -681,7 +689,7 @@ func (e *Engine) Step() bool {
 			}
 		}
 	} else {
-		slices.SortFunc(changed, func(a, b *Signal) int { return a.ID - b.ID })
+		changed = e.orderWide(changed)
 	}
 	e.changedScratch = changed
 
@@ -745,6 +753,37 @@ func (e *Engine) Step() bool {
 		}
 	}
 	return len(e.heap) > 0
+}
+
+// orderWide returns changed, a set of distinct signals, in ascending ID
+// order without comparing two of them: one bit per signal goes into
+// changedBits, then the words between the lowest and the highest touched
+// are read back in order, TrailingZeros64 naming each ID, and the set
+// ones zeroed as they are read. The cost is O(len(changed) + span/64),
+// span being the distance between the lowest and the highest ID: no
+// comparator and no pointer swaps (WideSparse in BenchmarkEngineKernel is
+// the span-bound case). The scan relies on e.signals[id].ID == id, which
+// NewSignal establishes.
+func (e *Engine) orderWide(changed []*Signal) []*Signal {
+	lo, hi := len(e.changedBits), 0
+	for _, sig := range changed {
+		w := sig.ID >> 6
+		e.changedBits[w] |= 1 << (sig.ID & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	changed = changed[:0]
+	for w := lo; w <= hi; w++ {
+		word := e.changedBits[w]
+		if word == 0 {
+			continue
+		}
+		e.changedBits[w] = 0
+		for word != 0 {
+			changed = append(changed, e.signals[w<<6|bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return changed
 }
 
 // Init runs every registered process once, in registration order, at time
