@@ -459,6 +459,9 @@ func (g *procGen) call(x *CallExpr, stmtPos bool) (cv, error) {
 		t := g.b.Call(ir.TimeType(), "llhd.time")
 		return cv{v: t, isTime: true}, nil
 	case "$clog2":
+		if len(x.Args) != 1 {
+			return cv{}, g.errf("%s takes one argument", x.Name)
+		}
 		v, err := g.c.constEval(x.Args[0], g.sc)
 		if err != nil {
 			return cv{}, err

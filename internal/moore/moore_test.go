@@ -338,6 +338,7 @@ func TestParseErrors(t *testing.T) {
 		"module x (inpu clk); endmodule",
 		"module x; always_ff q <= 1; endmodule",
 		"module x; bit a endmodule",
+		"module x; logic [7:0] q; always_comb q = $clog2(); endmodule",
 	}
 	for _, src := range cases {
 		if _, err := Compile("t", src); err == nil {

@@ -165,7 +165,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 		return p.exec(st.Inner)
 
 	case *moore.WaitEventStmt:
-		return p.waitEvents(st.Events)
+		return p.waitEvents(st)
 
 	case *moore.ExprStmt:
 		switch x := st.X.(type) {
@@ -211,10 +211,14 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 	return ctrlNone, fmt.Errorf("unsupported statement %T", s)
 }
 
-func (p *astProc) waitEvents(events []moore.Event) (ctrl, error) {
-	l, err := p.sc.resolveEvents("event", events)
-	if err != nil {
-		return ctrlNone, err
+func (p *astProc) waitEvents(st *moore.WaitEventStmt) (ctrl, error) {
+	l := p.waits[st]
+	if l == nil { // a wait inside a function, resolved on first use
+		var err error
+		if l, err = p.sc.resolveEvents("event", st.Events); err != nil {
+			return ctrlNone, err
+		}
+		p.waits[st] = l
 	}
 	if !p.await(l) {
 		return ctrlStop, nil
@@ -250,15 +254,17 @@ func (p *astProc) readName(name string) (cval, error) {
 	if v, ok := p.sc.consts[name]; ok {
 		return cval{bits: v, width: 32}, nil
 	}
-	if pv, ok := p.pending[name]; ok {
-		return cval{bits: pv.Bits, width: int(pv.Width), signed: p.sc.signed[name]}, nil
+	b := p.sc.nets[name]
+	if b == nil {
+		return cval{}, fmt.Errorf("unknown identifier %q", name)
 	}
-	if ref, ok := p.sc.sigs[name]; ok {
-		p.reads[name] = true
-		v := p.e.Probe(ref)
-		return cval{bits: v.Bits, width: p.sc.widths[name], signed: p.sc.signed[name]}, nil
+	if p.pending.has[b.slot] {
+		pv := p.pendVal[b.slot]
+		return cval{bits: pv.Bits, width: int(pv.Width), signed: b.signed}, nil
 	}
-	return cval{}, fmt.Errorf("unknown identifier %q", name)
+	p.reads.add(b.slot)
+	v := p.e.Probe(b.ref)
+	return cval{bits: v.Bits, width: b.width, signed: b.signed}, nil
 }
 
 func (p *astProc) assign(st *moore.AssignStmt) error {
@@ -281,16 +287,16 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 			p.locals[t.Name] = val.Int(int(lv.Width), rhs.adapt(int(lv.Width)))
 			return nil
 		}
-		w, ok := p.sc.widths[t.Name]
-		if !ok {
+		b := p.sc.nets[t.Name]
+		if b == nil {
 			return fmt.Errorf("assignment to unknown name %q", t.Name)
 		}
-		v := val.Int(w, rhs.adapt(w))
+		v := val.Int(b.width, rhs.adapt(b.width))
 		if st.Blocking {
-			p.pending[t.Name] = v
+			p.write(b, v)
 			return nil
 		}
-		p.e.Drive(p.sc.sigs[t.Name], v, delay)
+		p.e.Drive(b.ref, v, delay)
 		return nil
 
 	case *moore.Index:
@@ -378,9 +384,11 @@ func (p *astProc) assign(st *moore.AssignStmt) error {
 			if !ok {
 				return fmt.Errorf("concat target parts must be nets")
 			}
-			w := p.sc.widths[id.Name]
+			w := 0
 			if lv, isLocal := p.locals[id.Name]; isLocal {
 				w = int(lv.Width)
+			} else if b := p.sc.nets[id.Name]; b != nil {
+				w = b.width
 			}
 			pieces = append(pieces, piece{id.Name, w})
 			total += w
@@ -408,15 +416,15 @@ func (p *astProc) writeWhole(name string, bits uint64, blocking bool, delay ir.T
 		p.locals[name] = val.Int(int(lv.Width), bits)
 		return nil
 	}
-	w, ok := p.sc.widths[name]
-	if !ok {
+	b := p.sc.nets[name]
+	if b == nil {
 		return fmt.Errorf("assignment to unknown name %q", name)
 	}
-	v := val.Int(w, mask(bits, w))
+	v := val.Int(b.width, mask(bits, b.width))
 	if blocking {
-		p.pending[name] = v
+		p.write(b, v)
 		return nil
 	}
-	p.e.Drive(p.sc.sigs[name], v, delay)
+	p.e.Drive(b.ref, v, delay)
 	return nil
 }

@@ -3,7 +3,7 @@ package svsim
 import (
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
@@ -11,10 +11,20 @@ import (
 	"llhd/internal/val"
 )
 
-// astProc runs one always/initial block as a coroutine: the interpreter
-// lives in its own goroutine and hands control back to the event kernel at
-// every wait point via a channel handshake (the classic threaded-simulator
-// architecture of commercial tools).
+// astProc runs one always/initial block. It is one of two kinds, fixed by
+// newAstProc:
+//
+//   - a plain call, for an always block that cannot suspend mid-body (no
+//     # delay and no @(...) in its body or in any function of its module):
+//     Init and Wake each run at most one pass on the kernel's goroutine
+//     and re-arm before they return;
+//   - a coroutine, for every other block: the interpreter lives in its own
+//     goroutine and hands control back to the kernel at every wait point
+//     via a channel handshake (the classic threaded-simulator architecture
+//     of commercial tools).
+//
+// Both run the same pass, re-arm and edge test (pass, armRefs,
+// eventList.fired); they differ only in how control returns to the kernel.
 type astProc struct {
 	engine.ProcHandle
 	name string
@@ -23,18 +33,23 @@ type astProc struct {
 	// events is the block's own sensitivity list when it is edge-triggered
 	// (always_ff, always @(posedge ...)); nil for a combinational block.
 	events *eventList
+	// waits holds each @(...) of the body resolved (checkNames); one in a
+	// function is resolved on first use.
+	waits map[*moore.WaitEventStmt]*eventList
+	plain bool
 
-	wakeCh  chan struct{}
+	wakeCh  chan struct{} // coroutine handshake; nil for a plain call
 	yieldCh chan yieldMsg
 	started bool
 	stopped bool
 
-	e *engine.Engine // valid while the coroutine holds control
+	e *engine.Engine // valid while the process holds control
 
 	locals  map[string]val.Value
-	pending map[string]val.Value // blocking net writes not yet driven, see flush
-	flushed []string             // scratch of flush: the names of pending, sorted
-	reads   map[string]bool      // nets probed during the current pass
+	pending slotSet     // nets with a blocking write not yet driven, see flush
+	pendVal []val.Value // by slot: the value of each pending write
+	reads   slotSet     // nets probed during the current pass
+	refs    []engine.SigRef
 }
 
 type yieldMsg struct {
@@ -43,27 +58,60 @@ type yieldMsg struct {
 	timeout *ir.Time
 }
 
+// slotSet is a set of net slots: a flag per slot of the scope, and the
+// members in the order they joined.
+type slotSet struct {
+	has  []bool
+	list []int
+}
+
+func (s *slotSet) add(slot int) {
+	if !s.has[slot] {
+		s.has[slot] = true
+		s.list = append(s.list, slot)
+	}
+}
+
+func (s *slotSet) reset() {
+	for _, slot := range s.list {
+		s.has[slot] = false
+	}
+	s.list = s.list[:0]
+}
+
 // newAstProc builds the process of one always/initial block. Every name
 // the block mentions is resolved here (checkNames, resolveEvents), so a
 // misspelt net is a diagnostic of New and the running process never hands
 // the kernel the zero SigRef of a failed lookup.
 func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error) {
+	n := len(sc.slots)
 	p := &astProc{
 		name:    name,
 		sc:      sc,
 		blk:     blk,
-		wakeCh:  make(chan struct{}),
-		yieldCh: make(chan yieldMsg),
+		waits:   map[*moore.WaitEventStmt]*eventList{},
 		locals:  map[string]val.Value{},
-		pending: map[string]val.Value{},
-		reads:   map[string]bool{},
+		pending: slotSet{has: make([]bool, n)},
+		pendVal: make([]val.Value, n),
+		reads:   slotSet{has: make([]bool, n)},
 	}
-	err := sc.checkNames(map[string]bool{}, blk.Body)
+	err := sc.checkNames(map[string]bool{}, p.waits, blk.Body)
+	if err == nil && blk.Kind == "always" && len(blk.Events) == 0 {
+		err = fmt.Errorf("plain always without sensitivity is unsupported")
+	}
 	if err == nil && blk.EdgeTriggered() {
 		p.events, err = sc.resolveEvents("edge", blk.Events)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("svsim: %s: %w", name, err)
+	}
+	switch blk.Kind {
+	case "always_comb", "always_latch", "always_ff", "always":
+		p.plain = !sc.funcsSuspend && !suspends(blk.Body)
+	}
+	if !p.plain {
+		p.wakeCh = make(chan struct{})
+		p.yieldCh = make(chan yieldMsg)
 	}
 	return p, nil
 }
@@ -72,6 +120,10 @@ func (p *astProc) Name() string { return p.name }
 
 func (p *astProc) Init(e *engine.Engine) {
 	p.e = e
+	if p.plain {
+		p.step(p.events == nil)
+		return
+	}
 	p.started = true
 	go p.main()
 	p.handle(<-p.yieldCh, e)
@@ -82,20 +134,42 @@ func (p *astProc) Wake(e *engine.Engine) {
 		return
 	}
 	p.e = e
+	if p.plain {
+		p.step(p.events == nil || p.events.fired(e))
+		return
+	}
 	p.wakeCh <- struct{}{}
 	p.handle(<-p.yieldCh, e)
 }
 
+// step is one activation of a plain-call process: a pass when run says
+// so, then the re-arm. A panic in it is the kernel's, contained by the
+// Session like one from the LLHD engines, engine.RunningProc naming the
+// process.
+func (p *astProc) step(run bool) {
+	if run && !p.pass() {
+		return
+	}
+	refs := p.armRefs()
+	p.flush()
+	p.e.Subscribe(p.ProcID(), refs)
+}
+
 func (p *astProc) handle(y yieldMsg, e *engine.Engine) {
 	if y.halt {
-		e.Halt(p.ProcID())
-		p.stopped = true
+		p.stop(e)
 		return
 	}
 	e.Subscribe(p.ProcID(), y.refs)
 	if y.timeout != nil {
 		e.ScheduleWake(p.ProcID(), *y.timeout)
 	}
+}
+
+// stop retires the process for good.
+func (p *astProc) stop(e *engine.Engine) {
+	e.Halt(p.ProcID())
+	p.stopped = true
 }
 
 // shutdown terminates the coroutine goroutine.
@@ -106,24 +180,23 @@ func (p *astProc) shutdown() {
 	}
 }
 
+// write makes v the pending blocking write of net b.
+func (p *astProc) write(b *binding, v val.Value) {
+	p.pendVal[b.slot] = v
+	p.pending.add(b.slot)
+}
+
 // flush drives every blocking net write still pending as a delta drive,
-// in name order. A blocking write is visible to the process at once
-// (readName) and to everyone else one delta after the process next hands
-// control back, wherever that is: a #delay, an @(...), the end of a pass
-// or of an initial block.
+// in slot order, which is name order. A blocking write is visible to the
+// process at once (readName) and to everyone else one delta after the
+// process next hands control back, wherever that is: a #delay, an @(...),
+// the end of a pass or of an initial block.
 func (p *astProc) flush() {
-	if len(p.pending) == 0 {
-		return
+	slices.Sort(p.pending.list)
+	for _, slot := range p.pending.list {
+		p.e.Drive(p.sc.slots[slot].ref, p.pendVal[slot], ir.Time{})
 	}
-	p.flushed = p.flushed[:0]
-	for n := range p.pending {
-		p.flushed = append(p.flushed, n)
-	}
-	sort.Strings(p.flushed)
-	for _, n := range p.flushed {
-		p.e.Drive(p.sc.sigs[n], p.pending[n], ir.Time{})
-	}
-	clear(p.pending)
+	p.pending.reset()
 }
 
 // suspend flushes the pending writes, yields to the kernel and blocks
@@ -163,53 +236,76 @@ func (p *astProc) main() {
 	case "initial":
 		c, err := p.exec(p.blk.Body)
 		p.finish(c, err)
-	case "always_comb", "always_latch":
-		p.combLoop()
-	case "always_ff", "always":
-		if p.events != nil {
-			p.ffLoop()
-		} else {
-			p.combLoop()
-		}
+	case "always_comb", "always_latch", "always_ff", "always":
+		p.loop()
 	default:
 		p.e.SetError(fmt.Errorf("svsim: %s: unsupported block kind %q", p.name, p.blk.Kind))
 		p.yieldCh <- yieldMsg{halt: true}
 	}
 }
 
+// loop is the coroutine form of an always block: step, with a suspension
+// where a plain call returns to the kernel.
+func (p *astProc) loop() {
+	run := p.events == nil
+	for {
+		if run && !p.pass() {
+			return
+		}
+		if !p.suspend(yieldMsg{refs: p.armRefs()}) {
+			return
+		}
+		run = p.events == nil || p.events.fired(p.e)
+	}
+}
+
+// pass runs the block body once. It reports whether the process goes on:
+// after an error or $finish it has been halted (finish), after a
+// simulator shutdown it is gone.
+func (p *astProc) pass() bool {
+	p.reads.reset()
+	c, err := p.exec(p.blk.Body)
+	if err != nil || c == ctrlFinish {
+		p.finish(c, err)
+		return false
+	}
+	return c != ctrlStop
+}
+
+// finish records the error, if any, and unless the simulator shut down
+// delivers the pending writes and halts the process.
 func (p *astProc) finish(c ctrl, err error) {
 	if err != nil {
 		p.e.SetError(fmt.Errorf("svsim: %s: %w", p.name, err))
 	}
-	if c != ctrlStop {
-		p.flush()
+	if c == ctrlStop {
+		return
+	}
+	p.flush()
+	if p.plain {
+		p.stop(p.e)
+	} else {
 		p.yieldCh <- yieldMsg{halt: true}
 	}
 }
 
-// combLoop evaluates the body and re-arms on the signals read during the
-// pass, those it wrote itself excepted.
-func (p *astProc) combLoop() {
-	for {
-		clear(p.reads)
-		c, err := p.exec(p.blk.Body)
-		if err != nil || c == ctrlFinish {
-			p.finish(c, err)
-			return
-		}
-		if c == ctrlStop {
-			return
-		}
-		var refs []engine.SigRef
-		for n := range p.reads {
-			if _, wrote := p.pending[n]; !wrote {
-				refs = append(refs, p.sc.sigs[n])
-			}
-		}
-		if !p.suspend(yieldMsg{refs: refs}) {
-			return
+// armRefs is the re-arm rule of an always block, taken after its pass and
+// before the flush: an edge-triggered block waits on its event list, the
+// levels sampled now; a combinational one on the nets the pass read, those
+// it wrote itself excepted. The slice is the process's own, reused by the
+// next re-arm; the kernel does not keep it.
+func (p *astProc) armRefs() []engine.SigRef {
+	if p.events != nil {
+		p.events.sample(p.e)
+		return p.events.refs
+	}
+	p.refs = p.refs[:0]
+	for _, slot := range p.reads.list {
+		if !p.pending.has[slot] {
+			p.refs = append(p.refs, p.sc.slots[slot].ref)
 		}
 	}
+	return p.refs
 }
 
 // edge is one resolved event: the net, which transition of it counts, and
@@ -236,56 +332,57 @@ func (sc *scope) resolveEvents(kind string, events []moore.Event) (*eventList, e
 		if !ok {
 			return nil, fmt.Errorf("%s expression must name a net", kind)
 		}
-		ref, ok := sc.sigs[id.Name]
+		b, ok := sc.nets[id.Name]
 		if !ok {
 			return nil, fmt.Errorf("%s net %q not visible to process", kind, id.Name)
 		}
-		l.edges = append(l.edges, edge{ref: ref, mode: ev.Edge})
-		l.refs = append(l.refs, ref)
+		l.edges = append(l.edges, edge{ref: b.ref, mode: ev.Edge})
+		l.refs = append(l.refs, b.ref)
 	}
 	return l, nil
+}
+
+// sample records the level of every net of the list, for fired.
+func (l *eventList) sample(e *engine.Engine) {
+	for i := range l.edges {
+		l.edges[i].prev = e.Probe(l.edges[i].ref).Bits
+	}
+}
+
+// fired is the edge test: whether an edge of the list happened since
+// sample. A posedge is a level going from zero to non-zero, a negedge the
+// reverse, any other event any change.
+func (l *eventList) fired(e *engine.Engine) bool {
+	for _, ed := range l.edges {
+		now := e.Probe(ed.ref).Bits
+		switch ed.mode {
+		case "posedge":
+			if ed.prev == 0 && now != 0 {
+				return true
+			}
+		case "negedge":
+			if ed.prev != 0 && now == 0 {
+				return true
+			}
+		default:
+			if ed.prev != now {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // await suspends until one of the list's edges fires. It reports false
 // when the simulator shut down.
 func (p *astProc) await(l *eventList) bool {
 	for {
-		for i := range l.edges {
-			l.edges[i].prev = p.e.Probe(l.edges[i].ref).Bits
-		}
+		l.sample(p.e)
 		if !p.suspend(yieldMsg{refs: l.refs}) {
 			return false
 		}
-		for _, ed := range l.edges {
-			now := p.e.Probe(ed.ref).Bits
-			switch ed.mode {
-			case "posedge":
-				if ed.prev == 0 && now != 0 {
-					return true
-				}
-			case "negedge":
-				if ed.prev != 0 && now == 0 {
-					return true
-				}
-			default:
-				if ed.prev != now {
-					return true
-				}
-			}
-		}
-	}
-}
-
-// ffLoop waits for the configured edges, then runs the body.
-func (p *astProc) ffLoop() {
-	for p.await(p.events) {
-		c, err := p.exec(p.blk.Body)
-		if err != nil || c == ctrlFinish {
-			p.finish(c, err)
-			return
-		}
-		if c == ctrlStop {
-			return
+		if l.fired(p.e) {
+			return true
 		}
 	}
 }

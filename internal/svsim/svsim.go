@@ -1,16 +1,29 @@
 // Package svsim is the stand-in for the commercial HDL simulator of the
 // paper's Table 2 (see DESIGN.md, substitution 1). Like a commercial
 // simulator — and unlike LLHD-Sim and LLHD-Blaze — it executes the
-// SystemVerilog description directly: each always/initial block runs as a
-// goroutine-backed coroutine interpreting the AST, without any LLHD IR in
-// between. Only the discrete-event kernel (internal/engine) is shared, so
-// results can be cross-validated: final signal values and assertion
-// outcomes must agree with the LLHD-based simulators.
+// SystemVerilog description directly, interpreting the AST of each
+// always/initial block without any LLHD IR in between. Only the
+// discrete-event kernel (internal/engine) is shared, so results can be
+// cross-validated: final signal values and assertion outcomes must agree
+// with the LLHD-based simulators.
+//
+// A block runs as one of two kinds of process, picked once when it is
+// built (newAstProc). A block that cannot suspend mid-body — an always
+// block with no # delay and no @(...) in its body or in any function of
+// its module — is a plain call: each Wake runs one pass on the kernel's
+// goroutine. Every other block (initial blocks, bodies that wait in line)
+// is a goroutine-backed coroutine that hands control back to the kernel at
+// each wait through a channel handshake, the classic threaded-simulator
+// architecture.
+//
+// Names resolve once, at elaboration: every net of a module instance is a
+// binding (kernel signal, width, signedness, slot), and a process keeps
+// its pending writes and read set in slices indexed by slot.
 package svsim
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
@@ -66,12 +79,25 @@ func (s *Simulator) Shutdown() {
 // scope is the per-instance elaboration context.
 type scope struct {
 	consts map[string]uint64
-	widths map[string]int
-	signed map[string]bool
-	sigs   map[string]engine.SigRef
+	nets   map[string]*binding
+	slots  []*binding // nets by slot
 	arrays map[string]*arrayState
 	funcs  map[string]*moore.FuncDecl
-	mod    *moore.Module
+	// funcsSuspend: some function of the module holds a # delay or an
+	// @(...), so no block of the instance may run as a plain call.
+	funcsSuspend bool
+	mod          *moore.Module
+}
+
+// binding is a net of the instance as its processes see it: the kernel
+// signal, the declared width and signedness, and the slot, the net's rank
+// in sorted-name order, which indexes a process's pending writes and read
+// set (and so makes slot order the name order flush drives in).
+type binding struct {
+	ref    engine.SigRef
+	width  int
+	signed bool
+	slot   int
 }
 
 // arrayState is a module-level unpacked array (register file, memory).
@@ -83,9 +109,7 @@ type arrayState struct {
 func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]uint64, bound map[string]engine.SigRef) error {
 	sc := &scope{
 		consts: map[string]uint64{},
-		widths: map[string]int{},
-		signed: map[string]bool{},
-		sigs:   map[string]engine.SigRef{},
+		nets:   map[string]*binding{},
 		arrays: map[string]*arrayState{},
 		funcs:  map[string]*moore.FuncDecl{},
 		mod:    m,
@@ -120,14 +144,11 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 		if err != nil {
 			return err
 		}
-		sc.widths[port.Name] = w
-		sc.signed[port.Name] = port.Type.Signed
-		if ref, ok := bound[port.Name]; ok {
-			sc.sigs[port.Name] = ref
-		} else {
-			sig := s.Engine.NewSignal(name+"."+port.Name, ir.IntType(w), val.Int(w, 0))
-			sc.sigs[port.Name] = engine.SigRef{Sig: sig}
+		ref, ok := bound[port.Name]
+		if !ok {
+			ref = engine.SigRef{Sig: s.Engine.NewSignal(name+"."+port.Name, ir.IntType(w), val.Int(w, 0))}
 		}
+		sc.nets[port.Name] = &binding{ref: ref, width: w, signed: port.Type.Signed}
 	}
 	// Internal nets and arrays.
 	for _, item := range m.Items {
@@ -140,11 +161,9 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 			return err
 		}
 		for i, n := range decl.Names {
-			if _, isPort := sc.sigs[n]; isPort {
+			if _, isPort := sc.nets[n]; isPort {
 				continue
 			}
-			sc.widths[n] = w
-			sc.signed[n] = decl.Type.Signed
 			if decl.Type.UnpackedLo != nil {
 				lo, err := sc.constEval(decl.Type.UnpackedLo)
 				if err != nil {
@@ -182,8 +201,18 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 				init = v
 			}
 			sig := s.Engine.NewSignal(name+"."+n, ir.IntType(w), val.Int(w, init))
-			sc.sigs[n] = engine.SigRef{Sig: sig}
+			sc.nets[n] = &binding{ref: engine.SigRef{Sig: sig}, width: w, signed: decl.Type.Signed}
 		}
+	}
+	names := make([]string, 0, len(sc.nets))
+	for n := range sc.nets {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	sc.slots = make([]*binding, len(names))
+	for i, n := range names {
+		sc.nets[n].slot = i
+		sc.slots[i] = sc.nets[n]
 	}
 
 	// $readmemh resolves at elaboration, exactly as in the moore/LLHD
@@ -223,9 +252,10 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 			for _, arg := range fn.Args {
 				locals[arg.Name] = true
 			}
-			if err := sc.checkNames(locals, fn); err != nil {
+			if err := sc.checkNames(locals, nil, fn); err != nil {
 				return fmt.Errorf("svsim: %s: function %s: %w", name, fn.Name, err)
 			}
+			sc.funcsSuspend = sc.funcsSuspend || suspends(fn)
 		}
 	}
 
@@ -277,11 +307,11 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 				if !ok {
 					return fmt.Errorf("svsim: %s: unsupported connection for %s", name, p.Name)
 				}
-				ref, ok := sc.sigs[id.Name]
+				b, ok := sc.nets[id.Name]
 				if !ok {
 					return fmt.Errorf("svsim: %s: connection to unknown net %q", name, id.Name)
 				}
-				childBound[p.Name] = ref
+				childBound[p.Name] = b.ref
 			}
 			if err := s.elaborate(child, name+"."+it.InstName, overrides, childBound); err != nil {
 				return err
@@ -400,5 +430,3 @@ func (sc *scope) typeWidth(dt *moore.DataType) (int, error) {
 	}
 	return int(msb-lsb) + 1, nil
 }
-
-var _ = strings.TrimSpace

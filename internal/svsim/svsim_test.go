@@ -14,6 +14,7 @@ import (
 	"llhd/internal/oracle"
 	"llhd/internal/sim"
 	"llhd/internal/svsim"
+	"llhd/internal/val"
 )
 
 // TestAllDesignsSelfCheckSVSim runs every Table 2 design on the AST-level
@@ -101,6 +102,14 @@ func TestUndeclaredNamesAreInputErrors(t *testing.T) {
 			`svsim: bad_tb: function f: unknown identifier "nosuch"`},
 		{"call of undeclared function", "always_comb q = nosuch(q);",
 			`svsim: bad_tb.p1: unknown function "nosuch"`},
+		{"$signed without its argument", "always_comb q = $signed();",
+			`svsim: bad_tb.p1: $signed takes one argument`},
+		{"$unsigned with two arguments", "always_comb q = $unsigned(q, q);",
+			`svsim: bad_tb.p1: $unsigned takes one argument`},
+		{"$clog2 without its argument", "always_comb q = $clog2();",
+			`svsim: bad_tb.p1: $clog2 takes one argument`},
+		{"plain always without sensitivity", "always #1ns q = ~q;",
+			`svsim: bad_tb.p1: plain always without sensitivity is unsupported`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := svsim.New("module bad_tb;\n  logic [7:0] q;\n  "+tc.body+"\nendmodule\n", "bad_tb")
@@ -130,6 +139,63 @@ func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
 		t.Errorf("Run: %v, want svsim: bad_tb.p1: division by zero ...", err)
 	}
 }
+
+// TestSVSimWakeAllocBudget pins the steady-state cost of a clock edge on
+// SVSim's wake path: one always_ff block and two always_comb blocks behind
+// an input clock the test drives. A rising edge runs all three blocks
+// once; together with the falling edge that follows (one wake of the
+// always_ff block, no pass) it may allocate at most once — drives, wakes,
+// passes and re-arms included — the budget of the kernel's own alloc
+// tests. A comb pass that builds its re-arm list afresh costs one
+// allocation, two per rising edge here.
+func TestSVSimWakeAllocBudget(t *testing.T) {
+	s, err := svsim.New(`
+module ab_tb(input logic clk);
+  logic [7:0] q, a, b;
+  always_ff @(posedge clk) q <= b;
+  always_comb a = q + 8'd1;
+  always_comb b = a ^ 8'h5a;
+endmodule
+`, "ab_tb")
+	if err != nil {
+		t.Fatalf("svsim.New: %v", err)
+	}
+	defer s.Shutdown()
+	e := s.Engine
+	clk, q := e.SignalByName("ab_tb.clk"), e.SignalByName("ab_tb.q")
+	edge := func(level uint64) {
+		e.Drive(engine.SigRef{Sig: clk}, val.Int(1, level), ir.Time{})
+		for e.Step() {
+		}
+	}
+	var qChanges changeCount
+	e.Observe(&qChanges, q)
+	e.Init()
+	for i := 0; i < 8; i++ { // let every list and buffer reach its size
+		edge(1)
+		edge(0)
+	}
+	qChanges = 0
+	perCycle := testing.AllocsPerRun(100, func() {
+		edge(1)
+		edge(0)
+	})
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if qChanges < 100 {
+		t.Fatalf("q changed %d times in 101 cycles: the blocks did not run every cycle", qChanges)
+	}
+	t.Logf("%.2f allocations per rising clock edge", perCycle)
+	if perCycle > 1 {
+		t.Errorf("%.2f allocations per rising clock edge, budget 1", perCycle)
+	}
+}
+
+// changeCount is an observer that counts the changes it is shown.
+type changeCount int
+
+func (c *changeCount) OnChange(ir.Time, *engine.Signal, val.Value) { *c++ }
 
 // changes runs an engine to quiescence and returns every signal change
 // as "time name=value" lines, sorted within the run: signal IDs, and so
