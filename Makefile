@@ -21,16 +21,16 @@ test:
 # the root package (session farm, 16 concurrent sessions per backend over
 # one frozen design — including 16 blaze sessions sharing one compiled
 # instruction stream, cross-checked against a serial interpreter
-# reference — concurrent VCD writers, the fault-injection matrix with its
-# in-coroutine svsim panic recovery), the kernel, the reference
-# interpreter, svsim (the channel handoff of its coroutine processes —
-# initial blocks, bodies that wait in line — interleaved with the
-# plain-call always blocks it runs on the kernel goroutine), and llhd-sim
-# (the -j sweep's sessions display into one stdout writer). val and blaze
-# ride along for a different reason: -race turns on checkptr, the only
-# check there is on val's unsafe payload views, and blaze is their
-# heaviest user (the call depth bound is exercised there too, on
-# race-sized stack frames).
+# reference — concurrent VCD writers, the fault-injection matrix with a
+# panic raised inside an svsim coroutine), the kernel, the reference
+# interpreter, svsim (its iter.Pull coroutine processes — initial blocks,
+# bodies that wait in line — interleaved with the plain-call always
+# blocks it runs on the kernel goroutine, and their release at Finish),
+# and llhd-sim (the -j sweep's sessions display into one stdout writer).
+# val and blaze ride along for a different reason: -race turns on
+# checkptr, the only check there is on val's unsafe payload views, and
+# blaze is their heaviest user (the call depth bound is exercised there
+# too, on race-sized stack frames).
 test-race:
 	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestConstruction|TestFault|TestGovernance|TestPoisoned' .
 	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/... ./cmd/llhd-sim

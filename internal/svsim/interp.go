@@ -220,10 +220,15 @@ func (p *astProc) waitEvents(st *moore.WaitEventStmt) (ctrl, error) {
 		}
 		p.waits[st] = l
 	}
-	if !p.await(l) {
-		return ctrlStop, nil
+	for { // suspend until one of the list's edges fires
+		l.sample(p.e)
+		if !p.suspend(yieldMsg{refs: l.refs}) {
+			return ctrlStop, nil
+		}
+		if l.fired(p.e) {
+			return ctrlNone, nil
+		}
 	}
-	return ctrlNone, nil
 }
 
 func (p *astProc) declLocals(d *moore.NetDecl) error {

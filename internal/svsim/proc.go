@@ -2,6 +2,7 @@ package svsim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"slices"
 
@@ -18,10 +19,9 @@ import (
 //     # delay and no @(...) in its body or in any function of its module):
 //     Init and Wake each run at most one pass on the kernel's goroutine
 //     and re-arm before they return;
-//   - a coroutine, for every other block: the interpreter lives in its own
-//     goroutine and hands control back to the kernel at every wait point
-//     via a channel handshake (the classic threaded-simulator architecture
-//     of commercial tools).
+//   - a coroutine, for every other block: the body runs under iter.Pull,
+//     yielding to the kernel at every wait point and resumed by Wake (the
+//     classic threaded-simulator architecture of commercial tools).
 //
 // Both run the same pass, re-arm and edge test (pass, armRefs,
 // eventList.fired); they differ only in how control returns to the kernel.
@@ -38,10 +38,10 @@ type astProc struct {
 	waits map[*moore.WaitEventStmt]*eventList
 	plain bool
 
-	wakeCh  chan struct{} // coroutine handshake; nil for a plain call
-	yieldCh chan yieldMsg
-	started bool
-	stopped bool
+	// The coroutine's iter.Pull pair and the body's yield; nil when plain.
+	next   func() (yieldMsg, bool)
+	cancel func()
+	yield  func(yieldMsg) bool
 
 	e *engine.Engine // valid while the process holds control
 
@@ -52,8 +52,8 @@ type astProc struct {
 	refs    []engine.SigRef
 }
 
+// yieldMsg is the wait a coroutine yields: nets and an optional timeout.
 type yieldMsg struct {
-	halt    bool
 	refs    []engine.SigRef
 	timeout *ir.Time
 }
@@ -109,10 +109,6 @@ func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error
 	case "always_comb", "always_latch", "always_ff", "always":
 		p.plain = !sc.funcsSuspend && !suspends(blk.Body)
 	}
-	if !p.plain {
-		p.wakeCh = make(chan struct{})
-		p.yieldCh = make(chan yieldMsg)
-	}
 	return p, nil
 }
 
@@ -124,22 +120,17 @@ func (p *astProc) Init(e *engine.Engine) {
 		p.step(p.events == nil)
 		return
 	}
-	p.started = true
-	go p.main()
-	p.handle(<-p.yieldCh, e)
+	p.next, p.cancel = iter.Pull(p.main)
+	p.resume()
 }
 
 func (p *astProc) Wake(e *engine.Engine) {
-	if p.stopped {
-		return
-	}
 	p.e = e
 	if p.plain {
 		p.step(p.events == nil || p.events.fired(e))
 		return
 	}
-	p.wakeCh <- struct{}{}
-	p.handle(<-p.yieldCh, e)
+	p.resume()
 }
 
 // step is one activation of a plain-call process: a pass when run says
@@ -155,28 +146,24 @@ func (p *astProc) step(run bool) {
 	p.e.Subscribe(p.ProcID(), refs)
 }
 
-func (p *astProc) handle(y yieldMsg, e *engine.Engine) {
-	if y.halt {
-		p.stop(e)
+// resume runs the coroutine to its next wait and arms it; a body that
+// returned (finish or a contained panic halted it) has none.
+func (p *astProc) resume() {
+	y, ok := p.next()
+	if !ok {
 		return
 	}
-	e.Subscribe(p.ProcID(), y.refs)
+	p.e.Subscribe(p.ProcID(), y.refs)
 	if y.timeout != nil {
-		e.ScheduleWake(p.ProcID(), *y.timeout)
+		p.e.ScheduleWake(p.ProcID(), *y.timeout)
 	}
 }
 
-// stop retires the process for good.
-func (p *astProc) stop(e *engine.Engine) {
-	e.Halt(p.ProcID())
-	p.stopped = true
-}
-
-// shutdown terminates the coroutine goroutine.
+// shutdown unwinds a coroutine parked at a wait (its suspend reports
+// false). It is idempotent and a no-op for a process never started.
 func (p *astProc) shutdown() {
-	if p.started && !p.stopped {
-		p.stopped = true
-		close(p.wakeCh)
+	if p.cancel != nil {
+		p.cancel()
 	}
 }
 
@@ -203,9 +190,7 @@ func (p *astProc) flush() {
 // until the next wake. It reports false when the simulator shut down.
 func (p *astProc) suspend(y yieldMsg) bool {
 	p.flush()
-	p.yieldCh <- y
-	_, ok := <-p.wakeCh
-	return ok
+	return p.yield(y)
 }
 
 // ctrl signals non-local exits of the interpreter.
@@ -218,30 +203,24 @@ const (
 	ctrlStop // simulator torn down
 )
 
-func (p *astProc) main() {
+// main is the body of a coroutine process, run under iter.Pull.
+func (p *astProc) main(yield func(yieldMsg) bool) {
+	p.yield = yield
 	defer func() {
-		// A panic here would deadlock the kernel; convert to a classified
-		// RuntimeError (the kernel goroutine is blocked in the wake
-		// handoff, so reading its context is race-free) and halt cleanly.
+		// iter.Pull would re-panic on the kernel side without these frames:
+		// classify the panic here, where the stack shows the faulting
+		// statement (Capture names the process), and halt.
 		if r := recover(); r != nil {
-			re := p.e.Capture(engine.ErrInternal, nil, r, debug.Stack())
-			if re.Proc == "" {
-				re.Proc = p.name
-			}
-			p.e.SetError(re)
-			p.yieldCh <- yieldMsg{halt: true}
+			p.e.SetError(p.e.Capture(engine.ErrInternal, nil, r, debug.Stack()))
+			p.e.Halt(p.ProcID())
 		}
 	}()
-	switch p.blk.Kind {
-	case "initial":
+	if p.blk.Kind == "initial" {
 		c, err := p.exec(p.blk.Body)
 		p.finish(c, err)
-	case "always_comb", "always_latch", "always_ff", "always":
-		p.loop()
-	default:
-		p.e.SetError(fmt.Errorf("svsim: %s: unsupported block kind %q", p.name, p.blk.Kind))
-		p.yieldCh <- yieldMsg{halt: true}
+		return
 	}
+	p.loop()
 }
 
 // loop is the coroutine form of an always block: step, with a suspension
@@ -282,11 +261,7 @@ func (p *astProc) finish(c ctrl, err error) {
 		return
 	}
 	p.flush()
-	if p.plain {
-		p.stop(p.e)
-	} else {
-		p.yieldCh <- yieldMsg{halt: true}
-	}
+	p.e.Halt(p.ProcID())
 }
 
 // armRefs is the re-arm rule of an always block, taken after its pass and
@@ -371,18 +346,4 @@ func (l *eventList) fired(e *engine.Engine) bool {
 		}
 	}
 	return false
-}
-
-// await suspends until one of the list's edges fires. It reports false
-// when the simulator shut down.
-func (p *astProc) await(l *eventList) bool {
-	for {
-		l.sample(p.e)
-		if !p.suspend(yieldMsg{refs: l.refs}) {
-			return false
-		}
-		if l.fired(p.e) {
-			return true
-		}
-	}
 }

@@ -12,8 +12,8 @@
 // block with no # delay and no @(...) in its body or in any function of
 // its module — is a plain call: each Wake runs one pass on the kernel's
 // goroutine. Every other block (initial blocks, bodies that wait in line)
-// is a goroutine-backed coroutine that hands control back to the kernel at
-// each wait through a channel handshake, the classic threaded-simulator
+// is a coroutine on iter.Pull that yields to the kernel at each wait and
+// is resumed by the next Wake, the classic threaded-simulator
 // architecture.
 //
 // Names resolve once, at elaboration: every net of a module instance is a
@@ -59,17 +59,9 @@ func New(src, top string) (*Simulator, error) {
 	return s, nil
 }
 
-// Run simulates until the event queue drains or the time limit passes.
-func (s *Simulator) Run(limit ir.Time) error {
-	s.Engine.Init()
-	s.Engine.Run(limit)
-	s.Shutdown()
-	return s.Engine.Err()
-}
-
-// Shutdown terminates the coroutine processes so their goroutines do not
-// leak. It is idempotent and must be called once a simulation driven
-// through the engine directly (stepped execution) is finished.
+// Shutdown ends the coroutine processes still parked at a wait so their
+// goroutines do not leak. It is idempotent and must be called once a
+// simulation driven through s.Engine is finished.
 func (s *Simulator) Shutdown() {
 	for _, p := range s.procs {
 		p.shutdown()

@@ -17,6 +17,18 @@ import (
 	"llhd/internal/val"
 )
 
+// run returns the run of s up to a time limit (zero: to quiescence) as the
+// Session drives it: Init, Run, then Shutdown of the coroutines still
+// parked at a wait.
+func run(s *svsim.Simulator) func(ir.Time) error {
+	return func(limit ir.Time) error {
+		defer s.Shutdown()
+		s.Engine.Init()
+		s.Engine.Run(limit)
+		return s.Engine.Err()
+	}
+}
+
 // TestAllDesignsSelfCheckSVSim runs every Table 2 design on the AST-level
 // simulator: all testbench assertions must pass, independently of LLHD.
 func TestAllDesignsSelfCheckSVSim(t *testing.T) {
@@ -26,7 +38,7 @@ func TestAllDesignsSelfCheckSVSim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("svsim.New: %v", err)
 			}
-			if err := s.Run(ir.Time{}); err != nil {
+			if err := run(s)(ir.Time{}); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if s.Engine.Failures != 0 {
@@ -47,7 +59,7 @@ func TestSVSimAgreesWithLLHDSim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("svsim.New: %v", err)
 			}
-			if err := sv.Run(ir.Time{}); err != nil {
+			if err := run(sv)(ir.Time{}); err != nil {
 				t.Fatalf("svsim run: %v", err)
 			}
 
@@ -134,7 +146,7 @@ func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("svsim.New: %v", err)
 	}
-	err = s.Run(ir.Time{})
+	err = run(s)(ir.Time{})
 	if err == nil || !strings.HasPrefix(err.Error(), "svsim: bad_tb.p1: division by zero") {
 		t.Errorf("Run: %v, want svsim: bad_tb.p1: division by zero ...", err)
 	}
@@ -284,7 +296,7 @@ func TestBlockingWritesReachTheNet(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim.New: %v", err)
 			}
-			got, want := changes(t, sv.Engine, sv.Run), changes(t, li.Engine, li.Run)
+			got, want := changes(t, sv.Engine, run(sv)), changes(t, li.Engine, li.Run)
 			if !slices.Equal(got, want) {
 				t.Errorf("waveforms differ:\n svsim  %q\n interp %q", got, want)
 			}

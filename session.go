@@ -2,6 +2,7 @@ package llhd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -577,6 +578,14 @@ func (s *Session) init() {
 func (s *Session) contain(errp *error) {
 	r := recover()
 	if r == nil {
+		// svsim's coroutine processes contain their own panics, where the
+		// stack still shows the faulting statement, and hand the kernel
+		// the classified error: it poisons the session all the same.
+		var re *engine.RuntimeError
+		if s.fatal == nil && errors.As(s.eng.Err(), &re) && re.Recovered != nil {
+			s.fatal = re
+			s.safeFlushVCD()
+		}
 		return
 	}
 	re := s.eng.Capture(engine.ErrInternal, nil, r, debug.Stack())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,6 +111,62 @@ func TestSessionStep(t *testing.T) {
 	}
 	if got := s.Finish().DeltaSteps; got != want {
 		t.Errorf("stepped DeltaSteps = %d, want %d", got, want)
+	}
+}
+
+// TestSessionSVSimReleasesCoroutines: every SVSim initial block is a
+// coroutine with a goroutine of its own, and Finish must end the ones
+// still parked at a wait — in sessions stepped part of the way and in one
+// stopped by a step-limit quota alike.
+func TestSessionSVSimReleasesCoroutines(t *testing.T) {
+	const src = `
+module park_tb;
+  bit clk;
+  bit [7:0] n;
+  initial while (1) begin
+    #5ns;
+    clk <= ~clk;
+  end
+  initial while (1) begin
+    @(posedge clk);
+    n <= n + 8'd1;
+  end
+endmodule
+`
+	open := func(extra ...llhd.SessionOption) *llhd.Session {
+		s, err := llhd.NewSession(append([]llhd.SessionOption{
+			llhd.FromSystemVerilog(src), llhd.Top("park_tb"), llhd.Backend(llhd.SVSim),
+		}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := runtime.NumGoroutine()
+	var sessions []*llhd.Session
+	for i := 0; i < 4; i++ {
+		s := open()
+		for j := 0; j < 10+i; j++ {
+			if _, err := s.Step(); err != nil {
+				t.Fatalf("Step: %v", err)
+			}
+		}
+		sessions = append(sessions, s)
+	}
+	quota := open(llhd.WithStepLimit(5))
+	if err := quota.Run(); llhd.ErrorClass(err) != "step-limit" {
+		t.Fatalf("Run under a step limit: %v, want class step-limit", err)
+	}
+	sessions = append(sessions, quota)
+	if n := runtime.NumGoroutine(); n < base+2*len(sessions) {
+		t.Fatalf("%d goroutines with %d sessions open, baseline %d: the blocks are not parked", n, len(sessions), base)
+	}
+	for _, s := range sessions {
+		s.Finish()
+	}
+	// iter.Pull's stop returns once the coroutine's goroutine is gone.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Finish, baseline %d", n, base)
 	}
 }
 
