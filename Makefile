@@ -111,9 +111,11 @@ bench-kernel:
 # bench-lower times llhd.Lower per design (the ten Table 2 designs and the
 # RV32I core; ns/op and allocs/op, module built outside the timer). It is
 # the builder's inner loop for the lowering passes; a claim rests on the
-# lower_ms metric of `make bench`, not on this.
+# lower_ms metric of `make bench`, not on this. It runs on one P, as `make
+# bench` does, so the garbage collector's work lands on the clock here as
+# it does in lower_ms (with a second P, rv32i reads some 10-20 % faster).
 bench-lower:
-	$(GO) test -bench BenchmarkLower -benchmem -run xxx .
+	$(GO) test -bench BenchmarkLower -benchmem -cpu 1 -run xxx .
 
 # bench-blaze times llhd.CompileBlaze per design (the ten Table 2 designs
 # and the RV32I core, behavioural and lowered; ns/op and allocs/op, module

@@ -1,6 +1,8 @@
 package pass
 
 import (
+	"slices"
+
 	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/val"
@@ -42,6 +44,14 @@ func foldUnit(u *ir.Unit) (bool, error) {
 				if !in.Op.IsPure() {
 					return
 				}
+				// EvalPure reads every Args entry of an op it can evaluate,
+				// so an unknown operand means an error nobody reads; the
+				// check here spares formatting it.
+				for _, a := range in.Args {
+					if _, ok := known[a]; !ok {
+						return
+					}
+				}
 				v, err := engine.EvalPure(in, func(x ir.Value) (val.Value, bool) {
 					k, ok := known[x]
 					return k, ok
@@ -80,7 +90,8 @@ func foldUnit(u *ir.Unit) (bool, error) {
 			changed = true
 		}
 
-		// Fold conditional branches on constant conditions.
+		// Fold conditional branches on constant conditions, then prune the
+		// phi edges and blocks they cut off, once for all of them.
 		for _, b := range u.Blocks {
 			t := b.Terminator()
 			if t == nil || t.Op != ir.OpBr || len(t.Args) != 1 {
@@ -98,17 +109,20 @@ func foldUnit(u *ir.Unit) (bool, error) {
 			t.Dests = []*ir.Block{dest}
 			changed = true
 			branchChanged = true
-			pruneDeadPhiEdges(u)
 		}
 		if !branchChanged {
 			break
 		}
+		pruneDeadPhiEdges(u)
 	}
 	return changed, nil
 }
 
 // pruneDeadPhiEdges drops phi incoming entries whose block is no longer a
-// predecessor, and removes unreachable blocks entirely.
+// predecessor, and removes unreachable blocks entirely. A phi left with a
+// single entry degenerates to a copy: its uses are rewritten to that entry
+// through a from → to table resolved along chains (as in replaceSweep), in
+// one sweep over the unit. The phi itself stays for DCE.
 func pruneDeadPhiEdges(u *ir.Unit) {
 	if u.Kind == ir.UnitEntity || len(u.Blocks) == 0 {
 		return
@@ -135,32 +149,46 @@ func pruneDeadPhiEdges(u *ir.Unit) {
 	u.Blocks = kept
 
 	preds := u.Preds()
+	var num *ir.Numbering
+	var to []ir.Value
+	resolve := func(v ir.Value) ir.Value {
+		for {
+			id := num.ID(v)
+			if id < 0 || to[id] == nil {
+				return v
+			}
+			v = to[id]
+		}
+	}
 	for _, b := range u.Blocks {
 		for _, in := range b.Insts {
 			if in.Op != ir.OpPhi {
 				continue
 			}
-			var args []ir.Value
-			var dests []*ir.Block
+			args, dests := in.Args[:0], in.Dests[:0]
 			for i, pb := range in.Dests {
-				isPred := false
-				for _, p := range preds[b] {
-					if p == pb {
-						isPred = true
-						break
-					}
-				}
-				if isPred {
+				if slices.Contains(preds[b], pb) {
 					args = append(args, in.Args[i])
 					dests = append(dests, pb)
 				}
 			}
 			in.Args, in.Dests = args, dests
 			// Single-entry phi degenerates to a copy; InstSimplify will
-			// fold it, but do it here to keep verifiers happy.
+			// fold it, but do it here to keep verifiers happy. The entry
+			// is resolved before it is recorded, so the table never maps
+			// a value back onto itself.
 			if len(in.Args) == 1 {
-				u.ReplaceAllUses(in, in.Args[0])
+				if to == nil {
+					num = u.Numbering()
+					to = make([]ir.Value, num.Len())
+				}
+				if r := resolve(in.Args[0]); r != in {
+					to[ir.ValueID(in)] = r
+				}
 			}
 		}
+	}
+	if to != nil {
+		u.ForEachInst(func(_ *ir.Block, in *ir.Inst) { in.RewriteOperands(resolve) })
 	}
 }

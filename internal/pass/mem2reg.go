@@ -1,6 +1,10 @@
 package pass
 
-import "llhd/internal/ir"
+import (
+	"slices"
+
+	"llhd/internal/ir"
+)
 
 // Mem2Reg returns the memory-to-register promotion pass (§2.5.8): var
 // slots whose address does not escape (only ld/st uses) are rewritten into
@@ -12,6 +16,15 @@ import "llhd/internal/ir"
 // join block ("maximal" SSA); InstSimplify and DCE remove the trivial
 // ones. At the scale of HDL processes this is simpler than and as
 // effective as iterated dominance frontiers.
+//
+// The cost is linear in the unit plus one table entry per (block, var):
+// blocks and promoted vars are indexed once and every per-block table is a
+// flat slice over those indices, each join block's instruction list is
+// rebuilt once to take its phis, and the promoted loads go through one
+// from → to table that a single sweep over the unit applies to every
+// operand (as in replaceSweep). The one repeated walk is phase 2's fixed
+// point over the blocks in layout order, which settles in two or three
+// rounds on the frontend's output.
 func Mem2Reg() Pass {
 	return &unitPass{
 		name:  "mem2reg",
@@ -36,7 +49,7 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 	// mem2reg on the looping entry emits the self-referential phi). A
 	// fresh entry turns the old one into an ordinary join block.
 	split := false
-	if len(u.Preds()[u.Entry()]) > 0 {
+	if isBranchTarget(u, u.Entry()) {
 		splitEntry(u)
 		split = true
 	}
@@ -46,41 +59,76 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 	// into the entry block when the original does not already dominate the
 	// whole unit. Vars whose initializer cannot be hoisted stay in memory
 	// form.
-	vars, initOf := hoistInitializers(u, vars)
+	vars, inits := hoistInitializers(u, vars)
 	if len(vars) == 0 {
 		return split, nil
 	}
-	preds := u.Preds()
 
-	// Phase 1: one phi per (join block, var).
-	phis := map[*ir.Block]map[*ir.Inst]*ir.Inst{}
-	for _, b := range u.Blocks {
-		if len(preds[b]) < 2 {
-			continue
+	// Dense indices: block bi and var vi meet at table slot bi*nv+vi.
+	nb, nv := len(u.Blocks), len(vars)
+	blockIdx := make(map[*ir.Block]int, nb)
+	for i, b := range u.Blocks {
+		blockIdx[b] = i
+	}
+	varIdx := make(map[*ir.Inst]int, nv)
+	for i, v := range vars {
+		varIdx[v] = i
+	}
+	// promoted returns the index of x among the promoted vars, or -1.
+	promoted := func(x ir.Value) int {
+		if v, ok := x.(*ir.Inst); ok {
+			if i, ok := varIdx[v]; ok {
+				return i
+			}
 		}
-		phis[b] = map[*ir.Inst]*ir.Inst{}
-		for _, v := range vars {
-			phi := &ir.Inst{Op: ir.OpPhi, Ty: v.Ty.Elem}
-			phi.SetName(v.ValueName() + ".phi")
-			b.InsertBefore(phi, firstNonPhi(b))
-			phis[b][v] = phi
+		return -1
+	}
+	// Predecessors in Unit.Preds order (the phi entry order).
+	preds := make([][]int, nb)
+	for i, b := range u.Blocks {
+		for _, s := range b.Succs() {
+			if j, ok := blockIdx[s]; ok {
+				preds[j] = append(preds[j], i)
+			}
 		}
 	}
 
-	// localExit[b][v]: the value v holds at the end of b when b writes it
-	// (st or the var itself); nil when b leaves v untouched.
-	localExit := map[*ir.Block]map[*ir.Inst]ir.Value{}
-	for _, b := range u.Blocks {
-		localExit[b] = map[*ir.Inst]ir.Value{}
+	// Phase 1: one phi per (join block, var), after the block's existing
+	// phis, in var order.
+	phis := make([]*ir.Inst, nb*nv)
+	for bi, b := range u.Blocks {
+		if len(preds[bi]) < 2 {
+			continue
+		}
+		row := phis[bi*nv : (bi+1)*nv]
+		for vi, v := range vars {
+			phi := &ir.Inst{Op: ir.OpPhi, Ty: v.Ty.Elem}
+			phi.SetName(v.ValueName() + ".phi")
+			b.Adopt(phi)
+			row[vi] = phi
+		}
+		at := 0
+		for at < len(b.Insts) && b.Insts[at].Op == ir.OpPhi {
+			at++
+		}
+		b.Insts = slices.Insert(b.Insts, at, row...)
+	}
+
+	// localExit[bi*nv+vi]: the value var vi holds at the end of block bi
+	// when the block writes it (st or the var itself); nil when the block
+	// leaves it untouched.
+	localExit := make([]ir.Value, nb*nv)
+	for bi, b := range u.Blocks {
+		row := localExit[bi*nv : (bi+1)*nv]
 		for _, in := range b.Insts {
 			switch in.Op {
 			case ir.OpVar:
-				if containsVar(vars, in) {
-					localExit[b][in] = in.Args[0]
+				if vi := promoted(in); vi >= 0 {
+					row[vi] = in.Args[0]
 				}
 			case ir.OpSt:
-				if v, ok := in.Args[0].(*ir.Inst); ok && containsVar(vars, v) {
-					localExit[b][v] = in.Args[1]
+				if vi := promoted(in.Args[0]); vi >= 0 {
+					row[vi] = in.Args[1]
 				}
 			}
 		}
@@ -89,33 +137,33 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 	// Phase 2: entry values to a fixed point. Join blocks use their phi;
 	// single-pred blocks inherit the predecessor's exit; the entry block
 	// defaults to the initializer.
-	entry := map[*ir.Block]map[*ir.Inst]ir.Value{}
-	for _, b := range u.Blocks {
-		entry[b] = map[*ir.Inst]ir.Value{}
-		for _, v := range vars {
-			if ph, ok := phis[b][v]; ok {
-				entry[b][v] = ph
-			} else if b == u.Entry() {
-				entry[b][v] = initOf[v]
-			}
+	entry := make([]ir.Value, nb*nv)
+	for i, phi := range phis {
+		if phi != nil {
+			entry[i] = phi
 		}
 	}
-	exitOf := func(b *ir.Block, v *ir.Inst) ir.Value {
-		if lv := localExit[b][v]; lv != nil {
+	for vi := range vars {
+		if entry[vi] == nil {
+			entry[vi] = inits[vi]
+		}
+	}
+	exitOf := func(slot int) ir.Value {
+		if lv := localExit[slot]; lv != nil {
 			return lv
 		}
-		return entry[b][v]
+		return entry[slot]
 	}
-	for iter := 0; iter <= len(u.Blocks); iter++ {
+	for iter := 0; iter <= nb; iter++ {
 		changed := false
-		for _, b := range u.Blocks {
-			if len(preds[b]) != 1 {
+		for bi, ps := range preds {
+			if len(ps) != 1 {
 				continue
 			}
-			for _, v := range vars {
-				pv := exitOf(preds[b][0], v)
-				if pv != nil && entry[b][v] != pv {
-					entry[b][v] = pv
+			for vi := range vars {
+				pv := exitOf(ps[0]*nv + vi)
+				if slot := bi*nv + vi; pv != nil && entry[slot] != pv {
+					entry[slot] = pv
 					changed = true
 				}
 			}
@@ -125,95 +173,102 @@ func mem2regUnit(u *ir.Unit) (bool, error) {
 		}
 	}
 
-	// Phase 3: compute each load's replacement (the running value at the
-	// load site). Rewriting is deferred: a running value can itself be a
-	// promoted load from another block (st %v2, %ld_of_v1), so uses must be
-	// resolved through the full replacement chain after all replacements
-	// are known — otherwise dropped loads leak into phi operands and
-	// rewritten uses as dangling references.
-	repl := map[*ir.Inst]ir.Value{}
-	for _, b := range u.Blocks {
-		cur := map[*ir.Inst]ir.Value{}
-		for _, v := range vars {
-			cur[v] = entry[b][v]
-		}
+	// Phase 3: each load's replacement is the running value at the load
+	// site, recorded in a from → to table over the unit's value IDs. A
+	// running value can itself be a promoted load from another block
+	// (st %v2, %ld_of_v1), so a use is resolved through the whole chain —
+	// otherwise dropped loads leak into phi operands and rewritten uses as
+	// dangling references.
+	num := u.Numbering()
+	to := make([]ir.Value, num.Len())
+	loads := 0
+	cur := make([]ir.Value, nv)
+	for bi, b := range u.Blocks {
+		copy(cur, entry[bi*nv:(bi+1)*nv])
 		for _, in := range b.Insts {
 			switch in.Op {
 			case ir.OpVar:
-				if containsVar(vars, in) {
-					cur[in] = in.Args[0]
+				if vi := promoted(in); vi >= 0 {
+					cur[vi] = in.Args[0]
 				}
 			case ir.OpLd:
-				if v, ok := in.Args[0].(*ir.Inst); ok && containsVar(vars, v) {
-					rv := cur[v]
+				if vi := promoted(in.Args[0]); vi >= 0 {
+					rv := cur[vi]
 					if rv == nil {
-						rv = initOf[v]
+						rv = inits[vi]
 					}
-					repl[in] = rv
+					to[ir.ValueID(in)] = rv
+					loads++
 				}
 			case ir.OpSt:
-				if v, ok := in.Args[0].(*ir.Inst); ok && containsVar(vars, v) {
-					cur[v] = in.Args[1]
+				if vi := promoted(in.Args[0]); vi >= 0 {
+					cur[vi] = in.Args[1]
 				}
 			}
 		}
 	}
-	// resolve follows replacement chains to a value that survives phase 5.
+	// resolve follows replacement chains to a value that survives phase 4.
 	// Chains are acyclic (cross-block flow passes through the phis placed in
 	// phase 1), but the walk is bounded defensively.
 	resolve := func(x ir.Value) ir.Value {
-		for i := 0; i <= len(repl); i++ {
-			ld, ok := x.(*ir.Inst)
-			if !ok {
+		for i := 0; i <= loads; i++ {
+			id := num.ID(x)
+			if id < 0 || to[id] == nil {
 				return x
 			}
-			rv, ok := repl[ld]
-			if !ok {
-				return x
-			}
-			x = rv
+			x = to[id]
 		}
 		return x
 	}
-	for ld := range repl {
-		u.ReplaceAllUses(ld, resolve(ld))
-	}
 
-	// Phase 4: fill phi operands from predecessor exit values, resolved
-	// past any promoted loads.
-	for b, perVar := range phis {
-		for v, phi := range perVar {
-			for _, p := range preds[b] {
-				pv := exitOf(p, v)
-				if pv == nil {
-					pv = initOf[v]
-				}
-				phi.Args = append(phi.Args, resolve(pv))
-				phi.Dests = append(phi.Dests, p)
-			}
-		}
-	}
-
-	// Phase 5: drop the promoted memory instructions.
+	// Phase 4: one sweep drops the promoted memory instructions and
+	// rewrites every remaining operand through the table.
 	for _, b := range u.Blocks {
-		kept := b.Insts[:0]
-		for _, in := range b.Insts {
-			drop := false
+		b.RemoveIf(func(in *ir.Inst) bool {
 			switch in.Op {
 			case ir.OpVar:
-				drop = containsVar(vars, in)
+				return promoted(in) >= 0
 			case ir.OpLd, ir.OpSt:
-				if v, ok := in.Args[0].(*ir.Inst); ok {
-					drop = containsVar(vars, v)
-				}
+				return promoted(in.Args[0]) >= 0
 			}
-			if !drop {
-				kept = append(kept, in)
+			return false
+		})
+		for _, in := range b.Insts {
+			in.RewriteOperands(resolve)
+		}
+	}
+
+	// Phase 5: fill phi operands from predecessor exit values, resolved
+	// past any promoted loads.
+	for bi, ps := range preds {
+		if len(ps) < 2 {
+			continue
+		}
+		for vi := range vars {
+			phi := phis[bi*nv+vi]
+			phi.Args = make([]ir.Value, len(ps))
+			phi.Dests = make([]*ir.Block, len(ps))
+			for k, p := range ps {
+				pv := exitOf(p*nv + vi)
+				if pv == nil {
+					pv = inits[vi]
+				}
+				phi.Args[k] = resolve(pv)
+				phi.Dests[k] = u.Blocks[p]
 			}
 		}
-		b.Insts = kept
 	}
 	return true, nil
+}
+
+// isBranchTarget reports whether any block of u branches to b.
+func isBranchTarget(u *ir.Unit, b *ir.Block) bool {
+	for _, p := range u.Blocks {
+		if slices.Contains(p.Succs(), b) {
+			return true
+		}
+	}
+	return false
 }
 
 // splitEntry prepends a fresh entry block holding a single branch to the
@@ -232,15 +287,15 @@ func splitEntry(u *ir.Unit) {
 	u.Blocks[0] = nb
 }
 
-// hoistInitializers returns, for each promotable var, an initializer
-// value that is available in every block of the unit: the original when it
-// is an argument or already defined in the entry block, else a clone of
-// its pure-constant cone inserted at the top of the entry block. Vars
-// whose initializer cannot be made entry-available are dropped from
-// promotion.
-func hoistInitializers(u *ir.Unit, vars []*ir.Inst) ([]*ir.Inst, map[*ir.Inst]ir.Value) {
+// hoistInitializers returns the promotable vars whose initializer can be
+// made available in every block of the unit, and those initializers, one
+// per kept var: the original when it is an argument or already defined in
+// the entry block, else a clone of its pure-constant cone inserted at the
+// top of the entry block. Vars whose initializer cannot be made
+// entry-available are dropped from promotion.
+func hoistInitializers(u *ir.Unit, vars []*ir.Inst) ([]*ir.Inst, []ir.Value) {
 	kept := make([]*ir.Inst, 0, len(vars))
-	initOf := map[*ir.Inst]ir.Value{}
+	inits := make([]ir.Value, 0, len(vars))
 	h := &initHoister{u: u, cloned: map[ir.Value]*ir.Inst{}}
 	for _, v := range vars {
 		iv, ok := h.entryAvailable(v.Args[0], 16, true)
@@ -252,9 +307,9 @@ func hoistInitializers(u *ir.Unit, vars []*ir.Inst) ([]*ir.Inst, map[*ir.Inst]ir
 		}
 		h.commit()
 		kept = append(kept, v)
-		initOf[v] = iv
+		inits = append(inits, iv)
 	}
-	return kept, initOf
+	return kept, inits
 }
 
 // initHoister clones pure-constant initializer cones into the entry
@@ -325,39 +380,36 @@ func (h *initHoister) entryAvailable(v ir.Value, depth int, top bool) (ir.Value,
 	return clone, true
 }
 
-func containsVar(vars []*ir.Inst, v *ir.Inst) bool {
-	for _, x := range vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// promotableVars finds var instructions whose only uses are direct ld/st
-// (address position for st).
+// promotableVars finds, in one walk over the operands, the var
+// instructions whose only uses are direct ld/st (address position for st).
 func promotableVars(u *ir.Unit) []*ir.Inst {
-	uses := u.Uses()
-	var out []*ir.Inst
+	var vars []*ir.Inst
+	escaped := map[*ir.Inst]bool{}
 	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-		if in.Op != ir.OpVar {
-			return
+		if in.Op == ir.OpVar {
+			vars = append(vars, in)
 		}
-		ok := true
-		for _, use := range uses[in] {
-			switch use.Op {
+		in.Operands(func(x ir.Value) {
+			v, ok := x.(*ir.Inst)
+			if !ok || v.Op != ir.OpVar {
+				return
+			}
+			switch in.Op {
 			case ir.OpLd:
 			case ir.OpSt:
-				if use.Args[1] == in {
-					ok = false // address stored as a value
+				if in.Args[1] == v {
+					escaped[v] = true // address stored as a value
 				}
 			default:
-				ok = false
+				escaped[v] = true
 			}
-		}
-		if ok {
-			out = append(out, in)
-		}
+		})
 	})
+	out := vars[:0]
+	for _, v := range vars {
+		if !escaped[v] {
+			out = append(out, v)
+		}
+	}
 	return out
 }

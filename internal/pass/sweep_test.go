@@ -231,13 +231,44 @@ func @f (i32 %a, i1 %c) i32 {
 }
 
 // TestLoweringScalesLinearly is the guard against a find-one-rewrite-and-
-// rescan loop creeping back into a pass: a process of some 25 000
-// instructions — a hoistable chain, thousands of duplicated expressions,
-// x & ~0 and x + 0 identities, a trivial phi — must lower to fixpoint well
-// inside a budget that a pass restarting per rewrite overruns by an order
-// of magnitude (the loops this replaced needed minutes here).
+// rescan loop creeping back into a pass: each case is one large process
+// that must lower to fixpoint well inside a budget that a pass restarting
+// per rewrite overruns by an order of magnitude.
 func TestLoweringScalesLinearly(t *testing.T) {
-	const n = 5000
+	cases := []struct {
+		name  string
+		src   string
+		check func(t *testing.T, before int, u *ir.Unit)
+	}{
+		{"pure", scaleChainProc(5000), checkChainLowered(5000)},
+		{"memory", scaleMemoryProc(8, 3000), checkMemoryPromoted},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := assembly.MustParse("m", c.src)
+			before := m.Unit("big").NumInsts()
+			start := time.Now()
+			if err := LoweringPipeline().RunFixpoint(m, 8); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			if err := ir.Verify(m, ir.Behavioural); err != nil {
+				t.Fatalf("lowered module does not verify: %v", err)
+			}
+			t.Logf("%d -> %d instructions in %v", before, m.Unit("big").NumInsts(), took)
+			c.check(t, before, m.Unit("big"))
+			if limit := 5 * time.Second; took > limit {
+				t.Errorf("lowering took %v, budget %v: some pass is no longer linear in the unit", took, limit)
+			}
+		})
+	}
+}
+
+// scaleChainProc is a process of some 5n instructions — a hoistable chain,
+// thousands of duplicated expressions, x & ~0 and x + 0 identities, a
+// trivial phi — for the CSE, InstSimplify and ECM sweeps (the restart
+// loops they replaced needed minutes on n = 5000).
+func scaleChainProc(n int) string {
 	var src strings.Builder
 	src.WriteString(`proc @big (i32$ %a, i1$ %s) -> (i32$ %q) {
  entry:
@@ -272,25 +303,52 @@ func TestLoweringScalesLinearly(t *testing.T) {
   wait %%loop for %%a, %%s
 }
 `, n-1, n-1)
-	m := assembly.MustParse("m", src.String())
-	before := m.Unit("big").NumInsts()
+	return src.String()
+}
 
-	start := time.Now()
-	if err := LoweringPipeline().RunFixpoint(m, 8); err != nil {
-		t.Fatal(err)
+func checkChainLowered(n int) func(t *testing.T, before int, u *ir.Unit) {
+	return func(t *testing.T, before int, u *ir.Unit) {
+		// What must survive: the chain, one xor per g, 16 distinct d.
+		if after := u.NumInsts(); after > 2*n+100 {
+			t.Errorf("%d instructions left of %d, want about %d: duplicates or identities survived", after, before, 2*n)
+		}
 	}
-	took := time.Since(start)
-	if err := ir.Verify(m, ir.Behavioural); err != nil {
-		t.Fatalf("lowered module does not verify: %v", err)
+}
+
+// scaleMemoryProc is a process in memory form, for mem2reg: nv vars and a
+// run of joins diamonds, each of which loads and stores a few of the vars
+// on both arms, so some 7 loads and stores per diamond and one phi per
+// (join, var) under maximal SSA. Per-load rewriting made this quadratic.
+// An assert in each arm keeps it from becoming an empty forwarder, so
+// TCFE's one-merge-per-scan block merging stays out of the measurement.
+func scaleMemoryProc(nv, joins int) string {
+	const keep = "  call void @llhd.assert (i1 %sv)\n"
+	var src strings.Builder
+	src.WriteString("proc @big (i32$ %a, i1$ %s) -> (i32$ %q) {\n entry:\n  %a0 = prb i32$ %a\n")
+	for v := 0; v < nv; v++ {
+		fmt.Fprintf(&src, "  %%m%d = var i32 %%a0\n", v)
 	}
-	after := m.Unit("big").NumInsts()
-	t.Logf("%d -> %d instructions in %v", before, after, took)
-	// What must survive: the chain, one xor per g, 16 distinct d.
-	if after > 2*n+100 {
-		t.Errorf("%d instructions left of %d, want about %d: duplicates or identities survived", after, before, 2*n)
+	src.WriteString("  br %loop\n loop:\n  %av = prb i32$ %a\n  %sv = prb i1$ %s\n  %t = const time 1ns\n  br %j0\n")
+	for i := 0; i < joins; i++ {
+		m := func(k int) int { return (i + k) % nv }
+		fmt.Fprintf(&src, " j%d:\n  %%x%d = ld i32* %%m%d\n  %%y%d = add i32 %%x%d, %%av\n  br %%sv, %%e%d, %%t%d\n", i, i, m(0), i, i, i, i)
+		fmt.Fprintf(&src, " t%d:\n  st i32* %%m%d, %%y%d\n  %%z%d = ld i32* %%m%d\n  %%w%d = xor i32 %%z%d, %%y%d\n  st i32* %%m%d, %%w%d\n%s  br %%j%d\n",
+			i, m(0), i, i, m(1), i, i, i, m(1), i, keep, i+1)
+		fmt.Fprintf(&src, " e%d:\n  %%u%d = ld i32* %%m%d\n  st i32* %%m%d, %%u%d\n%s  br %%j%d\n", i, i, m(2), m(3), i, keep, i+1)
 	}
-	if limit := 5 * time.Second; took > limit {
-		t.Errorf("lowering took %v, budget %v: some pass is no longer linear in the unit", took, limit)
+	fmt.Fprintf(&src, " j%d:\n  %%r0 = ld i32* %%m0\n", joins)
+	for v := 1; v < nv; v++ {
+		fmt.Fprintf(&src, "  %%l%d = ld i32* %%m%d\n  %%r%d = xor i32 %%r%d, %%l%d\n", v, v, v, v-1, v)
+	}
+	fmt.Fprintf(&src, "  drv i32$ %%q, %%r%d after %%t\n  wait %%loop for %%a, %%s\n}\n", nv-1)
+	return src.String()
+}
+
+func checkMemoryPromoted(t *testing.T, _ int, u *ir.Unit) {
+	for op, n := range countOps(u) {
+		if op == "var" || op == "ld" || op == "st" {
+			t.Errorf("%d %s left: every var should have been promoted", n, op)
+		}
 	}
 }
 

@@ -127,12 +127,23 @@ func singleExitPerTR(u *ir.Unit) bool {
 
 	// Group cross-TR branch arcs by (source TR, dest block). Rule 3
 	// guarantees a unique entry block per TR, so the dest block identifies
-	// the target TR.
+	// the target TR. Groups are kept in the order their first arc appears
+	// in the block list; the map only finds a group, so where the aux
+	// blocks land does not depend on map iteration order.
 	type arc struct {
 		from *ir.Block
 		slot int
 	}
-	arcs := map[int]map[*ir.Block][]arc{}
+	type groupKey struct {
+		tr   int
+		dest *ir.Block
+	}
+	type group struct {
+		dest *ir.Block
+		arcs []arc
+	}
+	var groups []group
+	groupOf := map[groupKey]int{}
 	for _, b := range u.Blocks {
 		term := b.Terminator()
 		if term == nil || term.Op != ir.OpBr {
@@ -140,92 +151,94 @@ func singleExitPerTR(u *ir.Unit) bool {
 		}
 		for i, d := range term.Dests {
 			if trs.Of[d] != trs.Of[b] {
-				tr := trs.Of[b]
-				if arcs[tr] == nil {
-					arcs[tr] = map[*ir.Block][]arc{}
+				k := groupKey{trs.Of[b], d}
+				g, ok := groupOf[k]
+				if !ok {
+					g = len(groups)
+					groupOf[k] = g
+					groups = append(groups, group{dest: d})
 				}
-				arcs[tr][d] = append(arcs[tr][d], arc{b, i})
+				groups[g].arcs = append(groups[g].arcs, arc{b, i})
 			}
 		}
 	}
-	for _, dests := range arcs {
-		for destBlock, as := range dests {
-			// An aux block is needed when more than one arc leaves the TR
-			// toward this destination, or the single arc shares its source
-			// with drives that must move into a dedicated exit... the
-			// paper inserts it whenever several arcs exist.
-			if len(as) < 2 {
-				continue
-			}
-			// Routing several arcs through one aux block collapses the
-			// destination's per-arc phi entries into a single edge; that
-			// is only sound when every phi sees the same incoming value on
-			// all merged arcs. SSA values that genuinely differ per arc
-			// (loop-carried state like a FIFO memory) must keep their
-			// distinct edges, so such TRs keep multiple exits and their
-			// drives stay put.
-			mergeable := true
-			for _, in := range destBlock.Insts {
-				if in.Op != ir.OpPhi {
-					continue
-				}
-				var seen ir.Value
-				first := true
-				for i, pb := range in.Dests {
-					for _, a := range as {
-						if pb == a.from {
-							if first {
-								seen, first = in.Args[i], false
-							} else if in.Args[i] != seen {
-								mergeable = false
-							}
-						}
-					}
-				}
-			}
-			if !mergeable {
-				continue
-			}
-			aux := u.InsertBlockAfter(destBlock.ValueName()+"_aux", as[0].from)
-			auxTerm := &ir.Inst{Op: ir.OpBr, Ty: ir.VoidType(), Dests: []*ir.Block{destBlock}}
-			aux.Append(auxTerm)
-			for _, a := range as {
-				a.from.Terminator().Dests[a.slot] = aux
-			}
-			// Retarget phis in the destination: they now see aux as the
-			// single predecessor from this TR. The merged arcs carry one
-			// common value (checked above), so the first entry is
-			// rewritten to the aux edge and the duplicates are dropped.
-			for _, in := range destBlock.Insts {
-				if in.Op != ir.OpPhi {
-					continue
-				}
-				args := in.Args[:0]
-				blocks := in.Dests[:0]
-				kept := false
-				for i, pb := range in.Dests {
-					merged := false
-					for _, a := range as {
-						if pb == a.from {
-							merged = true
-							break
-						}
-					}
-					if !merged {
-						args = append(args, in.Args[i])
-						blocks = append(blocks, pb)
-						continue
-					}
-					if !kept {
-						kept = true
-						args = append(args, in.Args[i])
-						blocks = append(blocks, aux)
-					}
-				}
-				in.Args, in.Dests = args, blocks
-			}
-			changed = true
+	for _, g := range groups {
+		destBlock, as := g.dest, g.arcs
+		// An aux block is needed when more than one arc leaves the TR
+		// toward this destination, or the single arc shares its source
+		// with drives that must move into a dedicated exit... the
+		// paper inserts it whenever several arcs exist.
+		if len(as) < 2 {
+			continue
 		}
+		// Routing several arcs through one aux block collapses the
+		// destination's per-arc phi entries into a single edge; that
+		// is only sound when every phi sees the same incoming value on
+		// all merged arcs. SSA values that genuinely differ per arc
+		// (loop-carried state like a FIFO memory) must keep their
+		// distinct edges, so such TRs keep multiple exits and their
+		// drives stay put.
+		mergeable := true
+		for _, in := range destBlock.Insts {
+			if in.Op != ir.OpPhi {
+				continue
+			}
+			var seen ir.Value
+			first := true
+			for i, pb := range in.Dests {
+				for _, a := range as {
+					if pb == a.from {
+						if first {
+							seen, first = in.Args[i], false
+						} else if in.Args[i] != seen {
+							mergeable = false
+						}
+					}
+				}
+			}
+		}
+		if !mergeable {
+			continue
+		}
+		aux := u.InsertBlockAfter(destBlock.ValueName()+"_aux", as[0].from)
+		auxTerm := &ir.Inst{Op: ir.OpBr, Ty: ir.VoidType(), Dests: []*ir.Block{destBlock}}
+		aux.Append(auxTerm)
+		for _, a := range as {
+			a.from.Terminator().Dests[a.slot] = aux
+		}
+		// Retarget phis in the destination: they now see aux as the
+		// single predecessor from this TR. The merged arcs carry one
+		// common value (checked above), so the first entry is
+		// rewritten to the aux edge and the duplicates are dropped.
+		for _, in := range destBlock.Insts {
+			if in.Op != ir.OpPhi {
+				continue
+			}
+			args := in.Args[:0]
+			blocks := in.Dests[:0]
+			kept := false
+			for i, pb := range in.Dests {
+				merged := false
+				for _, a := range as {
+					if pb == a.from {
+						merged = true
+						break
+					}
+				}
+				if !merged {
+					args = append(args, in.Args[i])
+					blocks = append(blocks, pb)
+					continue
+				}
+				if !kept {
+					kept = true
+					args = append(args, in.Args[i])
+					blocks = append(blocks, aux)
+				}
+			}
+			in.Args, in.Dests = args, blocks
+		}
+		changed = true
 	}
 	return changed
 }

@@ -217,3 +217,44 @@ func TestLoweringCoverage(t *testing.T) {
 		t.Errorf("processes before -> after Lower: %d -> %d, pinned 33 -> 28", before, after)
 	}
 }
+
+// TestLowerAllocRatchet pins the allocations of llhd.Lower on the RV32I
+// core, the way TestBytecodeSizeRatchet pins code sizes: the limit may
+// only come down. Lower made 34.7 k allocations when mem2reg kept its
+// tables in per-block maps (about 8 k of them), constant-fold had
+// engine.EvalPure format an error for every instruction with an operand
+// not yet known (about 6 k) and the phi-edge pruning under constant-fold
+// and DCE copied the entries of every phi it looked at (about 5 k); any
+// one of them coming back fails here. It reads 15.8 k with go1.24 on
+// linux/amd64; the limit leaves room for other toolchains.
+func TestLowerAllocRatchet(t *testing.T) {
+	const limit = 20000
+	var core designs.Design
+	for _, d := range loweringInputs(t) {
+		if d.Name == "rv32i" {
+			core = d
+		}
+	}
+	// AllocsPerRun makes one warm-up call before the measured ones, and
+	// each call lowers a module of its own, compiled up front.
+	const runs = 3
+	mods := make([]*llhd.Module, runs+1)
+	for i := range mods {
+		m, err := llhd.CompileSystemVerilog(core.Name, core.Source)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		mods[i] = m
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := llhd.Lower(mods[next]); err != nil {
+			t.Fatalf("Lower: %v", err)
+		}
+		next++
+	})
+	t.Logf("llhd.Lower on %s: %.0f allocations", core.Name, allocs)
+	if allocs > limit {
+		t.Errorf("llhd.Lower on %s made %.0f allocations, limit %d", core.Name, allocs, limit)
+	}
+}
