@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-observe
+.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-frontend bench-observe
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -26,14 +26,16 @@ test:
 # interpreter, svsim (its iter.Pull coroutine processes — initial blocks,
 # bodies that wait in line — interleaved with the plain-call always
 # blocks it runs on the kernel goroutine, and their release at Finish),
-# and llhd-sim (the -j sweep's sessions display into one stdout writer).
-# val and blaze ride along for a different reason: -race turns on
-# checkptr, the only check there is on val's unsafe payload views, and
-# blaze is their heaviest user (the call depth bound is exercised there
-# too, on race-sized stack frames).
+# llhd-sim (the -j sweep's sessions display into one stdout writer) and
+# ir (the process-global type table, which sessions, the frontends and the
+# decoders intern into from any goroutine: TestTypeInterning builds the
+# same types on sixteen at once). val and blaze ride along for a different
+# reason: -race turns on checkptr, the only check there is on val's unsafe
+# payload views, and blaze is their heaviest user (the call depth bound is
+# exercised there too, on race-sized stack frames).
 test-race:
 	$(GO) test -race -run 'TestConcurrent|TestFarm|TestSession|TestConstruction|TestFault|TestGovernance|TestPoisoned' .
-	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/val ./internal/blaze/... ./cmd/llhd-sim
+	$(GO) test -race ./internal/engine ./internal/sim ./internal/svsim ./internal/ir ./internal/val ./internal/blaze/... ./cmd/llhd-sim
 
 # test-timeout is the hang guard: the whole suite must finish inside a
 # hard wall-clock budget, so a containment or governance regression that
@@ -50,11 +52,12 @@ test-timeout:
 # pass application, so any divergence is bisected to the first divergent
 # pass (named in the repro header and on the report line). Failing designs
 # are shrunk into fuzz-failures/ (uploaded as a CI artifact) and fail the
-# target. The full acceptance run is -n 1000 for both legs. The last three
+# target. The full acceptance run is -n 1000 for both legs. The last four
 # legs are Go-native fuzz targets on the byte-level boundaries:
 # SystemVerilog source into the Moore parser (a file or an error, soon),
-# bitcode read back from the disk cache (a module or an error, never a
-# panic, allocation in proportion to the input; a module goes on through
+# LLHD assembly through parse-print-parse-print (what parses prints to a
+# fixpoint), bitcode read back from the disk cache (a module or an error,
+# never a panic, allocation in proportion to the input; a module goes on through
 # ir.CheckShape, and one that passes must print and re-encode), and the
 # NDJSON delta line on its way out (the bytes json.Marshal gives, whatever
 # the signal is called). A crasher is written
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) run ./cmd/llhd-fuzz -seed 1 -n 300 -corpus fuzz-failures
 	$(GO) run ./cmd/llhd-fuzz -pipeline -seed 1 -n 150 -corpus fuzz-failures
 	$(GO) test -run xxx -fuzz FuzzMooreParse -fuzztime 10s -fuzzminimizetime 1s ./internal/moore
+	$(GO) test -run xxx -fuzz FuzzAssemblyRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/assembly
 	$(GO) test -run xxx -fuzz FuzzBitcodeDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/bitcode
 	$(GO) test -run xxx -fuzz FuzzAppendDelta -fuzztime 10s -fuzzminimizetime 1s ./internal/simserver
 
@@ -124,6 +128,15 @@ bench-lower:
 # blaze_cycles_per_s / cold_start_ms of `make bench`, not on this.
 bench-blaze:
 	$(GO) test -bench BenchmarkBlazeCompile -benchmem -run xxx .
+
+# bench-frontend times moore.Compile per Table 2 design, source text to
+# Behavioural LLHD (ns/op and allocs/op). It is the builder's inner loop
+# for the lexer, the parser, Moore's code generator and the type table; a
+# claim rests on cold_start_ms of `make bench`, not on this, and the
+# allocation limit is TestMooreCompileAllocRatchet in the suite. It runs
+# on one P, as `make bench` does.
+bench-frontend:
+	$(GO) test -bench BenchmarkMooreCompile -benchmem -cpu 1 -run xxx .
 
 # bench-observe times the two change renderers per streamed change (VCD
 # into a discarding writer, NDJSON into a discarding response; a 1-bit, a

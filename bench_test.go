@@ -45,11 +45,15 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// BenchmarkMooreCompile measures frontend throughput per design.
+// BenchmarkMooreCompile measures the frontend per design, source text to
+// Behavioural LLHD (ns/op and allocs/op). It is the inner-loop view of
+// cold_start_ms and moore.parse_ms / moore.codegen_ms of
+// `go run ./benchmark`, which stay the record.
 func BenchmarkMooreCompile(b *testing.B) {
 	for _, d := range designs.All() {
 		d := d
 		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := moore.Compile(d.Name, d.Source); err != nil {
 					b.Fatal(err)

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -373,6 +374,7 @@ func TestParseErrors(t *testing.T) {
 		"bogus @x () -> () {}",
 		"entity @x () -> () { %a = const i32 }",
 		"proc @p () -> () { entry: br %nowhere ",          // unterminated
+		"proc @p () -> () { entry: br %nowhere }",         // never labeled
 		"proc @p () -> () { entry: %x = ld i32 %p halt }", // ld needs pointer
 		"func @f () void { entry: %y = prb i32 %s ret }",  // prb needs signal
 		"proc @p () -> () { entry: wait %e for %undefined halt }",
@@ -381,6 +383,43 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse("m", src); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", src)
 		}
+	}
+}
+
+// TestLexNameBytes runs every byte value through the lexer, at the start
+// of a token and inside a global name. Names are ASCII: a letter, '_' or
+// '.' starts one, those and the digits continue it, and a byte of 0x80 or
+// above is an error outside strings and comments.
+func TestLexNameBytes(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		c := byte(b)
+		letter := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+		start := letter || c == '_' || c == '.'
+		part := start || c >= '0' && c <= '9'
+
+		toks, err := tokenize(string([]byte{c}))
+		if got := err == nil && (toks[0].kind == tokIdent || toks[0].kind == tokX); got != start {
+			t.Errorf("byte %#02x: starts a name = %v, want %v", c, got, start)
+		}
+
+		src := string([]byte{'@', 'a', c})
+		toks, err = tokenize(src)
+		switch {
+		case c >= 0x80:
+			want := fmt.Sprintf("line 1: unexpected character %q", src[2:])
+			if err == nil || err.Error() != want {
+				t.Errorf("tokenize(%q) = %v, want %s", src, err, want)
+			}
+		case part:
+			if err != nil || toks[0].kind != tokGlobal || toks[0].text != src[1:] {
+				t.Errorf("tokenize(%q) = %v, %v, want the one global %q", src, toks, err, src[1:])
+			}
+		case err == nil && toks[0].text != "a":
+			t.Errorf("tokenize(%q) starts with %q, want the global \"a\"", src, toks[0].text)
+		}
+	}
+	if _, err := tokenize("; é\n\"ª\""); err != nil {
+		t.Errorf("UTF-8 in comments and strings: %v", err)
 	}
 }
 

@@ -3,7 +3,7 @@ package assembly
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind uint8
@@ -52,13 +52,16 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
-func isIdentStart(r byte) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(rune(r))
-}
+// Names, keywords and numbers are ASCII; a byte of 0x80 or above is only
+// legal inside a string or a comment.
 
-func isIdentPart(r byte) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(rune(r)) || unicode.IsDigit(rune(r))
-}
+func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isIdentStart(c byte) bool { return c == '_' || c == '.' || isLetter(c) }
+
+func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func (l *lexer) next() (token, error) {
 	// Skip whitespace and ; comments.
@@ -126,7 +129,7 @@ func (l *lexer) next() (token, error) {
 		}
 		// Negative number.
 		l.pos++
-		for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 			l.pos++
 		}
 		return mk(tokNumber)
@@ -155,13 +158,13 @@ func (l *lexer) next() (token, error) {
 		}
 		tok := token{kind: tokGlobal, text: l.src[start+1 : l.pos], line: l.line}
 		return tok, nil
-	case unicode.IsDigit(rune(c)):
-		for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+	case isDigit(c):
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 			l.pos++
 		}
 		// A unit suffix turns the number into a time atom: 1ns, 2d, 3e.
 		sufStart := l.pos
-		for l.pos < len(l.src) && unicode.IsLetter(rune(l.src[l.pos])) {
+		for l.pos < len(l.src) && isLetter(l.src[l.pos]) {
 			l.pos++
 		}
 		suffix := l.src[sufStart:l.pos]
@@ -183,7 +186,8 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokIdent, text: text, line: l.line}, nil
 	default:
-		return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, string(c))
+		_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, l.src[l.pos:l.pos+size])
 	}
 }
 
@@ -214,7 +218,7 @@ func isTypeIdent(s string) bool {
 		if rest == "" {
 			return false
 		}
-		return strings.IndexFunc(rest, func(r rune) bool { return !unicode.IsDigit(r) }) < 0
+		return strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' }) < 0
 	}
 	return false
 }

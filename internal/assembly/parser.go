@@ -40,7 +40,8 @@ type parser struct {
 	unit    *ir.Unit
 	values  map[string]ir.Value
 	blocks  map[string]*ir.Block
-	defined []*ir.Block // blocks in label-definition order
+	refLine map[*ir.Block]int // line of the token that first named a block
+	defined []*ir.Block       // blocks in label-definition order
 	fixups  []fixup
 }
 
@@ -199,6 +200,7 @@ func (p *parser) unitDef(kind ir.UnitKind) error {
 	p.unit = u
 	p.values = map[string]ir.Value{}
 	p.blocks = map[string]*ir.Block{}
+	p.refLine = map[*ir.Block]int{}
 	p.defined = nil
 	p.fixups = nil
 
@@ -245,7 +247,7 @@ func (p *parser) unitDef(kind ir.UnitKind) error {
 			if p.isLabel() {
 				lbl := p.advance()
 				p.advance() // colon
-				cur = p.getBlock(lbl.text)
+				cur = p.getBlock(lbl)
 				p.defined = append(p.defined, cur)
 			}
 			if cur == nil {
@@ -259,9 +261,9 @@ func (p *parser) unitDef(kind ir.UnitKind) error {
 		// first *reference*, which for a forward branch precedes the label,
 		// so u.Blocks would otherwise depend on branch order and printing
 		// a parsed module would reorder its blocks (a round-trip
-		// instability found by FuzzAssemblyRoundTrip). Blocks referenced
-		// but never labeled keep their relative position at the end; the
-		// verifier reports them as terminator-less.
+		// instability found by FuzzAssemblyRoundTrip). A block referenced
+		// but never labeled is an error: it would print as an empty label,
+		// which does not parse (also found by FuzzAssemblyRoundTrip).
 		ordered := make([]*ir.Block, 0, len(u.Blocks))
 		seen := map[*ir.Block]bool{}
 		for _, b := range p.defined {
@@ -272,7 +274,7 @@ func (p *parser) unitDef(kind ir.UnitKind) error {
 		}
 		for _, b := range u.Blocks {
 			if !seen[b] {
-				ordered = append(ordered, b)
+				return fmt.Errorf("line %d: use of undefined block %s in @%s", p.refLine[b], b, u.Name)
 			}
 		}
 		u.Blocks = ordered
@@ -329,12 +331,15 @@ func (p *parser) argList(u *ir.Unit, outputs bool) error {
 	return nil
 }
 
-func (p *parser) getBlock(name string) *ir.Block {
-	if b, ok := p.blocks[name]; ok {
+// getBlock returns the block a label or a reference token names, creating
+// it on first mention.
+func (p *parser) getBlock(t token) *ir.Block {
+	if b, ok := p.blocks[t.text]; ok {
 		return b
 	}
-	b := p.unit.AddBlock(name)
-	p.blocks[name] = b
+	b := p.unit.AddBlock(t.text)
+	p.blocks[t.text] = b
+	p.refLine[b] = t.line
 	return b
 }
 
@@ -627,10 +632,10 @@ func (p *parser) instruction(b *ir.Block) error {
 			if err != nil {
 				return err
 			}
-			in.Dests = []*ir.Block{p.getBlock(f.text), p.getBlock(tr.text)}
+			in.Dests = []*ir.Block{p.getBlock(f), p.getBlock(tr)}
 			return nil
 		}
-		in.Dests = []*ir.Block{p.getBlock(first.text)}
+		in.Dests = []*ir.Block{p.getBlock(first)}
 		return nil
 
 	case ir.OpPhi:
@@ -663,7 +668,7 @@ func (p *parser) instruction(b *ir.Block) error {
 			if err != nil {
 				return err
 			}
-			in.Dests = append(in.Dests, p.getBlock(bb.text))
+			in.Dests = append(in.Dests, p.getBlock(bb))
 			if _, err := p.expect(tokRBrack, "]"); err != nil {
 				return err
 			}
@@ -676,7 +681,7 @@ func (p *parser) instruction(b *ir.Block) error {
 		if err != nil {
 			return err
 		}
-		in.Dests = []*ir.Block{p.getBlock(dest.text)}
+		in.Dests = []*ir.Block{p.getBlock(dest)}
 		if p.peek().kind == tokIdent && p.peek().text == "for" {
 			p.advance()
 			first := true

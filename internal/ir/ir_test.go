@@ -4,33 +4,94 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// TestTypeInterning builds the same types on sixteen goroutines at once:
+// every construction of a type must return one pointer, and types that
+// differ (by their assembly spelling) must not share one.
 func TestTypeInterning(t *testing.T) {
-	if IntType(32) != IntType(32) {
-		t.Error("IntType(32) not interned")
+	build := func() []*Type {
+		ts := []*Type{VoidType(), TimeType()}
+		for w := 1; w <= 130; w++ {
+			ts = append(ts, IntType(w), EnumType(w), LogicType(w))
+		}
+		// Pointer, signal and array nests three levels deep.
+		wraps := []func(*Type) *Type{
+			PointerType, SignalType,
+			func(e *Type) *Type { return ArrayType(0, e) },
+			func(e *Type) *Type { return ArrayType(4, e) },
+			func(e *Type) *Type { return ArrayType(5, e) },
+		}
+		level := []*Type{IntType(1), IntType(64), EnumType(3), LogicType(9), TimeType()}
+		for depth := 0; depth < 3; depth++ {
+			var next []*Type
+			for _, e := range level {
+				for _, wrap := range wraps {
+					next = append(next, wrap(e))
+				}
+			}
+			ts = append(ts, next...)
+			level = next
+		}
+		return append(ts,
+			StructType(),
+			StructType(IntType(1), TimeType()),
+			StructType(TimeType(), IntType(1)),
+			StructType(StructType(IntType(8)), ArrayType(2, SignalType(IntType(3)))),
+			FuncType(VoidType()),
+			FuncType(IntType(32), IntType(32), PointerType(IntType(8))),
+			FuncType(StructType(IntType(1)), SignalType(LogicType(4))),
+		)
 	}
-	if IntType(32) == IntType(16) {
-		t.Error("distinct widths interned to the same type")
+
+	const workers = 16
+	got := make([][]*Type, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = build()
+		}()
 	}
-	if SignalType(IntType(8)) != SignalType(IntType(8)) {
-		t.Error("signal types not interned")
+	close(start)
+	wg.Wait()
+
+	want := build()
+	for i, ts := range got {
+		for j, ty := range ts {
+			if ty != want[j] {
+				t.Fatalf("goroutine %d: %s is not the interned %s", i, ty, want[j])
+			}
+		}
 	}
-	if PointerType(IntType(8)) == SignalType(IntType(8)) {
-		t.Error("pointer and signal types conflated")
+	bySpelling := map[string]*Type{}
+	for _, ty := range want {
+		s := ty.String()
+		if have, ok := bySpelling[s]; ok && have != ty {
+			t.Errorf("two pointers for %s", s)
+		}
+		bySpelling[s] = ty
 	}
-	st := StructType(IntType(1), TimeType())
-	if st != StructType(IntType(1), TimeType()) {
-		t.Error("struct types not interned")
+	byPointer := map[*Type]string{}
+	for s, ty := range bySpelling {
+		if other, ok := byPointer[ty]; ok {
+			t.Errorf("%s and %s share one pointer", s, other)
+		}
+		byPointer[ty] = s
 	}
-	if ArrayType(4, IntType(8)) != ArrayType(4, IntType(8)) {
-		t.Error("array types not interned")
-	}
-	if ArrayType(4, IntType(8)) == ArrayType(5, IntType(8)) {
-		t.Error("array lengths conflated")
-	}
+
+	defer func() {
+		if r := recover(); r != "ir: invalid integer width 0" {
+			t.Errorf("IntType(0) panicked with %v", r)
+		}
+	}()
+	IntType(0)
 }
 
 func TestTypeStrings(t *testing.T) {

@@ -12,6 +12,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -42,8 +43,8 @@ const (
 	FuncKind
 )
 
-// Type is an interned LLHD type. Because all types are canonicalized in a
-// process-global table, *Type values are comparable by pointer: two types
+// Type is an interned LLHD type. Because all types are canonicalized in
+// process-global tables, *Type values are comparable by pointer: two types
 // are identical iff their pointers are equal.
 type Type struct {
 	Kind   TypeKind
@@ -52,76 +53,95 @@ type Type struct {
 	Fields []*Type // struct fields or function parameters
 }
 
+// scalarKey identifies every type but structs and funcs by value. Element
+// types are interned themselves, so their pointer is their identity.
+type scalarKey struct {
+	kind  TypeKind
+	width int
+	elem  *Type
+}
+
 var (
-	typeMu    sync.Mutex
-	typeTable = map[string]*Type{}
+	typeMu      sync.Mutex
+	scalarTypes = map[scalarKey]*Type{}
+	// Structs and funcs, keyed by their structural string (appendKey).
+	compoundTypes = map[string]*Type{}
 
 	// Pre-interned singletons for the common cases.
-	voidType = intern(&Type{Kind: VoidKind})
-	timeType = intern(&Type{Kind: TimeKind})
+	voidType = internScalar(scalarKey{kind: VoidKind})
+	timeType = internScalar(scalarKey{kind: TimeKind})
 )
 
-func intern(t *Type) *Type {
-	key := t.key()
+// internScalar returns the one *Type for k, allocating it on first use.
+func internScalar(k scalarKey) *Type {
 	typeMu.Lock()
-	defer typeMu.Unlock()
-	if have, ok := typeTable[key]; ok {
-		return have
+	t, ok := scalarTypes[k]
+	if !ok {
+		t = &Type{Kind: k.kind, Width: k.width, Elem: k.elem}
+		scalarTypes[k] = t
 	}
-	typeTable[key] = t
+	typeMu.Unlock()
 	return t
 }
 
-// key returns a unique structural key for interning.
-func (t *Type) key() string {
-	var b strings.Builder
-	t.writeKey(&b)
-	return b.String()
+// internElem interns a pointer, signal or array type over elem.
+func internElem(kind TypeKind, n int, elem *Type) *Type {
+	if elem == nil {
+		panic("ir: nil element type")
+	}
+	return internScalar(scalarKey{kind: kind, width: n, elem: elem})
 }
 
-func (t *Type) writeKey(b *strings.Builder) {
+// internCompound interns a struct or func type.
+func internCompound(t *Type) *Type {
+	key := t.appendKey(nil)
+	typeMu.Lock()
+	defer typeMu.Unlock()
+	if have, ok := compoundTypes[string(key)]; ok {
+		return have
+	}
+	compoundTypes[string(key)] = t
+	return t
+}
+
+// appendKey appends a unique structural key for t to b.
+func (t *Type) appendKey(b []byte) []byte {
 	switch t.Kind {
 	case VoidKind:
-		b.WriteString("v")
+		return append(b, 'v')
 	case TimeKind:
-		b.WriteString("t")
+		return append(b, 't')
 	case IntKind:
-		fmt.Fprintf(b, "i%d", t.Width)
+		return strconv.AppendInt(append(b, 'i'), int64(t.Width), 10)
 	case EnumKind:
-		fmt.Fprintf(b, "n%d", t.Width)
+		return strconv.AppendInt(append(b, 'n'), int64(t.Width), 10)
 	case LogicKind:
-		fmt.Fprintf(b, "l%d", t.Width)
+		return strconv.AppendInt(append(b, 'l'), int64(t.Width), 10)
 	case PointerKind:
-		b.WriteString("p(")
-		t.Elem.writeKey(b)
-		b.WriteString(")")
+		return append(t.Elem.appendKey(append(b, "p("...)), ')')
 	case SignalKind:
-		b.WriteString("s(")
-		t.Elem.writeKey(b)
-		b.WriteString(")")
+		return append(t.Elem.appendKey(append(b, "s("...)), ')')
 	case ArrayKind:
-		fmt.Fprintf(b, "a%d(", t.Width)
-		t.Elem.writeKey(b)
-		b.WriteString(")")
+		b = strconv.AppendInt(append(b, 'a'), int64(t.Width), 10)
+		return append(t.Elem.appendKey(append(b, '(')), ')')
 	case StructKind:
-		b.WriteString("{")
+		b = append(b, '{')
 		for i, f := range t.Fields {
 			if i > 0 {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
-			f.writeKey(b)
+			b = f.appendKey(b)
 		}
-		b.WriteString("}")
+		return append(b, '}')
 	case FuncKind:
-		b.WriteString("f(")
+		b = append(b, "f("...)
 		for i, f := range t.Fields {
 			if i > 0 {
-				b.WriteString(",")
+				b = append(b, ',')
 			}
-			f.writeKey(b)
+			b = f.appendKey(b)
 		}
-		b.WriteString(")->")
-		t.Elem.writeKey(b)
+		return t.Elem.appendKey(append(b, ")->"...))
 	default:
 		panic(fmt.Sprintf("ir: unknown type kind %d", t.Kind))
 	}
@@ -138,7 +158,7 @@ func IntType(n int) *Type {
 	if n <= 0 {
 		panic(fmt.Sprintf("ir: invalid integer width %d", n))
 	}
-	return intern(&Type{Kind: IntKind, Width: n})
+	return internScalar(scalarKey{kind: IntKind, width: n})
 }
 
 // EnumType returns the enumeration type nN with N distinct values.
@@ -146,7 +166,7 @@ func EnumType(n int) *Type {
 	if n <= 0 {
 		panic(fmt.Sprintf("ir: invalid enum cardinality %d", n))
 	}
-	return intern(&Type{Kind: EnumKind, Width: n})
+	return internScalar(scalarKey{kind: EnumKind, width: n})
 }
 
 // LogicType returns the nine-valued logic vector type lN.
@@ -154,17 +174,17 @@ func LogicType(n int) *Type {
 	if n <= 0 {
 		panic(fmt.Sprintf("ir: invalid logic width %d", n))
 	}
-	return intern(&Type{Kind: LogicKind, Width: n})
+	return internScalar(scalarKey{kind: LogicKind, width: n})
 }
 
 // PointerType returns T*.
 func PointerType(elem *Type) *Type {
-	return intern(&Type{Kind: PointerKind, Elem: elem})
+	return internElem(PointerKind, 0, elem)
 }
 
 // SignalType returns T$, the type of a signal carrying values of type elem.
 func SignalType(elem *Type) *Type {
-	return intern(&Type{Kind: SignalKind, Elem: elem})
+	return internElem(SignalKind, 0, elem)
 }
 
 // ArrayType returns [n x elem].
@@ -172,21 +192,21 @@ func ArrayType(n int, elem *Type) *Type {
 	if n < 0 {
 		panic(fmt.Sprintf("ir: invalid array length %d", n))
 	}
-	return intern(&Type{Kind: ArrayKind, Width: n, Elem: elem})
+	return internElem(ArrayKind, n, elem)
 }
 
 // StructType returns {fields...}.
 func StructType(fields ...*Type) *Type {
 	cp := make([]*Type, len(fields))
 	copy(cp, fields)
-	return intern(&Type{Kind: StructKind, Fields: cp})
+	return internCompound(&Type{Kind: StructKind, Fields: cp})
 }
 
 // FuncType returns the signature (params...) -> result.
 func FuncType(result *Type, params ...*Type) *Type {
 	cp := make([]*Type, len(params))
 	copy(cp, params)
-	return intern(&Type{Kind: FuncKind, Elem: result, Fields: cp})
+	return internCompound(&Type{Kind: FuncKind, Elem: result, Fields: cp})
 }
 
 // IsVoid reports whether t is the void type.

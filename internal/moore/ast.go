@@ -481,25 +481,23 @@ func (v inspector) dataType(dt *DataType) {
 	}
 }
 
-// LvalueNets returns the names an assignment to target writes: the base
-// of an Ident, Index or Slice target and, for a Concat, those of every
-// part, in source order. Anything else is no lvalue and yields nothing.
-func LvalueNets(target Expr) []string {
+// LvalueNets calls f with each name an assignment to target writes: the
+// base of an Ident, Index or Slice target and, for a Concat, those of
+// every part, in source order. Anything else is no lvalue and yields
+// nothing.
+func LvalueNets(target Expr, f func(name string)) {
 	switch t := target.(type) {
 	case *Ident:
-		return []string{t.Name}
+		f(t.Name)
 	case *Index:
-		return LvalueNets(t.X)
+		LvalueNets(t.X, f)
 	case *Slice:
-		return LvalueNets(t.X)
+		LvalueNets(t.X, f)
 	case *Concat:
-		var names []string
 		for _, p := range t.Parts {
-			names = append(names, LvalueNets(p)...)
+			LvalueNets(p, f)
 		}
-		return names
 	}
-	return nil
 }
 
 // EdgeTriggered reports whether the block waits for an edge of its own

@@ -183,7 +183,9 @@ func TestLvalueNets(t *testing.T) {
 		{"concat with a non-lvalue part", &Concat{Parts: []Expr{id("a"), &Number{Value: 0}}}, []string{"a"}},
 		{"nil", nil, nil},
 	} {
-		if got := LvalueNets(tc.target); !slices.Equal(got, tc.want) {
+		var got []string
+		LvalueNets(tc.target, func(name string) { got = append(got, name) })
+		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s: LvalueNets = %v, want %v", tc.name, got, tc.want)
 		}
 	}

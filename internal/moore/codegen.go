@@ -3,7 +3,7 @@ package moore
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"llhd/internal/ir"
 )
@@ -55,7 +55,7 @@ func unitName(m *Module, params map[string]uint64) string {
 	}
 	name := m.Name
 	for _, p := range m.Params {
-		name += fmt.Sprintf("$%s%d", p.Name, params[p.Name])
+		name += "$" + p.Name + strconv.FormatUint(params[p.Name], 10)
 	}
 	return name
 }
@@ -78,7 +78,16 @@ type netInfo struct {
 
 	initVal uint64 // net initializer (constant)
 	hasInit bool
+
+	// rw holds readsWrites' netRead/netWritten marks during one walk; it
+	// is zero between walks.
+	rw uint8
 }
+
+const (
+	netRead uint8 = 1 << iota
+	netWritten
+)
 
 // scope is the constant environment of one elaboration.
 type scope struct {
@@ -297,7 +306,7 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 	for _, item := range m.Items {
 		switch it := item.(type) {
 		case *AlwaysBlock, *AssignItem:
-			pname := fmt.Sprintf("%s_p%d", uname, procIdx)
+			pname := uname + "_p" + strconv.Itoa(procIdx)
 			owned := map[string]bool{}
 			for n, owner := range arrayOwner {
 				if owner == procIdx {
@@ -598,41 +607,48 @@ func (c *compiler) typeWidthInChild(port *Port, child *Module, overrides map[str
 // it mentions, the events it waits on included. $readmemh arguments are
 // resolved at elaboration and read nothing.
 func readsWrites(item Item, sc *scope) (reads, writes []string) {
-	readSet := map[string]bool{}
-	writeSet := map[string]bool{}
-	mark := func(set map[string]bool, names ...string) {
-		for _, n := range names {
-			if ni := sc.nets[n]; ni != nil && ni.isNet {
-				set[n] = true
-			}
+	touched := make([]*netInfo, 0, 32) // on the stack while it fits
+	mark := func(name string, how uint8) {
+		ni := sc.nets[name]
+		if ni == nil || !ni.isNet {
+			return
 		}
+		if ni.rw == 0 {
+			touched = append(touched, ni)
+		}
+		ni.rw |= how
 	}
+	markWritten := func(name string) { mark(name, netWritten) }
 	Inspect(item, func(n Node) bool {
 		switch x := n.(type) {
 		case *Ident:
-			mark(readSet, x.Name)
+			mark(x.Name, netRead)
 		case *AssignItem:
-			mark(writeSet, LvalueNets(x.Target)...)
+			LvalueNets(x.Target, markWritten)
 		case *AssignStmt:
-			mark(writeSet, LvalueNets(x.Target)...)
+			LvalueNets(x.Target, markWritten)
 		case *IncDec:
-			mark(writeSet, LvalueNets(x.X)...)
+			LvalueNets(x.X, markWritten)
 		case *SysCallStmt:
 			return x.Name != "$readmemh"
 		}
 		return true
 	})
-	for n := range readSet {
-		if !writeSet[n] {
-			reads = append(reads, n)
+	// One array holds both lists: reads from the front, writes from the back.
+	names := make([]string, len(touched))
+	r, w := 0, len(names)
+	for _, ni := range touched {
+		if ni.rw&netWritten != 0 {
+			w--
+			names[w] = ni.name
+		} else {
+			names[r] = ni.name
+			r++
 		}
+		ni.rw = 0
 	}
-	for n := range writeSet {
-		writes = append(writes, n)
-	}
+	reads, writes = names[:r:r], names[w:]
 	sort.Strings(reads)
 	sort.Strings(writes)
 	return reads, writes
 }
-
-var _ = strings.TrimSpace // silence unused import until diagnostics land

@@ -1,7 +1,6 @@
 package moore
 
 import (
-	"fmt"
 	"strings"
 
 	"llhd/internal/ir"
@@ -358,6 +357,14 @@ func maxWidth(a, b cv) int {
 	}
 }
 
+// signlessOps are the binary operators whose opcode does not depend on
+// the operands' signedness.
+var signlessOps = map[string]ir.Opcode{
+	"+": ir.OpAdd, "-": ir.OpSub, "*": ir.OpMul,
+	"&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor,
+	"<<": ir.OpShl, "<<<": ir.OpShl, ">>": ir.OpShr, ">>>": ir.OpAshr,
+}
+
 func (g *procGen) binary(x *Binary) (cv, error) {
 	// Logical operators get boolean operands.
 	if x.Op == "&&" || x.Op == "||" {
@@ -388,12 +395,7 @@ func (g *procGen) binary(x *Binary) (cv, error) {
 	av := g.coerce(a, w)
 	bv := g.coerce(b, w)
 
-	ops := map[string]ir.Opcode{
-		"+": ir.OpAdd, "-": ir.OpSub, "*": ir.OpMul,
-		"&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor,
-		"<<": ir.OpShl, "<<<": ir.OpShl, ">>": ir.OpShr, ">>>": ir.OpAshr,
-	}
-	if op, ok := ops[x.Op]; ok {
+	if op, ok := signlessOps[x.Op]; ok {
 		return cv{v: g.b.Binary(op, av, bv), width: w, signed: signed}, nil
 	}
 	switch x.Op {
@@ -604,5 +606,3 @@ func (c *compiler) genFunction(fn *FuncDecl, fname string, sc *scope) error {
 	}
 	return c.out.Add(u)
 }
-
-var _ = fmt.Sprintf

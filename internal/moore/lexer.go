@@ -5,12 +5,19 @@
 // assertions, $display/$finish), packed vectors, and unpacked arrays for
 // memories and register files. Compile maps source text to Behavioural
 // LLHD, the analog of "Clang and LLVM" for hardware (§3).
+//
+// Source is read as bytes: identifiers, keywords and numbers are ASCII,
+// and a byte of 0x80 or above outside a string or a comment is an
+// "unexpected character" error that names the UTF-8 character it starts.
+// The lexer classifies bytes by table and operators by their first byte;
+// the frontend formats nothing and builds no map per token, expression or
+// type (TestMooreCompileAllocRatchet holds its allocations).
 package moore
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind uint8
@@ -54,8 +61,49 @@ var operators = []string{
 	"=", "?", ":", ";", ",", ".", "#", "@", "(", ")", "[", "]", "{", "}", "'",
 }
 
+// opsByFirst holds the operators per first byte, longest first.
+var opsByFirst [256][]string
+
+// Byte classes. SystemVerilog identifiers, numbers and keywords are
+// ASCII; a byte of 0x80 or above is only legal inside a string or a
+// comment.
+const (
+	cIdentStart uint8 = 1 << iota // a-z A-Z _
+	cIdentChar                    // identifier start, 0-9 or $
+	cDigit                        // 0-9
+	cLetter                       // a-z A-Z (time-unit suffixes)
+	cBasedDigit                   // digits of a based literal: 0-9 a-f A-F x X z Z
+)
+
+var byteClass [256]uint8
+
+func init() {
+	for _, op := range operators {
+		opsByFirst[op[0]] = append(opsByFirst[op[0]], op)
+	}
+	for c := 0; c < 256; c++ {
+		var k uint8
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z':
+			k = cIdentStart | cIdentChar | cLetter
+		case c == '_':
+			k = cIdentStart | cIdentChar
+		case c >= '0' && c <= '9':
+			k = cIdentChar | cDigit | cBasedDigit
+		case c == '$':
+			k = cIdentChar
+		}
+		switch c {
+		case 'a', 'b', 'c', 'd', 'e', 'f', 'A', 'B', 'C', 'D', 'E', 'F', 'x', 'X', 'z', 'Z':
+			k |= cBasedDigit
+		}
+		byteClass[c] = k
+	}
+}
+
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	// The designs in the tree run at 3.3 to 5.7 source bytes per token.
+	l := &lexer{src: src, line: 1, toks: make([]token, 0, len(src)/3+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -64,11 +112,13 @@ func lex(src string) ([]token, error) {
 			l.pos++
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
-		case strings.HasPrefix(l.src[l.pos:], "//"):
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+		case c == '/' && l.at(1) == '/':
+			end := strings.IndexByte(l.src[l.pos:], '\n')
+			if end < 0 {
+				end = len(l.src) - l.pos
 			}
-		case strings.HasPrefix(l.src[l.pos:], "/*"):
+			l.pos += end
+		case c == '/' && l.at(1) == '*':
 			end := strings.Index(l.src[l.pos+2:], "*/")
 			if end < 0 {
 				return nil, fmt.Errorf("line %d: unterminated block comment", l.line)
@@ -82,29 +132,24 @@ func lex(src string) ([]token, error) {
 		case c == '$':
 			start := l.pos
 			l.pos++
-			for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
-				l.pos++
-			}
+			l.skip(cIdentChar)
 			l.emit(tSystem, l.src[start:l.pos])
-		case unicode.IsDigit(rune(c)):
+		case byteClass[c]&cDigit != 0:
 			if err := l.lexNumber(); err != nil {
 				return nil, err
 			}
-		case isIdentStart(c):
+		case byteClass[c]&cIdentStart != 0:
 			start := l.pos
-			for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
-				l.pos++
-			}
+			l.skip(cIdentChar)
 			l.emit(tIdent, l.src[start:l.pos])
 		case c == '\'':
 			// '0, '1, or 'h3F (unsized based literal), or the tick in
 			// 8'hFF handled by lexNumber; standalone tick starts a fill
 			// literal or an unpacked-array literal '{.
-			if l.pos+1 < len(l.src) && (l.src[l.pos+1] == '0' || l.src[l.pos+1] == '1') &&
-				(l.pos+2 >= len(l.src) || !isIdentChar(l.src[l.pos+2])) {
+			if n := l.at(1); (n == '0' || n == '1') && byteClass[l.at(2)]&cIdentChar == 0 {
 				l.emit(tNumber, l.src[l.pos:l.pos+2])
 				l.pos += 2
-			} else if l.pos+1 < len(l.src) && l.src[l.pos+1] == '{' {
+			} else if n == '{' {
 				l.emit(tPunct, "'{")
 				l.pos += 2
 			} else {
@@ -112,17 +157,8 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 		default:
-			matched := false
-			for _, op := range operators {
-				if strings.HasPrefix(l.src[l.pos:], op) {
-					l.emit(tPunct, op)
-					l.pos += len(op)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("line %d: unexpected character %q", l.line, string(c))
+			if err := l.lexOperator(c); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -130,8 +166,37 @@ func lex(src string) ([]token, error) {
 	return l.toks, nil
 }
 
+// at returns the byte i past the current position, 0 past the end.
+func (l *lexer) at(i int) byte {
+	if l.pos+i < len(l.src) {
+		return l.src[l.pos+i]
+	}
+	return 0
+}
+
+// skip advances over bytes of class k.
+func (l *lexer) skip(k uint8) {
+	for l.pos < len(l.src) && byteClass[l.src[l.pos]]&k != 0 {
+		l.pos++
+	}
+}
+
 func (l *lexer) emit(kind tokenKind, text string) {
 	l.toks = append(l.toks, token{kind: kind, text: text, line: l.line})
+}
+
+// lexOperator emits the longest operator starting with c. Any other byte
+// is an error that names the character, decoded as UTF-8.
+func (l *lexer) lexOperator(c byte) error {
+	for _, op := range opsByFirst[c] {
+		if strings.HasPrefix(l.src[l.pos:], op) {
+			l.emit(tPunct, op)
+			l.pos += len(op)
+			return nil
+		}
+	}
+	_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	return fmt.Errorf("line %d: unexpected character %q", l.line, l.src[l.pos:l.pos+size])
 }
 
 func (l *lexer) lexString() error {
@@ -155,17 +220,14 @@ func (l *lexer) lexString() error {
 // literals (1ns, 500ps).
 func (l *lexer) lexNumber() error {
 	start := l.pos
-	for l.pos < len(l.src) && (unicode.IsDigit(rune(l.src[l.pos])) || l.src[l.pos] == '_') {
+	for l.pos < len(l.src) && (byteClass[l.src[l.pos]]&cDigit != 0 || l.src[l.pos] == '_') {
 		l.pos++
 	}
 	// Time suffix?
-	if l.pos < len(l.src) && unicode.IsLetter(rune(l.src[l.pos])) {
+	if byteClass[l.at(0)]&cLetter != 0 {
 		sufStart := l.pos
-		for l.pos < len(l.src) && unicode.IsLetter(rune(l.src[l.pos])) {
-			l.pos++
-		}
-		suffix := l.src[sufStart:l.pos]
-		switch suffix {
+		l.skip(cLetter)
+		switch l.src[sufStart:l.pos] {
 		case "fs", "ps", "ns", "us", "ms", "s":
 			l.emit(tTime, l.src[start:l.pos])
 			return nil
@@ -174,9 +236,9 @@ func (l *lexer) lexNumber() error {
 		}
 	}
 	// Based literal: 8'hFF.
-	if l.pos < len(l.src) && l.src[l.pos] == '\'' {
+	if l.at(0) == '\'' {
 		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == 's' || l.src[l.pos] == 'S') {
+		if s := l.at(0); s == 's' || s == 'S' {
 			l.pos++ // signed marker
 		}
 		if l.pos >= len(l.src) {
@@ -186,7 +248,7 @@ func (l *lexer) lexNumber() error {
 		switch base {
 		case 'h', 'H', 'b', 'B', 'd', 'D', 'o', 'O':
 			l.pos++
-			for l.pos < len(l.src) && (isHexDigit(l.src[l.pos]) || l.src[l.pos] == '_') {
+			for l.pos < len(l.src) && (byteClass[l.src[l.pos]]&cBasedDigit != 0 || l.src[l.pos] == '_') {
 				l.pos++
 			}
 		default:
@@ -195,17 +257,4 @@ func (l *lexer) lexNumber() error {
 	}
 	l.emit(tNumber, l.src[start:l.pos])
 	return nil
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || c == '$' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
-
-func isHexDigit(c byte) bool {
-	return unicode.IsDigit(rune(c)) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') ||
-		c == 'x' || c == 'X' || c == 'z' || c == 'Z'
 }

@@ -333,16 +333,27 @@ endmodule
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"modul x; endmodule",
-		"module x (inpu clk); endmodule",
-		"module x; always_ff q <= 1; endmodule",
-		"module x; bit a endmodule",
-		"module x; logic [7:0] q; always_comb q = $clog2(); endmodule",
-	}
-	for _, src := range cases {
-		if _, err := Compile("t", src); err == nil {
-			t.Errorf("Compile(%q) unexpectedly succeeded", src)
+	for _, tc := range []struct {
+		src  string
+		want string // a substring of the error, if not empty
+	}{
+		{"modul x; endmodule", ""},
+		{"module x (inpu clk); endmodule", ""},
+		{"module x; always_ff q <= 1; endmodule", ""},
+		{"module x; bit a endmodule", ""},
+		{"module x; logic [7:0] q; always_comb q = $clog2(); endmodule", ""},
+		// Identifiers are ASCII: a UTF-8 character outside a string or a
+		// comment is named whole, whatever Latin-1 makes of its bytes.
+		{"module t; bit ª; endmodule", `line 1: unexpected character "ª"`},
+		{"module t; bit aé; endmodule", `line 1: unexpected character "é"`},
+		{"module t; bit a–; endmodule", `line 1: unexpected character "–"`},
+	} {
+		_, err := Compile("t", tc.src)
+		switch {
+		case err == nil:
+			t.Errorf("Compile(%q) unexpectedly succeeded", tc.src)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("Compile(%q) = %v, want an error containing %s", tc.src, err, tc.want)
 		}
 	}
 }

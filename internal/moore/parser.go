@@ -978,18 +978,32 @@ func (p *svparser) caseStmt() (Stmt, error) {
 
 // ------------------------------------------------------------ expressions
 
-// binary operator precedence (higher binds tighter).
-var precedence = map[string]int{
-	"||": 1,
-	"&&": 2,
-	"|":  3,
-	"^":  4,
-	"&":  5,
-	"==": 6, "!=": 6, "===": 6, "!==": 6,
-	"<": 7, "<=": 7, ">": 7, ">=": 7,
-	"<<": 8, ">>": 8, ">>>": 8, "<<<": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binaryPrec returns the precedence of a binary operator (higher binds
+// tighter), or 0 for a token that is not one.
+func binaryPrec(op string) int {
+	switch op {
+	case "||":
+		return 1
+	case "&&":
+		return 2
+	case "|":
+		return 3
+	case "^":
+		return 4
+	case "&":
+		return 5
+	case "==", "!=", "===", "!==":
+		return 6
+	case "<", "<=", ">", ">=":
+		return 7
+	case "<<", ">>", ">>>", "<<<":
+		return 8
+	case "+", "-":
+		return 9
+	case "*", "/", "%":
+		return 10
+	}
+	return 0
 }
 
 func (p *svparser) expression() (Expr, error) {
@@ -1028,8 +1042,8 @@ func (p *svparser) binaryExpr(minPrec int) (Expr, error) {
 		if t.kind != tPunct {
 			return lhs, nil
 		}
-		prec, isOp := precedence[t.text]
-		if !isOp || prec < minPrec {
+		prec := binaryPrec(t.text)
+		if prec < minPrec { // minPrec >= 1, so this also ends at a non-operator
 			return lhs, nil
 		}
 		// "<=" is ambiguous with nonblocking assignment; in expression

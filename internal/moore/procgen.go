@@ -3,6 +3,7 @@ package moore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"llhd/internal/ir"
@@ -70,7 +71,7 @@ type localVar struct {
 
 func (g *procGen) newBlock(hint string) *ir.Block {
 	g.nblock++
-	return g.unit.AddBlock(fmt.Sprintf("%s%d", hint, g.nblock))
+	return g.unit.AddBlock(hint + strconv.Itoa(g.nblock))
 }
 
 func (g *procGen) errf(format string, args ...any) error {
@@ -128,11 +129,11 @@ func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays ma
 	case *AlwaysBlock:
 		Inspect(it, func(n Node) bool {
 			if st, ok := n.(*AssignStmt); ok && st.Blocking {
-				for _, name := range LvalueNets(st.Target) {
+				LvalueNets(st.Target, func(name string) {
 					if ni := sc.nets[name]; ni != nil && ni.isNet {
 						g.blocking[name] = true
 					}
-				}
+				})
 			}
 			return true
 		})

@@ -3,6 +3,7 @@ package llhd_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"llhd/internal/designs"
 	"llhd/internal/fuzz"
 	"llhd/internal/ir"
+	"llhd/internal/moore"
 	"llhd/internal/pass"
 )
 
@@ -256,5 +258,42 @@ func TestLowerAllocRatchet(t *testing.T) {
 	t.Logf("llhd.Lower on %s: %.0f allocations", core.Name, allocs)
 	if allocs > limit {
 		t.Errorf("llhd.Lower on %s made %.0f allocations, limit %d", core.Name, allocs, limit)
+	}
+}
+
+// TestMooreCompileAllocRatchet pins the allocations of moore.Compile on
+// the riscv design and the RV32I core, as TestLowerAllocRatchet pins
+// llhd.Lower's: the limit may only come down. Together they made 9.1 k
+// allocations while the type table formatted a string key and allocated
+// a candidate type per lookup (1 671 of them), every binary expression
+// built its opcode map (369), every assignment target listed its nets in
+// a fresh slice (245), blocks were named with fmt (166), the token slice
+// grew from empty (22) and readsWrites grew its two lists one name at a
+// time (14). The limit sits less than the smallest of these above the
+// reading, so taking back any one fails here; the lexer's byte classes
+// and operator dispatch and the parser's precedence switch save time, not
+// allocations, and cannot be held here. It reads 6 645 with go1.24 on
+// linux/amd64; other toolchains count maps and escapes differently and
+// are held below the 9.1 k alone.
+func TestMooreCompileAllocRatchet(t *testing.T) {
+	limit := 6655.0
+	if !strings.HasPrefix(runtime.Version(), "go1.24") {
+		limit = 9000
+	}
+	var total float64
+	for _, d := range loweringInputs(t) {
+		if d.Name != "riscv" && d.Name != "rv32i" {
+			continue
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := moore.Compile(d.Name, d.Source); err != nil {
+				t.Fatalf("%s: Compile: %v", d.Name, err)
+			}
+		})
+		t.Logf("moore.Compile on %s: %.0f allocations", d.Name, allocs)
+		total += allocs
+	}
+	if total > limit {
+		t.Errorf("moore.Compile on riscv and rv32i made %.0f allocations, limit %.0f", total, limit)
 	}
 }
