@@ -133,11 +133,20 @@ const (
 	// A fused chain of integer splices (rule 4 of plan.go).
 	opInsSCat // Dst = Regs[A] with B pieces spliced in; aux[C] = width, then (src, off, n) per piece
 
+	// Branches on the compare itself (rule 6 of plan.go): integer operands,
+	// the false target in Dst, the true target in C.
+	opBrEq  // pc = Regs[A] == Regs[B] ? C : Dst
+	opBrUlt // pc = Regs[A] <u Regs[B] ? C : Dst
+
+	// A splice chain holding replicate runs (rule 8 of plan.go).
+	opInsSRep // Dst = Regs[A] with B runs spliced in; aux[C] = width, then (src, off, n, k) per run: the low n bits of src, k times
+
 	numOps
 )
 
 // opWritesDst marks the opcodes whose Dst is a register the instruction
-// writes (for the others it is unused, a condition or a site index). Store
+// writes (for the others it is unused, a condition, a site index or a
+// branch target). Store
 // coalescing may only redirect these, and each of them must read all its
 // operands before it writes (TestOpsReadOperandsBeforeDst walks the table).
 var opWritesDst = [numOps]bool{
@@ -146,7 +155,7 @@ var opWritesDst = [numOps]bool{
 	opShl: true, opShr: true, opAshr: true, opNot: true, opNeg: true,
 	opEq: true, opNeq: true, opUlt: true, opUgt: true, opUle: true, opUge: true,
 	opSlt: true, opSgt: true, opSle: true, opSge: true,
-	opExtSInt: true, opInsSInt: true, opInsSCat: true, opEvalBin: true, opEvalUn: true,
+	opExtSInt: true, opInsSInt: true, opInsSCat: true, opInsSRep: true, opEvalBin: true, opEvalUn: true,
 	opMux: true, opExtF: true, opExtFDyn: true, opExtS: true,
 	opInsF: true, opInsFDyn: true, opInsS: true, opAgg: true,
 	opPrb: true, opCall: true, opTimeNow: true,

@@ -65,6 +65,9 @@ var opNames = [numOps]string{
 	opRetV:    "retv",
 	opUnreach: "unreachable",
 	opInsSCat: "inss.cat",
+	opBrEq:    "br.eq",
+	opBrUlt:   "br.ult",
+	opInsSRep: "inss.rep",
 }
 
 // String returns the opcode mnemonic.
@@ -137,12 +140,18 @@ func disasmInstr(u *Unit, pc int) string {
 	case opInsSInt:
 		return head + fmt.Sprintf("r%d, r%d, r%d, off=%d, n=%d, w=%d",
 			i.Dst, i.A, i.B, u.Aux[i.C], u.Aux[i.C+1], u.Aux[i.C+2])
-	case opInsSCat:
+	case opInsSCat, opInsSRep:
 		var sb strings.Builder
 		// The mnemonic fills the column: the separating space is the arm's.
 		fmt.Fprintf(&sb, " r%d, r%d, w=%d", i.Dst, i.A, u.Aux[i.C])
-		for k := i.C + 1; k < i.C+1+3*i.B; k += 3 {
-			fmt.Fprintf(&sb, ", r%d@%d+%d", u.Aux[k], u.Aux[k+1], u.Aux[k+2])
+		if i.Op == opInsSCat {
+			for k := i.C + 1; k < i.C+1+3*i.B; k += 3 {
+				fmt.Fprintf(&sb, ", r%d@%d+%d", u.Aux[k], u.Aux[k+1], u.Aux[k+2])
+			}
+		} else {
+			for k := i.C + 1; k < i.C+1+4*i.B; k += 4 {
+				fmt.Fprintf(&sb, ", r%d@%d+%dx%d", u.Aux[k], u.Aux[k+1], u.Aux[k+2], u.Aux[k+3])
+			}
 		}
 		return head + sb.String()
 	case opEvalBin:
@@ -189,6 +198,8 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("@%04d", i.A)
 	case opBranch:
 		return head + fmt.Sprintf("r%d, @%04d, @%04d", i.A, i.B, i.C)
+	case opBrEq, opBrUlt:
+		return head + fmt.Sprintf("r%d, r%d, @%04d, @%04d", i.A, i.B, i.Dst, i.C)
 	case opPhi:
 		var parts []string
 		for k := int32(0); k < i.B; k++ {

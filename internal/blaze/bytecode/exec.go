@@ -128,6 +128,17 @@ func storeBool(r *val.Value, b bool) {
 	}
 }
 
+// repBits returns the low n bits of x repeated k times, from bit 0 up; the
+// bits above n*k are left for the caller's mask. Each round doubles the
+// run, so twenty copies of one bit take five.
+func repBits(x uint64, n, k int) uint64 {
+	x = ir.MaskWidth(x, n)
+	for w := n; w < n*k; w *= 2 {
+		x |= x << uint(w)
+	}
+	return x
+}
+
 // run is the threaded dispatch loop. It executes from fr.PC until the
 // activation suspends, halts, or fails. All mutable state is reached
 // through fr; u is shared read-only across sessions.
@@ -214,6 +225,14 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			pieces := aux[i.C+1 : i.C+1+3*i.B]
 			for k := 0; k+2 < len(pieces); k += 3 {
 				bits = val.InsBits(bits, regs[pieces[k]].Bits, int(pieces[k+1]), int(pieces[k+2]))
+			}
+			storeInt(&regs[i.Dst], int(aux[i.C]), bits)
+		case opInsSRep:
+			bits := regs[i.A].Bits
+			runs := aux[i.C+1 : i.C+1+4*i.B]
+			for k := 0; k+3 < len(runs); k += 4 {
+				n, reps := int(runs[k+2]), int(runs[k+3])
+				bits = val.InsBits(bits, repBits(regs[runs[k]].Bits, n, reps), int(runs[k+1]), n*reps)
 			}
 			storeInt(&regs[i.Dst], int(aux[i.C]), bits)
 
@@ -339,6 +358,30 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				pc = int(i.C)
 			} else {
 				pc = int(i.B)
+			}
+		case opBrEq:
+			if jumps++; jumps >= maxJumps {
+				return 0, errStepBudget
+			}
+			// eq's test: two-state integers in place, the rest through Eq.
+			a, b := &regs[i.A], &regs[i.B]
+			taken := a.Width == b.Width && a.Bits == b.Bits
+			if a.Kind != val.KindInt || b.Kind != val.KindInt {
+				taken = a.Eq(*b)
+			}
+			if taken {
+				pc = int(i.C)
+			} else {
+				pc = int(i.Dst)
+			}
+		case opBrUlt:
+			if jumps++; jumps >= maxJumps {
+				return 0, errStepBudget
+			}
+			if regs[i.A].Bits < regs[i.B].Bits {
+				pc = int(i.C)
+			} else {
+				pc = int(i.Dst)
 			}
 		case opPhi:
 			// Simultaneous assignment over the preallocated scratch:

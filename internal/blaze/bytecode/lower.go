@@ -91,8 +91,12 @@ type lowerer struct {
 
 	// The forwarding plan (plan.go), filled by newLowerer's walk.
 	uses []int32   // value ID -> operand occurrences
-	mem  []memPlan // value ID -> rules 1 and 2; nil in a unit without memory instructions
+	mem  []memPlan // value ID -> rules 1, 2 and 5; nil in a unit without memory instructions
 	pos  int32     // walk position counter
+	// Rule 5: every var, alloc, and ld or st of one the walk met, and the
+	// block the walk is in.
+	inits []initEvent
+	block int32
 
 	// While lowering a block: the block laid out after it, and the
 	// instruction just before the current one if all it lowered to is the
@@ -101,12 +105,34 @@ type lowerer struct {
 	tail *ir.Inst
 }
 
-// fixup is a deferred jump-target patch: field f (0=A, 1=B, 2=C) of the
-// instruction at pc receives the start pc of the target block.
+// fixup is a deferred jump-target patch: field f of the instruction at pc
+// receives the start pc of the target block.
 type fixup struct {
 	pc     int
 	field  uint8
 	target *ir.Block
+}
+
+// The instruction fields a branch target goes in.
+const (
+	fieldA uint8 = iota
+	fieldB
+	fieldC
+	fieldDst
+)
+
+// setTarget writes target into field f of the instruction at pc.
+func (lo *lowerer) setTarget(pc int, f uint8, target int32) {
+	switch i := &lo.u.Code[pc]; f {
+	case fieldA:
+		i.A = target
+	case fieldB:
+		i.B = target
+	case fieldC:
+		i.C = target
+	case fieldDst:
+		i.Dst = target
+	}
 }
 
 func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
@@ -120,7 +146,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		u:          u,
 		sigIdx:     make([]int32, n),
 		constKnown: make([]bool, n),
-		blockPC:    map[*ir.Block]int{},
+		blockPC:    make(map[*ir.Block]int, len(inst.Unit.Blocks)),
 		uses:       make([]int32, n),
 	}
 	for i := range lo.sigIdx {
@@ -140,8 +166,9 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 			u.ConstIDs = append(u.ConstIDs, int32(id))
 		}
 	}
-	for _, b := range lo.unit.Blocks {
+	for k, b := range lo.unit.Blocks {
 		blockStart := lo.tick()
+		lo.block = int32(k)
 		for _, in := range b.Insts {
 			var cv val.Value
 			switch in.Op {
@@ -162,6 +189,9 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 				u.ConstIDs = append(u.ConstIDs, int32(id))
 			}
 		}
+	}
+	if len(lo.inits) > 0 {
+		lo.planInits()
 	}
 	return lo
 }
@@ -254,16 +284,10 @@ func (lo *lowerer) lowerBlocks() error {
 		if !ok {
 			return fmt.Errorf("branch to unknown block %s", fx.target)
 		}
-		switch fx.field {
-		case 0:
-			lo.u.Code[fx.pc].A = int32(pc)
-		case 1:
-			lo.u.Code[fx.pc].B = int32(pc)
-		case 2:
-			lo.u.Code[fx.pc].C = int32(pc)
-		}
+		lo.setTarget(fx.pc, fx.field, int32(pc))
 	}
 	lo.threadJumps()
+	lo.replicateRuns()
 	return nil
 }
 
@@ -271,16 +295,27 @@ func (lo *lowerer) lowerBlocks() error {
 // jump-only cycle has no end to find.
 const maxThread = 8
 
-// threadJumps retargets every jump and branch whose target is itself a
-// jump (rule 3 of plan.go).
+// threadJumps retargets every transfer whose target is itself a jump
+// (rule 3 of plan.go) — resume points included — and then turns every jump
+// to a branch into a copy of that branch (rule 7).
 func (lo *lowerer) threadJumps() {
 	code := lo.u.Code
 	for pc := range code {
 		switch i := &code[pc]; i.Op {
-		case opJump:
+		case opJump, opSuspend:
 			i.A = threaded(code, i.A)
 		case opBranch:
 			i.B, i.C = threaded(code, i.B), threaded(code, i.C)
+		case opBrEq, opBrUlt:
+			i.Dst, i.C = threaded(code, i.Dst), threaded(code, i.C)
+		}
+	}
+	for pc := range code {
+		if i := &code[pc]; i.Op == opJump {
+			switch t := code[i.A]; t.Op {
+			case opBranch, opBrEq, opBrUlt:
+				*i = t
+			}
 		}
 	}
 }
@@ -364,13 +399,8 @@ func (lo *lowerer) edgeEnter(brPC int, f uint8, from, to *ir.Block) {
 	stub := len(lo.u.Code)
 	lo.emitMoves(pairs)
 	jmp := lo.emit(Instr{Op: opJump})
-	lo.jumpTo(jmp, 0, to)
-	switch f {
-	case 1:
-		lo.u.Code[brPC].B = int32(stub)
-	case 2:
-		lo.u.Code[brPC].C = int32(stub)
-	}
+	lo.jumpTo(jmp, fieldA, to)
+	lo.setTarget(brPC, f, int32(stub))
 }
 
 func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
@@ -383,12 +413,12 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 			}
 			lo.emitMoves(pairs)
 			jmp := lo.emit(Instr{Op: opJump})
-			lo.jumpTo(jmp, 0, in.Dests[0])
+			lo.jumpTo(jmp, fieldA, in.Dests[0])
 			return nil
 		}
-		br := lo.emit(Instr{Op: opBranch, A: lo.reg(in.Args[0])})
-		lo.edgeEnter(br, 1, b, in.Dests[0]) // false edge
-		lo.edgeEnter(br, 2, b, in.Dests[1]) // true edge
+		br, onFalse, onTrue := lo.condBranch(in.Args[0])
+		lo.edgeEnter(br, onFalse, b, in.Dests[0])
+		lo.edgeEnter(br, onTrue, b, in.Dests[1])
 		return nil
 
 	case ir.OpWait:
@@ -411,7 +441,7 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 		lo.emit(Instr{Op: opWaitArm, A: wi, B: treg})
 		lo.emitMoves(lo.edgeMoves(b, in.Dests[0]))
 		sus := lo.emit(Instr{Op: opSuspend})
-		lo.jumpTo(sus, 0, in.Dests[0])
+		lo.jumpTo(sus, fieldA, in.Dests[0])
 		return nil
 
 	case ir.OpHalt:
@@ -431,6 +461,51 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 		return nil
 	}
 	return fmt.Errorf("unsupported terminator %s", in.Op)
+}
+
+// fusedBranch is how a branch tests the compare or i1 not in front of it
+// (rule 6 of plan.go): the opcode that does, and whether the compare's
+// operands and the branch's targets trade places.
+type fusedBranch struct {
+	op                  Op
+	swapArgs, swapDests bool
+}
+
+var fusedBranches = [numOps]fusedBranch{
+	opEq:  {opBrEq, false, false},
+	opNeq: {opBrEq, false, true},
+	opUlt: {opBrUlt, false, false},
+	opUgt: {opBrUlt, true, false}, // a > b is b < a
+	opUge: {opBrUlt, false, true}, // a >= b is not a < b
+	opUle: {opBrUlt, true, true},  // a <= b is not b < a
+	opNot: {opBranch, false, true},
+}
+
+// condBranch emits the conditional branch on cond and returns its pc and
+// the fields its false and true targets go in. When cond is a compare or an
+// i1 not whose one use is this branch and whose one Instr is the last of
+// Code, that Instr becomes the branch (rule 6).
+func (lo *lowerer) condBranch(cond ir.Value) (pc int, onFalse, onTrue uint8) {
+	br := Instr{Op: opBranch, A: lo.reg(cond)}
+	onFalse, onTrue = fieldB, fieldC
+	if lo.tail != nil && lo.tail == cond && lo.singleUse(cond) {
+		last := lo.u.Code[len(lo.u.Code)-1]
+		if f := fusedBranches[last.Op]; f.op != opNop && last.Dst == br.A && (last.Op != opNot || last.C == 1) {
+			lo.u.Code = lo.u.Code[:len(lo.u.Code)-1]
+			br.A = last.A
+			if f.op != opBranch { // a compare: both operands, the false target in Dst
+				br = Instr{Op: f.op, A: last.A, B: last.B}
+				if f.swapArgs {
+					br.A, br.B = br.B, br.A
+				}
+				onFalse = fieldDst
+			}
+			if f.swapDests {
+				onFalse, onTrue = onTrue, onFalse
+			}
+		}
+	}
+	return lo.emit(br), onFalse, onTrue
 }
 
 // lowerStep lowers one non-terminator instruction; per-op semantics must
@@ -487,10 +562,16 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		return nil
 
 	case ir.OpVar:
+		if lo.initUnseen(in) {
+			return nil // rule 5: every load sees a store first
+		}
 		lo.emit(Instr{Op: opClone, Dst: lo.reg(in), A: lo.reg(in.Args[0])})
 		return nil
 
 	case ir.OpAlloc:
+		if lo.initUnseen(in) {
+			return nil
+		}
 		pi := int32(len(lo.u.Pool))
 		lo.u.Pool = append(lo.u.Pool, val.Default(in.Ty.Elem))
 		lo.emit(Instr{Op: opCloneP, Dst: lo.reg(in), A: pi})
@@ -647,6 +728,34 @@ func (lo *lowerer) fuseSplice(in *ir.Inst, i Instr) bool {
 	last.Dst = i.Dst
 	lo.tail = in
 	return true
+}
+
+// replicateRuns rewrites every inss.cat that holds a replicate run — pieces
+// of one source and one width at consecutive offsets, what {k{x}} lowers
+// to — as an inss.rep (rule 8), when the run record is no longer than the
+// piece record it overwrites.
+func (lo *lowerer) replicateRuns() {
+	var runs []int32
+	for pc := range lo.u.Code {
+		i := &lo.u.Code[pc]
+		if i.Op != opInsSCat {
+			continue
+		}
+		pieces := lo.u.Aux[i.C+1 : i.C+1+3*i.B]
+		runs = runs[:0]
+		for k := 0; k < len(pieces); k += 3 {
+			src, off, n := pieces[k], pieces[k+1], pieces[k+2]
+			if r := len(runs) - 4; r >= 0 && runs[r] == src && runs[r+2] == n && runs[r+1]+n*runs[r+3] == off {
+				runs[r+3]++
+				continue
+			}
+			runs = append(runs, src, off, n, 1)
+		}
+		if len(runs) <= len(pieces) {
+			copy(pieces, runs)
+			i.Op, i.B = opInsSRep, int32(len(runs)/4)
+		}
+	}
 }
 
 // skipFolded reports whether the instruction's result was already folded

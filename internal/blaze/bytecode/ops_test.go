@@ -52,7 +52,7 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 	noDst := map[Op]bool{
 		opDrv: true, opDrvCond: true, opDel: true, opReg: true,
 		opAssert: true, opDisplay: true, opBadCall: true,
-		opJump: true, opBranch: true, opPhi: true, opWaitArm: true, opSuspend: true,
+		opJump: true, opBranch: true, opBrEq: true, opBrUlt: true, opPhi: true, opWaitArm: true, opSuspend: true,
 		opHalt: true, opRet: true, opRetV: true, opUnreach: true,
 	}
 
@@ -89,6 +89,8 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 		opInsSInt: {{ins: Instr{Op: opInsSInt, A: 1, B: 2, C: 0}, regs: "AB", aux: []int32{2, 3, 8},
 			vals: [4]val.Value{none, i8(0xff), i8(0x2)}}},
 		opInsSCat: {{ins: Instr{Op: opInsSCat, A: 1, B: 2, C: 0}, regs: "A", aux: []int32{8, 2, 0, 2, 3, 5, 3}, auxRegs: []int{1, 4},
+			vals: [4]val.Value{none, i8(0xff), i8(0x1), i8(0x2)}}},
+		opInsSRep: {{ins: Instr{Op: opInsSRep, A: 1, B: 2, C: 0}, regs: "A", aux: []int32{8, 2, 0, 1, 3, 3, 3, 2, 2}, auxRegs: []int{1, 5},
 			vals: [4]val.Value{none, i8(0xff), i8(0x1), i8(0x2)}}},
 		opEvalBin: {
 			{ins: Instr{Op: opEvalBin, A: 1, B: 2, C: int32(ir.OpUdiv)}, regs: "AB", vals: [4]val.Value{none, i8(200), i8(7)}},
@@ -215,5 +217,14 @@ func TestDisasmCoversEveryOp(t *testing.T) {
 	u.Code = []Instr{{Op: opInsSCat, Dst: 9, A: 4, B: 2, C: 0}}
 	if got, want := disasmInstr(u, 0), "  0000  inss.cat r9, r4, w=20, r5@0+1, r6@12+8"; got != want {
 		t.Errorf("inss.cat renders as %q, want %q", got, want)
+	}
+	u.Aux = []int32{32, 5, 0, 1, 20, 6, 20, 12, 1}
+	u.Code = []Instr{{Op: opInsSRep, Dst: 9, A: 4, B: 2, C: 0}}
+	if got, want := disasmInstr(u, 0), "  0000  inss.rep r9, r4, w=32, r5@0+1x20, r6@20+12x1"; got != want {
+		t.Errorf("inss.rep renders as %q, want %q", got, want)
+	}
+	u.Code = []Instr{{Op: opBrUlt, Dst: 7, A: 1, B: 2, C: 3}}
+	if got, want := disasmInstr(u, 0), "  0000  br.ult  r1, r2, @0007, @0003"; got != want {
+		t.Errorf("br.ult renders as %q, want %q", got, want)
 	}
 }

@@ -5,7 +5,7 @@ import "llhd/internal/ir"
 // # The forwarding plan
 //
 // Lowering forwards values instead of transcribing the IR one instruction
-// at a time. Four rewrites, each with the condition that makes it sound;
+// at a time. Eight rewrites, each with the condition that makes it sound;
 // the reference they are diffed against is the interpreter, so there is no
 // way to switch any of them off.
 //
@@ -42,18 +42,51 @@ import "llhd/internal/ir"
 //     become one opInsSCat. The intermediate words have no other reader,
 //     every piece's source is read where the last link stood, and nothing
 //     executes between the links.
+//  5. Initialisation only where a load sees it. A private var or alloc
+//     emits nothing when no load can read the value it starts with
+//     (planInits): on every path from the var instruction to a load of it
+//     there is a store to it. The register then holds whatever it held,
+//     and every load reads a stored value. Loads are all that read a
+//     private var's register, forwarded ones included: they read it in
+//     their window, where nothing writes it.
+//  6. Branches on the compare itself. A conditional br whose condition is
+//     an integer eq, neq, ult, ugt, ule or uge, or an i1 not, becomes one
+//     opBrEq, opBrUlt or opBranch on the compare's operands (swapped, and
+//     the targets swapped, as the table fusedBranches says), iff the
+//     condition's only use is the branch and it lowered to exactly the one
+//     Instr before the branch. Then its register has no reader, and
+//     nothing executes between the compare and the branch, so the operands
+//     hold what the compare would have read (a forwarded load's var is
+//     not stored in between).
+//  7. Jumps that take their target's branch. After threading, a jump whose
+//     target is a branch (plain or fused) becomes a copy of that branch.
+//     Branch targets are absolute and nothing executes in between, so the
+//     copy goes where the jump and the branch would have; it is still a
+//     transfer run counts against maxJumps.
+//  8. Replicate runs in splice chains. Consecutive opInsSCat pieces of one
+//     source and one width at consecutive offsets — what {k{x}} lowers
+//     to — are one run, spliced in one step: the source's low n bits
+//     repeated k times. A chain holding one becomes an opInsSRep, whose
+//     run record overwrites the piece record where it is no longer.
+//     Merging adjacent pieces that do not overlap one another cannot
+//     change what a later piece overwrites.
 //
 // "Register file = value ID" stands: a forwarded load's register, a
-// coalesced value's and a fused link's simply go unwritten, and nothing
-// but reg maps a value to a register.
+// coalesced value's, a fused link's and a fused compare's simply go
+// unwritten, a var without initialisation starts out unwritten, and
+// nothing but reg maps a value to a register.
 //
 // The plan is dense arrays indexed by value ID, filled by the one walk
-// newLowerer makes over the unit: no map, no per-block state. uses is
-// always there (rule 4 needs it); mem is allocated when the walk
-// meets the first memory instruction, so a unit without one pays one
-// counter increment per operand and nothing else.
+// newLowerer makes over the unit: no map. uses is always there (rules 4
+// and 6 need it); mem is allocated when the walk meets the first memory
+// instruction, so a unit without one pays one counter increment per
+// operand and nothing else. Only such a unit records rule 5's events (its
+// vars, and their loads and stores, with their blocks) and runs rule 5's
+// analysis over them, four words per block for every 64 private vars.
+// Rules 7 and 8 rewrite the finished code.
 
-// memPlan is the plan entry of a value that takes part in rules 1 and 2.
+// memPlan is the plan entry of a value that takes part in rules 1, 2
+// and 5.
 type memPlan struct {
 	// addr counts a var/alloc's occurrences as the address of a ld, st or
 	// free: the var is private when these are all its occurrences.
@@ -62,7 +95,10 @@ type memPlan struct {
 	// far for a var/alloc, of the load itself for a ld.
 	at int32
 	// ld of a var/alloc only: that var's register + 1, and how many of the
-	// load's occurrences fell inside its forwarding window.
+	// load's occurrences fell inside its forwarding window. A var or alloc
+	// has no fwd; rule 5 keeps its bit + 1 in win, and leaves win > 0 when
+	// no load sees its initial value. A terminator has neither; rule 5
+	// keeps its block's index in win.
 	fwd int32
 	win int32
 }
@@ -73,10 +109,12 @@ func (lo *lowerer) tick() int32 {
 	return lo.pos
 }
 
-// memOf returns the memory plan, allocating it on first use.
+// memOf returns the memory plan, allocating it on first use, along with
+// room for rule 5's events at a guess of two per block.
 func (lo *lowerer) memOf() []memPlan {
 	if lo.mem == nil {
 		lo.mem = make([]memPlan, lo.num.Len())
+		lo.inits = make([]initEvent, 0, 2*len(lo.unit.Blocks))
 	}
 	return lo.mem
 }
@@ -88,15 +126,20 @@ func (lo *lowerer) plan(in *ir.Inst, blockStart int32) {
 	args, addr := in.Args, -1
 	switch in.Op {
 	case ir.OpVar, ir.OpAlloc:
-		lo.memOf()[ir.ValueID(in)].at = lo.tick()
+		id := ir.ValueID(in)
+		lo.memOf()[id].at = lo.tick()
+		lo.inits = append(lo.inits, initEvent{int32(id), lo.block, in.Op})
 	case ir.OpLd, ir.OpSt, ir.OpFree:
 		mem := lo.memOf()
 		args = args[1:]
 		if addr = ir.ValueID(in.Args[0]); addr >= 0 {
 			lo.uses[addr]++
 			mem[addr].addr++
-			if v, ok := in.Args[0].(*ir.Inst); ok && in.Op == ir.OpLd && (v.Op == ir.OpVar || v.Op == ir.OpAlloc) {
-				mem[ir.ValueID(in)] = memPlan{at: lo.tick(), fwd: int32(addr) + 1}
+			if v, ok := in.Args[0].(*ir.Inst); ok && in.Op != ir.OpFree && (v.Op == ir.OpVar || v.Op == ir.OpAlloc) {
+				lo.inits = append(lo.inits, initEvent{int32(addr), lo.block, in.Op})
+				if in.Op == ir.OpLd {
+					mem[ir.ValueID(in)] = memPlan{at: lo.tick(), fwd: int32(addr) + 1}
+				}
 			}
 		}
 	}
@@ -170,4 +213,106 @@ func (lo *lowerer) forwardedTo(id int) int32 {
 		return l.fwd - 1
 	}
 	return -1
+}
+
+// initEvent is what rule 5 looks at of an instruction the walk met: a var
+// or alloc (v is its value ID), or a ld or st of one (v is the var's), and
+// the block it stands in.
+type initEvent struct {
+	v, block int32
+	op       ir.Opcode
+}
+
+// planInits finds the private vars and allocs whose initial value no
+// load can see (rule 5), from the events the walk recorded, and leaves
+// their win > 0. It is a forward may-analysis over the blocks: a var is
+// fresh from its own instruction up to a store to it, and fresh at the
+// head of a block when it is fresh at the end of some predecessor. A load
+// of a fresh var sees the initial value. Nothing is fresh at the unit's
+// entry: a var dominates its loads. One machine word carries 64 vars
+// through the blocks, so the analysis runs once per 64 vars.
+func (lo *lowerer) planInits() {
+	mem, blocks := lo.mem, lo.unit.Blocks
+	nvars := 0
+	for _, ev := range lo.inits {
+		if (ev.op == ir.OpVar || ev.op == ir.OpAlloc) && lo.addressedOnly(ev.v) {
+			nvars++
+			mem[ev.v].win = int32(nvars)
+		}
+	}
+	if nvars == 0 {
+		return
+	}
+	for k, b := range blocks {
+		t := b.Terminator()
+		if t == nil {
+			// Not a successor anyone can name: every var keeps its
+			// initialisation.
+			for _, ev := range lo.inits {
+				mem[ev.v].win = 0
+			}
+			return
+		}
+		mem[ir.ValueID(t)].win = int32(k)
+	}
+	// Per block: fresh at the head; fresh at the end of the block's own
+	// instructions (gen); written by them (kill); loaded by them before any
+	// write (exposed). Then the vars a load sees the initial value of.
+	nb := len(blocks)
+	sets := make([]uint64, 4*nb+(nvars+63)/64)
+	head, gen, kill, exposed := sets[:nb], sets[nb:2*nb], sets[2*nb:3*nb], sets[3*nb:4*nb]
+	seen := sets[4*nb:]
+	for word := range seen {
+		clear(sets[:4*nb])
+		for _, ev := range lo.inits {
+			v := mem[ev.v].win - 1 - int32(64*word)
+			if v < 0 || v >= 64 {
+				continue
+			}
+			k, m := ev.block, uint64(1)<<v
+			switch ev.op {
+			case ir.OpLd:
+				if gen[k]&m != 0 {
+					seen[word] |= m
+				} else if kill[k]&m == 0 {
+					exposed[k] |= m
+				}
+			case ir.OpSt:
+				gen[k] &^= m
+				kill[k] |= m
+			default:
+				gen[k] |= m
+				kill[k] |= m
+			}
+		}
+		for changed := true; changed; {
+			changed = false
+			for k, b := range blocks {
+				out := gen[k] | head[k]&^kill[k]
+				for _, s := range b.Succs() {
+					if s.Unit() != lo.unit {
+						continue // lowerBlocks rejects the branch
+					}
+					if next := &head[mem[ir.ValueID(s.Terminator())].win]; out&^*next != 0 {
+						*next |= out
+						changed = true
+					}
+				}
+			}
+		}
+		for k := range blocks {
+			seen[word] |= head[k] & exposed[k]
+		}
+	}
+	for _, ev := range lo.inits {
+		if v := mem[ev.v].win - 1; v >= 0 && (ev.op == ir.OpVar || ev.op == ir.OpAlloc) && seen[v/64]&(1<<(v%64)) != 0 {
+			mem[ev.v].win = 0
+		}
+	}
+}
+
+// initUnseen reports whether no load sees the initial value of the var or
+// alloc in (rule 5): it need not be written.
+func (lo *lowerer) initUnseen(in *ir.Inst) bool {
+	return lo.mem != nil && lo.mem[ir.ValueID(in)].win > 0
 }

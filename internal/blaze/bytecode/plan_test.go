@@ -93,6 +93,11 @@ func TestRewritesHoldBack(t *testing.T) {
 		{"blaze_splice_across_join.llhd", opInsSInt, 3, "%lo, %w and %wk: the chain crosses a block boundary, then a forwarded ld"},
 		{"blaze_br_next_with_phi.llhd", opJump, 2, "entry -> head carries phi moves (the other is body -> head)"},
 		{"blaze_jump_cycles.llhd", opJump, 2, "%spin and %pong -> %ping, each a jump to itself"},
+		{"blaze_init_seen_on_one_path.llhd", opClone, 1, "%slot: the skipping arm reaches the load without a store"},
+		{"blaze_init_seen_on_loop_entry.llhd", opClone, 1, "%acc: the entry edge reaches the loop head's load without a store"},
+		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters"},
+		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch"},
+		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run"},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -131,5 +136,34 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 	}
 	if self != 2 {
 		t.Errorf("%d jumps target themselves, want 2 (%%spin, and %%ping/%%pong folded into one)\n%s", self, Disasm(u))
+	}
+}
+
+// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-8: the
+// corpus entry branch_on_compare.llhd, built so that each rule may fire,
+// lowers with every compare and the i1 not inside its branch, no jump
+// left that lands on a branch, the one var whose initial value is read
+// initialised and the other not, and its replicate chain as one inss.rep.
+func TestRewritesFire(t *testing.T) {
+	u := lowerDesign(t, "branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))["p"]
+	for _, c := range []struct {
+		op   Op
+		want int
+	}{
+		{opEq, 0}, {opNeq, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
+		{opBrEq, 3}, {opBrUlt, 5}, {opBranch, 1},
+		{opClone, 1}, {opInsSRep, 1}, {opInsSCat, 0}, {opInsSInt, 0},
+	} {
+		if got := countOps(u, c.op); got != c.want {
+			t.Errorf("@p holds %d %s, want %d", got, c.op, c.want)
+		}
+	}
+	for pc, i := range u.Code {
+		if i.Op == opJump {
+			t.Errorf("pc %d: a jump is left, to %s", pc, u.Code[i.A].Op)
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + Disasm(u))
 	}
 }
