@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-frontend bench-observe
+.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-frontend bench-observe bench-interp
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -146,3 +146,12 @@ bench-frontend:
 # this.
 bench-observe:
 	$(GO) test -bench 'BenchmarkVCDChange|BenchmarkStreamDelta' -benchmem -run xxx ./internal/vcd ./internal/simserver
+
+# bench-interp times the reference interpreter per Table 2 design: one
+# session elaborated and run to the end per op (ns/op and allocs/op, the
+# design compiled once outside the timer). It is the builder's inner loop
+# for the interpreter and engine.EvalPure, the one evaluator of pure
+# instructions; a claim rests on interp_cycles_per_s of `make bench`, not
+# on this. It runs on one P, as `make bench` does.
+bench-interp:
+	$(GO) test -bench BenchmarkInterp -benchmem -cpu 1 -run xxx .

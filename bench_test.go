@@ -178,6 +178,33 @@ func BenchmarkBlazeCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkInterp measures the reference interpreter per Table 2 design:
+// one session elaborated and run to the end per op (ns/op and allocs/op),
+// the design compiled once outside the timer (every session shares the
+// frozen module). It is the inner-loop view of interp_cycles_per_s of
+// `go run ./benchmark`, which stays the record.
+func BenchmarkInterp(b *testing.B) {
+	for _, d := range designs.All() {
+		m, err := moore.Compile(d.Name, d.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		top := d.Top
+		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := llhd.NewSession(llhd.FromModule(m), llhd.Top(top), llhd.Backend(llhd.Interp))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestFarmBenchSmoke runs the farm throughput measurement once at -j 1
 // and -j 2 and checks that every session completed cleanly.
 func TestFarmBenchSmoke(t *testing.T) {

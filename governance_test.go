@@ -141,6 +141,58 @@ func @spin () void {
 	}
 }
 
+// TestRunawaySystemVerilogIsStepLimit pins the same classification for
+// SystemVerilog input, where SVSim runs the source itself: a function
+// that calls itself without a base case is a step-limit failure on all
+// three engines (SVSim bounds its call chain by engine.MaxCallDepth, as
+// the interpreter does), and so is a loop in an initial block that never
+// ends, which SVSim stops at its iteration budget.
+func TestRunawaySystemVerilogIsStepLimit(t *testing.T) {
+	cases := []struct {
+		name, src string
+		kinds     []llhd.EngineKind
+		slow      bool // spins SVSim's full loop budget
+	}{
+		{"recursion", `
+module runaway_tb;
+  bit [31:0] r;
+  function bit [31:0] f(bit [31:0] n);
+    f = f(n + 1);
+  endfunction
+  initial begin
+    r = f(0);
+  end
+endmodule
+`, []llhd.EngineKind{llhd.Interp, llhd.Blaze, llhd.SVSim}, false},
+		{"loop", `
+module runaway_tb;
+  bit [31:0] r;
+  initial begin
+    r = 0;
+    while (1) r = r + 1;
+  end
+endmodule
+`, []llhd.EngineKind{llhd.SVSim}, true},
+	}
+	for _, c := range cases {
+		for _, kind := range c.kinds {
+			t.Run(c.name+"/"+kind.String(), func(t *testing.T) {
+				if c.slow && testing.Short() {
+					t.Skip("spins SVSim's full loop budget")
+				}
+				s, err := llhd.NewSession(llhd.FromSystemVerilog(c.src), llhd.Top("runaway_tb"), llhd.Backend(kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = s.Run()
+				if got := llhd.ErrorClass(err); got != "step-limit" {
+					t.Fatalf("class = %q (err = %v), want step-limit", got, err)
+				}
+			})
+		}
+	}
+}
+
 // TestJumpOnlyCycleIsStepLimit pins what is left of a process that does
 // nothing but jump, in one block or in two: blaze's lowering drops the
 // fall-through br and threads the rest (bytecode/plan.go, rule 3), and the

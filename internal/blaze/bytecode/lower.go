@@ -170,20 +170,12 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		blockStart := lo.tick()
 		lo.block = int32(k)
 		for _, in := range b.Insts {
-			var cv val.Value
-			switch in.Op {
-			case ir.OpConstInt:
-				cv = val.Int(widthOf(in.Ty), in.IVal)
-			case ir.OpConstTime:
-				cv = val.TimeVal(in.TVal)
-			case ir.OpConstLogic:
-				cv = val.LogicVal(in.LVal)
-			default:
+			if !in.Op.IsConst() {
 				lo.plan(in, blockStart)
 				continue
 			}
+			_ = engine.EvalPure(in, u.ConstRegs) // a constant cannot fail
 			id := ir.ValueID(in)
-			u.ConstRegs[id] = cv
 			if !lo.constKnown[id] {
 				lo.constKnown[id] = true
 				u.ConstIDs = append(u.ConstIDs, int32(id))

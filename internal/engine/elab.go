@@ -68,14 +68,6 @@ func (inst *Instance) BindOf(v ir.Value) (SigRef, bool) {
 	return SigRef{}, false
 }
 
-// SetConst records the elaboration-time value of v.
-func (inst *Instance) SetConst(v ir.Value, c val.Value) {
-	if id := ir.ValueID(v); id >= 0 && id < len(inst.consts) {
-		inst.consts[id] = c
-		inst.isConst[id] = true
-	}
-}
-
 // ConstOf resolves v to its elaboration-time constant value.
 func (inst *Instance) ConstOf(v ir.Value) (val.Value, bool) {
 	if id := ir.ValueID(v); id >= 0 && id < len(inst.consts) && inst.isConst[id] {
@@ -261,127 +253,189 @@ func (el *elaborator) entity(inst *Instance) error {
 }
 
 // tryConst evaluates a pure instruction whose operands are all known
-// constants, recording the result in the instance's constant table.
+// constants into the instance's constant table. A failed evaluation leaves
+// the table as it was.
 func (el *elaborator) tryConst(inst *Instance, in *ir.Inst) bool {
-	v, err := EvalPure(in, inst.ConstOf)
-	if err != nil {
+	for _, a := range in.Args {
+		if _, ok := inst.ConstOf(a); !ok {
+			return false
+		}
+	}
+	if EvalPure(in, inst.consts) != nil {
 		return false
 	}
-	inst.SetConst(in, v)
+	inst.isConst[ir.ValueID(in)] = true
 	return true
 }
 
-// EvalPure evaluates a constant or pure data-flow instruction given a
-// lookup for its operand values. It reports an error if the instruction is
-// not pure or an operand is unavailable.
-func EvalPure(in *ir.Inst, lookup func(ir.Value) (val.Value, bool)) (val.Value, error) {
-	get := func(x ir.Value) (val.Value, error) {
-		v, ok := lookup(x)
-		if !ok {
-			return val.Value{}, fmt.Errorf("engine: operand %s unavailable", x)
-		}
-		return v, nil
-	}
-	switch in.Op {
+// EvalPure evaluates a constant or pure data-flow instruction on a register
+// file indexed by value ID (the unit's ir.Numbering): it reads its operands
+// at regs[ir.ValueID(arg)] and writes its result at regs[ir.ValueID(in)].
+// It is the one evaluator of pure instructions outside blaze's dispatch
+// loop: the interpreter runs it on its frame, the elaborator on an
+// instance's constant table, blaze's lowering on its constant registers,
+// constant-fold and the oracle on tables of their own. The caller makes
+// sure every operand register holds its value.
+//
+// Two-state integer results are written in place — Kind, Width and Bits,
+// nothing else — under val.Value's Kind-first rule; every other result
+// replaces the register. It reports an error if the instruction is not
+// pure or its operands are out of its domain (division by zero, an index
+// out of range), and then leaves the destination register as it was.
+func EvalPure(in *ir.Inst, regs []val.Value) error {
+	dst := &regs[ir.ValueID(in)]
+	arg := func(i int) *val.Value { return &regs[ir.ValueID(in.Args[i])] }
+	var v val.Value
+	var err error
+	switch op := in.Op; op {
 	case ir.OpConstInt:
-		return val.Int(widthOf(in.Ty), in.IVal), nil
+		setInt(dst, widthOf(in.Ty), in.IVal)
+		return nil
 	case ir.OpConstTime:
-		return val.TimeVal(in.TVal), nil
+		v = val.TimeVal(in.TVal)
 	case ir.OpConstLogic:
-		return val.LogicVal(in.LVal), nil
+		v = val.LogicVal(in.LVal)
 	case ir.OpArray, ir.OpStruct:
 		elems := make([]val.Value, len(in.Args))
-		for i, a := range in.Args {
-			v, err := get(a)
-			if err != nil {
-				return val.Value{}, err
-			}
-			elems[i] = v
+		for i := range elems {
+			elems[i] = *arg(i)
 		}
-		return val.Agg(elems), nil
+		v = val.Agg(elems)
 	case ir.OpNot, ir.OpNeg:
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
+		a := arg(0)
+		if a.Kind == val.KindInt {
+			bits := -a.Bits
+			if op == ir.OpNot {
+				bits = ^a.Bits
+			}
+			setInt(dst, int(a.Width), bits)
+			return nil
 		}
-		return val.Unary(in.Op, in.Ty, a)
+		v, err = val.Unary(op, in.Ty, *a)
 	case ir.OpMux:
-		arr, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
-		}
-		sel, err := get(in.Args[1])
-		if err != nil {
-			return val.Value{}, err
-		}
-		return val.Mux(arr, sel)
+		v, err = val.Mux(*arg(0), *arg(1))
 	case ir.OpInsF:
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
-		}
-		v, err := get(in.Args[1])
-		if err != nil {
-			return val.Value{}, err
-		}
 		if len(in.Args) == 3 {
-			iv, err := get(in.Args[2])
-			if err != nil {
-				return val.Value{}, err
-			}
-			return val.InsFDyn(a, v, iv.Bits)
+			v, err = val.InsFDyn(*arg(0), *arg(1), arg(2).Bits)
+		} else {
+			v, err = val.InsF(*arg(0), *arg(1), in.Imm0)
 		}
-		return val.InsF(a, v, in.Imm0)
 	case ir.OpInsS:
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
+		a, off, n := arg(0), in.Imm0, in.Imm1
+		if a.Kind == val.KindInt && off >= 0 && off+n <= int(a.Width) {
+			setInt(dst, int(a.Width), val.InsBits(a.Bits, arg(1).Bits, off, n))
+			return nil
 		}
-		v, err := get(in.Args[1])
-		if err != nil {
-			return val.Value{}, err
-		}
-		return val.InsS(a, v, in.Imm0, in.Imm1)
+		v, err = val.InsS(*a, *arg(1), off, n)
 	case ir.OpExtF:
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
-		}
 		if len(in.Args) == 2 {
-			iv, err := get(in.Args[1])
-			if err != nil {
-				return val.Value{}, err
-			}
-			return val.ExtFDyn(a, iv.Bits)
+			v, err = val.ExtFDyn(*arg(0), arg(1).Bits)
+		} else {
+			v, err = val.ExtF(*arg(0), in.Imm0)
 		}
-		return val.ExtF(a, in.Imm0)
 	case ir.OpExtS:
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
+		a, off, n := arg(0), in.Imm0, in.Imm1
+		if a.Kind == val.KindInt && off >= 0 && off+n <= int(a.Width) {
+			setInt(dst, n, a.Bits>>uint(off))
+			return nil
 		}
-		return val.ExtS(a, in.Imm0, in.Imm1)
+		v, err = val.ExtS(*a, off, n)
+	default:
+		if !op.IsBinary() && !op.IsCompare() {
+			return fmt.Errorf("engine: %s is not elaboration-time evaluable", op)
+		}
+		a, b := arg(0), arg(1)
+		if a.Kind == val.KindInt && b.Kind == val.KindInt && intBinary(dst, op, a, b) {
+			return nil
+		}
+		v, err = val.Binary(op, *a, *b)
 	}
-	if in.Op.IsBinary() || in.Op.IsCompare() {
-		a, err := get(in.Args[0])
-		if err != nil {
-			return val.Value{}, err
-		}
-		b, err := get(in.Args[1])
-		if err != nil {
-			return val.Value{}, err
-		}
-		return val.Binary(in.Op, a, b)
+	if err != nil {
+		return err
 	}
-	return val.Value{}, fmt.Errorf("engine: %s is not elaboration-time evaluable", in.Op)
+	*dst = v
+	return nil
 }
 
+// intBinary writes the two-state integer binary op or comparison of a and
+// b to dst in place. It reports false for division and modulo, which
+// val.Binary evaluates because they can fail.
+func intBinary(dst *val.Value, op ir.Opcode, a, b *val.Value) bool {
+	x, y, w := a.Bits, b.Bits, int(a.Width)
+	var r uint64
+	switch op {
+	case ir.OpAnd:
+		r = x & y
+	case ir.OpOr:
+		r = x | y
+	case ir.OpXor:
+		r = x ^ y
+	case ir.OpAdd:
+		r = x + y
+	case ir.OpSub:
+		r = x - y
+	case ir.OpMul:
+		r = x * y
+	case ir.OpShl:
+		r = val.Shl(x, y)
+	case ir.OpShr:
+		r = val.Shr(x, y)
+	case ir.OpAshr:
+		r = val.Ashr(x, y, w)
+	case ir.OpEq:
+		r, w = truth(a.Width == b.Width && x == y), 1
+	case ir.OpNeq:
+		r, w = truth(a.Width != b.Width || x != y), 1
+	case ir.OpUlt:
+		r, w = truth(x < y), 1
+	case ir.OpUgt:
+		r, w = truth(x > y), 1
+	case ir.OpUle:
+		r, w = truth(x <= y), 1
+	case ir.OpUge:
+		r, w = truth(x >= y), 1
+	case ir.OpSlt:
+		r, w = truth(val.Slt(x, y, w)), 1
+	case ir.OpSgt:
+		r, w = truth(val.Sgt(x, y, w)), 1
+	case ir.OpSle:
+		r, w = truth(val.Sle(x, y, w)), 1
+	case ir.OpSge:
+		r, w = truth(val.Sge(x, y, w)), 1
+	default:
+		return false
+	}
+	setInt(dst, w, r)
+	return true
+}
+
+// truth is an i1's bits.
+func truth(c bool) uint64 {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// setInt overwrites *p with a width-w integer in place: Kind, Width and the
+// masked Bits. A payload pointer left behind is inert (the Kind-first
+// rule), and rewriting the three words beats copying a value struct on the
+// interpreter's hot rows.
+func setInt(p *val.Value, w int, bits uint64) {
+	p.Kind = val.KindInt
+	p.Width = int32(w)
+	p.Bits = ir.MaskWidth(bits, w)
+}
+
+// widthOf is the width of an integer constant of type ty: an enum's is its
+// bit width, and a malformed type's is 1. The integer case stays small
+// enough to inline.
 func widthOf(ty *ir.Type) int {
-	if ty.IsInt() || ty.IsEnum() {
-		if ty.IsEnum() {
-			return ty.BitWidth()
-		}
+	switch ty.Kind {
+	case ir.IntKind:
 		return ty.Width
+	case ir.EnumKind:
+		return ty.BitWidth()
 	}
 	return 1
 }

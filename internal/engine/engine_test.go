@@ -3,7 +3,9 @@ package engine
 import (
 	"testing"
 
+	"llhd/internal/assembly"
 	"llhd/internal/ir"
+	"llhd/internal/logic"
 	"llhd/internal/val"
 )
 
@@ -165,11 +167,103 @@ func TestRunRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestEvalPureUnavailableOperand(t *testing.T) {
-	in := &ir.Inst{Op: ir.OpAdd, Ty: ir.IntType(8),
-		Args: []ir.Value{&ir.Inst{Op: ir.OpConstInt, Ty: ir.IntType(8)}, &ir.Inst{Op: ir.OpConstInt, Ty: ir.IntType(8)}}}
-	_, err := EvalPure(in, func(ir.Value) (val.Value, bool) { return val.Value{}, false })
-	if err == nil {
-		t.Error("missing operands not reported")
+// pureSrc holds the instructions the EvalPure tests evaluate, over the
+// inputs %a = 200 and %b = 0 of evalRegs.
+const pureSrc = `
+func @f (i8 %a, i8 %b) i8 {
+ entry:
+  %k = const i8 9
+  %add = add i8 %a, %a
+  %lt = ult i8 %b, %a
+  %ext = exts i4 %a, 4, 4
+  %ins = inss i8 %a, %ext, 0, 4
+  %not = not i8 %a
+  %div = udiv i8 %a, %b
+  %arr = [i8 %a, %b]
+  %bad = extf i8 %arr, 2
+  ret i8 %add
+}
+`
+
+// evalRegs parses pureSrc and returns its instructions by name and a
+// register file over the unit's numbering holding the inputs.
+func evalRegs(t *testing.T) (map[string]*ir.Inst, []val.Value) {
+	t.Helper()
+	u := assembly.MustParse("m", pureSrc).Unit("f")
+	regs := make([]val.Value, u.Numbering().Len())
+	regs[ir.ValueID(u.Inputs[0])] = val.Int(8, 200)
+	regs[ir.ValueID(u.Inputs[1])] = val.Int(8, 0)
+	insts := map[string]*ir.Inst{}
+	u.ForEachInst(func(_ *ir.Block, in *ir.Inst) { insts[in.ValueName()] = in })
+	return insts, regs
+}
+
+// TestEvalPureIntegerOverOtherKinds pins the Kind-first rule on the
+// in-place writes: an integer result written over a register that held a
+// logic vector, an aggregate or a time reads back as that integer through
+// Eq, Append and an aggregate's Elem.
+func TestEvalPureIntegerOverOtherKinds(t *testing.T) {
+	insts, regs := evalRegs(t)
+	lv, err := logic.ParseVector("01XZ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	olds := map[string]val.Value{
+		"logic":     val.LogicVal(lv),
+		"aggregate": val.Agg([]val.Value{val.Int(16, 1), val.LogicVal(lv)}),
+		"time":      val.TimeVal(ir.Nanoseconds(3)),
+	}
+	// In program order: %ins reads %ext, which each round overwrites
+	// before it evaluates it again.
+	wants := []struct {
+		name string
+		want val.Value
+	}{
+		{"k", val.Int(8, 9)}, {"add", val.Int(8, 144)}, {"lt", val.Int(1, 1)},
+		{"ext", val.Int(4, 12)}, {"ins", val.Int(8, 204)}, {"not", val.Int(8, 55)},
+	}
+	for kind, old := range olds {
+		for _, w := range wants {
+			name, want := w.name, w.want
+			in := insts[name]
+			dst := &regs[ir.ValueID(in)]
+			*dst = old
+			if err := EvalPure(in, regs); err != nil {
+				t.Fatalf("%s over %s: %v", name, kind, err)
+			}
+			got := *dst
+			if !got.Eq(want) || !want.Eq(got) {
+				t.Errorf("%s over %s = %+v, want %v", name, kind, got, want)
+			}
+			if s := string(got.Append(nil)); s != want.String() {
+				t.Errorf("%s over %s appends %q, want %q", name, kind, s, want.String())
+			}
+			// Held next to a logic element the aggregate keeps the value
+			// as it is, stale payload pointer and all.
+			if e := val.Agg([]val.Value{got, val.LogicVal(lv)}).Elem(0); !e.Eq(want) {
+				t.Errorf("%s over %s reads back from an aggregate as %+v, want %v", name, kind, e, want)
+			}
+		}
+	}
+}
+
+// TestEvalPureErrorKeepsDestination pins that a failed evaluation leaves
+// its destination register as it was: the elaborator's constant table
+// relies on it.
+func TestEvalPureErrorKeepsDestination(t *testing.T) {
+	insts, regs := evalRegs(t)
+	if err := EvalPure(insts["arr"], regs); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"div", "bad"} {
+		in := insts[name]
+		old := val.TimeVal(ir.Nanoseconds(5))
+		regs[ir.ValueID(in)] = old
+		if err := EvalPure(in, regs); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if got := regs[ir.ValueID(in)]; !got.Eq(old) {
+			t.Errorf("%s: destination = %v after the error, want %v", name, got, old)
+		}
 	}
 }

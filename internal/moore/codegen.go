@@ -219,12 +219,20 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 		}
 	}
 
-	// Functions.
+	// Functions: every signature first, in declaration order, so that a
+	// body may call a function declared after it, or itself.
 	for _, item := range m.Items {
 		if fn, ok := item.(*FuncDecl); ok {
 			fname := uname + "_" + fn.Name
 			sc.funcs[fn.Name] = fname
-			if err := c.genFunction(fn, fname, sc); err != nil {
+			if err := c.declareFunction(fn, fname, sc); err != nil {
+				return "", err
+			}
+		}
+	}
+	for _, item := range m.Items {
+		if fn, ok := item.(*FuncDecl); ok {
+			if err := c.genFunction(fn, c.out.Unit(sc.funcs[fn.Name]), sc); err != nil {
 				return "", err
 			}
 		}

@@ -486,9 +486,6 @@ func (g *procGen) call(x *CallExpr, stmtPos bool) (cv, error) {
 		return cv{}, g.errf("unknown function %q", x.Name)
 	}
 	fn := g.c.out.Unit(fname)
-	if fn == nil {
-		return cv{}, g.errf("function %q not yet compiled", x.Name)
-	}
 	if len(x.Args) != len(fn.Inputs) {
 		return cv{}, g.errf("%s called with %d args, want %d", x.Name, len(x.Args), len(fn.Inputs))
 	}
@@ -534,9 +531,29 @@ func (g *procGen) incdec(x *IncDec) (cv, error) {
 	return cv{v: next, width: lv.width, signed: lv.signed}, nil
 }
 
-// genFunction compiles a function declaration into an IR func unit.
-func (c *compiler) genFunction(fn *FuncDecl, fname string, sc *scope) error {
+// declareFunction adds the IR func unit of a function declaration to the
+// module: its signature, inputs and return type, without a body.
+func (c *compiler) declareFunction(fn *FuncDecl, fname string, sc *scope) error {
 	u := ir.NewUnit(ir.UnitFunc, fname)
+	if fn.Ret != nil {
+		w, err := c.typeWidth(fn.Ret, sc)
+		if err != nil {
+			return err
+		}
+		u.RetType = ir.IntType(w)
+	}
+	for _, a := range fn.Args {
+		w, err := c.typeWidth(a.Type, sc)
+		if err != nil {
+			return err
+		}
+		u.AddInput(a.Name, ir.IntType(w))
+	}
+	return c.out.Add(u)
+}
+
+// genFunction compiles the body of a function declaration into its unit.
+func (c *compiler) genFunction(fn *FuncDecl, u *ir.Unit, sc *scope) error {
 	g := &procGen{
 		c: c, sc: sc, unit: u,
 		args:     map[string]*ir.Arg{},
@@ -547,23 +564,8 @@ func (c *compiler) genFunction(fn *FuncDecl, fname string, sc *scope) error {
 		inFunc:   true,
 	}
 	retW := 0
-	if fn.Ret != nil {
-		w, err := c.typeWidth(fn.Ret, sc)
-		if err != nil {
-			return err
-		}
-		retW = w
-		u.RetType = ir.IntType(w)
-	}
-	for _, a := range fn.Args {
-		w, err := c.typeWidth(a.Type, sc)
-		if err != nil {
-			return err
-		}
-		arg := u.AddInput(a.Name, ir.IntType(w))
-		// Arguments read as locals (by value): wrap in a var so the body
-		// may reassign them.
-		_ = arg
+	if u.RetType.IsInt() {
+		retW = u.RetType.Width
 	}
 	g.b = ir.NewBuilder(u)
 	g.entry = u.AddBlock("entry")
@@ -604,5 +606,5 @@ func (c *compiler) genFunction(fn *FuncDecl, fname string, sc *scope) error {
 	} else {
 		g.b.Ret(nil)
 	}
-	return c.out.Add(u)
+	return nil
 }

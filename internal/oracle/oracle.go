@@ -11,6 +11,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -154,23 +155,18 @@ func topSigInits(m *ir.Module, topName string) map[string]string {
 	if u == nil || u.Kind != ir.UnitEntity {
 		return nil
 	}
-	known := map[ir.Value]val.Value{}
+	num := u.Numbering()
+	vals, known := make([]val.Value, num.Len()), make([]bool, num.Len())
+	unknown := func(v ir.Value) bool { id := num.ID(v); return id < 0 || !known[id] }
 	inits := map[string]string{}
 	for _, in := range u.Body().Insts {
-		if in.Op == ir.OpSig {
-			if v, ok := known[in.Args[0]]; ok && in.ValueName() != "" {
-				inits[topName+"."+in.ValueName()] = v.String()
+		switch {
+		case in.Op == ir.OpSig:
+			if !unknown(in.Args[0]) && in.ValueName() != "" {
+				inits[topName+"."+in.ValueName()] = vals[ir.ValueID(in.Args[0])].String()
 			}
-			continue
-		}
-		if in.Op.IsPure() {
-			v, err := engine.EvalPure(in, func(x ir.Value) (val.Value, bool) {
-				k, ok := known[x]
-				return k, ok
-			})
-			if err == nil {
-				known[in] = v
-			}
+		case in.Op.IsPure() && !slices.ContainsFunc(in.Args, unknown) && engine.EvalPure(in, vals) == nil:
+			known[ir.ValueID(in)] = true
 		}
 	}
 	return inits

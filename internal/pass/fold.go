@@ -16,8 +16,9 @@ func ConstantFold() Pass {
 
 func foldUnit(u *ir.Unit) (bool, error) {
 	changed := false
-	// Known constant values per defining instruction.
-	known := map[ir.Value]val.Value{}
+	// Known constant values, a register file over the unit's numbering.
+	num := u.Numbering()
+	vals, known := make([]val.Value, num.Len()), make([]bool, num.Len())
 	// Outer loop: folding a branch prunes phi edges, and a single-entry phi
 	// collapses to its (possibly constant) operand — which can make further
 	// pure instructions foldable. Re-run the fold fixpoint until the branch
@@ -27,41 +28,22 @@ func foldUnit(u *ir.Unit) (bool, error) {
 		for {
 			roundChanged := false
 			u.ForEachInst(func(_ *ir.Block, in *ir.Inst) {
-				if _, have := known[in]; have {
+				id := ir.ValueID(in)
+				if known[id] || !in.Op.IsPure() {
 					return
 				}
-				switch in.Op {
-				case ir.OpConstInt:
-					known[in] = val.Int(in.Ty.BitWidth(), in.IVal)
-					return
-				case ir.OpConstTime:
-					known[in] = val.TimeVal(in.TVal)
-					return
-				case ir.OpConstLogic:
-					known[in] = val.LogicVal(in.LVal)
-					return
-				}
-				if !in.Op.IsPure() {
-					return
-				}
-				// EvalPure reads every Args entry of an op it can evaluate,
-				// so an unknown operand means an error nobody reads; the
-				// check here spares formatting it.
 				for _, a := range in.Args {
-					if _, ok := known[a]; !ok {
+					if k := num.ID(a); k < 0 || !known[k] {
 						return
 					}
 				}
-				v, err := engine.EvalPure(in, func(x ir.Value) (val.Value, bool) {
-					k, ok := known[x]
-					return k, ok
-				})
-				if err != nil {
+				if engine.EvalPure(in, vals) != nil {
 					return
 				}
 				// Rewrite the instruction in place into a constant.
-				switch v.Kind {
-				case val.KindInt:
+				switch v := vals[id]; {
+				case in.Op.IsConst():
+				case v.Kind == val.KindInt:
 					if !in.Ty.IsInt() && !in.Ty.IsEnum() {
 						return
 					}
@@ -69,20 +51,17 @@ func foldUnit(u *ir.Unit) (bool, error) {
 					in.IVal = v.Bits
 					in.Args = nil
 					in.Dests = nil
-					known[in] = v
 					roundChanged = true
-				case val.KindTime:
+				case v.Kind == val.KindTime:
 					in.Op = ir.OpConstTime
 					in.TVal = v.Time()
 					in.Args = nil
 					in.Dests = nil
-					known[in] = v
 					roundChanged = true
-				default:
-					// Aggregates stay as literal instructions, but record the
-					// value so consumers (mux, extf) can fold through them.
-					known[in] = v
 				}
+				// Aggregates stay literal instructions, but their value is
+				// recorded so consumers (mux, extf) can fold through them.
+				known[id] = true
 			})
 			if !roundChanged {
 				break
@@ -114,6 +93,11 @@ func foldUnit(u *ir.Unit) (bool, error) {
 			break
 		}
 		pruneDeadPhiEdges(u)
+		// Removed blocks shift the numbering: start the tables over.
+		if n := u.Numbering(); n != num {
+			num = n
+			vals, known = make([]val.Value, num.Len()), make([]bool, num.Len())
+		}
 	}
 	return changed, nil
 }

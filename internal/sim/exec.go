@@ -71,6 +71,11 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 		case ir.OpPhi:
 			continue // assigned by jump
 
+		case ir.OpConstInt, ir.OpConstTime, ir.OpConstLogic:
+			if f.live(ir.ValueID(in)) {
+				continue // a constant holds until the frame is reset
+			}
+
 		case ir.OpSig, ir.OpInst, ir.OpCon:
 			continue // entity only; handled at elaboration
 
@@ -243,26 +248,25 @@ func (a *activation) run(e *engine.Engine, self engine.ProcID) (status, error) {
 			return finished, fmt.Errorf("reached unreachable")
 		}
 
-		// Pure data flow: scalar-integer ops run in place on the frame;
-		// logic vectors, aggregates and times take the generic evaluator.
-		if f.evalFast(in) {
-			continue
+		// Pure data flow runs in place on the frame, once every operand is
+		// known to be live.
+		for _, x := range in.Args {
+			if id := ir.ValueID(x); id < 0 || !f.live(id) {
+				return finished, fmt.Errorf("engine: operand %s unavailable", x)
+			}
 		}
-		v, err := engine.EvalPure(in, f.lookup)
-		if err != nil {
+		if err := engine.EvalPure(in, f.vals); err != nil {
 			return finished, err
 		}
-		f.set(ir.ValueID(in), v)
+		f.touch(ir.ValueID(in))
 	}
 	return finished, fmt.Errorf("step budget exhausted (livelock?): %w", engine.ErrStepLimit)
 }
 
 // value resolves an operand to its runtime value.
 func (a *activation) value(v ir.Value) (val.Value, error) {
-	if id := ir.ValueID(v); id >= 0 {
-		if rv, ok := a.frame.get(id); ok {
-			return rv, nil
-		}
+	if id := ir.ValueID(v); id >= 0 && a.frame.live(id) {
+		return a.frame.vals[id], nil
 	}
 	return val.Value{}, fmt.Errorf("value %s not computed", v)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"llhd/internal/assembly"
@@ -139,5 +140,35 @@ func TestOneBodyThreeKinds(t *testing.T) {
 		if got := s.Engine.SignalByName(sig).Value().Bits; got != want {
 			t.Errorf("%s = %d, want %d", sig, got, want)
 		}
+	}
+}
+
+// TestStaleOperandUnavailable pins the interpreter's check ahead of
+// engine.EvalPure: an operand whose slot was not computed in this
+// activation (its definition was jumped over) is reported by name, and
+// the evaluator never reads the stale slot.
+func TestStaleOperandUnavailable(t *testing.T) {
+	const src = `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  br %use
+ def:
+  %x = const i8 1
+  br %use
+ use:
+  %y = add i8 %x, %x
+  halt
+}
+`
+	s, err := New(assembly.MustParse("m", src), "top")
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	err = s.Run(ir.Time{})
+	if err == nil || !strings.Contains(err.Error(), "engine: operand %x unavailable") {
+		t.Errorf("Run = %v, want the unavailable operand %%x", err)
 	}
 }

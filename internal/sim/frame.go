@@ -32,10 +32,6 @@ type frame struct {
 	// Reusable scratch for simultaneous phi assignment on block entry.
 	phiVals []val.Value
 	phiIDs  []int
-
-	// lookup adapts the frame to engine.EvalPure's operand callback. It is
-	// built once per frame so the hot loop never allocates a closure.
-	lookup func(ir.Value) (val.Value, bool)
 }
 
 // memSlot is one var/alloc memory cell.
@@ -84,18 +80,11 @@ const constStamp = ^uint64(0)
 
 // newFrame returns a frame with n value slots.
 func newFrame(n int) *frame {
-	f := &frame{
+	return &frame{
 		vals:  make([]val.Value, n),
 		stamp: make([]uint64, n),
 		gen:   1,
 	}
-	f.lookup = func(x ir.Value) (val.Value, bool) {
-		if id := ir.ValueID(x); id >= 0 {
-			return f.get(id)
-		}
-		return val.Value{}, false
-	}
-	return f
 }
 
 // seedConst installs an elaboration-time constant that survives reset.
@@ -118,22 +107,26 @@ func (f *frame) reset() {
 	}
 }
 
-// get returns the value in slot id, if it was computed this generation (or
-// is a constant).
-func (f *frame) get(id int) (val.Value, bool) {
-	if s := f.stamp[id]; s == f.gen || s == constStamp {
-		return f.vals[id], true
-	}
-	return val.Value{}, false
+// live reports whether slot id was computed this generation (or holds a
+// constant).
+func (f *frame) live(id int) bool {
+	s := f.stamp[id]
+	return s == f.gen || s == constStamp
 }
 
-// set stores v into slot id. Writes to constant slots keep the constant
-// stamp: re-executing an elaboration-folded pure instruction recomputes the
-// identical value, so the slot stays valid across resets either way.
-func (f *frame) set(id int, v val.Value) {
+// touch marks slot id computed this generation. Constant slots keep the
+// constant stamp: re-executing an elaboration-folded pure instruction
+// recomputes the identical value, so the slot stays valid across resets
+// either way.
+func (f *frame) touch(id int) {
 	if f.stamp[id] != constStamp {
 		f.stamp[id] = f.gen
 	}
+}
+
+// set stores v into slot id.
+func (f *frame) set(id int, v val.Value) {
+	f.touch(id)
 	f.vals[id] = v
 }
 
@@ -149,167 +142,16 @@ func (f *frame) defineMem(id int, init val.Value) {
 	f.memStamp[id] = f.gen
 }
 
-// intAt reads slot id as a scalar integer without copying the value
-// struct. ok is false when the slot is stale or holds a non-integer.
-func (f *frame) intAt(v ir.Value) (bits uint64, w int, ok bool) {
-	id := ir.ValueID(v)
-	if id < 0 {
-		return 0, 0, false
-	}
-	if s := f.stamp[id]; s != f.gen && s != constStamp {
-		return 0, 0, false
-	}
-	p := &f.vals[id]
-	if p.Kind != val.KindInt {
-		return 0, 0, false
-	}
-	return p.Bits, int(p.Width), true
-}
-
-// boolAt reads slot id as a truth value (nonzero integer) without copying.
+// boolAt reads an operand as a truth value (a nonzero integer) without
+// copying the value struct. ok is false when the slot is stale or holds a
+// non-integer.
 func (f *frame) boolAt(v ir.Value) (truth bool, ok bool) {
-	bits, _, ok := f.intAt(v)
-	return bits != 0, ok
-}
-
-// setInt stores a width-w integer into slot id in place, writing only the
-// scalar fields instead of copying a whole value struct (a stale payload
-// pointer stays behind, inert under the Kind-first rule).
-func (f *frame) setInt(id, w int, bits uint64) {
-	if f.stamp[id] != constStamp {
-		f.stamp[id] = f.gen
+	id := ir.ValueID(v)
+	if id < 0 || !f.live(id) {
+		return false, false
 	}
 	p := &f.vals[id]
-	p.Kind = val.KindInt
-	p.Width = int32(w)
-	p.Bits = ir.MaskWidth(bits, w)
-}
-
-// evalFast executes the scalar-integer pure ops — constants, not/neg,
-// binary arithmetic, comparisons, and integer slice extract/insert —
-// directly on frame slots through pointers. The generic engine.EvalPure
-// path moves every operand and result by value through a lookup
-// callback; on the interpreter's hot rows that dominates the profile, so
-// the common cases are special-cased here. It reports
-// handled=false when the op or its runtime operand kinds (logic vectors,
-// aggregates, times, unavailable operands) need the generic evaluator,
-// which also owns all error reporting.
-func (f *frame) evalFast(in *ir.Inst) bool {
-	op := in.Op
-	switch {
-	case op == ir.OpConstInt:
-		ty := in.Ty
-		w := ty.Width
-		if ty.IsEnum() {
-			w = ty.BitWidth()
-		} else if !ty.IsInt() {
-			w = 1
-		}
-		f.setInt(ir.ValueID(in), w, in.IVal)
-		return true
-
-	case op == ir.OpNot:
-		a, w, ok := f.intAt(in.Args[0])
-		if !ok {
-			return false
-		}
-		f.setInt(ir.ValueID(in), w, ^a)
-		return true
-
-	case op == ir.OpNeg:
-		a, w, ok := f.intAt(in.Args[0])
-		if !ok {
-			return false
-		}
-		f.setInt(ir.ValueID(in), w, -a)
-		return true
-
-	case op == ir.OpExtS:
-		a, w, ok := f.intAt(in.Args[0])
-		if !ok || in.Imm0 < 0 || in.Imm0+in.Imm1 > w {
-			return false
-		}
-		f.setInt(ir.ValueID(in), in.Imm1, a>>uint(in.Imm0))
-		return true
-
-	case op == ir.OpInsS:
-		a, w, ok := f.intAt(in.Args[0])
-		if !ok || in.Imm0 < 0 || in.Imm0+in.Imm1 > w {
-			return false
-		}
-		v, _, ok := f.intAt(in.Args[1])
-		if !ok {
-			return false
-		}
-		f.setInt(ir.ValueID(in), w, val.InsBits(a, v, in.Imm0, in.Imm1))
-		return true
-
-	case op.IsBinary() || op.IsCompare():
-		a, wa, ok := f.intAt(in.Args[0])
-		if !ok {
-			return false
-		}
-		b, wb, ok := f.intAt(in.Args[1])
-		if !ok {
-			return false
-		}
-		id := ir.ValueID(in)
-		switch op {
-		case ir.OpAnd:
-			f.setInt(id, wa, a&b)
-		case ir.OpOr:
-			f.setInt(id, wa, a|b)
-		case ir.OpXor:
-			f.setInt(id, wa, a^b)
-		case ir.OpAdd:
-			f.setInt(id, wa, a+b)
-		case ir.OpSub:
-			f.setInt(id, wa, a-b)
-		case ir.OpMul:
-			f.setInt(id, wa, a*b)
-		case ir.OpShl:
-			f.setInt(id, wa, val.Shl(a, b))
-		case ir.OpShr:
-			f.setInt(id, wa, val.Shr(a, b))
-		case ir.OpAshr:
-			f.setInt(id, wa, val.Ashr(a, b, wa))
-		case ir.OpEq:
-			f.setBool(id, wa == wb && a == b)
-		case ir.OpNeq:
-			f.setBool(id, wa != wb || a != b)
-		case ir.OpUlt:
-			f.setBool(id, a < b)
-		case ir.OpUgt:
-			f.setBool(id, a > b)
-		case ir.OpUle:
-			f.setBool(id, a <= b)
-		case ir.OpUge:
-			f.setBool(id, a >= b)
-		case ir.OpSlt:
-			f.setBool(id, val.Slt(a, b, wa))
-		case ir.OpSgt:
-			f.setBool(id, val.Sgt(a, b, wa))
-		case ir.OpSle:
-			f.setBool(id, val.Sle(a, b, wa))
-		case ir.OpSge:
-			f.setBool(id, val.Sge(a, b, wa))
-		default:
-			// udiv/sdiv/umod/smod: the generic path owns the
-			// division-by-zero diagnostics.
-			return false
-		}
-		return true
-	}
-	return false
-}
-
-// setBool stores an i1 result.
-func (f *frame) setBool(id int, b bool) {
-	if b {
-		f.setInt(id, 1, 1)
-	} else {
-		f.setInt(id, 1, 0)
-	}
+	return p.Bits != 0, p.Kind == val.KindInt
 }
 
 // memOf resolves a pointer operand to its live memory slot.

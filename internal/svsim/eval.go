@@ -3,6 +3,7 @@ package svsim
 import (
 	"fmt"
 
+	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/val"
@@ -348,10 +349,16 @@ func (p *astProc) callExpr(x *moore.CallExpr) (cval, error) {
 	if !ok {
 		return cval{}, fmt.Errorf("unknown function %q", x.Name)
 	}
+	// A call chain without end is a step-limit quota failure, as on the
+	// LLHD engines, not a Go stack overflow that nothing can contain.
+	if p.depth >= engine.MaxCallDepth {
+		return cval{}, fmt.Errorf("%s: call depth %d exceeded: %w", x.Name, engine.MaxCallDepth, engine.ErrStepLimit)
+	}
 	// Fresh frame: save the caller's locals.
 	saved := p.locals
 	p.locals = map[string]val.Value{}
-	defer func() { p.locals = saved }()
+	p.depth++
+	defer func() { p.locals, p.depth = saved, p.depth-1 }()
 
 	for i, arg := range fn.Args {
 		if i >= len(x.Args) {

@@ -3,6 +3,7 @@ package svsim
 import (
 	"fmt"
 
+	"llhd/internal/engine"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/val"
@@ -108,7 +109,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 				}
 			}
 		}
-		return ctrlNone, fmt.Errorf("for loop exceeded iteration budget")
+		return ctrlNone, fmt.Errorf("for loop exceeded iteration budget: %w", engine.ErrStepLimit)
 
 	case *moore.WhileStmt:
 		first := st.DoWhile
@@ -136,7 +137,7 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 				}
 			}
 		}
-		return ctrlNone, fmt.Errorf("while loop exceeded iteration budget")
+		return ctrlNone, fmt.Errorf("while loop exceeded iteration budget: %w", engine.ErrStepLimit)
 
 	case *moore.RepeatStmt:
 		n, err := p.eval(st.Count)

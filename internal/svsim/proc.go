@@ -46,6 +46,7 @@ type astProc struct {
 	e *engine.Engine // valid while the process holds control
 
 	locals  map[string]val.Value
+	depth   int         // the live function-call chain (engine.MaxCallDepth)
 	pending slotSet     // nets with a blocking write not yet driven, see flush
 	pendVal []val.Value // by slot: the value of each pending write
 	reads   slotSet     // nets probed during the current pass

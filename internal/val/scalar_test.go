@@ -15,12 +15,15 @@ import (
 	"llhd/internal/val"
 )
 
-// The scalar-integer rules live in this package and are called from three
-// places: val.Binary/Compare/InsS, the interpreter's in-place fast path and
-// blaze's dispatch loop. TestScalarOpsAgree runs every scalar op over the
-// edge operands of every interesting width on all three — the engines each
-// execute a one-instruction function — and requires them to agree with one
-// another and with an independent arbitrary-precision oracle.
+// The scalar-integer rules live in this package and are called from two
+// places: engine.EvalPure's in-place integer arms — the one evaluator of
+// pure instructions, which the interpreter, the elaborator and
+// constant-fold run — and blaze's dispatch loop. TestScalarOpsAgree runs
+// every scalar op over the edge operands of every interesting width through
+// EvalPure over a small register file, the interpreter and blaze — the
+// engines each execute a one-instruction function — and holds each of them
+// to an independent arbitrary-precision oracle. What the oracle rejects
+// (division or modulo by zero) must fail on all three.
 
 var scalarWidths = []int{1, 7, 8, 31, 32, 63, 64}
 
@@ -44,10 +47,9 @@ type scalarCase struct {
 	argTys []string // types of %a, %b
 	retTy  string
 	args   [][]uint64 // one tuple per call
-	// want is this package's answer; an error means every engine must
-	// fail too. oracle is the independent answer.
-	want   func(args []uint64) (val.Value, error)
-	oracle func(args []uint64) uint64
+	// oracle is the independent answer; ok is false where the op is
+	// undefined and every leg must fail.
+	oracle func(args []uint64) (r uint64, ok bool)
 }
 
 // source renders the case as a design: @f holds the one instruction, @p
@@ -106,20 +108,40 @@ func runEngines(t *testing.T, src string) []engineRun {
 	}
 }
 
+// evalPure runs the instruction of @f on one tuple through engine.EvalPure
+// over a register file of @f's numbering.
+func evalPure(f *ir.Unit, tuple []uint64) (val.Value, error) {
+	regs := make([]val.Value, f.Numbering().Len())
+	for k, a := range f.Inputs {
+		regs[ir.ValueID(a)] = val.Int(a.Type().Width, tuple[k])
+	}
+	in := f.Entry().Insts[0]
+	err := engine.EvalPure(in, regs)
+	return regs[ir.ValueID(in)], err
+}
+
 func (c scalarCase) run(t *testing.T) {
-	// Tuples this package rejects (division by zero) run one by one: the
-	// engines must fail on each. The rest run as one design.
+	f := assembly.MustParse("m", c.source()).Unit("f")
+	want := func(tuple []uint64) val.Value {
+		r, _ := c.oracle(tuple)
+		return val.Int(f.RetType.Width, r)
+	}
+	// Tuples the oracle rejects (division by zero) run one by one: every
+	// leg must fail on each. The rest run as one design.
 	var ok [][]uint64
 	for _, tuple := range c.args {
-		if _, err := c.want(tuple); err == nil {
+		if _, defined := c.oracle(tuple); defined {
 			ok = append(ok, tuple)
 			continue
+		}
+		if _, err := evalPure(f, tuple); err == nil {
+			t.Errorf("%s%v: undefined, but EvalPure succeeds", c.name, tuple)
 		}
 		bad := c
 		bad.args = [][]uint64{tuple}
 		for _, r := range runEngines(t, bad.source()) {
 			if r.err == nil {
-				t.Errorf("%s%v: val fails but %s succeeds", c.name, tuple, r.name)
+				t.Errorf("%s%v: undefined, but %s succeeds", c.name, tuple, r.name)
 			}
 		}
 	}
@@ -128,9 +150,10 @@ func (c scalarCase) run(t *testing.T) {
 		return
 	}
 	for _, tuple := range c.args {
-		want, _ := c.want(tuple)
-		if oracle := c.oracle(tuple); want.Kind != val.KindInt || want.Bits != oracle {
-			t.Errorf("%s%v: val = %v, oracle = %d", c.name, tuple, want, oracle)
+		got, err := evalPure(f, tuple)
+		if w := want(tuple); err != nil || !got.Eq(w) {
+			t.Errorf("%s%v: EvalPure = %v (width %d, err %v), oracle = %v (width %d)",
+				c.name, tuple, got, got.Width, err, w, w.Width)
 		}
 	}
 	for _, r := range runEngines(t, c.source()) {
@@ -138,10 +161,10 @@ func (c scalarCase) run(t *testing.T) {
 			t.Fatalf("%s: %s: %v", c.name, r.name, r.err)
 		}
 		for i, tuple := range c.args {
-			want, _ := c.want(tuple)
-			if got := r.e.SignalByName(fmt.Sprintf("top.o%d", i)).Value(); !got.Eq(want) {
-				t.Errorf("%s%v: %s = %v (width %d), val = %v (width %d)",
-					c.name, tuple, r.name, got, got.Width, want, want.Width)
+			w := want(tuple)
+			if got := r.e.SignalByName(fmt.Sprintf("top.o%d", i)).Value(); !got.Eq(w) {
+				t.Errorf("%s%v: %s = %v (width %d), oracle = %v (width %d)",
+					c.name, tuple, r.name, got, got.Width, w, w.Width)
 			}
 		}
 	}
@@ -149,8 +172,19 @@ func (c scalarCase) run(t *testing.T) {
 
 // oracle computes a binary, compare or unary op on w-bit operands with
 // arbitrary-precision arithmetic: no Go shift, no int64 reinterpretation.
-// It must not be asked to divide by zero.
-func oracle(op ir.Opcode, w int, a, b uint64) uint64 {
+// Division and modulo by zero are undefined: ok is false.
+func oracle(op ir.Opcode, w int, a, b uint64) (r uint64, ok bool) {
+	switch op {
+	case ir.OpUdiv, ir.OpSdiv, ir.OpUmod, ir.OpSmod:
+		if b == 0 {
+			return 0, false
+		}
+	}
+	return bigOp(op, w, a, b), true
+}
+
+// bigOp is oracle's arithmetic.
+func bigOp(op ir.Opcode, w int, a, b uint64) uint64 {
 	mod := new(big.Int).Lsh(big.NewInt(1), uint(w))
 	signed := func(u uint64) *big.Int {
 		x := new(big.Int).SetUint64(u)
@@ -259,10 +293,7 @@ func TestScalarOpsAgree(t *testing.T) {
 			cases = append(cases, scalarCase{
 				name: fmt.Sprintf("%s/%s", op, ty), inst: fmt.Sprintf("%s %s %%a, %%b", op, ty),
 				argTys: []string{ty, ty}, retTy: retTy, args: pairs,
-				want: func(x []uint64) (val.Value, error) {
-					return val.Binary(op, val.Int(w, x[0]), val.Int(w, x[1]))
-				},
-				oracle: func(x []uint64) uint64 { return oracle(op, w, x[0], x[1]) },
+				oracle: func(x []uint64) (uint64, bool) { return oracle(op, w, x[0], x[1]) },
 			})
 		}
 		for _, op := range []ir.Opcode{ir.OpNot, ir.OpNeg} {
@@ -270,8 +301,7 @@ func TestScalarOpsAgree(t *testing.T) {
 			cases = append(cases, scalarCase{
 				name: fmt.Sprintf("%s/%s", op, ty), inst: fmt.Sprintf("%s %s %%a", op, ty),
 				argTys: []string{ty}, retTy: ty, args: singles,
-				want:   func(x []uint64) (val.Value, error) { return val.Unary(op, nil, val.Int(w, x[0])) },
-				oracle: func(x []uint64) uint64 { return oracle(op, w, x[0], 0) },
+				oracle: func(x []uint64) (uint64, bool) { return oracle(op, w, x[0], 0) },
 			})
 		}
 		// Bit slices at both ends, across the middle and over the whole
@@ -288,26 +318,22 @@ func TestScalarOpsAgree(t *testing.T) {
 			cases = append(cases, scalarCase{
 				name: fmt.Sprintf("exts/%s[%d+%d]", ty, off, n), inst: fmt.Sprintf("exts %s %%a, %d, %d", nty, off, n),
 				argTys: []string{ty}, retTy: nty, args: singles,
-				want: func(x []uint64) (val.Value, error) { return val.ExtS(val.Int(w, x[0]), off, n) },
-				oracle: func(x []uint64) uint64 {
+				oracle: func(x []uint64) (uint64, bool) {
 					var r uint64
 					for i := 0; i < n; i++ {
 						r |= (x[0] >> uint(off+i) & 1) << uint(i)
 					}
-					return r
+					return r, true
 				},
 			}, scalarCase{
 				name: fmt.Sprintf("inss/%s[%d+%d]", ty, off, n), inst: fmt.Sprintf("inss %s %%a, %%b, %d, %d", ty, off, n),
 				argTys: []string{ty, nty}, retTy: ty, args: ins,
-				want: func(x []uint64) (val.Value, error) {
-					return val.InsS(val.Int(w, x[0]), val.Int(n, x[1]), off, n)
-				},
-				oracle: func(x []uint64) uint64 {
+				oracle: func(x []uint64) (uint64, bool) {
 					r := x[0]
 					for i := 0; i < n; i++ {
 						r = r&^(1<<uint(off+i)) | (x[1]>>uint(i)&1)<<uint(off+i)
 					}
-					return r
+					return r, true
 				},
 			})
 		}

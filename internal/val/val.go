@@ -1,7 +1,11 @@
-// Package val implements the LLHD runtime value domain and the evaluation
-// of pure LLHD instructions over it. It is shared by the reference
-// interpreter (internal/sim), the compiled simulator (internal/blaze), and
-// the constant-folding pass (internal/pass).
+// Package val implements the LLHD runtime value domain and the operations
+// on it that pure LLHD instructions are evaluated with. The one evaluator
+// of pure instructions is engine.EvalPure, which runs two-state integer
+// ops in place and calls here for everything else; the reference
+// interpreter (internal/sim), the elaborator, the constant-folding pass
+// (internal/pass) and blaze's constant placement all go through it. Blaze's
+// dispatch loop (internal/blaze) calls here for what it has no native arm
+// for.
 package val
 
 import (
@@ -300,11 +304,11 @@ func Unary(op ir.Opcode, ty *ir.Type, a Value) (Value, error) {
 }
 
 // The scalar-integer rules that are more than one Go operator, on raw bit
-// patterns masked to their width w. Binary, Compare and InsS below, the
-// interpreter's in-place fast path and blaze's dispatch loop all call
-// these, one helper per op so a dispatch site stays a single switch; the
-// caller masks the result to w. Ops that are one operator (add, and, ult,
-// ...) are written out where they execute.
+// patterns masked to their width w. InsS below, engine.EvalPure's in-place
+// integer arms and blaze's dispatch loop all call these, one helper per op
+// so a dispatch site stays a single switch; the caller masks the result to
+// w. Ops that are one operator (add, and, ult, ...) are written out where
+// they execute.
 
 // Shl shifts left; a shift amount of 64 or more clears the value (Go would
 // already, the rule is stated here so it cannot drift).
@@ -344,7 +348,11 @@ func InsBits(a, v uint64, off, n int) uint64 {
 	return a&^mask | v<<uint(off)&mask
 }
 
-// Binary evaluates a pure binary LLHD op on two same-typed values.
+// Binary evaluates the pure binary ops that engine.EvalPure does not
+// write in place: division and modulo on two-state integers, which fail on
+// a zero divisor, and the bitwise ops and equality on logic vectors. The
+// one-operator integer ops and comparisons are written out where they
+// execute.
 func Binary(op ir.Opcode, a, b Value) (Value, error) {
 	if a.Kind == KindLogic || b.Kind == KindLogic {
 		return binaryLogic(op, a, b)
@@ -354,18 +362,6 @@ func Binary(op ir.Opcode, a, b Value) (Value, error) {
 	}
 	w := int(a.Width)
 	switch op {
-	case ir.OpAnd:
-		return Int(w, a.Bits&b.Bits), nil
-	case ir.OpOr:
-		return Int(w, a.Bits|b.Bits), nil
-	case ir.OpXor:
-		return Int(w, a.Bits^b.Bits), nil
-	case ir.OpAdd:
-		return Int(w, a.Bits+b.Bits), nil
-	case ir.OpSub:
-		return Int(w, a.Bits-b.Bits), nil
-	case ir.OpMul:
-		return Int(w, a.Bits*b.Bits), nil
 	case ir.OpUdiv:
 		if b.Bits == 0 {
 			return Value{}, fmt.Errorf("val: division by zero")
@@ -386,17 +382,8 @@ func Binary(op ir.Opcode, a, b Value) (Value, error) {
 			return Value{}, fmt.Errorf("val: modulo by zero")
 		}
 		return Int(w, uint64(ir.SignExtend(a.Bits, w)%ir.SignExtend(b.Bits, w))), nil
-	case ir.OpShl:
-		return Int(w, Shl(a.Bits, b.Bits)), nil
-	case ir.OpShr:
-		return Int(w, Shr(a.Bits, b.Bits)), nil
-	case ir.OpAshr:
-		return Int(w, Ashr(a.Bits, b.Bits, w)), nil
 	}
-	if op.IsCompare() {
-		return Compare(op, a, b)
-	}
-	return Value{}, fmt.Errorf("val: not a binary op: %s", op)
+	return Value{}, fmt.Errorf("val: integer %s is not a val.Binary op", op)
 }
 
 func binaryLogic(op ir.Opcode, a, b Value) (Value, error) {
@@ -424,39 +411,6 @@ func binaryLogic(op ir.Opcode, a, b Value) (Value, error) {
 		out[i] = f(x[i], y[i])
 	}
 	return LogicVal(out), nil
-}
-
-// Compare evaluates a comparison producing an i1.
-func Compare(op ir.Opcode, a, b Value) (Value, error) {
-	switch op {
-	case ir.OpEq:
-		return Bool(a.Eq(b)), nil
-	case ir.OpNeq:
-		return Bool(!a.Eq(b)), nil
-	}
-	if a.Kind != KindInt || b.Kind != KindInt {
-		return Value{}, fmt.Errorf("val: ordered comparison %s on non-integers", op)
-	}
-	w := int(a.Width)
-	switch op {
-	case ir.OpUlt:
-		return Bool(a.Bits < b.Bits), nil
-	case ir.OpUgt:
-		return Bool(a.Bits > b.Bits), nil
-	case ir.OpUle:
-		return Bool(a.Bits <= b.Bits), nil
-	case ir.OpUge:
-		return Bool(a.Bits >= b.Bits), nil
-	case ir.OpSlt:
-		return Bool(Slt(a.Bits, b.Bits, w)), nil
-	case ir.OpSgt:
-		return Bool(Sgt(a.Bits, b.Bits, w)), nil
-	case ir.OpSle:
-		return Bool(Sle(a.Bits, b.Bits, w)), nil
-	case ir.OpSge:
-		return Bool(Sge(a.Bits, b.Bits, w)), nil
-	}
-	return Value{}, fmt.Errorf("val: not a comparison: %s", op)
 }
 
 // Mux selects among the aggregate's elements by the selector, clamping out
