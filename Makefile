@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-frontend bench-observe bench-interp
+.PHONY: check build vet test test-race test-timeout fuzz-smoke conformance bench bench-compare bench-paper bench-kernel bench-lower bench-blaze bench-frontend bench-observe bench-interp bench-svsim
 
 # check is the tier-1 verification: the build, go vet, and the full test
 # suite must all pass.
@@ -21,7 +21,8 @@ test:
 # the root package (session farm, 16 concurrent sessions per backend over
 # one frozen design — including 16 blaze sessions sharing one compiled
 # instruction stream, cross-checked against a serial interpreter
-# reference — concurrent VCD writers, the fault-injection matrix with a
+# reference, and 16 svsim sessions sharing one svsim.Design through a
+# farm — concurrent VCD writers, the fault-injection matrix with a
 # panic raised inside an svsim coroutine), the kernel, the reference
 # interpreter, svsim (its iter.Pull coroutine processes — initial blocks,
 # bodies that wait in line — interleaved with the plain-call always
@@ -155,3 +156,11 @@ bench-observe:
 # on this. It runs on one P, as `make bench` does.
 bench-interp:
 	$(GO) test -bench BenchmarkInterp -benchmem -cpu 1 -run xxx .
+
+# bench-svsim times the AST-level simulator per Table 2 design: one
+# session from source text (svsim.Compile, elaboration), run to the end
+# and finished per op (ns/op and allocs/op). It is the builder's inner
+# loop for SVSim; a claim rests on svsim_cycles_per_s of `make bench`, not
+# on this. It runs on one P, as `make bench` does.
+bench-svsim:
+	$(GO) test -bench BenchmarkSVSim -benchmem -cpu 1 -run xxx .

@@ -205,6 +205,30 @@ func BenchmarkInterp(b *testing.B) {
 	}
 }
 
+// BenchmarkSVSim measures the AST-level simulator per Table 2 design: one
+// session from source text, run to the end and finished per op (ns/op and
+// allocs/op), so svsim.Compile, elaboration and the run are all on the
+// clock. It is the inner-loop view of svsim_cycles_per_s of
+// `go run ./benchmark`, which stays the record.
+func BenchmarkSVSim(b *testing.B) {
+	for _, d := range designs.All() {
+		src, top := d.Source, d.Top
+		b.Run(d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := llhd.NewSession(llhd.FromSystemVerilog(src), llhd.Top(top), llhd.Backend(llhd.SVSim))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+				s.Finish()
+			}
+		})
+	}
+}
+
 // TestFarmBenchSmoke runs the farm throughput measurement once at -j 1
 // and -j 2 and checks that every session completed cleanly.
 func TestFarmBenchSmoke(t *testing.T) {

@@ -20,8 +20,11 @@ const concurrentSessions = 16
 // sessions per backend over one shared frozen design and requires every
 // session to produce the exact single-session result. Under -race this is
 // the enforcement hook for the freeze contract: ir.Numbering reads,
-// engine.Instance bind/const table construction, and blaze's shared
-// compiled code must all be read-only after the serial preparation.
+// engine.Instance bind/const table construction, blaze's shared compiled
+// code and the svsim.Design (its AST, module table and $readmemh images)
+// must all be read-only after the serial preparation. SVSim has no
+// prepared-design option, so its 16 sessions share one through a farm,
+// which prepares each distinct source once.
 func TestConcurrentSessionsSharedFrozenModule(t *testing.T) {
 	m, err := llhd.CompileSystemVerilog("toggle", toggleSrc)
 	if err != nil {
@@ -36,7 +39,6 @@ func TestConcurrentSessionsSharedFrozenModule(t *testing.T) {
 	source := map[llhd.EngineKind][]llhd.SessionOption{
 		llhd.Interp: {llhd.FromModule(m), llhd.Top("toggle_tb"), llhd.Backend(llhd.Interp)},
 		llhd.Blaze:  {llhd.FromCompiled(cd)},
-		llhd.SVSim:  {llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(llhd.SVSim)},
 	}
 	for kind, opts := range source {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -72,6 +74,24 @@ func TestConcurrentSessionsSharedFrozenModule(t *testing.T) {
 			}
 		})
 	}
+	t.Run(llhd.SVSim.String(), func(t *testing.T) {
+		jobs := make([]llhd.FarmJob, concurrentSessions)
+		counts := make([]llhd.TraceObserver, concurrentSessions)
+		for g := range jobs {
+			jobs[g] = llhd.FarmJob{Options: []llhd.SessionOption{
+				llhd.FromSystemVerilog(toggleSrc), llhd.Top("toggle_tb"), llhd.Backend(llhd.SVSim),
+				llhd.WithObserver(&counts[g], "toggle_tb.count"),
+			}}
+		}
+		for g, r := range farmRun(t, &llhd.Farm{Workers: concurrentSessions}, jobs...) {
+			if seq := oracle.Values(&counts[g], "toggle_tb.count"); len(seq) == 0 || seq[len(seq)-1] != 10 {
+				t.Errorf("session %d: count went %v, want it to end at 10", g, seq)
+			}
+			if r.Stats.AssertionFailures != 0 {
+				t.Errorf("session %d: %d assertion failures", g, r.Stats.AssertionFailures)
+			}
+		}
+	})
 }
 
 // TestConcurrentSessionsTable2Design repeats the race envelope on a real

@@ -162,10 +162,10 @@ func TestFarmContextCancellation(t *testing.T) {
 
 // TestFarmSharesOneSourceDesign pins what FarmJob and llhd-sim -j promise
 // for source input: N jobs naming one SystemVerilog source string run the
-// Moore frontend once and, on blaze, compile once; the sessions then run
-// over that one design and agree.
+// frontend once (Moore's, or svsim.Compile) and, on blaze, compile once;
+// the sessions then run over that one design and agree.
 func TestFarmSharesOneSourceDesign(t *testing.T) {
-	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze} {
+	for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze, llhd.SVSim} {
 		t.Run(kind.String(), func(t *testing.T) {
 			phases := map[string]int{} // written during the farm's serial preparation only
 			const n = 6

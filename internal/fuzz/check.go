@@ -154,8 +154,10 @@ func check(mk func() (*ir.Module, error), top, src string, opt Options) (*Failur
 	if f := oracle.DiffSettled(topName, m1, rs[0].Trace, m2, rs[2].Trace); f != "" {
 		return fail("settled-divergence", "unlowered vs lowered: %s", f), rs
 	}
-	// The svsim leg is compared through the design's embedded self-checks:
-	// it must finish without errors or assertion failures.
+	// The svsim leg must finish without errors or assertion failures, and
+	// (clause 5) its trace must equal the unlowered interpreter's,
+	// delta-exactly, on the top module's own nets: below the top the two
+	// frontends name instances differently.
 	if src != "" {
 		r := rs[4]
 		if r.Err != nil {
@@ -166,8 +168,23 @@ func check(mk func() (*ir.Module, error), top, src string, opt Options) (*Failur
 			return &Failure{Reason: fmt.Sprintf("svsim: %d assertion failures", r.Finish.AssertionFailures),
 				Text: src, Class: "assert"}, rs
 		}
+		if f := oracle.Diff(rs[0].Name, topNets(topName, rs[0].Trace), r.Name, topNets(topName, r.Trace)); f != "" {
+			return &Failure{Reason: f, Text: src, Class: "svsim-divergence"}, rs
+		}
 	}
 	return nil, rs
+}
+
+// topNets is the part of a trace on the nets of the top module itself,
+// <top>.<leaf>.
+func topNets(top string, o *llhd.TraceObserver) *llhd.TraceObserver {
+	out := &llhd.TraceObserver{}
+	for _, te := range o.Entries {
+		if leaf, ok := strings.CutPrefix(te.Sig.Name, top+"."); ok && !strings.Contains(leaf, ".") {
+			out.Entries = append(out.Entries, te)
+		}
+	}
+	return out
 }
 
 // deterministicErr renders a leg error for failure reasons and repro
@@ -214,10 +231,11 @@ func CheckText(name, text string, opt Options) *Failure {
 
 // CheckSV runs the three-engine differential oracle over SystemVerilog
 // source: the four LLHD legs of CheckModule on the Moore-compiled module,
-// plus the AST-level SVSim engine executing the source directly (compared
-// through its embedded self-checks: the run must finish without errors or
-// assertion failures), all five as one oracle.Run. This is the oracle for
-// .sv corpus entries and the Table 2 matrix.
+// plus the AST-level SVSim engine executing the source directly, all five
+// as one oracle.Run. The SVSim run must finish without errors or
+// assertion failures, and its trace of the top module's nets must equal
+// the unlowered interpreter's delta for delta (class "svsim-divergence").
+// This is the oracle for .sv corpus entries and the Table 2 matrix.
 func CheckSV(name, src, top string, opt Options) *Failure {
 	f, _ := CheckSVLegs(name, src, top, opt)
 	return f

@@ -63,11 +63,27 @@ func CollectReadmemh(s Stmt) ([]ReadmemhCall, error) {
 // array of `length` elements of `width` bits each. Missing files and
 // malformed images are reported with the path.
 func LoadHexImage(path string, width, length int) ([]uint64, error) {
+	src, err := ReadHexFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return ParseHexFile(path, src, width, length)
+}
+
+// ReadHexFile reads the text of a $readmemh image; a file that cannot be
+// read is reported with the path.
+func ReadHexFile(path string) (string, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("$readmemh: cannot read %q: %w", path, err)
+		return "", fmt.Errorf("$readmemh: cannot read %q: %w", path, err)
 	}
-	img, err := ParseHexImage(string(src), width, length)
+	return string(src), nil
+}
+
+// ParseHexFile is ParseHexImage over the text of the image at path, a
+// malformed image reported with the path.
+func ParseHexFile(path, src string, width, length int) ([]uint64, error) {
+	img, err := ParseHexImage(src, width, length)
 	if err != nil {
 		return nil, fmt.Errorf("$readmemh: %s: %w", path, err)
 	}

@@ -203,7 +203,12 @@ func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
 				p.locals["$ret"] = val.Int(64, v.bits)
 			}
 			return ctrlReturn, nil
-		case "$display", "$write", "$error", "$info", "$warning",
+		case "$error", "$fatal":
+			// One assertion failure each, as the Moore flow lowers both
+			// to a failing llhd.assert; neither stops the run.
+			p.e.OnAssert(st.Name, p.e.Now)
+			return ctrlNone, nil
+		case "$display", "$write", "$info", "$warning",
 			"$readmemh", "$dumpfile", "$dumpvars", "$monitor":
 			return ctrlNone, nil
 		}

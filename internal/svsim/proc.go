@@ -82,7 +82,7 @@ func (s *slotSet) reset() {
 
 // newAstProc builds the process of one always/initial block. Every name
 // the block mentions is resolved here (checkNames, resolveEvents), so a
-// misspelt net is a diagnostic of New and the running process never hands
+// misspelt net is a diagnostic of NewSimulator and the running process never hands
 // the kernel the zero SigRef of a failed lookup.
 func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error) {
 	n := len(sc.slots)

@@ -1,11 +1,17 @@
 // Package svsim is the stand-in for the commercial HDL simulator of the
-// paper's Table 2 (see DESIGN.md, substitution 1). Like a commercial
-// simulator — and unlike LLHD-Sim and LLHD-Blaze — it executes the
-// SystemVerilog description directly, interpreting the AST of each
-// always/initial block without any LLHD IR in between. Only the
-// discrete-event kernel (internal/engine) is shared, so results can be
-// cross-validated: final signal values and assertion outcomes must agree
-// with the LLHD-based simulators.
+// paper's Table 2. Like a commercial simulator — and unlike LLHD-Sim and
+// LLHD-Blaze — it executes the SystemVerilog description directly,
+// interpreting the AST of each always/initial block without any LLHD IR in
+// between. Only the discrete-event kernel (internal/engine) is shared, so
+// results can be cross-validated: traces, final signal values and
+// assertion outcomes must agree with the LLHD-based simulators.
+//
+// A design is built in two steps, the way the LLHD engines build theirs.
+// Compile parses the source, builds the module table, checks the top and
+// reads every $readmemh image the source names; the Design it returns is
+// read-only from then on, so any number of simulators, concurrently too,
+// share it. Design.NewSimulator elaborates it on a fresh engine: signals,
+// net bindings, array contents and processes are each simulator's own.
 //
 // A block runs as one of two kinds of process, picked once when it is
 // built (newAstProc). A block that cannot suspend mid-body — an always
@@ -31,29 +37,67 @@ import (
 	"llhd/internal/val"
 )
 
-// Simulator executes a SystemVerilog design at the AST level.
-type Simulator struct {
-	Engine *engine.Engine
-	file   *moore.SourceFile
+// Design is a SystemVerilog source compiled for SVSim: its modules by
+// name, the top, and the text of every $readmemh image the source names,
+// by path. It is never written after Compile.
+type Design struct {
+	top    string
 	mods   map[string]*moore.Module
-	procs  []*astProc
+	images map[string]string
 }
 
-// New parses and elaborates the design under the named top module.
-func New(src, top string) (*Simulator, error) {
+// Compile parses the source, checks that it names the top module and
+// reads the $readmemh images of every module, as the Moore flow does.
+func Compile(src, top string) (*Design, error) {
 	file, err := moore.ParseFile(src)
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{Engine: engine.New(), file: file, mods: map[string]*moore.Module{}}
+	d := &Design{top: top, mods: make(map[string]*moore.Module, len(file.Modules)), images: map[string]string{}}
 	for _, m := range file.Modules {
-		s.mods[m.Name] = m
+		if _, dup := d.mods[m.Name]; dup {
+			return nil, fmt.Errorf("svsim: duplicate module %q", m.Name)
+		}
+		d.mods[m.Name] = m
+		for _, item := range m.Items {
+			ab, ok := item.(*moore.AlwaysBlock)
+			if !ok {
+				continue
+			}
+			calls, err := moore.CollectReadmemh(ab.Body)
+			if err != nil {
+				return nil, fmt.Errorf("svsim: %s: %w", m.Name, err)
+			}
+			if len(calls) > 0 && ab.Kind != "initial" {
+				return nil, fmt.Errorf("svsim: %s: $readmemh is only supported in initial blocks", m.Name)
+			}
+			for _, call := range calls {
+				if _, ok := d.images[call.File]; !ok {
+					if d.images[call.File], err = moore.ReadHexFile(call.File); err != nil {
+						return nil, fmt.Errorf("svsim: %s: %w", m.Name, err)
+					}
+				}
+			}
+		}
 	}
-	topMod, ok := s.mods[top]
-	if !ok {
+	if _, ok := d.mods[top]; !ok {
 		return nil, fmt.Errorf("svsim: top module %q not found", top)
 	}
-	if err := s.elaborate(topMod, top, map[string]uint64{}, map[string]engine.SigRef{}); err != nil {
+	return d, nil
+}
+
+// Simulator executes a SystemVerilog design at the AST level.
+type Simulator struct {
+	Engine *engine.Engine
+	d      *Design
+	procs  []*astProc
+}
+
+// NewSimulator elaborates the design under its top module on a fresh
+// engine.
+func (d *Design) NewSimulator() (*Simulator, error) {
+	s := &Simulator{Engine: engine.New(), d: d}
+	if err := s.elaborate(d.mods[d.top], d.top, map[string]uint64{}, map[string]engine.SigRef{}); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -208,26 +252,20 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 	}
 
 	// $readmemh resolves at elaboration, exactly as in the moore/LLHD
-	// flow: the image becomes the array's initial contents and the
-	// runtime call stays a no-op.
+	// flow: the image Compile read becomes the array's initial contents
+	// and the runtime call stays a no-op.
 	for _, item := range m.Items {
 		ab, ok := item.(*moore.AlwaysBlock)
 		if !ok {
 			continue
 		}
-		calls, err := moore.CollectReadmemh(ab.Body)
-		if err != nil {
-			return fmt.Errorf("svsim: %s: %w", name, err)
-		}
-		if len(calls) > 0 && ab.Kind != "initial" {
-			return fmt.Errorf("svsim: %s: $readmemh is only supported in initial blocks", name)
-		}
+		calls, _ := moore.CollectReadmemh(ab.Body) // Compile checked them
 		for _, call := range calls {
 			arr := sc.arrays[call.Array]
 			if arr == nil {
 				return fmt.Errorf("svsim: %s: $readmemh target %q is not an unpacked array", name, call.Array)
 			}
-			img, err := moore.LoadHexImage(call.File, arr.width, len(arr.elems))
+			img, err := moore.ParseHexFile(call.File, s.d.images[call.File], arr.width, len(arr.elems))
 			if err != nil {
 				return fmt.Errorf("svsim: %s: %w", name, err)
 			}
@@ -256,7 +294,7 @@ func (s *Simulator) elaborate(m *moore.Module, name string, params map[string]ui
 	for _, item := range m.Items {
 		switch it := item.(type) {
 		case *moore.InstItem:
-			child, ok := s.mods[it.ModName]
+			child, ok := s.d.mods[it.ModName]
 			if !ok {
 				return fmt.Errorf("svsim: unknown module %q", it.ModName)
 			}

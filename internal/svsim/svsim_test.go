@@ -2,6 +2,9 @@ package svsim_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -16,6 +19,16 @@ import (
 	"llhd/internal/svsim"
 	"llhd/internal/val"
 )
+
+// build compiles the source and elaborates it on a fresh simulator, the
+// two steps a session takes.
+func build(src, top string) (*svsim.Simulator, error) {
+	d, err := svsim.Compile(src, top)
+	if err != nil {
+		return nil, err
+	}
+	return d.NewSimulator()
+}
 
 // run returns the run of s up to a time limit (zero: to quiescence) as the
 // Session drives it: Init, Run, then Shutdown of the coroutines still
@@ -34,9 +47,9 @@ func run(s *svsim.Simulator) func(ir.Time) error {
 func TestAllDesignsSelfCheckSVSim(t *testing.T) {
 	for _, d := range designs.All() {
 		t.Run(d.Name, func(t *testing.T) {
-			s, err := svsim.New(d.Source, d.Top)
+			s, err := build(d.Source, d.Top)
 			if err != nil {
-				t.Fatalf("svsim.New: %v", err)
+				t.Fatalf("build: %v", err)
 			}
 			if err := run(s)(ir.Time{}); err != nil {
 				t.Fatalf("Run: %v", err)
@@ -55,9 +68,9 @@ func TestAllDesignsSelfCheckSVSim(t *testing.T) {
 func TestSVSimAgreesWithLLHDSim(t *testing.T) {
 	for _, d := range designs.All() {
 		t.Run(d.Name, func(t *testing.T) {
-			sv, err := svsim.New(d.Source, d.Top)
+			sv, err := build(d.Source, d.Top)
 			if err != nil {
-				t.Fatalf("svsim.New: %v", err)
+				t.Fatalf("build: %v", err)
 			}
 			if err := run(sv)(ir.Time{}); err != nil {
 				t.Fatalf("svsim run: %v", err)
@@ -98,10 +111,12 @@ func TestSVSimAgreesWithLLHDSim(t *testing.T) {
 }
 
 // TestUndeclaredNamesAreInputErrors pins that a name which resolves to
-// nothing is reported by New, in one plain line, for every place a process
-// can mention one. Before, the edge and event shapes handed the kernel the
-// zero SigRef of a failed map lookup (a nil-pointer panic at time zero,
-// exit 3) and the identifier shape surfaced as an internal runtime error.
+// nothing is reported by Compile or NewSimulator, in one plain line, for
+// every place a process can mention one. A module name declared twice is
+// rejected in Moore's words; the second copy used to run silently.
+// Before, the edge and event shapes handed the kernel the zero SigRef of
+// a failed map lookup (a nil-pointer panic at time zero, exit 3) and the
+// identifier shape surfaced as an internal runtime error.
 func TestUndeclaredNamesAreInputErrors(t *testing.T) {
 	for _, tc := range []struct{ name, body, want string }{
 		{"always_ff edge", "always_ff @(posedge nosuch) q <= q + 1;",
@@ -122,29 +137,79 @@ func TestUndeclaredNamesAreInputErrors(t *testing.T) {
 			`svsim: bad_tb.p1: $clog2 takes one argument`},
 		{"plain always without sensitivity", "always #1ns q = ~q;",
 			`svsim: bad_tb.p1: plain always without sensitivity is unsupported`},
+		{"duplicate module", "endmodule\nmodule bad_tb;",
+			`svsim: duplicate module "bad_tb"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := svsim.New("module bad_tb;\n  logic [7:0] q;\n  "+tc.body+"\nendmodule\n", "bad_tb")
+			_, err := build("module bad_tb;\n  logic [7:0] q;\n  "+tc.body+"\nendmodule\n", "bad_tb")
 			if err == nil {
-				t.Fatal("New accepted the design")
+				t.Fatal("the design was accepted")
 			}
 			var re *engine.RuntimeError
 			if errors.As(err, &re) {
-				t.Errorf("New returned a *RuntimeError (class %s), want a plain input error", engine.KindName(err))
+				t.Errorf("a *RuntimeError (class %s), want a plain input error", engine.KindName(err))
 			}
 			if err.Error() != tc.want {
-				t.Errorf("New: %q, want %q", err, tc.want)
+				t.Errorf("%q, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCompileReadsReadmemhOnce: Compile reads every $readmemh image, so
+// the simulators built from its Design touch no disk — the file is gone
+// before the first of them — and each starts from the image. An image
+// that cannot be read fails Compile, in Moore's words.
+func TestCompileReadsReadmemhOnce(t *testing.T) {
+	dir := t.TempDir()
+	rom := func(path string) string {
+		return fmt.Sprintf(`module rom_tb;
+  logic [7:0] rom [0:3];
+  logic [7:0] sum;
+  initial $readmemh(%q, rom);
+  initial begin
+    #1ns;
+    sum = rom[0] + rom[1] + rom[3];
+  end
+endmodule
+`, path)
+	}
+	hex := filepath.Join(dir, "rom.hex")
+	if err := os.WriteFile(hex, []byte("0a 0b\n@3 0d\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := svsim.Compile(rom(hex), "rom_tb")
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if err := os.Remove(hex); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s, err := d.NewSimulator()
+		if err != nil {
+			t.Fatalf("simulator %d: %v", i, err)
+		}
+		if err := run(s)(ir.Time{}); err != nil {
+			t.Fatalf("simulator %d: run: %v", i, err)
+		}
+		if sum := s.Engine.SignalByName("rom_tb.sum").Value().Bits; sum != 0x0a+0x0b+0x0d {
+			t.Errorf("simulator %d: sum = %#x, want %#x", i, sum, 0x0a+0x0b+0x0d)
+		}
+	}
+
+	_, err = svsim.Compile(rom(filepath.Join(dir, "nope.hex")), "rom_tb")
+	if err == nil || !strings.HasPrefix(err.Error(), "svsim: rom_tb: $readmemh: cannot read") {
+		t.Errorf("Compile: %v, want svsim: rom_tb: $readmemh: cannot read ...", err)
 	}
 }
 
 // TestRuntimeErrorNamesProcessOnce pins the wording of a failure inside a
 // running process: "svsim: <process>: <cause>", the process named once.
 func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
-	s, err := svsim.New("module bad_tb;\n  logic [7:0] q;\n  always_comb q = 8'd1 / (q - q);\nendmodule\n", "bad_tb")
+	s, err := build("module bad_tb;\n  logic [7:0] q;\n  always_comb q = 8'd1 / (q - q);\nendmodule\n", "bad_tb")
 	if err != nil {
-		t.Fatalf("svsim.New: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	err = run(s)(ir.Time{})
 	if err == nil || !strings.HasPrefix(err.Error(), "svsim: bad_tb.p1: division by zero") {
@@ -161,7 +226,7 @@ func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
 // tests. A comb pass that builds its re-arm list afresh costs one
 // allocation, two per rising edge here.
 func TestSVSimWakeAllocBudget(t *testing.T) {
-	s, err := svsim.New(`
+	s, err := build(`
 module ab_tb(input logic clk);
   logic [7:0] q, a, b;
   always_ff @(posedge clk) q <= b;
@@ -170,7 +235,7 @@ module ab_tb(input logic clk);
 endmodule
 `, "ab_tb")
 	if err != nil {
-		t.Fatalf("svsim.New: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	defer s.Shutdown()
 	e := s.Engine
@@ -284,9 +349,9 @@ func TestBlockingWritesReachTheNet(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := "module flush_tb;" + tc.body + "\nendmodule\n"
-			sv, err := svsim.New(src, "flush_tb")
+			sv, err := build(src, "flush_tb")
 			if err != nil {
-				t.Fatalf("svsim.New: %v", err)
+				t.Fatalf("build: %v", err)
 			}
 			m, err := moore.Compile("flush", src)
 			if err != nil {

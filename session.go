@@ -344,19 +344,21 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 
 // design is a prepared input: what is left of a configuration once its
 // options are checked, its frontend has run, its top is settled, its
-// module is frozen and, for Blaze, compiled. It is immutable, and every
-// session opened from it — serially or concurrently — shares it.
+// module is frozen and, for Blaze, compiled (for SVSim: its source
+// compiled by svsim.Compile). It is immutable, and every session opened
+// from it — serially or concurrently — shares it.
 type design struct {
 	kind     EngineKind
 	top      string          // of source and module; a compiled design carries its own
-	source   string          // SVSim executes the source itself
 	module   *Module         // Interp
 	compiled *CompiledDesign // Blaze
+	sv       *svsim.Design   // SVSim
 
-	// first is the engine of the elaboration that validated (and for
-	// Blaze compiled) the design inside prepare. The first open takes it,
-	// so a cold session elaborates once.
-	first atomic.Pointer[engine.Engine]
+	// first is the bare session (engine, and for SVSim the simulator) of
+	// the elaboration that validated (and for Blaze compiled) the design
+	// inside prepare. The first open takes it, so a cold session
+	// elaborates once.
+	first atomic.Pointer[Session]
 }
 
 // prepare and open are the only road from a configuration to a running
@@ -397,7 +399,15 @@ func prepare(cfg *sessionConfig) (_ *design, err error) {
 	d := &design{kind: kind, top: cfg.top}
 	switch {
 	case kind == SVSim:
-		d.source = cfg.source
+		cfg.phase("frontend")
+		if d.sv, err = svsim.Compile(cfg.source, d.top); err != nil {
+			return nil, err
+		}
+		sv, err := d.sv.NewSimulator()
+		if err != nil {
+			return nil, err
+		}
+		d.first.Store(&Session{eng: sv.Engine, sv: sv})
 		return d, nil
 	case cfg.compiled != nil:
 		d.compiled = cfg.compiled
@@ -436,7 +446,7 @@ func prepare(cfg *sessionConfig) (_ *design, err error) {
 			return nil, err
 		}
 		d.module = m
-		d.first.Store(si.Engine)
+		d.first.Store(&Session{eng: si.Engine})
 		return d, nil
 	}
 	cfg.phase("compile")
@@ -445,7 +455,7 @@ func prepare(cfg *sessionConfig) (_ *design, err error) {
 		return nil, err
 	}
 	d.compiled = bz.Design()
-	d.first.Store(bz.Engine)
+	d.first.Store(&Session{eng: bz.Engine})
 	return d, nil
 }
 
@@ -487,11 +497,12 @@ func (c *sessionConfig) phase(name string) {
 // observers, VCD writers.
 func (d *design) open(cfg *sessionConfig) (_ *Session, err error) {
 	defer recoverInternal(&err)
-	s := &Session{eng: d.first.Swap(nil)}
-	if s.eng == nil {
+	s := d.first.Swap(nil)
+	if s == nil {
+		s = &Session{}
 		switch d.kind {
 		case SVSim:
-			sv, err := svsim.New(d.source, d.top)
+			sv, err := d.sv.NewSimulator()
 			if err != nil {
 				return nil, err
 			}

@@ -85,6 +85,32 @@ func TestSessionAllEngines(t *testing.T) {
 	}
 }
 
+// TestErrorTasksCountAsAssertions pins one meaning of $error and $fatal
+// on both SystemVerilog flows: each is one assertion failure, and neither
+// stops the run. Before, SVSim ignored $error (one failure here where the
+// Moore flow counts two) and failed $fatal at run time as an internal
+// error.
+func TestErrorTasksCountAsAssertions(t *testing.T) {
+	for _, task := range []string{`$error("bad")`, `$fatal(1, "bad")`} {
+		t.Run(task[:6], func(t *testing.T) {
+			src := "module e_tb;\n  bit [7:0] b;\n  initial begin\n    b = 5;\n    #1ns;\n" +
+				"    if (b != 7) " + task + ";\n    assert (b == 7);\n  end\nendmodule\n"
+			for _, kind := range []llhd.EngineKind{llhd.Interp, llhd.Blaze, llhd.SVSim} {
+				s, err := llhd.NewSession(llhd.FromSystemVerilog(src), llhd.Top("e_tb"), llhd.Backend(kind))
+				if err != nil {
+					t.Fatalf("%v: %v", kind, err)
+				}
+				if err := s.Run(); err != nil {
+					t.Fatalf("%v: Run: %v", kind, err)
+				}
+				if st := s.Finish(); st.AssertionFailures != 2 {
+					t.Errorf("%v: %d assertion failures, want 2", kind, st.AssertionFailures)
+				}
+			}
+		})
+	}
+}
+
 // TestSessionStep single-steps a session to completion and checks the
 // instant count against a batch run's statistics.
 func TestSessionStep(t *testing.T) {
