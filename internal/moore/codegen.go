@@ -2,6 +2,7 @@ package moore
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -466,14 +467,10 @@ func (c *compiler) constEval(e Expr, sc *scope) (uint64, error) {
 	case *CallExpr:
 		if x.Name == "$clog2" && len(x.Args) == 1 {
 			v, err := c.constEval(x.Args[0], sc)
-			if err != nil {
+			if err != nil || v == 0 {
 				return 0, err
 			}
-			n := uint64(0)
-			for (uint64(1) << n) < v {
-				n++
-			}
-			return n, nil
+			return uint64(bits.Len64(v - 1)), nil
 		}
 	}
 	return 0, fmt.Errorf("unsupported constant expression %T", e)

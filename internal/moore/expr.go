@@ -464,13 +464,9 @@ func (g *procGen) call(x *CallExpr, stmtPos bool) (cv, error) {
 		if len(x.Args) != 1 {
 			return cv{}, g.errf("%s takes one argument", x.Name)
 		}
-		v, err := g.c.constEval(x.Args[0], g.sc)
+		n, err := g.c.constEval(x, g.sc)
 		if err != nil {
 			return cv{}, err
-		}
-		n := uint64(0)
-		for (uint64(1) << n) < v {
-			n++
 		}
 		return cv{v: g.b.ConstInt(ir.IntType(32), n), width: 32}, nil
 	}

@@ -67,6 +67,7 @@ type localVar struct {
 	// array locals
 	isArray  bool
 	arrayLen int
+	outer    *localVar // the local of the same name this one hides, see endScope
 }
 
 func (g *procGen) newBlock(hint string) *ir.Block {
@@ -323,6 +324,36 @@ func (g *procGen) genFF(it *AlwaysBlock) error {
 
 // ------------------------------------------------------------- statements
 
+// endScope ends the scope of a block's declarations (IEEE 1800 §6.21):
+// each name goes back to the local it hid, if any.
+func (g *procGen) endScope(decls []*NetDecl) {
+	for i := len(decls) - 1; i >= 0; i-- {
+		names := decls[i].Names
+		for j := len(names) - 1; j >= 0; j-- {
+			if outer := g.locals[names[j]].outer; outer != nil {
+				g.locals[names[j]] = outer
+			} else {
+				delete(g.locals, names[j])
+			}
+		}
+	}
+}
+
+// block generates a begin ... end in the current scope; the caller ends it.
+func (g *procGen) block(st *BlockStmt) error {
+	for _, d := range st.Decls {
+		if err := g.localDecl(d); err != nil {
+			return err
+		}
+	}
+	for _, x := range st.Stmts {
+		if err := g.stmt(x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (g *procGen) stmt(s Stmt) error {
 	if g.dead {
 		return nil
@@ -332,17 +363,11 @@ func (g *procGen) stmt(s Stmt) error {
 		return nil
 
 	case *BlockStmt:
-		for _, d := range st.Decls {
-			if err := g.localDecl(d); err != nil {
-				return err
-			}
+		err := g.block(st)
+		if err == nil {
+			g.endScope(st.Decls)
 		}
-		for _, x := range st.Stmts {
-			if err := g.stmt(x); err != nil {
-				return err
-			}
-		}
-		return nil
+		return err
 
 	case *AssignStmt:
 		return g.assign(st)
@@ -435,10 +460,22 @@ func (g *procGen) stmt(s Stmt) error {
 		return nil
 
 	case *ForStmt:
-		if err := g.stmt(st.Init); err != nil {
-			return err
+		// A declaration in the init is the loop's: it stays visible in the
+		// condition, the step and the body, and leaves with the loop.
+		init, scoped := st.Init.(*BlockStmt)
+		var err error
+		if scoped {
+			err = g.block(init)
+		} else {
+			err = g.stmt(st.Init)
 		}
-		return g.loop(st.Cond, st.Body, st.Step, false)
+		if err == nil {
+			err = g.loop(st.Cond, st.Body, st.Step, false)
+		}
+		if err == nil && scoped {
+			g.endScope(init.Decls)
+		}
+		return err
 
 	case *WhileStmt:
 		return g.loop(st.Cond, st.Body, nil, st.DoWhile)
@@ -694,7 +731,7 @@ func (g *procGen) localDecl(d *NetDecl) error {
 			arr := g.b.Array(elem, elems...)
 			slot := g.b.Var(arr)
 			slot.SetName(name)
-			g.locals[name] = &localVar{slot: slot, width: w, isArray: true, arrayLen: n}
+			g.locals[name] = &localVar{slot: slot, width: w, isArray: true, arrayLen: n, outer: g.locals[name]}
 			continue
 		}
 		var init ir.Value
@@ -709,7 +746,7 @@ func (g *procGen) localDecl(d *NetDecl) error {
 		}
 		slot := g.b.Var(init)
 		slot.SetName(name)
-		g.locals[name] = &localVar{slot: slot, width: w, signed: d.Type.Signed}
+		g.locals[name] = &localVar{slot: slot, width: w, signed: d.Type.Signed, outer: g.locals[name]}
 	}
 	return nil
 }

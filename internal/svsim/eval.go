@@ -2,198 +2,159 @@ package svsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/moore"
-	"llhd/internal/val"
 )
 
-// eval interprets an expression.
-func (p *astProc) eval(e moore.Expr) (cval, error) {
-	switch x := e.(type) {
-	case *moore.Number:
-		if x.Fill {
-			return cval{fill: true, bits: x.Value, width: 1}, nil
-		}
-		w := x.Width
-		if w == 0 {
-			w = 32
-		}
-		return cval{bits: mask(x.Value, w), width: w}, nil
+// eval interprets an expression. A runtime error is recorded by fail and
+// reads as zero.
+func (p *astProc) eval(x *expr) cval {
+	switch x.op {
+	case opConst:
+		return cval{bits: x.k, width: x.w, fill: x.fill}
 
-	case *moore.TimeLit:
-		t, err := ir.ParseTime(x.Text)
-		if err != nil {
-			return cval{}, err
-		}
-		return cval{isTime: true, t: t}, nil
+	case opLocal:
+		return cval{bits: p.fr[x.slot], width: x.w}
 
-	case *moore.StringLit:
-		return cval{width: 1}, nil
+	case opNet:
+		return p.readNet(x)
 
-	case *moore.Ident:
-		return p.readName(x.Name)
+	case opTime, opNow:
+		return cval{}
 
-	case *moore.Unary:
-		v, err := p.eval(x.X)
-		if err != nil {
-			return cval{}, err
+	case opArray:
+		i := int(p.eval(x.x).bits)
+		elems := p.arrays[x.slot]
+		if i < 0 || i >= len(elems) {
+			return p.fail(fmt.Errorf("array index %d out of range on %q", i, x.name))
 		}
-		switch x.Op {
-		case "~":
-			return cval{bits: mask(^v.bits, v.width), width: v.width}, nil
-		case "-":
-			return cval{bits: mask(-v.bits, v.width), width: v.width, signed: v.signed}, nil
-		case "!":
-			return cval{bits: b2b(v.bits == 0), width: 1}, nil
-		case "&":
-			return cval{bits: b2b(v.bits == mask(^uint64(0), v.width)), width: 1}, nil
-		case "|":
-			return cval{bits: b2b(v.bits != 0), width: 1}, nil
-		case "^":
-			n := uint64(0)
-			for b := v.bits; b != 0; b >>= 1 {
-				n ^= b & 1
-			}
-			return cval{bits: n, width: 1}, nil
-		}
-		return cval{}, fmt.Errorf("unsupported unary %q", x.Op)
+		return cval{bits: elems[i], width: x.w}
 
-	case *moore.Binary:
-		return p.binary(x)
+	case opBit:
+		base := p.eval(x.x)
+		idx := p.eval(x.y)
+		return cval{bits: base.bits >> idx.bits & 1, width: 1}
 
-	case *moore.Ternary:
-		c, err := p.eval(x.Cond)
-		if err != nil {
-			return cval{}, err
-		}
-		if c.bits != 0 {
-			return p.eval(x.Then)
-		}
-		return p.eval(x.Else)
+	case opSlice:
+		base := p.eval(x.x)
+		return cval{bits: mask(base.bits>>x.k, x.w), width: x.w}
 
-	case *moore.Index:
-		if id, ok := x.X.(*moore.Ident); ok {
-			if arr, isArr := p.sc.arrays[id.Name]; isArr {
-				idx, err := p.eval(x.Idx)
-				if err != nil {
-					return cval{}, err
-				}
-				i := int(idx.bits)
-				if i < 0 || i >= len(arr.elems) {
-					return cval{}, fmt.Errorf("array index %d out of range on %q", i, id.Name)
-				}
-				return cval{bits: arr.elems[i], width: arr.width}, nil
-			}
+	case opPart:
+		// x[base +: w]: bits past the top read as zero (Go shifts by >= 64
+		// yield 0).
+		base := p.eval(x.x)
+		if x.w <= 0 || x.w > base.width {
+			return p.fail(fmt.Errorf("indexed part select width %d out of range", x.w))
 		}
-		base, err := p.eval(x.X)
-		if err != nil {
-			return cval{}, err
-		}
-		idx, err := p.eval(x.Idx)
-		if err != nil {
-			return cval{}, err
-		}
-		return cval{bits: base.bits >> idx.bits & 1, width: 1}, nil
+		idx := p.eval(x.y)
+		return cval{bits: mask(base.bits>>idx.bits, x.w), width: x.w}
 
-	case *moore.Slice:
-		base, err := p.eval(x.X)
-		if err != nil {
-			return cval{}, err
-		}
-		if x.Up {
-			// x[base +: w]: dynamic base, constant width; bits past the
-			// top read as zero (Go shifts by >= 64 yield 0).
-			wamt, err := p.sc.constEval(x.Lsb)
-			if err != nil {
-				return cval{}, fmt.Errorf("indexed part select width must be constant: %v", err)
-			}
-			w := int(wamt)
-			if w <= 0 || w > base.width {
-				return cval{}, fmt.Errorf("indexed part select width %d out of range", w)
-			}
-			idx, err := p.eval(x.Msb)
-			if err != nil {
-				return cval{}, err
-			}
-			return cval{bits: mask(base.bits>>idx.bits, w), width: w}, nil
-		}
-		msb, err := p.sc.constEval(x.Msb)
-		if err != nil {
-			return cval{}, err
-		}
-		lsb, err := p.sc.constEval(x.Lsb)
-		if err != nil {
-			return cval{}, err
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		w := int(msb-lsb) + 1
-		return cval{bits: mask(base.bits>>lsb, w), width: w}, nil
-
-	case *moore.Concat:
+	case opConcat:
+		var acc uint64
 		total := 0
-		var parts []cval
-		for _, part := range x.Parts {
-			v, err := p.eval(part)
-			if err != nil {
-				return cval{}, err
-			}
-			parts = append(parts, v)
+		for _, part := range x.args {
+			v := p.eval(part)
+			acc = acc<<v.width | mask(v.bits, v.width)
 			total += v.width
 		}
-		var acc uint64
-		off := total
-		for _, v := range parts {
-			off -= v.width
-			acc |= mask(v.bits, v.width) << off
-		}
-		return cval{bits: mask(acc, total), width: total}, nil
+		return cval{bits: mask(acc, total), width: total}
 
-	case *moore.Repl:
-		n, err := p.sc.constEval(x.Count)
-		if err != nil {
-			return cval{}, err
-		}
-		inner, err := p.eval(x.X)
-		if err != nil {
-			return cval{}, err
-		}
-		total := int(n) * inner.width
+	case opRepl:
+		inner := p.eval(x.x)
+		n := int(x.k)
 		var acc uint64
-		for i := 0; i < int(n); i++ {
+		for i := 0; i < n; i++ {
 			acc |= mask(inner.bits, inner.width) << (i * inner.width)
 		}
-		return cval{bits: mask(acc, total), width: total}, nil
+		return cval{bits: mask(acc, n*inner.width), width: n * inner.width}
 
-	case *moore.CallExpr:
-		return p.callExpr(x)
+	case opTernary:
+		if p.eval(x.x).bits != 0 {
+			return p.eval(x.y)
+		}
+		return p.eval(x.z)
 
-	case *moore.IncDec:
-		id, ok := x.X.(*moore.Ident)
-		if !ok {
-			return cval{}, fmt.Errorf("++/-- target must be a variable")
-		}
-		lv, ok := p.locals[id.Name]
-		if !ok {
-			return cval{}, fmt.Errorf("++/-- target %q must be local", id.Name)
-		}
-		old := lv.Bits
-		var next uint64
-		if x.Op == "++" {
-			next = old + 1
-		} else {
+	case opSign:
+		v := p.eval(x.x)
+		v.signed = x.signed
+		return v
+
+	case opCall:
+		return p.call(x)
+
+	case opIncDec:
+		old := p.fr[x.slot]
+		next := old + 1
+		if x.dec {
 			next = old - 1
 		}
-		p.locals[id.Name] = val.Int(int(lv.Width), next)
-		if x.Post {
-			return cval{bits: old, width: int(lv.Width)}, nil
+		next = mask(next, x.w)
+		p.fr[x.slot] = next
+		if x.post {
+			return cval{bits: old, width: x.w}
 		}
-		return cval{bits: mask(next, int(lv.Width)), width: int(lv.Width)}, nil
+		return cval{bits: next, width: x.w}
+
+	case opNot:
+		v := p.eval(x.x)
+		return cval{bits: mask(^v.bits, v.width), width: v.width}
+	case opNeg:
+		v := p.eval(x.x)
+		return cval{bits: mask(-v.bits, v.width), width: v.width, signed: v.signed}
+	case opLNot:
+		return cval{bits: b2b(p.eval(x.x).bits == 0), width: 1}
+	case opRedAnd:
+		v := p.eval(x.x)
+		return cval{bits: b2b(v.bits == mask(^uint64(0), v.width)), width: 1}
+	case opRedOr:
+		return cval{bits: b2b(p.eval(x.x).bits != 0), width: 1}
+	case opRedXor:
+		return cval{bits: uint64(bits.OnesCount64(p.eval(x.x).bits) & 1), width: 1}
+
+	case opLAnd:
+		if p.eval(x.x).bits == 0 {
+			return cval{width: 1}
+		}
+		return cval{bits: b2b(p.eval(x.y).bits != 0), width: 1}
+	case opLOr:
+		if p.eval(x.x).bits != 0 {
+			return cval{bits: 1, width: 1}
+		}
+		return cval{bits: b2b(p.eval(x.y).bits != 0), width: 1}
 	}
-	return cval{}, fmt.Errorf("unsupported expression %T", e)
+	return p.binary(x)
+}
+
+// readNet reads a net with commercial-style immediate visibility of the
+// process's own blocking writes.
+func (p *astProc) readNet(x *expr) cval {
+	if p.pending.has[x.slot] {
+		return cval{bits: p.pendVal[x.slot], width: x.w, signed: x.signed}
+	}
+	p.reads.add(x.slot)
+	return cval{bits: p.e.Probe(p.refs[x.slot]).Bits, width: x.w, signed: x.signed}
+}
+
+// evalTime evaluates a delay: a time literal or $time, through ternaries
+// and $signed/$unsigned. Anything else is evaluated and is no time.
+func (p *astProc) evalTime(x *expr) (ir.Time, bool) {
+	switch x.op {
+	case opTime:
+		return x.t, true
+	case opNow:
+		return p.e.Now, true
+	case opTernary:
+		if p.eval(x.x).bits != 0 {
+			return p.evalTime(x.y)
+		}
+		return p.evalTime(x.z)
+	case opSign:
+		return p.evalTime(x.x)
+	}
+	p.eval(x)
+	return ir.Time{}, false
 }
 
 func b2b(b bool) uint64 {
@@ -203,217 +164,128 @@ func b2b(b bool) uint64 {
 	return 0
 }
 
-func (p *astProc) binary(x *moore.Binary) (cval, error) {
-	if x.Op == "&&" || x.Op == "||" {
-		a, err := p.eval(x.X)
-		if err != nil {
-			return cval{}, err
-		}
-		if x.Op == "&&" && a.bits == 0 {
-			return cval{width: 1}, nil
-		}
-		if x.Op == "||" && a.bits != 0 {
-			return cval{bits: 1, width: 1}, nil
-		}
-		b, err := p.eval(x.Y)
-		if err != nil {
-			return cval{}, err
-		}
-		return cval{bits: b2b(b.bits != 0), width: 1}, nil
-	}
-
-	a, err := p.eval(x.X)
-	if err != nil {
-		return cval{}, err
-	}
-	b, err := p.eval(x.Y)
-	if err != nil {
-		return cval{}, err
-	}
-	w := a.width
-	if b.width > w {
-		w = b.width
-	}
-	if a.fill || b.fill {
-		if a.fill && !b.fill {
+// binary evaluates an operator of two operands, both adapted to the wider
+// width (a '0 / '1 fill to the other's) and signed when both are.
+func (p *astProc) binary(x *expr) cval {
+	a := p.eval(x.x)
+	b := p.eval(x.y)
+	w := max(a.width, b.width)
+	if a.fill != b.fill {
+		if a.fill {
 			w = b.width
-		}
-		if b.fill && !a.fill {
+		} else {
 			w = a.width
 		}
 	}
 	signed := a.signed && b.signed
 	av, bv := a.adapt(w), b.adapt(w)
-	sa, sb := ir.SignExtend(av, w), ir.SignExtend(bv, w)
 
-	switch x.Op {
-	case "+":
-		return cval{bits: mask(av+bv, w), width: w, signed: signed}, nil
-	case "-":
-		return cval{bits: mask(av-bv, w), width: w, signed: signed}, nil
-	case "*":
-		return cval{bits: mask(av*bv, w), width: w, signed: signed}, nil
-	case "/":
+	switch x.op {
+	case opAdd:
+		return cval{bits: mask(av+bv, w), width: w, signed: signed}
+	case opSub:
+		return cval{bits: mask(av-bv, w), width: w, signed: signed}
+	case opMul:
+		return cval{bits: mask(av*bv, w), width: w, signed: signed}
+	case opDiv:
 		if bv == 0 {
-			return cval{}, fmt.Errorf("division by zero")
+			return p.fail(fmt.Errorf("division by zero"))
 		}
 		if signed {
-			return cval{bits: mask(uint64(sa/sb), w), width: w, signed: true}, nil
+			return cval{bits: mask(uint64(ir.SignExtend(av, w)/ir.SignExtend(bv, w)), w), width: w, signed: true}
 		}
-		return cval{bits: av / bv, width: w}, nil
-	case "%":
+		return cval{bits: av / bv, width: w}
+	case opMod:
 		if bv == 0 {
-			return cval{}, fmt.Errorf("modulo by zero")
+			return p.fail(fmt.Errorf("modulo by zero"))
 		}
 		if signed {
-			return cval{bits: mask(uint64(sa%sb), w), width: w, signed: true}, nil
+			return cval{bits: mask(uint64(ir.SignExtend(av, w)%ir.SignExtend(bv, w)), w), width: w, signed: true}
 		}
-		return cval{bits: av % bv, width: w}, nil
-	case "&":
-		return cval{bits: av & bv, width: w}, nil
-	case "|":
-		return cval{bits: av | bv, width: w}, nil
-	case "^":
-		return cval{bits: av ^ bv, width: w}, nil
-	case "<<", "<<<":
-		if bv >= 64 {
-			return cval{width: w}, nil
-		}
-		return cval{bits: mask(av<<bv, w), width: w}, nil
-	case ">>":
-		if bv >= 64 {
-			return cval{width: w}, nil
-		}
-		return cval{bits: av >> bv, width: w}, nil
-	case ">>>":
+		return cval{bits: av % bv, width: w}
+	case opAnd:
+		return cval{bits: av & bv, width: w}
+	case opOr:
+		return cval{bits: av | bv, width: w}
+	case opXor:
+		return cval{bits: av ^ bv, width: w}
+	case opShl:
+		return cval{bits: mask(av<<bv, w), width: w}
+	case opShr:
+		return cval{bits: av >> bv, width: w}
+	case opAShr:
 		sh := bv
 		if sh >= uint64(w) {
 			sh = uint64(w - 1)
 		}
-		return cval{bits: mask(uint64(sa>>sh), w), width: w, signed: signed}, nil
-	case "==", "===":
-		return cval{bits: b2b(av == bv), width: 1}, nil
-	case "!=", "!==":
-		return cval{bits: b2b(av != bv), width: 1}, nil
-	case "<":
-		if signed {
-			return cval{bits: b2b(sa < sb), width: 1}, nil
-		}
-		return cval{bits: b2b(av < bv), width: 1}, nil
-	case "<=":
-		if signed {
-			return cval{bits: b2b(sa <= sb), width: 1}, nil
-		}
-		return cval{bits: b2b(av <= bv), width: 1}, nil
-	case ">":
-		if signed {
-			return cval{bits: b2b(sa > sb), width: 1}, nil
-		}
-		return cval{bits: b2b(av > bv), width: 1}, nil
-	case ">=":
-		if signed {
-			return cval{bits: b2b(sa >= sb), width: 1}, nil
-		}
-		return cval{bits: b2b(av >= bv), width: 1}, nil
+		return cval{bits: mask(uint64(ir.SignExtend(av, w)>>sh), w), width: w, signed: signed}
+	case opEq:
+		return cval{bits: b2b(av == bv), width: 1}
+	case opNe:
+		return cval{bits: b2b(av != bv), width: 1}
 	}
-	return cval{}, fmt.Errorf("unsupported binary %q", x.Op)
+	if signed {
+		sa, sb := ir.SignExtend(av, w), ir.SignExtend(bv, w)
+		switch x.op {
+		case opLt:
+			return cval{bits: b2b(sa < sb), width: 1}
+		case opLe:
+			return cval{bits: b2b(sa <= sb), width: 1}
+		case opGt:
+			return cval{bits: b2b(sa > sb), width: 1}
+		}
+		return cval{bits: b2b(sa >= sb), width: 1}
+	}
+	switch x.op {
+	case opLt:
+		return cval{bits: b2b(av < bv), width: 1}
+	case opLe:
+		return cval{bits: b2b(av <= bv), width: 1}
+	case opGt:
+		return cval{bits: b2b(av > bv), width: 1}
+	}
+	return cval{bits: b2b(av >= bv), width: 1}
 }
 
-// callExpr dispatches system functions and user function calls.
-func (p *astProc) callExpr(x *moore.CallExpr) (cval, error) {
-	switch x.Name {
-	case "$signed", "$unsigned":
-		v, err := p.eval(x.Args[0])
-		if err != nil {
-			return cval{}, err
-		}
-		v.signed = x.Name == "$signed"
-		return v, nil
-	case "$time":
-		return cval{isTime: true, t: p.e.Now}, nil
-	case "$clog2":
-		v, err := p.sc.constEval(x.Args[0])
-		if err != nil {
-			return cval{}, err
-		}
-		n := uint64(0)
-		for (uint64(1) << n) < v {
-			n++
-		}
-		return cval{bits: n, width: 32}, nil
-	case "$display", "$write", "$info", "$warning":
-		return cval{width: 1}, nil
+// call runs a user function in a fresh frame: the one pooled for its call
+// depth. Arguments are evaluated in the caller's frame; a call inside one
+// runs a level deeper, so it cannot clobber the frame being filled.
+func (p *astProc) call(x *expr) cval {
+	if p.err != nil {
+		return cval{}
 	}
-
-	fn, ok := p.sc.funcs[x.Name]
-	if !ok {
-		return cval{}, fmt.Errorf("unknown function %q", x.Name)
-	}
+	fn := x.fn
 	// A call chain without end is a step-limit quota failure, as on the
 	// LLHD engines, not a Go stack overflow that nothing can contain.
 	if p.depth >= engine.MaxCallDepth {
-		return cval{}, fmt.Errorf("%s: call depth %d exceeded: %w", x.Name, engine.MaxCallDepth, engine.ErrStepLimit)
+		return p.fail(fmt.Errorf("%s: call depth %d exceeded: %w", fn.name, engine.MaxCallDepth, engine.ErrStepLimit))
 	}
-	// Fresh frame: save the caller's locals.
-	saved := p.locals
-	p.locals = map[string]val.Value{}
 	p.depth++
-	defer func() { p.locals, p.depth = saved, p.depth-1 }()
-
-	for i, arg := range fn.Args {
-		if i >= len(x.Args) {
-			return cval{}, fmt.Errorf("%s called with too few arguments", x.Name)
-		}
-		v, err := p.evalIn(saved, x.Args[i])
-		if err != nil {
-			return cval{}, err
-		}
-		w, err := p.sc.typeWidth(arg.Type)
-		if err != nil {
-			return cval{}, err
-		}
-		p.locals[arg.Name] = val.Int(w, v.adapt(w))
+	if p.depth == len(p.frames) {
+		p.frames = append(p.frames, make([]uint64, p.mod.maxFrame))
 	}
-	retW := 1
-	if fn.Ret != nil {
-		w, err := p.sc.typeWidth(fn.Ret)
-		if err != nil {
-			return cval{}, err
-		}
-		retW = w
+	frame, caller := p.frames[p.depth], p.fr
+	for i, w := range fn.argW {
+		frame[i] = p.eval(x.args[i]).adapt(w)
 	}
-	p.locals[fn.Name] = val.Int(retW, 0)
-
-	for _, d := range fn.Locals {
-		if err := p.declLocals(d); err != nil {
-			return cval{}, err
-		}
+	if p.err != nil {
+		p.depth--
+		return cval{}
 	}
-	for _, st := range fn.Body {
-		c, err := p.exec(st)
-		if err != nil {
-			return cval{}, err
-		}
-		if c == ctrlReturn {
-			if rv, ok := p.locals["$ret"]; ok {
-				return cval{bits: mask(rv.Bits, retW), width: retW}, nil
-			}
+	frame[fn.retInit] = 0
+	p.fr = frame
+	c := ctrlNone
+	for _, st := range fn.body {
+		if c = p.exec(st); c != ctrlNone {
 			break
 		}
-		if c != ctrlNone {
-			return cval{}, fmt.Errorf("illegal control flow inside function %s", x.Name)
-		}
 	}
-	rv := p.locals[fn.Name]
-	return cval{bits: rv.Bits, width: retW}, nil
-}
-
-// evalIn evaluates an expression against a specific locals frame (used for
-// call arguments, which belong to the caller).
-func (p *astProc) evalIn(frame map[string]val.Value, e moore.Expr) (cval, error) {
-	cur := p.locals
-	p.locals = frame
-	v, err := p.eval(e)
-	p.locals = cur
-	return v, err
+	p.fr, p.depth = caller, p.depth-1
+	switch {
+	case c == ctrlNone || c == ctrlReturn:
+		return cval{bits: frame[fn.retSlot], width: fn.retW}
+	case c != ctrlErr:
+		p.fail(fmt.Errorf("illegal control flow inside function %s", fn.name))
+	}
+	return cval{}
 }

@@ -5,17 +5,15 @@ import (
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/moore"
-	"llhd/internal/val"
 )
 
-// cval is an interpreted expression value.
+// cval is an interpreted expression value: its bits, and the width and
+// signedness they carry, which a ternary picks at run time. fill marks a
+// '0 / '1 literal, whose width adapts to its context.
 type cval struct {
 	bits   uint64
 	width  int
 	signed bool
-	isTime bool
-	t      ir.Time
 	fill   bool
 }
 
@@ -35,407 +33,235 @@ func (c cval) adapt(w int) uint64 {
 	return mask(b, w)
 }
 
+// errCtrl is ctrlErr when a runtime error is pending, else ctrlNone.
+func (p *astProc) errCtrl() ctrl {
+	if p.err != nil {
+		return ctrlErr
+	}
+	return ctrlNone
+}
+
 // exec interprets one statement.
-func (p *astProc) exec(s moore.Stmt) (ctrl, error) {
-	switch st := s.(type) {
-	case nil, *moore.NullStmt:
-		return ctrlNone, nil
+func (p *astProc) exec(s *stmt) ctrl {
+	switch s.op {
+	case sNop:
+		return ctrlNone
 
-	case *moore.BlockStmt:
-		for _, d := range st.Decls {
-			if err := p.declLocals(d); err != nil {
-				return ctrlNone, err
+	case sBlock:
+		for _, x := range s.list {
+			if c := p.exec(x); c != ctrlNone {
+				return c
 			}
 		}
-		for _, x := range st.Stmts {
-			c, err := p.exec(x)
-			if c != ctrlNone || err != nil {
-				return c, err
-			}
+		return ctrlNone
+
+	case sDecl:
+		var v uint64
+		if s.x != nil {
+			v = p.eval(s.x).adapt(s.w)
 		}
-		return ctrlNone, nil
+		p.fr[s.slot] = v
+		return p.errCtrl()
 
-	case *moore.AssignStmt:
-		return ctrlNone, p.assign(st)
+	case sAssign:
+		rhs := p.eval(s.x)
+		var delay ir.Time
+		if s.y != nil {
+			delay, _ = p.evalTime(s.y)
+		}
+		if p.err != nil {
+			return ctrlErr
+		}
+		p.store(s.lv, rhs, s.blocking, delay)
+		return p.errCtrl()
 
-	case *moore.IfStmt:
-		cond, err := p.eval(st.Cond)
-		if err != nil {
-			return ctrlNone, err
+	case sIf:
+		cond := p.eval(s.x)
+		if p.err != nil {
+			return ctrlErr
 		}
 		if cond.bits != 0 {
-			return p.exec(st.Then)
+			return p.exec(s.a)
 		}
-		return p.exec(st.Else)
+		return p.exec(s.b)
 
-	case *moore.CaseStmt:
-		subj, err := p.eval(st.Subject)
-		if err != nil {
-			return ctrlNone, err
-		}
-		for _, item := range st.Items {
-			for _, lbl := range item.Labels {
-				lv, err := p.eval(lbl)
-				if err != nil {
-					return ctrlNone, err
+	case sCase:
+		subj := p.eval(s.x)
+		for _, arm := range s.arms {
+			for _, l := range arm.labels {
+				lv := p.eval(l)
+				if p.err != nil {
+					return ctrlErr
 				}
 				if lv.adapt(subj.width) == subj.bits {
-					return p.exec(item.Body)
+					return p.exec(arm.body)
 				}
 			}
 		}
-		return p.exec(st.Default)
+		if p.err != nil {
+			return ctrlErr
+		}
+		return p.exec(s.b)
 
-	case *moore.ForStmt:
-		if c, err := p.exec(st.Init); c != ctrlNone || err != nil {
-			return c, err
+	case sFor:
+		if c := p.exec(s.a); c != ctrlNone {
+			return c
 		}
 		for iter := 0; iter < 100_000_000; iter++ {
-			if st.Cond != nil {
-				cond, err := p.eval(st.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if cond.bits == 0 {
-					return ctrlNone, nil
-				}
+			if s.x != nil && !p.holds(s.x) {
+				return p.errCtrl()
 			}
-			if c, err := p.exec(st.Body); c != ctrlNone || err != nil {
-				return c, err
+			if c := p.exec(s.body); c != ctrlNone {
+				return c
 			}
-			if st.Step != nil {
-				if c, err := p.exec(st.Step); c != ctrlNone || err != nil {
-					return c, err
-				}
+			if c := p.exec(s.b); c != ctrlNone {
+				return c
 			}
 		}
-		return ctrlNone, fmt.Errorf("for loop exceeded iteration budget: %w", engine.ErrStepLimit)
+		p.fail(fmt.Errorf("for loop exceeded iteration budget: %w", engine.ErrStepLimit))
+		return ctrlErr
 
-	case *moore.WhileStmt:
-		first := st.DoWhile
+	case sWhile:
+		first := s.doWhile
 		for iter := 0; iter < 100_000_000; iter++ {
-			if !first {
-				cond, err := p.eval(st.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if cond.bits == 0 {
-					return ctrlNone, nil
-				}
+			if !first && !p.holds(s.x) {
+				return p.errCtrl()
 			}
 			first = false
-			if c, err := p.exec(st.Body); c != ctrlNone || err != nil {
-				return c, err
+			if c := p.exec(s.body); c != ctrlNone {
+				return c
 			}
-			if st.DoWhile {
-				cond, err := p.eval(st.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if cond.bits == 0 {
-					return ctrlNone, nil
-				}
+			if s.doWhile && !p.holds(s.x) {
+				return p.errCtrl()
 			}
 		}
-		return ctrlNone, fmt.Errorf("while loop exceeded iteration budget: %w", engine.ErrStepLimit)
+		p.fail(fmt.Errorf("while loop exceeded iteration budget: %w", engine.ErrStepLimit))
+		return ctrlErr
 
-	case *moore.RepeatStmt:
-		n, err := p.eval(st.Count)
-		if err != nil {
-			return ctrlNone, err
+	case sRepeat:
+		n := p.eval(s.x)
+		if p.err != nil {
+			return ctrlErr
 		}
 		for i := uint64(0); i < n.bits; i++ {
-			if c, err := p.exec(st.Body); c != ctrlNone || err != nil {
-				return c, err
+			if c := p.exec(s.body); c != ctrlNone {
+				return c
 			}
 		}
-		return ctrlNone, nil
+		return ctrlNone
 
-	case *moore.DelayStmt:
-		d, err := p.eval(st.Delay)
-		if err != nil {
-			return ctrlNone, err
+	case sDelay:
+		t, ok := p.evalTime(s.x)
+		if p.err != nil {
+			return ctrlErr
 		}
-		if !d.isTime {
-			return ctrlNone, fmt.Errorf("delay is not a time")
+		if !ok {
+			p.fail(fmt.Errorf("delay is not a time"))
+			return ctrlErr
 		}
-		t := d.t
-		if !p.suspend(yieldMsg{timeout: &t}) {
-			return ctrlStop, nil
+		if !p.suspend(yieldMsg{timeout: t, timed: true}) {
+			return ctrlStop
 		}
-		return p.exec(st.Inner)
+		return p.exec(s.a)
 
-	case *moore.WaitEventStmt:
-		return p.waitEvents(st)
-
-	case *moore.ExprStmt:
-		switch x := st.X.(type) {
-		case *moore.IncDec:
-			_, err := p.eval(x)
-			return ctrlNone, err
-		case *moore.CallExpr:
-			_, err := p.eval(x)
-			return ctrlNone, err
+	case sWait:
+		l := &p.waits[s.slot]
+		for { // suspend until one of the list's edges fires
+			l.sample(p.e)
+			if !p.suspend(yieldMsg{refs: l.refs}) {
+				return ctrlStop
+			}
+			if l.fired(p.e) {
+				return ctrlNone
+			}
 		}
-		_, err := p.eval(st.X)
-		return ctrlNone, err
 
-	case *moore.AssertStmt:
-		cond, err := p.eval(st.Cond)
-		if err != nil {
-			return ctrlNone, err
+	case sExpr:
+		p.eval(s.x)
+		return p.errCtrl()
+
+	case sAssert:
+		cond := p.eval(s.x)
+		if p.err != nil {
+			return ctrlErr
 		}
 		if cond.bits == 0 {
 			p.e.OnAssert("assert", p.e.Now)
 		}
-		return ctrlNone, nil
+		return ctrlNone
 
-	case *moore.SysCallStmt:
-		switch st.Name {
-		case "$finish", "$stop":
-			return ctrlFinish, nil
-		case "$return":
-			if len(st.Args) == 1 && st.Args[0] != nil {
-				v, err := p.eval(st.Args[0])
-				if err != nil {
-					return ctrlNone, err
-				}
-				p.locals["$ret"] = val.Int(64, v.bits)
-			}
-			return ctrlReturn, nil
-		case "$error", "$fatal":
-			// One assertion failure each, as the Moore flow lowers both
-			// to a failing llhd.assert; neither stops the run.
-			p.e.OnAssert(st.Name, p.e.Now)
-			return ctrlNone, nil
-		case "$display", "$write", "$info", "$warning",
-			"$readmemh", "$dumpfile", "$dumpvars", "$monitor":
-			return ctrlNone, nil
+	case sFinish:
+		return ctrlFinish
+
+	case sStore:
+		v := p.eval(s.x).bits
+		if p.err != nil {
+			return ctrlErr
 		}
-		return ctrlNone, fmt.Errorf("unsupported system task %s", st.Name)
+		p.fr[s.slot] = mask(v, s.w)
+		return ctrlNone
+
+	case sReturn:
+		return ctrlReturn
+
+	case sFail:
+		p.e.OnAssert(s.name, p.e.Now)
+		return ctrlNone
 	}
-	return ctrlNone, fmt.Errorf("unsupported statement %T", s)
+	panic(fmt.Sprintf("svsim: statement opcode %d", s.op))
 }
 
-func (p *astProc) waitEvents(st *moore.WaitEventStmt) (ctrl, error) {
-	l := p.waits[st]
-	if l == nil { // a wait inside a function, resolved on first use
-		var err error
-		if l, err = p.sc.resolveEvents("event", st.Events); err != nil {
-			return ctrlNone, err
+// holds evaluates a loop condition; a runtime error reads as false.
+func (p *astProc) holds(x *expr) bool {
+	return p.eval(x).bits != 0 && p.err == nil
+}
+
+// store writes rhs to an assignment target.
+func (p *astProc) store(lv *lvalue, rhs cval, blocking bool, delay ir.Time) {
+	switch lv.kind {
+	case lvWhole:
+		p.writeBack(lv.base, rhs.adapt(lv.base.w), blocking, delay)
+
+	case lvArray:
+		i := int(p.eval(lv.idx).bits)
+		elems := p.arrays[lv.slot]
+		if i < 0 || i >= len(elems) {
+			p.fail(fmt.Errorf("array index %d out of range on %q", i, lv.name))
+			return
 		}
-		p.waits[st] = l
-	}
-	for { // suspend until one of the list's edges fires
-		l.sample(p.e)
-		if !p.suspend(yieldMsg{refs: l.refs}) {
-			return ctrlStop, nil
-		}
-		if l.fired(p.e) {
-			return ctrlNone, nil
+		elems[i] = rhs.adapt(lv.w)
+
+	case lvBit: // read-modify-write
+		idx := p.eval(lv.idx).bits
+		cur := p.eval(lv.base).bits
+		p.writeBack(lv.base, cur&^(1<<idx)|rhs.adapt(1)<<idx, blocking, delay)
+
+	case lvPart: // x[base +: w] = rhs: clear the field, or the value in
+		cur := p.eval(lv.base).bits
+		idx := p.eval(lv.idx).bits
+		m := mask(^uint64(0), lv.w) << idx
+		p.writeBack(lv.base, cur&^m|rhs.adapt(lv.w)<<idx, blocking, delay)
+
+	case lvSlice:
+		cur := p.eval(lv.base).bits
+		m := mask(^uint64(0), lv.w) << lv.lsb
+		p.writeBack(lv.base, cur&^m|rhs.adapt(lv.w)<<lv.lsb, blocking, delay)
+
+	case lvConcat:
+		whole := rhs.adapt(lv.w)
+		off := lv.w
+		for _, part := range lv.parts {
+			off -= part.w
+			p.writeBack(part, mask(whole>>off, part.w), blocking, delay)
 		}
 	}
 }
 
-func (p *astProc) declLocals(d *moore.NetDecl) error {
-	w, err := p.sc.typeWidth(d.Type)
-	if err != nil {
-		return err
+// writeBack writes a whole local or net.
+func (p *astProc) writeBack(base *expr, bits uint64, blocking bool, delay ir.Time) {
+	if base.op == opLocal {
+		p.fr[base.slot] = mask(bits, base.w)
+		return
 	}
-	for i, n := range d.Names {
-		init := uint64(0)
-		if d.Inits[i] != nil {
-			v, err := p.eval(d.Inits[i])
-			if err != nil {
-				return err
-			}
-			init = v.adapt(w)
-		}
-		p.locals[n] = val.Value{Kind: val.KindInt, Width: int32(w), Bits: init}
-	}
-	return nil
-}
-
-// readName resolves an identifier read with commercial-style immediate
-// visibility of blocking writes.
-func (p *astProc) readName(name string) (cval, error) {
-	if lv, ok := p.locals[name]; ok {
-		return cval{bits: lv.Bits, width: int(lv.Width)}, nil
-	}
-	if v, ok := p.sc.consts[name]; ok {
-		return cval{bits: v, width: 32}, nil
-	}
-	b := p.sc.nets[name]
-	if b == nil {
-		return cval{}, fmt.Errorf("unknown identifier %q", name)
-	}
-	if p.pending.has[b.slot] {
-		pv := p.pendVal[b.slot]
-		return cval{bits: pv.Bits, width: int(pv.Width), signed: b.signed}, nil
-	}
-	p.reads.add(b.slot)
-	v := p.e.Probe(b.ref)
-	return cval{bits: v.Bits, width: b.width, signed: b.signed}, nil
-}
-
-func (p *astProc) assign(st *moore.AssignStmt) error {
-	rhs, err := p.eval(st.Value)
-	if err != nil {
-		return err
-	}
-	var delay ir.Time
-	if st.Delay != nil {
-		d, err := p.eval(st.Delay)
-		if err != nil {
-			return err
-		}
-		delay = d.t
-	}
-
-	switch t := st.Target.(type) {
-	case *moore.Ident:
-		if lv, ok := p.locals[t.Name]; ok {
-			p.locals[t.Name] = val.Int(int(lv.Width), rhs.adapt(int(lv.Width)))
-			return nil
-		}
-		b := p.sc.nets[t.Name]
-		if b == nil {
-			return fmt.Errorf("assignment to unknown name %q", t.Name)
-		}
-		v := val.Int(b.width, rhs.adapt(b.width))
-		if st.Blocking {
-			p.write(b, v)
-			return nil
-		}
-		p.e.Drive(b.ref, v, delay)
-		return nil
-
-	case *moore.Index:
-		id, ok := t.X.(*moore.Ident)
-		if !ok {
-			return fmt.Errorf("unsupported assignment target")
-		}
-		idx, err := p.eval(t.Idx)
-		if err != nil {
-			return err
-		}
-		if arr, isArr := p.sc.arrays[id.Name]; isArr {
-			i := int(idx.bits)
-			if i < 0 || i >= len(arr.elems) {
-				return fmt.Errorf("array index %d out of range on %q", i, id.Name)
-			}
-			arr.elems[i] = rhs.adapt(arr.width)
-			return nil
-		}
-		// Bit write: read-modify-write.
-		cur, err := p.readName(id.Name)
-		if err != nil {
-			return err
-		}
-		bit := rhs.adapt(1)
-		upd := cur.bits&^(1<<idx.bits) | bit<<idx.bits
-		return p.writeWhole(id.Name, upd, st.Blocking, delay)
-
-	case *moore.Slice:
-		id, ok := t.X.(*moore.Ident)
-		if !ok {
-			return fmt.Errorf("unsupported assignment target")
-		}
-		if t.Up {
-			// x[base +: w] = rhs: clear the field, or the value in.
-			wamt, err := p.sc.constEval(t.Lsb)
-			if err != nil {
-				return fmt.Errorf("indexed part select width must be constant: %v", err)
-			}
-			w := int(wamt)
-			cur, err := p.readName(id.Name)
-			if err != nil {
-				return err
-			}
-			if w <= 0 || w > cur.width {
-				return fmt.Errorf("indexed part select width %d out of range", w)
-			}
-			idx, err := p.eval(t.Msb)
-			if err != nil {
-				return err
-			}
-			m := mask(^uint64(0), w) << idx.bits
-			upd := cur.bits&^m | rhs.adapt(w)<<idx.bits
-			return p.writeWhole(id.Name, upd, st.Blocking, delay)
-		}
-		msb, err := p.sc.constEval(t.Msb)
-		if err != nil {
-			return err
-		}
-		lsb, err := p.sc.constEval(t.Lsb)
-		if err != nil {
-			return err
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		w := int(msb-lsb) + 1
-		cur, err := p.readName(id.Name)
-		if err != nil {
-			return err
-		}
-		m := mask(^uint64(0), w) << lsb
-		upd := cur.bits&^m | rhs.adapt(w)<<lsb
-		return p.writeWhole(id.Name, upd, st.Blocking, delay)
-
-	case *moore.Concat:
-		total := 0
-		type piece struct {
-			name string
-			w    int
-		}
-		var pieces []piece
-		for _, part := range t.Parts {
-			id, ok := part.(*moore.Ident)
-			if !ok {
-				return fmt.Errorf("concat target parts must be nets")
-			}
-			w := 0
-			if lv, isLocal := p.locals[id.Name]; isLocal {
-				w = int(lv.Width)
-			} else if b := p.sc.nets[id.Name]; b != nil {
-				w = b.width
-			}
-			pieces = append(pieces, piece{id.Name, w})
-			total += w
-		}
-		whole := rhs.adapt(total)
-		off := total
-		for _, pc := range pieces {
-			off -= pc.w
-			part := mask(whole>>off, pc.w)
-			if lv, isLocal := p.locals[pc.name]; isLocal {
-				p.locals[pc.name] = val.Int(int(lv.Width), part)
-				continue
-			}
-			if err := p.writeWhole(pc.name, part, st.Blocking, delay); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("unsupported assignment target %T", st.Target)
-}
-
-func (p *astProc) writeWhole(name string, bits uint64, blocking bool, delay ir.Time) error {
-	if lv, ok := p.locals[name]; ok {
-		p.locals[name] = val.Int(int(lv.Width), bits)
-		return nil
-	}
-	b := p.sc.nets[name]
-	if b == nil {
-		return fmt.Errorf("assignment to unknown name %q", name)
-	}
-	v := val.Int(b.width, mask(bits, b.width))
-	if blocking {
-		p.write(b, v)
-		return nil
-	}
-	p.e.Drive(b.ref, v, delay)
-	return nil
+	p.writeNet(base.slot, base.w, bits, blocking, delay)
 }

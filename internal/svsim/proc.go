@@ -8,12 +8,11 @@ import (
 
 	"llhd/internal/engine"
 	"llhd/internal/ir"
-	"llhd/internal/moore"
 	"llhd/internal/val"
 )
 
 // astProc runs one always/initial block. It is one of two kinds, fixed by
-// newAstProc:
+// Compile (procProg.plain):
 //
 //   - a plain call, for an always block that cannot suspend mid-body (no
 //     # delay and no @(...) in its body or in any function of its module):
@@ -28,15 +27,14 @@ import (
 type astProc struct {
 	engine.ProcHandle
 	name string
-	sc   *scope
-	blk  *moore.AlwaysBlock
+	prog *procProg
+	*instState
 	// events is the block's own sensitivity list when it is edge-triggered
 	// (always_ff, always @(posedge ...)); nil for a combinational block.
 	events *eventList
-	// waits holds each @(...) of the body resolved (checkNames); one in a
-	// function is resolved on first use.
-	waits map[*moore.WaitEventStmt]*eventList
-	plain bool
+	// waits holds the state of every @(...) the process can reach: those
+	// in the module's functions, then its body's.
+	waits []eventList
 
 	// The coroutine's iter.Pull pair and the body's yield; nil when plain.
 	next   func() (yieldMsg, bool)
@@ -45,18 +43,22 @@ type astProc struct {
 
 	e *engine.Engine // valid while the process holds control
 
-	locals  map[string]val.Value
-	depth   int         // the live function-call chain (engine.MaxCallDepth)
-	pending slotSet     // nets with a blocking write not yet driven, see flush
-	pendVal []val.Value // by slot: the value of each pending write
-	reads   slotSet     // nets probed during the current pass
-	refs    []engine.SigRef
+	fr     []uint64   // the frame of the running body or function
+	frames [][]uint64 // by call depth: the body's, then one per live call
+	depth  int        // the live function-call chain (engine.MaxCallDepth)
+	err    error      // the first runtime error, see fail
+
+	pending slotSet         // nets with a blocking write not yet driven, see flush
+	pendVal []uint64        // by slot: the value of each pending write
+	reads   slotSet         // nets probed during the current pass
+	arm     []engine.SigRef // the re-arm list of a combinational block, see armRefs
 }
 
 // yieldMsg is the wait a coroutine yields: nets and an optional timeout.
 type yieldMsg struct {
 	refs    []engine.SigRef
-	timeout *ir.Time
+	timeout ir.Time
+	timed   bool
 }
 
 // slotSet is a set of net slots: a flag per slot of the scope, and the
@@ -80,44 +82,37 @@ func (s *slotSet) reset() {
 	s.list = s.list[:0]
 }
 
-// newAstProc builds the process of one always/initial block. Every name
-// the block mentions is resolved here (checkNames, resolveEvents), so a
-// misspelt net is a diagnostic of NewSimulator and the running process never hands
-// the kernel the zero SigRef of a failed lookup.
-func newAstProc(name string, sc *scope, blk *moore.AlwaysBlock) (*astProc, error) {
-	n := len(sc.slots)
+// newAstProc builds the process of one compiled block on an instance.
+func newAstProc(name string, st *instState, prog *procProg) *astProc {
+	n := len(st.refs)
 	p := &astProc{
-		name:    name,
-		sc:      sc,
-		blk:     blk,
-		waits:   map[*moore.WaitEventStmt]*eventList{},
-		locals:  map[string]val.Value{},
-		pending: slotSet{has: make([]bool, n)},
-		pendVal: make([]val.Value, n),
-		reads:   slotSet{has: make([]bool, n)},
+		name:      name,
+		prog:      prog,
+		instState: st,
+		waits:     make([]eventList, 0, len(st.mod.funcWaits)+len(prog.waits)),
+		frames:    [][]uint64{make([]uint64, prog.nslots)},
+		pending:   slotSet{has: make([]bool, n)},
+		pendVal:   make([]uint64, n),
+		reads:     slotSet{has: make([]bool, n)},
 	}
-	err := sc.checkNames(map[string]bool{}, p.waits, blk.Body)
-	if err == nil && blk.Kind == "always" && len(blk.Events) == 0 {
-		err = fmt.Errorf("plain always without sensitivity is unsupported")
+	p.fr = p.frames[0]
+	if prog.events != nil {
+		p.events = p.eventList(prog.events)
 	}
-	if err == nil && blk.EdgeTriggered() {
-		p.events, err = sc.resolveEvents("edge", blk.Events)
+	for _, l := range st.mod.funcWaits {
+		p.waits = append(p.waits, *p.eventList(l))
 	}
-	if err != nil {
-		return nil, fmt.Errorf("svsim: %s: %w", name, err)
+	for _, l := range prog.waits {
+		p.waits = append(p.waits, *p.eventList(l))
 	}
-	switch blk.Kind {
-	case "always_comb", "always_latch", "always_ff", "always":
-		p.plain = !sc.funcsSuspend && !suspends(blk.Body)
-	}
-	return p, nil
+	return p
 }
 
 func (p *astProc) Name() string { return p.name }
 
 func (p *astProc) Init(e *engine.Engine) {
 	p.e = e
-	if p.plain {
+	if p.prog.plain {
 		p.step(p.events == nil)
 		return
 	}
@@ -127,7 +122,7 @@ func (p *astProc) Init(e *engine.Engine) {
 
 func (p *astProc) Wake(e *engine.Engine) {
 	p.e = e
-	if p.plain {
+	if p.prog.plain {
 		p.step(p.events == nil || p.events.fired(e))
 		return
 	}
@@ -155,8 +150,8 @@ func (p *astProc) resume() {
 		return
 	}
 	p.e.Subscribe(p.ProcID(), y.refs)
-	if y.timeout != nil {
-		p.e.ScheduleWake(p.ProcID(), *y.timeout)
+	if y.timed {
+		p.e.ScheduleWake(p.ProcID(), y.timeout)
 	}
 }
 
@@ -168,21 +163,27 @@ func (p *astProc) shutdown() {
 	}
 }
 
-// write makes v the pending blocking write of net b.
-func (p *astProc) write(b *binding, v val.Value) {
-	p.pendVal[b.slot] = v
-	p.pending.add(b.slot)
+// writeNet writes bits, masked to the net's width w, to the net at slot:
+// a blocking write is pending until the next flush and visible to the
+// process at once (readNet), a nonblocking one a drive after delay.
+func (p *astProc) writeNet(slot, w int, bits uint64, blocking bool, delay ir.Time) {
+	if blocking {
+		p.pendVal[slot] = mask(bits, w)
+		p.pending.add(slot)
+		return
+	}
+	p.e.Drive(p.refs[slot], val.Int(w, bits), delay)
 }
 
 // flush drives every blocking net write still pending as a delta drive,
 // in slot order, which is name order. A blocking write is visible to the
-// process at once (readName) and to everyone else one delta after the
+// process at once (readNet) and to everyone else one delta after the
 // process next hands control back, wherever that is: a #delay, an @(...),
 // the end of a pass or of an initial block.
 func (p *astProc) flush() {
 	slices.Sort(p.pending.list)
 	for _, slot := range p.pending.list {
-		p.e.Drive(p.sc.slots[slot].ref, p.pendVal[slot], ir.Time{})
+		p.e.Drive(p.refs[slot], val.Int(p.mod.slotW[slot], p.pendVal[slot]), ir.Time{})
 	}
 	p.pending.reset()
 }
@@ -202,7 +203,19 @@ const (
 	ctrlFinish
 	ctrlReturn
 	ctrlStop // simulator torn down
+	ctrlErr  // a runtime error, held in astProc.err
 )
+
+// fail records the first runtime error of the pass. Evaluation goes on
+// with zeros up to the end of the statement, which then stops with
+// ctrlErr; a function is not entered once an error is pending, so nothing
+// observable happens after the error.
+func (p *astProc) fail(err error) cval {
+	if p.err == nil {
+		p.err = err
+	}
+	return cval{}
+}
 
 // main is the body of a coroutine process, run under iter.Pull.
 func (p *astProc) main(yield func(yieldMsg) bool) {
@@ -216,9 +229,8 @@ func (p *astProc) main(yield func(yieldMsg) bool) {
 			p.e.Halt(p.ProcID())
 		}
 	}()
-	if p.blk.Kind == "initial" {
-		c, err := p.exec(p.blk.Body)
-		p.finish(c, err)
+	if p.prog.initial {
+		p.finish(p.exec(p.prog.body))
 		return
 	}
 	p.loop()
@@ -244,9 +256,9 @@ func (p *astProc) loop() {
 // simulator shutdown it is gone.
 func (p *astProc) pass() bool {
 	p.reads.reset()
-	c, err := p.exec(p.blk.Body)
-	if err != nil || c == ctrlFinish {
-		p.finish(c, err)
+	c := p.exec(p.prog.body)
+	if p.err != nil || c == ctrlFinish {
+		p.finish(c)
 		return false
 	}
 	return c != ctrlStop
@@ -254,9 +266,9 @@ func (p *astProc) pass() bool {
 
 // finish records the error, if any, and unless the simulator shut down
 // delivers the pending writes and halts the process.
-func (p *astProc) finish(c ctrl, err error) {
-	if err != nil {
-		p.e.SetError(fmt.Errorf("svsim: %s: %w", p.name, err))
+func (p *astProc) finish(c ctrl) {
+	if p.err != nil {
+		p.e.SetError(fmt.Errorf("svsim: %s: %w", p.name, p.err))
 	}
 	if c == ctrlStop {
 		return
@@ -275,47 +287,37 @@ func (p *astProc) armRefs() []engine.SigRef {
 		p.events.sample(p.e)
 		return p.events.refs
 	}
-	p.refs = p.refs[:0]
+	p.arm = p.arm[:0]
 	for _, slot := range p.reads.list {
 		if !p.pending.has[slot] {
-			p.refs = append(p.refs, p.sc.slots[slot].ref)
+			p.arm = append(p.arm, p.refs[slot])
 		}
 	}
-	return p.refs
+	return p.arm
 }
 
-// edge is one resolved event: the net, which transition of it counts, and
-// its level when the wait began.
+// edge is one event of a list: the net, which transition of it counts,
+// and its level when the wait began.
 type edge struct {
 	ref  engine.SigRef
-	mode string // "posedge", "negedge", or any change
+	kind edgeKind
 	prev uint64
 }
 
-// eventList is a resolved sensitivity list; refs are the nets of edges in
-// the form the kernel subscribes to.
+// eventList is a sensitivity list on the process's instance; refs are the
+// nets of edges in the form the kernel subscribes to.
 type eventList struct {
 	edges []edge
 	refs  []engine.SigRef
 }
 
-// resolveEvents maps an event list to the nets it names; kind words the
-// diagnostic ("edge" for a block's own list, "event" for a wait inside it).
-func (sc *scope) resolveEvents(kind string, events []moore.Event) (*eventList, error) {
-	l := &eventList{}
-	for _, ev := range events {
-		id, ok := ev.Sig.(*moore.Ident)
-		if !ok {
-			return nil, fmt.Errorf("%s expression must name a net", kind)
-		}
-		b, ok := sc.nets[id.Name]
-		if !ok {
-			return nil, fmt.Errorf("%s net %q not visible to process", kind, id.Name)
-		}
-		l.edges = append(l.edges, edge{ref: b.ref, mode: ev.Edge})
-		l.refs = append(l.refs, b.ref)
+func (p *astProc) eventList(evs []evRef) *eventList {
+	l := &eventList{edges: make([]edge, len(evs)), refs: make([]engine.SigRef, len(evs))}
+	for i, ev := range evs {
+		l.edges[i] = edge{ref: p.refs[ev.slot], kind: ev.kind}
+		l.refs[i] = p.refs[ev.slot]
 	}
-	return l, nil
+	return l
 }
 
 // sample records the level of every net of the list, for fired.
@@ -331,12 +333,12 @@ func (l *eventList) sample(e *engine.Engine) {
 func (l *eventList) fired(e *engine.Engine) bool {
 	for _, ed := range l.edges {
 		now := e.Probe(ed.ref).Bits
-		switch ed.mode {
-		case "posedge":
+		switch ed.kind {
+		case edgePos:
 			if ed.prev == 0 && now != 0 {
 				return true
 			}
-		case "negedge":
+		case edgeNeg:
 			if ed.prev != 0 && now == 0 {
 				return true
 			}

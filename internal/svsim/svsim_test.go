@@ -27,7 +27,7 @@ func build(src, top string) (*svsim.Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.NewSimulator()
+	return d.NewSimulator(), nil
 }
 
 // run returns the run of s up to a time limit (zero: to quiescence) as the
@@ -186,10 +186,7 @@ endmodule
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		s, err := d.NewSimulator()
-		if err != nil {
-			t.Fatalf("simulator %d: %v", i, err)
-		}
+		s := d.NewSimulator()
 		if err := run(s)(ir.Time{}); err != nil {
 			t.Fatalf("simulator %d: run: %v", i, err)
 		}
@@ -217,55 +214,85 @@ func TestRuntimeErrorNamesProcessOnce(t *testing.T) {
 	}
 }
 
-// TestSVSimWakeAllocBudget pins the steady-state cost of a clock edge on
-// SVSim's wake path: one always_ff block and two always_comb blocks behind
-// an input clock the test drives. A rising edge runs all three blocks
-// once; together with the falling edge that follows (one wake of the
-// always_ff block, no pass) it may allocate at most once — drives, wakes,
-// passes and re-arms included — the budget of the kernel's own alloc
-// tests. A comb pass that builds its re-arm list afresh costs one
-// allocation, two per rising edge here.
+// TestSVSimWakeAllocBudget pins the steady-state cost of a clock cycle on
+// SVSim's wake path: a rising edge of an input clock the test drives runs
+// every block of the design once, and together with the falling edge that
+// follows it may not allocate at all — drives, wakes, passes, function
+// calls and re-arms included. "scalar" is one always_ff block and two
+// always_comb blocks; "realistic" adds what a real block holds: automatic
+// locals, a for loop, a function call, a concat, a +: select and an
+// always_ff that writes an unpacked array. Before its locals and function
+// frames were slots, "realistic" read 10 allocations per cycle.
 func TestSVSimWakeAllocBudget(t *testing.T) {
-	s, err := build(`
+	for _, tc := range []struct{ name, src string }{
+		{"scalar", `
 module ab_tb(input logic clk);
   logic [7:0] q, a, b;
   always_ff @(posedge clk) q <= b;
   always_comb a = q + 8'd1;
   always_comb b = a ^ 8'h5a;
 endmodule
-`, "ab_tb")
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	defer s.Shutdown()
-	e := s.Engine
-	clk, q := e.SignalByName("ab_tb.clk"), e.SignalByName("ab_tb.q")
-	edge := func(level uint64) {
-		e.Drive(engine.SigRef{Sig: clk}, val.Int(1, level), ir.Time{})
-		for e.Step() {
-		}
-	}
-	var qChanges changeCount
-	e.Observe(&qChanges, q)
-	e.Init()
-	for i := 0; i < 8; i++ { // let every list and buffer reach its size
-		edge(1)
-		edge(0)
-	}
-	qChanges = 0
-	perCycle := testing.AllocsPerRun(100, func() {
-		edge(1)
-		edge(0)
-	})
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if qChanges < 100 {
-		t.Fatalf("q changed %d times in 101 cycles: the blocks did not run every cycle", qChanges)
-	}
-	t.Logf("%.2f allocations per rising clock edge", perCycle)
-	if perCycle > 1 {
-		t.Errorf("%.2f allocations per rising clock edge, budget 1", perCycle)
+`},
+		{"realistic", `
+module ab_tb(input logic clk);
+  logic [7:0] q, b;
+  logic [7:0] mem [0:3];
+  logic [1:0] wp;
+  function logic [7:0] rot(input logic [7:0] x, input logic [2:0] n);
+    rot = (x << n) | (x >> (8 - n));
+  endfunction
+  always_ff @(posedge clk) begin
+    mem[wp] <= b;
+    wp <= wp + 2'd1;
+    q <= b ^ mem[wp + 2'd1];
+  end
+  always_comb begin
+    automatic int i;
+    automatic logic [7:0] acc;
+    acc = rot(q, 3'd3) + 8'd1;
+    for (i = 0; i < 4; i = i + 1)
+      acc = acc ^ {q[i +: 4], acc[7:4]};
+    b = acc;
+  end
+endmodule
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := build(tc.src, "ab_tb")
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			defer s.Shutdown()
+			e := s.Engine
+			clk, q := e.SignalByName("ab_tb.clk"), e.SignalByName("ab_tb.q")
+			edge := func(level uint64) {
+				e.Drive(engine.SigRef{Sig: clk}, val.Int(1, level), ir.Time{})
+				for e.Step() {
+				}
+			}
+			var qChanges changeCount
+			e.Observe(&qChanges, q)
+			e.Init()
+			for i := 0; i < 8; i++ { // let every list and buffer reach its size
+				edge(1)
+				edge(0)
+			}
+			qChanges = 0
+			perCycle := testing.AllocsPerRun(100, func() {
+				edge(1)
+				edge(0)
+			})
+			if err := e.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if qChanges < 100 {
+				t.Fatalf("q changed %d times in 101 cycles: the blocks did not run every cycle", qChanges)
+			}
+			t.Logf("%.2f allocations per clock cycle", perCycle)
+			if perCycle > 0 {
+				t.Errorf("%.2f allocations per clock cycle, budget 0", perCycle)
+			}
+		})
 	}
 }
 
@@ -372,5 +399,184 @@ func TestBlockingWritesReachTheNet(t *testing.T) {
 				t.Errorf("assertion failures: svsim %d, interp %d", sv.Engine.Failures, li.Engine.Failures)
 			}
 		})
+	}
+}
+
+// TestFunctionWaitBesideBodyWait: a process keeps the state of its
+// module's function @(...) lists first and of its own body's after them,
+// so a body wait on one net and a function wait on another each wake on
+// their own net. Moore does not let a function wait on a module net, so
+// the test checks SVSim against the expected waveform.
+func TestFunctionWaitBesideBodyWait(t *testing.T) {
+	const src = `
+module fwait_tb;
+  bit a, b;
+  bit [7:0] n, m;
+  function bit [7:0] after_a(input bit [7:0] x);
+    @(posedge a);
+    after_a = x + 8'd1;
+  endfunction
+  initial begin
+    a <= #1ns 1;
+    b <= #3ns 1;
+    a <= #4ns 0;
+    a <= #5ns 1;
+  end
+  initial begin
+    @(posedge b);
+    n = 8'd7;
+    m = after_a(n);
+  end
+  initial begin
+    #2ns;
+    assert(n == 8'd0);
+    #2ns;
+    assert(n == 8'd7 && m == 8'd0);
+    #2ns;
+    assert(m == 8'd8);
+  end
+endmodule
+`
+	sv, err := build(src, "fwait_tb")
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	want := []string{
+		"1ns fwait_tb.a=1",
+		"3ns 1d fwait_tb.n=7", // the body's wait, on b
+		"3ns fwait_tb.b=1",
+		"4ns fwait_tb.a=0",
+		"5ns 1d fwait_tb.m=8", // the function's wait, on a
+		"5ns fwait_tb.a=1",
+	}
+	if got := changes(t, sv.Engine, run(sv)); !slices.Equal(got, want) {
+		t.Errorf("waveform:\n got  %q\n want %q", got, want)
+	}
+	if sv.Engine.Failures != 0 {
+		t.Errorf("%d assertion failures", sv.Engine.Failures)
+	}
+}
+
+// TestFunctionReturn: return x leaves the function at once with x as its
+// result, from inside a loop too, a bare return leaves with the value of
+// the variable named like the function, and a call inside a return
+// expression runs in a frame of its own. The waveform is the
+// interpreter's.
+func TestFunctionReturn(t *testing.T) {
+	const src = `
+module ret_tb;
+  bit [7:0] x, first, sum, bare;
+  function bit [7:0] first_set(input bit [7:0] v);
+    for (int i = 0; i < 8; i++)
+      if (v[i]) return i + 1;
+    return 0;
+  endfunction
+  function bit [7:0] plus(input bit [7:0] v);
+    return first_set(v) + v;
+  endfunction
+  function bit [7:0] keep(input bit [7:0] v);
+    keep = v ^ 8'hff;
+    if (v != 0) return;
+    keep = 8'h11;
+  endfunction
+  always_comb first = first_set(x);
+  always_comb sum = plus(x);
+  always_comb bare = keep(x);
+  initial begin
+    x <= 8'h28;
+    #1ns;
+    assert(first == 8'd4 && sum == 8'h2c && bare == 8'hd7);
+    x <= 8'h00;
+    #1ns;
+    assert(first == 8'd0 && sum == 8'h00 && bare == 8'h11);
+    x <= 8'h81;
+    #1ns;
+    assert(first == 8'd1 && sum == 8'h82 && bare == 8'h7e);
+  end
+endmodule
+`
+	sv, err := build(src, "ret_tb")
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	m, err := moore.Compile("ret", src)
+	if err != nil {
+		t.Fatalf("moore.Compile: %v", err)
+	}
+	li, err := sim.New(m, "ret_tb")
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	got, want := changes(t, sv.Engine, run(sv)), changes(t, li.Engine, li.Run)
+	if !slices.Equal(got, want) {
+		t.Errorf("waveforms differ:\n svsim  %q\n interp %q", got, want)
+	}
+	if len(want) < 10 {
+		t.Errorf("interp saw only %d changes; the test checks nothing", len(want))
+	}
+	if sv.Engine.Failures != 0 || li.Engine.Failures != 0 {
+		t.Errorf("assertion failures: svsim %d, interp %d", sv.Engine.Failures, li.Engine.Failures)
+	}
+}
+
+// TestParametersPerInstance: every instance sees its own parameter values,
+// and Compile resolves one body per distinct (module, parameters) pair —
+// two gray_enc bodies for W = 4 (two instances) and W = 8 (one explicit,
+// one by default) — whose waveform is the interpreter's, where Moore emits
+// one unit per pair.
+func TestParametersPerInstance(t *testing.T) {
+	const src = `
+module gray_enc #(parameter int W = 8) (input [W-1:0] bin, output [W-1:0] g);
+  assign g = bin ^ (bin >> 1);
+endmodule
+
+module params_tb;
+  bit [3:0] a4, b4, ga4, gb4;
+  bit [7:0] c8, d8, gc8, gd8;
+  gray_enc #(.W(4)) i_a (.bin(a4), .g(ga4));
+  gray_enc #(.W(4)) i_b (.bin(b4), .g(gb4));
+  gray_enc #(.W(8)) i_c (.bin(c8), .g(gc8));
+  gray_enc i_d (.bin(d8), .g(gd8));
+  initial begin
+    a4 <= 4'hb;
+    b4 <= 4'hf;
+    c8 <= 8'hc5;
+    d8 <= 8'hff;
+    #1ns;
+    a4 <= 4'h8;
+    b4 <= 4'h1;
+    c8 <= 8'h80;
+    d8 <= 8'h3a;
+    #1ns;
+    assert(ga4 == 4'hc);
+    assert(gd8 == 8'h27);
+  end
+endmodule
+`
+	d, err := svsim.Compile(src, "params_tb")
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if n := d.Programs("gray_enc"); n != 2 {
+		t.Errorf("%d resolved gray_enc bodies, want 2 (W = 4 and W = 8)", n)
+	}
+	sv := d.NewSimulator()
+	m, err := moore.Compile("params", src)
+	if err != nil {
+		t.Fatalf("moore.Compile: %v", err)
+	}
+	li, err := sim.New(m, "params_tb")
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	got, want := changes(t, sv.Engine, run(sv)), changes(t, li.Engine, li.Run)
+	if !slices.Equal(got, want) {
+		t.Errorf("waveforms differ:\n svsim  %q\n interp %q", got, want)
+	}
+	if len(want) < 16 {
+		t.Errorf("interp saw only %d changes; the row tests nothing", len(want))
+	}
+	if sv.Engine.Failures != 0 || li.Engine.Failures != 0 {
+		t.Errorf("assertion failures: svsim %d, interp %d", sv.Engine.Failures, li.Engine.Failures)
 	}
 }

@@ -403,10 +403,7 @@ func prepare(cfg *sessionConfig) (_ *design, err error) {
 		if d.sv, err = svsim.Compile(cfg.source, d.top); err != nil {
 			return nil, err
 		}
-		sv, err := d.sv.NewSimulator()
-		if err != nil {
-			return nil, err
-		}
+		sv := d.sv.NewSimulator()
 		d.first.Store(&Session{eng: sv.Engine, sv: sv})
 		return d, nil
 	case cfg.compiled != nil:
@@ -502,10 +499,7 @@ func (d *design) open(cfg *sessionConfig) (_ *Session, err error) {
 		s = &Session{}
 		switch d.kind {
 		case SVSim:
-			sv, err := d.sv.NewSimulator()
-			if err != nil {
-				return nil, err
-			}
+			sv := d.sv.NewSimulator()
 			s.sv, s.eng = sv, sv.Engine
 		case Interp:
 			si, err := sim.New(d.module, d.top)
