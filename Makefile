@@ -23,11 +23,10 @@ test:
 # instruction stream, cross-checked against a serial interpreter
 # reference, and 16 svsim sessions sharing one svsim.Design through a
 # farm — concurrent VCD writers, the fault-injection matrix with a
-# panic raised inside an svsim coroutine), the kernel, the reference
-# interpreter, svsim (its iter.Pull coroutine processes — initial blocks,
-# bodies that wait in line — interleaved with the plain-call always
-# blocks it runs on the kernel goroutine, and their release at Finish),
-# llhd-sim (the -j sweep's sessions display into one stdout writer) and
+# panic raised while a process runs, on every engine), the kernel, the
+# reference interpreter, svsim (every process resumed from its saved pc
+# on the kernel goroutine, and sessions abandoned without Finish that
+# leave no goroutine behind), llhd-sim (the -j sweep's sessions display into one stdout writer) and
 # ir (the process-global type table, which sessions, the frontends and the
 # decoders intern into from any goroutine: TestTypeInterning builds the
 # same types on sixteen at once). val and blaze ride along for a different

@@ -310,13 +310,13 @@ func TestPoisonedSessionSemantics(t *testing.T) {
 	}
 }
 
-// TestFaultSVSimCoroutinePanic is the matrix's row for a panic that the
-// fault hooks cannot reach: one raised inside an SVSim coroutine, here an
-// initial block whose assertion handler panics after a # delay. SVSim
-// contains it where it happens, so the RuntimeError names the block and
-// its stack still shows the statement that faulted, and the session is
-// poisoned as by a panic the kernel contains.
-func TestFaultSVSimCoroutinePanic(t *testing.T) {
+// TestFaultProcessPanic is the matrix's row for a panic that the fault
+// hooks cannot reach: one raised while a process runs, here by the
+// assertion handler an initial block calls after a # delay. On every
+// engine the Session contains it: the RuntimeError names the process, its
+// stack still shows the engine's dispatch loop that made the call, and
+// the session is poisoned as by a panic the kernel contains.
+func TestFaultProcessPanic(t *testing.T) {
 	const src = `
 module cp_tb;
   bit [7:0] n;
@@ -327,43 +327,54 @@ module cp_tb;
   end
 endmodule
 `
-	s, err := llhd.NewSession(
-		llhd.FromSystemVerilog(src), llhd.Top("cp_tb"), llhd.Backend(llhd.SVSim),
-		llhd.WithAssertHandler(func(string, llhd.Time) {
-			panic("faultinject: deliberate panic in an initial block")
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := s.Run()
-	if got := llhd.ErrorClass(first); got != "panic" {
-		t.Fatalf("ErrorClass = %q, want panic (err: %v)", got, first)
-	}
-	var re *llhd.RuntimeError
-	if !errors.As(first, &re) {
-		t.Fatalf("error is not a *RuntimeError: %v", first)
-	}
-	if re.Proc != "cp_tb.p1" {
-		t.Errorf("Proc = %q, want cp_tb.p1", re.Proc)
-	}
-	if !bytes.Contains(re.Stack, []byte("svsim.(*astProc).exec")) {
-		t.Errorf("stack lost the faulting statement:\n%s", re.Stack)
-	}
-	if s.Err() != first {
-		t.Errorf("Err() = %v, want the sticky poisoning error", s.Err())
-	}
-	if again := s.Run(); again != first {
-		t.Errorf("second Run returned %v, want the identical sticky error", again)
-	}
-	if _, err := s.Step(); err != first {
-		t.Errorf("Step returned %v, want the identical sticky error", err)
-	}
-	if _, ok := s.Probe("cp_tb.n"); ok {
-		t.Error("Probe on a poisoned session must report no signal")
-	}
-	if st := s.Finish(); st.Now.Fs != 2_000_000 { // 2ns
-		t.Errorf("Finish.Now = %v, want 2ns, the instant of the panic", st.Now)
+	for _, tc := range []struct {
+		kind        llhd.EngineKind
+		proc, frame string
+	}{
+		{llhd.Interp, "cp_tb.cp_tb_p0_1", "sim.(*activation).run"},
+		{llhd.Blaze, "cp_tb.cp_tb_p0_1", "bytecode.(*Runtime).run"},
+		{llhd.SVSim, "cp_tb.p1", "svsim.(*astProc).run"},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			s, err := llhd.NewSession(
+				llhd.FromSystemVerilog(src), llhd.Top("cp_tb"), llhd.Backend(tc.kind),
+				llhd.WithAssertHandler(func(string, llhd.Time) {
+					panic("faultinject: deliberate panic in an initial block")
+				}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := s.Run()
+			if got := llhd.ErrorClass(first); got != "panic" {
+				t.Fatalf("ErrorClass = %q, want panic (err: %v)", got, first)
+			}
+			var re *llhd.RuntimeError
+			if !errors.As(first, &re) {
+				t.Fatalf("error is not a *RuntimeError: %v", first)
+			}
+			if re.Proc != tc.proc {
+				t.Errorf("Proc = %q, want %s", re.Proc, tc.proc)
+			}
+			if !bytes.Contains(re.Stack, []byte(tc.frame)) {
+				t.Errorf("stack lost the faulting process's %s:\n%s", tc.frame, re.Stack)
+			}
+			if s.Err() != first {
+				t.Errorf("Err() = %v, want the sticky poisoning error", s.Err())
+			}
+			if again := s.Run(); again != first {
+				t.Errorf("second Run returned %v, want the identical sticky error", again)
+			}
+			if _, err := s.Step(); err != first {
+				t.Errorf("Step returned %v, want the identical sticky error", err)
+			}
+			if _, ok := s.Probe("cp_tb.n"); ok {
+				t.Error("Probe on a poisoned session must report no signal")
+			}
+			if st := s.Finish(); st.Now.Fs != 2_000_000 { // 2ns
+				t.Errorf("Finish.Now = %v, want 2ns, the instant of the panic", st.Now)
+			}
+		})
 	}
 }
 

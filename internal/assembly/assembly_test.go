@@ -378,6 +378,8 @@ func TestParseErrors(t *testing.T) {
 		"proc @p () -> () { entry: %x = ld i32 %p halt }", // ld needs pointer
 		"func @f () void { entry: %y = prb i32 %s ret }",  // prb needs signal
 		"proc @p () -> () { entry: wait %e for %undefined halt }",
+		"proc @p () -> () { entry: %h = halt }",               // halt has no result
+		"func @f () void { entry: %v = call void @f () ret }", // nor does a void call
 	}
 	for _, src := range cases {
 		if _, err := Parse("m", src); err == nil {

@@ -380,9 +380,10 @@ func (p *parser) define(name string, in *ir.Inst) {
 
 // instruction parses one statement into block b.
 func (p *parser) instruction(b *ir.Block) error {
-	resultName := ""
+	resultName, resultLine := "", 0
 	if p.peek().kind == tokLocal && p.toks[p.pos+1].kind == tokEquals {
-		resultName = p.advance().text
+		tok := p.advance()
+		resultName, resultLine = tok.text, tok.line
 		p.advance() // =
 	}
 
@@ -404,11 +405,18 @@ func (p *parser) instruction(b *ir.Block) error {
 	}
 
 	in := &ir.Inst{Op: op, Ty: ir.VoidType()}
-	emit := func() {
+	// emit appends in once its result type is known. A name on an
+	// instruction without a result would print as an unnamed reference the
+	// parser cannot read back, so it is an error.
+	emit := func() error {
 		if resultName != "" {
+			if in.Ty.IsVoid() {
+				return fmt.Errorf("line %d: %s has no result to name %%%s", resultLine, mnemonic, resultName)
+			}
 			p.define(resultName, in)
 		}
 		b.Append(in)
+		return nil
 	}
 	argSlot := func(i int) func(ir.Value) {
 		return func(v ir.Value) { in.Args[i] = v }
@@ -465,15 +473,16 @@ func (p *parser) instruction(b *ir.Block) error {
 				in.IVal = ir.MaskWidth(in.IVal, ty.Width)
 			}
 		}
-		emit()
-		return nil
+		return emit()
 
 	case ir.OpDrv:
 		if _, err := p.parseType(); err != nil {
 			return err
 		}
 		in.Args = make([]ir.Value, 3)
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		if err := p.operand(argSlot(0)); err != nil {
 			return err
 		}
@@ -501,7 +510,9 @@ func (p *parser) instruction(b *ir.Block) error {
 			return err
 		}
 		in.Args = make([]ir.Value, 1)
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		if err := p.operand(argSlot(0)); err != nil {
 			return err
 		}
@@ -543,7 +554,9 @@ func (p *parser) instruction(b *ir.Block) error {
 			return err
 		}
 		in.Callee = g.text
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		ins, err := p.instArgList()
 		if err != nil {
 			return err
@@ -570,7 +583,9 @@ func (p *parser) instruction(b *ir.Block) error {
 			return err
 		}
 		in.Callee = g.text
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return err
 		}
@@ -592,7 +607,9 @@ func (p *parser) instruction(b *ir.Block) error {
 		return nil
 
 	case ir.OpRet:
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		if p.peekIsType() {
 			if _, err := p.parseType(); err != nil {
 				return err
@@ -607,7 +624,9 @@ func (p *parser) instruction(b *ir.Block) error {
 		return nil
 
 	case ir.OpBr:
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		// br %dest | br %cond, %bbFalse, %bbTrue. Look ahead for a comma.
 		first, err := p.expect(tokLocal, "branch operand")
 		if err != nil {
@@ -644,7 +663,9 @@ func (p *parser) instruction(b *ir.Block) error {
 			return err
 		}
 		in.Ty = ty
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		first := true
 		for p.peek().kind == tokLBrack || p.peek().kind == tokComma {
 			if !first {
@@ -676,7 +697,9 @@ func (p *parser) instruction(b *ir.Block) error {
 		return nil
 
 	case ir.OpWait:
-		emit()
+		if err := emit(); err != nil {
+			return err
+		}
 		dest, err := p.expect(tokLocal, "resume block")
 		if err != nil {
 			return err
@@ -731,7 +754,9 @@ func (p *parser) instruction(b *ir.Block) error {
 		}
 	}
 	in.Args = make([]ir.Value, info.MinArgs)
-	emit()
+	if err := emit(); err != nil {
+		return err
+	}
 	for i := range in.Args {
 		if i > 0 {
 			if _, err := p.expect(tokComma, ","); err != nil {

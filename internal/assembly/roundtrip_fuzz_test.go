@@ -58,8 +58,10 @@ func TestAssemblyRoundTripTable2(t *testing.T) {
 
 // TestAssemblyRoundTripRegressions pins parser bugs found by
 // FuzzAssemblyRoundTrip: forward branches used to reorder blocks into
-// reference order (printing was not a fixpoint), and a block labeled "x"
-// collided with the array-type separator token.
+// reference order (printing was not a fixpoint), a block labeled "x"
+// collided with the array-type separator token, and a name given to an
+// instruction without a result (drv) was accepted, printed as "%?ptr" at
+// its use and failed the second parse; it is now an error on its line.
 func TestAssemblyRoundTripRegressions(t *testing.T) {
 	cases := map[string]string{
 		"forward-branch-block-order": `
@@ -101,6 +103,27 @@ proc @p () -> (l4$ %q) {
 			}
 		})
 	}
+	const voidName = `
+proc @c (void %a) -> () {
+ entry:
+  halt
+}
+
+entity @top () -> () {
+  %x = const i32 0
+  %s = sig i32 %x
+  %t = const time 1ns
+  %ptr = drv i32$ %s, %x after %t
+  inst @c (void %ptr) -> ()
+}
+`
+	t.Run("void-result-name", func(t *testing.T) {
+		checkRoundTrip(t, voidName)
+		const want = "line 11: drv has no result to name %ptr"
+		if _, err := assembly.Parse("void", voidName); err == nil || err.Error() != want {
+			t.Fatalf("parse: %v, want %s", err, want)
+		}
+	})
 }
 
 // FuzzAssemblyRoundTrip feeds mutated assembly text through the

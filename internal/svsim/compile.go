@@ -3,6 +3,7 @@ package svsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,11 +13,12 @@ import (
 )
 
 // The resolved program. Compile turns the AST of every module, once per
-// distinct assignment of its parameters, into the trees below: every name
+// distinct assignment of its parameters, into the forms below: every name
 // is a frame slot, a net slot, an array index or a folded constant, every
 // operator, edge kind and system task an opcode, every width, bound and
-// count a number. The simulator walks these trees and never looks a name
-// up.
+// count a number. A body is flat code, a list of ops with jump targets in
+// place of nested statements; an expression stays a tree. The simulator
+// never looks a name up.
 
 // module is one module under one assignment of its parameters.
 type module struct {
@@ -61,14 +63,17 @@ type instance struct {
 	ports []int
 }
 
-// procProg is one always/initial block (or continuous assignment).
+// procProg is one always/initial block (or continuous assignment). Its
+// code is one pass, and ends in the op that halts the block or starts the
+// next pass; a return in the body jumps to that op:
+//
+//	initial        body; sHalt
+//	edge-triggered sWait, sFired on its own list; body; sJump to 0
+//	combinational  sPass; body; sArm
 type procProg struct {
-	initial bool
-	plain   bool
-	body    *stmt
-	events  []evRef   // the block's own sensitivity list; nil when combinational
-	waits   [][]evRef // the body's @(...) lists, at wait indices after funcWaits
-	nslots  int
+	code   []stmt
+	waits  [][]evRef // the event lists, at wait indices after funcWaits
+	nslots int
 }
 
 // edgeKind is which transition of a net an event counts.
@@ -89,13 +94,15 @@ type evRef struct {
 // function is a module function: its frame holds the arguments at slots
 // 0..len(argW)-1, then the return variable, the locals and block locals.
 type function struct {
-	name     string
-	argW     []int
-	retW     int
-	retInit  int // the slot zeroed at entry: the variable named like the function
-	retSlot  int // the slot the result is read from after the body
-	body     []*stmt
-	suspends bool
+	name    string
+	argW    []int
+	retW    int
+	retInit int // the slot zeroed at entry: the variable named like the function
+	retSlot int // the slot the result is read from after the body
+	code    []stmt
+	// mayWait marks a function holding a # delay or an @(...), or calling
+	// one that does: only a call op can run it.
+	mayWait bool
 }
 
 // op is an expression opcode.
@@ -172,50 +179,48 @@ type expr struct {
 	name      string // opArray: the array, for its range error
 }
 
-// sop is a statement opcode.
+// sop is a statement opcode: one op of flat code.
 type sop uint8
 
 const (
-	sNop    sop = iota
-	sBlock      // list
-	sDecl       // frame slot = x (zero when nil) adapted to w
-	sAssign     // lv = x, blocking, optional delay y
-	sIf         // x ? a : b
-	sCase       // subject x, arms, default b
-	sFor        // a init, x cond, b step, body
-	sWhile      // x cond, body, doWhile
-	sRepeat     // x count, body
-	sDelay      // #x, then a
-	sWait       // @(...) at wait index slot
-	sExpr       // x for its effects
-	sAssert     // x
-	sFinish     // $finish, $stop
-	sStore      // frame slot = x masked to w
-	sReturn     // return
-	sFail       // $error / $fatal: name
+	sDecl   sop = iota // frame slot = x (zero when nil) adapted to w
+	sAssign            // lv = x, blocking, optional delay y
+	sStore             // frame slot = x masked to w
+	sExpr              // x for its effects
+	sJump              // to target
+	sBranch            // to target when x is zero
+	sLoop              // back to target, against the loop budget; name the loop's keyword
+	sCase              // subject x: to the pc of the first arm with a matching label, else to target
+	sRepeat            // to target when the count in frame slot is zero, else count it down
+	sCall              // call op: x calls a function that may wait; lv (nil: none) = its result, as sAssign
+	sReturn            // back from the function to its call op, or out of run
+	sDelay             // #x: suspend, resume at the next op
+	sWait              // @(...) at wait index slot: suspend, resume at the next op
+	sFired             // to target (its sWait) unless wait index slot's list fired
+	sPass              // top of a combinational block's pass
+	sArm               // end of a combinational block's pass: re-arm, resume at 0
+	sHalt              // end of an initial block, $finish, $stop
+	sAssert            // x
+	sFail              // $error / $fatal: name
 )
 
-// stmt is a resolved statement.
+// stmt is one op of flat code.
 type stmt struct {
 	op       sop
 	blocking bool
-	doWhile  bool
 	slot, w  int
+	target   int
 	x, y     *expr
-	a, b     *stmt
-	body     *stmt
-	list     []*stmt
-	arms     []caseArm
 	lv       *lvalue
+	arms     []caseArm
 	name     string
 }
 
+// caseArm is one arm of sCase: its labels and the pc of its body.
 type caseArm struct {
 	labels []*expr
-	body   *stmt
+	pc     int
 }
-
-var nop = &stmt{op: sNop}
 
 // lvKind is an assignment target's shape.
 type lvKind uint8
@@ -319,12 +324,11 @@ func (c *compiler) module(m *moore.Module, name string, overrides map[string]uin
 			return nil, fmt.Errorf("svsim: %s: function %s: %w", name, fn.Name, err)
 		}
 	}
-	funcsSuspend := false
+	sc.markWaits(fns, shells)
 	for i, fn := range fns {
 		if err := sc.function(fn, shells[i]); err != nil {
 			return nil, fmt.Errorf("svsim: %s: function %s: %w", name, fn.Name, err)
 		}
-		funcsSuspend = funcsSuspend || shells[i].suspends
 	}
 
 	nproc := 0
@@ -347,7 +351,7 @@ func (c *compiler) module(m *moore.Module, name string, overrides map[string]uin
 			continue
 		}
 		nproc++
-		p, err := sc.process(blk, funcsSuspend)
+		p, err := sc.process(blk)
 		if err != nil {
 			return nil, fmt.Errorf("svsim: %s.p%d: %w", name, nproc, err)
 		}
@@ -533,12 +537,12 @@ func (c *compiler) instance(it *moore.InstItem, parent string, sc *scope) (*inst
 
 // ------------------------------------------------------------ bodies
 
-// resolver compiles one body: a process or a function. locals are the
-// names visible at the point being compiled, innermost last; a block's
-// declarations leave with its end. The body's @(...) lists go to waits,
-// at wait indices from waitBase on. The first error sticks (fail) and the
-// rest of the body compiles to placeholders, so the error reported is
-// the first one in source order.
+// resolver compiles one body, a process or a function, to flat code.
+// locals are the names visible at the point being compiled, innermost
+// last; a block's declarations leave with its end. The body's @(...)
+// lists go to waits, at wait indices from waitBase on. The first error
+// sticks (fail) and the rest of the body compiles to placeholders, so the
+// error reported is the first one in source order.
 type resolver struct {
 	*scope
 	fn       *function // the function being compiled; nil in a process
@@ -546,6 +550,8 @@ type resolver struct {
 	nslots   int
 	waits    *[][]evRef
 	waitBase int
+	code     []stmt
+	returns  []int // a process's returns: jumps to the end of its pass
 	err      error
 }
 
@@ -576,25 +582,70 @@ func (r *resolver) local(name string) (local, bool) {
 	return local{}, false
 }
 
-// process compiles an always/initial block.
-func (sc *scope) process(blk *moore.AlwaysBlock, funcsSuspend bool) (*procProg, error) {
-	p := &procProg{initial: blk.Kind == "initial"}
+// emit appends an op and returns its pc.
+func (r *resolver) emit(s stmt) int {
+	r.code = append(r.code, s)
+	return len(r.code) - 1
+}
+
+// land points the jump at pc to the next op emitted.
+func (r *resolver) land(pc int) { r.code[pc].target = len(r.code) }
+
+// process compiles an always/initial block (see procProg for its shape).
+func (sc *scope) process(blk *moore.AlwaysBlock) (*procProg, error) {
+	p := &procProg{}
 	// A process's wait indices follow its module's function waits, as
 	// newAstProc lays out the process's wait state.
 	r := &resolver{scope: sc, waits: &p.waits, waitBase: len(sc.m.funcWaits)}
-	p.body = r.stmt(blk.Body)
-	if blk.Kind == "always" && len(blk.Events) == 0 {
-		r.fail(fmt.Errorf("plain always without sensitivity is unsupported"))
+	end := stmt{op: sArm}
+	switch {
+	case blk.Kind == "initial":
+		end.op = sHalt
+	case blk.EdgeTriggered():
+		r.wait("edge", blk.Events)
+		end.op = sJump
+	default:
+		if blk.Kind == "always" && len(blk.Events) == 0 {
+			r.fail(fmt.Errorf("plain always without sensitivity is unsupported"))
+		}
+		r.emit(stmt{op: sPass})
 	}
-	if blk.EdgeTriggered() {
-		p.events = r.events("edge", blk.Events)
+	r.stmt(blk.Body)
+	for _, pc := range r.returns {
+		r.land(pc)
 	}
-	switch blk.Kind {
-	case "always_comb", "always_latch", "always_ff", "always":
-		p.plain = !funcsSuspend && !suspends(blk.Body)
-	}
-	p.nslots = r.nslots
+	r.emit(end)
+	p.code, p.nslots = r.code, r.nslots
 	return p, r.err
+}
+
+// markWaits marks the functions that may wait: those holding a # delay or
+// an @(...), and those calling one that may, through any chain of calls.
+func (sc *scope) markWaits(fns []*moore.FuncDecl, shells []*function) {
+	calls := make([][]*function, len(fns))
+	for i, fn := range fns {
+		moore.Inspect(fn, func(n moore.Node) bool {
+			switch n := n.(type) {
+			case *moore.DelayStmt, *moore.WaitEventStmt:
+				shells[i].mayWait = true
+			case *moore.CallExpr:
+				if f := sc.funcs[n.Name]; f != nil {
+					calls[i] = append(calls[i], f)
+				}
+			}
+			return true
+		})
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, f := range shells {
+			for _, g := range calls[i] {
+				if g.mayWait && !f.mayWait {
+					f.mayWait, changed = true, true
+				}
+			}
+		}
+	}
 }
 
 // signature fills in a function's argument and result widths, which its
@@ -618,7 +669,8 @@ func (sc *scope) signature(fn *moore.FuncDecl, f *function) error {
 	return nil
 }
 
-// function compiles the body of a module function.
+// function compiles the body of a module function, which ends in a
+// return.
 func (sc *scope) function(fn *moore.FuncDecl, f *function) error {
 	r := &resolver{scope: sc, fn: f, waits: &sc.m.funcWaits}
 	for i, arg := range fn.Args {
@@ -626,16 +678,26 @@ func (sc *scope) function(fn *moore.FuncDecl, f *function) error {
 	}
 	f.retInit = r.declare(fn.Name, f.retW)
 	for _, d := range fn.Locals {
-		f.body = append(f.body, r.decl(d)...)
+		r.decl(d)
 	}
 	ret, _ := r.local(fn.Name)
 	f.retSlot = ret.slot
 	for _, s := range fn.Body {
-		f.body = append(f.body, r.stmt(s))
+		r.stmt(s)
 	}
-	f.suspends = suspends(fn)
+	r.emit(stmt{op: sReturn})
+	f.code = r.code
 	sc.m.maxFrame = max(sc.m.maxFrame, r.nslots)
 	return r.err
+}
+
+// wait emits a wait on an event list: the suspend op, then the op that
+// goes back to it until an edge of the list fired.
+func (r *resolver) wait(kind string, events []moore.Event) {
+	*r.waits = append(*r.waits, r.events(kind, events))
+	slot := r.waitBase + len(*r.waits) - 1
+	pc := r.emit(stmt{op: sWait, slot: slot})
+	r.emit(stmt{op: sFired, slot: slot, target: pc})
 }
 
 // events resolves an event list to net slots; kind words the diagnostic
@@ -665,137 +727,195 @@ func (r *resolver) events(kind string, events []moore.Event) []evRef {
 }
 
 // decl declares a block's (or a function's) locals, each visible from the
-// next name on, and returns the statements that initialise them.
-func (r *resolver) decl(d *moore.NetDecl) []*stmt {
+// next name on, and emits the ops that initialise them.
+func (r *resolver) decl(d *moore.NetDecl) {
 	w, err := r.typeWidth(d.Type)
 	r.fail(err)
-	out := make([]*stmt, len(d.Names))
 	for i, n := range d.Names {
-		out[i] = &stmt{op: sDecl, w: w}
+		s := stmt{op: sDecl, w: w}
 		if d.Inits[i] != nil {
-			out[i].x = r.expr(d.Inits[i])
+			s.x = r.expr(d.Inits[i])
 		}
-		out[i].slot = r.declare(n, w)
+		s.slot = r.declare(n, w)
+		r.emit(s)
 	}
-	return out
 }
 
 // block compiles a begin ... end; the caller ends its scope.
-func (r *resolver) block(b *moore.BlockStmt) *stmt {
-	s := &stmt{op: sBlock}
+func (r *resolver) block(b *moore.BlockStmt) {
 	for _, d := range b.Decls {
-		s.list = append(s.list, r.decl(d)...)
+		r.decl(d)
 	}
 	for _, x := range b.Stmts {
-		s.list = append(s.list, r.stmt(x))
+		r.stmt(x)
 	}
-	return s
 }
 
-// stmt compiles one statement; nil compiles to nop. Children are compiled
-// in source order (Go evaluates the calls in a composite literal left to
-// right), so the first bad name reported is the first written.
-func (r *resolver) stmt(s moore.Stmt) *stmt {
+// stmt compiles one statement to the ops it runs as. The parts of a
+// statement are compiled in source order, so the first bad name reported
+// is the first written.
+func (r *resolver) stmt(s moore.Stmt) {
 	switch st := s.(type) {
 	case nil, *moore.NullStmt:
-		return nop
 
 	case *moore.BlockStmt:
 		mark := len(r.locals)
-		b := r.block(st)
+		r.block(st)
 		r.locals = r.locals[:mark]
-		return b
 
 	case *moore.AssignStmt:
-		out := &stmt{op: sAssign, blocking: st.Blocking, lv: r.target(st.Target)}
+		out := stmt{op: sAssign, blocking: st.Blocking, lv: r.target(st.Target)}
 		if st.Delay != nil {
 			out.y = r.expr(st.Delay)
 		}
-		out.x = r.expr(st.Value)
-		return out
+		if st.Blocking {
+			out.x = r.waitingCall(st.Value)
+		}
+		if out.x != nil {
+			out.op = sCall
+		} else {
+			out.x = r.expr(st.Value)
+		}
+		r.emit(out)
 
 	case *moore.IfStmt:
-		return &stmt{op: sIf, x: r.expr(st.Cond), a: r.stmt(st.Then), b: r.stmt(st.Else)}
+		br := r.emit(stmt{op: sBranch, x: r.expr(st.Cond)})
+		r.stmt(st.Then)
+		if st.Else != nil {
+			end := r.emit(stmt{op: sJump})
+			r.land(br)
+			r.stmt(st.Else)
+			br = end
+		}
+		r.land(br)
 
 	case *moore.CaseStmt:
-		out := &stmt{op: sCase, x: r.expr(st.Subject)}
-		for _, it := range st.Items {
-			out.arms = append(out.arms, caseArm{labels: r.exprs(it.Labels), body: r.stmt(it.Body)})
+		c := r.emit(stmt{op: sCase, x: r.expr(st.Subject)})
+		arms := make([]caseArm, len(st.Items))
+		ends := make([]int, len(st.Items))
+		for i, it := range st.Items {
+			arms[i] = caseArm{labels: r.exprs(it.Labels), pc: len(r.code)}
+			r.stmt(it.Body)
+			ends[i] = r.emit(stmt{op: sJump})
 		}
-		out.b = r.stmt(st.Default)
-		return out
+		r.code[c].arms = arms
+		r.land(c)
+		r.stmt(st.Default)
+		for _, pc := range ends {
+			r.land(pc)
+		}
 
 	case *moore.ForStmt:
 		// A declaration in the init is the loop's: it stays visible in the
 		// condition, the step and the body, and leaves with the loop.
 		mark := len(r.locals)
-		out := &stmt{op: sFor}
 		if b, ok := st.Init.(*moore.BlockStmt); ok {
-			out.a = r.block(b)
+			r.block(b)
 		} else {
-			out.a = r.stmt(st.Init)
+			r.stmt(st.Init)
 		}
+		top, br := len(r.code), -1
 		if st.Cond != nil {
-			out.x = r.expr(st.Cond)
+			br = r.emit(stmt{op: sBranch, x: r.expr(st.Cond)})
 		}
-		out.b, out.body = r.stmt(st.Step), r.stmt(st.Body)
+		// The step runs after the body but is written before it. It is a
+		// simple assignment or call, whose ops hold no jump target, so it
+		// moves past the body as it is.
+		at := len(r.code)
+		r.stmt(st.Step)
+		step := slices.Clone(r.code[at:])
+		r.code = r.code[:at]
+		r.stmt(st.Body)
+		r.code = append(r.code, step...)
+		r.emit(stmt{op: sLoop, target: top, name: "for"})
+		if br >= 0 {
+			r.land(br)
+		}
 		r.locals = r.locals[:mark]
-		return out
 
 	case *moore.WhileStmt:
-		out := &stmt{op: sWhile, doWhile: st.DoWhile}
+		top := len(r.code)
 		if st.DoWhile {
-			out.body, out.x = r.stmt(st.Body), r.expr(st.Cond)
-		} else {
-			out.x, out.body = r.expr(st.Cond), r.stmt(st.Body)
+			r.stmt(st.Body)
 		}
-		return out
+		br := r.emit(stmt{op: sBranch, x: r.expr(st.Cond)})
+		if !st.DoWhile {
+			r.stmt(st.Body)
+		}
+		r.emit(stmt{op: sLoop, target: top, name: "while"})
+		r.land(br)
 
 	case *moore.RepeatStmt:
-		return &stmt{op: sRepeat, x: r.expr(st.Count), body: r.stmt(st.Body)}
+		// The count left lives in a frame slot of its own.
+		count := r.nslots
+		r.nslots++
+		r.emit(stmt{op: sStore, slot: count, w: 64, x: r.expr(st.Count)})
+		top := r.emit(stmt{op: sRepeat, slot: count})
+		r.stmt(st.Body)
+		r.emit(stmt{op: sLoop, target: top, name: "repeat"})
+		r.land(top)
 
 	case *moore.DelayStmt:
-		return &stmt{op: sDelay, x: r.expr(st.Delay), a: r.stmt(st.Inner)}
+		r.emit(stmt{op: sDelay, x: r.expr(st.Delay)})
+		r.stmt(st.Inner)
 
 	case *moore.WaitEventStmt:
-		*r.waits = append(*r.waits, r.events("event", st.Events))
-		return &stmt{op: sWait, slot: r.waitBase + len(*r.waits) - 1}
+		r.wait("event", st.Events)
 
 	case *moore.ExprStmt:
-		return &stmt{op: sExpr, x: r.expr(st.X)}
+		if call := r.waitingCall(st.X); call != nil {
+			r.emit(stmt{op: sCall, x: call})
+		} else {
+			r.emit(stmt{op: sExpr, x: r.expr(st.X)})
+		}
 
 	case *moore.AssertStmt:
-		return &stmt{op: sAssert, x: r.expr(st.Cond)}
+		r.emit(stmt{op: sAssert, x: r.expr(st.Cond)})
 
 	case *moore.SysCallStmt:
-		switch st.Name {
-		case "$finish", "$stop":
-			return &stmt{op: sFinish}
-		case "$return":
-			ret := &stmt{op: sReturn}
-			if len(st.Args) != 1 || st.Args[0] == nil {
-				return ret
-			}
-			x := r.expr(st.Args[0])
-			if r.fn == nil { // a process: the value is only evaluated
-				return &stmt{op: sBlock, list: []*stmt{{op: sExpr, x: x}, ret}}
-			}
+		r.sysCall(st)
+
+	default:
+		r.fail(fmt.Errorf("unsupported statement %T", s))
+	}
+}
+
+// sysCall compiles a system task in statement position.
+func (r *resolver) sysCall(st *moore.SysCallStmt) {
+	switch st.Name {
+	case "$finish", "$stop":
+		if r.fn != nil {
+			r.fail(fmt.Errorf("%s inside a function", st.Name))
+		}
+		r.emit(stmt{op: sHalt})
+	case "$return":
+		var x *expr
+		if len(st.Args) == 1 && st.Args[0] != nil {
+			x = r.expr(st.Args[0])
+		}
+		if r.fn != nil {
 			// In a function, return x stores x to the result the call
 			// reads.
-			return &stmt{op: sBlock, list: []*stmt{{op: sStore, slot: r.fn.retSlot, w: r.fn.retW, x: x}, ret}}
-		case "$error", "$fatal":
-			// One assertion failure each, as the Moore flow lowers both
-			// to a failing llhd.assert; neither stops the run.
-			return &stmt{op: sFail, name: st.Name}
-		case "$display", "$write", "$info", "$warning",
-			"$readmemh", "$dumpfile", "$dumpvars", "$monitor":
-			return nop
+			if x != nil {
+				r.emit(stmt{op: sStore, slot: r.fn.retSlot, w: r.fn.retW, x: x})
+			}
+			r.emit(stmt{op: sReturn})
+			return
 		}
+		// In a process the value is only evaluated, and the pass ends.
+		if x != nil {
+			r.emit(stmt{op: sExpr, x: x})
+		}
+		r.returns = append(r.returns, r.emit(stmt{op: sJump}))
+	case "$error", "$fatal":
+		// One assertion failure each, as the Moore flow lowers both to a
+		// failing llhd.assert; neither stops the run.
+		r.emit(stmt{op: sFail, name: st.Name})
+	case "$display", "$write", "$info", "$warning",
+		"$readmemh", "$dumpfile", "$dumpvars", "$monitor":
+	default:
 		r.fail(fmt.Errorf("unsupported system task %s", st.Name))
-		return nop
 	}
-	r.fail(fmt.Errorf("unsupported statement %T", s))
-	return nop
 }
 
 // target compiles an assignment target.
@@ -1010,6 +1130,12 @@ func (r *resolver) call(x *moore.CallExpr) *expr {
 		r.fail(fmt.Errorf("unknown function %q", x.Name))
 		return &expr{}
 	}
+	if isFunc {
+		if fn.mayWait {
+			r.fail(fmt.Errorf("%s may wait: call it as a statement or as the right side of a blocking assignment", x.Name))
+		}
+		return r.userCall(fn, x)
+	}
 	args := r.exprs(x.Args)
 	switch x.Name {
 	case "$signed", "$unsigned":
@@ -1021,26 +1147,28 @@ func (r *resolver) call(x *moore.CallExpr) *expr {
 		r.fail(err)
 		return &expr{op: opConst, k: v, w: 32}
 	}
-	switch {
-	case !isFunc:
-		r.fail(fmt.Errorf("unknown function %q", x.Name))
-	case len(args) < len(fn.argW):
+	r.fail(fmt.Errorf("unknown function %q", x.Name))
+	return &expr{}
+}
+
+// userCall compiles a call of a module function.
+func (r *resolver) userCall(fn *function, x *moore.CallExpr) *expr {
+	args := r.exprs(x.Args)
+	if len(args) < len(fn.argW) {
 		r.fail(fmt.Errorf("%s called with too few arguments", x.Name))
 	}
 	return &expr{op: opCall, fn: fn, args: args}
 }
 
-// suspends reports whether n holds a statement that hands control back to
-// the kernel in the middle of a pass: a # delay or an @(...) wait.
-func suspends(n moore.Node) (found bool) {
-	moore.Inspect(n, func(n moore.Node) bool {
-		switch n.(type) {
-		case *moore.DelayStmt, *moore.WaitEventStmt:
-			found = true
+// waitingCall compiles e when it is a call of a function that may wait,
+// which runs under a call op; it returns nil for any other expression.
+func (r *resolver) waitingCall(e moore.Expr) *expr {
+	if c, ok := e.(*moore.CallExpr); ok {
+		if fn := r.funcs[c.Name]; fn != nil && fn.mayWait {
+			return r.userCall(fn, c)
 		}
-		return !found
-	})
-	return found
+	}
+	return nil
 }
 
 // ------------------------------------------------------------ constants

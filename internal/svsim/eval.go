@@ -247,45 +247,75 @@ func (p *astProc) binary(x *expr) cval {
 	return cval{bits: b2b(av >= bv), width: 1}
 }
 
-// call runs a user function in a fresh frame: the one pooled for its call
-// depth. Arguments are evaluated in the caller's frame; a call inside one
-// runs a level deeper, so it cannot clobber the frame being filled.
+// call runs a function that cannot wait, from its first op to its
+// return, in a run loop one Go call deeper; a function that may wait runs
+// under a call op instead (enter).
 func (p *astProc) call(x *expr) cval {
+	frame := p.frame(x)
+	if frame == nil {
+		return cval{}
+	}
+	code, pc, caller := p.code, p.pc, p.fr
+	p.code, p.pc, p.fr = x.fn.code, 0, frame
+	p.run(len(p.stack))
+	p.code, p.pc, p.fr, p.depth = code, pc, caller, p.depth-1
 	if p.err != nil {
 		return cval{}
+	}
+	return cval{bits: frame[x.fn.retSlot], width: x.fn.retW}
+}
+
+// frame opens the frame of a call one level deeper, the one pooled for
+// that depth, and fills in the arguments, evaluated in the caller's frame;
+// a call inside one runs a level deeper still, so it cannot clobber the
+// frame being filled. It returns nil, the depth unchanged, on an error.
+func (p *astProc) frame(x *expr) []uint64 {
+	if p.err != nil {
+		return nil
 	}
 	fn := x.fn
 	// A call chain without end is a step-limit quota failure, as on the
 	// LLHD engines, not a Go stack overflow that nothing can contain.
 	if p.depth >= engine.MaxCallDepth {
-		return p.fail(fmt.Errorf("%s: call depth %d exceeded: %w", fn.name, engine.MaxCallDepth, engine.ErrStepLimit))
+		p.fail(fmt.Errorf("%s: call depth %d exceeded: %w", fn.name, engine.MaxCallDepth, engine.ErrStepLimit))
+		return nil
 	}
 	p.depth++
 	if p.depth == len(p.frames) {
 		p.frames = append(p.frames, make([]uint64, p.mod.maxFrame))
 	}
-	frame, caller := p.frames[p.depth], p.fr
+	frame := p.frames[p.depth]
 	for i, w := range fn.argW {
 		frame[i] = p.eval(x.args[i]).adapt(w)
 	}
 	if p.err != nil {
 		p.depth--
-		return cval{}
+		return nil
 	}
 	frame[fn.retInit] = 0
-	p.fr = frame
-	c := ctrlNone
-	for _, st := range fn.body {
-		if c = p.exec(st); c != ctrlNone {
-			break
-		}
+	return frame
+}
+
+// enter runs the call op s: it pushes the caller's place and jumps to the
+// start of the function, which may wait.
+func (p *astProc) enter(s *stmt) {
+	frame := p.frame(s.x)
+	if frame == nil {
+		return
 	}
-	p.fr, p.depth = caller, p.depth-1
-	switch {
-	case c == ctrlNone || c == ctrlReturn:
-		return cval{bits: frame[fn.retSlot], width: fn.retW}
-	case c != ctrlErr:
-		p.fail(fmt.Errorf("illegal control flow inside function %s", fn.name))
+	p.stack = append(p.stack, callFrame{code: p.code, pc: p.pc, fr: p.fr, call: s})
+	p.code, p.pc, p.fr = s.x.fn.code, 0, frame
+}
+
+// leave returns from the function a call op entered: it pops the caller's
+// place and stores the result to the op's target, if it has one.
+func (p *astProc) leave() {
+	top := p.stack[len(p.stack)-1]
+	p.stack = p.stack[:len(p.stack)-1]
+	fn := top.call.x.fn
+	res := cval{bits: p.fr[fn.retSlot], width: fn.retW}
+	p.code, p.pc, p.fr, p.depth = top.code, top.pc, top.fr, p.depth-1
+	if top.call.lv != nil {
+		p.assign(top.call, res)
 	}
-	return cval{}
 }

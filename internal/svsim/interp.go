@@ -33,187 +33,158 @@ func (c cval) adapt(w int) uint64 {
 	return mask(b, w)
 }
 
-// errCtrl is ctrlErr when a runtime error is pending, else ctrlNone.
-func (p *astProc) errCtrl() ctrl {
-	if p.err != nil {
-		return ctrlErr
-	}
-	return ctrlNone
-}
+// loopBudget bounds the backward jumps of one activation, nested calls
+// included: a loop that never ends is a step-limit quota failure, as on
+// the LLHD engines.
+const loopBudget = 100_000_000
 
-// exec interprets one statement.
-func (p *astProc) exec(s *stmt) ctrl {
-	switch s.op {
-	case sNop:
-		return ctrlNone
-
-	case sBlock:
-		for _, x := range s.list {
-			if c := p.exec(x); c != ctrlNone {
-				return c
+// run executes the code from p.pc on. It reports true when the process
+// suspended — the op armed its wake and left p.pc at the op to resume
+// at — and false when it ended: the end of an initial block, $finish, a
+// runtime error, or the return of a function entered when the call stack
+// held base frames (a call from eval).
+func (p *astProc) run(base int) bool {
+	for p.err == nil {
+		s := &p.code[p.pc]
+		p.pc++
+		switch s.op {
+		case sDecl:
+			var v uint64
+			if s.x != nil {
+				v = p.eval(s.x).adapt(s.w)
 			}
-		}
-		return ctrlNone
+			p.fr[s.slot] = v
 
-	case sDecl:
-		var v uint64
-		if s.x != nil {
-			v = p.eval(s.x).adapt(s.w)
-		}
-		p.fr[s.slot] = v
-		return p.errCtrl()
+		case sAssign:
+			p.assign(s, p.eval(s.x))
 
-	case sAssign:
-		rhs := p.eval(s.x)
-		var delay ir.Time
-		if s.y != nil {
-			delay, _ = p.evalTime(s.y)
-		}
-		if p.err != nil {
-			return ctrlErr
-		}
-		p.store(s.lv, rhs, s.blocking, delay)
-		return p.errCtrl()
-
-	case sIf:
-		cond := p.eval(s.x)
-		if p.err != nil {
-			return ctrlErr
-		}
-		if cond.bits != 0 {
-			return p.exec(s.a)
-		}
-		return p.exec(s.b)
-
-	case sCase:
-		subj := p.eval(s.x)
-		for _, arm := range s.arms {
-			for _, l := range arm.labels {
-				lv := p.eval(l)
-				if p.err != nil {
-					return ctrlErr
-				}
-				if lv.adapt(subj.width) == subj.bits {
-					return p.exec(arm.body)
-				}
+		case sStore:
+			if v := p.eval(s.x).bits; p.err == nil {
+				p.fr[s.slot] = mask(v, s.w)
 			}
-		}
-		if p.err != nil {
-			return ctrlErr
-		}
-		return p.exec(s.b)
 
-	case sFor:
-		if c := p.exec(s.a); c != ctrlNone {
-			return c
-		}
-		for iter := 0; iter < 100_000_000; iter++ {
-			if s.x != nil && !p.holds(s.x) {
-				return p.errCtrl()
-			}
-			if c := p.exec(s.body); c != ctrlNone {
-				return c
-			}
-			if c := p.exec(s.b); c != ctrlNone {
-				return c
-			}
-		}
-		p.fail(fmt.Errorf("for loop exceeded iteration budget: %w", engine.ErrStepLimit))
-		return ctrlErr
+		case sExpr:
+			p.eval(s.x)
 
-	case sWhile:
-		first := s.doWhile
-		for iter := 0; iter < 100_000_000; iter++ {
-			if !first && !p.holds(s.x) {
-				return p.errCtrl()
-			}
-			first = false
-			if c := p.exec(s.body); c != ctrlNone {
-				return c
-			}
-			if s.doWhile && !p.holds(s.x) {
-				return p.errCtrl()
-			}
-		}
-		p.fail(fmt.Errorf("while loop exceeded iteration budget: %w", engine.ErrStepLimit))
-		return ctrlErr
+		case sJump:
+			p.pc = s.target
 
-	case sRepeat:
-		n := p.eval(s.x)
-		if p.err != nil {
-			return ctrlErr
-		}
-		for i := uint64(0); i < n.bits; i++ {
-			if c := p.exec(s.body); c != ctrlNone {
-				return c
+		case sBranch:
+			if c := p.eval(s.x); p.err == nil && c.bits == 0 {
+				p.pc = s.target
 			}
-		}
-		return ctrlNone
 
-	case sDelay:
-		t, ok := p.evalTime(s.x)
-		if p.err != nil {
-			return ctrlErr
-		}
-		if !ok {
-			p.fail(fmt.Errorf("delay is not a time"))
-			return ctrlErr
-		}
-		if !p.suspend(yieldMsg{timeout: t, timed: true}) {
-			return ctrlStop
-		}
-		return p.exec(s.a)
+		case sLoop:
+			if p.jumps++; p.jumps >= loopBudget {
+				p.fail(fmt.Errorf("%s loop exceeded iteration budget: %w", s.name, engine.ErrStepLimit))
+				break
+			}
+			p.pc = s.target
 
-	case sWait:
-		l := &p.waits[s.slot]
-		for { // suspend until one of the list's edges fires
+		case sCase:
+			p.pc = p.caseTarget(s)
+
+		case sRepeat:
+			if p.fr[s.slot] == 0 {
+				p.pc = s.target
+			} else {
+				p.fr[s.slot]--
+			}
+
+		case sCall:
+			p.enter(s)
+
+		case sReturn:
+			if len(p.stack) == base {
+				return false
+			}
+			p.leave()
+
+		case sDelay:
+			t, ok := p.evalTime(s.x)
+			if p.err != nil {
+				break
+			}
+			if !ok {
+				p.fail(fmt.Errorf("delay is not a time"))
+				break
+			}
+			p.flush()
+			p.e.Subscribe(p.ProcID(), nil)
+			p.e.ScheduleWake(p.ProcID(), t)
+			return true
+
+		case sWait:
+			l := &p.waits[s.slot]
 			l.sample(p.e)
-			if !p.suspend(yieldMsg{refs: l.refs}) {
-				return ctrlStop
+			p.flush()
+			p.e.Subscribe(p.ProcID(), l.refs)
+			return true
+
+		case sFired:
+			if !p.waits[s.slot].fired(p.e) {
+				p.pc = s.target
 			}
-			if l.fired(p.e) {
-				return ctrlNone
+
+		case sPass:
+			p.reads.reset()
+
+		case sArm:
+			// A combinational block waits on the nets its pass read, those
+			// it wrote itself excepted, taken before the flush.
+			p.arm = p.arm[:0]
+			for _, slot := range p.reads.list {
+				if !p.pending.has[slot] {
+					p.arm = append(p.arm, p.refs[slot])
+				}
 			}
+			p.flush()
+			p.e.Subscribe(p.ProcID(), p.arm)
+			p.pc = 0
+			return true
+
+		case sHalt:
+			return false
+
+		case sAssert:
+			if c := p.eval(s.x); p.err == nil && c.bits == 0 {
+				p.e.OnAssert("assert", p.e.Now)
+			}
+
+		case sFail:
+			p.e.OnAssert(s.name, p.e.Now)
+
+		default:
+			panic(fmt.Sprintf("svsim: statement opcode %d", s.op))
 		}
-
-	case sExpr:
-		p.eval(s.x)
-		return p.errCtrl()
-
-	case sAssert:
-		cond := p.eval(s.x)
-		if p.err != nil {
-			return ctrlErr
-		}
-		if cond.bits == 0 {
-			p.e.OnAssert("assert", p.e.Now)
-		}
-		return ctrlNone
-
-	case sFinish:
-		return ctrlFinish
-
-	case sStore:
-		v := p.eval(s.x).bits
-		if p.err != nil {
-			return ctrlErr
-		}
-		p.fr[s.slot] = mask(v, s.w)
-		return ctrlNone
-
-	case sReturn:
-		return ctrlReturn
-
-	case sFail:
-		p.e.OnAssert(s.name, p.e.Now)
-		return ctrlNone
 	}
-	panic(fmt.Sprintf("svsim: statement opcode %d", s.op))
+	return false
 }
 
-// holds evaluates a loop condition; a runtime error reads as false.
-func (p *astProc) holds(x *expr) bool {
-	return p.eval(x).bits != 0 && p.err == nil
+// caseTarget is where a case statement goes: the first arm with a label
+// equal to the subject, else the default.
+func (p *astProc) caseTarget(s *stmt) int {
+	subj := p.eval(s.x)
+	for _, arm := range s.arms {
+		for _, l := range arm.labels {
+			if lv := p.eval(l); p.err != nil || lv.adapt(subj.width) == subj.bits {
+				return arm.pc
+			}
+		}
+	}
+	return s.target
+}
+
+// assign stores rhs to the target of an assignment or of a call op,
+// unless evaluating the delay failed.
+func (p *astProc) assign(s *stmt, rhs cval) {
+	var delay ir.Time
+	if s.y != nil {
+		delay, _ = p.evalTime(s.y)
+	}
+	if p.err == nil {
+		p.store(s.lv, rhs, s.blocking, delay)
+	}
 }
 
 // store writes rhs to an assignment target.

@@ -21,13 +21,14 @@
 // with their frames. Nothing on a wake path hashes a string, and once a
 // process's frames and lists have grown nothing there allocates.
 //
-// A block runs as one of two kinds of process, picked once when it is
-// compiled. A block that cannot suspend mid-body — an always block with
-// no # delay and no @(...) in its body or in any function of its module —
-// is a plain call: each Wake runs one pass on the kernel's goroutine.
-// Every other block (initial blocks, bodies that wait in line) is a
-// coroutine on iter.Pull that yields to the kernel at each wait and is
-// resumed by the next Wake, the classic threaded-simulator architecture.
+// Every block runs as one kind of process, whose control state is data.
+// Compile emits each block and each function as flat code: a list of ops
+// with jump targets in place of if, case and loops, and a suspend op for
+// each # delay and @(...) and for the end of an always block's pass. A
+// process keeps the pc to resume at and a stack of the calls in progress
+// of functions that may wait; Init and Wake run its code on the kernel's
+// goroutine from that pc to the next suspend op, or to its end. Nothing is
+// left running between activations, so a simulator needs no shutdown.
 package svsim
 
 import (
@@ -96,7 +97,6 @@ func Compile(src, top string) (*Design, error) {
 // Simulator runs a compiled Design on an engine of its own.
 type Simulator struct {
 	Engine *engine.Engine
-	procs  []*astProc
 }
 
 // NewSimulator instantiates the design on a fresh engine: the signals of
@@ -107,15 +107,6 @@ func (d *Design) NewSimulator() *Simulator {
 	s := &Simulator{Engine: engine.New()}
 	s.instantiate(d.top, nil)
 	return s
-}
-
-// Shutdown ends the coroutine processes still parked at a wait so their
-// goroutines do not leak. It is idempotent and must be called once a
-// simulation driven through s.Engine is finished.
-func (s *Simulator) Shutdown() {
-	for _, p := range s.procs {
-		p.shutdown()
-	}
 }
 
 // instState is one instance's share of a simulator: its nets' signals
@@ -154,8 +145,6 @@ func (s *Simulator) instantiate(in *instance, bound []engine.SigRef) {
 			continue
 		}
 		nproc++
-		p := newAstProc(in.name+".p"+strconv.Itoa(nproc), st, it.proc)
-		s.procs = append(s.procs, p)
-		s.Engine.AddProcess(p, true)
+		s.Engine.AddProcess(newAstProc(in.name+".p"+strconv.Itoa(nproc), st, it.proc), true)
 	}
 }

@@ -31,11 +31,9 @@ func build(src, top string) (*svsim.Simulator, error) {
 }
 
 // run returns the run of s up to a time limit (zero: to quiescence) as the
-// Session drives it: Init, Run, then Shutdown of the coroutines still
-// parked at a wait.
+// Session drives it: Init, then Run.
 func run(s *svsim.Simulator) func(ir.Time) error {
 	return func(limit ir.Time) error {
-		defer s.Shutdown()
 		s.Engine.Init()
 		s.Engine.Run(limit)
 		return s.Engine.Err()
@@ -262,7 +260,6 @@ endmodule
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			defer s.Shutdown()
 			e := s.Engine
 			clk, q := e.SignalByName("ab_tb.clk"), e.SignalByName("ab_tb.q")
 			edge := func(level uint64) {

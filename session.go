@@ -2,7 +2,6 @@ package llhd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -317,13 +316,11 @@ type Finish struct {
 //
 // A Session is not safe for concurrent use.
 type Session struct {
-	eng     *engine.Engine
-	sv      *svsim.Simulator // SVSim backend, for coroutine shutdown
-	vcd     []flusher
-	inited  bool
-	stopped bool
-	err     error // first deferred error (e.g. a VCD flush in Finish)
-	fatal   error // sticky poisoning error from a contained panic
+	eng    *engine.Engine
+	vcd    []flusher
+	inited bool
+	err    error // first deferred error (e.g. a VCD flush in Finish)
+	fatal  error // sticky poisoning error from a contained panic
 }
 
 type flusher interface{ Flush() error }
@@ -403,8 +400,7 @@ func prepare(cfg *sessionConfig) (_ *design, err error) {
 		if d.sv, err = svsim.Compile(cfg.source, d.top); err != nil {
 			return nil, err
 		}
-		sv := d.sv.NewSimulator()
-		d.first.Store(&Session{eng: sv.Engine, sv: sv})
+		d.first.Store(&Session{eng: d.sv.NewSimulator().Engine})
 		return d, nil
 	case cfg.compiled != nil:
 		d.compiled = cfg.compiled
@@ -499,8 +495,7 @@ func (d *design) open(cfg *sessionConfig) (_ *Session, err error) {
 		s = &Session{}
 		switch d.kind {
 		case SVSim:
-			sv := d.sv.NewSimulator()
-			s.sv, s.eng = sv, sv.Engine
+			s.eng = d.sv.NewSimulator().Engine
 		case Interp:
 			si, err := sim.New(d.module, d.top)
 			if err != nil {
@@ -583,14 +578,6 @@ func (s *Session) init() {
 func (s *Session) contain(errp *error) {
 	r := recover()
 	if r == nil {
-		// svsim's coroutine processes contain their own panics, where the
-		// stack still shows the faulting statement, and hand the kernel
-		// the classified error: it poisons the session all the same.
-		var re *engine.RuntimeError
-		if s.fatal == nil && errors.As(s.eng.Err(), &re) && re.Recovered != nil {
-			s.fatal = re
-			s.safeFlushVCD()
-		}
 		return
 	}
 	re := s.eng.Capture(engine.ErrInternal, nil, r, debug.Stack())
@@ -702,25 +689,15 @@ func (s *Session) Signals() []*Signal { return s.eng.Signals() }
 // Pending reports the number of scheduled-but-unapplied events.
 func (s *Session) Pending() int { return s.eng.PendingEvents() }
 
-// Finish releases engine resources (coroutine processes, buffered VCD
-// output) and returns the final statistics. It is idempotent; the session
-// must not be stepped afterwards. A VCD flush failure during Finish is
-// reported by Err — relevant for stepped-only sessions, whose Step calls
-// never flush. On a failed session — poisoned by a contained panic or
-// stopped by a quota — Finish still works: the statistics reflect the
-// partial progress up to the failure, and the VCD flush completes the
-// well-formed waveform prefix.
+// Finish flushes buffered VCD output and returns the final statistics. It
+// is idempotent; the session must not be stepped afterwards. A VCD flush
+// failure during Finish is reported by Err — relevant for stepped-only
+// sessions, whose Step calls never flush. On a failed session — poisoned
+// by a contained panic or stopped by a quota — Finish still works: the
+// statistics reflect the partial progress up to the failure, and the VCD
+// flush completes the well-formed waveform prefix.
 func (s *Session) Finish() Finish {
-	if !s.stopped {
-		s.stopped = true
-		func() {
-			defer s.contain(nil)
-			if s.sv != nil {
-				s.sv.Shutdown()
-			}
-		}()
-		s.safeFlushVCD()
-	}
+	s.safeFlushVCD()
 	return Finish{
 		Now:               s.eng.Now,
 		DeltaSteps:        s.eng.DeltaCount,

@@ -140,11 +140,13 @@ func TestSessionStep(t *testing.T) {
 	}
 }
 
-// TestSessionSVSimReleasesCoroutines: every SVSim initial block is a
-// coroutine with a goroutine of its own, and Finish must end the ones
-// still parked at a wait — in sessions stepped part of the way and in one
-// stopped by a step-limit quota alike.
-func TestSessionSVSimReleasesCoroutines(t *testing.T) {
+// TestSessionSVSimLeavesNoGoroutine: an SVSim process keeps its control
+// state as data and runs only inside Init and Wake, so a session holds no
+// goroutine of its own between calls — stepped part of the way, stopped by
+// a step-limit quota, or abandoned without Finish alike. Before, every
+// initial block and every body that waits was a coroutine parked on a
+// goroutine until Finish ended it.
+func TestSessionSVSimLeavesNoGoroutine(t *testing.T) {
 	const src = `
 module park_tb;
   bit clk;
@@ -177,6 +179,9 @@ endmodule
 				t.Fatalf("Step: %v", err)
 			}
 		}
+		if v, _ := s.Probe("park_tb.n"); v.Bits == 0 {
+			t.Fatalf("n = 0 after %d steps: the blocks did not run", 10+i)
+		}
 		sessions = append(sessions, s)
 	}
 	quota := open(llhd.WithStepLimit(5))
@@ -184,16 +189,10 @@ endmodule
 		t.Fatalf("Run under a step limit: %v, want class step-limit", err)
 	}
 	sessions = append(sessions, quota)
-	if n := runtime.NumGoroutine(); n < base+2*len(sessions) {
-		t.Fatalf("%d goroutines with %d sessions open, baseline %d: the blocks are not parked", n, len(sessions), base)
-	}
-	for _, s := range sessions {
-		s.Finish()
-	}
-	// iter.Pull's stop returns once the coroutine's goroutine is gone.
 	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after Finish, baseline %d", n, base)
+		t.Errorf("%d goroutines with %d sessions open and none finished, baseline %d", n, len(sessions), base)
 	}
+	runtime.KeepAlive(sessions)
 }
 
 // TestSessionRunUntil checks bounded execution: time must not pass the
