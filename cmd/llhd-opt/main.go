@@ -74,7 +74,7 @@ func main() {
 	pipeline.VerifyEach = *verifyEach
 	pipeline.CollectStats = *stats
 	if *passList == "" {
-		err = pipeline.RunFixpoint(m, 8)
+		err = pipeline.RunFixpoint(m)
 	} else {
 		_, err = pipeline.Run(m)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"llhd/internal/assembly"
 	"llhd/internal/designs"
+	"llhd/internal/ir"
 	"llhd/internal/moore"
 	"llhd/internal/pass"
 )
@@ -21,7 +22,7 @@ func table2Texts(t testing.TB) map[string]string {
 			t.Fatalf("%s: compile: %v", d.Name, err)
 		}
 		out[d.Name] = assembly.String(m)
-		if err := pass.Lower(m, 0); err == nil {
+		if pass.LoweringPipeline().RunFixpoint(m) == nil && ir.Verify(m, ir.Behavioural) == nil {
 			out[d.Name+"/lowered"] = assembly.String(m)
 		}
 	}

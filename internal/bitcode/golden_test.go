@@ -35,7 +35,7 @@ func TestGoldenRRArbiter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("moore.Compile: %v", err)
 	}
-	if err := pass.LoweringPipeline().RunFixpoint(m, 8); err != nil {
+	if err := pass.LoweringPipeline().RunFixpoint(m); err != nil {
 		t.Fatalf("lower: %v", err)
 	}
 	data, err := bitcode.Encode(m)
@@ -98,7 +98,7 @@ func TestEncodeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pass.LoweringPipeline().RunFixpoint(m, 8); err != nil {
+		if err := pass.LoweringPipeline().RunFixpoint(m); err != nil {
 			t.Fatal(err)
 		}
 		if runs[i], err = bitcode.Encode(m); err != nil {

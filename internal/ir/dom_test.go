@@ -122,7 +122,7 @@ func TestDomTreeAgreesWithIDomWalk(t *testing.T) {
 	for _, m := range mods {
 		for _, stage := range []string{"behavioural", "lowered"} {
 			if stage == "lowered" {
-				if err := pass.LoweringPipeline().RunFixpoint(m, 8); err != nil {
+				if err := pass.LoweringPipeline().RunFixpoint(m); err != nil {
 					t.Fatalf("%s: lower: %v", m.Name, err)
 				}
 			}

@@ -578,7 +578,7 @@ func (c *compiler) genFunction(fn *FuncDecl, u *ir.Unit, sc *scope) error {
 		g.retVar.SetName(fn.Name + "_ret")
 		g.retW = retW
 		// Assignments to the function name set the return value.
-		g.locals[fn.Name] = &localVar{slot: g.retVar, width: retW}
+		g.locals[fn.Name] = &localVar{slot: g.retVar, width: retW, signed: fn.Ret.Signed}
 	}
 	g.exitB = u.AddBlock("exit")
 

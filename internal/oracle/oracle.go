@@ -174,8 +174,8 @@ func topSigInits(m *ir.Module, topName string) map[string]string {
 
 // settledWaveforms collapses a trace to, per signal name, the sequence of
 // values the signal settled to at each physical instant (delta-level
-// transients within one instant keep only the final value; a glitch that
-// settles back drops out entirely).
+// transients within one instant keep only the final value; a value equal
+// to the one settled before it is dropped by postZeroWaveform).
 func settledWaveforms(o *llhd.TraceObserver) map[string][]string {
 	type last struct {
 		fs  int64
@@ -192,26 +192,14 @@ func settledWaveforms(o *llhd.TraceObserver) map[string][]string {
 			continue
 		}
 		if ok {
-			flushSettled(wf, name, l.fs, l.val)
+			wf[name] = append(wf[name], fmt.Sprintf("%dfs %s", l.fs, l.val))
 		}
 		cur[name] = &last{fs: te.Time.Fs, val: v}
 	}
 	for name, l := range cur {
-		flushSettled(wf, name, l.fs, l.val)
+		wf[name] = append(wf[name], fmt.Sprintf("%dfs %s", l.fs, l.val))
 	}
 	return wf
-}
-
-func flushSettled(wf map[string][]string, name string, fs int64, val string) {
-	seq := wf[name]
-	// Drop the entry if the signal settled back to its previous settled
-	// value (pure delta glitch).
-	if n := len(seq); n > 0 {
-		if valuePart(seq[n-1]) == val {
-			return
-		}
-	}
-	wf[name] = append(wf[name], fmt.Sprintf("%dfs %s", fs, val))
 }
 
 func valuePart(s string) string {

@@ -115,8 +115,11 @@ func qSequence(t *testing.T, m *ir.Module) []uint64 {
 func TestLoweringPreservesBehaviour(t *testing.T) {
 	before := assembly.MustParse("m", accWithTB)
 	after := assembly.MustParse("m", accWithTB)
-	if err := pass.Lower(after, ir.Behavioural); err != nil {
+	if err := pass.LoweringPipeline().RunFixpoint(after); err != nil {
 		t.Fatalf("Lower: %v", err)
+	}
+	if err := ir.Verify(after, ir.Behavioural); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	// The DUT must have become structural; the testbench stays.
 	if after.Unit("acc").Kind != ir.UnitEntity {

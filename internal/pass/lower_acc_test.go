@@ -263,8 +263,11 @@ func TestDeseqAccFF(t *testing.T) {
 // trigger on clk, gated by en, storing q+x.
 func TestFullLoweringFigure5(t *testing.T) {
 	m := parseAcc(t)
-	if err := Lower(m, ir.Structural); err != nil {
+	if err := LoweringPipeline().RunFixpoint(m); err != nil {
 		t.Fatalf("Lower: %v", err)
+	}
+	if err := ir.Verify(m, ir.Structural); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	acc := m.Unit("acc")
 	if acc == nil || acc.Kind != ir.UnitEntity {

@@ -9,6 +9,8 @@ package pass
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"llhd/internal/ir"
@@ -103,9 +105,10 @@ func (pl *Pipeline) WriteStats(w io.Writer) {
 	}
 }
 
-// Run executes each pass once in order.
-func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
-	changed := false
+// Run executes each pass once in order and returns the names of the passes
+// that reported a change, each name once, in pipeline order.
+func (pl *Pipeline) Run(m *ir.Module) ([]string, error) {
+	var changed []string
 	var insts, blocks int
 	if pl.CollectStats {
 		insts, blocks = moduleSize(m)
@@ -125,7 +128,9 @@ func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
 		if err != nil {
 			return changed, err
 		}
-		changed = changed || c
+		if c && !slices.Contains(changed, p.Name()) {
+			changed = append(changed, p.Name())
+		}
 		if pl.VerifyEach {
 			if err := ir.Verify(m, ir.Behavioural); err != nil {
 				return changed, fmt.Errorf("verify-each: after pass %q: %w", p.Name(), err)
@@ -135,19 +140,26 @@ func (pl *Pipeline) Run(m *ir.Module) (bool, error) {
 	return changed, nil
 }
 
-// RunFixpoint repeats the pipeline until no pass reports a change (capped
-// at limit iterations).
-func (pl *Pipeline) RunFixpoint(m *ir.Module, limit int) error {
-	for i := 0; i < limit; i++ {
-		changed, err := pl.Run(m)
-		if err != nil {
+// fixpointLimit is the number of pipeline iterations RunFixpoint runs
+// before it gives up.
+const fixpointLimit = 8
+
+// RunFixpoint repeats the pipeline until an iteration in which no pass
+// reports a change. If the last of fixpointLimit iterations still changed
+// the module, it returns an error naming the passes that did.
+func (pl *Pipeline) RunFixpoint(m *ir.Module) error {
+	var changed []string
+	for i := 0; i < fixpointLimit; i++ {
+		var err error
+		if changed, err = pl.Run(m); err != nil {
 			return err
 		}
-		if !changed {
+		if len(changed) == 0 {
 			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("pass: pipeline did not converge in %d iterations (still changing: %s)",
+		fixpointLimit, strings.Join(changed, ", "))
 }
 
 // Names lists the pass names in order.
@@ -198,14 +210,4 @@ func LoweringPipeline() *Pipeline {
 		CSE(),
 		DCE(),
 	}}
-}
-
-// Lower runs the full lowering pipeline to fixpoint and verifies the
-// result at the requested level.
-func Lower(m *ir.Module, target ir.Level) error {
-	pl := LoweringPipeline()
-	if err := pl.RunFixpoint(m, 8); err != nil {
-		return err
-	}
-	return ir.Verify(m, target)
 }

@@ -490,10 +490,46 @@ func TestPipelineNames(t *testing.T) {
 	}
 }
 
+// TestRunFixpointGivesUpLoudly: a pipeline that never settles, because one
+// pass adds a block and the next removes it, fails at the cap with an
+// error naming both; the remover alone settles at once.
+func TestRunFixpointGivesUpLoudly(t *testing.T) {
+	grow := &unitPass{name: "grow", run: func(u *ir.Unit) (bool, error) {
+		b := u.InsertBlockAfter("extra", u.Blocks[len(u.Blocks)-1])
+		b.Append(&ir.Inst{Op: ir.OpHalt, Ty: ir.VoidType()})
+		return true, nil
+	}}
+	shrink := &unitPass{name: "shrink", run: func(u *ir.Unit) (bool, error) {
+		last := u.Blocks[len(u.Blocks)-1]
+		if last.ValueName() != "extra" {
+			return false, nil
+		}
+		u.RemoveBlock(last)
+		return true, nil
+	}}
+	m := assembly.MustParse("m", `
+proc @p () -> () {
+ entry:
+  halt
+}
+`)
+	err := (&Pipeline{Passes: []Pass{grow, shrink}}).RunFixpoint(m)
+	want := "pass: pipeline did not converge in 8 iterations (still changing: grow, shrink)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunFixpoint = %v, want %q", err, want)
+	}
+	if err := (&Pipeline{Passes: []Pass{shrink}}).RunFixpoint(m); err != nil {
+		t.Fatalf("RunFixpoint on a settled pipeline = %v, want nil", err)
+	}
+}
+
 func TestLoweredModuleVerifiesStructural(t *testing.T) {
 	m := parseAcc(t)
-	if err := Lower(m, ir.Structural); err != nil {
+	if err := LoweringPipeline().RunFixpoint(m); err != nil {
 		t.Fatalf("Lower: %v", err)
+	}
+	if err := ir.Verify(m, ir.Structural); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	if got := ir.LevelOf(m); got != ir.Structural && got != ir.Netlist {
 		t.Errorf("lowered module level = %v, want structural or below", got)
@@ -501,8 +537,8 @@ func TestLoweredModuleVerifiesStructural(t *testing.T) {
 }
 
 func TestLowerRejectsTestbench(t *testing.T) {
-	// A process with a timed wait has no structural equivalent; Lower
-	// must report the verification failure rather than mangle it.
+	// A process with a timed wait has no structural equivalent; lowering
+	// must leave it for verification to reject rather than mangle it.
 	src := `
 proc @tb () -> (i1$ %clk) {
  entry:
@@ -513,7 +549,10 @@ proc @tb () -> (i1$ %clk) {
 }
 `
 	m := assembly.MustParse("m", src)
-	if err := Lower(m, ir.Structural); err == nil {
-		t.Error("Lower accepted a timed testbench process")
+	if err := LoweringPipeline().RunFixpoint(m); err != nil {
+		t.Fatalf("Lower: %v", err)
+	}
+	if err := ir.Verify(m, ir.Structural); err == nil {
+		t.Error("Verify accepted a timed testbench process as structural")
 	}
 }

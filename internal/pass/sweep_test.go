@@ -248,7 +248,7 @@ func TestLoweringScalesLinearly(t *testing.T) {
 			m := assembly.MustParse("m", c.src)
 			before := m.Unit("big").NumInsts()
 			start := time.Now()
-			if err := LoweringPipeline().RunFixpoint(m, 8); err != nil {
+			if err := LoweringPipeline().RunFixpoint(m); err != nil {
 				t.Fatal(err)
 			}
 			took := time.Since(start)
@@ -376,7 +376,7 @@ func @f (i32 %a) i32 {
 	pl := BasicPipeline()
 	pl.CollectStats = true
 	m := assembly.MustParse("m", src)
-	if err := pl.RunFixpoint(m, 8); err != nil {
+	if err := pl.RunFixpoint(m); err != nil {
 		t.Fatal(err)
 	}
 	if len(pl.Stats) == 0 || len(pl.Stats)%len(pl.Passes) != 0 {

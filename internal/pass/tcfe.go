@@ -19,18 +19,11 @@ func tcfeUnit(u *ir.Unit) (bool, error) {
 	// removes the obstacle that kept a forwarder or chain from merging, and
 	// a merge can bring a phi's operands into dominating position. Iterate
 	// both to a joint fixpoint, so one run reaches the state a repeated run
-	// would (pass idempotence, relied on by RunFixpoint convergence).
+	// would (pass idempotence, relied on by RunFixpoint convergence). Every
+	// step removes a block, a branch destination or a phi, so the loop ends.
 	changed := false
-	for budget := 0; budget < 1000; budget++ {
-		if mergeOnce(u) {
-			changed = true
-			continue
-		}
-		if phiToMux(u) {
-			changed = true
-			continue
-		}
-		break
+	for mergeOnce(u) || phiToMux(u) {
+		changed = true
 	}
 	return changed, nil
 }
@@ -158,32 +151,8 @@ func mergeOnce(u *ir.Unit) bool {
 			if !safe {
 				continue
 			}
-			// Rewrite the phi entries from b to each of b's preds.
-			for _, in := range dest.Insts {
-				if in.Op != ir.OpPhi {
-					continue
-				}
-				for i, pb := range in.Dests {
-					if pb != b {
-						continue
-					}
-					v := in.Args[i]
-					bp := preds[b]
-					if len(bp) == 0 {
-						continue
-					}
-					in.Dests[i] = bp[0]
-					for _, extra := range bp[1:] {
-						in.Args = append(in.Args, v)
-						in.Dests = append(in.Dests, extra)
-					}
-				}
-			}
 		}
-		for _, p := range preds[b] {
-			p.Terminator().ReplaceDest(b, dest)
-		}
-		u.RemoveBlock(b)
+		removeForwarder(u, b, preds[b])
 		return true
 	}
 
@@ -229,11 +198,39 @@ func mergeOnce(u *ir.Unit) bool {
 	return false
 }
 
+// removeForwarder deletes b, a block holding only "br dest", and
+// retargets its predecessors to dest. preds lists them one per arc, in
+// Unit.Preds order; a phi entry in dest for b moves to preds[0] and is
+// repeated, with the same value, for each of the others.
+func removeForwarder(u *ir.Unit, b *ir.Block, preds []*ir.Block) {
+	dest := b.Terminator().Dests[0]
+	for _, in := range dest.Insts {
+		if in.Op != ir.OpPhi || len(preds) == 0 {
+			continue
+		}
+		for i, pb := range in.Dests {
+			if pb != b {
+				continue
+			}
+			v := in.Args[i]
+			in.Dests[i] = preds[0]
+			for _, extra := range preds[1:] {
+				in.Args = append(in.Args, v)
+				in.Dests = append(in.Dests, extra)
+			}
+		}
+	}
+	for _, p := range preds {
+		p.Terminator().ReplaceDest(b, dest)
+	}
+	u.RemoveBlock(b)
+}
+
 // phiToMux converts remaining two-entry phis into mux instructions (§4.4):
 // the selector is derived the same way as a TCM drive condition.
 func phiToMux(u *ir.Unit) bool {
 	changed := false
-	for budget := 0; budget < 100; budget++ {
+	for {
 		dt := ir.NewDomTree(u)
 		trs := temporalRegions(u, dt)
 		var phi *ir.Inst

@@ -20,9 +20,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 	changed := false
 
 	// Step 1: single exiting block per TR (§4.3.2).
-	if c := singleExitPerTR(u); c {
-		changed = true
-	}
+	auxes := singleExitPerTR(u)
 
 	dt := ir.NewDomTree(u)
 	trs := temporalRegions(u, dt)
@@ -48,6 +46,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 	}
 
 	// Step 2: move drvs into the exiting block of their TR (§4.3.3).
+	filled := map[*ir.Block]bool{}
 	for _, b := range u.Blocks {
 		tr := trs.Of[b]
 		ex := exits[tr]
@@ -103,6 +102,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 				}
 			}
 			exit.InsertBefore(drv, before)
+			filled[exit] = true
 			changed = true
 		}
 	}
@@ -116,14 +116,28 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 			changed = true
 		}
 	}
+
+	// Step 4: undo every auxiliary exit no drive moved into, so that a run
+	// which moves nothing leaves the unit as it found it. Whatever a failed
+	// pathCondition left in the block fed only drives that did not move.
+	if len(auxes) > 0 {
+		preds := u.Preds()
+		for _, aux := range auxes {
+			if !filled[aux] {
+				aux.Insts = aux.Insts[len(aux.Insts)-1:]
+				removeForwarder(u, aux, preds[aux])
+			}
+		}
+	}
 	return changed, nil
 }
 
 // singleExitPerTR inserts an auxiliary block when a TR has several arcs to
-// a successor TR, so that each TR gets a unique exiting block.
-func singleExitPerTR(u *ir.Unit) bool {
+// a successor TR, so that each TR gets a unique exiting block. It returns
+// the blocks it inserted.
+func singleExitPerTR(u *ir.Unit) []*ir.Block {
 	trs := TemporalRegions(u)
-	changed := false
+	var auxes []*ir.Block
 
 	// Group cross-TR branch arcs by (source TR, dest block). Rule 3
 	// guarantees a unique entry block per TR, so the dest block identifies
@@ -238,9 +252,9 @@ func singleExitPerTR(u *ir.Unit) bool {
 			}
 			in.Args, in.Dests = args, blocks
 		}
-		changed = true
+		auxes = append(auxes, aux)
 	}
-	return changed
+	return auxes
 }
 
 // pathCondition computes the branch condition under which control flows

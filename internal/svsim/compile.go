@@ -112,7 +112,7 @@ const (
 	opConst   op = iota // k, w, fill
 	opTime              // a time literal, t; as a number it reads 0
 	opNow               // $time; as a number it reads 0
-	opLocal             // frame slot, w
+	opLocal             // frame slot, w, signed
 	opNet               // net slot, w, signed
 	opArray             // array slot, w, x the index, name for the error
 	opBit               // x[y]
@@ -123,7 +123,7 @@ const (
 	opTernary           // x ? y : z
 	opSign              // $signed / $unsigned of x, signed
 	opCall              // fn(args)
-	opIncDec            // frame slot, w, dec, post
+	opIncDec            // frame slot, w, signed, dec, post
 	opNot
 	opNeg
 	opLNot
@@ -166,7 +166,7 @@ var binaryOps = map[string]op{
 // expr is a resolved expression.
 type expr struct {
 	op        op
-	signed    bool // opNet: the net's; opSign: the result's
+	signed    bool // opLocal, opIncDec, opNet: the variable's; opSign: the result's
 	fill      bool // opConst: '0 / '1
 	dec, post bool // opIncDec
 	w         int
@@ -558,6 +558,7 @@ type resolver struct {
 type local struct {
 	name    string
 	slot, w int
+	signed  bool
 }
 
 // fail records err (nil: none) unless an earlier error stuck.
@@ -567,8 +568,8 @@ func (r *resolver) fail(err error) {
 	}
 }
 
-func (r *resolver) declare(name string, w int) int {
-	r.locals = append(r.locals, local{name, r.nslots, w})
+func (r *resolver) declare(name string, w int, signed bool) int {
+	r.locals = append(r.locals, local{name, r.nslots, w, signed})
 	r.nslots++
 	return r.nslots - 1
 }
@@ -674,9 +675,9 @@ func (sc *scope) signature(fn *moore.FuncDecl, f *function) error {
 func (sc *scope) function(fn *moore.FuncDecl, f *function) error {
 	r := &resolver{scope: sc, fn: f, waits: &sc.m.funcWaits}
 	for i, arg := range fn.Args {
-		r.declare(arg.Name, f.argW[i])
+		r.declare(arg.Name, f.argW[i], arg.Type.Signed)
 	}
-	f.retInit = r.declare(fn.Name, f.retW)
+	f.retInit = r.declare(fn.Name, f.retW, fn.Ret != nil && fn.Ret.Signed)
 	for _, d := range fn.Locals {
 		r.decl(d)
 	}
@@ -736,7 +737,7 @@ func (r *resolver) decl(d *moore.NetDecl) {
 		if d.Inits[i] != nil {
 			s.x = r.expr(d.Inits[i])
 		}
-		s.slot = r.declare(n, w)
+		s.slot = r.declare(n, w, d.Type.Signed)
 		r.emit(s)
 	}
 }
@@ -983,7 +984,7 @@ func (r *resolver) whole(name string) *expr {
 // ident resolves a name read: a local, a constant or a net, in that order.
 func (r *resolver) ident(name string) *expr {
 	if l, ok := r.local(name); ok {
-		return &expr{op: opLocal, slot: l.slot, w: l.w}
+		return &expr{op: opLocal, slot: l.slot, w: l.w, signed: l.signed}
 	}
 	if v, ok := r.consts[name]; ok {
 		return &expr{op: opConst, k: v, w: 32}
@@ -1108,7 +1109,7 @@ func (r *resolver) expr(e moore.Expr) *expr {
 			r.ident(id.Name)
 			r.fail(fmt.Errorf("++/-- target %q must be local", id.Name))
 		}
-		return &expr{op: opIncDec, slot: l.slot, w: l.w, dec: x.Op == "--", post: x.Post}
+		return &expr{op: opIncDec, slot: l.slot, w: l.w, signed: l.signed, dec: x.Op == "--", post: x.Post}
 	}
 	r.fail(fmt.Errorf("unsupported expression %T", e))
 	return &expr{}

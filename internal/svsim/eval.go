@@ -16,7 +16,7 @@ func (p *astProc) eval(x *expr) cval {
 		return cval{bits: x.k, width: x.w, fill: x.fill}
 
 	case opLocal:
-		return cval{bits: p.fr[x.slot], width: x.w}
+		return cval{bits: p.fr[x.slot], width: x.w, signed: x.signed}
 
 	case opNet:
 		return p.readNet(x)
@@ -93,9 +93,9 @@ func (p *astProc) eval(x *expr) cval {
 		next = mask(next, x.w)
 		p.fr[x.slot] = next
 		if x.post {
-			return cval{bits: old, width: x.w}
+			return cval{bits: old, width: x.w, signed: x.signed}
 		}
-		return cval{bits: next, width: x.w}
+		return cval{bits: next, width: x.w, signed: x.signed}
 
 	case opNot:
 		v := p.eval(x.x)

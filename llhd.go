@@ -231,9 +231,11 @@ func LevelOf(m *Module) Level {
 }
 
 // Lower runs the §4 behavioural-to-structural pipeline (ECM, TCM, TCFE,
-// process lowering, desequentialization, structural cleanups) to fixpoint.
-// Testbench processes without a structural equivalent are left behavioural;
-// use Verify(m, Structural) to require full lowering.
+// process lowering, desequentialization, structural cleanups) to fixpoint,
+// and fails, naming the passes still changing the module, if eight
+// iterations do not reach it. Testbench processes without a structural
+// equivalent are left behavioural; use Verify(m, Structural) to require
+// full lowering.
 func Lower(m *Module) error {
-	return pass.LoweringPipeline().RunFixpoint(m, 8)
+	return pass.LoweringPipeline().RunFixpoint(m)
 }

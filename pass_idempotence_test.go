@@ -18,8 +18,8 @@ import (
 // TestPassIdempotence pins per-pass convergence: every registered pass,
 // run twice in a row on the same module, must report changed == false on
 // the second run. A pass that keeps reporting change on its own output
-// would oscillate under RunFixpoint and burn the iteration cap instead of
-// converging. Each pass is checked from two starting states per input —
+// would oscillate under RunFixpoint until its iteration cap fails the
+// lowering. Each pass is checked from two starting states per input —
 // the freshly built behavioural module and the fully lowered one — over
 // every Table 2 design and every checked-in corpus entry.
 func TestPassIdempotence(t *testing.T) {
@@ -130,21 +130,9 @@ func TestPassIdempotence(t *testing.T) {
 }
 
 // TestLowerReachesFixpoint: llhd.Lower runs the pipeline until an
-// iteration changes nothing, but gives up silently after eight. On the
-// Table 2 designs and on the RV32I core it must actually get there: one
-// more run of the pipeline over the lowered module reports no change.
-//
-// Two designs never get there, at this commit or before it: in a testbench
-// process of cdc_gray and of rr_arbiter, tcm inserts the auxiliary
-// single-exit block of a temporal region (§4.3.2), moves no drive into it,
-// and tcfe folds it away again, every iteration, until the cap (ROADMAP
-// open item 6). They are pinned as they are, so that a change which makes
-// them converge, or makes anything else oscillate, shows.
+// iteration changes nothing, and fails if its cap of eight iterations comes
+// first. On the Table 2 designs and on the RV32I core it must succeed.
 func TestLowerReachesFixpoint(t *testing.T) {
-	oscillates := map[string][]string{
-		"cdc_gray":   {"tcm", "tcfe"},
-		"rr_arbiter": {"tcm", "tcfe"},
-	}
 	for _, d := range loweringInputs(t) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
@@ -155,19 +143,6 @@ func TestLowerReachesFixpoint(t *testing.T) {
 			if err := llhd.Lower(m); err != nil {
 				t.Fatalf("Lower: %v", err)
 			}
-			var still []string
-			for _, p := range pass.LoweringPipeline().Passes {
-				changed, err := p.Run(m)
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name(), err)
-				}
-				if changed {
-					still = append(still, p.Name())
-				}
-			}
-			if got, want := strings.Join(still, ","), strings.Join(oscillates[d.Name], ","); got != want {
-				t.Errorf("passes still changing the lowered module: [%s], want [%s]", got, want)
-			}
 		})
 	}
 }
@@ -176,8 +151,7 @@ func TestLowerReachesFixpoint(t *testing.T) {
 // which processes of the ten Table 2 designs are still processes. 33 go
 // in, these 28 come out; the testbench processes (`_tb_`, timed waits) stay
 // by nature, the others are the work list of ROADMAP item 10. Pinned by
-// name, the way TestLowerReachesFixpoint pins the two designs that do not
-// converge: the list may only shrink, and a change that shrinks it edits it.
+// name: the list may only shrink, and a change that shrinks it edits it.
 func TestLoweringCoverage(t *testing.T) {
 	survivors := map[string][]string{
 		"gray":           {"gray_enc$W8_p0", "gray_dec$W8_p0", "gray_tb_p0"},
