@@ -121,13 +121,16 @@ bench-kernel:
 bench-lower:
 	$(GO) test -bench BenchmarkLower -benchmem -cpu 1 -run xxx .
 
-# bench-blaze times llhd.CompileBlaze per design (the ten Table 2 designs
-# and the RV32I core, behavioural and lowered; ns/op and allocs/op, module
-# decoded outside the timer). It is the builder's inner loop for the
-# bytecode lowering and its forwarding plan; a claim rests on
-# blaze_cycles_per_s / cold_start_ms of `make bench`, not on this.
+# bench-blaze times Blaze per design (the ten Table 2 designs and the
+# RV32I core, behavioural and lowered; ns/op and allocs/op): llhd.CompileBlaze
+# (BenchmarkBlazeCompile, module decoded outside the timer) and one session
+# from the precompiled design run to the end (BenchmarkBlazeRun, compiled
+# outside the timer). It is the builder's inner loop for the bytecode
+# lowering, its forwarding plan and the dispatch loop; a claim rests on
+# blaze_cycles_per_s / blaze_lowered_cycles_per_s / cold_start_ms of `make
+# bench`, not on this. It runs on one P, as `make bench` does.
 bench-blaze:
-	$(GO) test -bench BenchmarkBlazeCompile -benchmem -run xxx .
+	$(GO) test -bench 'BenchmarkBlaze(Compile|Run)' -benchmem -cpu 1 -run xxx .
 
 # bench-frontend times moore.Compile per Table 2 design, source text to
 # Behavioural LLHD (ns/op and allocs/op). It is the builder's inner loop

@@ -178,6 +178,53 @@ func BenchmarkBlazeCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkBlazeRun measures Blaze sessions per design: the ten Table 2
+// designs and the RV32I core, as the frontend emits them and after
+// llhd.Lower, one session from the precompiled design elaborated and run
+// to the end per op (ns/op and allocs/op), the design compiled once
+// outside the timer. It is the inner-loop view of blaze_cycles_per_s and
+// blaze_lowered_cycles_per_s of `go run ./benchmark`, which stay the
+// record.
+func BenchmarkBlazeRun(b *testing.B) {
+	for _, d := range loweringInputs(b) {
+		m, err := moore.Compile(d.Name, d.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		image, err := llhd.EncodeBitcode(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []string{"behavioural", "lowered"} {
+			fresh, err := llhd.DecodeBitcode(image)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if form == "lowered" {
+				if err := llhd.Lower(fresh); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cd, err := llhd.CompileBlaze(fresh, d.Top)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(d.Name+"/"+form, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := llhd.NewSession(llhd.FromCompiled(cd))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := s.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkInterp measures the reference interpreter per Table 2 design:
 // one session elaborated and run to the end per op (ns/op and allocs/op),
 // the design compiled once outside the timer (every session shares the

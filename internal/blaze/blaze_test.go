@@ -288,26 +288,22 @@ func TestBlazeFasterThanInterpreter(t *testing.T) {
 	m1 := assembly.MustParse("c", counterSrc)
 	m2 := assembly.MustParse("c", counterSrc)
 
-	// Best of five, the two legs taking turns: each leg is ~2 ms, so on a
-	// busy box (go test ./... runs packages side by side) a scheduling
-	// hiccup would otherwise decide the comparison, and a burst of them
-	// must hit both legs alike.
+	// The fastest of many single sessions per leg, the two legs taking
+	// turns session by session: a session takes some 20-50 µs, so a burst
+	// of host load (go test ./... runs packages side by side) spans a run
+	// of samples of both legs alike, and none can hit all 250 of one leg.
 	interpTime, blazeTime := math.Inf(1), math.Inf(1)
-	for round := 0; round < 5; round++ {
+	for i := 0; i < 250; i++ {
 		t0 := time.Now()
-		for i := 0; i < 50; i++ {
-			s, _ := sim.New(m1, "top")
-			s.Run(ir.Time{})
-		}
+		s1, _ := sim.New(m1, "top")
+		s1.Run(ir.Time{})
 		t1 := time.Now()
-		for i := 0; i < 50; i++ {
-			s, _ := blaze.New(m2, "top")
-			s.Run(ir.Time{})
-		}
+		s2, _ := blaze.New(m2, "top")
+		s2.Run(ir.Time{})
 		interpTime = min(interpTime, t1.Sub(t0).Seconds())
 		blazeTime = min(blazeTime, time.Since(t1).Seconds())
 	}
 	if blazeTime > interpTime {
-		t.Errorf("compiled simulation (%.4fs) slower than interpretation (%.4fs)", blazeTime, interpTime)
+		t.Errorf("compiled simulation (%.1f µs) slower than interpretation (%.1f µs)", 1e6*blazeTime, 1e6*interpTime)
 	}
 }

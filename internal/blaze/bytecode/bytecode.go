@@ -10,7 +10,9 @@
 //
 // The register slot of a value IS its dense value ID (ir.Numbering): the
 // register file is indexed directly by ir.ValueID, with no compaction and
-// no const/slot distinction. Every compile-time constant — const
+// no const/slot distinction. The one register past the numbering is the
+// scratch register a copy cycle among edge moves goes through, and only a
+// unit with such a cycle has it. Every compile-time constant — const
 // instructions and the instance's elaboration constants alike — is
 // pre-placed in the unit's ConstRegs template and copied into each
 // frame's register file at instantiation, so every operand access is a
@@ -32,11 +34,12 @@
 // # Session independence
 //
 // Lowered code is immutable and session-independent: all mutable state
-// (registers, resolved signal tables, wait lists, reg/del histories, the
-// phi scratch) lives in the per-instance Frame, and function call frames
-// are pooled in the per-session Runtime. A Program therefore upholds the
-// CompiledDesign seal and farm-sharing invariants: one lowering, any
-// number of concurrent sessions, zero locks on wake paths.
+// (registers, the scratch register among them, resolved signal tables,
+// wait lists, reg/del histories) lives in the per-instance Frame, and
+// function call frames are pooled in the per-session Runtime. A Program
+// therefore upholds the CompiledDesign seal and farm-sharing invariants:
+// one lowering, any number of concurrent sessions, zero locks on wake
+// paths.
 package bytecode
 
 import (
@@ -122,7 +125,7 @@ const (
 	// Control flow.
 	opJump    // pc = A
 	opBranch  // pc = Regs[A].Bits != 0 ? C : B
-	opPhi     // parallel edge moves: aux[A..A+2B) = (src, dst) pairs
+	opRetired // never emitted; was the gather-then-scatter edge move, and keeps the opcodes after it where they were
 	opWaitArm // Subscribe(Waits[A]); B >= 0: ScheduleWake(Regs[B].Time())
 	opSuspend // Frame.PC = A; yield to the engine
 	opHalt
@@ -140,6 +143,11 @@ const (
 
 	// A splice chain holding replicate runs (rule 8 of plan.go).
 	opInsSRep // Dst = Regs[A] with B runs spliced in; aux[C] = width, then (src, off, n, k) per run: the low n bits of src, k times
+
+	// The moves of one control-flow edge, ordered so that they run as
+	// plain copies (plan.go): aux[A..A+2B) = (src, dst) pairs, Regs[dst] =
+	// Regs[src] for each pair in turn.
+	opMoves
 
 	numOps
 )
@@ -193,11 +201,11 @@ type Unit struct {
 	Entity bool
 
 	Code []Instr
-	Aux  []int32     // variadic operand pool (call args, aggregates, phi pairs)
+	Aux  []int32     // variadic operand pool (call args, aggregates, edge moves)
 	Pool []val.Value // value templates (alloc defaults)
 	Strs []string    // diagnostic strings (unknown intrinsic names)
 
-	NRegs     int         // register file size == ir.Numbering length
+	NRegs     int         // register file size: ir.Numbering length, plus the scratch register if the unit has one
 	ConstRegs []val.Value // dense register template, constants pre-placed
 	ConstIDs  []int32     // which registers the template seeds (for disasm)
 
@@ -206,7 +214,6 @@ type Unit struct {
 	Waits    [][]int32  // wait site -> signal slots
 	NDels    int
 	RegSites []RegSite
-	NPhi     int // widest phi edge: sizes the frame's move scratch
 
 	// Functions only.
 	FuncIdx int
@@ -239,7 +246,6 @@ type Frame struct {
 	Waits  [][]engine.SigRef // wait site -> prebuilt sensitivity list
 	Dels   []DelState
 	Regst  []RegHist
-	Phi    []val.Value // phi move scratch (gather half), preallocated
 	PC     int
 	Ret    val.Value // function frames only
 }
@@ -290,9 +296,6 @@ func (u *Unit) NewFrame(inst *engine.Instance) (*Frame, error) {
 			fr.Regst[i] = RegHist{Prev: make([]bool, len(site.Trigs))}
 		}
 	}
-	if u.NPhi > 0 {
-		fr.Phi = make([]val.Value, u.NPhi)
-	}
 	return fr, nil
 }
 
@@ -300,9 +303,6 @@ func (u *Unit) NewFrame(inst *engine.Instance) (*Frame, error) {
 func (u *Unit) newFuncFrame() *Frame {
 	fr := &Frame{Regs: make([]val.Value, u.NRegs)}
 	copy(fr.Regs, u.ConstRegs)
-	if u.NPhi > 0 {
-		fr.Phi = make([]val.Value, u.NPhi)
-	}
 	return fr
 }
 

@@ -57,7 +57,6 @@ var opNames = [numOps]string{
 	opBadCall: "badcall",
 	opJump:    "jump",
 	opBranch:  "branch",
-	opPhi:     "phi",
 	opWaitArm: "waitarm",
 	opSuspend: "suspend",
 	opHalt:    "halt",
@@ -68,6 +67,7 @@ var opNames = [numOps]string{
 	opBrEq:    "br.eq",
 	opBrUlt:   "br.ult",
 	opInsSRep: "inss.rep",
+	opMoves:   "moves",
 }
 
 // String returns the opcode mnemonic.
@@ -91,8 +91,8 @@ func Disasm(u *Unit) string {
 	if u.Args != nil || u.HasRet {
 		kind = "func"
 	}
-	fmt.Fprintf(&sb, "%s @%s: nregs=%d sigs=%d waits=%d dels=%d regsites=%d phi=%d\n",
-		kind, u.Name, u.NRegs, len(u.SigVals), len(u.Waits), u.NDels, len(u.RegSites), u.NPhi)
+	fmt.Fprintf(&sb, "%s @%s: nregs=%d sigs=%d waits=%d dels=%d regsites=%d\n",
+		kind, u.Name, u.NRegs, len(u.SigVals), len(u.Waits), u.NDels, len(u.RegSites))
 	for _, id := range u.ConstIDs {
 		fmt.Fprintf(&sb, "  const r%d = %s\n", id, u.ConstRegs[id])
 	}
@@ -200,7 +200,7 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("r%d, @%04d, @%04d", i.A, i.B, i.C)
 	case opBrEq, opBrUlt:
 		return head + fmt.Sprintf("r%d, r%d, @%04d, @%04d", i.A, i.B, i.Dst, i.C)
-	case opPhi:
+	case opMoves:
 		var parts []string
 		for k := int32(0); k < i.B; k++ {
 			parts = append(parts, fmt.Sprintf("r%d->r%d", u.Aux[i.A+2*k], u.Aux[i.A+2*k+1]))

@@ -383,17 +383,10 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			} else {
 				pc = int(i.Dst)
 			}
-		case opPhi:
-			// Simultaneous assignment over the preallocated scratch:
-			// gather then scatter, no per-edge allocation.
-			n := int(i.B)
-			moves := aux[i.A : int(i.A)+2*n]
-			tmp := fr.Phi[:n]
-			for k := 0; k < n; k++ {
-				tmp[k] = regs[moves[2*k]]
-			}
-			for k := 0; k < n; k++ {
-				regs[moves[2*k+1]] = tmp[k]
+		case opMoves:
+			moves := aux[i.A : i.A+2*i.B]
+			for k := 0; k+1 < len(moves); k += 2 {
+				regs[moves[k+1]] = regs[moves[k]]
 			}
 		case opWaitArm:
 			e.Subscribe(self, fr.Waits[i.A])

@@ -93,6 +93,10 @@ type lowerer struct {
 	uses []int32   // value ID -> operand occurrences
 	mem  []memPlan // value ID -> rules 1, 2 and 5; nil in a unit without memory instructions
 	pos  int32     // walk position counter
+	// Rule 9, nil in a unit without a prb: for a signal, its latest first
+	// probe in a block (the prb's value ID + 1); for a prb that reuses an
+	// earlier one, minus that.
+	probes []int32
 	// Rule 5: every var, alloc, and ld or st of one the walk met, and the
 	// block the walk is in.
 	inits []initEvent
@@ -195,14 +199,18 @@ func widthOf(ty *ir.Type) int {
 	return ty.BitWidth()
 }
 
-// reg returns the register index of v: its dense value ID, or for a
-// forwarded load the ID of the var it reads.
+// reg returns the register index of v: its dense value ID, for a
+// forwarded load the ID of the var it reads, and for a reused probe the ID
+// of the probe it reuses.
 func (lo *lowerer) reg(v ir.Value) int32 {
 	id := ir.ValueID(v)
 	if id < 0 {
 		panic(fmt.Sprintf("bytecode: operand %s has no value ID in @%s", v, lo.unit.Name))
 	}
 	if r := lo.forwardedTo(id); r >= 0 {
+		return r
+	}
+	if r := lo.reusedProbe(id); r >= 0 {
 		return r
 	}
 	return int32(id)
@@ -348,8 +356,9 @@ func (lo *lowerer) lowerBlock(b *ir.Block) error {
 }
 
 // edgeMoves collects the phi resolution for the edge from -> to as
-// (src, dst) register pairs. Constant incoming values are ordinary
-// registers here — they are pre-placed by the template.
+// (src, dst) register pairs, leaving out every pair that copies a register
+// onto itself. Constant incoming values are ordinary registers here — they
+// are pre-placed by the template.
 func (lo *lowerer) edgeMoves(from, to *ir.Block) []int32 {
 	var pairs []int32
 	for _, in := range to.Insts {
@@ -358,7 +367,9 @@ func (lo *lowerer) edgeMoves(from, to *ir.Block) []int32 {
 		}
 		for i, pb := range in.Dests {
 			if pb == from {
-				pairs = append(pairs, lo.reg(in.Args[i]), lo.reg(in))
+				if src, dst := lo.reg(in.Args[i]), lo.reg(in); src != dst {
+					pairs = append(pairs, src, dst)
+				}
 				break
 			}
 		}
@@ -366,16 +377,71 @@ func (lo *lowerer) edgeMoves(from, to *ir.Block) []int32 {
 	return pairs
 }
 
-// emitMoves emits the parallel phi moves for one edge, if any.
+// emitMoves emits the moves of one edge, if any, as one opMoves whose
+// pairs run in order (edge moves in plan.go).
 func (lo *lowerer) emitMoves(pairs []int32) {
 	if len(pairs) == 0 {
 		return
 	}
+	at := int32(len(lo.u.Aux))
+	lo.sequence(pairs)
+	lo.emit(Instr{Op: opMoves, A: at, B: (int32(len(lo.u.Aux)) - at) / 2})
+}
+
+// sequence orders an edge's parallel moves — (src, dst) pairs, no two with
+// one dst and none with src == dst — as copies made one after another: a
+// move goes when no move still to go reads its dst. When every move left
+// is held up that way, what is left are cycles, and one dst is first
+// copied to the scratch register, which its readers then read instead.
+// That frees the move writing it, and the rest of its cycle follows before
+// the scratch register is needed again. The copies go to the aux pool, in
+// order; pairs is used up.
+func (lo *lowerer) sequence(pairs []int32) {
 	n := len(pairs) / 2
-	if n > lo.u.NPhi {
-		lo.u.NPhi = n
+	// reads[k]: how many moves still to go read the dst of move k.
+	reads := make([]int32, n)
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			if pairs[2*j] == pairs[2*k+1] {
+				reads[k]++
+			}
+		}
 	}
-	lo.emit(Instr{Op: opPhi, A: lo.auxPut(pairs...), B: int32(n)})
+	for left := n; left > 0; left-- {
+		k := 0
+		for k < left && reads[k] != 0 {
+			k++
+		}
+		if k == left {
+			k = 0
+			dst, tmp := pairs[1], lo.scratch()
+			lo.auxPut(dst, tmp)
+			for j := 0; j < left; j++ {
+				if pairs[2*j] == dst {
+					pairs[2*j] = tmp
+				}
+			}
+			reads[0] = 0
+		}
+		src := pairs[2*k]
+		lo.auxPut(src, pairs[2*k+1])
+		// Move k is done: the moves after it close up, keeping their order.
+		copy(pairs[2*k:], pairs[2*k+2:2*left])
+		copy(reads[k:], reads[k+1:left])
+		for j := 0; j < left-1; j++ {
+			if pairs[2*j+1] == src {
+				reads[j]--
+			}
+		}
+	}
+}
+
+// scratch returns the scratch register, one past the numbering, adding it
+// to the unit's register file the first time.
+func (lo *lowerer) scratch() int32 {
+	r := int32(lo.num.Len())
+	lo.u.NRegs = int(r) + 1
+	return r
 }
 
 // edgeEnter emits the entry sequence for the edge from -> to and patches
@@ -514,6 +580,9 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		return nil // a memory slot is a register; there is nothing to release
 
 	case ir.OpPrb:
+		if lo.reusedProbe(ir.ValueID(in)) >= 0 {
+			return nil // rule 9: users read the earlier probe's register
+		}
 		si, err := lo.sigSlot(in.Args[0])
 		if err != nil {
 			return err

@@ -5,7 +5,7 @@ import "llhd/internal/ir"
 // # The forwarding plan
 //
 // Lowering forwards values instead of transcribing the IR one instruction
-// at a time. Eight rewrites, each with the condition that makes it sound;
+// at a time. Nine rewrites, each with the condition that makes it sound;
 // the reference they are diffed against is the interpreter, so there is no
 // way to switch any of them off.
 //
@@ -70,11 +70,33 @@ import "llhd/internal/ir"
 //     run record overwrites the piece record where it is no longer.
 //     Merging adjacent pieces that do not overlap one another cannot
 //     change what a later piece overwrites.
+//  9. One probe per signal and block. A prb of a signal value that an
+//     earlier prb of the same block probed emits nothing, and its users
+//     read the earlier probe's register. A signal only changes between
+//     deltas: a drive lands in a later delta at the earliest, and wait,
+//     which ends an activation, is a terminator, so a block runs from its
+//     head to its terminator within one activation. Whenever the block
+//     runs, both probes read the same value, and the earlier one writes
+//     its register first, so that register holds what the later one would
+//     have written wherever the later one's users read it. The earlier
+//     probe must keep its register: each reuse counts as a use of it, so
+//     that rule 2 does not redirect it into a var's register.
+//
+// Edge moves. The phis of a block are one parallel copy on each edge into
+// it. Lowering leaves out every move of a register onto itself — an edge
+// left with none needs no stub (edgeEnter) and may fall through (rule 3)
+// — and orders the rest (sequence) so that each register is written only
+// after every read of it: one opMoves, one plain copy per move. When all
+// the moves left read one another's destinations, they form cycles, and
+// one destination is first saved in the scratch register, one past the
+// numbering, whose readers then read it instead.
 //
 // "Register file = value ID" stands: a forwarded load's register, a
-// coalesced value's, a fused link's and a fused compare's simply go
-// unwritten, a var without initialisation starts out unwritten, and
-// nothing but reg maps a value to a register.
+// coalesced value's, a fused link's, a fused compare's and a reused
+// probe's simply go unwritten, a var without initialisation starts out
+// unwritten, and nothing but reg maps a value to a register. The one
+// register without a value is the scratch register, in a unit whose edge
+// moves hold a cycle.
 //
 // The plan is dense arrays indexed by value ID, filled by the one walk
 // newLowerer makes over the unit: no map. uses is always there (rules 4
@@ -83,7 +105,8 @@ import "llhd/internal/ir"
 // operand and nothing else. Only such a unit records rule 5's events (its
 // vars, and their loads and stores, with their blocks) and runs rule 5's
 // analysis over them, four words per block for every 64 private vars.
-// Rules 7 and 8 rewrite the finished code.
+// Likewise probes is allocated at the first prb. Rules 7 and 8 rewrite
+// the finished code.
 
 // memPlan is the plan entry of a value that takes part in rules 1, 2
 // and 5.
@@ -129,6 +152,8 @@ func (lo *lowerer) plan(in *ir.Inst, blockStart int32) {
 		id := ir.ValueID(in)
 		lo.memOf()[id].at = lo.tick()
 		lo.inits = append(lo.inits, initEvent{int32(id), lo.block, in.Op})
+	case ir.OpPrb:
+		lo.planProbe(in)
 	case ir.OpLd, ir.OpSt, ir.OpFree:
 		mem := lo.memOf()
 		args = args[1:]
@@ -213,6 +238,33 @@ func (lo *lowerer) forwardedTo(id int) int32 {
 		return l.fwd - 1
 	}
 	return -1
+}
+
+// planProbe records a prb for rule 9: the first probe of its signal in
+// the block, or a reuse of that one, which then counts as a use of it.
+func (lo *lowerer) planProbe(in *ir.Inst) {
+	sig, id := ir.ValueID(in.Args[0]), ir.ValueID(in)
+	if sig < 0 {
+		return
+	}
+	if lo.probes == nil {
+		lo.probes = make([]int32, lo.num.Len())
+	}
+	if f := lo.probes[sig]; f > 0 && lo.num.Value(int(f-1)).(*ir.Inst).Block() == in.Block() {
+		lo.probes[id] = -f
+		lo.uses[f-1]++
+		return
+	}
+	lo.probes[sig] = int32(id) + 1
+}
+
+// reusedProbe returns the register a reused probe's users read in its
+// place (rule 9): the earlier probe's, -1 for everything else.
+func (lo *lowerer) reusedProbe(id int) int32 {
+	if lo.probes == nil || lo.probes[id] >= 0 {
+		return -1
+	}
+	return -lo.probes[id] - 1
 }
 
 // initEvent is what rule 5 looks at of an instruction the walk met: a var

@@ -1,6 +1,8 @@
 package bytecode
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"llhd/internal/assembly"
 	"llhd/internal/engine"
+	"llhd/internal/val"
 )
 
 // idle is the process lowerDesign hands the elaborator: the tests want
@@ -98,6 +101,10 @@ func TestRewritesHoldBack(t *testing.T) {
 		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters"},
 		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch"},
 		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run"},
+		{"blaze_phi_swap.llhd", opMoves, 2, "entry -> head, and body -> head, which swaps %a and %b"},
+		{"blaze_phi_chain.llhd", opMoves, 2, "entry -> head, and body -> head, where %a reads the %b that %b <- %c writes"},
+		{"blaze_probe_across_wait.llhd", opPrb, 2, "%after: the wait between it and %before ends the activation"},
+		{"blaze_probe_stored.llhd", opMove, 2, "st of %a, whose register %b reads (and the st of %kn, read twice)"},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -107,6 +114,7 @@ func TestRewritesHoldBack(t *testing.T) {
 			if got := countOps(u, c.op); got != c.want {
 				t.Errorf("@p holds %d %s, want %d (%s)\n%s", got, c.op, c.want, c.why, Disasm(u))
 			}
+			checkMovesInOrder(t, u)
 		})
 	}
 	// Every blaze_* entry states a condition; one without a row here is
@@ -139,11 +147,15 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 	}
 }
 
-// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-8: the
-// corpus entry branch_on_compare.llhd, built so that each rule may fire,
-// lowers with every compare and the i1 not inside its branch, no jump
-// left that lands on a branch, the one var whose initial value is read
-// initialised and the other not, and its replicate chain as one inss.rep.
+// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-9 and
+// the edge moves: the corpus entry branch_on_compare.llhd, built so that
+// each of rules 5-8 may fire, lowers with every compare and the i1 not
+// inside its branch, no jump left that lands on a branch, the one var
+// whose initial value is read initialised and the other not, and its
+// replicate chain as one inss.rep. Two entries TestRewritesHoldBack reads
+// have a rewrite that must fire next to the one that must not: %b of
+// blaze_probe_stored.llhd reuses %a's probe (rule 9), and the back edge of
+// blaze_phi_chain.llhd leaves out the move of %k onto itself.
 func TestRewritesFire(t *testing.T) {
 	u := lowerDesign(t, "branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))["p"]
 	for _, c := range []struct {
@@ -166,4 +178,135 @@ func TestRewritesFire(t *testing.T) {
 	if t.Failed() {
 		t.Log("\n" + Disasm(u))
 	}
+
+	if u := lowerDesign(t, "probe_stored", corpusEntry(t, "blaze_probe_stored.llhd"))["p"]; countOps(u, opPrb) != 1 {
+		t.Errorf("blaze_probe_stored: @p holds %d prb, want 1\n%s", countOps(u, opPrb), Disasm(u))
+	}
+	// Entry -> head copies %b, %a and %k; body -> head copies %c and %b.
+	if u := lowerDesign(t, "phi_chain", corpusEntry(t, "blaze_phi_chain.llhd"))["p"]; countCopies(u) != 5 {
+		t.Errorf("blaze_phi_chain: @p makes %d edge-move copies, want 5\n%s", countCopies(u), Disasm(u))
+	}
+}
+
+// countCopies returns how many copies the edge moves of u make.
+func countCopies(u *Unit) int {
+	n := 0
+	for _, i := range u.Code {
+		if i.Op == opMoves {
+			n += int(i.B)
+		}
+	}
+	return n
+}
+
+// checkMovesInOrder holds every opMoves of u to the order its copies run
+// in: no copy reads a register that an earlier copy of the edge wrote,
+// the scratch register aside, which is read only after it was written; no
+// register is written twice, and none is copied onto itself.
+func checkMovesInOrder(t *testing.T, u *Unit) {
+	t.Helper()
+	tmp := int32(u.unit.Numbering().Len())
+	for pc, i := range u.Code {
+		if i.Op != opMoves {
+			continue
+		}
+		written := map[int32]bool{}
+		for k := i.A; k < i.A+2*i.B; k += 2 {
+			src, dst := u.Aux[k], u.Aux[k+1]
+			switch {
+			case src == dst:
+				t.Errorf("@%s pc %d: r%d is copied onto itself", u.Name, pc, src)
+			case src != tmp && written[src]:
+				t.Errorf("@%s pc %d: r%d is read after a copy of the same edge wrote it", u.Name, pc, src)
+			case src == tmp && !written[tmp]:
+				t.Errorf("@%s pc %d: the scratch register is read before it is written", u.Name, pc)
+			case dst != tmp && written[dst]:
+				t.Errorf("@%s pc %d: r%d is written twice", u.Name, pc, dst)
+			}
+			written[dst] = true
+		}
+	}
+}
+
+// TestEdgeMovesAreParallel runs what sequence makes of random parallel
+// moves — over six registers, so that chains, fans and cycles, several at
+// once, are all common — and compares the registers with the parallel
+// copy's. The scratch register is there only when the moves hold a cycle.
+func TestEdgeMovesAreParallel(t *testing.T) {
+	m := assembly.MustParse("m", `
+proc @p () -> () {
+ entry:
+  %a = const i8 0
+  %b = const i8 1
+  %c = const i8 2
+  %d = const i8 3
+  %e = const i8 4
+  halt
+}
+`)
+	num := m.Unit("p").Numbering()
+	n := num.Len()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		var pairs []int32
+		for _, dst := range rng.Perm(n)[:1+rng.Intn(n)] {
+			src := rng.Intn(n - 1)
+			if src >= dst {
+				src++
+			}
+			pairs = append(pairs, int32(src), int32(dst))
+		}
+		want := make([]val.Value, n)
+		for r := range want {
+			want[r] = val.Int(8, uint64(r))
+		}
+		regs := append([]val.Value(nil), want...)
+		for k := 0; k < len(pairs); k += 2 {
+			want[pairs[k+1]] = regs[pairs[k]]
+		}
+		cycle := hasCycle(pairs)
+		desc := fmt.Sprint(pairs)
+
+		lo := &lowerer{num: num, u: &Unit{Name: "p", NRegs: n, unit: m.Unit("p")}}
+		lo.emitMoves(pairs)
+		lo.emit(Instr{Op: opHalt})
+		if got := lo.u.NRegs == n+1; got != cycle {
+			t.Fatalf("moves %s: scratch register %v, cycle %v\n%s", desc, got, cycle, Disasm(lo.u))
+		}
+		checkMovesInOrder(t, lo.u)
+		fr := &Frame{Regs: make([]val.Value, lo.u.NRegs)}
+		copy(fr.Regs, regs)
+		if _, err := NewRuntime(NewProgram(m)).Exec(engine.New(), lo.u, fr, 0); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			if !fr.Regs[r].Eq(want[r]) {
+				t.Fatalf("moves %s: r%d = %s, want %s\n%s", desc, r, fr.Regs[r], want[r], Disasm(lo.u))
+			}
+		}
+	}
+}
+
+// hasCycle reports whether parallel moves, (src, dst) pairs with distinct
+// dsts, hold a cycle: a move whose src, followed back through the moves
+// that write it, comes round to its dst.
+func hasCycle(pairs []int32) bool {
+	writer := map[int32]int32{} // dst -> src
+	for k := 0; k < len(pairs); k += 2 {
+		writer[pairs[k+1]] = pairs[k]
+	}
+	for k := 0; k < len(pairs); k += 2 {
+		r := pairs[k]
+		for steps := 0; steps < len(pairs); steps++ {
+			if r == pairs[k+1] {
+				return true
+			}
+			src, ok := writer[r]
+			if !ok {
+				break
+			}
+			r = src
+		}
+	}
+	return false
 }

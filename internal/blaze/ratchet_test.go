@@ -9,19 +9,26 @@ import (
 	"testing"
 
 	"llhd/internal/blaze"
+	"llhd/internal/blaze/bytecode"
 	"llhd/internal/designs"
 	"llhd/internal/ir"
 	"llhd/internal/moore"
+	"llhd/internal/pass"
 	"llhd/internal/riscv"
 )
 
-// compileDesign compiles a design from source and returns its module and
-// lowered units.
-func compileDesign(t *testing.T, d designs.Design) (*ir.Module, *blaze.CompiledDesign) {
+// compileDesign compiles a design from source, lowered by the §4 pipeline
+// when asked, and returns its module and lowered units.
+func compileDesign(t *testing.T, d designs.Design, lowered bool) (*ir.Module, *blaze.CompiledDesign) {
 	t.Helper()
 	m, err := moore.Compile(d.Name, d.Source)
 	if err != nil {
 		t.Fatalf("%s: Compile: %v", d.Name, err)
+	}
+	if lowered {
+		if err := pass.LoweringPipeline().RunFixpoint(m); err != nil {
+			t.Fatalf("%s: lowering: %v", d.Name, err)
+		}
 	}
 	cd, err := blaze.Compile(m, d.Top)
 	if err != nil {
@@ -49,56 +56,118 @@ func rv32iDesign(t *testing.T) designs.Design {
 }
 
 // TestBytecodeSizeRatchet pins how many instructions each unit of the ten
-// Table 2 designs and of the RV32I core lowers to, the way
-// TestLoweringCoverage pins the surviving processes: the forwarding plan
-// (bytecode/plan.go) is what the numbers measure, they may only shrink,
-// and a change that shrinks one edits it here. Transcribed one Instr per
-// IR instruction, rv32i_core_p1 was 824. In that unit, the one the RV32I
-// workload spends its time in, every ld of a private var must also be
-// forwarded, and only the three memories, whose initial contents are read,
-// may be initialised: the always block's automatic locals are stored
-// before they are loaded. In no unit may a jump land on a branch.
+// Table 2 designs and of the RV32I core lowers to, as the frontend emits
+// them and after the §4 lowering, the way TestLoweringCoverage pins the
+// surviving processes: the forwarding plan (bytecode/plan.go) is what the
+// numbers measure, they may only shrink, and a change that shrinks one
+// edits it here. Transcribed one Instr per IR instruction, rv32i_core_p1
+// was 824. In that unit, the one the RV32I workload spends its time in,
+// every ld of a private var must also be forwarded, and only the three
+// memories, whose initial contents are read, may be initialised: the
+// always block's automatic locals are stored before they are loaded. In no
+// unit may a jump land on a branch, an edge move copy a register onto
+// itself, or one block probe a signal twice.
 func TestBytecodeSizeRatchet(t *testing.T) {
 	pinned := map[string]string{
-		"gray":           "gray_dec$W8_p0=16 gray_enc$W8_p0=10 gray_tb_p0=23",
+		"gray":           "gray_dec$W8_p0=16 gray_enc$W8_p0=9 gray_tb_p0=23",
 		"fir":            "fir$W16_p0=27 fir$W16_p1=18 fir_tb_p0=47",
-		"lfsr":           "lfsr_p0=27 lfsr_tb_p0=41",
+		"lfsr":           "lfsr_p0=23 lfsr_tb_p0=40",
 		"lzc":            "lzc$W16_p0=24 lzc_tb_p0=44",
-		"fifo":           "fifo$W16_p0=6 fifo$W16_p1=6 fifo$W16_p2=93 fifo_tb_p0=130",
-		"cdc_gray":       "cdc_gray_tb_p0=16 cdc_gray_tb_p1=10 cdc_gray_tb_p2=16 cdc_gray_tb_p3=15 cdc_gray_tb_p4=25 sync2$W8_p0=12",
-		"cdc_strobe":     "cdc_strobe_tb_p0=14 cdc_strobe_tb_p1=24 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=23",
+		"fifo":           "fifo$W16_p0=6 fifo$W16_p1=6 fifo$W16_p2=89 fifo_tb_p0=130",
+		"cdc_gray":       "cdc_gray_tb_p0=16 cdc_gray_tb_p1=9 cdc_gray_tb_p2=16 cdc_gray_tb_p3=15 cdc_gray_tb_p4=25 sync2$W8_p0=12",
+		"cdc_strobe":     "cdc_strobe_tb_p0=14 cdc_strobe_tb_p1=23 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=22",
 		"rr_arbiter":     "rr_arbiter_p0=26 rr_arbiter_p1=41 rr_arbiter_tb_p0=71",
 		"stream_delayer": "stream_delayer$W8_p0=26 stream_delayer$W8_p1=5 stream_delayer$W8_p2=4 stream_delayer_tb_p0=50",
 		"riscv":          "riscv_core_p0=136 riscv_tb_p0=28",
-		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=352 rv32i_tb_p0=28",
+		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=349 rv32i_tb_p0=28",
+	}
+	pinnedLowered := map[string]string{
+		"gray":           "gray_dec$W8_p0=16 gray_enc$W8_p0=9 gray_tb_p0=47",
+		"fir":            "fir$W16_p0=29 fir$W16_p1=18 fir_tb_p0=45",
+		"lfsr":           "lfsr_p0=24 lfsr_tb_p0=42",
+		"lzc":            "lzc$W16_p0=31 lzc_tb_p0=76",
+		"fifo":           "fifo$W16=8 fifo$W16_p2=87 fifo_tb_p0=137",
+		"cdc_gray":       "cdc_gray_tb_p0=15 cdc_gray_tb_p1=9 cdc_gray_tb_p2=16 cdc_gray_tb_p3=17 cdc_gray_tb_p4=25 sync2$W8=6",
+		"cdc_strobe":     "cdc_strobe_tb=6 cdc_strobe_tb_p1=23 cdc_strobe_tb_p2=30 cdc_strobe_tb_p3=24",
+		"rr_arbiter":     "rr_arbiter_p0=30 rr_arbiter_p1=33 rr_arbiter_tb_p0=115",
+		"stream_delayer": "stream_delayer$W8=3 stream_delayer$W8_p0=31 stream_delayer$W8_p1=5 stream_delayer_tb_p0=43",
+		"riscv":          "riscv_core_p0=156 riscv_tb_p0=30",
+		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=471 rv32i_tb_p0=31",
 	}
 	for _, d := range append(designs.All(), rv32iDesign(t)) {
-		m, cd := compileDesign(t, d)
-		var sizes []string
-		for name, u := range cd.LoweredUnits() {
-			sizes = append(sizes, fmt.Sprintf("%s=%d", name, len(u.Code)))
-		}
-		sort.Strings(sizes)
-		if got := strings.Join(sizes, " "); got != pinned[d.Name] {
-			t.Errorf("%s: lowered code sizes\n  got    %s\n  pinned %s", d.Name, got, pinned[d.Name])
-		}
-		if d.Name == "rv32i" {
-			checkLoadsForwarded(t, m, cd, "rv32i_core_p1")
-			if n := countOps(cd, "rv32i_core_p1", "clone"); n != 3 {
-				t.Errorf("@rv32i_core_p1 initialises %d vars, want 3 (imem, rf, dmem)", n)
+		for _, lowered := range []bool{false, true} {
+			m, cd := compileDesign(t, d, lowered)
+			want, form := pinned[d.Name], "behavioural"
+			if lowered {
+				want, form = pinnedLowered[d.Name], "lowered"
 			}
-		}
-		for name, u := range cd.LoweredUnits() {
-			for pc, i := range u.Code {
-				if i.Op.String() != "jump" {
-					continue
-				}
-				switch target := u.Code[i.A].Op.String(); target {
-				case "branch", "br.eq", "br.ult":
-					t.Errorf("@%s pc %d: jump to a %s", name, pc, target)
+			var sizes []string
+			for name, u := range cd.LoweredUnits() {
+				sizes = append(sizes, fmt.Sprintf("%s=%d", name, len(u.Code)))
+			}
+			sort.Strings(sizes)
+			if got := strings.Join(sizes, " "); got != want {
+				t.Errorf("%s (%s): lowered code sizes\n  got    %s\n  pinned %s", d.Name, form, got, want)
+			}
+			if d.Name == "rv32i" && !lowered {
+				checkLoadsForwarded(t, m, cd, "rv32i_core_p1")
+				if n := countOps(cd, "rv32i_core_p1", "clone"); n != 3 {
+					t.Errorf("@rv32i_core_p1 initialises %d vars, want 3 (imem, rf, dmem)", n)
 				}
 			}
+			for name, u := range cd.LoweredUnits() {
+				checkTransfersAndMoves(t, name, u)
+				checkProbesOncePerBlock(t, m.Unit(name), u)
+			}
 		}
+	}
+}
+
+// checkTransfersAndMoves holds a lowered unit to rule 7 and the edge
+// moves of plan.go: no jump lands on a branch, and no edge move copies a
+// register onto itself.
+func checkTransfersAndMoves(t *testing.T, name string, u *bytecode.Unit) {
+	t.Helper()
+	for pc, i := range u.Code {
+		switch i.Op.String() {
+		case "jump":
+			switch target := u.Code[i.A].Op.String(); target {
+			case "branch", "br.eq", "br.ult":
+				t.Errorf("@%s pc %d: jump to a %s", name, pc, target)
+			}
+		case "moves":
+			for k := i.A; k < i.A+2*i.B; k += 2 {
+				if u.Aux[k] == u.Aux[k+1] {
+					t.Errorf("@%s pc %d: edge move r%d -> r%d", name, pc, u.Aux[k], u.Aux[k+1])
+				}
+			}
+		}
+	}
+}
+
+// checkProbesOncePerBlock holds a lowered unit to rule 9 of plan.go: it
+// holds one prb per signal and block of its IR unit, so no block probes a
+// signal twice, and no probe went missing.
+func checkProbesOncePerBlock(t *testing.T, unit *ir.Unit, u *bytecode.Unit) {
+	t.Helper()
+	type probe struct {
+		block *ir.Block
+		sig   ir.Value
+	}
+	want := map[probe]bool{}
+	unit.ForEachInst(func(b *ir.Block, in *ir.Inst) {
+		if in.Op == ir.OpPrb {
+			want[probe{b, in.Args[0]}] = true
+		}
+	})
+	got := 0
+	for _, i := range u.Code {
+		if i.Op.String() == "prb" {
+			got++
+		}
+	}
+	if got != len(want) {
+		t.Errorf("@%s holds %d prb, want %d: one per signal and block", unit.Name, got, len(want))
 	}
 }
 
