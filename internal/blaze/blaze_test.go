@@ -2,6 +2,9 @@ package blaze_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +90,30 @@ func tracesMatch(t *testing.T, m1, m2 *ir.Module, top string) []oracle.Result {
 		t.Fatal(d)
 	}
 	return rs
+}
+
+// TestSinkKeepsAFailingDivision runs the corpus entry
+// blaze_sink_div.llhd with its divisor at zero: the udiv stands ahead of
+// the branch that skips its only reader, so it fails on the interpreter,
+// and Blaze must fail with it rather than place the division where it is
+// read (rule 10 of bytecode/plan.go moves nothing that can fail).
+func TestSinkKeepsAFailingDivision(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", "blaze_sink_div.llhd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := strings.Replace(string(data), "%five = const i8 5", "%five = const i8 0", 1)
+	if src == string(data) {
+		t.Fatal("the entry no longer sets its divisor in the constant five")
+	}
+	rs := oracle.Run(0,
+		oracle.Leg{Name: "interp", Options: []llhd.SessionOption{llhd.FromModule(assembly.MustParse("d", src)), llhd.Top("top"), llhd.Backend(llhd.Interp)}},
+		oracle.Leg{Name: "blaze", Options: []llhd.SessionOption{llhd.FromModule(assembly.MustParse("d", src)), llhd.Top("top"), llhd.Backend(llhd.Blaze)}})
+	for _, r := range rs {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "division by zero") {
+			t.Errorf("%s: err = %v, want a division by zero", r.Name, r.Err)
+		}
+	}
 }
 
 func TestTracesMatchCounter(t *testing.T) {

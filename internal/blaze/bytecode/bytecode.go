@@ -4,15 +4,19 @@
 // cones — one switch dispatch per lowered instruction over a
 // cache-friendly []Instr, with no per-instruction indirect calls. Lowering
 // forwards values where it can prove it may (plan.go), so a unit executes
-// fewer instructions than its IR has.
+// fewer instructions than its IR has, and takes a lowered unit out of SSA
+// the way a compiler does: pure code is placed where it is used, and a phi
+// shares one register with the operands whose live ranges do not meet.
 //
 // # Register file = value IDs
 //
 // The register slot of a value IS its dense value ID (ir.Numbering): the
 // register file is indexed directly by ir.ValueID, with no compaction and
-// no const/slot distinction. The one register past the numbering is the
-// scratch register a copy cycle among edge moves goes through, and only a
-// unit with such a cycle has it. Every compile-time constant — const
+// no const/slot distinction. A value that shares a register with a phi
+// (rule 11 of plan.go) reads and writes its web's representative's, the
+// register of one of its members. The one register past the numbering is
+// the scratch register a copy cycle among edge moves goes through, and
+// only a unit with such a cycle has it. Every compile-time constant — const
 // instructions and the instance's elaboration constants alike — is
 // pre-placed in the unit's ConstRegs template and copied into each
 // frame's register file at instantiation, so every operand access is a

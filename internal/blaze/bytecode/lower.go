@@ -101,6 +101,18 @@ type lowerer struct {
 	// block the walk is in.
 	inits []initEvent
 	block int32
+	// Rules 10 and 11 are planned when the walk saw a phi (hasPhi), or a
+	// conditional br (condBr) and an instruction rule 10 might move
+	// (late); prev is the instruction the walk met before the current one
+	// in its block. sched holds the blocks' instructions in the order
+	// they are lowered, schedAt where each block starts in it (both nil:
+	// as the IR has them), and regOf a coalesced value's register + 1 by
+	// value ID (nil, or 0: its own).
+	hasPhi, condBr, late bool
+	prev                 *ir.Inst
+	sched                []*ir.Inst
+	schedAt              []int32
+	regOf                []int32
 
 	// While lowering a block: the block laid out after it, and the
 	// instruction just before the current one if all it lowered to is the
@@ -173,9 +185,11 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 	for k, b := range lo.unit.Blocks {
 		blockStart := lo.tick()
 		lo.block = int32(k)
+		lo.prev = nil
 		for _, in := range b.Insts {
 			if !in.Op.IsConst() {
 				lo.plan(in, blockStart)
+				lo.prev = in
 				continue
 			}
 			_ = engine.EvalPure(in, u.ConstRegs) // a constant cannot fail
@@ -189,6 +203,9 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 	if len(lo.inits) > 0 {
 		lo.planInits()
 	}
+	if lo.unit.Kind != ir.UnitEntity && len(lo.unit.Blocks) > 1 && (lo.hasPhi || lo.condBr && lo.late) {
+		lo.planSSA()
+	}
 	return lo
 }
 
@@ -200,8 +217,9 @@ func widthOf(ty *ir.Type) int {
 }
 
 // reg returns the register index of v: its dense value ID, for a
-// forwarded load the ID of the var it reads, and for a reused probe the ID
-// of the probe it reuses.
+// forwarded load the ID of the var it reads, for a reused probe the
+// register of the probe it reuses, and for a coalesced value its web's
+// register.
 func (lo *lowerer) reg(v ir.Value) int32 {
 	id := ir.ValueID(v)
 	if id < 0 {
@@ -211,7 +229,10 @@ func (lo *lowerer) reg(v ir.Value) int32 {
 		return r
 	}
 	if r := lo.reusedProbe(id); r >= 0 {
-		return r
+		id = int(r)
+	}
+	if lo.regOf != nil && lo.regOf[id] > 0 {
+		return lo.regOf[id] - 1
 	}
 	return int32(id)
 }
@@ -275,7 +296,7 @@ func (lo *lowerer) lowerBlocks() error {
 		if k+1 < len(blocks) {
 			lo.next = blocks[k+1]
 		}
-		if err := lo.lowerBlock(b); err != nil {
+		if err := lo.lowerBlock(k, b); err != nil {
 			return err
 		}
 	}
@@ -328,10 +349,10 @@ func threaded(code []Instr, pc int32) int32 {
 	return pc
 }
 
-func (lo *lowerer) lowerBlock(b *ir.Block) error {
+func (lo *lowerer) lowerBlock(k int, b *ir.Block) error {
 	start := int32(lo.blockPC[b])
 	lo.tail = nil
-	for _, in := range b.Insts {
+	for _, in := range lo.blockInsts(k) {
 		if in.Op.IsTerminator() {
 			return lo.lowerTerm(b, in)
 		}
@@ -357,13 +378,16 @@ func (lo *lowerer) lowerBlock(b *ir.Block) error {
 
 // edgeMoves collects the phi resolution for the edge from -> to as
 // (src, dst) register pairs, leaving out every pair that copies a register
-// onto itself. Constant incoming values are ordinary registers here — they
-// are pre-placed by the template.
+// onto itself and the phis nobody reads. Constant incoming values are
+// ordinary registers here — they are pre-placed by the template.
 func (lo *lowerer) edgeMoves(from, to *ir.Block) []int32 {
 	var pairs []int32
 	for _, in := range to.Insts {
 		if in.Op != ir.OpPhi {
 			break
+		}
+		if lo.uses[ir.ValueID(in)] == 0 {
+			continue
 		}
 		for i, pb := range in.Dests {
 			if pb == from {
@@ -465,11 +489,10 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 	switch in.Op {
 	case ir.OpBr:
 		if len(in.Args) == 0 {
-			pairs := lo.edgeMoves(b, in.Dests[0])
-			if len(pairs) == 0 && in.Dests[0] == lo.next {
+			lo.emitMoves(lo.edgeMoves(b, in.Dests[0]))
+			if in.Dests[0] == lo.next {
 				return nil // rule 3: falls through
 			}
-			lo.emitMoves(pairs)
 			jmp := lo.emit(Instr{Op: opJump})
 			lo.jumpTo(jmp, fieldA, in.Dests[0])
 			return nil

@@ -5,7 +5,7 @@ import "llhd/internal/ir"
 // # The forwarding plan
 //
 // Lowering forwards values instead of transcribing the IR one instruction
-// at a time. Nine rewrites, each with the condition that makes it sound;
+// at a time. Eleven rewrites, each with the condition that makes it sound;
 // the reference they are diffed against is the interpreter, so there is no
 // way to switch any of them off.
 //
@@ -31,12 +31,12 @@ import "llhd/internal/ir"
 //     the Instr may now name V's register as operand and as Dst: every arm
 //     of run reads all its operands before it writes Dst
 //     (TestOpsReadOperandsBeforeDst).
-//  3. Fall-through and threading. An unconditional br without edge moves
-//     to the next block in layout emits nothing, and a jump or branch whose
-//     target is a jump goes where that jump goes (maxThread hops). Only
-//     forward transfers to the very next pc disappear, and pc otherwise
-//     only grows, so every cycle keeps a jump or branch that run counts
-//     against maxJumps.
+//  3. Fall-through and threading. An unconditional br to the next block
+//     in layout emits its edge moves, if any, and no jump, and a jump or
+//     branch whose target is a jump goes where that jump goes (maxThread
+//     hops). Only forward transfers to the very next pc disappear, and
+//     pc otherwise only grows, so every cycle keeps a jump or branch that
+//     run counts against maxJumps.
 //  4. Splice-chain fusion. Adjacent integer inss of one block, each the
 //     only use of the one before it and that use its target operand,
 //     become one opInsSCat. The intermediate words have no other reader,
@@ -81,22 +81,67 @@ import "llhd/internal/ir"
 //     have written wherever the later one's users read it. The earlier
 //     probe must keep its register: each reuse counts as a use of it, so
 //     that rule 2 does not redirect it into a var's register.
+// 10. Late placement. An instruction that lowers to one in-place integer
+//     Instr, which cannot fail (integer binary ops but division and
+//     modulo, compares, not and neg, exts and inss on integer values;
+//     sinkable), and that is not a constant, reads no var or forwarded
+//     load (a store may write that register in between), is not the
+//     value of a store or a splice link rules 2 and 4 may fuse, is
+//     emitted just before its first user in the latest block that
+//     dominates all its uses (a phi reads at the end of the edge's
+//     predecessor) and lies in no loop its own block is outside. Then,
+//     of the blocks dominating that one, it takes the first that is not
+//     entered by an unconditional br alone, unless it is that block's
+//     condition: a block so entered runs whenever the block before it
+//     does, and with nothing ahead of its branch a jump to it takes the
+//     branch (rule 7). The unit must be strict SSA — every use dominated
+//     by its definition, which the plan checks, and otherwise plans
+//     neither rule 10 nor 11 — and its loops natural, or rule 10 does
+//     not fire. Sound because the operands are SSA values: any path from
+//     the instruction's old place to the new one that wrote an operand
+//     again would run the old place again too, or would reach a use
+//     without passing the old place, which dominates it. A path that no
+//     longer runs the instruction runs none of its users. Several
+//     instructions placed before one user go in the order of the
+//     dominator tree's preorder, each after what it reads, and a br's
+//     condition last, where rule 6 fuses it; none goes between two
+//     instructions rules 2, 4 or 6 fuse, but before the first of them.
+//     ECM hoists a lowered unit's compares ahead of the decode chain;
+//     this places each in front of its branch again.
+// 11. Phi webs share one register. A phi and each operand join one web
+//     when no two members of the two interfere; every member of a web
+//     reads and writes one register, its representative's, so that the
+//     phi's moves are moves of a register onto itself, which the edge
+//     moves leave out. Two values interfere when one is live right after
+//     the other is defined — in strict SSA, when their live ranges meet
+//     (Boissinot et al., CGO 2009) — and two phis of one block always
+//     do, being written at once on every edge in. Liveness is over the
+//     code in the order it is emitted, rule 10's placements made, and
+//     counts a phi's operand live at the end of the edge's predecessor,
+//     after the terminator read what it reads: the moves run there, and
+//     a member written there overwrites only what no later instruction
+//     of that path reads. Constants, a unit's inputs and outputs, vars,
+//     forwarded loads, reused probes and signals join no web: their
+//     registers are the template's, the var's, or another value's. A phi
+//     nobody reads gets no moves.
 //
 // Edge moves. The phis of a block are one parallel copy on each edge into
-// it. Lowering leaves out every move of a register onto itself — an edge
-// left with none needs no stub (edgeEnter) and may fall through (rule 3)
-// — and orders the rest (sequence) so that each register is written only
+// it. Lowering leaves out every move of a register onto itself and of a
+// phi nobody reads — an edge left with none needs no stub (edgeEnter) —
+// and orders the rest (sequence) so that each register is written only
 // after every read of it: one opMoves, one plain copy per move. When all
 // the moves left read one another's destinations, they form cycles, and
 // one destination is first saved in the scratch register, one past the
-// numbering, whose readers then read it instead.
+// numbering, whose readers then read it instead. An unconditional br to
+// the next block in layout falls through after its moves (rule 3).
 //
-// "Register file = value ID" stands: a forwarded load's register, a
-// coalesced value's, a fused link's, a fused compare's and a reused
-// probe's simply go unwritten, a var without initialisation starts out
-// unwritten, and nothing but reg maps a value to a register. The one
-// register without a value is the scratch register, in a unit whose edge
-// moves hold a cycle.
+// "Register file = value ID" stands, but for rule 11: a web's members
+// read and write the register of its representative, one of them. A
+// forwarded load's register, a coalesced value's, a fused link's, a fused
+// compare's and a reused probe's simply go unwritten, a var without
+// initialisation starts out unwritten, and nothing but reg maps a value
+// to a register. The one register without a value is the scratch
+// register, in a unit whose edge moves hold a cycle.
 //
 // The plan is dense arrays indexed by value ID, filled by the one walk
 // newLowerer makes over the unit: no map. uses is always there (rules 4
@@ -106,7 +151,12 @@ import "llhd/internal/ir"
 // vars, and their loads and stores, with their blocks) and runs rule 5's
 // analysis over them, four words per block for every 64 private vars.
 // Likewise probes is allocated at the first prb. Rules 7 and 8 rewrite
-// the finished code.
+// the finished code. Rules 10 and 11 are planned (planSSA) over one
+// ir.DomTree and tables flattened from the unit by value ID, only for a
+// process or function of more than one block in which the walk saw one
+// of them can fire: a phi for rule 11; for rule 10, a conditional br and
+// a sinkable instruction read in another block or by a br it is not
+// right before. A unit without either allocates nothing for them.
 
 // memPlan is the plan entry of a value that takes part in rules 1, 2
 // and 5.
@@ -148,6 +198,10 @@ func (lo *lowerer) memOf() []memPlan {
 func (lo *lowerer) plan(in *ir.Inst, blockStart int32) {
 	args, addr := in.Args, -1
 	switch in.Op {
+	case ir.OpPhi:
+		lo.hasPhi = true
+	case ir.OpBr:
+		lo.condBr = lo.condBr || len(in.Args) == 1
 	case ir.OpVar, ir.OpAlloc:
 		id := ir.ValueID(in)
 		lo.memOf()[id].at = lo.tick()
@@ -168,12 +222,15 @@ func (lo *lowerer) plan(in *ir.Inst, blockStart int32) {
 			}
 		}
 	}
-	for _, a := range args {
+	for j, a := range args {
 		id := ir.ValueID(a)
 		if id < 0 {
 			continue
 		}
 		lo.uses[id]++
+		if !lo.late {
+			lo.noteLate(in, j, a)
+		}
 		if lo.mem == nil {
 			continue
 		}
@@ -193,6 +250,21 @@ func (lo *lowerer) plan(in *ir.Inst, blockStart int32) {
 		lo.count(t.Trigger)
 		lo.count(t.Gate)
 	}
+}
+
+// noteLate records whether rule 10 may have something to do for operand
+// j of in, a: move it into another block, or next to the branch it
+// steers.
+func (lo *lowerer) noteLate(in *ir.Inst, j int, a ir.Value) {
+	x, ok := a.(*ir.Inst)
+	if !ok || !sinkable(x) {
+		return
+	}
+	at := in.Block()
+	if in.Op == ir.OpPhi {
+		at = in.Dests[j]
+	}
+	lo.late = x.Block() != at || in.Op == ir.OpBr && x != lo.prev
 }
 
 // count records an occurrence that never lies in a forwarding window.
@@ -367,4 +439,712 @@ func (lo *lowerer) planInits() {
 // alloc in (rule 5): it need not be written.
 func (lo *lowerer) initUnseen(in *ir.Inst) bool {
 	return lo.mem != nil && lo.mem[ir.ValueID(in)].win > 0
+}
+
+// sinkable reports whether in's opcode and types let rule 10 move it: it
+// lowers to one in-place integer Instr, which cannot fail.
+func sinkable(in *ir.Inst) bool {
+	switch in.Op {
+	case ir.OpExtS, ir.OpInsS:
+		return !in.Ty.IsSignal() && in.Args[0].Type().IsInt()
+	case ir.OpNot, ir.OpNeg:
+		return in.Ty.IsInt() || in.Ty.IsEnum()
+	}
+	if int(in.Op) < len(intBinOps) && intBinOps[in.Op] != opNop {
+		ty := in.Args[0].Type()
+		return ty.IsInt() || ty.IsEnum()
+	}
+	return false
+}
+
+// ssa is the scratch state of rules 10 and 11: one dominator tree, and
+// the unit flattened into tables by value ID and by block, which the
+// analyses walk instead of the IR. A block goes by its index in the tree
+// (the reachable ones first, in reverse postorder) unless a name says
+// layout. The numbering gives a unit's instructions consecutive IDs in
+// layout order, so instruction i of a block is the block's first ID + i.
+type ssa struct {
+	lo     *lowerer
+	dom    *ir.DomTree
+	nreach int32
+	domOf  []int32 // layout position -> block
+	// By block: the IDs of its first instruction and of its terminator.
+	first, last []int32
+	// By value ID: an instruction's block (-1 for any other value), its
+	// kind, and where its operands start in ops (the next ID's start ends
+	// them). An operand is a value ID (-1: a value without one); a
+	// process or function holds no reg or del, so the operands are Args
+	// and then TimeArg, and a phi's are followed by the blocks they
+	// arrive from (-1: an unreachable one).
+	blk  []int32
+	kind []uint8
+	opAt []int32
+	ops  []int32
+	// Rule 10, by value ID: the block an instruction is emitted in (-1:
+	// where it stands); of an instruction, the first instruction placed
+	// just before it (-1: none), and of a placed one, the next placed
+	// before the same instruction.
+	home, placedAt, nextPlaced []int32
+	// Rule 10, by block: the header of the innermost loop holding it (-1:
+	// none), and by header, the header of the loop around that one.
+	loopHead, loopParent []int32
+}
+
+// Instruction kinds, as far as rules 10 and 11 look.
+const (
+	kSink   uint8 = 1 << iota // sinkable
+	kPhi                      // phi
+	kSt                       // st
+	kInss                     // integer inss (sinkable)
+	kBr                       // unconditional br
+	kCondBr                   // conditional br
+	// What place learns of a value's uses.
+	kStored  // stored by a st: rule 2 may coalesce it
+	kSpliced // the target of an integer inss: rule 4 may chain it
+)
+
+// planSSA plans rules 10 and 11 for a process or function of more than
+// one block in which the walk saw that one of them can fire: rule 11
+// where there is a phi, rule 10 where there is a conditional br (without
+// one, every block runs as often as the blocks dominating it) and an
+// instruction it may move away from its user. It plans neither for a
+// unit its analyses do not cover: a block without a terminator, or a use
+// that its definition does not dominate.
+func (lo *lowerer) planSSA() {
+	for _, b := range lo.unit.Blocks {
+		if b.Terminator() == nil {
+			return
+		}
+	}
+	s := &ssa{lo: lo, dom: ir.NewDomTree(lo.unit)}
+	s.nreach = int32(s.dom.NumReachable())
+	if !s.flatten() || !s.strict() {
+		return
+	}
+	if lo.late && lo.condBr && s.loops() {
+		s.place()
+	}
+	if lo.hasPhi {
+		s.coalesce()
+	}
+}
+
+// flatten fills the tables of the unit. It reports false for a unit whose
+// numbering it cannot rely on, that reads an instruction of another, or
+// whose phis are not each block's leading run with one value per edge.
+func (s *ssa) flatten() bool {
+	lo, n := s.lo, s.lo.num.Len()
+	nb := len(lo.unit.Blocks)
+	ints := make([]int32, 5*n+1+3*nb)
+	s.blk, s.opAt, s.home = ints[:n], ints[n:2*n+1], ints[2*n+1:3*n+1]
+	s.placedAt, s.nextPlaced = ints[3*n+1:4*n+1], ints[4*n+1:5*n+1]
+	s.domOf, s.first, s.last = ints[5*n+1:5*n+1+nb], ints[5*n+1+nb:5*n+1+2*nb], ints[5*n+1+2*nb:]
+	s.kind = make([]uint8, n)
+	s.ops = make([]int32, 0, n+n/2)
+	for i := range s.blk {
+		s.blk[i], s.home[i], s.placedAt[i] = -1, -1, -1
+	}
+	id := int32(len(lo.unit.Inputs) + len(lo.unit.Outputs))
+	operand := func(v ir.Value) bool {
+		x := ir.ValueID(v)
+		if in, ok := v.(*ir.Inst); ok && (in.Block() == nil || in.Block().Unit() != lo.unit) {
+			return false
+		}
+		s.ops = append(s.ops, int32(x))
+		return true
+	}
+	for k, b := range lo.unit.Blocks {
+		d := int32(s.dom.Index(b))
+		s.domOf[k], s.first[d], s.last[d] = d, id, id+int32(len(b.Insts))-1
+		for i, in := range b.Insts {
+			if ir.ValueID(in) != int(id) || in.Op == ir.OpPhi && (len(in.Args) != len(in.Dests) || i > 0 && b.Insts[i-1].Op != ir.OpPhi) {
+				return false
+			}
+			s.blk[id], s.opAt[id] = d, int32(len(s.ops))
+			for _, a := range in.Args {
+				if !operand(a) {
+					return false
+				}
+			}
+			if in.TimeArg != nil && !operand(in.TimeArg) {
+				return false
+			}
+			switch {
+			case in.Op == ir.OpPhi:
+				s.kind[id] = kPhi
+				for _, pb := range in.Dests {
+					p := int32(s.dom.Index(pb))
+					if p >= s.nreach {
+						p = -1
+					}
+					s.ops = append(s.ops, p)
+				}
+			case in.Op == ir.OpSt:
+				s.kind[id] = kSt
+			case in.Op == ir.OpBr && len(in.Args) == 0:
+				s.kind[id] = kBr
+			case in.Op == ir.OpBr:
+				s.kind[id] = kCondBr
+			case sinkable(in):
+				s.kind[id] = kSink
+				if in.Op == ir.OpInsS {
+					s.kind[id] |= kInss
+				}
+			}
+			id++
+		}
+	}
+	s.opAt[n] = int32(len(s.ops))
+	return int(id) == n
+}
+
+// operands returns the operands of instruction id; for a phi, its values
+// and then the blocks they arrive from.
+func (s *ssa) operands(id int32) []int32 {
+	return s.ops[s.opAt[id]:s.opAt[id+1]]
+}
+
+// strict reports whether every operand of a reachable instruction is
+// defined where it dominates the use: earlier in the block, in a
+// dominating block, or for a phi, in a block dominating the edge's
+// predecessor.
+func (s *ssa) strict() bool {
+	for d := int32(0); d < s.nreach; d++ {
+		for id := s.first[d]; id <= s.last[d]; id++ {
+			ops := s.operands(id)
+			if s.kind[id] == kPhi {
+				vals, preds := ops[:len(ops)/2], ops[len(ops)/2:]
+				for j, x := range vals {
+					if p := preds[j]; p >= 0 && !s.defines(x, p, s.last[p]+1) {
+						return false
+					}
+				}
+				continue
+			}
+			for _, x := range ops {
+				if !s.defines(x, d, id) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// defines reports whether value x is defined before instruction at of
+// block d on every path there: it is not an instruction, or one that
+// stands earlier in d or in a reachable block dominating d.
+func (s *ssa) defines(x, d, at int32) bool {
+	if x < 0 {
+		return true
+	}
+	switch b := s.blk[x]; {
+	case b < 0:
+		return true
+	case b == d:
+		return x < at
+	default:
+		return b < s.nreach && s.dom.DominatesIndex(int(b), int(d))
+	}
+}
+
+// loops finds the natural loops of the unit (rule 10 places nothing in a
+// loop its instruction was outside of) and reports whether they are all
+// there is: every edge back to a block no later in reverse postorder goes
+// to a header that dominates its source. An irreducible unit is left as
+// it is.
+func (s *ssa) loops() bool {
+	dom, nr := s.dom, int(s.nreach)
+	for i := 0; i < nr; i++ {
+		for _, p := range dom.Preds(i) {
+			if int(p) >= i && int(p) < nr && !dom.DominatesIndex(i, int(p)) {
+				return false
+			}
+		}
+	}
+	ints := make([]int32, 2*nr)
+	s.loopHead, s.loopParent = ints[:nr], ints[nr:]
+	for i := range ints {
+		ints[i] = -1
+	}
+	// Inner headers lie deeper in the dominator tree than outer ones, so
+	// the tree's preorder backwards meets them first; a loop holds the
+	// blocks that reach one of its back edges without passing its header.
+	var stack []int32
+	pre := dom.Preorder()
+	for r := len(pre) - 1; r >= 0; r-- {
+		h := pre[r]
+		stack = stack[:0]
+		for _, t := range dom.Preds(int(h)) {
+			if int(t) < nr && dom.DominatesIndex(int(h), int(t)) {
+				stack = append(stack, t)
+			}
+		}
+		if len(stack) == 0 {
+			continue
+		}
+		s.loopHead[h] = h
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if s.loopHead[b] < 0 {
+				s.loopHead[b] = h
+			} else {
+				// b lies in an inner loop already: h holds the outermost of them.
+				for b = s.loopHead[b]; s.loopParent[b] >= 0; b = s.loopParent[b] {
+				}
+				if b == h {
+					continue
+				}
+				s.loopParent[b] = h
+			}
+			for _, p := range dom.Preds(int(b)) {
+				if int(p) < nr {
+					stack = append(stack, p)
+				}
+			}
+		}
+	}
+	return true
+}
+
+// inLoopsOf reports whether every loop holding block c also holds block d.
+func (s *ssa) inLoopsOf(c, d int32) bool {
+	h := s.loopHead[c]
+	if h < 0 {
+		return true
+	}
+	for x := s.loopHead[d]; x >= 0; x = s.loopParent[x] {
+		if x == h {
+			return true
+		}
+	}
+	return false
+}
+
+// entered reports whether block c has one predecessor, which ends in an
+// unconditional br: c runs whenever that block does, so moving an
+// instruction into it saves nothing, and a jump to it can take its
+// branch (rule 7) only when nothing stands before that.
+func (s *ssa) entered(c int32) bool {
+	preds := s.dom.Preds(int(c))
+	return len(preds) == 1 && s.kind[s.last[preds[0]]] == kBr
+}
+
+// condOf reports whether y is the condition of block c's conditional br
+// and read by nothing else: placed last in c, rule 6 fuses it.
+func (s *ssa) condOf(c, y int32) bool {
+	t := s.last[c]
+	return s.kind[t] == kCondBr && s.ops[s.opAt[t]] == y && s.lo.uses[y] == 1
+}
+
+// common returns the closest block dominating both a and b: a, or the
+// first block above it that dominates b.
+func (s *ssa) common(a, b int32) int32 {
+	for !s.dom.DominatesIndex(int(a), int(b)) {
+		a = int32(s.dom.IDomIndex(int(a)))
+	}
+	return a
+}
+
+// place makes rule 10's placements. It walks the reachable instructions
+// in the dominator tree's preorder backwards, a block's from its
+// terminator up, so that every user of a value but a phi is met, and
+// placed, before the value; each user adds where it reads the value to
+// what is known of the value's uses: the latest block dominating them
+// (lca) and the first of them in that block (first, an instruction ID).
+// A phi reads its operand at the end of the edge's predecessor, wherever
+// anything is placed. The walk's order is the reverse of the one in which
+// instructions placed before one anchor are emitted (each after what it
+// reads), so each goes to the front of its anchor's list.
+func (s *ssa) place() {
+	n := s.lo.num.Len()
+	ints := make([]int32, 2*n)
+	lca, first := ints[:n], ints[n:]
+	for i := range lca {
+		lca[i] = -1
+	}
+	use := func(x, d, at int32, user uint8, arg int) {
+		if x < 0 || s.kind[x]&kSink == 0 {
+			return
+		}
+		switch {
+		case user == kSt && arg == 1:
+			s.kind[x] |= kStored
+		case user&kInss != 0 && arg == 0:
+			s.kind[x] |= kSpliced
+		}
+		l := lca[x]
+		if l < 0 {
+			lca[x], first[x] = d, at
+			return
+		}
+		c := s.common(l, d)
+		switch {
+		case c == l && d == l:
+			first[x] = min(first[x], at)
+		case c == l:
+		case c == d:
+			first[x] = at
+		default:
+			first[x] = s.last[c]
+		}
+		lca[x] = c
+	}
+	pre := s.dom.Preorder()
+	for _, d := range pre {
+		for id := s.first[d]; s.kind[id] == kPhi; id++ {
+			ops := s.operands(id)
+			vals, preds := ops[:len(ops)/2], ops[len(ops)/2:]
+			for j, x := range vals {
+				if p := preds[j]; p >= 0 {
+					use(x, p, s.last[p], kPhi, j)
+				}
+			}
+		}
+	}
+	moved := false
+	for r := len(pre) - 1; r >= 0; r-- {
+		d := pre[r]
+		for y := s.last[d]; y >= s.first[d] && s.kind[y] != kPhi; y-- {
+			at, where := d, y
+			if lca[y] >= 0 && s.kind[y]&kSink != 0 && s.placeable(y) {
+				at = lca[y]
+				for !s.inLoopsOf(at, d) || at != d && s.entered(at) && !s.condOf(at, y) {
+					at = int32(s.dom.IDomIndex(int(at)))
+				}
+				where = first[y]
+				if at != lca[y] {
+					where = s.last[at]
+				}
+				s.home[y] = at
+				for where > s.first[at] && s.glued(where) {
+					where--
+				}
+				s.nextPlaced[y], s.placedAt[where] = s.placedAt[where], y
+				moved = true
+			}
+			for j, x := range s.operands(y) {
+				use(x, at, where, s.kind[y], j)
+			}
+		}
+	}
+	if moved {
+		s.schedule()
+	}
+}
+
+// placeable reports whether rule 10 may move the sinkable instruction y:
+// it is not a constant, it reads no var's register, and it is not the
+// value of a store or a link of a splice chain that rules 2 and 4 may
+// fuse.
+func (s *ssa) placeable(y int32) bool {
+	lo := s.lo
+	if lo.constKnown[y] || s.kind[y]&(kStored|kSpliced) != 0 && lo.uses[y] == 1 {
+		return false
+	}
+	ops := s.operands(y)
+	if t := ops[0]; s.kind[y]&kInss != 0 && t >= 0 && s.kind[t]&kInss != 0 && lo.uses[t] == 1 {
+		return false
+	}
+	for _, x := range ops {
+		if x < 0 || s.blk[x] < 0 {
+			continue
+		}
+		if op := lo.num.Value(int(x)).(*ir.Inst).Op; op == ir.OpVar || op == ir.OpAlloc || lo.forwardedTo(int(x)) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// glued reports whether instruction y stays right behind the instruction
+// before it in its block, both where they stand, because a rule fuses the
+// two: a conditional br and its condition (rule 6), a st and its value
+// (rule 2), an integer inss and the inss it splices into (rule 4). An
+// instruction placed before y then goes before that one.
+func (s *ssa) glued(y int32) bool {
+	x := y - 1
+	if s.home[y] >= 0 || s.home[x] >= 0 || s.lo.uses[x] != 1 {
+		return false
+	}
+	ops := s.operands(y)
+	switch k := s.kind[y]; {
+	case k == kCondBr:
+		return ops[0] == x
+	case k == kSt:
+		return ops[1] == x
+	case k&kInss != 0:
+		return ops[0] == x && s.kind[x]&kInss != 0
+	}
+	return false
+}
+
+// schedule lays the blocks' instructions out in the order lowering emits
+// them: an instruction rule 10 moved goes just before its anchor, with
+// the others placed there in the order of their lists, except that a
+// conditional br's condition goes last, where rule 6 fuses it.
+func (s *ssa) schedule() {
+	lo := s.lo
+	nb := len(lo.unit.Blocks)
+	lo.schedAt = make([]int32, nb+1)
+	lo.sched = make([]*ir.Inst, 0, lo.num.Len())
+	emit := func(id int32) {
+		lo.sched = append(lo.sched, lo.num.Value(int(id)).(*ir.Inst))
+	}
+	for k := range lo.unit.Blocks {
+		lo.schedAt[k] = int32(len(lo.sched))
+		d := s.domOf[k]
+		for y := s.first[d]; y <= s.last[d]; y++ {
+			cond := int32(-1)
+			for x := s.placedAt[y]; x >= 0; x = s.nextPlaced[x] {
+				if y == s.last[d] && s.condOf(d, x) {
+					cond = x
+					continue
+				}
+				emit(x)
+			}
+			if cond >= 0 {
+				emit(cond)
+			}
+			if s.home[y] < 0 {
+				emit(y)
+			}
+		}
+	}
+	lo.schedAt[nb] = int32(len(lo.sched))
+}
+
+// blockInsts returns the instructions of the block at layout position k
+// in the order lowering emits them.
+func (lo *lowerer) blockInsts(k int) []*ir.Inst {
+	if lo.sched == nil {
+		return lo.unit.Blocks[k].Insts
+	}
+	return lo.sched[lo.schedAt[k]:lo.schedAt[k+1]]
+}
+
+// webbable reports whether value x may share a register with others
+// (rule 11): an instruction of a reachable block whose own Instr writes
+// its register, and not a constant, a var, a forwarded load, a reused
+// probe, a signal or a phi nobody reads.
+func (s *ssa) webbable(x int32) bool {
+	lo := s.lo
+	if x < 0 || s.blk[x] < 0 || s.blk[x] >= s.nreach || lo.constKnown[x] || lo.uses[x] == 0 {
+		return false
+	}
+	in := lo.num.Value(int(x)).(*ir.Inst)
+	switch in.Op {
+	case ir.OpVar, ir.OpAlloc, ir.OpSig, ir.OpInst, ir.OpCon:
+		return false
+	}
+	return !in.Ty.IsSignal() && !in.Ty.IsVoid() && lo.forwardedTo(int(x)) < 0 && lo.reusedProbe(int(x)) < 0
+}
+
+// coalesce makes rule 11's webs: for every phi in turn, the phi's web and
+// each operand's become one when no member of the one interferes with a
+// member of the other, and every member reads and writes one register.
+// Two values interfere when one is live right after the other is
+// defined, which in strict SSA is when their live ranges meet; two phis
+// of one block always do. Liveness is taken over the code in the order
+// lowering emits it, rule 10's placements made, and over candidates only:
+// the phis and the operands that may join them.
+func (s *ssa) coalesce() {
+	lo, dom, nr := s.lo, s.dom, int(s.nreach)
+	// cidx: value ID -> candidate + 1, 0 for none; at the end, register + 1.
+	cidx := make([]int32, lo.num.Len())
+	var cands, cblk []int32 // candidate -> value ID; its block if a phi, else -1
+	add := func(x int32) {
+		if cidx[x] == 0 {
+			b := int32(-1)
+			if s.kind[x] == kPhi {
+				b = s.blk[x]
+			}
+			cands, cblk = append(cands, x), append(cblk, b)
+			cidx[x] = int32(len(cands))
+		}
+	}
+	// phis calls f for every phi of a reachable block, in layout order,
+	// and every operand of it that arrives from a reachable one.
+	phis := func(f func(p, x int32)) {
+		for _, d := range s.domOf {
+			if d >= s.nreach {
+				continue
+			}
+			for p := s.first[d]; s.kind[p] == kPhi; p++ {
+				ops := s.operands(p)
+				vals, preds := ops[:len(ops)/2], ops[len(ops)/2:]
+				for j, x := range vals {
+					if preds[j] >= 0 {
+						f(p, x)
+					}
+				}
+			}
+		}
+	}
+	phis(func(p, x int32) {
+		if x != p && s.webbable(p) && s.webbable(x) {
+			add(p)
+			add(x)
+		}
+	})
+	if len(cands) == 0 {
+		return
+	}
+	nc := len(cands)
+	w := (nc + 63) / 64
+	sets := make([]uint64, (3*nr+nc+1)*w)
+	// Per block: ue, the candidates read before any definition in it; def,
+	// those it defines; out, those live at its end. Per candidate: live,
+	// those live right after its definition (for a phi, after its block's
+	// phis). And one scratch set.
+	ue, def, out, live := sets[:nr*w], sets[nr*w:2*nr*w], sets[2*nr*w:3*nr*w], sets[3*nr*w:]
+	tmp := live[nc*w:]
+	bset := func(bs []uint64, i int) []uint64 { return bs[i*w : (i+1)*w] }
+	set := func(bs []uint64, c int32) { bs[c/64] |= 1 << (c % 64) }
+	unset := func(bs []uint64, c int32) { bs[c/64] &^= 1 << (c % 64) }
+	cand := func(x int32) int32 {
+		if x < 0 {
+			return -1
+		}
+		if r := lo.reusedProbe(int(x)); r >= 0 {
+			x = r
+		}
+		return cidx[x] - 1
+	}
+	// scan walks block d from its end up, from the set at, keeping what is
+	// live; with rows, it records each candidate's live set, otherwise
+	// each it defines, and the operands a phi's moves read at the end of
+	// the blocks they arrive from (a phi nobody reads gets no moves).
+	scan := func(k int, d int32, at []uint64, rows bool) {
+		var sched []*ir.Inst
+		n := int(s.last[d]-s.first[d]) + 1
+		if lo.sched != nil {
+			sched = lo.blockInsts(k)
+			n = len(sched)
+		}
+		for i := n - 1; i >= 0; i-- {
+			y := s.first[d] + int32(i)
+			if sched != nil {
+				y = int32(ir.ValueID(sched[i]))
+			}
+			c := cidx[y] - 1
+			if s.kind[y] == kPhi {
+				switch {
+				case rows && c >= 0:
+					copy(bset(live, int(c)), at)
+				case rows:
+				default:
+					if c >= 0 {
+						set(bset(def, int(d)), c)
+						unset(at, c)
+					}
+					if lo.uses[y] == 0 {
+						continue
+					}
+					ops := s.operands(y)
+					vals, preds := ops[:len(ops)/2], ops[len(ops)/2:]
+					for j, x := range vals {
+						if c, q := cand(x), preds[j]; c >= 0 && q >= 0 {
+							set(bset(out, int(q)), c)
+						}
+					}
+				}
+				continue
+			}
+			if c >= 0 {
+				if rows {
+					copy(bset(live, int(c)), at)
+				} else {
+					set(bset(def, int(d)), c)
+				}
+				unset(at, c)
+			}
+			for _, x := range s.operands(y) {
+				if c := cand(x); c >= 0 {
+					set(at, c)
+				}
+			}
+		}
+	}
+	for k, d := range s.domOf {
+		if d < s.nreach {
+			scan(k, d, bset(ue, int(d)), false)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for d := nr - 1; d >= 0; d-- {
+			bout, bue, bdef := bset(out, d), bset(ue, d), bset(def, d)
+			for i := range tmp {
+				tmp[i] = bue[i] | bout[i]&^bdef[i]
+			}
+			for _, p := range dom.Preds(d) {
+				if int(p) >= nr {
+					continue
+				}
+				pout := bset(out, int(p))
+				for i, x := range tmp {
+					if x&^pout[i] != 0 {
+						pout[i] |= x
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	for k, d := range s.domOf {
+		if d < s.nreach {
+			copy(tmp, bset(out, int(d)))
+			scan(k, d, tmp, true)
+		}
+	}
+	interfere := func(x, y int32) bool {
+		if cblk[x] >= 0 && cblk[x] == cblk[y] {
+			return true
+		}
+		return live[int(y)*w+int(x/64)]&(1<<(x%64)) != 0 || live[int(x)*w+int(y/64)]&(1<<(y%64)) != 0
+	}
+	// The webs: a tree of candidates each (parent) and a ring of their
+	// members (next).
+	ints := make([]int32, 2*nc)
+	parent, next := ints[:nc], ints[nc:]
+	for i := range parent {
+		parent[i], next[i] = int32(i), int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	phis(func(p, x int32) {
+		if x == p || x < 0 || cidx[p] == 0 || cidx[x] == 0 {
+			return
+		}
+		ra, rb := find(cidx[p]-1), find(cidx[x]-1)
+		if ra == rb {
+			return
+		}
+		for a := ra; ; {
+			for b := rb; ; {
+				if interfere(a, b) {
+					return
+				}
+				if b = next[b]; b == rb {
+					break
+				}
+			}
+			if a = next[a]; a == ra {
+				break
+			}
+		}
+		parent[rb] = ra
+		next[ra], next[rb] = next[rb], next[ra]
+	})
+	for c, id := range cands {
+		cidx[id] = cands[find(int32(c))] + 1
+	}
+	lo.regOf = cidx
 }

@@ -10,6 +10,7 @@ import (
 
 	"llhd/internal/assembly"
 	"llhd/internal/engine"
+	"llhd/internal/pass"
 	"llhd/internal/val"
 )
 
@@ -84,34 +85,45 @@ func TestRewritesHoldBack(t *testing.T) {
 		op   Op
 		want int
 		why  string
+		// lead: count only the instructions ahead of the first transfer,
+		// where what a unit's entry block computes stands.
+		lead bool
 	}{
-		{"blaze_load_killed_by_store.llhd", opMove, 2, "%old: read again after a store to its var (and the st of %kn, read twice)"},
-		{"blaze_load_used_in_successor.llhd", opMove, 2, "%a: used in a successor block (and the st of %c, read three times)"},
-		{"blaze_load_feeds_phi.llhd", opMove, 2, "%a: feeds a phi (and the st of %kn, read twice)"},
-		{"blaze_load_wait_timeout.llhd", opMove, 2, "%d: read by the wait timeout (and the st of %kn, read three times)"},
-		{"blaze_var_escapes.llhd", opMove, 7, "four ld and three st of the two escaping vars"},
-		{"blaze_store_value_reused.llhd", opMove, 1, "st of %sum, which is read again"},
-		{"blaze_store_not_adjacent.llhd", opMove, 1, "st of %sum, two instructions after it"},
-		{"blaze_splice_middle_reused.llhd", opInsSCat, 2, "the chain breaks at %mid: two halves, not one"},
-		{"blaze_splice_across_join.llhd", opInsSInt, 3, "%lo, %w and %wk: the chain crosses a block boundary, then a forwarded ld"},
-		{"blaze_br_next_with_phi.llhd", opJump, 2, "entry -> head carries phi moves (the other is body -> head)"},
-		{"blaze_jump_cycles.llhd", opJump, 2, "%spin and %pong -> %ping, each a jump to itself"},
-		{"blaze_init_seen_on_one_path.llhd", opClone, 1, "%slot: the skipping arm reaches the load without a store"},
-		{"blaze_init_seen_on_loop_entry.llhd", opClone, 1, "%acc: the entry edge reaches the loop head's load without a store"},
-		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters"},
-		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch"},
-		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run"},
-		{"blaze_phi_swap.llhd", opMoves, 2, "entry -> head, and body -> head, which swaps %a and %b"},
-		{"blaze_phi_chain.llhd", opMoves, 2, "entry -> head, and body -> head, where %a reads the %b that %b <- %c writes"},
-		{"blaze_probe_across_wait.llhd", opPrb, 2, "%after: the wait between it and %before ends the activation"},
-		{"blaze_probe_stored.llhd", opMove, 2, "st of %a, whose register %b reads (and the st of %kn, read twice)"},
+		{"blaze_load_killed_by_store.llhd", opMove, 2, "%old: read again after a store to its var (and the st of %kn, read twice)", false},
+		{"blaze_load_used_in_successor.llhd", opMove, 2, "%a: used in a successor block (and the st of %c, read three times)", false},
+		{"blaze_load_feeds_phi.llhd", opMove, 2, "%a: feeds a phi (and the st of %kn, read twice)", false},
+		{"blaze_load_wait_timeout.llhd", opMove, 2, "%d: read by the wait timeout (and the st of %kn, read three times)", false},
+		{"blaze_var_escapes.llhd", opMove, 7, "four ld and three st of the two escaping vars", false},
+		{"blaze_store_value_reused.llhd", opMove, 1, "st of %sum, which is read again", false},
+		{"blaze_store_not_adjacent.llhd", opMove, 1, "st of %sum, two instructions after it", false},
+		{"blaze_splice_middle_reused.llhd", opInsSCat, 2, "the chain breaks at %mid: two halves, not one", false},
+		{"blaze_splice_across_join.llhd", opInsSInt, 3, "%lo, %w and %wk: the chain crosses a block boundary, then a forwarded ld", false},
+		{"blaze_br_next_with_phi.llhd", opMoves, 1, "entry -> head moves %one into %i ahead of its fall-through", false},
+		{"blaze_jump_cycles.llhd", opJump, 2, "%spin and %pong -> %ping, each a jump to itself", false},
+		{"blaze_init_seen_on_one_path.llhd", opClone, 1, "%slot: the skipping arm reaches the load without a store", false},
+		{"blaze_init_seen_on_loop_entry.llhd", opClone, 1, "%acc: the entry edge reaches the loop head's load without a store", false},
+		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters", false},
+		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch", false},
+		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run", false},
+		{"blaze_phi_swap.llhd", opMoves, 2, "entry -> head, and body -> head, which swaps %a and %b", false},
+		{"blaze_phi_chain.llhd", opMoves, 2, "entry -> head, and body -> head, where %a reads the %b that %b <- %c writes", false},
+		{"blaze_probe_across_wait.llhd", opPrb, 2, "%after: the wait between it and %before ends the activation", false},
+		{"blaze_probe_stored.llhd", opMove, 2, "st of %a, whose register %b reads (and the st of %kn, read twice)", false},
+		{"blaze_sink_div.llhd", opEvalBin, 1, "%d: a udiv, which may fail, stays ahead of the branch", true},
+		{"blaze_sink_loop.llhd", opMul, 1, "%y: read in the loop's body, computed before the loop", true},
+		{"blaze_coalesce_lost_copy.llhd", opMoves, 1, "entry -> join moves %a into %m: %a is read after the join", false},
+		{"blaze_coalesce_wait.llhd", opMoves, 1, "tail -> head moves %n into %i: %i is read after the wait, where %n is live", false},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
 		seen[c.file] = true
 		t.Run(strings.TrimSuffix(c.file, ".llhd"), func(t *testing.T) {
 			u := lowerDesign(t, c.file, corpusEntry(t, c.file))["p"]
-			if got := countOps(u, c.op); got != c.want {
+			got := countOps(u, c.op)
+			if c.lead {
+				got = countOps(&Unit{Code: u.Code[:firstTransfer(u)]}, c.op)
+			}
+			if got != c.want {
 				t.Errorf("@p holds %d %s, want %d (%s)\n%s", got, c.op, c.want, c.why, Disasm(u))
 			}
 			checkMovesInOrder(t, u)
@@ -128,6 +140,18 @@ func TestRewritesHoldBack(t *testing.T) {
 			t.Errorf("%s has no expectation in this test", filepath.Base(f))
 		}
 	}
+}
+
+// firstTransfer returns the pc of the first instruction of u that ends
+// straight-line code: a jump, branch, suspension or halt.
+func firstTransfer(u *Unit) int {
+	for pc, i := range u.Code {
+		switch i.Op {
+		case opJump, opBranch, opBrEq, opBrUlt, opSuspend, opHalt, opRet, opRetV:
+			return pc
+		}
+	}
+	return len(u.Code)
 }
 
 // TestJumpCyclesKeepACountedTransfer pins rule 3's bound on the two
@@ -147,15 +171,23 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 	}
 }
 
-// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-9 and
-// the edge moves: the corpus entry branch_on_compare.llhd, built so that
-// each of rules 5-8 may fire, lowers with every compare and the i1 not
-// inside its branch, no jump left that lands on a branch, the one var
+// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-11
+// and the edge moves: the corpus entry branch_on_compare.llhd, built so
+// that each of rules 5-8 may fire, lowers with every compare and the i1
+// not inside its branch, no jump left that lands on a branch, the one var
 // whose initial value is read initialised and the other not, and its
-// replicate chain as one inss.rep. Two entries TestRewritesHoldBack reads
-// have a rewrite that must fire next to the one that must not: %b of
-// blaze_probe_stored.llhd reuses %a's probe (rule 9), and the back edge of
-// blaze_phi_chain.llhd leaves out the move of %k onto itself.
+// replicate chain as one inss.rep. After the §4 lowering, which turns its
+// vars into phis and hoists its compares ahead of the branches, rules 10
+// and 11 give back the same shape: every compare placed in front of its
+// branch and fused, and the running sum in one register, so that only
+// constants are moved and no jump is left. Entries TestRewritesHoldBack
+// reads have a rewrite that must fire next to the one that must not: %b
+// of blaze_probe_stored.llhd reuses %a's probe (rule 9); in
+// blaze_phi_chain.llhd, %k shares %x's register (rule 11), and the back
+// edge moves nothing onto it; in blaze_coalesce_lost_copy.llhd, %b is
+// placed in the arm that reads it (rule 10) and shares %m's register; in
+// blaze_br_next_with_phi.llhd, the entry edge falls through after its
+// moves and %inext shares %i's register.
 func TestRewritesFire(t *testing.T) {
 	u := lowerDesign(t, "branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))["p"]
 	for _, c := range []struct {
@@ -179,12 +211,45 @@ func TestRewritesFire(t *testing.T) {
 		t.Log("\n" + Disasm(u))
 	}
 
+	m, err := assembly.Parse("branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pass.LoweringPipeline().RunFixpoint(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, lu := range lowerModule(t, m, "top") {
+		if lu.Name == "p" {
+			u = lu
+		}
+	}
+	for _, op := range []Op{opEq, opNeq, opUlt, opUgt, opUle, opUge, opNot, opJump} {
+		if got := countOps(u, op); got != 0 {
+			t.Errorf("lowered @p holds %d %s, want none", got, op)
+		}
+	}
+	// %k's start, and %sum's at the head of the step and at an arm it skips.
+	if got := countCopies(u); got != 3 {
+		t.Errorf("lowered @p makes %d edge-move copies, want 3", got)
+	}
+	if t.Failed() {
+		t.Log("\n" + Disasm(u))
+	}
+
 	if u := lowerDesign(t, "probe_stored", corpusEntry(t, "blaze_probe_stored.llhd"))["p"]; countOps(u, opPrb) != 1 {
 		t.Errorf("blaze_probe_stored: @p holds %d prb, want 1\n%s", countOps(u, opPrb), Disasm(u))
 	}
-	// Entry -> head copies %b, %a and %k; body -> head copies %c and %b.
-	if u := lowerDesign(t, "phi_chain", corpusEntry(t, "blaze_phi_chain.llhd"))["p"]; countCopies(u) != 5 {
-		t.Errorf("blaze_phi_chain: @p makes %d edge-move copies, want 5\n%s", countCopies(u), Disasm(u))
+	// Entry -> head copies %b and %a; body -> head copies %c and %b.
+	if u := lowerDesign(t, "phi_chain", corpusEntry(t, "blaze_phi_chain.llhd"))["p"]; countCopies(u) != 4 {
+		t.Errorf("blaze_phi_chain: @p makes %d edge-move copies, want 4\n%s", countCopies(u), Disasm(u))
+	}
+	// %a, ahead of the branch; %b, in %other, and none of it moved.
+	if u := lowerDesign(t, "lost_copy", corpusEntry(t, "blaze_coalesce_lost_copy.llhd"))["p"]; countOps(u, opAdd) != 2 ||
+		countOps(&Unit{Code: u.Code[:firstTransfer(u)]}, opAdd) != 1 || countCopies(u) != 1 {
+		t.Errorf("blaze_coalesce_lost_copy: want %%b placed after the branch and only %%a copied\n%s", Disasm(u))
+	}
+	if u := lowerDesign(t, "br_next", corpusEntry(t, "blaze_br_next_with_phi.llhd"))["p"]; countOps(u, opJump) != 0 || countCopies(u) != 1 {
+		t.Errorf("blaze_br_next_with_phi: want no jump and one copy, %%one into %%i\n%s", Disasm(u))
 	}
 }
 
