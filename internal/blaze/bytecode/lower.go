@@ -308,6 +308,7 @@ func (lo *lowerer) lowerBlocks() error {
 		lo.setTarget(fx.pc, fx.field, int32(pc))
 	}
 	lo.threadJumps()
+	lo.compact()
 	lo.replicateRuns()
 	return nil
 }
@@ -321,15 +322,9 @@ const maxThread = 8
 // to a branch into a copy of that branch (rule 7).
 func (lo *lowerer) threadJumps() {
 	code := lo.u.Code
+	thread := func(pc int32) int32 { return threaded(code, pc) }
 	for pc := range code {
-		switch i := &code[pc]; i.Op {
-		case opJump, opSuspend:
-			i.A = threaded(code, i.A)
-		case opBranch:
-			i.B, i.C = threaded(code, i.B), threaded(code, i.C)
-		case opBrEq, opBrUlt:
-			i.Dst, i.C = threaded(code, i.Dst), threaded(code, i.C)
-		}
+		retarget(&code[pc], thread)
 	}
 	for pc := range code {
 		if i := &code[pc]; i.Op == opJump {
@@ -338,6 +333,67 @@ func (lo *lowerer) threadJumps() {
 				*i = t
 			}
 		}
+	}
+}
+
+// compact drops every instruction that no transfer, fall-through or
+// resume point reaches from the entry, the jumps threading went around
+// among them, and renumbers the targets.
+func (lo *lowerer) compact() {
+	code := lo.u.Code
+	reached := make([]bool, len(code))
+	var work []int32
+	reach := func(pc int32) int32 {
+		if !reached[pc] {
+			reached[pc] = true
+			work = append(work, pc)
+		}
+		return pc
+	}
+	reach(0)
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch i := code[pc]; i.Op {
+		case opJump, opSuspend, opBranch, opBrEq, opBrUlt:
+			retarget(&i, reach)
+		case opHalt, opRet, opRetV, opUnreach, opBadCall:
+		default:
+			reach(pc + 1)
+		}
+	}
+	newPC := make([]int32, len(code))
+	n := int32(0)
+	for pc := range code {
+		newPC[pc] = n
+		if reached[pc] {
+			n++
+		}
+	}
+	if int(n) == len(code) {
+		return
+	}
+	renumber := func(pc int32) int32 { return newPC[pc] }
+	out := code[:0]
+	for pc, i := range code {
+		if reached[pc] {
+			retarget(&i, renumber)
+			out = append(out, i)
+		}
+	}
+	lo.u.Code = out
+}
+
+// retarget replaces every pc operand of i, resume points included, by
+// f of it.
+func retarget(i *Instr, f func(pc int32) int32) {
+	switch i.Op {
+	case opJump, opSuspend:
+		i.A = f(i.A)
+	case opBranch:
+		i.B, i.C = f(i.B), f(i.C)
+	case opBrEq, opBrUlt:
+		i.Dst, i.C = f(i.Dst), f(i.C)
 	}
 }
 

@@ -36,7 +36,9 @@ import "llhd/internal/ir"
 //     branch whose target is a jump goes where that jump goes (maxThread
 //     hops). Only forward transfers to the very next pc disappear, and
 //     pc otherwise only grows, so every cycle keeps a jump or branch that
-//     run counts against maxJumps.
+//     run counts against maxJumps. Then what no transfer, fall-through or
+//     resume point reaches from the entry is dropped (compact), in order,
+//     so no transfer changes direction and nothing dispatched changes.
 //  4. Splice-chain fusion. Adjacent integer inss of one block, each the
 //     only use of the one before it and that use its target operand,
 //     become one opInsSCat. The intermediate words have no other reader,

@@ -195,7 +195,7 @@ func TestRewritesFire(t *testing.T) {
 		want int
 	}{
 		{opEq, 0}, {opNeq, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
-		{opBrEq, 3}, {opBrUlt, 5}, {opBranch, 1},
+		{opBrEq, 2}, {opBrUlt, 5}, {opBranch, 1},
 		{opClone, 1}, {opInsSRep, 1}, {opInsSCat, 0}, {opInsSInt, 0},
 	} {
 		if got := countOps(u, c.op); got != c.want {

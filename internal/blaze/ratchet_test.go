@@ -75,26 +75,26 @@ func TestBytecodeSizeRatchet(t *testing.T) {
 		"fir":            "fir$W16_p0=27 fir$W16_p1=18 fir_tb_p0=47",
 		"lfsr":           "lfsr_p0=23 lfsr_tb_p0=40",
 		"lzc":            "lzc$W16_p0=24 lzc_tb_p0=44",
-		"fifo":           "fifo$W16_p0=6 fifo$W16_p1=6 fifo$W16_p2=89 fifo_tb_p0=130",
-		"cdc_gray":       "cdc_gray_tb_p0=16 cdc_gray_tb_p1=9 cdc_gray_tb_p2=16 cdc_gray_tb_p3=15 cdc_gray_tb_p4=25 sync2$W8_p0=12",
-		"cdc_strobe":     "cdc_strobe_tb_p0=14 cdc_strobe_tb_p1=23 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=22",
-		"rr_arbiter":     "rr_arbiter_p0=26 rr_arbiter_p1=41 rr_arbiter_tb_p0=71",
+		"fifo":           "fifo$W16_p0=6 fifo$W16_p1=6 fifo$W16_p2=86 fifo_tb_p0=128",
+		"cdc_gray":       "cdc_gray_tb_p0=15 cdc_gray_tb_p1=9 cdc_gray_tb_p2=16 cdc_gray_tb_p3=15 cdc_gray_tb_p4=25 sync2$W8_p0=12",
+		"cdc_strobe":     "cdc_strobe_tb_p0=13 cdc_strobe_tb_p1=22 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=22",
+		"rr_arbiter":     "rr_arbiter_p0=26 rr_arbiter_p1=36 rr_arbiter_tb_p0=67",
 		"stream_delayer": "stream_delayer$W8_p0=26 stream_delayer$W8_p1=5 stream_delayer$W8_p2=4 stream_delayer_tb_p0=50",
-		"riscv":          "riscv_core_p0=136 riscv_tb_p0=28",
-		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=349 rv32i_tb_p0=28",
+		"riscv":          "riscv_core_p0=127 riscv_tb_p0=28",
+		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=306 rv32i_tb_p0=27",
 	}
 	pinnedLowered := map[string]string{
 		"gray":           "gray_dec$W8_p0=13 gray_enc$W8_p0=9 gray_tb_p0=34",
 		"fir":            "fir$W16_p0=29 fir$W16_p1=18 fir_tb_p0=43",
 		"lfsr":           "lfsr_p0=24 lfsr_tb_p0=39",
-		"lzc":            "lzc$W16_p0=21 lzc_tb_p0=60",
-		"fifo":           "fifo$W16=8 fifo$W16_p2=76 fifo_tb_p0=127",
+		"lzc":            "lzc$W16_p0=20 lzc_tb_p0=59",
+		"fifo":           "fifo$W16=8 fifo$W16_p2=75 fifo_tb_p0=125",
 		"cdc_gray":       "cdc_gray_tb_p0=15 cdc_gray_tb_p1=9 cdc_gray_tb_p2=13 cdc_gray_tb_p3=14 cdc_gray_tb_p4=22 sync2$W8=6",
 		"cdc_strobe":     "cdc_strobe_tb=6 cdc_strobe_tb_p1=23 cdc_strobe_tb_p2=23 cdc_strobe_tb_p3=21",
-		"rr_arbiter":     "rr_arbiter_p0=23 rr_arbiter_p1=33 rr_arbiter_tb_p0=88",
+		"rr_arbiter":     "rr_arbiter_p0=23 rr_arbiter_p1=33 rr_arbiter_tb_p0=85",
 		"stream_delayer": "stream_delayer$W8=3 stream_delayer$W8_p0=31 stream_delayer$W8_p1=5 stream_delayer_tb_p0=41",
-		"riscv":          "riscv_core_p0=131 riscv_tb_p0=27",
-		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=349 rv32i_tb_p0=25",
+		"riscv":          "riscv_core_p0=125 riscv_tb_p0=27",
+		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=316 rv32i_tb_p0=25",
 	}
 	// The copies the edge moves of each unit make after the §4 lowering,
 	// which turns vars into phis (the behavioural units have no phi). They

@@ -117,7 +117,6 @@ func (b *Builder) Or(x, y Value) *Inst  { return b.Binary(OpOr, x, y) }
 func (b *Builder) Xor(x, y Value) *Inst { return b.Binary(OpXor, x, y) }
 func (b *Builder) Add(x, y Value) *Inst { return b.Binary(OpAdd, x, y) }
 func (b *Builder) Sub(x, y Value) *Inst { return b.Binary(OpSub, x, y) }
-func (b *Builder) Mul(x, y Value) *Inst { return b.Binary(OpMul, x, y) }
 func (b *Builder) Shl(x, y Value) *Inst { return b.Binary(OpShl, x, y) }
 func (b *Builder) Shr(x, y Value) *Inst { return b.Binary(OpShr, x, y) }
 

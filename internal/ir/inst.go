@@ -361,18 +361,6 @@ func (in *Inst) Clone() *Inst {
 	return &cp
 }
 
-// IsConstInt reports whether the instruction is an integer constant.
-func (in *Inst) IsConstInt() bool { return in.Op == OpConstInt }
-
-// ConstIntValue returns the constant value of an OpConstInt, panicking on
-// other opcodes.
-func (in *Inst) ConstIntValue() uint64 {
-	if in.Op != OpConstInt {
-		panic("ir: ConstIntValue on non-constant " + in.Op.String())
-	}
-	return in.IVal
-}
-
 // MaskWidth truncates v to the lowest w bits (w in 1..64).
 func MaskWidth(v uint64, w int) uint64 {
 	if w >= 64 {

@@ -32,9 +32,6 @@ func Nanoseconds(n int64) Time { return Time{Fs: n * Nanosecond} }
 // Picoseconds constructs a time of n picoseconds.
 func Picoseconds(n int64) Time { return Time{Fs: n * Picosecond} }
 
-// DeltaTime is a pure delta step with no physical time.
-func DeltaTime(n int) Time { return Time{Delta: n} }
-
 // Add returns t + u with component-wise semantics: adding physical time
 // resets the delta and epsilon counters of the smaller operand, matching
 // event-queue ordering (a drive "after 1ns" lands at delta 0 of t+1ns).

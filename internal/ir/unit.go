@@ -137,9 +137,6 @@ func (u *Unit) Body() *Block {
 	return u.Blocks[0]
 }
 
-// IsTimed reports whether the unit persists across time steps (§2.4).
-func (u *Unit) IsTimed() bool { return u.Kind != UnitFunc }
-
 // NumInsts returns the total instruction count across all blocks.
 func (u *Unit) NumInsts() int {
 	n := 0

@@ -80,14 +80,17 @@ type netInfo struct {
 	initVal uint64 // net initializer (constant)
 	hasInit bool
 
-	// rw holds readsWrites' netRead/netWritten marks during one walk; it
-	// is zero between walks.
+	owned bool // an array some process of the module already touches
+
+	// rw holds summarize's marks during one walk; it is zero between
+	// walks.
 	rw uint8
 }
 
 const (
 	netRead uint8 = 1 << iota
 	netWritten
+	netBlocking
 )
 
 // scope is the constant environment of one elaboration.
@@ -274,64 +277,33 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 		return "", err
 	}
 
-	// Determine array ownership: exactly one process may touch an array.
-	// $readmemh arguments claim none: the load is applied at elaboration.
-	arraysUsed := func(item Item) (names []string) {
-		Inspect(item, func(n Node) bool {
-			switch x := n.(type) {
-			case *Ident:
-				if ni := sc.nets[x.Name]; ni != nil && ni.isArray {
-					names = append(names, x.Name)
-				}
-			case *SysCallStmt:
-				return x.Name != "$readmemh"
-			}
-			return true
-		})
-		return names
-	}
-	arrayOwner := map[string]int{}
+	// Generate processes and instantiations. Exactly one process may touch
+	// an array; it owns it as a var.
 	procIdx := 0
 	for _, item := range m.Items {
 		switch it := item.(type) {
-		case *AlwaysBlock:
-			for _, n := range arraysUsed(it) {
-				if owner, claimed := arrayOwner[n]; claimed && owner != procIdx {
-					return "", fmt.Errorf("moore: %s: array %q used by more than one process", m.Name, n)
-				}
-				arrayOwner[n] = procIdx
-			}
-			procIdx++
-		case *AssignItem:
-			if names := arraysUsed(it); len(names) > 0 {
-				return "", fmt.Errorf("moore: %s: array %q used in a continuous assign", m.Name, names[0])
-			}
-			procIdx++
-		}
-	}
-
-	// Generate processes and instantiations.
-	procIdx = 0
-	for _, item := range m.Items {
-		switch it := item.(type) {
 		case *AlwaysBlock, *AssignItem:
-			pname := uname + "_p" + strconv.Itoa(procIdx)
-			owned := map[string]bool{}
-			for n, owner := range arrayOwner {
-				if owner == procIdx {
-					owned[n] = true
-				}
+			s := summarize(it, sc)
+			if _, isAssign := it.(*AssignItem); isAssign && len(s.arrays) > 0 {
+				return "", fmt.Errorf("moore: %s: array %q used in a continuous assign", m.Name, s.arrays[0])
 			}
-			reads, writes, err := c.genProcess(it, pname, sc, owned)
-			if err != nil {
+			for _, name := range s.arrays {
+				ni := sc.nets[name]
+				if ni.owned {
+					return "", fmt.Errorf("moore: %s: array %q used by more than one process", m.Name, name)
+				}
+				ni.owned = true
+			}
+			pname := uname + "_p" + strconv.Itoa(procIdx)
+			if err := c.genProcess(it, pname, sc, &s); err != nil {
 				return "", fmt.Errorf("moore: %s: %w", m.Name, err)
 			}
 			// Instantiate the process in the entity.
 			var ins, outs []ir.Value
-			for _, n := range reads {
+			for _, n := range s.reads {
 				ins = append(ins, binding[n])
 			}
-			for _, n := range writes {
+			for _, n := range s.writes {
 				outs = append(outs, binding[n])
 			}
 			eb.Instantiate(pname, ins, outs)
@@ -537,19 +509,22 @@ func (c *compiler) genInstantiation(it *InstItem, m *Module, sc *scope,
 		}
 	}
 
+	// An open or tied port takes its width from the child's signature.
+	cu := c.out.Unit(childName)
 	var ins, outs []ir.Value
 	for _, port := range child.Ports {
-		e := connFor[port.Name]
+		input := port.Dir == "input"
+		var arg *ir.Arg
+		if input {
+			arg = cu.Inputs[len(ins)]
+		} else {
+			arg = cu.Outputs[len(outs)]
+		}
 		var sigVal ir.Value
-		switch conn := e.(type) {
+		switch conn := connFor[port.Name].(type) {
 		case nil:
 			// Unconnected: dangling net.
-			w, err := c.typeWidthInChild(port, child, overrides)
-			if err != nil {
-				return err
-			}
-			z := eb.ConstInt(ir.IntType(w), 0)
-			s := eb.Sig(z)
+			s := eb.Sig(eb.ConstInt(arg.Type().Elem, 0))
 			s.SetName(it.InstName + "_" + port.Name + "_nc")
 			sigVal = s
 		case *Ident:
@@ -559,18 +534,13 @@ func (c *compiler) genInstantiation(it *InstItem, m *Module, sc *scope,
 			}
 			sigVal = v
 		case *Number:
-			w, err := c.typeWidthInChild(port, child, overrides)
-			if err != nil {
-				return err
-			}
-			k := eb.ConstInt(ir.IntType(w), conn.Value)
-			s := eb.Sig(k)
+			s := eb.Sig(eb.ConstInt(arg.Type().Elem, conn.Value))
 			s.SetName(it.InstName + "_" + port.Name + "_tie")
 			sigVal = s
 		default:
 			return fmt.Errorf("moore: %s: unsupported connection expression for port %q (use a plain net)", m.Name, port.Name)
 		}
-		if port.Dir == "input" {
+		if input {
 			ins = append(ins, sigVal)
 		} else {
 			outs = append(outs, sigVal)
@@ -581,41 +551,23 @@ func (c *compiler) genInstantiation(it *InstItem, m *Module, sc *scope,
 	return nil
 }
 
-// typeWidthInChild evaluates a child port's width under its parameter
-// binding.
-func (c *compiler) typeWidthInChild(port *Port, child *Module, overrides map[string]uint64) (int, error) {
-	childSc := &scope{consts: map[string]uint64{}, mod: child}
-	for _, p := range child.Params {
-		if v, ok := overrides[p.Name]; ok {
-			childSc.consts[p.Name] = v
-		} else if p.Default != nil {
-			v, err := c.constEval(p.Default, childSc)
-			if err != nil {
-				return 0, err
-			}
-			childSc.consts[p.Name] = v
-		}
-	}
-	// Localparams that feed port widths.
-	for _, item := range child.Items {
-		if lp, ok := item.(*LocalParam); ok {
-			if v, err := c.constEval(lp.Value, childSc); err == nil {
-				childSc.consts[lp.Name] = v
-			}
-		}
-	}
-	return c.typeWidth(port.Type, childSc)
+// summary is what one walk over a process finds: the nets it reads and
+// does not write and the nets it writes (its signature, each sorted), the
+// unpacked arrays it names (sorted) and the nets it assigns blocking
+// (sorted; nil when none).
+type summary struct {
+	reads, writes, arrays, blocking []string
 }
 
-// readsWrites analyses which module nets a process reads and writes: it
-// writes the nets its assignment targets name and reads every other net
-// it mentions, the events it waits on included. $readmemh arguments are
-// resolved at elaboration and read nothing.
-func readsWrites(item Item, sc *scope) (reads, writes []string) {
+// summarize walks a process once. A process writes the nets its
+// assignment targets name and reads every other net it mentions, the
+// events it waits on included. $readmemh arguments are resolved at
+// elaboration and name nothing.
+func summarize(item Item, sc *scope) (s summary) {
 	touched := make([]*netInfo, 0, 32) // on the stack while it fits
 	mark := func(name string, how uint8) {
 		ni := sc.nets[name]
-		if ni == nil || !ni.isNet {
+		if ni == nil {
 			return
 		}
 		if ni.rw == 0 {
@@ -623,37 +575,51 @@ func readsWrites(item Item, sc *scope) (reads, writes []string) {
 		}
 		ni.rw |= how
 	}
-	markWritten := func(name string) { mark(name, netWritten) }
+	written := func(name string) { mark(name, netWritten) }
+	blocking := func(name string) { mark(name, netWritten|netBlocking) }
 	Inspect(item, func(n Node) bool {
 		switch x := n.(type) {
 		case *Ident:
 			mark(x.Name, netRead)
 		case *AssignItem:
-			LvalueNets(x.Target, markWritten)
+			LvalueNets(x.Target, written)
 		case *AssignStmt:
-			LvalueNets(x.Target, markWritten)
+			if x.Blocking {
+				LvalueNets(x.Target, blocking)
+			} else {
+				LvalueNets(x.Target, written)
+			}
 		case *IncDec:
-			LvalueNets(x.X, markWritten)
+			LvalueNets(x.X, written)
 		case *SysCallStmt:
 			return x.Name != "$readmemh"
 		}
 		return true
 	})
-	// One array holds both lists: reads from the front, writes from the back.
+	// One array holds both net lists: reads from the front, writes from
+	// the back.
 	names := make([]string, len(touched))
 	r, w := 0, len(names)
 	for _, ni := range touched {
-		if ni.rw&netWritten != 0 {
+		switch {
+		case ni.isArray:
+			s.arrays = append(s.arrays, ni.name)
+		case ni.rw&netWritten != 0:
 			w--
 			names[w] = ni.name
-		} else {
+			if ni.rw&netBlocking != 0 {
+				s.blocking = append(s.blocking, ni.name)
+			}
+		default:
 			names[r] = ni.name
 			r++
 		}
 		ni.rw = 0
 	}
-	reads, writes = names[:r:r], names[w:]
-	sort.Strings(reads)
-	sort.Strings(writes)
-	return reads, writes
+	s.reads, s.writes = names[:r:r], names[w:]
+	sort.Strings(s.reads)
+	sort.Strings(s.writes)
+	sort.Strings(s.arrays)
+	sort.Strings(s.blocking)
+	return s
 }

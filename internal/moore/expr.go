@@ -261,19 +261,11 @@ func (g *procGen) index(x *Index) (cv, error) {
 	if err != nil {
 		return cv{}, err
 	}
-	// Array element.
-	if slot, isArr := g.arrays[id.Name]; isArr {
-		ni := g.sc.nets[id.Name]
+	if slot, w, ok := g.arrayOf(id.Name); ok {
 		cur := g.b.Ld(slot)
-		elem := &ir.Inst{Op: ir.OpExtF, Ty: ir.IntType(ni.width), Args: []ir.Value{cur, g.coerce(idx, 32)}}
+		elem := &ir.Inst{Op: ir.OpExtF, Ty: ir.IntType(w), Args: []ir.Value{cur, g.coerce(idx, 32)}}
 		g.append(elem)
-		return cv{v: elem, width: ni.width}, nil
-	}
-	if lv, ok := g.locals[id.Name]; ok && lv.isArray {
-		cur := g.b.Ld(lv.slot)
-		elem := &ir.Inst{Op: ir.OpExtF, Ty: ir.IntType(lv.width), Args: []ir.Value{cur, g.coerce(idx, 32)}}
-		g.append(elem)
-		return cv{v: elem, width: lv.width}, nil
+		return cv{v: elem, width: w}, nil
 	}
 	// Bit select on a vector.
 	base, err := g.readName(id.Name)
@@ -552,12 +544,8 @@ func (c *compiler) declareFunction(fn *FuncDecl, fname string, sc *scope) error 
 func (c *compiler) genFunction(fn *FuncDecl, u *ir.Unit, sc *scope) error {
 	g := &procGen{
 		c: c, sc: sc, unit: u,
-		args:     map[string]*ir.Arg{},
-		shadows:  map[string]*ir.Inst{},
-		arrays:   map[string]*ir.Inst{},
-		locals:   map[string]*localVar{},
-		blocking: map[string]bool{},
-		inFunc:   true,
+		locals: map[string]*localVar{},
+		inFunc: true,
 	}
 	retW := 0
 	if u.RetType.IsInt() {

@@ -12,6 +12,16 @@
 // The lexer classifies bytes by table and operators by their first byte;
 // the frontend formats nothing and builds no map per token, expression or
 // type (TestMooreCompileAllocRatchet holds its allocations).
+//
+// Code generation decides each thing once. One Inspect walk per process
+// (summarize) finds the nets it reads and writes, the arrays it owns and
+// the nets it assigns blocking. An assignment resolves its target's name
+// to one place (placeOf): a var slot, which is a local, the function's
+// own name or a blocking shadow, or a net the process drives; the whole,
+// bit, part, +: and concat shapes then only splice into that place. An
+// edge-triggered block is forever @(edges) body, through the same event
+// wait an @(...) statement uses. An open or tied port of an instance
+// takes its width from the elaborated child's signature.
 package moore
 
 import (

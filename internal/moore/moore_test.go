@@ -564,3 +564,81 @@ endmodule
 		})
 	}
 }
+
+// TestOpenAndTiedPortWidths pins the width of the signal an open and a
+// tied port get when the port's width depends on the child's parameter:
+// the width of the specialized child's port, not of its default.
+func TestOpenAndTiedPortWidths(t *testing.T) {
+	src := `
+module child #(parameter int W = 4) (input [W-1:0] a, input [2*W-1:0] b, output [W:0] y);
+  assign y = a + b;
+endmodule
+module top;
+  bit [8:0] y;
+  child #(.W(8)) u (.a(), .b(5), .y(y));
+  child #(.W(3)) v (.a(2), .y());
+endmodule
+`
+	m, err := Compile("t", src)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	want := map[string]int{"u_a_nc": 8, "u_b_tie": 16, "v_a_tie": 3, "v_b_nc": 6, "v_y_nc": 4}
+	m.Unit("top").ForEachInst(func(_ *ir.Block, in *ir.Inst) {
+		if in.Op != ir.OpSig {
+			return
+		}
+		w, ok := want[in.ValueName()]
+		if !ok {
+			return
+		}
+		if got := in.Type().Elem.Width; got != w {
+			t.Errorf("%s is i%d, want i%d", in.ValueName(), got, w)
+		}
+		delete(want, in.ValueName())
+	})
+	for name := range want {
+		t.Errorf("no signal %s", name)
+	}
+}
+
+// TestLocalparamFromCompares folds every comparison operator in an
+// elaboration-time constant.
+func TestLocalparamFromCompares(t *testing.T) {
+	runZeroFailures(t, `
+module cmp_tb;
+  localparam int W = 8;
+  localparam int N = (W > 4) + (W == 8) + (W != 3) + (W < 2) + (W <= 8) + (W >= 9);
+  bit [N-1:0] v;
+  initial begin
+    assert(N == 4);
+    v <= '1;
+    #1ns;
+    assert(v == 4'hf);
+    $finish;
+  end
+endmodule
+`, "cmp_tb")
+}
+
+// TestFunctionWritesModuleVariable: Moore rejects a function that assigns
+// a module variable other than its own name. It used to store the value
+// into the function's result whenever the variable's name was the text
+// after the last "_" of the function's unit name ("add" in "t_do_add"),
+// while SVSim writes the module variable.
+func TestFunctionWritesModuleVariable(t *testing.T) {
+	_, err := Compile("t", `
+module t;
+  int add, r;
+  function int do_add(int a);
+    add = a + 1;
+  endfunction
+  initial begin
+    r = do_add(4);
+  end
+endmodule
+`)
+	if err == nil || !strings.Contains(err.Error(), `net "add" is not writable here`) {
+		t.Fatalf("Compile = %v, want the write to add rejected", err)
+	}
+}

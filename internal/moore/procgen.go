@@ -2,25 +2,10 @@ package moore
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
 	"llhd/internal/ir"
 )
-
-// sortedNames returns the keys of a string-keyed map in sorted order, so
-// that IR emission driven by map iteration is deterministic (compiling the
-// same source twice must print identically — the design cache and the
-// fuzzer's mk-determinism oracle both key on the printed form).
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // cv is a typed expression value during codegen.
 type cv struct {
@@ -46,11 +31,10 @@ type procGen struct {
 	shadows  map[string]*ir.Inst // blocking-assigned net -> shadow var
 	arrays   map[string]*ir.Inst // array name -> var holding [N x iW]
 	locals   map[string]*localVar
-	blocking map[string]bool
+	blocking []string // blocking-assigned nets, sorted
 
-	entry    *ir.Block // var declarations live here
-	loopHead *ir.Block
-	dead     bool
+	entry *ir.Block // var declarations live here
+	dead  bool
 
 	inFunc bool
 	retVar *ir.Inst
@@ -79,25 +63,23 @@ func (g *procGen) errf(format string, args ...any) error {
 	return fmt.Errorf("%s: %s", g.unit.Name, fmt.Sprintf(format, args...))
 }
 
-// genProcess compiles item into a process unit named pname and returns the
-// read and written net names (the unit's signature, in order).
-func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays map[string]bool) (reads, writes []string, err error) {
-	reads, writes = readsWrites(item, sc)
-
+// genProcess compiles item, summarized in s, into a process unit named
+// pname whose signature is s.reads then s.writes. It owns the arrays in
+// s.arrays.
+func (c *compiler) genProcess(item Item, pname string, sc *scope, s *summary) (err error) {
 	u := ir.NewUnit(ir.UnitProc, pname)
 	g := &procGen{
 		c: c, sc: sc, unit: u,
 		args:     map[string]*ir.Arg{},
-		shadows:  map[string]*ir.Inst{},
 		arrays:   map[string]*ir.Inst{},
 		locals:   map[string]*localVar{},
-		blocking: map[string]bool{},
+		blocking: s.blocking,
 	}
-	for _, n := range reads {
+	for _, n := range s.reads {
 		ni := sc.nets[n]
 		g.args[n] = u.AddInput(n, ir.SignalType(ir.IntType(ni.width)))
 	}
-	for _, n := range writes {
+	for _, n := range s.writes {
 		ni := sc.nets[n]
 		g.args[n] = u.AddOutput(n, ir.SignalType(ir.IntType(ni.width)))
 	}
@@ -106,7 +88,7 @@ func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays ma
 	g.b.SetBlock(g.entry)
 
 	// Materialize owned arrays as persistent vars.
-	for _, name := range sortedNames(ownedArrays) {
+	for _, name := range s.arrays {
 		ni := sc.nets[name]
 		elem := ir.IntType(ni.width)
 		var elems []ir.Value
@@ -126,51 +108,42 @@ func (c *compiler) genProcess(item Item, pname string, sc *scope, ownedArrays ma
 	switch it := item.(type) {
 	case *AssignItem:
 		err = g.genComb(&AlwaysBlock{Kind: "always_comb",
-			Body: &AssignStmt{Target: it.Target, Value: it.Value, Line: it.Line}}, reads)
+			Body: &AssignStmt{Target: it.Target, Value: it.Value, Line: it.Line}}, s.reads)
 	case *AlwaysBlock:
-		Inspect(it, func(n Node) bool {
-			if st, ok := n.(*AssignStmt); ok && st.Blocking {
-				LvalueNets(st.Target, func(name string) {
-					if ni := sc.nets[name]; ni != nil && ni.isNet {
-						g.blocking[name] = true
-					}
-				})
-			}
-			return true
-		})
 		switch it.Kind {
 		case "initial":
 			err = g.genInitial(it)
 		case "always_comb", "always_latch":
-			err = g.genComb(it, reads)
+			err = g.genComb(it, s.reads)
 		case "always_ff":
 			err = g.genFF(it)
 		case "always":
 			if len(it.Events) == 0 {
-				return nil, nil, g.errf("plain always without sensitivity is unsupported")
+				return g.errf("plain always without sensitivity is unsupported")
 			}
 			if it.EdgeTriggered() {
 				err = g.genFF(it)
 			} else {
-				err = g.genComb(it, reads)
+				err = g.genComb(it, s.reads)
 			}
 		default:
-			return nil, nil, g.errf("unsupported process kind %q", it.Kind)
+			return g.errf("unsupported process kind %q", it.Kind)
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if err := c.out.Add(u); err != nil {
-		return nil, nil, err
-	}
-	return reads, writes, nil
+	return c.out.Add(u)
 }
 
 // declareShadows creates shadow vars for blocking-assigned nets.
 func (g *procGen) declareShadows() {
+	if len(g.blocking) == 0 {
+		return
+	}
 	g.b.SetBlock(g.entry)
-	for _, n := range sortedNames(g.blocking) {
+	g.shadows = make(map[string]*ir.Inst, len(g.blocking))
+	for _, n := range g.blocking {
 		ni := g.sc.nets[n]
 		zero := g.b.ConstInt(ir.IntType(ni.width), 0)
 		v := g.b.Var(zero)
@@ -182,7 +155,7 @@ func (g *procGen) declareShadows() {
 // loadShadowsFromNets refreshes every shadow with the net's current value
 // at the start of an activation.
 func (g *procGen) loadShadowsFromNets() {
-	for _, n := range sortedNames(g.shadows) {
+	for _, n := range g.blocking {
 		cur := g.b.Prb(g.args[n])
 		g.b.St(g.shadows[n], cur)
 	}
@@ -190,11 +163,11 @@ func (g *procGen) loadShadowsFromNets() {
 
 // driveShadows writes the shadow values back onto the nets (delta delay).
 func (g *procGen) driveShadows() {
-	if len(g.shadows) == 0 {
+	if len(g.blocking) == 0 {
 		return
 	}
 	dz := g.b.ConstTime(ir.Time{})
-	for _, n := range sortedNames(g.shadows) {
+	for _, n := range g.blocking {
 		v := g.b.Ld(g.shadows[n])
 		g.b.Drv(g.args[n], v, dz, nil)
 	}
@@ -218,7 +191,6 @@ func (g *procGen) genComb(it *AlwaysBlock, reads []string) error {
 	loop := g.newBlock("loop")
 	g.b.Br(loop)
 	g.b.SetBlock(loop)
-	g.loopHead = loop
 	g.loadShadowsFromNets()
 	if err := g.stmt(it.Body); err != nil {
 		return err
@@ -249,75 +221,28 @@ func (g *procGen) genComb(it *AlwaysBlock, reads []string) error {
 	return nil
 }
 
+// genFF compiles an edge-triggered block as forever @(edges) body.
 func (g *procGen) genFF(it *AlwaysBlock) error {
 	g.declareShadows()
-	init := g.newBlock("init")
-	check := g.newBlock("check")
-	body := g.newBlock("body")
-	g.b.Br(init)
-
-	type edgeEv struct {
-		arg  *ir.Arg
-		mode string
-		prev *ir.Inst
+	if len(it.Events) == 0 {
+		return g.errf("always_ff without an edge event")
 	}
-	var edges []edgeEv
 	for _, ev := range it.Events {
 		if ev.Edge != "posedge" && ev.Edge != "negedge" {
 			return g.errf("always_ff requires edge events")
 		}
-		id, ok := ev.Sig.(*Ident)
-		if !ok {
-			return g.errf("edge events must name a plain net")
-		}
-		a, ok := g.args[id.Name]
-		if !ok {
-			return g.errf("edge net %q not visible to process", id.Name)
-		}
-		edges = append(edges, edgeEv{arg: a, mode: ev.Edge})
 	}
-	if len(edges) == 0 {
-		return g.errf("always_ff without an edge event")
+	head, err := g.waitEvents(it.Events, ffWait)
+	if err != nil {
+		return err
 	}
-
-	g.b.SetBlock(init)
-	var waitSigs []ir.Value
-	for i := range edges {
-		edges[i].prev = g.b.Prb(edges[i].arg)
-		edges[i].prev.SetName(edges[i].arg.ValueName() + "0")
-		waitSigs = append(waitSigs, edges[i].arg)
-	}
-	g.b.Wait(check, nil, waitSigs...)
-
-	g.b.SetBlock(check)
-	var fire ir.Value
-	for _, e := range edges {
-		now := g.b.Prb(e.arg)
-		now.SetName(e.arg.ValueName() + "1")
-		chg := g.b.Neq(e.prev, now)
-		var cond *ir.Inst
-		if e.mode == "posedge" {
-			cond = g.b.And(chg, now)
-		} else {
-			cond = g.b.And(chg, g.b.Not(now))
-		}
-		if fire == nil {
-			fire = cond
-		} else {
-			fire = g.b.Or(fire, cond)
-		}
-	}
-	g.b.BrCond(fire, init, body)
-
-	g.b.SetBlock(body)
-	g.loopHead = init
 	g.loadShadowsFromNets()
 	if err := g.stmt(it.Body); err != nil {
 		return err
 	}
 	if !g.dead {
 		g.driveShadows()
-		g.b.Br(init)
+		g.b.Br(head)
 	}
 	return nil
 }
@@ -526,7 +451,8 @@ func (g *procGen) stmt(s Stmt) error {
 		return g.stmt(st.Inner)
 
 	case *WaitEventStmt:
-		return g.waitEvents(st.Events)
+		_, err := g.waitEvents(st.Events, stmtWait)
+		return err
 
 	case *ExprStmt:
 		switch x := st.X.(type) {
@@ -593,49 +519,61 @@ func (g *procGen) loop(cond Expr, body Stmt, step Stmt, doWhile bool) error {
 	return nil
 }
 
-// waitEvents emits "@(posedge clk)": loop probing until the edge occurs.
-func (g *procGen) waitEvents(events []Event) error {
-	initB := g.newBlock("ev")
-	checkB := g.newBlock("evchk")
-	doneB := g.newBlock("evdone")
-	g.b.Br(initB)
-	g.b.SetBlock(initB)
-	type pe struct {
-		arg  *ir.Arg
-		mode string
-		prev *ir.Inst
-	}
-	var pes []pe
-	var sigs []ir.Value
-	for _, ev := range events {
+// waitNames are the names an event wait gives what it emits: its three
+// blocks, the word its diagnostics use and whether its probes are named
+// <net>0 (before the wait) and <net>1 (after).
+type waitNames struct {
+	head, check, done, kind string
+	probes                  bool
+}
+
+var (
+	ffWait   = waitNames{"init", "check", "body", "edge", true} // a block's own list
+	stmtWait = waitNames{"ev", "evchk", "evdone", "event", false}
+)
+
+// waitEvents emits "@(posedge clk)": probe, wait, and go back to the head
+// unless an event of the list fired. It returns the head and leaves the
+// builder in the done block.
+func (g *procGen) waitEvents(events []Event, names waitNames) (*ir.Block, error) {
+	headB := g.newBlock(names.head)
+	checkB := g.newBlock(names.check)
+	doneB := g.newBlock(names.done)
+	g.b.Br(headB)
+	g.b.SetBlock(headB)
+	sigs := make([]ir.Value, len(events))
+	for i, ev := range events {
 		id, ok := ev.Sig.(*Ident)
 		if !ok {
-			return g.errf("event expression must be a plain net")
+			return nil, g.errf("%s expression must be a plain net", names.kind)
 		}
 		a, ok := g.args[id.Name]
 		if !ok {
-			return g.errf("event net %q not visible", id.Name)
+			return nil, g.errf("%s net %q not visible to process", names.kind, id.Name)
 		}
-		pes = append(pes, pe{arg: a, mode: ev.Edge})
-		sigs = append(sigs, a)
+		sigs[i] = a
 	}
-	for i := range pes {
-		pes[i].prev = g.b.Prb(pes[i].arg)
+	prev := make([]*ir.Inst, len(events))
+	for i, sig := range sigs {
+		prev[i] = g.b.Prb(sig)
+		if names.probes {
+			prev[i].SetName(events[i].Sig.(*Ident).Name + "0")
+		}
 	}
 	g.b.Wait(checkB, nil, sigs...)
 	g.b.SetBlock(checkB)
 	var fire ir.Value
-	for _, e := range pes {
-		now := g.b.Prb(e.arg)
-		chg := g.b.Neq(e.prev, now)
-		var c ir.Value
-		switch e.mode {
+	for i, ev := range events {
+		now := g.b.Prb(sigs[i])
+		if names.probes {
+			now.SetName(events[i].Sig.(*Ident).Name + "1")
+		}
+		c := ir.Value(g.b.Neq(prev[i], now))
+		switch ev.Edge {
 		case "posedge":
-			c = g.b.And(chg, now)
+			c = g.b.And(c, now)
 		case "negedge":
-			c = g.b.And(chg, g.b.Not(now))
-		default:
-			c = chg
+			c = g.b.And(c, g.b.Not(now))
 		}
 		if fire == nil {
 			fire = c
@@ -643,9 +581,9 @@ func (g *procGen) waitEvents(events []Event) error {
 			fire = g.b.Or(fire, c)
 		}
 	}
-	g.b.BrCond(fire, initB, doneB)
+	g.b.BrCond(fire, headB, doneB)
 	g.b.SetBlock(doneB)
-	return nil
+	return headB, nil
 }
 
 func (g *procGen) sysCall(st *SysCallStmt) error {
@@ -780,26 +718,12 @@ func (g *procGen) assign(st *AssignStmt) error {
 
 	switch t := st.Target.(type) {
 	case *Ident:
-		// Local variable.
-		if lv, ok := g.locals[t.Name]; ok {
-			g.b.St(lv.slot, g.coerce(rhs, lv.width))
-			return nil
+		p, err := g.placeOf(t.Name, st.Blocking)
+		if err != nil {
+			return err
 		}
-		// Function return value assignment: name = expr with name == fn.
-		if g.inFunc && g.retVar != nil && t.Name == g.unit.Name[strings.LastIndex(g.unit.Name, "_")+1:] {
-			g.b.St(g.retVar, g.coerce(rhs, g.retW))
-			return nil
-		}
-		ni := g.sc.nets[t.Name]
-		if ni == nil {
-			return g.errf("assignment to unknown name %q", t.Name)
-		}
-		v := g.coerce(rhs, ni.width)
-		if st.Blocking && g.shadows[t.Name] != nil {
-			g.b.St(g.shadows[t.Name], v)
-			return nil
-		}
-		return g.drive(t.Name, v, delay)
+		g.store(p, g.coerce(rhs, p.width), delay)
+		return nil
 
 	case *Index:
 		id, ok := t.X.(*Ident)
@@ -810,42 +734,16 @@ func (g *procGen) assign(st *AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		// Array element (module-owned or local).
-		if slot, isArr := g.arrays[id.Name]; isArr {
-			ni := g.sc.nets[id.Name]
-			return g.storeArrayElem(slot, idx, g.coerce(rhs, ni.width))
-		}
-		if lv, ok := g.locals[id.Name]; ok && lv.isArray {
-			return g.storeArrayElem(lv.slot, idx, g.coerce(rhs, lv.width))
-		}
-		// Bit of a local variable: read-modify-write.
-		if lv, ok := g.locals[id.Name]; ok {
-			cur := g.b.Ld(lv.slot)
-			bit := g.coerce(rhs, 1)
-			upd := &ir.Inst{Op: ir.OpInsF, Ty: cur.Type(), Args: []ir.Value{cur, bit, g.coerce(idx, 32)}}
-			g.append(upd)
-			g.b.St(lv.slot, upd)
+		if slot, w, ok := g.arrayOf(id.Name); ok {
+			g.storeArrayElem(slot, idx, g.coerce(rhs, w))
 			return nil
 		}
-		// Bit of a net.
-		ni := g.sc.nets[id.Name]
-		if ni == nil {
-			return g.errf("assignment to unknown name %q", id.Name)
+		p, err := g.placeOf(id.Name, st.Blocking)
+		if err != nil {
+			return err
 		}
-		bit := g.coerce(rhs, 1)
-		if st.Blocking && g.shadows[id.Name] != nil {
-			sh := g.shadows[id.Name]
-			cur := g.b.Ld(sh)
-			upd := &ir.Inst{Op: ir.OpInsF, Ty: cur.Type(), Args: []ir.Value{cur, bit, g.coerce(idx, 32)}}
-			g.append(upd)
-			g.b.St(sh, upd)
-			return nil
-		}
-		// Nonblocking bit write: read-modify-write the whole net.
-		cur := g.readNet(id.Name)
-		upd := &ir.Inst{Op: ir.OpInsF, Ty: cur.Type(), Args: []ir.Value{cur, bit, g.coerce(idx, 32)}}
-		g.append(upd)
-		return g.drive(id.Name, upd, delay)
+		g.splice(p, idx, rhs, 1, delay)
+		return nil
 
 	case *Slice:
 		id, ok := t.X.(*Ident)
@@ -853,7 +751,24 @@ func (g *procGen) assign(st *AssignStmt) error {
 			return g.errf("unsupported assignment target")
 		}
 		if t.Up {
-			return g.assignUpSlice(st, t, id, rhs, delay)
+			wamt, err := g.c.constEval(t.Lsb, g.sc)
+			if err != nil {
+				return g.errf("indexed part select width must be constant: %v", err)
+			}
+			w := int(wamt)
+			p, err := g.placeOf(id.Name, st.Blocking)
+			if err != nil {
+				return err
+			}
+			if w <= 0 || w > p.width {
+				return g.errf("indexed part select width %d out of range", w)
+			}
+			idx, err := g.expr(t.Msb)
+			if err != nil {
+				return err
+			}
+			g.splice(p, idx, rhs, w, delay)
+			return nil
 		}
 		msb, err := g.c.constEval(t.Msb, g.sc)
 		if err != nil {
@@ -868,147 +783,129 @@ func (g *procGen) assign(st *AssignStmt) error {
 		}
 		w := int(msb-lsb) + 1
 		part := g.coerce(rhs, w)
-		if lv, ok := g.locals[id.Name]; ok {
-			cur := g.b.Ld(lv.slot)
-			upd := g.b.InsS(cur, part, int(lsb), w)
-			g.b.St(lv.slot, upd)
-			return nil
+		p, err := g.placeOf(id.Name, st.Blocking)
+		if err != nil {
+			return err
 		}
-		ni := g.sc.nets[id.Name]
-		if ni == nil {
-			return g.errf("assignment to unknown name %q", id.Name)
-		}
-		if st.Blocking && g.shadows[id.Name] != nil {
-			sh := g.shadows[id.Name]
-			upd := g.b.InsS(g.b.Ld(sh), part, int(lsb), w)
-			g.b.St(sh, upd)
-			return nil
-		}
-		cur := g.readNet(id.Name)
-		upd := g.b.InsS(cur, part, int(lsb), w)
-		return g.drive(id.Name, upd, delay)
+		g.store(p, g.b.InsS(g.load(p), part, int(lsb), w), delay)
+		return nil
 
 	case *Concat:
 		// {a, b} = expr: split MSB-first.
 		total := 0
-		type piece struct {
-			name string
-			w    int
-		}
-		var pieces []piece
+		var places []place
 		for _, p := range t.Parts {
 			id, ok := p.(*Ident)
 			if !ok {
 				return g.errf("concat assignment parts must be plain nets")
 			}
-			w, err := g.nameWidth(id.Name)
+			pl, err := g.placeOf(id.Name, st.Blocking)
 			if err != nil {
 				return err
 			}
-			pieces = append(pieces, piece{id.Name, w})
-			total += w
+			places = append(places, pl)
+			total += pl.width
 		}
 		whole := g.coerce(rhs, total)
 		off := total
-		for _, pc := range pieces {
-			off -= pc.w
-			part := &ir.Inst{Op: ir.OpExtS, Ty: ir.IntType(pc.w), Args: []ir.Value{whole}, Imm0: off, Imm1: pc.w}
+		for _, pl := range places {
+			off -= pl.width
+			part := &ir.Inst{Op: ir.OpExtS, Ty: ir.IntType(pl.width), Args: []ir.Value{whole}, Imm0: off, Imm1: pl.width}
 			g.append(part)
-			if lv, ok := g.locals[pc.name]; ok {
-				g.b.St(lv.slot, part)
-				continue
-			}
-			if st.Blocking && g.shadows[pc.name] != nil {
-				g.b.St(g.shadows[pc.name], part)
-				continue
-			}
-			if err := g.drive(pc.name, part, delay); err != nil {
-				return err
-			}
+			g.store(pl, part, delay)
 		}
 		return nil
 	}
 	return g.errf("unsupported assignment target %T", st.Target)
 }
 
-// assignUpSlice lowers "x[base +: w] = rhs": a read-modify-write that
-// clears the w-bit field at the dynamic base index and ors the new value
-// in. Fields shifted past the top of the vector are silently truncated,
-// matching the read form.
-func (g *procGen) assignUpSlice(st *AssignStmt, t *Slice, id *Ident, rhs cv, delay ir.Value) error {
-	wamt, err := g.c.constEval(t.Lsb, g.sc)
-	if err != nil {
-		return g.errf("indexed part select width must be constant: %v", err)
-	}
-	w := int(wamt)
-	tw, err := g.nameWidth(id.Name)
-	if err != nil {
-		return err
-	}
-	if w <= 0 || w > tw {
-		return g.errf("indexed part select width %d out of range", w)
-	}
-	idx, err := g.expr(t.Msb)
-	if err != nil {
-		return err
-	}
+// splice writes rhs into the w-bit field of p at the dynamic bit offset
+// idx (x[idx] and x[idx +: w]): a read-modify-write that clears the field
+// and ors the new value in. Bits shifted past the top of the vector are
+// dropped, as on a read.
+func (g *procGen) splice(p place, idx, rhs cv, w int, delay ir.Value) {
 	// All operands at the target width; the shift amount saturates via
 	// the IR's shift semantics (shifted-out bits vanish).
-	sh := g.coerce(idx, tw)
-	field := g.coerce(cv{v: g.coerce(rhs, w), width: w}, tw) // zero-extended
-	maskC := g.b.ConstInt(ir.IntType(tw), ir.MaskWidth(^uint64(0), w))
-	update := func(cur ir.Value) ir.Value {
-		cleared := g.b.And(cur, g.b.Not(g.b.Shl(maskC, sh)))
-		return g.b.Or(cleared, g.b.Shl(field, sh))
-	}
-	if lv, ok := g.locals[id.Name]; ok {
-		g.b.St(lv.slot, update(g.b.Ld(lv.slot)))
-		return nil
-	}
-	if g.sc.nets[id.Name] == nil {
-		return g.errf("assignment to unknown name %q", id.Name)
-	}
-	if st.Blocking && g.shadows[id.Name] != nil {
-		sh := g.shadows[id.Name]
-		g.b.St(sh, update(g.b.Ld(sh)))
-		return nil
-	}
-	return g.drive(id.Name, update(g.readNet(id.Name)), delay)
+	sh := g.coerce(idx, p.width)
+	field := g.coerce(cv{v: g.coerce(rhs, w), width: w}, p.width) // zero-extended
+	maskC := g.b.ConstInt(ir.IntType(p.width), ir.MaskWidth(^uint64(0), w))
+	cleared := g.b.And(g.load(p), g.b.Not(g.b.Shl(maskC, sh)))
+	g.store(p, g.b.Or(cleared, g.b.Shl(field, sh)), delay)
 }
 
-// drive emits a drv onto a net with the given (possibly nil => delta)
-// delay.
-func (g *procGen) drive(name string, v ir.Value, delay ir.Value) error {
-	a, ok := g.args[name]
-	if !ok {
-		return g.errf("net %q is not writable here", name)
+// place is where an assignment target's name lives: a var slot (a local,
+// the function's own name among them, or a blocking shadow) or a net the
+// process drives.
+type place struct {
+	slot  *ir.Inst // nil for a driven net
+	net   string
+	width int
+}
+
+// placeOf resolves the name an assignment writes, whole or in part: a
+// local, else the net's shadow when the write is blocking and the net has
+// one, else a net of the process signature.
+func (g *procGen) placeOf(name string, blocking bool) (place, error) {
+	if lv, ok := g.locals[name]; ok {
+		if lv.isArray {
+			return place{}, g.errf("array %q used without an index", name)
+		}
+		return place{slot: lv.slot, width: lv.width}, nil
+	}
+	ni := g.sc.nets[name]
+	if ni == nil {
+		return place{}, g.errf("assignment to unknown name %q", name)
+	}
+	if sh := g.shadows[name]; blocking && sh != nil {
+		return place{slot: sh, width: ni.width}, nil
+	}
+	if _, ok := g.args[name]; !ok {
+		return place{}, g.errf("net %q is not writable here", name)
+	}
+	return place{net: name, width: ni.width}, nil
+}
+
+// load reads a place's current value.
+func (g *procGen) load(p place) ir.Value {
+	if p.slot != nil {
+		return g.b.Ld(p.slot)
+	}
+	return g.readNet(p.net)
+}
+
+// store writes v to a place; a net is driven after delay, a delta when
+// delay is nil.
+func (g *procGen) store(p place, v, delay ir.Value) {
+	if p.slot != nil {
+		g.b.St(p.slot, v)
+		return
 	}
 	if delay == nil {
 		delay = g.b.ConstTime(ir.Time{})
 	}
-	g.b.Drv(a, v, delay, nil)
-	return nil
+	g.b.Drv(g.args[p.net], v, delay, nil)
 }
 
-func (g *procGen) storeArrayElem(slot *ir.Inst, idx cv, v ir.Value) error {
+// arrayOf resolves an unpacked array name: one the process owns, else a
+// local array.
+func (g *procGen) arrayOf(name string) (slot *ir.Inst, width int, ok bool) {
+	if slot := g.arrays[name]; slot != nil {
+		return slot, g.sc.nets[name].width, true
+	}
+	if lv := g.locals[name]; lv != nil && lv.isArray {
+		return lv.slot, lv.width, true
+	}
+	return nil, 0, false
+}
+
+func (g *procGen) storeArrayElem(slot *ir.Inst, idx cv, v ir.Value) {
 	cur := g.b.Ld(slot)
 	upd := &ir.Inst{Op: ir.OpInsF, Ty: cur.Type(), Args: []ir.Value{cur, v, g.coerce(idx, 32)}}
 	g.append(upd)
 	g.b.St(slot, upd)
-	return nil
 }
 
 // append inserts a hand-built instruction at the current position.
 func (g *procGen) append(in *ir.Inst) {
 	g.b.Block().Append(in)
-}
-
-func (g *procGen) nameWidth(name string) (int, error) {
-	if lv, ok := g.locals[name]; ok {
-		return lv.width, nil
-	}
-	if ni := g.sc.nets[name]; ni != nil {
-		return ni.width, nil
-	}
-	return 0, g.errf("unknown name %q", name)
 }

@@ -176,6 +176,50 @@ func @f (i32 %a) i32 {
 	}
 }
 
+// TestInlineTwoReturnSites inlines a callee with two rets: the call's
+// value becomes a phi over both, placed at the top of the continuation.
+func TestInlineTwoReturnSites(t *testing.T) {
+	src := `
+func @max (i32 %x, i32 %y) i32 {
+ entry:
+  %lt = ult i32 %x, %y
+  br %lt, %left, %right
+ left:
+  ret i32 %x
+ right:
+  ret i32 %y
+}
+func @f (i32 %a) i32 {
+ entry:
+  %k = const i32 9
+  %m = call i32 @max (i32 %a, i32 %k)
+  %e = add i32 %m, %a
+  ret i32 %e
+}
+`
+	m := assembly.MustParse("m", src)
+	mustRun(t, Inline(), m)
+	f := m.Unit("f")
+	if err := ir.VerifyUnit(f, ir.Behavioural); err != nil {
+		t.Fatalf("inlined function invalid: %v\n%s", err, assembly.StringUnit(f))
+	}
+	var phi *ir.Inst
+	f.ForEachInst(func(b *ir.Block, in *ir.Inst) {
+		switch in.Op {
+		case ir.OpCall:
+			t.Errorf("call left after inlining")
+		case ir.OpPhi:
+			phi = in
+			if b.Insts[0] != in {
+				t.Errorf("phi is not at the top of %s", b.ValueName())
+			}
+		}
+	})
+	if phi == nil || len(phi.Args) != 2 {
+		t.Fatalf("want one phi over two return sites:\n%s", assembly.StringUnit(f))
+	}
+}
+
 func TestInlineKeepsIntrinsics(t *testing.T) {
 	src := `
 proc @p (i1$ %s) -> () {

@@ -164,8 +164,6 @@
 package llhd
 
 import (
-	"io"
-
 	"llhd/internal/assembly"
 	"llhd/internal/bitcode"
 	"llhd/internal/ir"
@@ -198,11 +196,6 @@ func CompileSystemVerilog(name, src string) (*Module, error) {
 // ParseAssembly reads LLHD assembly text.
 func ParseAssembly(name, src string) (*Module, error) {
 	return frontend(langLLHD, name, src, false)
-}
-
-// PrintAssembly writes the module as LLHD assembly text.
-func PrintAssembly(w io.Writer, m *Module) error {
-	return assembly.Print(w, m)
 }
 
 // AssemblyString renders the module as LLHD assembly text.

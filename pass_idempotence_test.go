@@ -246,11 +246,12 @@ func TestLowerAllocRatchet(t *testing.T) {
 // time (14). The limit sits less than the smallest of these above the
 // reading, so taking back any one fails here; the lexer's byte classes
 // and operator dispatch and the parser's precedence switch save time, not
-// allocations, and cannot be held here. It reads 6 645 with go1.24 on
-// linux/amd64; other toolchains count maps and escapes differently and
-// are held below the 9.1 k alone.
+// allocations, and cannot be held here. It reads 6 630 with go1.24 on
+// linux/amd64 (6 645 before one walk summarized each process and the
+// blocking set became a sorted list); other toolchains count maps and
+// escapes differently and are held below the 9.1 k alone.
 func TestMooreCompileAllocRatchet(t *testing.T) {
-	limit := 6655.0
+	limit := 6640.0
 	if !strings.HasPrefix(runtime.Version(), "go1.24") {
 		limit = 9000
 	}
