@@ -153,6 +153,13 @@ const (
 	// Regs[src] for each pair in turn.
 	opMoves
 
+	// Compares of two operands of one integer type (rule 12 of plan.go):
+	// the payloads alone, since a zero-extension read through leaves an
+	// operand register narrower than its type.
+	opEqI   // Dst = Regs[A].Bits == Regs[B].Bits
+	opNeqI  // Dst = Regs[A].Bits != Regs[B].Bits
+	opBrEqI // pc = Regs[A].Bits == Regs[B].Bits ? C : Dst
+
 	numOps
 )
 
@@ -166,7 +173,7 @@ var opWritesDst = [numOps]bool{
 	opAdd: true, opSub: true, opMul: true, opAnd: true, opOr: true, opXor: true,
 	opShl: true, opShr: true, opAshr: true, opNot: true, opNeg: true,
 	opEq: true, opNeq: true, opUlt: true, opUgt: true, opUle: true, opUge: true,
-	opSlt: true, opSgt: true, opSle: true, opSge: true,
+	opSlt: true, opSgt: true, opSle: true, opSge: true, opEqI: true, opNeqI: true,
 	opExtSInt: true, opInsSInt: true, opInsSCat: true, opInsSRep: true, opEvalBin: true, opEvalUn: true,
 	opMux: true, opExtF: true, opExtFDyn: true, opExtS: true,
 	opInsF: true, opInsFDyn: true, opInsS: true, opAgg: true,

@@ -68,6 +68,9 @@ var opNames = [numOps]string{
 	opBrUlt:   "br.ult",
 	opInsSRep: "inss.rep",
 	opMoves:   "moves",
+	opEqI:     "eq.i",
+	opNeqI:    "neq.i",
+	opBrEqI:   "br.eq.i",
 }
 
 // String returns the opcode mnemonic.
@@ -131,7 +134,7 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("r%d, r%d, r%d, i%d", i.Dst, i.A, i.B, i.C)
 	case opNot, opNeg:
 		return head + fmt.Sprintf("r%d, r%d, i%d", i.Dst, i.A, i.C)
-	case opEq, opNeq, opUlt, opUgt, opUle, opUge:
+	case opEq, opNeq, opUlt, opUgt, opUle, opUge, opEqI, opNeqI:
 		return head + fmt.Sprintf("r%d, r%d, r%d", i.Dst, i.A, i.B)
 	case opSlt, opSgt, opSle, opSge:
 		return head + fmt.Sprintf("r%d, r%d, r%d, i%d", i.Dst, i.A, i.B, i.C)
@@ -198,7 +201,7 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("@%04d", i.A)
 	case opBranch:
 		return head + fmt.Sprintf("r%d, @%04d, @%04d", i.A, i.B, i.C)
-	case opBrEq, opBrUlt:
+	case opBrEq, opBrUlt, opBrEqI:
 		return head + fmt.Sprintf("r%d, r%d, @%04d, @%04d", i.A, i.B, i.Dst, i.C)
 	case opMoves:
 		var parts []string

@@ -196,6 +196,10 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			} else {
 				storeBool(&regs[i.Dst], !a.Eq(*b))
 			}
+		case opEqI:
+			storeBool(&regs[i.Dst], regs[i.A].Bits == regs[i.B].Bits)
+		case opNeqI:
+			storeBool(&regs[i.Dst], regs[i.A].Bits != regs[i.B].Bits)
 		case opUlt:
 			storeBool(&regs[i.Dst], regs[i.A].Bits < regs[i.B].Bits)
 		case opUgt:
@@ -370,6 +374,15 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				taken = a.Eq(*b)
 			}
 			if taken {
+				pc = int(i.C)
+			} else {
+				pc = int(i.Dst)
+			}
+		case opBrEqI:
+			if jumps++; jumps >= maxJumps {
+				return 0, errStepBudget
+			}
+			if regs[i.A].Bits == regs[i.B].Bits {
 				pc = int(i.C)
 			} else {
 				pc = int(i.Dst)

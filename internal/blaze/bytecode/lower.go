@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"llhd/internal/engine"
@@ -95,8 +96,13 @@ type lowerer struct {
 	pos  int32     // walk position counter
 	// Rule 9, nil in a unit without a prb: for a signal, its latest first
 	// probe in a block (the prb's value ID + 1); for a prb that reuses an
-	// earlier one, minus that.
-	probes []int32
+	// earlier one, minus that, and planProbes keeps in the others what it
+	// needs (>= 0). probesAcross: some signal has a first probe in two
+	// blocks, the second not one a wait resumes in (resumes, nil until
+	// asked).
+	probes       []int32
+	probesAcross bool
+	resumes      []*ir.Block
 	// Rule 5: every var, alloc, and ld or st of one the walk met, and the
 	// block the walk is in.
 	inits []initEvent
@@ -114,11 +120,17 @@ type lowerer struct {
 	schedAt              []int32
 	regOf                []int32
 
-	// While lowering a block: the block laid out after it, and the
+	// While lowering a block: the block laid out after it, the
 	// instruction just before the current one if all it lowered to is the
-	// last Instr of Code (nil otherwise, and at the head of a block).
-	next *ir.Block
-	tail *ir.Inst
+	// last Instr of Code (nil otherwise, and at the head of a block), and
+	// the one lowered just after the current one (nil: none).
+	next  *ir.Block
+	tail  *ir.Inst
+	after *ir.Inst
+	// Rule 12: the zero-extension that the instruction lowered next reads
+	// through (its value ID, -1 for none), and the register read instead.
+	throughID  int
+	throughReg int32
 }
 
 // fixup is a deferred jump-target patch: field f of the instruction at pc
@@ -164,6 +176,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		constKnown: make([]bool, n),
 		blockPC:    make(map[*ir.Block]int, len(inst.Unit.Blocks)),
 		uses:       make([]int32, n),
+		throughID:  -1,
 	}
 	for i := range lo.sigIdx {
 		lo.sigIdx[i] = -1
@@ -203,10 +216,28 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 	if len(lo.inits) > 0 {
 		lo.planInits()
 	}
-	if lo.unit.Kind != ir.UnitEntity && len(lo.unit.Blocks) > 1 && (lo.hasPhi || lo.condBr && lo.late) {
-		lo.planSSA()
+	needSSA := lo.unit.Kind != ir.UnitEntity && len(lo.unit.Blocks) > 1 && (lo.hasPhi || lo.condBr && lo.late)
+	if (needSSA || lo.probesAcross) && lo.terminated() {
+		dom := ir.NewDomTree(lo.unit)
+		if lo.probesAcross {
+			lo.planProbes(dom) // first: it adds uses rules 10 and 11 read
+		}
+		if needSSA {
+			lo.planSSA(dom)
+		}
 	}
 	return lo
+}
+
+// terminated reports whether every block of the unit ends in a
+// terminator; the analyses over the dominator tree cover no other unit.
+func (lo *lowerer) terminated() bool {
+	for _, b := range lo.unit.Blocks {
+		if b.Terminator() == nil {
+			return false
+		}
+	}
+	return true
 }
 
 func widthOf(ty *ir.Type) int {
@@ -218,12 +249,16 @@ func widthOf(ty *ir.Type) int {
 
 // reg returns the register index of v: its dense value ID, for a
 // forwarded load the ID of the var it reads, for a reused probe the
-// register of the probe it reuses, and for a coalesced value its web's
+// register of the probe it reuses, for a zero-extension read through the
+// register of what it extends, and for a coalesced value its web's
 // register.
 func (lo *lowerer) reg(v ir.Value) int32 {
 	id := ir.ValueID(v)
 	if id < 0 {
 		panic(fmt.Sprintf("bytecode: operand %s has no value ID in @%s", v, lo.unit.Name))
+	}
+	if id == lo.throughID {
+		return lo.throughReg
 	}
 	if r := lo.forwardedTo(id); r >= 0 {
 		return r
@@ -329,7 +364,7 @@ func (lo *lowerer) threadJumps() {
 	for pc := range code {
 		if i := &code[pc]; i.Op == opJump {
 			switch t := code[i.A]; t.Op {
-			case opBranch, opBrEq, opBrUlt:
+			case opBranch, opBrEq, opBrUlt, opBrEqI:
 				*i = t
 			}
 		}
@@ -355,7 +390,7 @@ func (lo *lowerer) compact() {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		switch i := code[pc]; i.Op {
-		case opJump, opSuspend, opBranch, opBrEq, opBrUlt:
+		case opJump, opSuspend, opBranch, opBrEq, opBrUlt, opBrEqI:
 			retarget(&i, reach)
 		case opHalt, opRet, opRetV, opUnreach, opBadCall:
 		default:
@@ -392,7 +427,7 @@ func retarget(i *Instr, f func(pc int32) int32) {
 		i.A = f(i.A)
 	case opBranch:
 		i.B, i.C = f(i.B), f(i.C)
-	case opBrEq, opBrUlt:
+	case opBrEq, opBrUlt, opBrEqI:
 		i.Dst, i.C = f(i.Dst), f(i.C)
 	}
 }
@@ -408,13 +443,21 @@ func threaded(code []Instr, pc int32) int32 {
 func (lo *lowerer) lowerBlock(k int, b *ir.Block) error {
 	start := int32(lo.blockPC[b])
 	lo.tail = nil
-	for _, in := range lo.blockInsts(k) {
+	insts := lo.blockInsts(k)
+	for j, in := range insts {
 		if in.Op.IsTerminator() {
 			return lo.lowerTerm(b, in)
+		}
+		lo.after = nil
+		if j+1 < len(insts) {
+			lo.after = insts[j+1]
 		}
 		n := len(lo.u.Code)
 		if err := lo.lowerStep(in); err != nil {
 			return err
+		}
+		if lo.throughID >= 0 && lo.throughID != ir.ValueID(in) {
+			lo.throughID = -1 // its one user is lowered
 		}
 		// A fused splice extends the last Instr and names itself the tail.
 		if len(lo.u.Code) == n+1 {
@@ -609,13 +652,15 @@ type fusedBranch struct {
 }
 
 var fusedBranches = [numOps]fusedBranch{
-	opEq:  {opBrEq, false, false},
-	opNeq: {opBrEq, false, true},
-	opUlt: {opBrUlt, false, false},
-	opUgt: {opBrUlt, true, false}, // a > b is b < a
-	opUge: {opBrUlt, false, true}, // a >= b is not a < b
-	opUle: {opBrUlt, true, true},  // a <= b is not b < a
-	opNot: {opBranch, false, true},
+	opEq:   {opBrEq, false, false},
+	opNeq:  {opBrEq, false, true},
+	opEqI:  {opBrEqI, false, false},
+	opNeqI: {opBrEqI, false, true},
+	opUlt:  {opBrUlt, false, false},
+	opUgt:  {opBrUlt, true, false}, // a > b is b < a
+	opUge:  {opBrUlt, false, true}, // a >= b is not a < b
+	opUle:  {opBrUlt, true, true},  // a <= b is not b < a
+	opNot:  {opBranch, false, true},
 }
 
 // condBranch emits the conditional branch on cond and returns its pc and
@@ -787,6 +832,9 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		if lo.skipFolded(in) {
 			return nil
 		}
+		if in.Args[0].Type().IsInt() && lo.readThrough(in) {
+			return nil // rule 12: its user reads what it extends
+		}
 		i := Instr{Op: opInsS, Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: lo.reg(in.Args[1])}
 		if in.Args[0].Type().IsInt() {
 			if lo.tail != nil && lo.tail == in.Args[0] && lo.singleUse(lo.tail) && lo.fuseSplice(in, i) {
@@ -870,6 +918,57 @@ func (lo *lowerer) fuseSplice(in *ir.Inst, i Instr) bool {
 	return true
 }
 
+// readThrough reports whether the integer inss in is a zero-extension
+// that rule 12 reads through — inss iN 0, %x, 0, w with w the width of
+// %x — and its one user is lowered next and reads no more of it than the
+// payload bits; if so, that user reads %x's register in its place.
+func (lo *lowerer) readThrough(in *ir.Inst) bool {
+	x, c := in.Args[1], ir.ValueID(in.Args[0])
+	if in.Imm0 != 0 || !x.Type().IsInt() || x.Type().Width != in.Imm1 || in.Imm1 > in.Args[0].Type().Width {
+		return false
+	}
+	if c < 0 || !lo.constKnown[c] || lo.u.ConstRegs[c].Kind != val.KindInt || lo.u.ConstRegs[c].Bits != 0 {
+		return false
+	}
+	if !lo.singleUse(in) || lo.after == nil || !readsPayload(lo.after, in) {
+		return false
+	}
+	lo.throughID, lo.throughReg = ir.ValueID(in), lo.reg(x)
+	return true
+}
+
+// readsPayload reports whether u, as lowered, reads its operand z as the
+// payload bits alone: the operands of the in-place integer arithmetic,
+// shifts and compares (eq and neq as eq.i and neq.i), of not and neg, of
+// an integer exts, the source of an integer inss (its target is a link
+// rule 4 may fuse), and the index of extf.d and insf.d. A compare fused
+// into its branch keeps the operands it read.
+func readsPayload(u *ir.Inst, z ir.Value) bool {
+	j := slices.Index(u.Args, z)
+	if j < 0 {
+		return false
+	}
+	switch u.Op {
+	case ir.OpNot, ir.OpNeg:
+		return u.Ty.IsInt() || u.Ty.IsEnum()
+	case ir.OpExtS:
+		return true // of an integer value: exts.i
+	case ir.OpInsS:
+		return j == 1 && u.Args[0].Type().IsInt()
+	case ir.OpExtF:
+		return j == 1 && !u.Ty.IsSignal()
+	case ir.OpInsF:
+		return j == 2
+	case ir.OpEq, ir.OpNeq:
+		return sameInt(u)
+	}
+	if int(u.Op) < len(intBinOps) && intBinOps[u.Op] != opNop {
+		ty := u.Args[0].Type()
+		return ty.IsInt() || ty.IsEnum()
+	}
+	return false
+}
+
 // replicateRuns rewrites every inss.cat that holds a replicate run — pieces
 // of one source and one width at consecutive offsets, what {k{x}} lowers
 // to — as an inss.rep (rule 8), when the run record is no longer than the
@@ -924,8 +1023,25 @@ var intBinOps = [...]Op{
 	ir.OpSlt: opSlt, ir.OpSgt: opSgt, ir.OpSle: opSle, ir.OpSge: opSge,
 }
 
+// sameInt reports whether the two operands of in have one integer type.
+// Types are interned, so that is one *ir.Type; a module that compares two
+// widths (it elaborates without a type check) keeps eq's width test.
+func sameInt(in *ir.Inst) bool {
+	ty := in.Args[0].Type()
+	return ty.IsInt() && in.Args[1].Type() == ty
+}
+
 func (lo *lowerer) lowerBinary(in *ir.Inst) error {
 	i := Instr{Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: lo.reg(in.Args[1])}
+	if (in.Op == ir.OpEq || in.Op == ir.OpNeq) && sameInt(in) {
+		// Payloads alone: the operands' widths are equal by type.
+		i.Op = opEqI
+		if in.Op == ir.OpNeq {
+			i.Op = opNeqI
+		}
+		lo.emit(i)
+		return nil
+	}
 	if ty := in.Args[0].Type(); ty.IsInt() || ty.IsEnum() {
 		if int(in.Op) < len(intBinOps) && intBinOps[in.Op] != opNop {
 			i.Op = intBinOps[in.Op]

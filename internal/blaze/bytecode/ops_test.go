@@ -52,7 +52,7 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 	noDst := map[Op]bool{
 		opDrv: true, opDrvCond: true, opDel: true, opReg: true,
 		opAssert: true, opDisplay: true, opBadCall: true,
-		opJump: true, opBranch: true, opBrEq: true, opBrUlt: true, opMoves: true, opWaitArm: true, opSuspend: true,
+		opJump: true, opBranch: true, opBrEq: true, opBrUlt: true, opBrEqI: true, opMoves: true, opWaitArm: true, opSuspend: true,
 		opHalt: true, opRet: true, opRetV: true, opUnreach: true,
 		opRetired: true,
 	}
@@ -85,6 +85,14 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(5)}},
 			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, lv("01"), lv("0X")}},
 			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, pair, pair}},
+		},
+		opEqI: {
+			{ins: Instr{Op: opEqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(4)}},
+			{ins: Instr{Op: opEqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, val.Int(3, 4), i8(4)}},
+		},
+		opNeqI: {
+			{ins: Instr{Op: opNeqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(5)}},
+			{ins: Instr{Op: opNeqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, val.Int(3, 4), i8(4)}},
 		},
 		opExtSInt: {{ins: Instr{Op: opExtSInt, A: 1, B: 2, C: 4}, regs: "A", vals: [4]val.Value{none, i8(0xb5)}}},
 		opInsSInt: {{ins: Instr{Op: opInsSInt, A: 1, B: 2, C: 0}, regs: "AB", aux: []int32{2, 3, 8},

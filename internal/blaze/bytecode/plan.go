@@ -1,11 +1,15 @@
 package bytecode
 
-import "llhd/internal/ir"
+import (
+	"slices"
+
+	"llhd/internal/ir"
+)
 
 // # The forwarding plan
 //
 // Lowering forwards values instead of transcribing the IR one instruction
-// at a time. Eleven rewrites, each with the condition that makes it sound;
+// at a time. Twelve rewrites, each with the condition that makes it sound;
 // the reference they are diffed against is the interpreter, so there is no
 // way to switch any of them off.
 //
@@ -72,17 +76,23 @@ import "llhd/internal/ir"
 //     run record overwrites the piece record where it is no longer.
 //     Merging adjacent pieces that do not overlap one another cannot
 //     change what a later piece overwrites.
-//  9. One probe per signal and block. A prb of a signal value that an
-//     earlier prb of the same block probed emits nothing, and its users
-//     read the earlier probe's register. A signal only changes between
-//     deltas: a drive lands in a later delta at the earliest, and wait,
-//     which ends an activation, is a terminator, so a block runs from its
-//     head to its terminator within one activation. Whenever the block
-//     runs, both probes read the same value, and the earlier one writes
-//     its register first, so that register holds what the later one would
-//     have written wherever the later one's users read it. The earlier
-//     probe must keep its register: each reuse counts as a use of it, so
-//     that rule 2 does not redirect it into a var's register.
+//  9. One probe per signal and temporal region. A prb of a signal value
+//     that an earlier prb of the same block probed emits nothing, and its
+//     users read the earlier probe's register; so does a block's first prb
+//     of it when the nearest block dominating it that probes the signal
+//     lies in its temporal region (§4.3.1, ir.TemporalRegions), whose
+//     probe it then reads. A signal only changes between deltas: a drive
+//     lands in a later delta at the earliest, and only a wait, a
+//     terminator, ends an activation. A block runs from its head to its
+//     terminator within one activation, and no path from a block to one
+//     of its region that it dominates crosses a wait without passing the
+//     first block again. So whenever the later probe runs, the earlier
+//     one ran last in the same activation, read the same value and wrote
+//     its register first. That register must hold it for as long as a
+//     reuse's users read it: each reuse counts as a use of the earlier
+//     probe, so that rule 2 does not redirect it into a var's register,
+//     and rule 11 counts the earlier probe live wherever a reuse is read,
+//     so that no web writes its register in between.
 // 10. Late placement. An instruction that lowers to one in-place integer
 //     Instr, which cannot fail (integer binary ops but division and
 //     modulo, compares, not and neg, exts and inss on integer values;
@@ -126,6 +136,21 @@ import "llhd/internal/ir"
 //     forwarded loads, reused probes and signals join no web: their
 //     registers are the template's, the var's, or another value's. A phi
 //     nobody reads gets no moves.
+// 12. Zero-extensions read through. An integer inss iN %c, %x, 0, w with
+//     %c a constant 0 and w the width of %x, no wider than N, emits
+//     nothing when its only use is the instruction lowered right after it
+//     (after rule 10's placements) and that instruction reads no more of
+//     it than the payload bits (readsPayload): the operands of the
+//     in-place integer arithmetic, shifts and compares, of not and neg,
+//     of an integer exts, the source of an integer inss, the index of
+//     extf.d and insf.d; that instruction reads %x's register instead.
+//     The two payloads are equal, and nothing runs in between. eq and neq
+//     read widths too, so they read a zero-extension through only as
+//     eq.i and neq.i, which compare payloads and are what eq and neq of
+//     two operands of one integer type lower to; a compare fused into its
+//     branch (rule 6) keeps the operands it read, so br.eq.i reads %x
+//     too. A link of a splice chain rule 4 fuses stays one: read through,
+//     it would save no dispatch.
 //
 // Edge moves. The phis of a block are one parallel copy on each edge into
 // it. Lowering leaves out every move of a register onto itself and of a
@@ -140,7 +165,8 @@ import "llhd/internal/ir"
 // "Register file = value ID" stands, but for rule 11: a web's members
 // read and write the register of its representative, one of them. A
 // forwarded load's register, a coalesced value's, a fused link's, a fused
-// compare's and a reused probe's simply go unwritten, a var without
+// compare's, a reused probe's and a zero-extension's read through simply
+// go unwritten, a var without
 // initialisation starts out unwritten, and nothing but reg maps a value
 // to a register. The one register without a value is the scratch
 // register, in a unit whose edge moves hold a cycle.
@@ -158,7 +184,11 @@ import "llhd/internal/ir"
 // process or function of more than one block in which the walk saw one
 // of them can fire: a phi for rule 11; for rule 10, a conditional br and
 // a sinkable instruction read in another block or by a br it is not
-// right before. A unit without either allocates nothing for them.
+// right before. Rule 9 plans across blocks (planProbes) over the same
+// tree and the temporal regions built from it, first, and only when the
+// walk saw a signal probed first in two blocks, the second one that no
+// wait resumes in. A unit without any of these allocates nothing for
+// them. Rule 12 is decided as the inss is lowered.
 
 // memPlan is the plan entry of a value that takes part in rules 1, 2
 // and 5.
@@ -315,7 +345,10 @@ func (lo *lowerer) forwardedTo(id int) int32 {
 }
 
 // planProbe records a prb for rule 9: the first probe of its signal in
-// the block, or a reuse of that one, which then counts as a use of it.
+// the block, or a reuse of that one, which then counts as a use of it. A
+// signal's first probe in a second block marks the unit for planProbes,
+// unless a wait resumes in that block: a block that starts a temporal
+// region reuses no probe of another.
 func (lo *lowerer) planProbe(in *ir.Inst) {
 	sig, id := ir.ValueID(in.Args[0]), ir.ValueID(in)
 	if sig < 0 {
@@ -324,21 +357,87 @@ func (lo *lowerer) planProbe(in *ir.Inst) {
 	if lo.probes == nil {
 		lo.probes = make([]int32, lo.num.Len())
 	}
-	if f := lo.probes[sig]; f > 0 && lo.num.Value(int(f-1)).(*ir.Inst).Block() == in.Block() {
-		lo.probes[id] = -f
-		lo.uses[f-1]++
-		return
+	if f := lo.probes[sig]; f > 0 {
+		if lo.num.Value(int(f-1)).(*ir.Inst).Block() == in.Block() {
+			lo.probes[id] = -f
+			lo.uses[f-1]++
+			return
+		}
+		lo.probesAcross = lo.probesAcross || !lo.resumesIn(in.Block())
 	}
 	lo.probes[sig] = int32(id) + 1
 }
 
+// resumesIn reports whether a wait of the unit resumes in block b. The
+// wait targets are collected the first time it is asked.
+func (lo *lowerer) resumesIn(b *ir.Block) bool {
+	if lo.resumes == nil {
+		lo.resumes = []*ir.Block{}
+		for _, x := range lo.unit.Blocks {
+			if t := x.Terminator(); t != nil && t.Op == ir.OpWait {
+				lo.resumes = append(lo.resumes, t.Dests...)
+			}
+		}
+	}
+	return slices.Contains(lo.resumes, b)
+}
+
+// planProbes widens rule 9 from the block to the temporal region: a
+// block's first probe of a signal reuses the nearest probe of it in a
+// dominating block of the same region. It walks the dominator tree in
+// preorder, keeping in probes, per signal, the probe the block at hand
+// may reuse and, per probe it emits, the one that probe hid; a probe
+// whose block does not dominate the one at hand has had its subtree
+// walked, and goes. The regions are computed when the first such probe
+// turns up.
+func (lo *lowerer) planProbes(dom *ir.DomTree) {
+	var trs *ir.TRMap
+	probes := lo.probes
+	for i, f := range probes {
+		if f > 0 {
+			probes[i] = 0 // the walk's entries by signal start over
+		}
+	}
+	blockOf := func(f int32) int { return dom.Index(lo.num.Value(int(f - 1)).(*ir.Inst).Block()) }
+	for _, d := range dom.Preorder() {
+		for _, in := range dom.Block(int(d)).Insts {
+			if in.Op != ir.OpPrb {
+				continue
+			}
+			sig, id := ir.ValueID(in.Args[0]), ir.ValueID(in)
+			if sig < 0 || probes[id] < 0 {
+				continue
+			}
+			f := probes[sig]
+			for f > 0 && !dom.DominatesIndex(blockOf(f), int(d)) {
+				f = probes[f-1]
+			}
+			if f > 0 && trs == nil {
+				trs = ir.TemporalRegions(dom)
+			}
+			if f > 0 && trs.OfIndex(blockOf(f)) == trs.OfIndex(int(d)) {
+				probes[id] = -f
+				lo.uses[f-1]++
+				probes[sig] = f
+				continue
+			}
+			probes[id] = f // the probe it hides, >= 0: not a reuse
+			probes[sig] = int32(id) + 1
+		}
+	}
+}
+
 // reusedProbe returns the register a reused probe's users read in its
-// place (rule 9): the earlier probe's, -1 for everything else.
+// place (rule 9): the probe it reuses, through a first probe of its block
+// that reuses one in turn; -1 for everything else.
 func (lo *lowerer) reusedProbe(id int) int32 {
 	if lo.probes == nil || lo.probes[id] >= 0 {
 		return -1
 	}
-	return -lo.probes[id] - 1
+	for lo.probes[id] < 0 {
+		id = int(-lo.probes[id] - 1)
+	}
+	return int32(id)
 }
 
 // initEvent is what rule 5 looks at of an instruction the walk met: a var
@@ -509,16 +608,11 @@ const (
 // one block in which the walk saw that one of them can fire: rule 11
 // where there is a phi, rule 10 where there is a conditional br (without
 // one, every block runs as often as the blocks dominating it) and an
-// instruction it may move away from its user. It plans neither for a
-// unit its analyses do not cover: a block without a terminator, or a use
-// that its definition does not dominate.
-func (lo *lowerer) planSSA() {
-	for _, b := range lo.unit.Blocks {
-		if b.Terminator() == nil {
-			return
-		}
-	}
-	s := &ssa{lo: lo, dom: ir.NewDomTree(lo.unit)}
+// instruction it may move away from its user. Its caller asks only where
+// every block ends in a terminator; it plans neither where a use is not
+// dominated by its definition.
+func (lo *lowerer) planSSA(dom *ir.DomTree) {
+	s := &ssa{lo: lo, dom: dom}
 	s.nreach = int32(s.dom.NumReachable())
 	if !s.flatten() || !s.strict() {
 		return

@@ -103,12 +103,15 @@ func TestRewritesHoldBack(t *testing.T) {
 		{"blaze_init_seen_on_one_path.llhd", opClone, 1, "%slot: the skipping arm reaches the load without a store", false},
 		{"blaze_init_seen_on_loop_entry.llhd", opClone, 1, "%acc: the entry edge reaches the loop head's load without a store", false},
 		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters", false},
-		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch", false},
+		{"blaze_branch_compare_before_store.llhd", opEqI, 1, "%same: a store to the var it reads stands between it and the branch", false},
 		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run", false},
 		{"blaze_phi_swap.llhd", opMoves, 2, "entry -> head, and body -> head, which swaps %a and %b", false},
 		{"blaze_phi_chain.llhd", opMoves, 2, "entry -> head, and body -> head, where %a reads the %b that %b <- %c writes", false},
 		{"blaze_probe_across_wait.llhd", opPrb, 2, "%after: the wait between it and %before ends the activation", false},
 		{"blaze_probe_stored.llhd", opMove, 2, "st of %a, whose register %b reads (and the st of %kn, read twice)", false},
+		{"blaze_probe_loop_wait.llhd", opPrb, 2, "%again: the loop's back edge waits between it and %first", false},
+		{"blaze_probe_loop_store.llhd", opMove, 1, "st of %g0, whose register %g1 reads in the loop", false},
+		{"blaze_zext_users.llhd", opInsSInt, 5, "%zd, %zp, %zc, %zn and %zt: driven, a phi's, a call's, not read next, read twice", false},
 		{"blaze_sink_div.llhd", opEvalBin, 1, "%d: a udiv, which may fail, stays ahead of the branch", true},
 		{"blaze_sink_loop.llhd", opMul, 1, "%y: read in the loop's body, computed before the loop", true},
 		{"blaze_coalesce_lost_copy.llhd", opMoves, 1, "entry -> join moves %a into %m: %a is read after the join", false},
@@ -147,7 +150,7 @@ func TestRewritesHoldBack(t *testing.T) {
 func firstTransfer(u *Unit) int {
 	for pc, i := range u.Code {
 		switch i.Op {
-		case opJump, opBranch, opBrEq, opBrUlt, opSuspend, opHalt, opRet, opRetV:
+		case opJump, opBranch, opBrEq, opBrUlt, opBrEqI, opSuspend, opHalt, opRet, opRetV:
 			return pc
 		}
 	}
@@ -171,7 +174,7 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 	}
 }
 
-// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-11
+// TestRewritesFire is TestRewritesHoldBack's other half for rules 5-12
 // and the edge moves: the corpus entry branch_on_compare.llhd, built so
 // that each of rules 5-8 may fire, lowers with every compare and the i1
 // not inside its branch, no jump left that lands on a branch, the one var
@@ -187,15 +190,17 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 // edge moves nothing onto it; in blaze_coalesce_lost_copy.llhd, %b is
 // placed in the arm that reads it (rule 10) and shares %m's register; in
 // blaze_br_next_with_phi.llhd, the entry edge falls through after its
-// moves and %inext shares %i's register.
+// moves and %inext shares %i's register; in blaze_probe_loop_store.llhd,
+// the loop body reuses the probes ahead of the loop (rule 9); in
+// blaze_zext_users.llhd, @q reads every zero-extension through (rule 12).
 func TestRewritesFire(t *testing.T) {
 	u := lowerDesign(t, "branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))["p"]
 	for _, c := range []struct {
 		op   Op
 		want int
 	}{
-		{opEq, 0}, {opNeq, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
-		{opBrEq, 2}, {opBrUlt, 5}, {opBranch, 1},
+		{opEq, 0}, {opNeq, 0}, {opEqI, 0}, {opNeqI, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
+		{opBrEq, 0}, {opBrEqI, 2}, {opBrUlt, 5}, {opBranch, 1},
 		{opClone, 1}, {opInsSRep, 1}, {opInsSCat, 0}, {opInsSInt, 0},
 	} {
 		if got := countOps(u, c.op); got != c.want {
@@ -223,7 +228,7 @@ func TestRewritesFire(t *testing.T) {
 			u = lu
 		}
 	}
-	for _, op := range []Op{opEq, opNeq, opUlt, opUgt, opUle, opUge, opNot, opJump} {
+	for _, op := range []Op{opEq, opNeq, opEqI, opNeqI, opUlt, opUgt, opUle, opUge, opNot, opJump} {
 		if got := countOps(u, op); got != 0 {
 			t.Errorf("lowered @p holds %d %s, want none", got, op)
 		}
@@ -250,6 +255,27 @@ func TestRewritesFire(t *testing.T) {
 	}
 	if u := lowerDesign(t, "br_next", corpusEntry(t, "blaze_br_next_with_phi.llhd"))["p"]; countOps(u, opJump) != 0 || countCopies(u) != 1 {
 		t.Errorf("blaze_br_next_with_phi: want no jump and one copy, %%one into %%i\n%s", Disasm(u))
+	}
+	// %g1 and %h1 reuse %g0's and %h0's probes in the loop; the entry
+	// edge copies %h0 into %w and the constant into %k.
+	if u := lowerDesign(t, "loop_store", corpusEntry(t, "blaze_probe_loop_store.llhd"))["p"]; countOps(u, opPrb) != 2 || countCopies(u) != 2 {
+		t.Errorf("blaze_probe_loop_store: want two prb and two copies\n%s", Disasm(u))
+	}
+	// Every zero-extension of @q is read through (rule 12): the inss.i
+	// left are %u13, which reads one as its source, and %a12.
+	u = lowerDesign(t, "zext_users", corpusEntry(t, "blaze_zext_users.llhd"))["q"]
+	for _, c := range []struct {
+		op   Op
+		want int
+	}{
+		{opInsSInt, 2}, {opEq, 0}, {opNeq, 0}, {opEqI, 1}, {opNeqI, 1}, {opBrEq, 0}, {opBrEqI, 1}, {opBrUlt, 1},
+	} {
+		if got := countOps(u, c.op); got != c.want {
+			t.Errorf("blaze_zext_users: @q holds %d %s, want %d", got, c.op, c.want)
+		}
+	}
+	if t.Failed() {
+		t.Log("\n" + Disasm(u))
 	}
 }
 

@@ -133,9 +133,15 @@ func inject(whole, part val.Value, path []Proj) (val.Value, error) {
 func (e *Engine) Probe(r SigRef) val.Value {
 	if len(r.Path) == 0 {
 		// Whole-signal reads skip the projection walk (and its copies);
-		// this is the hot shape — scalar probes in process bodies.
+		// this is the hot shape — scalar probes in process bodies — and
+		// the one Probe inlines with.
 		return r.Sig.value
 	}
+	return e.probePath(r)
+}
+
+// probePath reads a signal part through its projection path.
+func (e *Engine) probePath(r SigRef) val.Value {
 	v, err := project(r.Sig.value, r.Path)
 	if err != nil {
 		e.SetError(fmt.Errorf("probe %s: %w", r.Sig.Name, err))

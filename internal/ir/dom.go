@@ -47,7 +47,11 @@ func NewDomTree(u *Unit) *DomTree {
 		return out
 	}
 	succStart := make([]int32, n+1)
-	var succList []int32
+	edges := 0
+	for _, b := range u.Blocks {
+		edges += len(b.Succs())
+	}
+	succList := make([]int32, 0, edges)
 	for pos, b := range u.Blocks {
 		for _, s := range b.Succs() {
 			if sp, ok := t.layout[s]; ok {
@@ -68,7 +72,8 @@ func NewDomTree(u *Unit) *DomTree {
 	type frame struct{ pos, next int32 }
 	visited := make([]bool, n)
 	visited[0] = true
-	stack := []frame{{pos: 0, next: succStart[0]}}
+	stack := make([]frame, 1, n)
+	stack[0] = frame{pos: 0, next: succStart[0]}
 	order := make([]int32, 0, n) // layout positions: postorder, then reversed
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]

@@ -230,14 +230,14 @@ func (c *compiler) elaborate(m *Module, overrides map[string]uint64) (string, er
 			fname := uname + "_" + fn.Name
 			sc.funcs[fn.Name] = fname
 			if err := c.declareFunction(fn, fname, sc); err != nil {
-				return "", err
+				return "", fmt.Errorf("moore: %s: %w", m.Name, err)
 			}
 		}
 	}
 	for _, item := range m.Items {
 		if fn, ok := item.(*FuncDecl); ok {
 			if err := c.genFunction(fn, c.out.Unit(sc.funcs[fn.Name]), sc); err != nil {
-				return "", err
+				return "", fmt.Errorf("moore: %s: %w", m.Name, err)
 			}
 		}
 	}

@@ -638,7 +638,8 @@ module t;
   end
 endmodule
 `)
-	if err == nil || !strings.Contains(err.Error(), `net "add" is not writable here`) {
-		t.Fatalf("Compile = %v, want the write to add rejected", err)
+	// Named like a process's errors: the module, then the unit.
+	if want := `moore: t: t_do_add: net "add" is not writable here`; err == nil || err.Error() != want {
+		t.Fatalf("Compile = %v, want %q", err, want)
 	}
 }

@@ -26,7 +26,7 @@ func deseqUnit(u *ir.Unit) (bool, error) {
 	if len(u.Blocks) != 2 {
 		return false, nil
 	}
-	trs := TemporalRegions(u)
+	trs := ir.TemporalRegions(ir.NewDomTree(u))
 	if trs.Count != 2 {
 		return false, nil
 	}

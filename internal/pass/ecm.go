@@ -28,7 +28,7 @@ func ecmUnit(u *ir.Unit) (bool, error) {
 		return false, nil
 	}
 	dt := ir.NewDomTree(u)
-	tr := temporalRegions(u, dt).byIndex
+	tr := ir.TemporalRegions(dt)
 	num := u.Numbering()
 
 	// home is the tree index of the block each value lives in, updated as
@@ -54,12 +54,12 @@ func ecmUnit(u *ir.Unit) (bool, error) {
 				continue
 			}
 			target := hoistTarget(dt, num, home, in, b)
-			if in.Op == ir.OpPrb && target >= 0 && tr[target] != tr[b] {
+			if in.Op == ir.OpPrb && target >= 0 && tr.OfIndex(target) != tr.OfIndex(b) {
 				// Stay in the temporal region: take the highest block of
 				// the region on the dominator chain from target down to b.
 				top := b
 				for x := b; x != target; x = dt.IDomIndex(x) {
-					if tr[x] == tr[b] {
+					if tr.OfIndex(x) == tr.OfIndex(b) {
 						top = x
 					}
 				}

@@ -66,7 +66,7 @@ func mustRun(t *testing.T, p Pass, m *ir.Module) bool {
 func TestTemporalRegionsAcc(t *testing.T) {
 	m := parseAcc(t)
 	ff := m.Unit("acc_ff")
-	trs := TemporalRegions(ff)
+	trs := ir.TemporalRegions(ir.NewDomTree(ff))
 	if trs.Count != 2 {
 		t.Errorf("acc_ff has %d TRs, want 2 (Figure 5 a/b)", trs.Count)
 	}
@@ -75,15 +75,15 @@ func TestTemporalRegionsAcc(t *testing.T) {
 	for _, b := range ff.Blocks {
 		byName[b.ValueName()] = b
 	}
-	if trs.Of[byName["init"]] == trs.Of[byName["check"]] {
+	if trs.Of(byName["init"]) == trs.Of(byName["check"]) {
 		t.Error("init and check must be in different TRs (wait boundary)")
 	}
-	if trs.Of[byName["check"]] != trs.Of[byName["event"]] {
+	if trs.Of(byName["check"]) != trs.Of(byName["event"]) {
 		t.Error("check and event must share a TR")
 	}
 
 	comb := m.Unit("acc_comb")
-	trsC := TemporalRegions(comb)
+	trsC := ir.TemporalRegions(ir.NewDomTree(comb))
 	if trsC.Count != 1 {
 		t.Errorf("acc_comb has %d TRs, want 1", trsC.Count)
 	}
@@ -143,9 +143,9 @@ func TestTCMAccFF(t *testing.T) {
 		t.Errorf("drive condition = %v, want %%posedge", drv.Args[3])
 	}
 	// The block holding the drive must be the single TR1 exit.
-	trs := TemporalRegions(ff)
-	exits := trs.ExitBlocks(ff)
-	tr := trs.Of[drv.Block()]
+	trs := ir.TemporalRegions(ir.NewDomTree(ff))
+	exits := trs.ExitBlocks()
+	tr := trs.Of(drv.Block())
 	if len(exits[tr]) != 1 || exits[tr][0] != drv.Block() {
 		t.Error("drive is not in the unique exiting block of its TR")
 	}

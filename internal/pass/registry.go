@@ -10,7 +10,7 @@ import (
 // the Pass.Name() of the constructed pass), the accepted aliases, and its
 // constructor.
 //
-// TemporalRegions (tr.go) and the DNF builder (dnf.go) are analyses used
+// ir.TemporalRegions and the DNF builder (dnf.go) are analyses used
 // by tcm/tcfe/deseq, not standalone passes, so they do not appear here.
 type Info struct {
 	Name    string

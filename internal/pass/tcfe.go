@@ -232,7 +232,7 @@ func phiToMux(u *ir.Unit) bool {
 	changed := false
 	for {
 		dt := ir.NewDomTree(u)
-		trs := temporalRegions(u, dt)
+		trs := ir.TemporalRegions(dt)
 		var phi *ir.Inst
 		var home *ir.Block
 		u.ForEachInst(func(b *ir.Block, in *ir.Inst) {

@@ -23,8 +23,8 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 	auxes := singleExitPerTR(u)
 
 	dt := ir.NewDomTree(u)
-	trs := temporalRegions(u, dt)
-	exits := trs.ExitBlocks(u)
+	trs := ir.TemporalRegions(dt)
+	exits := trs.ExitBlocks()
 
 	// Runtime order anchor: every block of a TR executes before the exit
 	// block's own instructions, so drives moved into the exit must land
@@ -48,7 +48,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 	// Step 2: move drvs into the exiting block of their TR (§4.3.3).
 	filled := map[*ir.Block]bool{}
 	for _, b := range u.Blocks {
-		tr := trs.Of[b]
+		tr := trs.Of(b)
 		ex := exits[tr]
 		if len(ex) != 1 {
 			continue // no unique exit: leave the drives; lowering rejects later
@@ -136,7 +136,7 @@ func tcmUnit(u *ir.Unit) (bool, error) {
 // a successor TR, so that each TR gets a unique exiting block. It returns
 // the blocks it inserted.
 func singleExitPerTR(u *ir.Unit) []*ir.Block {
-	trs := TemporalRegions(u)
+	trs := ir.TemporalRegions(ir.NewDomTree(u))
 	var auxes []*ir.Block
 
 	// Group cross-TR branch arcs by (source TR, dest block). Rule 3
@@ -164,8 +164,8 @@ func singleExitPerTR(u *ir.Unit) []*ir.Block {
 			continue
 		}
 		for i, d := range term.Dests {
-			if trs.Of[d] != trs.Of[b] {
-				k := groupKey{trs.Of[b], d}
+			if trs.Of(d) != trs.Of(b) {
+				k := groupKey{trs.Of(b), d}
 				g, ok := groupOf[k]
 				if !ok {
 					g = len(groups)
@@ -262,7 +262,7 @@ func singleExitPerTR(u *ir.Unit) []*ir.Block {
 // branch decisions along each path. Generated boolean instructions are
 // inserted into insertAt before its terminator. The boolean operands used
 // must dominate insertAt; otherwise ok=false.
-func pathCondition(u *ir.Unit, dt *ir.DomTree, trs *TRMap, dom, target, insertAt *ir.Block, before *ir.Inst) (ir.Value, bool) {
+func pathCondition(u *ir.Unit, dt *ir.DomTree, trs *ir.TRMap, dom, target, insertAt *ir.Block, before *ir.Inst) (ir.Value, bool) {
 	preds := u.Preds()
 	emit := func(op ir.Opcode, args ...ir.Value) *ir.Inst {
 		in := &ir.Inst{Op: op, Ty: ir.IntType(1), Args: args}
