@@ -58,7 +58,9 @@ test-timeout:
 # LLHD assembly through parse-print-parse-print (what parses prints to a
 # fixpoint), bitcode read back from the disk cache (a module or an error,
 # never a panic, allocation in proportion to the input; a module goes on through
-# ir.CheckShape, and one that passes must print and re-encode), and the
+# ir.CheckShape — shapes, types, slice bounds, branch targets and callees,
+# without a panic on whatever decoded — and one that passes must print and
+# re-encode), and the
 # NDJSON delta line on its way out (the bytes json.Marshal gives, whatever
 # the signal is called). A crasher is written
 # under the package's testdata/fuzz/ — commit it: it replays in every

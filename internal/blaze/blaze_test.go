@@ -116,64 +116,31 @@ func TestSinkKeepsAFailingDivision(t *testing.T) {
 	}
 }
 
-// illTypedCompareSrc compares an i8 with an i32 under an i32 eq and neq,
-// constant and probed, and branches on the neq: it elaborates, as nothing
-// checks operand types, and every engine tells the two widths apart. %f
-// compares the zero-extension of %pa with %pa itself.
-const illTypedCompareSrc = `
-proc @p (i8$ %a, i32$ %b) -> (i1$ %c, i1$ %d, i8$ %e, i1$ %f) {
+// enumDefaultSrc compares a top-level enum port, which starts at its
+// type's default, with an enum constant of the same value.
+const enumDefaultSrc = `
+proc @p (n4$ %a) -> (i1$ %q) {
  entry:
+  %pa = prb n4$ %a
+  %z = const n4 0
+  %e = eq n4 %pa, %z
   %t = const time 1ns
-  %zero = const i32 0
-  %five8 = const i8 5
-  %five32 = const i32 5
-  %k = eq i32 %five8, %five32
-  drv i1$ %d, %k after %t
-  %pa = prb i8$ %a
-  %pb = prb i32$ %b
-  %m = eq i32 %pa, %pb
-  drv i1$ %c, %m after %t
-  %za = inss i32 %zero, %pa, 0, 8
-  %w = eq i32 %za, %pa
-  drv i1$ %f, %w after %t
-  %n = neq i32 %pa, %pb
-  br %n, %equal, %unequal
- equal:
-  %one = const i8 1
-  drv i8$ %e, %one after %t
-  halt
- unequal:
-  %two = const i8 2
-  drv i8$ %e, %two after %t
+  drv i1$ %q, %e after %t
   halt
 }
-entity @top () -> () {
-  %t1 = const i1 1
-  %z8 = const i8 0
-  %a0 = const i8 5
-  %b0 = const i32 5
-  %a = sig i8 %a0
-  %b = sig i32 %b0
-  %c = sig i1 %t1
-  %d = sig i1 %t1
-  %e = sig i8 %z8
-  %f = sig i1 %t1
-  inst @p (i8$ %a, i32$ %b) -> (i1$ %c, i1$ %d, i8$ %e, i1$ %f)
+entity @top (n4$ %a) -> (i1$ %q) {
+  inst @p (n4$ %a) -> (i1$ %q)
 }
 `
 
-// TestTracesMatchIllTypedCompare holds Blaze to the interpreter on
-// compares of two widths: eq drives 0 and neq takes its true edge. Blaze
-// compares payloads alone (eq.i, neq.i, br.eq.i) only where both operands
-// have one integer type.
-func TestTracesMatchIllTypedCompare(t *testing.T) {
-	rs := tracesMatch(t, assembly.MustParse("c", illTypedCompareSrc), assembly.MustParse("c", illTypedCompareSrc), "top")
-	var got []string
-	for _, e := range rs[1].Trace.Entries {
-		got = append(got, e.Sig.Name+"="+e.Value.String())
-	}
-	if want := "top.c=0 top.d=0 top.e=2 top.f=0"; strings.Join(got, " ") != want {
-		t.Errorf("trace %q, want %q", strings.Join(got, " "), want)
+// TestTracesMatchEnumDefault holds the default of an enum to the width of
+// its constants: Blaze compares enum payloads alone, and the interpreter,
+// which compares widths too, found the n4 default (then four bits wide)
+// unequal to the constant 0 (two bits) where Blaze found them equal.
+func TestTracesMatchEnumDefault(t *testing.T) {
+	rs := tracesMatch(t, assembly.MustParse("e", enumDefaultSrc), assembly.MustParse("e", enumDefaultSrc), "top")
+	if e := rs[0].Trace.Entries; len(e) != 1 || e[0].Sig.Name != "top.q" || e[0].Value.String() != "1" {
+		t.Errorf("trace %v, want top.q = 1", e)
 	}
 }
 

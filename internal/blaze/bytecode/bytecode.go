@@ -52,9 +52,9 @@ import (
 	"llhd/internal/val"
 )
 
-// Op is a bytecode opcode. The encoding is append-only: existing opcode
-// values and operand layouts stay stable so disassembly goldens remain
-// reviewable diffs.
+// Op is a bytecode opcode. Its number lives only as long as the process
+// that lowered the code: nothing persists bytecode, and the disassembly
+// goldens pin mnemonics and operand layouts, not numbers.
 type Op uint8
 
 // Opcode space. Operand conventions: Dst/A/B/C are register indices
@@ -81,7 +81,8 @@ const (
 	opNot // Dst, A; C = width
 	opNeg // Dst, A; C = width
 
-	// Comparisons (Dst = i1). Signed compares carry the width in C.
+	// Comparisons (Dst = i1) of two integer or enum payloads: ir.CheckShape
+	// gave both operands one type. Signed compares carry the width in C.
 	opEq
 	opNeq
 	opUlt
@@ -129,7 +130,6 @@ const (
 	// Control flow.
 	opJump    // pc = A
 	opBranch  // pc = Regs[A].Bits != 0 ? C : B
-	opRetired // never emitted; was the gather-then-scatter edge move, and keeps the opcodes after it where they were
 	opWaitArm // Subscribe(Waits[A]); B >= 0: ScheduleWake(Regs[B].Time())
 	opSuspend // Frame.PC = A; yield to the engine
 	opHalt
@@ -142,8 +142,8 @@ const (
 
 	// Branches on the compare itself (rule 6 of plan.go): integer operands,
 	// the false target in Dst, the true target in C.
-	opBrEq  // pc = Regs[A] == Regs[B] ? C : Dst
-	opBrUlt // pc = Regs[A] <u Regs[B] ? C : Dst
+	opBrEq  // pc = Regs[A].Bits == Regs[B].Bits ? C : Dst
+	opBrUlt // pc = Regs[A].Bits < Regs[B].Bits ? C : Dst
 
 	// A splice chain holding replicate runs (rule 8 of plan.go).
 	opInsSRep // Dst = Regs[A] with B runs spliced in; aux[C] = width, then (src, off, n, k) per run: the low n bits of src, k times
@@ -152,13 +152,6 @@ const (
 	// plain copies (plan.go): aux[A..A+2B) = (src, dst) pairs, Regs[dst] =
 	// Regs[src] for each pair in turn.
 	opMoves
-
-	// Compares of two operands of one integer type (rule 12 of plan.go):
-	// the payloads alone, since a zero-extension read through leaves an
-	// operand register narrower than its type.
-	opEqI   // Dst = Regs[A].Bits == Regs[B].Bits
-	opNeqI  // Dst = Regs[A].Bits != Regs[B].Bits
-	opBrEqI // pc = Regs[A].Bits == Regs[B].Bits ? C : Dst
 
 	numOps
 )
@@ -173,7 +166,7 @@ var opWritesDst = [numOps]bool{
 	opAdd: true, opSub: true, opMul: true, opAnd: true, opOr: true, opXor: true,
 	opShl: true, opShr: true, opAshr: true, opNot: true, opNeg: true,
 	opEq: true, opNeq: true, opUlt: true, opUgt: true, opUle: true, opUge: true,
-	opSlt: true, opSgt: true, opSle: true, opSge: true, opEqI: true, opNeqI: true,
+	opSlt: true, opSgt: true, opSle: true, opSge: true,
 	opExtSInt: true, opInsSInt: true, opInsSCat: true, opInsSRep: true, opEvalBin: true, opEvalUn: true,
 	opMux: true, opExtF: true, opExtFDyn: true, opExtS: true,
 	opInsF: true, opInsFDyn: true, opInsS: true, opAgg: true,

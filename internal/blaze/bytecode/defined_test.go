@@ -32,7 +32,7 @@ func effects(u *Unit, pc int, read, write func(int32)) []int32 {
 	case opCloneP, opPrb:
 		write(i.Dst)
 	case opAdd, opSub, opMul, opAnd, opOr, opXor, opShl, opShr, opAshr,
-		opEq, opNeq, opUlt, opUgt, opUle, opUge, opSlt, opSgt, opSle, opSge, opEqI, opNeqI,
+		opEq, opNeq, opUlt, opUgt, opUle, opUge, opSlt, opSgt, opSle, opSge,
 		opInsSInt, opEvalBin, opMux, opExtFDyn, opInsF, opInsS:
 		read(i.A)
 		read(i.B)
@@ -113,7 +113,7 @@ func effects(u *Unit, pc int, read, write func(int32)) []int32 {
 	case opBranch:
 		read(i.A)
 		next = []int32{i.B, i.C}
-	case opBrEq, opBrUlt, opBrEqI:
+	case opBrEq, opBrUlt:
 		read(i.A)
 		read(i.B)
 		next = []int32{i.Dst, i.C}

@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// opNames maps opcodes to their mnemonic. Append-only, like the opcode
-// space itself: goldens diff against these names.
+// opNames maps opcodes to their mnemonic. Goldens diff against these
+// names: a mnemonic keeps its meaning, and a new behavior gets a new one.
 var opNames = [numOps]string{
 	opNop:     "nop",
 	opMove:    "move",
@@ -68,9 +68,6 @@ var opNames = [numOps]string{
 	opBrUlt:   "br.ult",
 	opInsSRep: "inss.rep",
 	opMoves:   "moves",
-	opEqI:     "eq.i",
-	opNeqI:    "neq.i",
-	opBrEqI:   "br.eq.i",
 }
 
 // String returns the opcode mnemonic.
@@ -134,7 +131,7 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("r%d, r%d, r%d, i%d", i.Dst, i.A, i.B, i.C)
 	case opNot, opNeg:
 		return head + fmt.Sprintf("r%d, r%d, i%d", i.Dst, i.A, i.C)
-	case opEq, opNeq, opUlt, opUgt, opUle, opUge, opEqI, opNeqI:
+	case opEq, opNeq, opUlt, opUgt, opUle, opUge:
 		return head + fmt.Sprintf("r%d, r%d, r%d", i.Dst, i.A, i.B)
 	case opSlt, opSgt, opSle, opSge:
 		return head + fmt.Sprintf("r%d, r%d, r%d, i%d", i.Dst, i.A, i.B, i.C)
@@ -201,7 +198,7 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("@%04d", i.A)
 	case opBranch:
 		return head + fmt.Sprintf("r%d, @%04d, @%04d", i.A, i.B, i.C)
-	case opBrEq, opBrUlt, opBrEqI:
+	case opBrEq, opBrUlt:
 		return head + fmt.Sprintf("r%d, r%d, @%04d, @%04d", i.A, i.B, i.Dst, i.C)
 	case opMoves:
 		var parts []string

@@ -183,22 +183,8 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			storeInt(&regs[i.Dst], int(i.C), -regs[i.A].Bits)
 
 		case opEq:
-			a, b := &regs[i.A], &regs[i.B]
-			if a.Kind == val.KindInt && b.Kind == val.KindInt {
-				storeBool(&regs[i.Dst], a.Width == b.Width && a.Bits == b.Bits)
-			} else {
-				storeBool(&regs[i.Dst], a.Eq(*b))
-			}
-		case opNeq:
-			a, b := &regs[i.A], &regs[i.B]
-			if a.Kind == val.KindInt && b.Kind == val.KindInt {
-				storeBool(&regs[i.Dst], a.Width != b.Width || a.Bits != b.Bits)
-			} else {
-				storeBool(&regs[i.Dst], !a.Eq(*b))
-			}
-		case opEqI:
 			storeBool(&regs[i.Dst], regs[i.A].Bits == regs[i.B].Bits)
-		case opNeqI:
+		case opNeq:
 			storeBool(&regs[i.Dst], regs[i.A].Bits != regs[i.B].Bits)
 		case opUlt:
 			storeBool(&regs[i.Dst], regs[i.A].Bits < regs[i.B].Bits)
@@ -364,21 +350,6 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 				pc = int(i.B)
 			}
 		case opBrEq:
-			if jumps++; jumps >= maxJumps {
-				return 0, errStepBudget
-			}
-			// eq's test: two-state integers in place, the rest through Eq.
-			a, b := &regs[i.A], &regs[i.B]
-			taken := a.Width == b.Width && a.Bits == b.Bits
-			if a.Kind != val.KindInt || b.Kind != val.KindInt {
-				taken = a.Eq(*b)
-			}
-			if taken {
-				pc = int(i.C)
-			} else {
-				pc = int(i.Dst)
-			}
-		case opBrEqI:
 			if jumps++; jumps >= maxJumps {
 				return 0, errStepBudget
 			}

@@ -31,18 +31,13 @@ func NewProgram(m *ir.Module) *Program {
 }
 
 // Func returns the lowered form of a called function, lowering it on
-// first encounter.
+// first encounter. That the module defines it, as a function, was checked
+// by the elaboration that got here (ir.CheckShape).
 func (p *Program) Func(name string) (*Unit, error) {
 	if fu, ok := p.funcs[name]; ok {
 		return fu, nil
 	}
 	fn := p.mod.Unit(name)
-	if fn == nil {
-		return nil, fmt.Errorf("call to undefined @%s", name)
-	}
-	if fn.Kind != ir.UnitFunc {
-		return nil, fmt.Errorf("call target @%s is a %s", name, fn.Kind)
-	}
 	fu := &Unit{Name: name, FuncIdx: len(p.FuncList), HasRet: !fn.RetType.IsVoid(), unit: fn}
 	p.funcs[name] = fu // pre-register to tolerate recursion
 	p.FuncList = append(p.FuncList, fu)
@@ -217,7 +212,7 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		lo.planInits()
 	}
 	needSSA := lo.unit.Kind != ir.UnitEntity && len(lo.unit.Blocks) > 1 && (lo.hasPhi || lo.condBr && lo.late)
-	if (needSSA || lo.probesAcross) && lo.terminated() {
+	if needSSA || lo.probesAcross {
 		dom := ir.NewDomTree(lo.unit)
 		if lo.probesAcross {
 			lo.planProbes(dom) // first: it adds uses rules 10 and 11 read
@@ -227,17 +222,6 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 		}
 	}
 	return lo
-}
-
-// terminated reports whether every block of the unit ends in a
-// terminator; the analyses over the dominator tree cover no other unit.
-func (lo *lowerer) terminated() bool {
-	for _, b := range lo.unit.Blocks {
-		if b.Terminator() == nil {
-			return false
-		}
-	}
-	return true
 }
 
 func widthOf(ty *ir.Type) int {
@@ -321,8 +305,10 @@ func (lo *lowerer) jumpTo(pc int, f uint8, b *ir.Block) {
 }
 
 // lowerBlocks lowers every block in order, then patches jump targets.
-// Operand counts and which ops the unit's kind may hold were checked by
-// the elaboration that got here (ir.CheckShape).
+// Operand counts and types, which ops the unit's kind may hold, that each
+// block of a process or function ends in one terminator and that every
+// destination is a block of the unit were checked by the elaboration that
+// got here (ir.CheckShape).
 func (lo *lowerer) lowerBlocks() error {
 	blocks := lo.unit.Blocks
 	for k, b := range blocks {
@@ -336,11 +322,7 @@ func (lo *lowerer) lowerBlocks() error {
 		}
 	}
 	for _, fx := range lo.fixups {
-		pc, ok := lo.blockPC[fx.target]
-		if !ok {
-			return fmt.Errorf("branch to unknown block %s", fx.target)
-		}
-		lo.setTarget(fx.pc, fx.field, int32(pc))
+		lo.setTarget(fx.pc, fx.field, int32(lo.blockPC[fx.target]))
 	}
 	lo.threadJumps()
 	lo.compact()
@@ -364,7 +346,7 @@ func (lo *lowerer) threadJumps() {
 	for pc := range code {
 		if i := &code[pc]; i.Op == opJump {
 			switch t := code[i.A]; t.Op {
-			case opBranch, opBrEq, opBrUlt, opBrEqI:
+			case opBranch, opBrEq, opBrUlt:
 				*i = t
 			}
 		}
@@ -390,7 +372,7 @@ func (lo *lowerer) compact() {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		switch i := code[pc]; i.Op {
-		case opJump, opSuspend, opBranch, opBrEq, opBrUlt, opBrEqI:
+		case opJump, opSuspend, opBranch, opBrEq, opBrUlt:
 			retarget(&i, reach)
 		case opHalt, opRet, opRetV, opUnreach, opBadCall:
 		default:
@@ -427,7 +409,7 @@ func retarget(i *Instr, f func(pc int32) int32) {
 		i.A = f(i.A)
 	case opBranch:
 		i.B, i.C = f(i.B), f(i.C)
-	case opBrEq, opBrUlt, opBrEqI:
+	case opBrEq, opBrUlt:
 		i.Dst, i.C = f(i.Dst), f(i.C)
 	}
 }
@@ -465,9 +447,6 @@ func (lo *lowerer) lowerBlock(k int, b *ir.Block) error {
 		} else if lo.tail != in {
 			lo.tail = nil
 		}
-	}
-	if lo.unit.Kind == ir.UnitFunc {
-		return fmt.Errorf("block %s lacks a terminator", b)
 	}
 	// Entity bodies have no terminator: suspend after each evaluation,
 	// resuming at the top of the same dataflow cone.
@@ -652,15 +631,13 @@ type fusedBranch struct {
 }
 
 var fusedBranches = [numOps]fusedBranch{
-	opEq:   {opBrEq, false, false},
-	opNeq:  {opBrEq, false, true},
-	opEqI:  {opBrEqI, false, false},
-	opNeqI: {opBrEqI, false, true},
-	opUlt:  {opBrUlt, false, false},
-	opUgt:  {opBrUlt, true, false}, // a > b is b < a
-	opUge:  {opBrUlt, false, true}, // a >= b is not a < b
-	opUle:  {opBrUlt, true, true},  // a <= b is not b < a
-	opNot:  {opBranch, false, true},
+	opEq:  {opBrEq, false, false},
+	opNeq: {opBrEq, false, true},
+	opUlt: {opBrUlt, false, false},
+	opUgt: {opBrUlt, true, false}, // a > b is b < a
+	opUge: {opBrUlt, false, true}, // a >= b is not a < b
+	opUle: {opBrUlt, true, true},  // a <= b is not b < a
+	opNot: {opBranch, false, true},
 }
 
 // condBranch emits the conditional branch on cond and returns its pc and
@@ -924,7 +901,7 @@ func (lo *lowerer) fuseSplice(in *ir.Inst, i Instr) bool {
 // payload bits; if so, that user reads %x's register in its place.
 func (lo *lowerer) readThrough(in *ir.Inst) bool {
 	x, c := in.Args[1], ir.ValueID(in.Args[0])
-	if in.Imm0 != 0 || !x.Type().IsInt() || x.Type().Width != in.Imm1 || in.Imm1 > in.Args[0].Type().Width {
+	if in.Imm0 != 0 || !x.Type().IsInt() || x.Type().Width != in.Imm1 {
 		return false
 	}
 	if c < 0 || !lo.constKnown[c] || lo.u.ConstRegs[c].Kind != val.KindInt || lo.u.ConstRegs[c].Bits != 0 {
@@ -939,10 +916,10 @@ func (lo *lowerer) readThrough(in *ir.Inst) bool {
 
 // readsPayload reports whether u, as lowered, reads its operand z as the
 // payload bits alone: the operands of the in-place integer arithmetic,
-// shifts and compares (eq and neq as eq.i and neq.i), of not and neg, of
-// an integer exts, the source of an integer inss (its target is a link
-// rule 4 may fuse), and the index of extf.d and insf.d. A compare fused
-// into its branch keeps the operands it read.
+// shifts and compares, of not and neg, of an integer exts, the source of
+// an integer inss (its target is a link rule 4 may fuse), and the index
+// of extf.d and insf.d. A compare fused into its branch keeps the operands
+// it read.
 func readsPayload(u *ir.Inst, z ir.Value) bool {
 	j := slices.Index(u.Args, z)
 	if j < 0 {
@@ -959,8 +936,6 @@ func readsPayload(u *ir.Inst, z ir.Value) bool {
 		return j == 1 && !u.Ty.IsSignal()
 	case ir.OpInsF:
 		return j == 2
-	case ir.OpEq, ir.OpNeq:
-		return sameInt(u)
 	}
 	if int(u.Op) < len(intBinOps) && intBinOps[u.Op] != opNop {
 		ty := u.Args[0].Type()
@@ -1023,25 +998,8 @@ var intBinOps = [...]Op{
 	ir.OpSlt: opSlt, ir.OpSgt: opSgt, ir.OpSle: opSle, ir.OpSge: opSge,
 }
 
-// sameInt reports whether the two operands of in have one integer type.
-// Types are interned, so that is one *ir.Type; a module that compares two
-// widths (it elaborates without a type check) keeps eq's width test.
-func sameInt(in *ir.Inst) bool {
-	ty := in.Args[0].Type()
-	return ty.IsInt() && in.Args[1].Type() == ty
-}
-
 func (lo *lowerer) lowerBinary(in *ir.Inst) error {
 	i := Instr{Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: lo.reg(in.Args[1])}
-	if (in.Op == ir.OpEq || in.Op == ir.OpNeq) && sameInt(in) {
-		// Payloads alone: the operands' widths are equal by type.
-		i.Op = opEqI
-		if in.Op == ir.OpNeq {
-			i.Op = opNeqI
-		}
-		lo.emit(i)
-		return nil
-	}
 	if ty := in.Args[0].Type(); ty.IsInt() || ty.IsEnum() {
 		if int(in.Op) < len(intBinOps) && intBinOps[in.Op] != opNop {
 			i.Op = intBinOps[in.Op]

@@ -52,9 +52,8 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 	noDst := map[Op]bool{
 		opDrv: true, opDrvCond: true, opDel: true, opReg: true,
 		opAssert: true, opDisplay: true, opBadCall: true,
-		opJump: true, opBranch: true, opBrEq: true, opBrUlt: true, opBrEqI: true, opMoves: true, opWaitArm: true, opSuspend: true,
+		opJump: true, opBranch: true, opBrEq: true, opBrUlt: true, opMoves: true, opWaitArm: true, opSuspend: true,
 		opHalt: true, opRet: true, opRetV: true, opUnreach: true,
-		opRetired: true,
 	}
 
 	i8 := func(x uint64) val.Value { return val.Int(8, x) }
@@ -72,28 +71,12 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 			{ins: Instr{Op: opMove, A: 1}, regs: "A", vals: [4]val.Value{i8(1), lv("1X0Z")}},
 			{ins: Instr{Op: opMove, A: 1}, regs: "A", vals: [4]val.Value{i8(1), bytesVal(1, 2, 3)}},
 		},
-		opClone:  {{ins: Instr{Op: opClone, A: 1}, regs: "A", vals: [4]val.Value{i8(1), bytesVal(4, 5)}}},
-		opCloneP: {{ins: Instr{Op: opCloneP, A: 0}, vals: [4]val.Value{none}}},
-		opNot:    {{ins: Instr{Op: opNot, A: 1, C: 8}, regs: "A", vals: [4]val.Value{none, i8(0x5a)}}},
-		opNeg:    {{ins: Instr{Op: opNeg, A: 1, C: 8}, regs: "A", vals: [4]val.Value{none, i8(0x5a)}}},
-		opEq: {
-			{ins: Instr{Op: opEq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(4)}},
-			{ins: Instr{Op: opEq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, lv("01"), lv("01")}},
-			{ins: Instr{Op: opEq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, bytesVal(1, 2), bytesVal(1, 2)}},
-		},
-		opNeq: {
-			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(5)}},
-			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, lv("01"), lv("0X")}},
-			{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, pair, pair}},
-		},
-		opEqI: {
-			{ins: Instr{Op: opEqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(4)}},
-			{ins: Instr{Op: opEqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, val.Int(3, 4), i8(4)}},
-		},
-		opNeqI: {
-			{ins: Instr{Op: opNeqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(5)}},
-			{ins: Instr{Op: opNeqI, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, val.Int(3, 4), i8(4)}},
-		},
+		opClone:   {{ins: Instr{Op: opClone, A: 1}, regs: "A", vals: [4]val.Value{i8(1), bytesVal(4, 5)}}},
+		opCloneP:  {{ins: Instr{Op: opCloneP, A: 0}, vals: [4]val.Value{none}}},
+		opNot:     {{ins: Instr{Op: opNot, A: 1, C: 8}, regs: "A", vals: [4]val.Value{none, i8(0x5a)}}},
+		opNeg:     {{ins: Instr{Op: opNeg, A: 1, C: 8}, regs: "A", vals: [4]val.Value{none, i8(0x5a)}}},
+		opEq:      {{ins: Instr{Op: opEq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(4)}}},
+		opNeq:     {{ins: Instr{Op: opNeq, A: 1, B: 2}, regs: "AB", vals: [4]val.Value{none, i8(4), i8(5)}}},
 		opExtSInt: {{ins: Instr{Op: opExtSInt, A: 1, B: 2, C: 4}, regs: "A", vals: [4]val.Value{none, i8(0xb5)}}},
 		opInsSInt: {{ins: Instr{Op: opInsSInt, A: 1, B: 2, C: 0}, regs: "AB", aux: []int32{2, 3, 8},
 			vals: [4]val.Value{none, i8(0xff), i8(0x2)}}},
@@ -201,16 +184,13 @@ func @sub (i8 %a, i8 %b) i8 {
 }
 
 // TestDisasmCoversEveryOp is TestOpInfoCoversEveryOpcode for the bytecode:
-// every opcode but the retired one has a mnemonic of its own and an arm in
+// every opcode has a mnemonic of its own and an arm in
 // disasmInstr (the fallback rendering marks a missing one), and inss.cat
 // prints its pieces.
 func TestDisasmCoversEveryOp(t *testing.T) {
 	u := &Unit{Aux: make([]int32, 16), Strs: []string{"llhd.x"}}
 	byName := map[string]Op{}
 	for op := Op(0); op < numOps; op++ {
-		if op == opRetired {
-			continue
-		}
 		name := opNames[op]
 		if name == "" {
 			t.Errorf("opcode %d has no mnemonic", op)

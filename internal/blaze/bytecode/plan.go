@@ -137,20 +137,19 @@ import (
 //     registers are the template's, the var's, or another value's. A phi
 //     nobody reads gets no moves.
 // 12. Zero-extensions read through. An integer inss iN %c, %x, 0, w with
-//     %c a constant 0 and w the width of %x, no wider than N, emits
-//     nothing when its only use is the instruction lowered right after it
-//     (after rule 10's placements) and that instruction reads no more of
-//     it than the payload bits (readsPayload): the operands of the
-//     in-place integer arithmetic, shifts and compares, of not and neg,
-//     of an integer exts, the source of an integer inss, the index of
-//     extf.d and insf.d; that instruction reads %x's register instead.
-//     The two payloads are equal, and nothing runs in between. eq and neq
-//     read widths too, so they read a zero-extension through only as
-//     eq.i and neq.i, which compare payloads and are what eq and neq of
-//     two operands of one integer type lower to; a compare fused into its
-//     branch (rule 6) keeps the operands it read, so br.eq.i reads %x
-//     too. A link of a splice chain rule 4 fuses stays one: read through,
-//     it would save no dispatch.
+//     %c a constant 0 and w the width of %x emits nothing when its only
+//     use is the instruction lowered right after it (after rule 10's
+//     placements) and that instruction reads no more of it than the
+//     payload bits (readsPayload): the operands of the in-place integer
+//     arithmetic, shifts and compares, of not and neg, of an integer
+//     exts, the source of an integer inss, the index of extf.d and
+//     insf.d; that instruction reads %x's register instead. The two
+//     payloads are equal, and nothing runs in between. A compare reads
+//     payloads alone because ir.CheckShape gave its two operands one
+//     type, so their widths are equal without a test, and so is w no
+//     wider than N; a compare fused into its branch (rule 6) keeps the
+//     operands it read, so br.eq reads %x too. A link of a splice chain
+//     rule 4 fuses stays one: read through, it would save no dispatch.
 //
 // Edge moves. The phis of a block are one parallel copy on each edge into
 // it. Lowering leaves out every move of a register onto itself and of a
@@ -469,16 +468,7 @@ func (lo *lowerer) planInits() {
 		return
 	}
 	for k, b := range blocks {
-		t := b.Terminator()
-		if t == nil {
-			// Not a successor anyone can name: every var keeps its
-			// initialisation.
-			for _, ev := range lo.inits {
-				mem[ev.v].win = 0
-			}
-			return
-		}
-		mem[ir.ValueID(t)].win = int32(k)
+		mem[ir.ValueID(b.Terminator())].win = int32(k)
 	}
 	// Per block: fresh at the head; fresh at the end of the block's own
 	// instructions (gen); written by them (kill); loaded by them before any
@@ -515,9 +505,6 @@ func (lo *lowerer) planInits() {
 			for k, b := range blocks {
 				out := gen[k] | head[k]&^kill[k]
 				for _, s := range b.Succs() {
-					if s.Unit() != lo.unit {
-						continue // lowerBlocks rejects the branch
-					}
 					if next := &head[mem[ir.ValueID(s.Terminator())].win]; out&^*next != 0 {
 						*next |= out
 						changed = true
@@ -608,8 +595,8 @@ const (
 // one block in which the walk saw that one of them can fire: rule 11
 // where there is a phi, rule 10 where there is a conditional br (without
 // one, every block runs as often as the blocks dominating it) and an
-// instruction it may move away from its user. Its caller asks only where
-// every block ends in a terminator; it plans neither where a use is not
+// instruction it may move away from its user. Every block ends in a
+// terminator (ir.CheckShape); it plans neither where a use is not
 // dominated by its definition.
 func (lo *lowerer) planSSA(dom *ir.DomTree) {
 	s := &ssa{lo: lo, dom: dom}
@@ -627,7 +614,7 @@ func (lo *lowerer) planSSA(dom *ir.DomTree) {
 
 // flatten fills the tables of the unit. It reports false for a unit whose
 // numbering it cannot rely on, that reads an instruction of another, or
-// whose phis are not each block's leading run with one value per edge.
+// whose phis are not each block's leading run.
 func (s *ssa) flatten() bool {
 	lo, n := s.lo, s.lo.num.Len()
 	nb := len(lo.unit.Blocks)
@@ -653,7 +640,7 @@ func (s *ssa) flatten() bool {
 		d := int32(s.dom.Index(b))
 		s.domOf[k], s.first[d], s.last[d] = d, id, id+int32(len(b.Insts))-1
 		for i, in := range b.Insts {
-			if ir.ValueID(in) != int(id) || in.Op == ir.OpPhi && (len(in.Args) != len(in.Dests) || i > 0 && b.Insts[i-1].Op != ir.OpPhi) {
+			if ir.ValueID(in) != int(id) || in.Op == ir.OpPhi && i > 0 && b.Insts[i-1].Op != ir.OpPhi {
 				return false
 			}
 			s.blk[id], s.opAt[id] = d, int32(len(s.ops))

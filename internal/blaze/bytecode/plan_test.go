@@ -103,7 +103,7 @@ func TestRewritesHoldBack(t *testing.T) {
 		{"blaze_init_seen_on_one_path.llhd", opClone, 1, "%slot: the skipping arm reaches the load without a store", false},
 		{"blaze_init_seen_on_loop_entry.llhd", opClone, 1, "%acc: the entry edge reaches the loop head's load without a store", false},
 		{"blaze_branch_compare_reused.llhd", opUlt, 1, "%c: driven in the block the branch enters", false},
-		{"blaze_branch_compare_before_store.llhd", opEqI, 1, "%same: a store to the var it reads stands between it and the branch", false},
+		{"blaze_branch_compare_before_store.llhd", opEq, 1, "%same: a store to the var it reads stands between it and the branch", false},
 		{"blaze_splice_not_a_run.llhd", opInsSCat, 1, "a gap, a width change and a second source: no run", false},
 		{"blaze_phi_swap.llhd", opMoves, 2, "entry -> head, and body -> head, which swaps %a and %b", false},
 		{"blaze_phi_chain.llhd", opMoves, 2, "entry -> head, and body -> head, where %a reads the %b that %b <- %c writes", false},
@@ -150,7 +150,7 @@ func TestRewritesHoldBack(t *testing.T) {
 func firstTransfer(u *Unit) int {
 	for pc, i := range u.Code {
 		switch i.Op {
-		case opJump, opBranch, opBrEq, opBrUlt, opBrEqI, opSuspend, opHalt, opRet, opRetV:
+		case opJump, opBranch, opBrEq, opBrUlt, opSuspend, opHalt, opRet, opRetV:
 			return pc
 		}
 	}
@@ -199,8 +199,8 @@ func TestRewritesFire(t *testing.T) {
 		op   Op
 		want int
 	}{
-		{opEq, 0}, {opNeq, 0}, {opEqI, 0}, {opNeqI, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
-		{opBrEq, 0}, {opBrEqI, 2}, {opBrUlt, 5}, {opBranch, 1},
+		{opEq, 0}, {opNeq, 0}, {opUlt, 0}, {opUgt, 0}, {opUle, 0}, {opUge, 0}, {opNot, 0},
+		{opBrEq, 2}, {opBrUlt, 5}, {opBranch, 1},
 		{opClone, 1}, {opInsSRep, 1}, {opInsSCat, 0}, {opInsSInt, 0},
 	} {
 		if got := countOps(u, c.op); got != c.want {
@@ -228,7 +228,7 @@ func TestRewritesFire(t *testing.T) {
 			u = lu
 		}
 	}
-	for _, op := range []Op{opEq, opNeq, opEqI, opNeqI, opUlt, opUgt, opUle, opUge, opNot, opJump} {
+	for _, op := range []Op{opEq, opNeq, opUlt, opUgt, opUle, opUge, opNot, opJump} {
 		if got := countOps(u, op); got != 0 {
 			t.Errorf("lowered @p holds %d %s, want none", got, op)
 		}
@@ -268,7 +268,7 @@ func TestRewritesFire(t *testing.T) {
 		op   Op
 		want int
 	}{
-		{opInsSInt, 2}, {opEq, 0}, {opNeq, 0}, {opEqI, 1}, {opNeqI, 1}, {opBrEq, 0}, {opBrEqI, 1}, {opBrUlt, 1},
+		{opInsSInt, 2}, {opEq, 1}, {opNeq, 1}, {opBrEq, 1}, {opBrUlt, 1},
 	} {
 		if got := countOps(u, c.op); got != c.want {
 			t.Errorf("blaze_zext_users: @q holds %d %s, want %d", got, c.op, c.want)

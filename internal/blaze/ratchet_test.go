@@ -169,7 +169,7 @@ func checkTransfersAndMoves(t *testing.T, name string, u *bytecode.Unit) {
 		switch i.Op.String() {
 		case "jump":
 			switch target := u.Code[i.A].Op.String(); target {
-			case "branch", "br.eq", "br.ult", "br.eq.i":
+			case "branch", "br.eq", "br.ult":
 				t.Errorf("@%s pc %d: jump to a %s", name, pc, target)
 			}
 		case "moves":

@@ -99,9 +99,13 @@ type ProcFactory func(inst *Instance) (Process, error)
 // Elaborate instantiates the design hierarchy rooted at the named top
 // entity (or process), creating signals and processes on the engine. It
 // starts with ir.CheckShape: every engine is built through here, so the
-// elaborator, the interpreter and the bytecode lowering index operands and
-// assume kind legality only behind that check, and a malformed module is
-// the same input error from all of them.
+// elaborator, the interpreter and the bytecode lowering index operands,
+// assume kind legality, take operand types as the opcode's and follow
+// callees and branch targets only behind that check, and a malformed or
+// ill-typed module is the same input error from all of them. Blaze relies
+// on the types for what it does not test at run time (two compared
+// integers have one width); the interpreter, the reference, keeps its own
+// run-time checks.
 func Elaborate(e *Engine, m *ir.Module, top string, factory ProcFactory) error {
 	if err := ir.CheckShape(m); err != nil {
 		return err
@@ -131,11 +135,10 @@ type elaborator struct {
 	nInst   int
 }
 
+// instantiate elaborates one instance of u on ins and outs, one signal per
+// port: ir.CheckShape held each inst to its callee's ports, and the top
+// unit's are made one by one.
 func (el *elaborator) instantiate(u *ir.Unit, name string, ins, outs []SigRef) error {
-	if len(ins) != len(u.Inputs) || len(outs) != len(u.Outputs) {
-		return fmt.Errorf("engine: @%s instantiated with %d->%d signals, want %d->%d",
-			u.Name, len(ins), len(outs), len(u.Inputs), len(u.Outputs))
-	}
 	inst := NewInstance(u, name)
 	for i, a := range u.Inputs {
 		inst.SetBind(a, ins[i])
@@ -181,10 +184,6 @@ func (el *elaborator) entity(inst *Instance) error {
 			inst.SetBind(in, SigRef{Sig: s})
 
 		case ir.OpInst:
-			callee := el.m.Unit(in.Callee)
-			if callee == nil {
-				return fmt.Errorf("engine: %s: inst of undefined @%s", inst.Name, in.Callee)
-			}
 			var ins, outs []SigRef
 			for _, a := range in.Args[:in.NumIns] {
 				r, ok := inst.BindOf(a)
@@ -202,7 +201,7 @@ func (el *elaborator) entity(inst *Instance) error {
 			}
 			el.nInst++
 			childName := fmt.Sprintf("%s.%s_%d", inst.Name, in.Callee, el.nInst)
-			if err := el.instantiate(callee, childName, ins, outs); err != nil {
+			if err := el.instantiate(el.m.Unit(in.Callee), childName, ins, outs); err != nil {
 				return err
 			}
 

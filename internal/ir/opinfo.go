@@ -264,41 +264,83 @@ func (info *OpInfo) ResultType(written *Type) (*Type, error) {
 	return VoidType(), nil
 }
 
-// CheckShape checks what every consumer of a module indexes without
-// asking: that each unit has a known kind and the blocks its kind needs,
-// and that each instruction has an opcode of the instruction set, operand
-// and destination counts in the opcode's range, and a place in its unit's
-// kind. It is one linear walk off the table, cheap enough to run on every
-// elaboration; Verify starts with it and adds the type, dominance and
-// level rules.
+// CheckShape checks what every consumer of a module relies on without
+// asking. Of each unit: a known kind and the blocks its kind needs, and in
+// a process or function, blocks that end in exactly one terminator. Of
+// each instruction: an opcode of the instruction set, operand and
+// destination counts in the opcode's range, a place in its unit's kind,
+// and the types, bounds and targets through which no value reaches
+// storage of another width — operands of the types the opcode takes
+// (instTypes), slices inside what they slice, destinations in their own
+// unit, and a callee that exists and takes what it is given. It is one
+// linear walk that allocates nothing on a legal module, cheap enough to
+// run on every elaboration; Verify runs the same walk and adds the
+// dominance, phi and level rules.
 func CheckShape(m *Module) error {
+	c := checker{m: m}
 	for _, u := range m.Units {
-		if p := shapeProblem(u); p != "" {
-			return errors.New("ir: " + p)
+		if c.unit(u); len(c.problems) > 0 {
+			return errors.New("ir: " + c.problems[0])
 		}
 	}
 	return nil
 }
 
-// shapeProblem returns the first shape fault of the unit, in the anchored
-// wording of Verify's problems, or "".
-func shapeProblem(u *Unit) string {
+// checker is the walk CheckShape and Verify share. Every problem is worded
+// the same for both; CheckShape stops at the first, Verify (all) goes on.
+type checker struct {
+	m        *Module // nil: callees are not resolved
+	all      bool
+	problems []string
+}
+
+func (c *checker) problemf(format string, args ...any) {
+	c.problems = append(c.problems, fmt.Sprintf(format, args...))
+}
+
+// instf reports a problem anchored to one instruction: every message names
+// the unit, the containing block, and the instruction itself (result
+// name, or mnemonic for void instructions), so fuzzers and shrinkers can
+// act on the report without re-locating the fault.
+func (c *checker) instf(u *Unit, b *Block, in *Inst, format string, args ...any) {
+	c.problemf("%s: %s (%s) in %s: %s", u, in, in.Op, b, fmt.Sprintf(format, args...))
+}
+
+// unit walks one unit and reports whether every instruction has the shape
+// its opcode needs, so that the rules after the walk may index operands.
+func (c *checker) unit(u *Unit) bool {
 	switch {
 	case u.Kind > UnitEntity:
-		return fmt.Sprintf("%s: unknown unit kind %d", u, u.Kind)
+		c.problemf("%s: unknown unit kind %d", u, u.Kind)
+		return false
 	case u.Kind == UnitEntity && len(u.Blocks) != 1:
-		return fmt.Sprintf("%s: entity must have exactly one implicit block, has %d", u, len(u.Blocks))
+		c.problemf("%s: entity must have exactly one implicit block, has %d", u, len(u.Blocks))
+		return false
 	case len(u.Blocks) == 0:
-		return fmt.Sprintf("%s: unit has no blocks", u)
+		c.problemf("%s: unit has no blocks", u)
+		return false
 	}
+	shaped := true
 	for _, b := range u.Blocks {
-		for _, in := range b.Insts {
+		for i, in := range b.Insts {
 			if p := instShapeProblem(in, u.Kind); p != "" {
-				return fmt.Sprintf("%s: %s (%s) in %s: %s", u, in, in.Op, b, p)
+				c.instf(u, b, in, "%s", p)
+				shaped = false
+			} else {
+				c.instTypes(u, b, in)
+				if i != len(b.Insts)-1 && in.Op.IsTerminator() {
+					c.problemf("%s: terminator %s in the middle of block %s", u, in.Op, b)
+				}
+			}
+			if !c.all && len(c.problems) > 0 {
+				return false
 			}
 		}
+		if u.Kind != UnitEntity && b.Terminator() == nil {
+			c.problemf("%s: block %s lacks a terminator", u, b)
+		}
 	}
-	return ""
+	return shaped
 }
 
 func instShapeProblem(in *Inst, kind UnitKind) string {

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +121,7 @@ func buildForms(op Opcode, kind UnitKind) (*Module, []*Inst) {
 	arr := b.Array(i8, x, y)
 
 	var forms []*Inst
+	var extra []*Unit // units the forms need besides u
 	switch op {
 	case OpConstInt:
 		forms = []*Inst{x}
@@ -156,7 +158,7 @@ func buildForms(op Opcode, kind UnitKind) (*Module, []*Inst) {
 	case OpDel:
 		forms = []*Inst{b.Del(s, s2, t)}
 	case OpInst:
-		forms = []*Inst{b.Instantiate("v", nil, nil), b.Instantiate("v", []Value{s}, []Value{s2})}
+		forms = []*Inst{b.Instantiate("v", nil, nil), b.Instantiate("w", []Value{s}, []Value{s2})}
 	case OpVar:
 		forms = []*Inst{b.Var(x)}
 	case OpLd:
@@ -168,9 +170,14 @@ func buildForms(op Opcode, kind UnitKind) (*Module, []*Inst) {
 	case OpFree:
 		forms = []*Inst{b.Free(p)}
 	case OpCall:
-		forms = []*Inst{b.Call(VoidType(), "f"), b.Call(i8, "f", x, y)}
+		forms = []*Inst{b.Call(VoidType(), "f"), b.Call(i8, "g", x, y)}
 	case OpRet:
-		forms = []*Inst{b.Ret(nil), b.Ret(x)}
+		// A function returns one type: the void form goes in a second one.
+		void := NewUnit(UnitFunc, "h")
+		void.AddBlock("entry")
+		u.RetType = i8
+		forms = []*Inst{NewBuilder(void).Ret(nil), b.Ret(x)}
+		extra = append(extra, void)
 	case OpBr:
 		forms = []*Inst{b.Br(next), b.BrCond(c, next, next)}
 	case OpPhi:
@@ -190,8 +197,47 @@ func buildForms(op Opcode, kind UnitKind) (*Module, []*Inst) {
 		}
 	}
 	m := NewModule("t")
-	m.MustAdd(u)
+	for _, x := range append([]*Unit{u}, extra...) {
+		m.MustAdd(x)
+	}
+	complete(m, u)
 	return m, forms
+}
+
+// complete makes what is around the forms legal: each block of a process
+// or function ends in exactly one terminator (a terminator form ends a
+// block of its own, an unterminated block gets an unreachable), and the
+// units the call and inst forms name exist, with their signatures.
+func complete(m *Module, u *Unit) {
+	if u.Kind != UnitEntity {
+		for _, b := range slices.Clone(u.Blocks) {
+			insts, cur := b.Insts, b
+			b.Insts = nil
+			for i, in := range insts {
+				cur.Append(in)
+				if in.Op.IsTerminator() && i+1 < len(insts) {
+					cur = u.InsertBlockAfter("", cur)
+				}
+			}
+			if cur.Terminator() == nil {
+				cur.Append(&Inst{Op: OpUnreachable, Ty: VoidType()})
+			}
+		}
+	}
+	i8 := IntType(8)
+	f, g := NewUnit(UnitFunc, "f"), NewUnit(UnitFunc, "g")
+	g.RetType = i8
+	g.AddInput("a", i8)
+	g.AddInput("b", i8)
+	for _, fn := range []*Unit{f, g} {
+		fn.AddBlock("entry").Append(&Inst{Op: OpUnreachable, Ty: VoidType()})
+	}
+	v, w := NewUnit(UnitEntity, "v"), NewUnit(UnitEntity, "w")
+	w.AddInput("a", SignalType(i8))
+	w.AddOutput("q", SignalType(i8))
+	for _, x := range []*Unit{f, g, v, w} {
+		m.MustAdd(x)
+	}
 }
 
 // checkOpInfo holds the table entry of one opcode, as it reads now, to the
@@ -349,6 +395,42 @@ func TestCheckShapeRejects(t *testing.T) {
 	ment.MustAdd(ent)
 	odd := proc()
 	odd.Units[0].Kind = 7
+	i4, i8, i32 := IntType(4), IntType(8), IntType(32)
+	k32 := &Inst{Op: OpConstInt, Ty: i32}
+	named := func(in *Inst) *Inst { in.SetName("x"); return in }
+	// with adds callees to a module: @f (i8) i8, @g a process of an i8
+	// input and output.
+	with := func(m *Module) *Module {
+		f := NewUnit(UnitFunc, "f")
+		f.RetType = i8
+		f.AddInput("a", i8)
+		f.AddBlock("entry").Append(&Inst{Op: OpRet, Ty: VoidType(), Args: []Value{f.Inputs[0]}})
+		g := NewUnit(UnitProc, "g")
+		g.AddInput("a", SignalType(i8))
+		g.AddOutput("q", SignalType(i8))
+		g.AddBlock("entry").Append(&Inst{Op: OpHalt, Ty: VoidType()})
+		m.MustAdd(f)
+		m.MustAdd(g)
+		return m
+	}
+	entity := func(ins ...*Inst) *Module {
+		e := NewUnit(UnitEntity, "e")
+		for _, in := range ins {
+			e.Body().Append(in)
+		}
+		m := NewModule("t")
+		m.MustAdd(e)
+		return with(m)
+	}
+	s8 := &Inst{Op: OpSig, Ty: SignalType(i8), Args: []Value{k}}
+	s32 := &Inst{Op: OpSig, Ty: SignalType(i32), Args: []Value{k32}}
+	elsewhere := proc()
+	jump := &Inst{Op: OpBr, Ty: VoidType(), Dests: []*Block{elsewhere.Units[0].Blocks[0]}}
+	retFunc := NewUnit(UnitFunc, "f")
+	retFunc.RetType = i8
+	retFunc.AddBlock("entry").Append(&Inst{Op: OpRet, Ty: VoidType()})
+	retMod := NewModule("t")
+	retMod.MustAdd(retFunc)
 
 	cases := []struct {
 		name string
@@ -365,6 +447,51 @@ func TestCheckShapeRejects(t *testing.T) {
 			"br with 1 operands takes 2 destination blocks, has 1"},
 		{"wait without a resume block", proc(&Inst{Op: OpWait, Ty: VoidType()}), "takes 1 destination blocks, has 0"},
 		{"unknown unit kind", odd, "@p: unknown unit kind 7"},
+		{"sig of another type", entity(k32, named(&Inst{Op: OpSig, Ty: SignalType(i8), Args: []Value{k32}})),
+			"%x (sig) in %body: initial value type i32 does not match signal i8$"},
+		{"var of another type", proc(k32, named(&Inst{Op: OpVar, Ty: PointerType(i8), Args: []Value{k32}})),
+			"initial value type i32 does not match pointer i8*"},
+		{"exts past its target", proc(k, named(&Inst{Op: OpExtS, Ty: i4, Args: []Value{k}, Imm0: 6, Imm1: 4})), "%x (exts) in %entry: slice [6, 10) out of i8"},
+		{"exts at a negative offset", proc(k, &Inst{Op: OpExtS, Ty: i4, Args: []Value{k}, Imm0: -1, Imm1: 4}), "slice [-1, 3) out of i8"},
+		{"exts of a time", proc(&Inst{Op: OpExtS, Ty: i4, Args: []Value{&Inst{Op: OpConstTime, Ty: TimeType()}}, Imm1: 1}), "slice [0, 1) out of time"},
+		{"inss of too few elements", proc(&Inst{Op: OpInsS, Ty: ArrayType(4, i8), Args: []Value{
+			&Inst{Op: OpArray, Ty: ArrayType(4, i8)}, &Inst{Op: OpArray, Ty: ArrayType(1, i8)}}, Imm1: 2}),
+			"inss of 2 elements from [1 x i8]"},
+		{"exts to another width", proc(k, &Inst{Op: OpExtS, Ty: i8, Args: []Value{k}, Imm0: 2, Imm1: 4}), "result type i8 is no slice of 4 of i8"},
+		{"inss to another type", proc(k, &Inst{Op: OpInsS, Ty: i4, Args: []Value{k, k}, Imm1: 8}), "result type i4 does not match target type i8"},
+		{"extf of another type", proc(&Inst{Op: OpExtF, Ty: i4, Args: []Value{&Inst{Op: OpArray, Ty: ArrayType(0, i8)}}}),
+			"result type i4 does not match the field of [0 x i8]"},
+		{"extf of a signal to a value", with(proc(&Inst{Op: OpExtF, Ty: i8, Args: []Value{&Arg{ty: SignalType(ArrayType(2, i8))}}})),
+			"result type i8 does not match the field of [2 x i8]$"},
+		{"insf of another field type", proc(k32, &Inst{Op: OpInsF, Ty: StructType(i8), Args: []Value{&Inst{Op: OpStruct, Ty: StructType(i8)}, k32}}),
+			"value type i32 does not match the field of {i8}"},
+		{"dynamic extf of a struct", proc(k, &Inst{Op: OpExtF, Ty: i8, Args: []Value{&Inst{Op: OpStruct, Ty: StructType(i8)}, k}}),
+			"a dynamic index needs an array, got {i8}"},
+		{"mux to another type", proc(k, &Inst{Op: OpMux, Ty: i4, Args: []Value{&Inst{Op: OpArray, Ty: ArrayType(0, i8)}, k}}),
+			"result type i4 does not match the elements of [0 x i8]"},
+		{"array of another element", proc(k32, &Inst{Op: OpArray, Ty: ArrayType(1, i8), Args: []Value{k32}}), "element type i32 does not match [1 x i8]"},
+		{"struct of another field", proc(k32, &Inst{Op: OpStruct, Ty: StructType(i8), Args: []Value{k32}}), "field type i32 does not match {i8}"},
+		{"add of another result type", proc(k, named(&Inst{Op: OpAdd, Ty: i4, Args: []Value{k, k}})), "%x (add) in %entry: result type i4 does not match operand type i8"},
+		{"not of another result type", proc(k, &Inst{Op: OpNot, Ty: i4, Args: []Value{k}}), "result type i4 does not match operand type i8"},
+		{"compare to an i8", proc(k, &Inst{Op: OpUlt, Ty: i8, Args: []Value{k, k}}), "compare result must be i1, got i8"},
+		{"prb of another type", with(proc(&Inst{Op: OpPrb, Ty: i4, Args: []Value{&Arg{ty: SignalType(i8)}}})), "prb result type i4 does not match signal i8$"},
+		{"con of two types", entity(k, k32, s8, s32, &Inst{Op: OpCon, Ty: VoidType(), Args: []Value{s8, s32}}), "con of i8$ and i32$"},
+		{"ret without the result", retMod, "@f: %<ret> (ret) in %entry: ret of void from a function returning i8"},
+		{"phi of another type", proc(&Inst{Op: OpPhi, Ty: i8, Args: []Value{k32}, Dests: []*Block{nil}}), "phi operand type i32 does not match i8"},
+		{"br to another unit", proc(jump), "destination %entry is not a block of @p"},
+		{"call of a process", with(proc(&Inst{Op: OpCall, Ty: VoidType(), Callee: "g"})), "call of @g, a proc"},
+		{"call with one argument too many", with(proc(k, &Inst{Op: OpCall, Ty: i8, Callee: "f", Args: []Value{k, k}})), "call passes 2 arguments, @f takes 1"},
+		{"call for another result", with(proc(k, &Inst{Op: OpCall, Ty: i4, Callee: "f", Args: []Value{k}})), "call result type i4 does not match @f's i8"},
+		{"llhd.assert of an i8", proc(k, &Inst{Op: OpCall, Ty: VoidType(), Callee: "llhd.assert", Args: []Value{k}}), "llhd.assert takes one i1 and returns void"},
+		{"llhd.time to an i8", proc(&Inst{Op: OpCall, Ty: i8, Callee: "llhd.time"}), "llhd.time takes nothing and returns time"},
+		{"llhd.display with a result", proc(&Inst{Op: OpCall, Ty: i8, Callee: "llhd.display"}), "llhd.display returns void"},
+		{"del into another type", entity(k, k32, s8, s32, &Inst{Op: OpDel, Ty: VoidType(), Args: []Value{s8, s32, &Inst{Op: OpConstTime, Ty: TimeType()}}}),
+			"del of i32$ into i8$"},
+		{"inst of a function", entity(&Inst{Op: OpInst, Ty: VoidType(), Callee: "f"}), "inst of @f, a func"},
+		{"inst of one port too few", entity(k, s8, &Inst{Op: OpInst, Ty: VoidType(), Callee: "g", Args: []Value{s8}, NumIns: 1}),
+			"inst binds 1->0 signals, @g takes 1->1"},
+		{"inst of a wider output", entity(k, k32, s8, s32, &Inst{Op: OpInst, Ty: VoidType(), Callee: "g", Args: []Value{s8, s32}, NumIns: 1}),
+			"is i32$, @g's %q is i8$"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

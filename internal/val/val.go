@@ -185,11 +185,12 @@ func (v Value) unpacked() []Value {
 }
 
 // Default returns the zero-initialized value for an IR type: 0 for
-// integers, U for logic, zero time, recursively for aggregates.
+// integers and enums (an enum as wide as its constants, BitWidth), U for
+// logic, zero time, recursively for aggregates.
 func Default(ty *ir.Type) Value {
 	switch ty.Kind {
 	case ir.IntKind, ir.EnumKind:
-		return Int(ty.Width, 0)
+		return Int(ty.BitWidth(), 0)
 	case ir.TimeKind:
 		return TimeVal(ir.Time{})
 	case ir.LogicKind:

@@ -48,8 +48,9 @@ func bothEnginesReject(t *testing.T, m *llhd.Module, top string) string {
 func TestShapeLegalityAcrossEngines(t *testing.T) {
 	kinds := []ir.UnitKind{ir.UnitFunc, ir.UnitProc, ir.UnitEntity}
 	// module holds one instruction of the opcode with nargs operands in a
-	// unit of the kind; the operands are all one i8 constant, typing being
-	// none of CheckShape's business.
+	// unit of the kind; the operands are all one i8 constant, which is
+	// enough: an instruction of the wrong shape or in the wrong place is
+	// reported for that before its types are looked at.
 	module := func(op ir.Opcode, kind ir.UnitKind, nargs int) *llhd.Module {
 		m := ir.NewModule("m")
 		m.MustAdd(ir.NewUnit(ir.UnitEntity, "top"))
@@ -126,12 +127,18 @@ func TestShapeLegalityAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestIllegalDesignsRejectedAlike replays the six designs that showed the
-// engines disagreeing before the table: on the interpreter the first five
-// failed at run time as class "internal" (exit 3, HTTP 500) while blaze
-// accepted four of them silently — dropping the process's drives in the
-// reg case — and hit a contained index panic on the fifth; the sixth ran on
-// both engines although ir.Verify rejects it.
+// TestIllegalDesignsRejectedAlike replays designs the engines disagreed on,
+// or ran although ir.Verify rejects them, one per rule of ir.CheckShape
+// that decides them now. Before the instruction-set table, on the
+// interpreter the first five failed at run time as class "internal" (exit
+// 3, HTTP 500) while blaze accepted four of them silently — dropping the
+// process's drives in the reg case — and hit a contained index panic on
+// the fifth; the sixth ran on both engines. The rest ran on both engines
+// before the type rules, each with its own meaning: the eq row drove 0 on
+// both only because Blaze kept a width test for it, the drv row put 300 on
+// an i8 signal, the sig row made an i8 signal that Blaze held equal to 44
+// and the interpreter did not, and the inss row failed as "internal" on
+// the interpreter and ran on Blaze.
 func TestIllegalDesignsRejectedAlike(t *testing.T) {
 	for _, c := range illegalDesigns {
 		t.Run(c.name, func(t *testing.T) {
@@ -222,4 +229,145 @@ entity @top () -> () {
   %d = const time 1ns
   drv i8$ %q, %v after %d
 }`, "ir: @top: %p (var) in %body: illegal in entity units"},
+	{"ill-typed add", `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %a = const i8 1
+  %b = const i32 2
+  %s = add i8 %a, %b
+  halt
+}`, "ir: @p: %s (add) in %entry: operand types differ: i8 vs i32"},
+	{"ill-typed eq", `
+entity @top () -> () {
+  %f = const i1 0
+  %d = sig i1 %f
+  inst @p () -> (i1$ %d)
+}
+proc @p () -> (i1$ %d) {
+ entry:
+  %t = const time 1ns
+  %five8 = const i8 5
+  %five32 = const i32 5
+  %k = eq i32 %five8, %five32
+  drv i1$ %d, %k after %t
+  halt
+}`, "ir: @p: %k (eq) in %entry: operand types differ: i8 vs i32"},
+	{"i32 drv into i8", `
+entity @top () -> () {
+  %z = const i8 0
+  %q = sig i8 %z
+  inst @p () -> (i8$ %q)
+}
+proc @p () -> (i8$ %q) {
+ entry:
+  %o = const i32 300
+  %t = const time 1ns
+  drv i8$ %q, %o after %t
+  halt
+}`, "ir: @p: %<drv> (drv) in %entry: drv value type i32 does not match signal i8$"},
+	{"i32 st into i8", `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %z = const i8 0
+  %v = var i8 %z
+  %o = const i32 300
+  st i8* %v, %o
+  halt
+}`, "ir: @p: %<st> (st) in %entry: st value type i32 does not match pointer i8*"},
+	{"i8 br condition", `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %c = const i8 2
+  br %c, %a, %b
+ a:
+  halt
+ b:
+  halt
+}`, "ir: @p: %<br> (br) in %entry: br condition must be i1, got i8"},
+	{"unterminated process block", `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %c = const i8 2
+}`, "ir: @p: block %entry lacks a terminator"},
+	{"sig i8 from an i32", `
+entity @top () -> () {
+  %w = const i32 44
+  %q = sig i8 %w
+}`, "ir: @top: %q (sig) in %body: initial value type i32 does not match signal i8$"},
+	{"inst port bound to a wider signal", `
+entity @top () -> () {
+  %z = const i32 0
+  %w = sig i32 %z
+  inst @p (i32$ %w) -> ()
+}
+proc @p (i8$ %a) -> () {
+ entry:
+  halt
+}`, "ir: @top: %<inst> (inst) in %body: %w is i32$, @p's %a is i8$"},
+	{"call argument of another width", `
+entity @top () -> () {
+  inst @p () -> ()
+}
+proc @p () -> () {
+ entry:
+  %x = const i32 3
+  %y = call i8 @f (i32 %x)
+  halt
+}
+func @f (i8 %a) i8 {
+ entry:
+  ret i8 %a
+}`, "ir: @p: %y (call) in %entry: %x is i32, @f's %a is i8"},
+	{"inss past its target", `
+entity @top () -> () {
+  %z = const i4 0
+  %q = sig i4 %z
+  inst @p () -> (i4$ %q)
+}
+proc @p () -> (i4$ %q) {
+ entry:
+  %c = const i4 0
+  %x = const i8 3
+  %y = inss i4 %c, %x, 0, 8
+  %t = const time 1ns
+  drv i4$ %q, %y after %t
+  halt
+}`, "ir: @p: %y (inss) in %entry: slice [0, 8) out of i4"},
+}
+
+// TestCheckShapeAllocFree holds the walk every elaboration starts with to
+// what makes it cheap enough for that: on every Table 2 design and the
+// RV32I core, unlowered and lowered, it passes and allocates nothing.
+func TestCheckShapeAllocFree(t *testing.T) {
+	for _, d := range loweringInputs(t) {
+		m, err := llhd.CompileSystemVerilog(d.Name, d.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		for _, form := range []string{"unlowered", "lowered"} {
+			if form == "lowered" {
+				if err := llhd.Lower(m); err != nil {
+					t.Fatalf("%s: Lower: %v", d.Name, err)
+				}
+			}
+			if err := ir.CheckShape(m); err != nil {
+				t.Errorf("%s, %s: %v", d.Name, form, err)
+			}
+			if n := testing.AllocsPerRun(5, func() { _ = ir.CheckShape(m) }); n != 0 {
+				t.Errorf("%s, %s: CheckShape made %.0f allocations", d.Name, form, n)
+			}
+		}
+	}
 }
