@@ -127,7 +127,8 @@ bench-lower:
 # RV32I core, behavioural and lowered; ns/op and allocs/op): llhd.CompileBlaze
 # (BenchmarkBlazeCompile, module decoded outside the timer) and one session
 # from the precompiled design run to the end (BenchmarkBlazeRun, compiled
-# outside the timer). It is the builder's inner loop for the bytecode
+# outside the timer), which also runs testdata/fabric_4x40.sv, the
+# fabric_wide workload's kernel-bound shape at 4 lanes and 40 cycles. It is the builder's inner loop for the bytecode
 # lowering, its forwarding plan and the dispatch loop; a claim rests on
 # blaze_cycles_per_s / blaze_lowered_cycles_per_s / cold_start_ms of `make
 # bench`, not on this. It runs on one P, as `make bench` does.

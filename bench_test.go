@@ -113,6 +113,17 @@ func loweringInputs(tb testing.TB) []designs.Design {
 	return append(designs.All(), designs.RV32I(hexPath))
 }
 
+// fabricInput returns testdata/fabric_4x40.sv, the fabric_wide
+// workload's design at 4 lanes and 40 cycles.
+func fabricInput(tb testing.TB) designs.Design {
+	tb.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "fabric_4x40.sv"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return designs.Design{Name: "fabric_4x40", Top: "fabric_tb", Source: string(src)}
+}
+
 // BenchmarkLower measures llhd.Lower per design (ns/op and allocs/op), the
 // module built outside the timer. It is the inner-loop view of the
 // lower_ms metric of `go run ./benchmark`, which stays the record.
@@ -179,14 +190,15 @@ func BenchmarkBlazeCompile(b *testing.B) {
 }
 
 // BenchmarkBlazeRun measures Blaze sessions per design: the ten Table 2
-// designs and the RV32I core, as the frontend emits them and after
-// llhd.Lower, one session from the precompiled design elaborated and run
-// to the end per op (ns/op and allocs/op), the design compiled once
-// outside the timer. It is the inner-loop view of blaze_cycles_per_s and
-// blaze_lowered_cycles_per_s of `go run ./benchmark`, which stay the
-// record.
+// designs, the RV32I core and fabric_4x40 (testdata/fabric_4x40.sv, the
+// fabric_wide workload's shape at 4 lanes and 40 cycles), as the frontend
+// emits them and after llhd.Lower, one session from the precompiled design
+// elaborated and run to the end per op (ns/op and allocs/op), the design
+// compiled once outside the timer. It is the inner-loop view of
+// blaze_cycles_per_s and blaze_lowered_cycles_per_s of `go run
+// ./benchmark`, which stay the record.
 func BenchmarkBlazeRun(b *testing.B) {
-	for _, d := range loweringInputs(b) {
+	for _, d := range append(loweringInputs(b), fabricInput(b)) {
 		m, err := moore.Compile(d.Name, d.Source)
 		if err != nil {
 			b.Fatal(err)

@@ -153,6 +153,11 @@ const (
 	// Regs[src] for each pair in turn.
 	opMoves
 
+	// An edge wait's test (rule 13 of plan.go): the probe of a 1-bit signal
+	// against the value Regs[Dst] held. pc = Regs[Dst].Bits == 0 && the
+	// probe of Sigs[A] reads 1 ? C : B, and Regs[Dst] = that probe.
+	opBrRise
+
 	numOps
 )
 
@@ -170,7 +175,7 @@ var opWritesDst = [numOps]bool{
 	opExtSInt: true, opInsSInt: true, opInsSCat: true, opInsSRep: true, opEvalBin: true, opEvalUn: true,
 	opMux: true, opExtF: true, opExtFDyn: true, opExtS: true,
 	opInsF: true, opInsFDyn: true, opInsS: true, opAgg: true,
-	opPrb: true, opCall: true, opTimeNow: true,
+	opPrb: true, opCall: true, opTimeNow: true, opBrRise: true,
 }
 
 // Instr is one fixed-width bytecode instruction.

@@ -117,6 +117,10 @@ func effects(u *Unit, pc int, read, write func(int32)) []int32 {
 		read(i.A)
 		read(i.B)
 		next = []int32{i.Dst, i.C}
+	case opBrRise:
+		read(i.Dst)
+		write(i.Dst)
+		next = []int32{i.B, i.C}
 	case opRetV:
 		read(i.A)
 		next = nil
@@ -224,9 +228,9 @@ func lowerModule(t *testing.T, m *ir.Module, top string) []*Unit {
 }
 
 // TestLoweredRegistersDefined runs checkDefined on every unit of the ten
-// Table 2 designs and the RV32I core, behavioural and after the §4
-// lowering (the units TestBytecodeSizeRatchet pins), and of every .llhd
-// corpus entry in both forms. A rewrite of plan.go that leaves a register
+// Table 2 designs, the RV32I core and fabric_4x40 (testdata/fabric_4x40.sv),
+// behavioural and after the §4 lowering (the units TestBytecodeSizeRatchet
+// pins), and of every .llhd corpus entry in both forms. A rewrite of plan.go that leaves a register
 // unwritten on a path that reads it fails here without a simulation,
 // even where the frame template's zero happens to be the right value.
 func TestLoweredRegistersDefined(t *testing.T) {
@@ -263,7 +267,11 @@ func TestLoweredRegistersDefined(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range append(designs.All(), designs.RV32I(path)) {
+	fabric, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "fabric_4x40.sv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range append(designs.All(), designs.RV32I(path), designs.Design{Name: "fabric_4x40", Top: "fabric_tb", Source: string(fabric)}) {
 		check(d.Name, func() (*ir.Module, error) { return moore.Compile(d.Name, d.Source) }, d.Top)
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "..", "testdata", "corpus", "*.llhd"))

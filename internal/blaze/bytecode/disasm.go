@@ -68,6 +68,7 @@ var opNames = [numOps]string{
 	opBrUlt:   "br.ult",
 	opInsSRep: "inss.rep",
 	opMoves:   "moves",
+	opBrRise:  "br.rise",
 }
 
 // String returns the opcode mnemonic.
@@ -200,6 +201,8 @@ func disasmInstr(u *Unit, pc int) string {
 		return head + fmt.Sprintf("r%d, @%04d, @%04d", i.A, i.B, i.C)
 	case opBrEq, opBrUlt:
 		return head + fmt.Sprintf("r%d, r%d, @%04d, @%04d", i.A, i.B, i.Dst, i.C)
+	case opBrRise:
+		return head + fmt.Sprintf("r%d, sig%d, @%04d, @%04d", i.Dst, i.A, i.B, i.C)
 	case opMoves:
 		var parts []string
 		for k := int32(0); k < i.B; k++ {

@@ -367,6 +367,18 @@ func (rt *Runtime) run(e *engine.Engine, u *Unit, fr *Frame, self engine.ProcID)
 			} else {
 				pc = int(i.Dst)
 			}
+		case opBrRise:
+			if jumps++; jumps >= maxJumps {
+				return 0, errStepBudget
+			}
+			cur := e.Probe(fr.Sigs[i.A])
+			rose := regs[i.Dst].Bits == 0 && cur.Bits == 1
+			regs[i.Dst] = cur
+			if rose {
+				pc = int(i.C)
+			} else {
+				pc = int(i.B)
+			}
 		case opMoves:
 			moves := aux[i.A : i.A+2*i.B]
 			for k := 0; k+1 < len(moves); k += 2 {

@@ -126,14 +126,22 @@ type lowerer struct {
 	// through (its value ID, -1 for none), and the register read instead.
 	throughID  int
 	throughReg int32
+	// Rule 13: the edge waits lowered as one br.rise each (nil: none), and
+	// the dominator tree and temporal regions that decide which transfers
+	// skip a head probe.
+	rises []rise
+	dom   *ir.DomTree
+	trs   *ir.TRMap
 }
 
 // fixup is a deferred jump-target patch: field f of the instruction at pc
-// receives the start pc of the target block.
+// receives the start pc of the target block, or the pc after it when the
+// transfer skips the block's head probe (past, rule 13).
 type fixup struct {
 	pc     int
 	field  uint8
 	target *ir.Block
+	past   *rise
 }
 
 // The instruction fields a branch target goes in.
@@ -211,11 +219,17 @@ func newLowerer(p *Program, inst *engine.Instance, u *Unit) *lowerer {
 	if len(lo.inits) > 0 {
 		lo.planInits()
 	}
+	if lo.probes != nil && lo.unit.Kind == ir.UnitProc {
+		lo.rises = lo.edgeWaits()
+	}
 	needSSA := lo.unit.Kind != ir.UnitEntity && len(lo.unit.Blocks) > 1 && (lo.hasPhi || lo.condBr && lo.late)
-	if needSSA || lo.probesAcross {
+	if needSSA || lo.probesAcross || lo.rises != nil {
 		dom := ir.NewDomTree(lo.unit)
 		if lo.probesAcross {
-			lo.planProbes(dom) // first: it adds uses rules 10 and 11 read
+			lo.planProbes(dom) // first: it adds uses rules 10, 11 and 13 read
+		}
+		if lo.rises != nil {
+			lo.planRises(dom)
 		}
 		if needSSA {
 			lo.planSSA(dom)
@@ -304,6 +318,12 @@ func (lo *lowerer) jumpTo(pc int, f uint8, b *ir.Block) {
 	lo.fixups = append(lo.fixups, fixup{pc: pc, field: f, target: b})
 }
 
+// transfer records the fixup of a br's transfer from block from to block
+// to, which lands past to's head probe where rule 13 lets it.
+func (lo *lowerer) transfer(pc int, f uint8, from, to *ir.Block) {
+	lo.fixups = append(lo.fixups, fixup{pc: pc, field: f, target: to, past: lo.skips(from, to)})
+}
+
 // lowerBlocks lowers every block in order, then patches jump targets.
 // Operand counts and types, which ops the unit's kind may hold, that each
 // block of a process or function ends in one terminator and that every
@@ -322,7 +342,11 @@ func (lo *lowerer) lowerBlocks() error {
 		}
 	}
 	for _, fx := range lo.fixups {
-		lo.setTarget(fx.pc, fx.field, int32(lo.blockPC[fx.target]))
+		at := lo.blockPC[fx.target]
+		if fx.past != nil && fx.past.first {
+			at++
+		}
+		lo.setTarget(fx.pc, fx.field, int32(at))
 	}
 	lo.threadJumps()
 	lo.compact()
@@ -346,7 +370,7 @@ func (lo *lowerer) threadJumps() {
 	for pc := range code {
 		if i := &code[pc]; i.Op == opJump {
 			switch t := code[i.A]; t.Op {
-			case opBranch, opBrEq, opBrUlt:
+			case opBranch, opBrEq, opBrUlt, opBrRise:
 				*i = t
 			}
 		}
@@ -372,7 +396,7 @@ func (lo *lowerer) compact() {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		switch i := code[pc]; i.Op {
-		case opJump, opSuspend, opBranch, opBrEq, opBrUlt:
+		case opJump, opSuspend, opBranch, opBrEq, opBrUlt, opBrRise:
 			retarget(&i, reach)
 		case opHalt, opRet, opRetV, opUnreach, opBadCall:
 		default:
@@ -407,7 +431,7 @@ func retarget(i *Instr, f func(pc int32) int32) {
 	switch i.Op {
 	case opJump, opSuspend:
 		i.A = f(i.A)
-	case opBranch:
+	case opBranch, opBrRise:
 		i.B, i.C = f(i.B), f(i.C)
 	case opBrEq, opBrUlt:
 		i.Dst, i.C = f(i.Dst), f(i.C)
@@ -553,13 +577,13 @@ func (lo *lowerer) scratch() int32 {
 func (lo *lowerer) edgeEnter(brPC int, f uint8, from, to *ir.Block) {
 	pairs := lo.edgeMoves(from, to)
 	if len(pairs) == 0 {
-		lo.jumpTo(brPC, f, to)
+		lo.transfer(brPC, f, from, to)
 		return
 	}
 	stub := len(lo.u.Code)
 	lo.emitMoves(pairs)
 	jmp := lo.emit(Instr{Op: opJump})
-	lo.jumpTo(jmp, fieldA, to)
+	lo.transfer(jmp, fieldA, from, to)
 	lo.setTarget(brPC, f, int32(stub))
 }
 
@@ -572,7 +596,7 @@ func (lo *lowerer) lowerTerm(b *ir.Block, in *ir.Inst) error {
 				return nil // rule 3: falls through
 			}
 			jmp := lo.emit(Instr{Op: opJump})
-			lo.jumpTo(jmp, fieldA, in.Dests[0])
+			lo.transfer(jmp, fieldA, b, in.Dests[0])
 			return nil
 		}
 		br, onFalse, onTrue := lo.condBranch(in.Args[0])
@@ -643,13 +667,19 @@ var fusedBranches = [numOps]fusedBranch{
 // condBranch emits the conditional branch on cond and returns its pc and
 // the fields its false and true targets go in. When cond is a compare or an
 // i1 not whose one use is this branch and whose one Instr is the last of
-// Code, that Instr becomes the branch (rule 6).
+// Code, that Instr becomes the branch (rule 6); an edge wait's test is one
+// br.rise (rule 13).
 func (lo *lowerer) condBranch(cond ir.Value) (pc int, onFalse, onTrue uint8) {
+	if r := lo.riseOf(cond); r != nil {
+		return lo.emit(Instr{Op: opBrRise, Dst: lo.reg(r.old), A: r.slot}), fieldB, fieldC
+	}
 	br := Instr{Op: opBranch, A: lo.reg(cond)}
 	onFalse, onTrue = fieldB, fieldC
 	if lo.tail != nil && lo.tail == cond && lo.singleUse(cond) {
 		last := lo.u.Code[len(lo.u.Code)-1]
-		if f := fusedBranches[last.Op]; f.op != opNop && last.Dst == br.A && (last.Op != opNot || last.C == 1) {
+		// A not that rule 14 narrowed to one bit reads a wider operand,
+		// which the branch would test whole.
+		if f := fusedBranches[last.Op]; f.op != opNop && last.Dst == br.A && (last.Op != opNot || lo.tail.Op == ir.OpNot) {
 			lo.u.Code = lo.u.Code[:len(lo.u.Code)-1]
 			br.A = last.A
 			if f.op != opBranch { // a compare: both operands, the false target in Dst
@@ -687,6 +717,14 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		si, err := lo.sigSlot(in.Args[0])
 		if err != nil {
 			return err
+		}
+		r := lo.riseOf(in)
+		if r != nil && in == r.new {
+			r.slot = si
+			return nil // rule 13: the br.rise probes
+		}
+		if r != nil {
+			r.first = len(lo.u.Code) == lo.blockPC[r.head]
 		}
 		lo.markProbed(si)
 		lo.emit(Instr{Op: opPrb, Dst: lo.reg(in), A: si})
@@ -788,6 +826,9 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 		}
 		op := opExtS // generic (logic vectors)
 		if in.Args[0].Type().IsInt() {
+			if lo.truncate(in) {
+				return nil // rule 14: the Instr before it writes it
+			}
 			op = opExtSInt // integer bit slices are the hot path
 		}
 		lo.emit(Instr{Op: op, Dst: lo.reg(in), A: lo.reg(in.Args[0]), B: int32(in.Imm0), C: int32(in.Imm1)})
@@ -863,8 +904,8 @@ func (lo *lowerer) lowerStep(in *ir.Inst) error {
 	}
 
 	if in.Op.IsBinary() || in.Op.IsCompare() {
-		if lo.skipFolded(in) {
-			return nil
+		if lo.skipFolded(in) || lo.riseOf(in) != nil {
+			return nil // rule 13: the br.rise tests the edge
 		}
 		return lo.lowerBinary(in)
 	}
@@ -891,6 +932,33 @@ func (lo *lowerer) fuseSplice(in *ir.Inst, i Instr) bool {
 		return false
 	}
 	last.Dst = i.Dst
+	lo.tail = in
+	return true
+}
+
+// truncates marks the opcodes whose low n bits depend on the low n bits
+// of their operands alone (and a shift's amount), so that one computed at
+// width n is the truncation of one computed wider: rule 14 may fold a
+// truncation into them.
+var truncates = [numOps]bool{
+	opAdd: true, opSub: true, opMul: true, opAnd: true, opOr: true, opXor: true,
+	opShl: true, opNot: true, opNeg: true,
+}
+
+// truncate folds the integer exts in — exts iN %x, 0, n, %x read by
+// nothing else and lowered to the last Instr — into that Instr when it is
+// one of truncates (rule 14): it then writes in's register at width n,
+// and in is the tail.
+func (lo *lowerer) truncate(in *ir.Inst) bool {
+	x := in.Args[0]
+	if in.Imm0 != 0 || lo.tail == nil || lo.tail != x || !lo.singleUse(x) {
+		return false
+	}
+	last := &lo.u.Code[len(lo.u.Code)-1]
+	if !truncates[last.Op] || last.Dst != lo.reg(x) {
+		return false
+	}
+	last.Dst, last.C = lo.reg(in), int32(in.Imm1)
 	lo.tail = in
 	return true
 }

@@ -118,6 +118,8 @@ func TestOpsReadOperandsBeforeDst(t *testing.T) {
 		opPrb:     {{ins: Instr{Op: opPrb, A: 0}, vals: [4]val.Value{none}}},
 		opCall:    {{ins: Instr{Op: opCall, A: 0, B: 0, C: 2}, aux: []int32{1, 2}, auxRegs: []int{0, 1}, vals: [4]val.Value{none, i8(30), i8(12)}}},
 		opTimeNow: {{ins: Instr{Op: opTimeNow}, vals: [4]val.Value{none}}},
+		// Dst is its one register operand: TestBrRiseReadsDstBeforeWrite.
+		opBrRise: {{ins: Instr{Op: opBrRise, A: 0, B: 1, C: 1}, vals: [4]val.Value{none}}},
 	}
 	for _, op := range []Op{opAdd, opSub, opMul, opAnd, opOr, opXor, opShl, opShr, opAshr,
 		opUlt, opUgt, opUle, opUge, opSlt, opSgt, opSle, opSge} {
@@ -219,5 +221,39 @@ func TestDisasmCoversEveryOp(t *testing.T) {
 	u.Code = []Instr{{Op: opBrUlt, Dst: 7, A: 1, B: 2, C: 3}}
 	if got, want := disasmInstr(u, 0), "  0000  br.ult  r1, r2, @0007, @0003"; got != want {
 		t.Errorf("br.ult renders as %q, want %q", got, want)
+	}
+}
+
+// TestBrRiseReadsDstBeforeWrite is TestOpsReadOperandsBeforeDst's row for
+// br.rise, whose Dst is both what it tests and what it writes (rule 13 of
+// plan.go): over the four pairs of the value Regs[Dst] held and the value
+// the probe reads, it takes the true target for 0 then 1 alone, and
+// leaves the probe in Regs[Dst] whichever target it takes.
+func TestBrRiseReadsDstBeforeWrite(t *testing.T) {
+	e := engine.New()
+	sigs := []engine.SigRef{
+		{Sig: e.NewSignal("lo", ir.IntType(1), val.Int(1, 0))},
+		{Sig: e.NewSignal("hi", ir.IntType(1), val.Int(1, 1))},
+	}
+	for was := uint64(0); was < 2; was++ {
+		for now := int32(0); now < 2; now++ {
+			u := &Unit{Name: "t", NRegs: 3, Code: []Instr{
+				{Op: opBrRise, Dst: 0, A: now, B: 1, C: 3},
+				{Op: opMove, Dst: 1, A: 2}, // the false target marks r1
+				{Op: opHalt},
+				{Op: opHalt},
+			}}
+			fr := &Frame{Regs: []val.Value{val.Int(1, was), val.Int(8, 0), val.Int(8, 1)}, Sigs: sigs}
+			if _, err := NewRuntime(NewProgram(nil)).Exec(e, u, fr, 0); err != nil {
+				t.Fatal(err)
+			}
+			rose := fr.Regs[1].Bits == 0
+			if want := was == 0 && now == 1; rose != want {
+				t.Errorf("Dst held %d, the probe read %d: took the true target %v, want %v", was, now, rose, want)
+			}
+			if !fr.Regs[0].Eq(val.Int(1, uint64(now))) {
+				t.Errorf("Dst held %d, the probe read %d: Dst = %s afterwards, want the probe", was, now, fr.Regs[0])
+			}
+		}
 	}
 }

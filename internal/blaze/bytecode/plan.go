@@ -9,7 +9,7 @@ import (
 // # The forwarding plan
 //
 // Lowering forwards values instead of transcribing the IR one instruction
-// at a time. Twelve rewrites, each with the condition that makes it sound;
+// at a time. Fourteen rewrites, each with the condition that makes it sound;
 // the reference they are diffed against is the interpreter, so there is no
 // way to switch any of them off.
 //
@@ -150,6 +150,43 @@ import (
 //     wider than N; a compare fused into its branch (rule 6) keeps the
 //     operands it read, so br.eq reads %x too. A link of a splice chain
 //     rule 4 fuses stays one: read through, it would save no dispatch.
+// 13. Edge waits tested in one dispatch. A conditional br on
+//     and i1 (neq i1 %old, %new), %new — Moore's posedge test — becomes one
+//     br.rise, which probes the signal, takes the true target iff the
+//     register of %old held 0 and the probe reads 1, and leaves the probe
+//     in that register; the and, the neq and %new's prb emit nothing.
+//     Conditions (edgeWait, planRises): %new = prb %s of an i1 signal
+//     stands in the br's block, the check block, and the neq and the and
+//     are all that read it; %old = prb %s stands in the head block, whose
+//     wait resumes in the check block, and the neq is all that reads it;
+//     the neq and the and stand in the check block and are read by nothing
+//     else; neither probe reuses another (rule 9), and the head's wait is
+//     the check block's only way in. Then the br.rise computes what the
+//     three did: a signal only changes between deltas, so the probe reads
+//     what %new read, and nothing but the head's prb and the br.rise writes
+//     %old's register, so it holds what the neq read. Whenever the check
+//     block runs, the head's probe ran last or was skipped (below) where
+//     it would have read what the register holds. Back edges skip the
+//     re-probe: a br's transfer into the head from a block that the check
+//     block dominates and that lies in its temporal region (the
+//     transfers of a br alone: a wait's resumption ends an activation)
+//     lands one Instr past the head's probe, when that probe is the head's
+//     first Instr. The last br.rise ran in the same activation (rule 9's
+//     argument, ir.TemporalRegions), so the register holds what the probe
+//     would read. Negedge (and with a not of %new), any-change and
+//     multi-event waits keep their code.
+// 14. Truncations where they are computed. An integer exts iN %x, 0, n
+//     emits nothing when %x has no other reader and lowered to the one
+//     Instr just before it (after rule 10's placements), an add, sub, mul,
+//     and, or, xor, shl, not or neg (truncates); that Instr then writes the
+//     exts's register at width n. The low n bits of these depend on the
+//     low n bits of their operands alone (and a shift's amount, read
+//     whole), so the narrower result is the truncation of the wider one,
+//     and nothing runs in between. Never a shr or ashr (ashr takes its
+//     sign bit at the width), a compare or the generic path. The exts is
+//     then the last Instr's value, which rules 2, 6 and 14 may take in
+//     turn; a not that rule 14 narrowed to one bit is no i1 not for rule
+//     6, which tests its whole operand.
 //
 // Edge moves. The phis of a block are one parallel copy on each edge into
 // it. Lowering leaves out every move of a register onto itself and of a
@@ -164,8 +201,9 @@ import (
 // "Register file = value ID" stands, but for rule 11: a web's members
 // read and write the register of its representative, one of them. A
 // forwarded load's register, a coalesced value's, a fused link's, a fused
-// compare's, a reused probe's and a zero-extension's read through simply
-// go unwritten, a var without
+// compare's, a reused probe's, a zero-extension's read through, the probe,
+// neq and and a br.rise absorbs, and the value whose truncation rule 14
+// computes in its place simply go unwritten, a var without
 // initialisation starts out unwritten, and nothing but reg maps a value
 // to a register. The one register without a value is the scratch
 // register, in a unit whose edge moves hold a cycle.
@@ -186,8 +224,11 @@ import (
 // right before. Rule 9 plans across blocks (planProbes) over the same
 // tree and the temporal regions built from it, first, and only when the
 // walk saw a signal probed first in two blocks, the second one that no
-// wait resumes in. A unit without any of these allocates nothing for
-// them. Rule 12 is decided as the inss is lowered.
+// wait resumes in. Rule 13 scans the terminators of a process with a prb
+// (edgeWaits) and, for an edge wait it finds, builds the same tree, after
+// rule 9, and the temporal regions (planRises). A unit without any of
+// these allocates nothing for them. Rules 12 and 14 are decided as the
+// inss or exts is lowered.
 
 // memPlan is the plan entry of a value that takes part in rules 1, 2
 // and 5.
@@ -437,6 +478,115 @@ func (lo *lowerer) reusedProbe(id int) int32 {
 		id = int(-lo.probes[id] - 1)
 	}
 	return int32(id)
+}
+
+// rise is an edge wait that rule 13 lowers as one br.rise: the br ending
+// check tests and (neq old, new), new, where new probes a 1-bit signal in
+// check and old probes it in head, whose wait resumes in check.
+type rise struct {
+	check, head        *ir.Block
+	old, new, neq, and *ir.Inst
+	// slot: the signal slot the br.rise probes. first: head's probe of
+	// old is the first Instr of head, so a transfer that skips it lands
+	// one Instr later.
+	slot  int32
+	first bool
+}
+
+// edgeWaits returns the edge waits rule 13 may lower, one scan of the
+// terminators; planRises keeps those it does lower.
+func (lo *lowerer) edgeWaits() []rise {
+	var out []rise
+	for _, c := range lo.unit.Blocks {
+		if r, ok := lo.edgeWait(c); ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// edgeWait matches the edge wait tested at the end of block c: a br on
+// and i1 (neq i1 %old, %new), %new (either operand order), the and and
+// the neq in c and read by nothing else, %new = prb %s in c and read by
+// the two alone, %old = prb %s read by the neq alone, in the block whose
+// wait resumes in c; neither probe reuses another (rule 9).
+func (lo *lowerer) edgeWait(c *ir.Block) (rise, bool) {
+	br := c.Terminator()
+	if br == nil || br.Op != ir.OpBr || len(br.Args) != 1 {
+		return rise{}, false
+	}
+	and, ok := br.Args[0].(*ir.Inst)
+	if !ok || and.Op != ir.OpAnd || and.Block() != c || !lo.singleUse(and) {
+		return rise{}, false
+	}
+	for k := range and.Args {
+		neq, ok1 := and.Args[k].(*ir.Inst)
+		nw, ok2 := and.Args[1-k].(*ir.Inst)
+		if !ok1 || !ok2 || neq.Op != ir.OpNeq || neq.Block() != c || !lo.singleUse(neq) ||
+			nw.Op != ir.OpPrb || nw.Block() != c || lo.uses[ir.ValueID(nw)] != 2 || !nw.Ty.IsInt() || nw.Ty.Width != 1 {
+			continue
+		}
+		j := slices.Index(neq.Args, ir.Value(nw))
+		if j < 0 {
+			continue
+		}
+		old, ok := neq.Args[1-j].(*ir.Inst)
+		if !ok || old.Op != ir.OpPrb || old.Args[0] != nw.Args[0] || !lo.singleUse(old) {
+			continue
+		}
+		head := old.Block()
+		if w := head.Terminator(); w == nil || w.Op != ir.OpWait || w.Dests[0] != c {
+			continue
+		}
+		if lo.reusedProbe(ir.ValueID(old)) >= 0 || lo.reusedProbe(ir.ValueID(nw)) >= 0 {
+			continue
+		}
+		return rise{check: c, head: head, old: old, new: nw, neq: neq, and: and}, true
+	}
+	return rise{}, false
+}
+
+// planRises keeps the edge waits rule 13 lowers: those that still match
+// after planProbes counted its reuses, and whose check block the head's
+// wait alone enters, so that old's register holds what head's probe last
+// read, or what the check's br.rise probed after it. The tree and the
+// temporal regions stay for skips.
+func (lo *lowerer) planRises(dom *ir.DomTree) {
+	kept := lo.rises[:0]
+	for _, r := range lo.rises {
+		preds := dom.Preds(dom.Index(r.check))
+		if _, ok := lo.edgeWait(r.check); ok && len(preds) == 1 && int(preds[0]) == dom.Index(r.head) {
+			kept = append(kept, r)
+		}
+	}
+	if len(kept) == 0 {
+		lo.rises = nil
+		return
+	}
+	lo.rises, lo.dom, lo.trs = kept, dom, ir.TemporalRegions(dom)
+}
+
+// riseOf returns the edge wait in is part of (rule 13), nil for none.
+func (lo *lowerer) riseOf(v ir.Value) *rise {
+	for k := range lo.rises {
+		if r := &lo.rises[k]; v == r.old || v == r.new || v == r.neq || v == r.and {
+			return r
+		}
+	}
+	return nil
+}
+
+// skips returns the edge wait whose head probe a br's transfer from block
+// from to block to skips (rule 13): to is its head, and from lies in the
+// check block's temporal region, dominated by it.
+func (lo *lowerer) skips(from, to *ir.Block) *rise {
+	for k := range lo.rises {
+		r := &lo.rises[k]
+		if r.head == to && lo.dom.Dominates(r.check, from) && lo.trs.Of(from) == lo.trs.Of(r.check) {
+			return r
+		}
+	}
+	return nil
 }
 
 // initEvent is what rule 5 looks at of an instruction the walk met: a var

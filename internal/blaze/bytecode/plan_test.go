@@ -116,6 +116,23 @@ func TestRewritesHoldBack(t *testing.T) {
 		{"blaze_sink_loop.llhd", opMul, 1, "%y: read in the loop's body, computed before the loop", true},
 		{"blaze_coalesce_lost_copy.llhd", opMoves, 1, "entry -> join moves %a into %m: %a is read after the join", false},
 		{"blaze_coalesce_wait.llhd", opMoves, 1, "tail -> head moves %n into %i: %i is read after the wait, where %n is live", false},
+		{"blaze_rise_new_read.llhd", opPrb, 3, "%old, %new and %x: the body drives %new", false},
+		{"blaze_rise_negedge.llhd", opPrb, 3, "%old, %new and %x: a falling edge", false},
+		{"blaze_rise_two_events.llhd", opPrb, 5, "%clk0, %rst0, %clk1, %rst1 and %x: the br tests an or of two edges", false},
+		{"blaze_rise_wait_in_body.llhd", opBrRise, 1, "the edge test, whose check skips the head probe (and %tail does not)", false},
+		{"blaze_rise_head_not_first.llhd", opBrRise, 1, "the edge test (and no back edge skips the count ahead of the head probe)", false},
+		{"blaze_trunc_shifts.llhd", opExtSInt, 2, "%ts and %ta: truncations of a shr and an ashr", false},
+		{"blaze_trunc_reused.llhd", opExtSInt, 1, "%t: the sum it truncates is driven too", false},
+		{"blaze_trunc_not_adjacent.llhd", opExtSInt, 1, "%t: a drive stands between it and the sum", false},
+		{"blaze_trunc_not_branch.llhd", opNot, 1, "%n, narrowed to %b's bit (rule 14): rule 6 must not fuse a not of i8", false},
+	}
+	// The transfers that land past an edge wait's head probe (rule 13),
+	// where a back edge may or must not skip it.
+	skips := map[string]int{
+		"blaze_rise_new_read.llhd":       0,
+		"blaze_rise_negedge.llhd":        0,
+		"blaze_rise_wait_in_body.llhd":   1,
+		"blaze_rise_head_not_first.llhd": 0,
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -128,6 +145,9 @@ func TestRewritesHoldBack(t *testing.T) {
 			}
 			if got != c.want {
 				t.Errorf("@p holds %d %s, want %d (%s)\n%s", got, c.op, c.want, c.why, Disasm(u))
+			}
+			if want, ok := skips[c.file]; ok && pastProbe(u) != want {
+				t.Errorf("@p has %d transfers past a head probe, want %d\n%s", pastProbe(u), want, Disasm(u))
 			}
 			checkMovesInOrder(t, u)
 		})
@@ -150,11 +170,27 @@ func TestRewritesHoldBack(t *testing.T) {
 func firstTransfer(u *Unit) int {
 	for pc, i := range u.Code {
 		switch i.Op {
-		case opJump, opBranch, opBrEq, opBrUlt, opSuspend, opHalt, opRet, opRetV:
+		case opJump, opBranch, opBrEq, opBrUlt, opBrRise, opSuspend, opHalt, opRet, opRetV:
 			return pc
 		}
 	}
 	return len(u.Code)
+}
+
+// pastProbe counts the transfers and resume points of u that land right
+// behind a prb: the back edges that rule 13 lets skip an edge wait's head
+// probe, and any that threading carried through such a jump.
+func pastProbe(u *Unit) int {
+	n := 0
+	for _, i := range u.Code {
+		retarget(&i, func(pc int32) int32 {
+			if pc > 0 && u.Code[pc-1].Op == opPrb {
+				n++
+			}
+			return pc
+		})
+	}
+	return n
 }
 
 // TestJumpCyclesKeepACountedTransfer pins rule 3's bound on the two
@@ -193,6 +229,10 @@ func TestJumpCyclesKeepACountedTransfer(t *testing.T) {
 // moves and %inext shares %i's register; in blaze_probe_loop_store.llhd,
 // the loop body reuses the probes ahead of the loop (rule 9); in
 // blaze_zext_users.llhd, @q reads every zero-extension through (rule 12).
+// And edge_wait_truncations.llhd, a flip-flop in Moore's form, tests its
+// clock edge in one br.rise whose back edges skip the head probe (rule
+// 13), and computes each of its nine truncations where the value is
+// computed (rule 14).
 func TestRewritesFire(t *testing.T) {
 	u := lowerDesign(t, "branch_on_compare", corpusEntry(t, "branch_on_compare.llhd"))["p"]
 	for _, c := range []struct {
@@ -273,6 +313,25 @@ func TestRewritesFire(t *testing.T) {
 		if got := countOps(u, c.op); got != c.want {
 			t.Errorf("blaze_zext_users: @q holds %d %s, want %d", got, c.op, c.want)
 		}
+	}
+	if t.Failed() {
+		t.Log("\n" + Disasm(u))
+	}
+
+	u = lowerDesign(t, "edge_wait", corpusEntry(t, "edge_wait_truncations.llhd"))["p"]
+	for _, c := range []struct {
+		op   Op
+		want int
+	}{
+		{opBrRise, 1}, {opNeq, 0}, {opBranch, 0}, {opExtSInt, 0}, {opPrb, 2}, {opAnd, 1},
+	} {
+		if got := countOps(u, c.op); got != c.want {
+			t.Errorf("edge_wait_truncations: @p holds %d %s, want %d", got, c.op, c.want)
+		}
+	}
+	// The check's false edge, and the body's back edge.
+	if got := pastProbe(u); got != 2 {
+		t.Errorf("edge_wait_truncations: %d transfers land past the head probe, want 2", got)
 	}
 	if t.Failed() {
 		t.Log("\n" + Disasm(u))

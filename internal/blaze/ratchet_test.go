@@ -56,8 +56,9 @@ func rv32iDesign(t *testing.T) designs.Design {
 }
 
 // TestBytecodeSizeRatchet pins how many instructions each unit of the ten
-// Table 2 designs and of the RV32I core lowers to, as the frontend emits
-// them and after the §4 lowering, the way TestLoweringCoverage pins the
+// Table 2 designs, of the RV32I core and of fabric_4x40 (the fabric_wide
+// workload's shape, testdata/fabric_4x40.sv) lowers to, as the frontend
+// emits them and after the §4 lowering, the way TestLoweringCoverage pins the
 // surviving processes: the forwarding plan (bytecode/plan.go) is what the
 // numbers measure, they may only shrink, and a change that shrinks one
 // edits it here. Transcribed one Instr per IR instruction, rv32i_core_p1
@@ -72,30 +73,32 @@ func rv32iDesign(t *testing.T) designs.Design {
 // them down), so that they cannot grow back unseen.
 func TestBytecodeSizeRatchet(t *testing.T) {
 	pinned := map[string]string{
-		"gray":           "gray_dec$W8_p0=14 gray_enc$W8_p0=7 gray_tb_p0=22",
-		"fir":            "fir$W16_p0=27 fir$W16_p1=14 fir_tb_p0=43",
-		"lfsr":           "lfsr_p0=23 lfsr_tb_p0=39",
-		"lzc":            "lzc$W16_p0=23 lzc_tb_p0=42",
-		"fifo":           "fifo$W16_p0=5 fifo$W16_p1=5 fifo$W16_p2=65 fifo_tb_p0=120",
-		"cdc_gray":       "cdc_gray_tb_p0=14 cdc_gray_tb_p1=7 cdc_gray_tb_p2=14 cdc_gray_tb_p3=15 cdc_gray_tb_p4=22 sync2$W8_p0=12",
-		"cdc_strobe":     "cdc_strobe_tb_p0=13 cdc_strobe_tb_p1=21 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=20",
-		"rr_arbiter":     "rr_arbiter_p0=25 rr_arbiter_p1=33 rr_arbiter_tb_p0=67",
-		"stream_delayer": "stream_delayer$W8_p0=26 stream_delayer$W8_p1=5 stream_delayer$W8_p2=4 stream_delayer_tb_p0=50",
-		"riscv":          "riscv_core_p0=108 riscv_tb_p0=27",
-		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=279 rv32i_tb_p0=26",
+		"gray":           "gray_dec$W8_p0=13 gray_enc$W8_p0=6 gray_tb_p0=22",
+		"fir":            "fir$W16_p0=24 fir$W16_p1=13 fir_tb_p0=41",
+		"lfsr":           "lfsr_p0=20 lfsr_tb_p0=39",
+		"lzc":            "lzc$W16_p0=22 lzc_tb_p0=41",
+		"fifo":           "fifo$W16_p0=5 fifo$W16_p1=5 fifo$W16_p2=58 fifo_tb_p0=118",
+		"cdc_gray":       "cdc_gray_tb_p0=10 cdc_gray_tb_p1=6 cdc_gray_tb_p2=13 cdc_gray_tb_p3=15 cdc_gray_tb_p4=22 sync2$W8_p0=9",
+		"cdc_strobe":     "cdc_strobe_tb_p0=10 cdc_strobe_tb_p1=17 cdc_strobe_tb_p2=25 cdc_strobe_tb_p3=20",
+		"rr_arbiter":     "rr_arbiter_p0=24 rr_arbiter_p1=30 rr_arbiter_tb_p0=67",
+		"stream_delayer": "stream_delayer$W8_p0=23 stream_delayer$W8_p1=5 stream_delayer$W8_p2=4 stream_delayer_tb_p0=49",
+		"riscv":          "riscv_core_p0=105 riscv_tb_p0=27",
+		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=276 rv32i_tb_p0=26",
+		"fabric_4x40":    "fabric_tb_p0=5 fabric_tb_p10=5 fabric_tb_p11=5 fabric_tb_p12=12 fabric_tb_p13=42 fabric_tb_p1=5 fabric_tb_p2=5 fabric_tb_p3=5 fabric_tb_p4=5 fabric_tb_p5=5 fabric_tb_p6=5 fabric_tb_p7=5 fabric_tb_p8=5 fabric_tb_p9=5 fifo$W16_p0=5 fifo$W16_p1=5 fifo$W16_p2=58 fir$W16_p0=24 fir$W16_p1=13 gray_dec$W8_p0=13 gray_enc$W8_p0=6 lfsr_p0=20 lzc$W16_p0=22 rr_arbiter_p0=24 rr_arbiter_p1=30 stream_delayer$W8_p0=23 stream_delayer$W8_p1=5 stream_delayer$W8_p2=4",
 	}
 	pinnedLowered := map[string]string{
-		"gray":           "gray_dec$W8_p0=12 gray_enc$W8_p0=7 gray_tb_p0=34",
-		"fir":            "fir$W16_p0=29 fir$W16_p1=14 fir_tb_p0=39",
+		"gray":           "gray_dec$W8_p0=12 gray_enc$W8_p0=6 gray_tb_p0=33",
+		"fir":            "fir$W16_p0=29 fir$W16_p1=13 fir_tb_p0=37",
 		"lfsr":           "lfsr_p0=24 lfsr_tb_p0=38",
-		"lzc":            "lzc$W16_p0=19 lzc_tb_p0=56",
-		"fifo":           "fifo$W16=6 fifo$W16_p2=63 fifo_tb_p0=117",
-		"cdc_gray":       "cdc_gray_tb_p0=14 cdc_gray_tb_p1=7 cdc_gray_tb_p2=12 cdc_gray_tb_p3=14 cdc_gray_tb_p4=19 sync2$W8=6",
-		"cdc_strobe":     "cdc_strobe_tb=6 cdc_strobe_tb_p1=22 cdc_strobe_tb_p2=23 cdc_strobe_tb_p3=19",
-		"rr_arbiter":     "rr_arbiter_p0=23 rr_arbiter_p1=33 rr_arbiter_tb_p0=85",
-		"stream_delayer": "stream_delayer$W8=3 stream_delayer$W8_p0=31 stream_delayer$W8_p1=5 stream_delayer_tb_p0=41",
+		"lzc":            "lzc$W16_p0=18 lzc_tb_p0=54",
+		"fifo":           "fifo$W16=6 fifo$W16_p2=59 fifo_tb_p0=115",
+		"cdc_gray":       "cdc_gray_tb_p0=13 cdc_gray_tb_p1=6 cdc_gray_tb_p2=12 cdc_gray_tb_p3=14 cdc_gray_tb_p4=19 sync2$W8=6",
+		"cdc_strobe":     "cdc_strobe_tb=6 cdc_strobe_tb_p1=21 cdc_strobe_tb_p2=23 cdc_strobe_tb_p3=19",
+		"rr_arbiter":     "rr_arbiter_p0=22 rr_arbiter_p1=33 rr_arbiter_tb_p0=84",
+		"stream_delayer": "stream_delayer$W8=3 stream_delayer$W8_p0=31 stream_delayer$W8_p1=5 stream_delayer_tb_p0=40",
 		"riscv":          "riscv_core_p0=122 riscv_tb_p0=26",
 		"rv32i":          "rv32i_core_p0=1 rv32i_core_p1=306 rv32i_tb_p0=24",
+		"fabric_4x40":    "fabric_tb=13 fabric_tb_p0=5 fabric_tb_p11=5 fabric_tb_p12=12 fabric_tb_p13=42 fabric_tb_p2=5 fabric_tb_p3=5 fabric_tb_p5=5 fabric_tb_p6=5 fabric_tb_p8=5 fabric_tb_p9=5 fifo$W16=6 fifo$W16_p2=59 fir$W16_p0=29 fir$W16_p1=13 gray_dec$W8_p0=12 gray_enc$W8_p0=6 lfsr_p0=24 lzc$W16_p0=18 rr_arbiter_p0=22 rr_arbiter_p1=33 stream_delayer$W8=3 stream_delayer$W8_p0=31 stream_delayer$W8_p1=5",
 	}
 	// The copies the edge moves of each unit make after the §4 lowering,
 	// which turns vars into phis (the behavioural units have no phi). They
@@ -113,8 +116,13 @@ func TestBytecodeSizeRatchet(t *testing.T) {
 		"stream_delayer": "stream_delayer$W8=0 stream_delayer$W8_p0=0 stream_delayer$W8_p1=0 stream_delayer_tb_p0=7",
 		"riscv":          "riscv_core_p0=48 riscv_tb_p0=1",
 		"rv32i":          "rv32i_core_p0=0 rv32i_core_p1=131 rv32i_tb_p0=1",
+		"fabric_4x40":    "fabric_tb=0 fabric_tb_p0=0 fabric_tb_p11=0 fabric_tb_p12=0 fabric_tb_p13=1 fabric_tb_p2=0 fabric_tb_p3=0 fabric_tb_p5=0 fabric_tb_p6=0 fabric_tb_p8=0 fabric_tb_p9=0 fifo$W16=0 fifo$W16_p2=1 fir$W16_p0=0 fir$W16_p1=0 gray_dec$W8_p0=1 gray_enc$W8_p0=0 lfsr_p0=0 lzc$W16_p0=1 rr_arbiter_p0=1 rr_arbiter_p1=0 stream_delayer$W8=0 stream_delayer$W8_p0=0 stream_delayer$W8_p1=0",
 	}
-	for _, d := range append(designs.All(), rv32iDesign(t)) {
+	fabric, err := os.ReadFile(filepath.Join("..", "..", "testdata", "fabric_4x40.sv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range append(designs.All(), rv32iDesign(t), designs.Design{Name: "fabric_4x40", Top: "fabric_tb", Source: string(fabric)}) {
 		for _, lowered := range []bool{false, true} {
 			m, cd := compileDesign(t, d, lowered)
 			want, form := pinned[d.Name], "behavioural"
@@ -169,7 +177,7 @@ func checkTransfersAndMoves(t *testing.T, name string, u *bytecode.Unit) {
 		switch i.Op.String() {
 		case "jump":
 			switch target := u.Code[i.A].Op.String(); target {
-			case "branch", "br.eq", "br.ult":
+			case "branch", "br.eq", "br.ult", "br.rise":
 				t.Errorf("@%s pc %d: jump to a %s", name, pc, target)
 			}
 		case "moves":
@@ -215,7 +223,8 @@ func checkProbesOncePerRegion(t *testing.T, unit *ir.Unit, u *bytecode.Unit) {
 	}
 	got := 0
 	for _, i := range u.Code {
-		if i.Op.String() == "prb" {
+		switch i.Op.String() {
+		case "prb", "br.rise": // an edge wait's test probes too (rule 13)
 			got++
 		}
 	}

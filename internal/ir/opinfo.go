@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // OpInfo is everything about an opcode that is not its execution: the
@@ -340,7 +341,66 @@ func (c *checker) unit(u *Unit) bool {
 			c.problemf("%s: block %s lacks a terminator", u, b)
 		}
 	}
+	if shaped && u.Kind != UnitEntity {
+		c.phiEdges(u)
+	}
 	return shaped
+}
+
+// phiEdges checks that every phi names each predecessor of its block
+// exactly once: the engines move a phi's operand on each edge into its
+// block, so an edge it has no operand for leaves its value unwritten. A
+// block's predecessors are counted with a walk over the terminators, the
+// first time a phi of the block asks.
+func (c *checker) phiEdges(u *Unit) {
+	for _, b := range u.Blocks {
+		preds := -1
+		for _, in := range b.Insts {
+			if in.Op != OpPhi {
+				continue
+			}
+			if preds < 0 {
+				preds = 0
+				for _, p := range u.Blocks {
+					if branchesTo(p, b) {
+						preds++
+					}
+				}
+			}
+			named := 0
+			for i, pb := range in.Dests {
+				switch {
+				case !branchesTo(pb, b):
+					c.instf(u, b, in, "phi names non-predecessor %s", pb)
+				case slices.Contains(in.Dests[:i], pb):
+					c.instf(u, b, in, "phi names predecessor %s twice", pb)
+				default:
+					named++
+				}
+			}
+			for _, p := range u.Blocks {
+				if named == preds {
+					break
+				}
+				if branchesTo(p, b) && !slices.Contains(in.Dests, p) {
+					c.instf(u, b, in, "phi has no operand for predecessor %s", p)
+					named++
+				}
+			}
+			if !c.all && len(c.problems) > 0 {
+				return
+			}
+		}
+	}
+}
+
+// branchesTo reports whether block p ends in a terminator that goes to b.
+func branchesTo(p, b *Block) bool {
+	if p == nil {
+		return false
+	}
+	t := p.Terminator()
+	return t != nil && slices.Contains(t.Dests, b)
 }
 
 func instShapeProblem(in *Inst, kind UnitKind) string {

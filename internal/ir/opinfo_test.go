@@ -181,7 +181,17 @@ func buildForms(op Opcode, kind UnitKind) (*Module, []*Inst) {
 	case OpBr:
 		forms = []*Inst{b.Br(next), b.BrCond(c, next, next)}
 	case OpPhi:
-		forms = []*Inst{b.Phi(i8, nil, nil), b.Phi(i8, []Value{x, y}, []*Block{next, next})}
+		// A phi names each predecessor of its block once: none of the
+		// entry, and of next the entry and next itself.
+		forms = []*Inst{b.Phi(i8, nil, nil)}
+		if next == nil { // an entity, which holds no phi
+			forms = append(forms, b.Phi(i8, []Value{x, y}, []*Block{nil, nil}))
+			break
+		}
+		b.Br(next)
+		b.SetBlock(next)
+		forms = append(forms, b.Phi(i8, []Value{x, y}, []*Block{u.Blocks[0], next}))
+		b.Br(next)
 	case OpWait:
 		forms = []*Inst{b.Wait(next, nil), b.Wait(next, t, s, s2)}
 	case OpHalt:
@@ -503,5 +513,56 @@ func TestCheckShapeRejects(t *testing.T) {
 				t.Errorf("Verify = %v, want it to report the same", verr)
 			}
 		})
+	}
+}
+
+// TestCheckShapePhiEdges holds CheckShape and Verify to the phi rule: a
+// phi names each predecessor of its block exactly once, in any order; one
+// it leaves out, names twice, or that is no predecessor is a problem.
+func TestCheckShapePhiEdges(t *testing.T) {
+	build := func(dests func(entry, a, b *Block) []*Block) *Module {
+		u := NewUnit(UnitProc, "p")
+		entry, a, b, join := u.AddBlock("entry"), u.AddBlock("a"), u.AddBlock("b"), u.AddBlock("join")
+		bl := NewBuilder(u)
+		c, one := bl.ConstInt(IntType(1), 0), bl.ConstInt(IntType(8), 1)
+		bl.BrCond(c, a, b)
+		for _, arm := range []*Block{a, b} {
+			bl.SetBlock(arm)
+			bl.Br(join)
+		}
+		bl.SetBlock(join)
+		ds := dests(entry, a, b)
+		vals := make([]Value, len(ds))
+		for i := range vals {
+			vals[i] = one
+		}
+		bl.Phi(IntType(8), vals, ds)
+		bl.Halt()
+		m := NewModule("t")
+		m.MustAdd(u)
+		return m
+	}
+	for _, c := range []struct {
+		name  string
+		dests func(entry, a, b *Block) []*Block
+		want  string // "": legal
+	}{
+		{"both", func(_, a, b *Block) []*Block { return []*Block{a, b} }, ""},
+		{"both, swapped", func(_, a, b *Block) []*Block { return []*Block{b, a} }, ""},
+		{"one left out", func(_, _, b *Block) []*Block { return []*Block{b} }, "phi has no operand for predecessor %a"},
+		{"one named twice", func(_, a, b *Block) []*Block { return []*Block{a, b, b} }, "phi names predecessor %b twice"},
+		{"a non-predecessor", func(entry, a, b *Block) []*Block { return []*Block{a, b, entry} }, "phi names non-predecessor %entry"},
+	} {
+		m := build(c.dests)
+		err, verr := CheckShape(m), Verify(m, Behavioural)
+		if c.want == "" {
+			if err != nil || verr != nil {
+				t.Errorf("%s: CheckShape = %v, Verify = %v, want both nil", c.name, err, verr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || verr == nil || !strings.Contains(verr.Error(), c.want) {
+			t.Errorf("%s: CheckShape = %v, Verify = %v, want both to report %q", c.name, err, verr, c.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -113,28 +112,8 @@ func (c *checker) verifyUnit(u *Unit, level Level) {
 				c.problemf("%s: instruction %s not allowed in entity at %s level", u, in.Op, level)
 			}
 		}
-	} else {
-		c.verifyPhiPreds(u)
 	}
 	c.verifyDefs(u)
-}
-
-// verifyPhiPreds checks that the incoming blocks of every phi are the
-// actual predecessors of its block.
-func (c *checker) verifyPhiPreds(u *Unit) {
-	preds := u.Preds()
-	for _, b := range u.Blocks {
-		for _, in := range b.Insts {
-			if in.Op != OpPhi {
-				continue
-			}
-			for _, pb := range in.Dests {
-				if !slices.Contains(preds[b], pb) {
-					c.instf(u, b, in, "phi names non-predecessor %s", pb)
-				}
-			}
-		}
-	}
 }
 
 // instTypes checks what an instruction of the right shape reads against

@@ -213,16 +213,32 @@ func appendChange(b []byte, dv dumpedVar, v val.Value) []byte {
 	return append(b, dv.tail...)
 }
 
+// byteBits holds each byte value's eight bits as VCD characters, MSB
+// first.
+var byteBits = func() (t [256][8]byte) {
+	for x := range t {
+		for i := range t[x] {
+			t[x][7-i] = '0' + byte(x>>i&1)
+		}
+	}
+	return t
+}()
+
 // appendBits appends the value MSB-first in the four VCD value characters
 // (0, 1, x, z). Nine-valued logic collapses onto them: forcing/weak levels
-// keep their polarity, Z stays z, everything else is x.
+// keep their polarity, Z stays z, everything else is x. An integer goes
+// eight bits at a time, from byteBits.
 func appendBits(b []byte, v val.Value, width int) []byte {
 	n := len(b)
 	b = slices.Grow(b, width)[:n+width]
 	out := b[n:]
 	switch v.Kind {
 	case val.KindInt:
-		for i := range out {
+		i := 0
+		for ; i+8 <= width; i += 8 {
+			copy(out[width-i-8:], byteBits[byte(v.Bits>>uint(i))][:])
+		}
+		for ; i < width; i++ {
 			out[width-1-i] = '0' + byte(v.Bits>>uint(i)&1)
 		}
 	case val.KindLogic:

@@ -138,7 +138,9 @@ func TestShapeLegalityAcrossEngines(t *testing.T) {
 // both only because Blaze kept a width test for it, the drv row put 300 on
 // an i8 signal, the sig row made an i8 signal that Blaze held equal to 44
 // and the interpreter did not, and the inss row failed as "internal" on
-// the interpreter and ran on Blaze.
+// the interpreter and ran on Blaze. The phi row, a phi that leaves out a
+// predecessor, failed as "internal" on the interpreter and drove the
+// phi's unwritten register on Blaze.
 func TestIllegalDesignsRejectedAlike(t *testing.T) {
 	for _, c := range illegalDesigns {
 		t.Run(c.name, func(t *testing.T) {
@@ -345,6 +347,27 @@ proc @p () -> (i4$ %q) {
   drv i4$ %q, %y after %t
   halt
 }`, "ir: @p: %y (inss) in %entry: slice [0, 8) out of i4"},
+	{"phi without one of its predecessors", `
+entity @top () -> () {
+  %z = const i8 0
+  %q = sig i8 %z
+  inst @p () -> (i8$ %q)
+}
+proc @p () -> (i8$ %q) {
+ entry:
+  %c = const i1 0
+  %one = const i8 1
+  %t = const time 1ns
+  br %c, %a, %b
+ a:
+  br %join
+ b:
+  br %join
+ join:
+  %v = phi i8 [%one, %b]
+  drv i8$ %q, %v after %t
+  halt
+}`, "ir: @p: %v (phi) in %join: phi has no operand for predecessor %a"},
 }
 
 // TestCheckShapeAllocFree holds the walk every elaboration starts with to
